@@ -5,14 +5,25 @@
 //! ns, bytes moved) so CI can track the trajectory without parsing
 //! Criterion's output directory.
 
-use std::net::{TcpListener, TcpStream};
-
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, Criterion, Throughput};
 use dp_bench::{time_sample, write_bench_json, BenchSample};
 use sparklet::transport::executor::serve;
-use sparklet::transport::wire::{decode_body, encode_body, read_msg, write_msg, WireMsg};
+use sparklet::transport::wire::{decode_body, encode_body, WireMsg};
+use sparklet::wire::{dial, read_frame, write_frame, Addr, Conn, Listener};
 use sparklet::{Compression, Payload};
+
+type Stream = Box<dyn Conn>;
+
+/// Send one message; returns the bytes put on the wire.
+fn send(stream: &mut Stream, msg: &WireMsg) -> u64 {
+    write_frame(stream, &encode_body(msg)).expect("send")
+}
+
+/// Receive one message with the bytes taken off the wire.
+fn recv(stream: &mut Stream) -> (WireMsg, u64) {
+    read_frame(stream, decode_body).expect("recv")
+}
 
 /// A sealed 64 KiB payload frame (compressible, like real tile data).
 fn frame_64k() -> Bytes {
@@ -31,46 +42,43 @@ fn put_msg(frame: Bytes) -> WireMsg {
 
 /// Driver side of a loopback executor session: accepts the connection,
 /// answers the handshake, and returns the stream ready for traffic.
-fn loopback_executor() -> TcpStream {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("addr");
+fn loopback_executor() -> Stream {
+    let listener = Listener::bind(&Addr::Tcp("127.0.0.1:0".into())).expect("bind loopback");
+    let addr = listener.addr().clone();
     std::thread::spawn(move || {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
+        let mut stream = dial(&addr).expect("connect");
         let _ = serve(&mut stream, 0);
     });
-    let (mut stream, _) = listener.accept().expect("accept");
-    stream.set_nodelay(true).expect("nodelay");
-    let (hello, _) = read_msg(&mut stream).expect("hello");
+    let mut stream = listener.accept().expect("accept");
+    let (hello, _) = recv(&mut stream);
     assert!(matches!(hello, WireMsg::Hello { node: 0 }));
-    write_msg(&mut stream, &WireMsg::HelloAck { node: 0 }).expect("ack");
+    send(&mut stream, &WireMsg::HelloAck { node: 0 });
     stream
 }
 
 /// One staged put + fetch round trip; returns the bytes that crossed
 /// the socket in both directions.
-fn put_get_roundtrip(stream: &mut TcpStream, msg: &WireMsg) -> u64 {
-    let mut moved = write_msg(stream, msg).expect("put");
-    let (ack, n) = read_msg(stream).expect("put ack");
+fn put_get_roundtrip(stream: &mut Stream, msg: &WireMsg) -> u64 {
+    let mut moved = send(stream, msg);
+    let (ack, n) = recv(stream);
     assert_eq!(ack, WireMsg::Ack);
     moved += n;
-    moved += write_msg(
+    moved += send(
         stream,
         &WireMsg::ShuffleGet {
             shuffle: 1,
             map_task: 2,
             reduce: 3,
         },
-    )
-    .expect("get");
-    let (block, n) = read_msg(stream).expect("block");
+    );
+    let (block, n) = recv(stream);
     assert!(matches!(block, WireMsg::Block { frame: Some(_) }));
     moved + n
 }
 
-fn heartbeat_roundtrip(stream: &mut TcpStream) -> u64 {
-    let moved = write_msg(stream, &WireMsg::Heartbeat { seq: 9 }).expect("hb");
-    let (ack, n) = read_msg(stream).expect("hb ack");
+fn heartbeat_roundtrip(stream: &mut Stream) -> u64 {
+    let moved = send(stream, &WireMsg::Heartbeat { seq: 9 });
+    let (ack, n) = recv(stream);
     assert!(matches!(ack, WireMsg::HeartbeatAck { seq: 9, .. }));
     moved + n
 }
@@ -129,8 +137,8 @@ fn bench_loopback_tcp(c: &mut Criterion) {
     record(time_sample("loopback_tcp/heartbeat", hb, 200, || {
         black_box(heartbeat_roundtrip(&mut stream));
     }));
-    let _ = write_msg(&mut stream, &WireMsg::Shutdown);
-    let _ = read_msg(&mut stream);
+    send(&mut stream, &WireMsg::Shutdown);
+    recv(&mut stream);
 }
 
 criterion_group!(benches, bench_wire_codec, bench_loopback_tcp);

@@ -22,13 +22,16 @@
 //!   [`crate::beyond::solve_parenthesis`],
 //!   [`crate::linsys::solve_linear_system`]).
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use cluster_model::{CostModel, KernelInvocation, KernelType};
 use gep_kernels::alignment::AlignScore;
+use gep_kernels::matrix::Elem;
 use gep_kernels::parenthesis::ParenWeight;
 use gep_kernels::sparse::Csr;
 use gep_kernels::{Matrix, Tropical};
+use sparklet::codec::{encode_le_slice, LeScalar};
 use sparklet::service::JobRunner;
+use sparklet::wire::Reader;
 use sparklet::{JobError, SparkContext};
 
 use crate::beyond::{solve_alignment, solve_parenthesis};
@@ -108,198 +111,118 @@ const TAG_PAREN: u8 = 3;
 const TAG_LINSYS: u8 = 4;
 const TAG_SPARSE_APSP: u8 = 5;
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// `[count u64][scalars]`, the scalars in one bulk copy.
+fn put_run<T: LeScalar>(out: &mut BytesMut, items: &[T]) {
+    out.put_u64_le(items.len() as u64);
+    encode_le_slice(items, out);
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_matrix_f64(out: &mut Vec<u8>, m: &Matrix<f64>) {
-    put_u64(out, m.rows() as u64);
-    put_u64(out, m.cols() as u64);
-    for &v in m.as_slice() {
-        put_f64(out, v);
+/// Vertex ids travel widened to `u64`.
+fn put_ids(out: &mut BytesMut, ids: &[u32]) {
+    out.put_u64_le(ids.len() as u64);
+    for &id in ids {
+        out.put_u64_le(u64::from(id));
     }
 }
 
-struct Rd<'a> {
-    buf: &'a [u8],
-    at: usize,
+fn get_ids(rd: &mut Reader) -> Result<Vec<u32>, JobError> {
+    Ok(rd
+        .counted_run::<u64>()?
+        .into_iter()
+        .map(|id| id as u32)
+        .collect())
 }
 
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, at: 0 }
-    }
+/// `[rows u64][cols u64][cells]`, row-major.
+fn put_matrix<T: LeScalar + Elem>(out: &mut BytesMut, m: &Matrix<T>) {
+    out.put_u64_le(m.rows() as u64);
+    out.put_u64_le(m.cols() as u64);
+    encode_le_slice(m.as_slice(), out);
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JobError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| JobError::Codec("truncated job body".into()))?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
+/// `rows * cols` is overflow-checked here and `cells * width` against
+/// the bytes left by [`Reader::run`], both before the cells are
+/// allocated.
+fn get_matrix<T: LeScalar + Elem>(rd: &mut Reader) -> Result<Matrix<T>, JobError> {
+    let rows = rd.size()?;
+    let cols = rd.size()?;
+    let cells = rows
+        .checked_mul(cols)
+        .ok_or_else(|| JobError::Codec("matrix larger than body".into()))?;
+    Ok(Matrix::from_vec(rows, cols, rd.run(cells)?))
+}
 
-    fn u8(&mut self) -> Result<u8, JobError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, JobError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn len(&mut self) -> Result<usize, JobError> {
-        let v = self.u64()?;
-        // A length can never exceed what's left in the buffer; checking
-        // here keeps later allocations bounded by the body size.
-        if v as usize > self.buf.len() - self.at {
-            return Err(JobError::Codec(format!("implausible length {v}")));
-        }
-        Ok(v as usize)
-    }
-
-    /// An element count whose elements are `elem_bytes` each: the
-    /// remaining buffer must be able to hold them all, which bounds
-    /// every later allocation by the body size.
-    fn counted(&mut self, elem_bytes: usize) -> Result<usize, JobError> {
-        let v = self.u64()? as usize;
-        if v.checked_mul(elem_bytes)
-            .is_none_or(|b| b > self.buf.len() - self.at)
-        {
-            return Err(JobError::Codec(format!("implausible count {v}")));
-        }
-        Ok(v)
-    }
-
-    /// An element count whose elements are 8 bytes each.
-    fn count8(&mut self) -> Result<usize, JobError> {
-        self.counted(8)
-    }
-
-    fn u32(&mut self) -> Result<u32, JobError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn f64(&mut self) -> Result<f64, JobError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn i64(&mut self) -> Result<i64, JobError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn matrix_f64(&mut self) -> Result<Matrix<f64>, JobError> {
-        let rows = self.u64()? as usize;
-        let cols = self.u64()? as usize;
-        let cells = rows
-            .checked_mul(cols)
-            .filter(|&c| {
-                c.checked_mul(8)
-                    .is_some_and(|b| b <= self.buf.len() - self.at)
-            })
-            .ok_or_else(|| JobError::Codec("matrix larger than body".into()))?;
-        let mut data = Vec::with_capacity(cells);
-        for _ in 0..cells {
-            data.push(self.f64()?);
-        }
-        Ok(Matrix::from_vec(rows, cols, data))
-    }
-
-    fn done(self) -> Result<(), JobError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(JobError::Codec(format!(
-                "{} trailing bytes in job body",
-                self.buf.len() - self.at
-            )))
-        }
-    }
+/// A whole buffer holding one value.
+fn decode_all<T>(
+    bytes: &Bytes,
+    get: impl FnOnce(&mut Reader) -> Result<T, JobError>,
+) -> Result<T, JobError> {
+    let mut rd = Reader::new(bytes.clone());
+    let v = get(&mut rd)?;
+    rd.finish()?;
+    Ok(v)
 }
 
 impl DpJobRequest {
     /// Serialize to the service body encoding.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::new();
+        let mut out = BytesMut::new();
         match self {
             DpJobRequest::Apsp {
                 dist,
                 block,
                 sources,
             } => {
-                out.push(TAG_APSP);
-                put_u64(&mut out, *block as u64);
+                out.put_u8(TAG_APSP);
+                out.put_u64_le(*block as u64);
                 match sources {
-                    None => out.push(0),
+                    None => out.put_u8(0),
                     Some(s) => {
-                        out.push(1);
-                        put_u64(&mut out, s.len() as u64);
-                        for &r in s {
-                            put_u64(&mut out, u64::from(r));
-                        }
+                        out.put_u8(1);
+                        put_ids(&mut out, s);
                     }
                 }
-                put_matrix_f64(&mut out, dist);
+                put_matrix(&mut out, dist);
             }
             DpJobRequest::Alignment { a, b, score, block } => {
-                out.push(TAG_ALIGN);
-                put_u64(&mut out, *block as u64);
+                out.put_u8(TAG_ALIGN);
+                out.put_u64_le(*block as u64);
                 match score {
-                    AlignScore::Lcs => out.push(0),
+                    AlignScore::Lcs => out.put_u8(0),
                     AlignScore::NeedlemanWunsch {
                         matched,
                         mismatch,
                         gap,
                     } => {
-                        out.push(1);
-                        put_u64(&mut out, *matched as u64);
-                        put_u64(&mut out, *mismatch as u64);
-                        put_u64(&mut out, *gap as u64);
+                        out.put_u8(1);
+                        out.put_i64_le(*matched);
+                        out.put_i64_le(*mismatch);
+                        out.put_i64_le(*gap);
                     }
                 }
-                put_u64(&mut out, a.len() as u64);
-                out.extend_from_slice(a);
-                put_u64(&mut out, b.len() as u64);
-                out.extend_from_slice(b);
+                put_run(&mut out, a);
+                put_run(&mut out, b);
             }
             DpJobRequest::Parenthesis { weight, block } => {
-                out.push(TAG_PAREN);
-                put_u64(&mut out, *block as u64);
+                out.put_u8(TAG_PAREN);
+                out.put_u64_le(*block as u64);
                 match weight {
                     ParenWeight::MatrixChain(dims) => {
-                        out.push(0);
-                        put_u64(&mut out, dims.len() as u64);
-                        for &d in dims {
-                            put_u64(&mut out, d);
-                        }
+                        out.put_u8(0);
+                        put_run(&mut out, dims);
                     }
                     ParenWeight::Polygon(vs) => {
-                        out.push(1);
-                        put_u64(&mut out, vs.len() as u64);
-                        for &v in vs {
-                            put_f64(&mut out, v);
-                        }
+                        out.put_u8(1);
+                        put_run(&mut out, vs);
                     }
-                    ParenWeight::Zero => out.push(2),
+                    ParenWeight::Zero => out.put_u8(2),
                 }
             }
             DpJobRequest::LinearSystem { a, rhs, block } => {
-                out.push(TAG_LINSYS);
-                put_u64(&mut out, *block as u64);
-                put_u64(&mut out, rhs.len() as u64);
-                for &v in rhs {
-                    put_f64(&mut out, v);
-                }
-                put_matrix_f64(&mut out, a);
+                out.put_u8(TAG_LINSYS);
+                out.put_u64_le(*block as u64);
+                put_run(&mut out, rhs);
+                put_matrix(&mut out, a);
             }
             DpJobRequest::SparseApsp {
                 edges,
@@ -307,27 +230,18 @@ impl DpJobRequest {
                 parts,
             } => {
                 // nnz-exact: the body scales with stored edges, not n².
-                out.push(TAG_SPARSE_APSP);
-                put_u64(&mut out, *parts as u64);
-                put_u64(&mut out, sources.len() as u64);
-                for &s in sources {
-                    put_u64(&mut out, u64::from(s));
-                }
-                put_u64(&mut out, edges.rows() as u64);
-                put_u64(&mut out, edges.nnz() as u64);
-                put_f64(&mut out, edges.fill());
-                for &p in edges.row_ptr() {
-                    put_u32(&mut out, p);
-                }
-                for &c in edges.col_idx() {
-                    put_u32(&mut out, c);
-                }
-                for &v in edges.vals() {
-                    put_f64(&mut out, v);
-                }
+                out.put_u8(TAG_SPARSE_APSP);
+                out.put_u64_le(*parts as u64);
+                put_ids(&mut out, sources);
+                out.put_u64_le(edges.rows() as u64);
+                out.put_u64_le(edges.nnz() as u64);
+                out.put_f64_le(edges.fill());
+                encode_le_slice(edges.row_ptr(), &mut out);
+                encode_le_slice(edges.col_idx(), &mut out);
+                encode_le_slice(edges.vals(), &mut out);
             }
         }
-        Bytes::from(out)
+        out.freeze()
     }
 
     /// Shape invariants the solver entry points assert: a decodable
@@ -409,108 +323,72 @@ impl DpJobRequest {
     /// implausible lengths, and shape-invariant violations (typed
     /// [`JobError::Codec`], never a panic).
     pub fn decode(body: &Bytes) -> Result<Self, JobError> {
-        let mut rd = Rd::new(body);
-        let req = match rd.u8()? {
+        let mut rd = Reader::new(body.clone());
+        let req = match rd.scalar::<u8>()? {
             TAG_APSP => {
-                let block = rd.u64()? as usize;
-                let sources = match rd.u8()? {
-                    0 => None,
-                    1 => {
-                        let n = rd.count8()?;
-                        let mut s = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            s.push(rd.u64()? as u32);
-                        }
-                        Some(s)
-                    }
-                    other => {
-                        return Err(JobError::Codec(format!("bad sources marker {other}")));
-                    }
+                let block = rd.size()?;
+                let sources = if rd.flag("sources marker")? {
+                    Some(get_ids(&mut rd)?)
+                } else {
+                    None
                 };
-                let dist = rd.matrix_f64()?;
                 DpJobRequest::Apsp {
-                    dist,
+                    dist: get_matrix(&mut rd)?,
                     block,
                     sources,
                 }
             }
             TAG_ALIGN => {
-                let block = rd.u64()? as usize;
-                let score = match rd.u8()? {
+                let block = rd.size()?;
+                let score = match rd.scalar::<u8>()? {
                     0 => AlignScore::Lcs,
                     1 => AlignScore::NeedlemanWunsch {
-                        matched: rd.i64()?,
-                        mismatch: rd.i64()?,
-                        gap: rd.i64()?,
+                        matched: rd.scalar()?,
+                        mismatch: rd.scalar()?,
+                        gap: rd.scalar()?,
                     },
                     other => return Err(JobError::Codec(format!("bad score tag {other}"))),
                 };
-                let la = rd.len()?;
-                let a = rd.take(la)?.to_vec();
-                let lb = rd.len()?;
-                let b = rd.take(lb)?.to_vec();
-                DpJobRequest::Alignment { a, b, score, block }
+                DpJobRequest::Alignment {
+                    a: rd.counted_run()?,
+                    b: rd.counted_run()?,
+                    score,
+                    block,
+                }
             }
             TAG_PAREN => {
-                let block = rd.u64()? as usize;
-                let weight = match rd.u8()? {
-                    0 => {
-                        let n = rd.count8()?;
-                        let mut dims = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            dims.push(rd.u64()?);
-                        }
-                        ParenWeight::MatrixChain(dims)
-                    }
-                    1 => {
-                        let n = rd.count8()?;
-                        let mut vs = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            vs.push(rd.f64()?);
-                        }
-                        ParenWeight::Polygon(vs)
-                    }
+                let block = rd.size()?;
+                let weight = match rd.scalar::<u8>()? {
+                    0 => ParenWeight::MatrixChain(rd.counted_run()?),
+                    1 => ParenWeight::Polygon(rd.counted_run()?),
                     2 => ParenWeight::Zero,
                     other => return Err(JobError::Codec(format!("bad weight tag {other}"))),
                 };
                 DpJobRequest::Parenthesis { weight, block }
             }
             TAG_LINSYS => {
-                let block = rd.u64()? as usize;
-                let n = rd.count8()?;
-                let mut rhs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rhs.push(rd.f64()?);
+                let block = rd.size()?;
+                let rhs = rd.counted_run()?;
+                DpJobRequest::LinearSystem {
+                    a: get_matrix(&mut rd)?,
+                    rhs,
+                    block,
                 }
-                let a = rd.matrix_f64()?;
-                DpJobRequest::LinearSystem { a, rhs, block }
             }
             TAG_SPARSE_APSP => {
-                let parts = rd.u64()? as usize;
-                let ns = rd.count8()?;
-                let mut sources = Vec::with_capacity(ns);
-                for _ in 0..ns {
-                    sources.push(rd.u64()? as u32);
-                }
-                let n = rd.u64()? as usize;
-                let nnz = rd.counted(4 + 8)?; // col_idx + vals per entry
+                let parts = rd.size()?;
+                let sources = get_ids(&mut rd)?;
+                let n = rd.size()?;
+                let nnz = rd.count(4 + 8)?; // col_idx + vals per entry
                 let ptr_len = n
                     .checked_add(1)
-                    .filter(|&l| l.checked_mul(4).is_some_and(|b| b <= rd.buf.len() - rd.at))
                     .ok_or_else(|| JobError::Codec("implausible vertex count".into()))?;
-                let fill = rd.f64()?;
-                let mut row_ptr = Vec::with_capacity(ptr_len);
-                for _ in 0..ptr_len {
-                    row_ptr.push(rd.u32()?);
-                }
-                let mut col_idx = Vec::with_capacity(nnz);
-                for _ in 0..nnz {
-                    col_idx.push(rd.u32()?);
-                }
-                let mut vals = Vec::with_capacity(nnz);
-                for _ in 0..nnz {
-                    vals.push(rd.f64()?);
-                }
+                let fill = rd.scalar()?;
+                // Each run is checked against the bytes left before it
+                // is allocated.
+                let row_ptr = rd.run(ptr_len)?;
+                let col_idx = rd.run(nnz)?;
+                let vals = rd.run(nnz)?;
                 // Canonical-form validation rejects malformed sparse
                 // bodies (ragged pointers, out-of-range or unsorted
                 // columns) right here on the admission path.
@@ -524,7 +402,7 @@ impl DpJobRequest {
             }
             other => return Err(JobError::Codec(format!("unknown job tag {other}"))),
         };
-        rd.done()?;
+        rd.finish()?;
         req.validate()?;
         Ok(req)
     }
@@ -672,67 +550,38 @@ impl DpJobRequest {
 
 /// Encode an `f64` matrix result (APSP / parenthesization tables).
 pub fn encode_matrix_f64(m: &Matrix<f64>) -> Bytes {
-    let mut out = Vec::with_capacity(16 + m.as_slice().len() * 8);
-    put_matrix_f64(&mut out, m);
-    Bytes::from(out)
+    let mut out = BytesMut::with_capacity(16 + m.as_slice().len() * 8);
+    put_matrix(&mut out, m);
+    out.freeze()
 }
 
 /// Decode an `f64` matrix result.
 pub fn decode_matrix_f64(bytes: &Bytes) -> Result<Matrix<f64>, JobError> {
-    let mut rd = Rd::new(bytes);
-    let m = rd.matrix_f64()?;
-    rd.done()?;
-    Ok(m)
+    decode_all(bytes, get_matrix)
 }
 
 /// Encode an `i64` matrix result (alignment score tables).
 pub fn encode_matrix_i64(m: &Matrix<i64>) -> Bytes {
-    let mut out = Vec::with_capacity(16 + m.as_slice().len() * 8);
-    put_u64(&mut out, m.rows() as u64);
-    put_u64(&mut out, m.cols() as u64);
-    for &v in m.as_slice() {
-        put_u64(&mut out, v as u64);
-    }
-    Bytes::from(out)
+    let mut out = BytesMut::with_capacity(16 + m.as_slice().len() * 8);
+    put_matrix(&mut out, m);
+    out.freeze()
 }
 
 /// Decode an `i64` matrix result.
 pub fn decode_matrix_i64(bytes: &Bytes) -> Result<Matrix<i64>, JobError> {
-    let mut rd = Rd::new(bytes);
-    let rows = rd.u64()? as usize;
-    let cols = rd.u64()? as usize;
-    let cells = rows
-        .checked_mul(cols)
-        .filter(|&c| c.checked_mul(8).is_some_and(|b| b <= bytes.len()))
-        .ok_or_else(|| JobError::Codec("matrix larger than body".into()))?;
-    let mut data = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        data.push(rd.i64()?);
-    }
-    rd.done()?;
-    Ok(Matrix::from_vec(rows, cols, data))
+    decode_all(bytes, get_matrix)
 }
 
 /// Encode a solution vector (linear systems).
 pub fn encode_vec_f64(v: &[f64]) -> Bytes {
-    let mut out = Vec::with_capacity(8 + v.len() * 8);
-    put_u64(&mut out, v.len() as u64);
-    for &x in v {
-        put_f64(&mut out, x);
-    }
-    Bytes::from(out)
+    let mut out = BytesMut::with_capacity(8 + v.len() * 8);
+    put_run(&mut out, v);
+    out.freeze()
 }
 
 /// Decode a solution vector.
 pub fn decode_vec_f64(bytes: &Bytes) -> Result<Vec<f64>, JobError> {
-    let mut rd = Rd::new(bytes);
-    let n = rd.count8()?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(rd.f64()?);
-    }
-    rd.done()?;
-    Ok(v)
+    decode_all(bytes, Reader::counted_run)
 }
 
 // --- the runner -------------------------------------------------------
@@ -879,73 +728,22 @@ mod tests {
     }
 
     #[test]
-    fn request_bodies_roundtrip() {
-        let reqs = vec![
-            apsp_req(7, 6, Some(vec![0, 3])),
-            DpJobRequest::Alignment {
-                a: b"GATTACA".to_vec(),
-                b: b"GCATGCU".to_vec(),
-                score: AlignScore::NeedlemanWunsch {
-                    matched: 1,
-                    mismatch: -1,
-                    gap: -1,
-                },
-                block: 3,
-            },
-            DpJobRequest::Parenthesis {
-                weight: ParenWeight::MatrixChain(vec![30, 35, 15, 5, 10, 20, 25]),
-                block: 2,
-            },
-            DpJobRequest::LinearSystem {
-                a: Matrix::from_fn(3, 3, |i, j| if i == j { 4.0 } else { 1.0 }),
-                rhs: vec![1.0, 2.0, 3.0],
-                block: 2,
-            },
-            sparse_req(5, 9, vec![0, 4, 8], 3),
-        ];
-        for req in reqs {
-            let body = req.encode();
-            assert_eq!(DpJobRequest::decode(&body).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn truncated_bodies_error_never_panic() {
-        for body in [
-            apsp_req(3, 5, None).encode(),
-            sparse_req(3, 7, vec![1], 2).encode(),
-        ] {
-            for cut in 0..body.len() {
-                let res = DpJobRequest::decode(&body.slice(0..cut));
-                assert!(res.is_err(), "cut at {cut} must fail");
-            }
-        }
-        assert!(DpJobRequest::decode(&Bytes::from_static(&[99])).is_err());
-    }
-
-    #[test]
     fn malformed_sparse_bodies_are_codec_errors_at_admission() {
         // Hand-build bodies whose CSR parts violate canonical form:
         // each must come back as a typed Codec error (which the service
         // front end maps to a Malformed rejection), never a panic.
         let build = |row_ptr: &[u32], col_idx: &[u32], vals: &[f64], n: u64| {
-            let mut out = vec![TAG_SPARSE_APSP];
-            put_u64(&mut out, 2); // parts
-            put_u64(&mut out, 1); // one source
-            put_u64(&mut out, 0);
-            put_u64(&mut out, n);
-            put_u64(&mut out, col_idx.len() as u64);
-            put_f64(&mut out, f64::INFINITY);
-            for &p in row_ptr {
-                put_u32(&mut out, p);
-            }
-            for &c in col_idx {
-                put_u32(&mut out, c);
-            }
-            for &v in vals {
-                put_f64(&mut out, v);
-            }
-            Bytes::from(out)
+            let mut out = BytesMut::new();
+            out.put_u8(TAG_SPARSE_APSP);
+            out.put_u64_le(2); // parts
+            put_ids(&mut out, &[0]); // one source
+            out.put_u64_le(n);
+            out.put_u64_le(col_idx.len() as u64);
+            out.put_f64_le(f64::INFINITY);
+            encode_le_slice(row_ptr, &mut out);
+            encode_le_slice(col_idx, &mut out);
+            encode_le_slice(vals, &mut out);
+            out.freeze()
         };
         let cases = [
             // Decreasing row pointers.
@@ -1101,34 +899,20 @@ mod tests {
         // rows * cols passes checked_mul but cells * 8 wraps a u64:
         // the bounds filter must still reject, not overflow or try to
         // allocate 2^63 bytes.
-        let mut body = vec![TAG_APSP];
-        put_u64(&mut body, 4); // block
-        body.push(0); // no sources
-        put_u64(&mut body, 1 << 32); // rows
-        put_u64(&mut body, 1 << 31); // cols
-        let res = DpJobRequest::decode(&Bytes::from(body));
+        let mut body = BytesMut::new();
+        body.put_u8(TAG_APSP);
+        body.put_u64_le(4); // block
+        body.put_u8(0); // no sources
+        body.put_u64_le(1 << 32); // rows
+        body.put_u64_le(1 << 31); // cols
+        let res = DpJobRequest::decode(&body.freeze());
         assert!(matches!(res, Err(JobError::Codec(_))));
 
-        let mut m = Vec::new();
-        put_u64(&mut m, 1 << 32);
-        put_u64(&mut m, 1 << 31);
-        assert!(matches!(
-            decode_matrix_i64(&Bytes::from(m.clone())),
-            Err(JobError::Codec(_))
-        ));
-        assert!(matches!(
-            decode_matrix_f64(&Bytes::from(m)),
-            Err(JobError::Codec(_))
-        ));
-    }
-
-    #[test]
-    fn result_codecs_roundtrip() {
-        let m = Matrix::from_fn(3, 4, |i, j| (i * 7 + j) as f64 / 3.0);
-        assert_eq!(decode_matrix_f64(&encode_matrix_f64(&m)).unwrap(), m);
-        let mi = Matrix::from_fn(2, 5, |i, j| i as i64 * 100 - j as i64);
-        assert_eq!(decode_matrix_i64(&encode_matrix_i64(&mi)).unwrap(), mi);
-        let v = vec![1.5, -2.5, f64::INFINITY];
-        assert_eq!(decode_vec_f64(&encode_vec_f64(&v)).unwrap(), v);
+        let mut m = BytesMut::new();
+        m.put_u64_le(1 << 32);
+        m.put_u64_le(1 << 31);
+        let m = m.freeze();
+        assert!(matches!(decode_matrix_i64(&m), Err(JobError::Codec(_))));
+        assert!(matches!(decode_matrix_f64(&m), Err(JobError::Codec(_))));
     }
 }

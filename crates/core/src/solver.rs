@@ -285,10 +285,27 @@ pub fn solve_chaos<S: DpProblem>(
     input: &Matrix<S::Elem>,
     chaos: ChaosPolicy,
 ) -> Result<(Matrix<S::Elem>, SolveReport), JobError> {
-    sc.install_chaos(chaos);
-    let res = solve_with_report::<S>(sc, cfg, input);
-    sc.clear_chaos();
-    res
+    let _installed = ChaosGuard::install(sc, chaos);
+    solve_with_report::<S>(sc, cfg, input)
+}
+
+/// A [`ChaosPolicy`] installed for the guard's lifetime. Cleared on
+/// drop, so a solve that panics (a shape `assert!`, fenced upstream by
+/// `catch_unwind`) cannot leave its faults installed for every later
+/// job on the context.
+pub(crate) struct ChaosGuard<'a>(&'a SparkContext);
+
+impl<'a> ChaosGuard<'a> {
+    pub(crate) fn install(sc: &'a SparkContext, chaos: ChaosPolicy) -> Self {
+        sc.install_chaos(chaos);
+        ChaosGuard(sc)
+    }
+}
+
+impl Drop for ChaosGuard<'_> {
+    fn drop(&mut self) {
+        self.0.clear_chaos();
+    }
 }
 
 /// Run the identical dataflow with virtual blocks: kernels become cost

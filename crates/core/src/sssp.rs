@@ -43,7 +43,7 @@ use crate::block::Block;
 use crate::filters;
 use crate::im;
 use crate::kernels::apply_sweep;
-use crate::solver::{report_from, SolveReport};
+use crate::solver::{report_from, ChaosGuard, SolveReport};
 
 /// Value of the sweep-path RDD, keyed by partition id.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,10 +330,8 @@ pub fn solve_sparse_apsp_chaos(
     parts: usize,
     chaos: ChaosPolicy,
 ) -> Result<(Matrix<f64>, SolveReport), JobError> {
-    sc.install_chaos(chaos);
-    let res = solve_sparse_apsp_with_report(sc, edges, sources, parts);
-    sc.clear_chaos();
-    res
+    let _installed = ChaosGuard::install(sc, chaos);
+    solve_sparse_apsp_with_report(sc, edges, sources, parts)
 }
 
 #[cfg(test)]

@@ -5,8 +5,12 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use dp_core::{solve_chaos, solve_with_report, DpConfig};
+use dp_core::{
+    solve_chaos, solve_sparse_apsp_chaos, solve_sparse_apsp_with_report, solve_with_report,
+    DpConfig,
+};
 use gep_kernels::gep::gep_reference;
+use gep_kernels::graph::sparse_erdos_renyi;
 use gep_kernels::{Matrix, Tropical};
 use sparklet::{ChaosPolicy, SparkConf, SparkContext};
 
@@ -152,4 +156,35 @@ fn fw_chaos_retries_fire_across_the_default_sweep() {
         total_retries > 0,
         "chaos panics never reached the solver's stages"
     );
+}
+
+#[test]
+fn a_panicking_chaos_solve_leaves_no_policy_behind() {
+    // The solvers `assert!` on shape mismatch. A caller that fences the
+    // panic (as the job service fences its runners) must get its
+    // context back clean: the next plain solve on it reports exactly
+    // what a fresh context's fault-free solve reports.
+    let chaos = || ChaosPolicy::seeded(5).with_task_panics(300);
+    let input = dist_matrix(32, 3);
+    let cfg = DpConfig::new(32, 8);
+    let (_, fresh) = solve_with_report::<Tropical>(&sim_ctx(5), &cfg, &input).unwrap();
+    let sc = sim_ctx(5);
+    let wrong_size = dist_matrix(24, 3);
+    let fenced = catch_unwind(AssertUnwindSafe(|| {
+        solve_chaos::<Tropical>(&sc, &cfg, &wrong_size, chaos())
+    }));
+    assert!(fenced.is_err(), "size mismatch must panic");
+    let (_, after) = solve_with_report::<Tropical>(&sc, &cfg, &input).unwrap();
+    assert_eq!(after, fresh);
+
+    // Same for the sparse sweep path (a source out of range panics).
+    let edges = sparse_erdos_renyi(24, 0.2, 1.0, 9.0, 11);
+    let (_, fresh) = solve_sparse_apsp_with_report(&sim_ctx(5), &edges, &[0, 7], 3).unwrap();
+    let sc = sim_ctx(5);
+    let fenced = catch_unwind(AssertUnwindSafe(|| {
+        solve_sparse_apsp_chaos(&sc, &edges, &[99], 3, chaos())
+    }));
+    assert!(fenced.is_err(), "out-of-range source must panic");
+    let (_, after) = solve_sparse_apsp_with_report(&sc, &edges, &[0, 7], 3).unwrap();
+    assert_eq!(after, fresh);
 }

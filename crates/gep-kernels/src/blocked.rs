@@ -7,8 +7,7 @@
 //! module tiles the **D kernel** — the GEMM-like workhorse that does
 //! almost all the flops of a blocked GEP execution — into cache-sized
 //! `i×j` panels and register-blocked inner loops, with hand-specialized
-//! min-plus (FW-APSP) and max-min (widest path) variants and an
-//! optional `portable-simd` vector path.
+//! min-plus (FW-APSP) and max-min (widest path) variants.
 //!
 //! **Bitwise-determinism contract.** For kind D every operand tile is
 //! external and phase-stable, so any loop order that applies the `f`
@@ -195,38 +194,9 @@ fn d_minplus(x: &mut TileMut<f64>, u: TileRef<f64>, v: TileRef<f64>) {
 
 /// `acc[j] = min(acc[j], dik + v[k][jt + j])` over one scratch row —
 /// the scalar loop the compiler can keep in registers.
-#[cfg(not(feature = "portable-simd"))]
 #[inline(always)]
 fn minplus_row(acc: &mut [f64], dik: f64, v: &TileRef<f64>, k: usize, jt: usize) {
     for (s, a) in acc.iter_mut().enumerate() {
-        let via = dik + v.at(k, jt + s);
-        if via < *a {
-            *a = via;
-        }
-    }
-}
-
-/// Vectorized scratch-row update. `simd_lt(via, acc).select(via, acc)`
-/// has the same lane semantics as the scalar `if via < acc` (NaN
-/// compares false → keep `acc`), so the result stays bitwise identical.
-#[cfg(feature = "portable-simd")]
-#[inline(always)]
-fn minplus_row(acc: &mut [f64], dik: f64, v: &TileRef<f64>, k: usize, jt: usize) {
-    use std::simd::cmp::SimdPartialOrd;
-    use std::simd::f64x4;
-    const LANES: usize = 4;
-    let dikv = f64x4::splat(dik);
-    let mut s = 0;
-    while s + LANES <= acc.len() {
-        let a = f64x4::from_slice(&acc[s..s + LANES]);
-        let vk = f64x4::from_array(std::array::from_fn(|l| v.at(k, jt + s + l)));
-        let via = dikv + vk;
-        via.simd_lt(a)
-            .select(via, a)
-            .copy_to_slice(&mut acc[s..s + LANES]);
-        s += LANES;
-    }
-    for (s, a) in acc.iter_mut().enumerate().skip(s) {
         let via = dik + v.at(k, jt + s);
         if via < *a {
             *a = via;

@@ -51,7 +51,6 @@
 //! on exact inputs and Dijkstra-tolerance checks on float inputs.
 
 #![warn(missing_docs)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 pub mod alignment;
 pub mod blocked;

@@ -8,11 +8,10 @@
 //! (exit 0), or an I/O failure (exit 1). A `SIGKILL` from the chaos
 //! harness ends it without any exit path at all — which is the point.
 
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 
 use sparklet::transport::executor::serve;
+use sparklet::wire::{dial, Addr};
 
 fn run() -> Result<(), String> {
     let node: u64 = std::env::var("SPARKLET_NODE")
@@ -21,20 +20,11 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("SPARKLET_NODE: {e}"))?;
     let connect = std::env::var("SPARKLET_CONNECT")
         .map_err(|_| "SPARKLET_CONNECT not set (tcp:<ip>:<port> or unix:<path>)".to_string())?;
-    if let Some(addr) = connect.strip_prefix("tcp:") {
-        let mut stream = TcpStream::connect(addr)
-            .map_err(|e| format!("executor {node}: connect {addr}: {e}"))?;
-        stream.set_nodelay(true).ok();
-        serve(&mut stream, node).map_err(|e| format!("executor {node}: {e}"))
-    } else if let Some(path) = connect.strip_prefix("unix:") {
-        let mut stream = UnixStream::connect(path)
-            .map_err(|e| format!("executor {node}: connect {path}: {e}"))?;
-        serve(&mut stream, node).map_err(|e| format!("executor {node}: {e}"))
-    } else {
-        Err(format!(
-            "executor {node}: unsupported SPARKLET_CONNECT scheme in {connect:?}"
-        ))
-    }
+    let addr: Addr = connect
+        .parse()
+        .map_err(|e| format!("executor {node}: SPARKLET_CONNECT: {e}"))?;
+    let mut stream = dial(&addr).map_err(|e| format!("executor {node}: connect {addr}: {e}"))?;
+    serve(&mut stream, node).map_err(|e| format!("executor {node}: {e}"))
 }
 
 fn main() -> ExitCode {

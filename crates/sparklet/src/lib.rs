@@ -73,6 +73,7 @@ pub mod shuffle;
 pub mod sim;
 pub mod storage;
 pub mod transport;
+pub mod wire;
 
 pub use broadcast::Broadcast;
 pub use codec::Storable;

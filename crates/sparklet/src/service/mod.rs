@@ -37,7 +37,6 @@ pub mod sched;
 pub mod wire;
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -49,7 +48,9 @@ use crate::context::SparkContext;
 use crate::dag::{with_cancel, CancelToken};
 use crate::error::JobError;
 use crate::payload::{Compression, Payload};
+use crate::wire::{dial, read_frame, write_frame, Conn, Listener};
 
+pub use crate::wire::Addr as ServiceAddr;
 pub use cache::LineageHasher;
 pub use sched::{admit, AdmissionState, JobId, Rejection, TenantId};
 pub use wire::SvcMsg;
@@ -944,72 +945,6 @@ pub struct Arrival {
 // Socket front end
 // ---------------------------------------------------------------------
 
-/// Where the service listens.
-#[derive(Debug, Clone)]
-pub enum ServiceAddr {
-    /// TCP `host:port` (use port 0 to bind ephemerally).
-    Tcp(String),
-    /// Unix-domain socket path.
-    Unix(std::path::PathBuf),
-}
-
-trait Conn: Read + Write + Send {}
-impl Conn for std::net::TcpStream {}
-impl Conn for std::os::unix::net::UnixStream {}
-
-enum Listener {
-    Tcp(std::net::TcpListener),
-    Unix(std::os::unix::net::UnixListener, std::path::PathBuf),
-}
-
-impl Listener {
-    fn bind(addr: &ServiceAddr) -> std::io::Result<(Self, ServiceAddr)> {
-        match addr {
-            ServiceAddr::Tcp(a) => {
-                let l = std::net::TcpListener::bind(a.as_str())?;
-                let actual = ServiceAddr::Tcp(l.local_addr()?.to_string());
-                Ok((Listener::Tcp(l), actual))
-            }
-            ServiceAddr::Unix(path) => {
-                let _ = std::fs::remove_file(path);
-                let l = std::os::unix::net::UnixListener::bind(path)?;
-                Ok((Listener::Unix(l, path.clone()), addr.clone()))
-            }
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            Listener::Unix(l, _) => l.set_nonblocking(nb),
-        }
-    }
-
-    fn accept(&self) -> std::io::Result<Box<dyn Conn>> {
-        match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nodelay(true)?;
-                s.set_nonblocking(false)?;
-                Ok(Box::new(s))
-            }
-            Listener::Unix(l, _) => {
-                let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
-                Ok(Box::new(s))
-            }
-        }
-    }
-}
-
-impl Drop for Listener {
-    fn drop(&mut self) {
-        if let Listener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
 /// Handle on a listening service front end.
 pub struct ServeHandle {
     addr: ServiceAddr,
@@ -1038,8 +973,9 @@ impl JobService {
     /// plus one handler thread per connection. A client disconnect
     /// cancels that connection's unfinished jobs (the tenant gave up).
     pub fn serve(&self, addr: ServiceAddr) -> std::io::Result<ServeHandle> {
-        let (listener, actual) = Listener::bind(&addr)?;
+        let listener = Listener::bind(&addr)?;
         listener.set_nonblocking(true)?;
+        let actual = listener.addr().clone();
         let svc = self.clone();
         let accept = std::thread::Builder::new()
             .name("svc-accept".into())
@@ -1098,7 +1034,7 @@ fn handle_conn(svc: &JobService, mut conn: Box<dyn Conn>) {
     // disconnect cancels them (client-gone tenant abort).
     let mut open_jobs: Vec<JobId> = Vec::new();
     // Until EOF or a protocol violation (either means disconnect):
-    while let Ok((msg, _)) = wire::read_msg(&mut conn) {
+    while let Ok((msg, _)) = read_frame(&mut conn, wire::decode_body) {
         let reply = match msg {
             SvcMsg::Submit { tenant, frame } => {
                 let body = Payload::from_frame(frame).and_then(|p| p.open());
@@ -1146,7 +1082,7 @@ fn handle_conn(svc: &JobService, mut conn: Box<dyn Conn>) {
                 }
             }
             SvcMsg::Shutdown => {
-                let _ = wire::write_msg(&mut conn, &SvcMsg::ShutdownAck);
+                let _ = write_frame(&mut conn, &wire::encode_body(&SvcMsg::ShutdownAck));
                 // Full stop, same as ServeHandle::stop's service half:
                 // fence submissions, cancel queued jobs (releasing
                 // their admission budget), let running jobs finish,
@@ -1159,7 +1095,7 @@ fn handle_conn(svc: &JobService, mut conn: Box<dyn Conn>) {
             // violations; drop the connection.
             _ => break,
         };
-        if wire::write_msg(&mut conn, &reply).is_err() {
+        if write_frame(&mut conn, &wire::encode_body(&reply)).is_err() {
             break;
         }
     }
@@ -1184,20 +1120,12 @@ pub struct ServiceClient {
 impl ServiceClient {
     /// Connect to a serving [`JobService`].
     pub fn connect(addr: &ServiceAddr) -> std::io::Result<Self> {
-        let conn: Box<dyn Conn> = match addr {
-            ServiceAddr::Tcp(a) => {
-                let s = std::net::TcpStream::connect(a.as_str())?;
-                s.set_nodelay(true)?;
-                Box::new(s)
-            }
-            ServiceAddr::Unix(path) => Box::new(std::os::unix::net::UnixStream::connect(path)?),
-        };
-        Ok(ServiceClient { conn })
+        Ok(ServiceClient { conn: dial(addr)? })
     }
 
     fn rpc(&mut self, msg: &SvcMsg) -> std::io::Result<SvcMsg> {
-        wire::write_msg(&mut self.conn, msg)?;
-        Ok(wire::read_msg(&mut self.conn)?.0)
+        write_frame(&mut self.conn, &wire::encode_body(msg))?;
+        Ok(read_frame(&mut self.conn, wire::decode_body)?.0)
     }
 
     /// Submit a job body for `tenant`. `Err((code, message))` carries

@@ -1,22 +1,18 @@
-//! The submission protocol: length-prefixed frames over a byte
-//! stream, sharing the executor wire's framing rules ([`MAX_FRAME`],
-//! 4-byte little-endian length prefix, tag-first bodies) and embedding
-//! job bodies and results as sealed [`Payload`] frames verbatim — the
+//! The submission protocol's message table: one [`crate::wire`] frame
+//! per message, tag-first bodies (tags 1–12), job bodies and results
+//! embedded as sealed [`crate::Payload`] frames verbatim — the
 //! zero-copy frame of PR 5 is the submission format too, re-validated
-//! with [`Payload::from_frame`] at each boundary.
+//! with [`crate::Payload::from_frame`] at each boundary.
 //!
-//! Decoding is defensive end to end: truncated bodies, unknown tags,
-//! lying length prefixes, and oversized frames surface as
-//! [`JobError::Codec`] (or `io::Error` at the socket layer), never a
-//! panic and never an unbounded allocation.
+//! Framing, the bounds-checked body reader and their hostile-input
+//! rules live in [`crate::wire`]: send with
+//! `write_frame(w, &encode_body(&msg))`, receive with
+//! `read_frame(r, decode_body)`.
 
-use std::io::{Read, Write};
-
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 
 use crate::error::JobError;
-use crate::payload::Payload;
-pub use crate::transport::wire::MAX_FRAME;
+use crate::wire::{put_opt_frame, put_str, Reader};
 
 /// One submission-protocol message. Fixed-width little-endian
 /// integers; job bodies and results travel as sealed payload frames.
@@ -122,41 +118,29 @@ const TAG_STATS_OK: u8 = 10;
 const TAG_SHUTDOWN: u8 = 11;
 const TAG_SHUTDOWN_ACK: u8 = 12;
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+/// A body that starts with its tag and one little-endian `u64`.
+fn tagged(tag: u8, word: u64) -> Vec<u8> {
+    let mut out = vec![tag];
+    out.put_u64_le(word);
+    out
 }
 
 /// Encode a message body (everything after the 4-byte length prefix).
 pub fn encode_body(msg: &SvcMsg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
     match msg {
         SvcMsg::Submit { tenant, frame } => {
-            out.push(TAG_SUBMIT);
-            put_u64(&mut out, *tenant);
-            out.extend_from_slice(frame);
+            let mut out = tagged(TAG_SUBMIT, *tenant);
+            out.put_slice(frame);
+            out
         }
-        SvcMsg::SubmitOk { job } => {
-            out.push(TAG_SUBMIT_OK);
-            put_u64(&mut out, *job);
-        }
+        SvcMsg::SubmitOk { job } => tagged(TAG_SUBMIT_OK, *job),
         SvcMsg::SubmitErr { code, message } => {
-            out.push(TAG_SUBMIT_ERR);
-            out.push(*code);
+            let mut out = vec![TAG_SUBMIT_ERR, *code];
             put_str(&mut out, message);
+            out
         }
-        SvcMsg::Poll { job } => {
-            out.push(TAG_POLL);
-            put_u64(&mut out, *job);
-        }
-        SvcMsg::Wait { job } => {
-            out.push(TAG_WAIT);
-            put_u64(&mut out, *job);
-        }
+        SvcMsg::Poll { job } => tagged(TAG_POLL, *job),
+        SvcMsg::Wait { job } => tagged(TAG_WAIT, *job),
         SvcMsg::Status {
             job,
             state,
@@ -165,34 +149,25 @@ pub fn encode_body(msg: &SvcMsg) -> Vec<u8> {
             frame,
             error,
         } => {
-            out.push(TAG_STATUS);
-            put_u64(&mut out, *job);
-            out.push(*state);
-            out.push(u8::from(*cache_hit));
-            put_u64(&mut out, *stages_run);
+            let mut out = tagged(TAG_STATUS, *job);
+            out.put_u8(*state);
+            out.put_u8(u8::from(*cache_hit));
+            out.put_u64_le(*stages_run);
             match error {
                 Some(e) => {
-                    out.push(1);
+                    out.put_u8(1);
                     put_str(&mut out, e);
                 }
-                None => out.push(0),
+                None => out.put_u8(0),
             }
             // The frame is the variable-length tail, like the
             // executor wire's `Block`.
-            match frame {
-                Some(f) => {
-                    out.push(1);
-                    out.extend_from_slice(f);
-                }
-                None => out.push(0),
-            }
+            put_opt_frame(&mut out, frame.as_ref());
+            out
         }
-        SvcMsg::Cancel { job } => {
-            out.push(TAG_CANCEL);
-            put_u64(&mut out, *job);
-        }
-        SvcMsg::CancelOk => out.push(TAG_CANCEL_OK),
-        SvcMsg::Stats => out.push(TAG_STATS),
+        SvcMsg::Cancel { job } => tagged(TAG_CANCEL, *job),
+        SvcMsg::CancelOk => vec![TAG_CANCEL_OK],
+        SvcMsg::Stats => vec![TAG_STATS],
         SvcMsg::StatsOk {
             submitted,
             admitted,
@@ -201,285 +176,70 @@ pub fn encode_body(msg: &SvcMsg) -> Vec<u8> {
             cache_hits,
             cancelled,
         } => {
-            out.push(TAG_STATS_OK);
-            put_u64(&mut out, *submitted);
-            put_u64(&mut out, *admitted);
-            put_u64(&mut out, *rejected);
-            put_u64(&mut out, *completed);
-            put_u64(&mut out, *cache_hits);
-            put_u64(&mut out, *cancelled);
+            let mut out = vec![TAG_STATS_OK];
+            for v in [
+                submitted, admitted, rejected, completed, cache_hits, cancelled,
+            ] {
+                out.put_u64_le(*v);
+            }
+            out
         }
-        SvcMsg::Shutdown => out.push(TAG_SHUTDOWN),
-        SvcMsg::ShutdownAck => out.push(TAG_SHUTDOWN_ACK),
-    }
-    out
-}
-
-/// Bounds-checked cursor over a message body.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8, JobError> {
-        let b = *self
-            .buf
-            .get(self.at)
-            .ok_or_else(|| JobError::Codec("service message truncated".into()))?;
-        self.at += 1;
-        Ok(b)
-    }
-
-    fn u64(&mut self) -> Result<u64, JobError> {
-        let end = self
-            .at
-            .checked_add(8)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| JobError::Codec("service message truncated".into()))?;
-        let mut n = [0u8; 8];
-        n.copy_from_slice(&self.buf[self.at..end]);
-        self.at = end;
-        Ok(u64::from_le_bytes(n))
-    }
-
-    fn str(&mut self) -> Result<String, JobError> {
-        let len = self.u64()? as usize;
-        let end = self
-            .at
-            .checked_add(len)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| JobError::Codec("service string truncated".into()))?;
-        let s = std::str::from_utf8(&self.buf[self.at..end])
-            .map_err(|_| JobError::Codec("service string is not UTF-8".into()))?
-            .to_string();
-        self.at = end;
-        Ok(s)
-    }
-
-    /// Remaining bytes as an owned embedded payload frame, validated
-    /// against the frame's own header before it travels further.
-    fn frame(&mut self) -> Result<Bytes, JobError> {
-        let b = Bytes::copy_from_slice(&self.buf[self.at..]);
-        self.at = self.buf.len();
-        Payload::from_frame(b.clone())?;
-        Ok(b)
-    }
-
-    fn done(&self) -> Result<(), JobError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(JobError::Codec(format!(
-                "service message carries {} trailing bytes",
-                self.buf.len() - self.at
-            )))
-        }
+        SvcMsg::Shutdown => vec![TAG_SHUTDOWN],
+        SvcMsg::ShutdownAck => vec![TAG_SHUTDOWN_ACK],
     }
 }
 
 /// Decode a message body. Any malformed input — truncation, unknown
 /// tag, trailing garbage — yields [`JobError::Codec`], never a panic.
 pub fn decode_body(body: &[u8]) -> Result<SvcMsg, JobError> {
-    let mut c = Cursor { buf: body, at: 0 };
-    let msg = match c.u8()? {
+    let mut c = Reader::new(Bytes::copy_from_slice(body));
+    let msg = match c.scalar::<u8>()? {
         TAG_SUBMIT => SvcMsg::Submit {
-            tenant: c.u64()?,
+            tenant: c.scalar()?,
             frame: c.frame()?,
         },
-        TAG_SUBMIT_OK => SvcMsg::SubmitOk { job: c.u64()? },
+        TAG_SUBMIT_OK => SvcMsg::SubmitOk { job: c.scalar()? },
         TAG_SUBMIT_ERR => SvcMsg::SubmitErr {
-            code: c.u8()?,
-            message: c.str()?,
+            code: c.scalar()?,
+            message: c.string()?,
         },
-        TAG_POLL => SvcMsg::Poll { job: c.u64()? },
-        TAG_WAIT => SvcMsg::Wait { job: c.u64()? },
-        TAG_STATUS => {
-            let job = c.u64()?;
-            let state = c.u8()?;
-            let cache_hit = match c.u8()? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(JobError::Codec(format!(
-                        "cache-hit flag must be 0/1, got {other}"
-                    )))
-                }
-            };
-            let stages_run = c.u64()?;
-            let error = match c.u8()? {
-                0 => None,
-                1 => Some(c.str()?),
-                other => {
-                    return Err(JobError::Codec(format!(
-                        "error presence flag must be 0/1, got {other}"
-                    )))
-                }
-            };
-            let frame = match c.u8()? {
-                0 => {
-                    c.done()?;
-                    None
-                }
-                1 => Some(c.frame()?),
-                other => {
-                    return Err(JobError::Codec(format!(
-                        "result presence flag must be 0/1, got {other}"
-                    )))
-                }
-            };
-            SvcMsg::Status {
-                job,
-                state,
-                cache_hit,
-                stages_run,
-                frame,
-                error,
-            }
-        }
-        TAG_CANCEL => SvcMsg::Cancel { job: c.u64()? },
+        TAG_POLL => SvcMsg::Poll { job: c.scalar()? },
+        TAG_WAIT => SvcMsg::Wait { job: c.scalar()? },
+        TAG_STATUS => SvcMsg::Status {
+            job: c.scalar()?,
+            state: c.scalar()?,
+            cache_hit: c.flag("cache-hit flag")?,
+            stages_run: c.scalar()?,
+            error: if c.flag("error presence flag")? {
+                Some(c.string()?)
+            } else {
+                None
+            },
+            frame: c.opt_frame()?,
+        },
+        TAG_CANCEL => SvcMsg::Cancel { job: c.scalar()? },
         TAG_CANCEL_OK => SvcMsg::CancelOk,
         TAG_STATS => SvcMsg::Stats,
         TAG_STATS_OK => SvcMsg::StatsOk {
-            submitted: c.u64()?,
-            admitted: c.u64()?,
-            rejected: c.u64()?,
-            completed: c.u64()?,
-            cache_hits: c.u64()?,
-            cancelled: c.u64()?,
+            submitted: c.scalar()?,
+            admitted: c.scalar()?,
+            rejected: c.scalar()?,
+            completed: c.scalar()?,
+            cache_hits: c.scalar()?,
+            cancelled: c.scalar()?,
         },
         TAG_SHUTDOWN => SvcMsg::Shutdown,
         TAG_SHUTDOWN_ACK => SvcMsg::ShutdownAck,
         other => return Err(JobError::Codec(format!("unknown service tag {other}"))),
     };
-    c.done()?;
+    c.finish()?;
     Ok(msg)
-}
-
-/// Write one framed message; returns total bytes put on the wire.
-pub fn write_msg<W: Write>(w: &mut W, msg: &SvcMsg) -> std::io::Result<u64> {
-    let body = encode_body(msg);
-    debug_assert!(body.len() as u64 <= MAX_FRAME as u64);
-    let len = body.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&body)?;
-    w.flush()?;
-    Ok(4 + body.len() as u64)
-}
-
-/// Read one framed message. A length prefix above [`MAX_FRAME`] is
-/// rejected *before* any allocation; a malformed body surfaces as
-/// `io::ErrorKind::InvalidData` carrying the codec error.
-pub fn read_msg<R: Read>(r: &mut R) -> std::io::Result<(SvcMsg, u64)> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("service frame of {len} bytes exceeds MAX_FRAME {MAX_FRAME}"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let msg = decode_body(&body)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok((msg, 4 + len as u64))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::payload::{Compression, Payload};
-
-    fn all_messages() -> Vec<SvcMsg> {
-        let frame = Payload::seal(Bytes::from_static(b"job-body"), Compression::None).frame();
-        vec![
-            SvcMsg::Submit {
-                tenant: 42,
-                frame: frame.clone(),
-            },
-            SvcMsg::SubmitOk { job: 7 },
-            SvcMsg::SubmitErr {
-                code: 2,
-                message: "over budget".into(),
-            },
-            SvcMsg::Poll { job: 7 },
-            SvcMsg::Wait { job: 7 },
-            SvcMsg::Status {
-                job: 7,
-                state: 2,
-                cache_hit: true,
-                stages_run: 0,
-                frame: Some(frame),
-                error: None,
-            },
-            SvcMsg::Status {
-                job: 8,
-                state: 3,
-                cache_hit: false,
-                stages_run: 4,
-                frame: None,
-                error: Some("task failed".into()),
-            },
-            SvcMsg::Cancel { job: 7 },
-            SvcMsg::CancelOk,
-            SvcMsg::Stats,
-            SvcMsg::StatsOk {
-                submitted: 9,
-                admitted: 8,
-                rejected: 1,
-                completed: 7,
-                cache_hits: 3,
-                cancelled: 1,
-            },
-            SvcMsg::Shutdown,
-            SvcMsg::ShutdownAck,
-        ]
-    }
-
-    #[test]
-    fn every_message_roundtrips() {
-        for msg in all_messages() {
-            let body = encode_body(&msg);
-            assert_eq!(decode_body(&body).unwrap(), msg, "{msg:?}");
-        }
-    }
-
-    #[test]
-    fn truncated_bodies_error_never_panic() {
-        for msg in all_messages() {
-            let body = encode_body(&msg);
-            for cut in 0..body.len() {
-                assert!(decode_body(&body[..cut]).is_err(), "{msg:?} cut {cut}");
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_roundtrip_counts_wire_bytes() {
-        let mut buf = Vec::new();
-        let mut sent = 0;
-        for msg in all_messages() {
-            sent += write_msg(&mut buf, &msg).unwrap();
-        }
-        assert_eq!(sent as usize, buf.len());
-        let mut r = &buf[..];
-        for msg in all_messages() {
-            let (back, _) = read_msg(&mut r).unwrap();
-            assert_eq!(back, msg);
-        }
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected_before_allocation() {
-        let mut framed = Vec::new();
-        framed.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
-        framed.extend_from_slice(&[0u8; 16]);
-        let err = read_msg(&mut &framed[..]).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
 
     #[test]
     fn embedded_job_frames_survive_verbatim() {

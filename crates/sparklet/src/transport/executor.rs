@@ -20,7 +20,9 @@ use std::io::{Read, Write};
 
 use bytes::Bytes;
 
-use super::wire::{payload_from_wire, read_msg, write_msg, WireMsg};
+use super::wire::{decode_body, encode_body, WireMsg};
+use crate::payload::Payload;
+use crate::wire::{read_frame, write_frame};
 
 /// In-memory store and counters for one executor process.
 #[derive(Default)]
@@ -77,7 +79,7 @@ impl ExecutorState {
                 // Validate the embedded payload header before storing:
                 // a frame this executor can't later serve is refused at
                 // the door, not discovered by the fetcher.
-                match payload_from_wire(frame.clone()) {
+                match Payload::from_frame(frame.clone()) {
                     Ok(_) => {
                         self.buckets.insert((shuffle, map_task, reduce), frame);
                         (Some(WireMsg::Ack), false)
@@ -109,7 +111,7 @@ impl ExecutorState {
                 self.buckets.clear();
                 (None, false)
             }
-            WireMsg::BroadcastPut { id, frame } => match payload_from_wire(frame.clone()) {
+            WireMsg::BroadcastPut { id, frame } => match Payload::from_frame(frame.clone()) {
                 Ok(_) => {
                     self.broadcasts.insert(id, frame);
                     (Some(WireMsg::Ack), false)
@@ -157,8 +159,8 @@ impl ExecutorState {
 /// Returns `Ok(())` on orderly shutdown or driver disconnect; any
 /// other I/O failure is surfaced for the binary to report.
 pub fn serve<S: Read + Write>(stream: &mut S, node: u64) -> std::io::Result<()> {
-    write_msg(stream, &WireMsg::Hello { node })?;
-    let (ack, _) = read_msg(stream)?;
+    write_frame(stream, &encode_body(&WireMsg::Hello { node }))?;
+    let (ack, _) = read_frame(stream, decode_body)?;
     match ack {
         WireMsg::HelloAck { node: n } if n == node => {}
         other => {
@@ -170,7 +172,7 @@ pub fn serve<S: Read + Write>(stream: &mut S, node: u64) -> std::io::Result<()> 
     }
     let mut state = ExecutorState::new();
     loop {
-        let msg = match read_msg(stream) {
+        let msg = match read_frame(stream, decode_body) {
             Ok((msg, _)) => msg,
             // Driver went away (crashed or dropped the manager without
             // an orderly shutdown): exit cleanly rather than orphan.
@@ -179,7 +181,7 @@ pub fn serve<S: Read + Write>(stream: &mut S, node: u64) -> std::io::Result<()> 
         };
         let (reply, stop) = state.handle(msg);
         if let Some(reply) = reply {
-            write_msg(stream, &reply)?;
+            write_frame(stream, &encode_body(&reply))?;
         }
         if stop {
             return Ok(());
@@ -286,27 +288,23 @@ mod tests {
         use std::io::Cursor;
         // Script the driver side of the conversation into a buffer.
         let mut driver_out = Vec::new();
-        write_msg(&mut driver_out, &WireMsg::HelloAck { node: 2 }).unwrap();
-        write_msg(
-            &mut driver_out,
-            &WireMsg::ShufflePut {
+        for msg in [
+            WireMsg::HelloAck { node: 2 },
+            WireMsg::ShufflePut {
                 shuffle: 4,
                 map_task: 0,
                 reduce: 1,
                 frame: frame(b"gamma"),
             },
-        )
-        .unwrap();
-        write_msg(
-            &mut driver_out,
-            &WireMsg::ShuffleGet {
+            WireMsg::ShuffleGet {
                 shuffle: 4,
                 map_task: 0,
                 reduce: 1,
             },
-        )
-        .unwrap();
-        write_msg(&mut driver_out, &WireMsg::Shutdown).unwrap();
+            WireMsg::Shutdown,
+        ] {
+            write_frame(&mut driver_out, &encode_body(&msg)).unwrap();
+        }
 
         struct Duplex {
             input: Cursor<Vec<u8>>,
@@ -333,15 +331,16 @@ mod tests {
         serve(&mut duplex, 2).unwrap();
 
         let mut r = &duplex.output[..];
-        assert_eq!(read_msg(&mut r).unwrap().0, WireMsg::Hello { node: 2 });
-        assert_eq!(read_msg(&mut r).unwrap().0, WireMsg::Ack);
-        assert_eq!(
-            read_msg(&mut r).unwrap().0,
+        for expected in [
+            WireMsg::Hello { node: 2 },
+            WireMsg::Ack,
             WireMsg::Block {
-                frame: Some(frame(b"gamma"))
-            }
-        );
-        assert_eq!(read_msg(&mut r).unwrap().0, WireMsg::ShutdownAck);
+                frame: Some(frame(b"gamma")),
+            },
+            WireMsg::ShutdownAck,
+        ] {
+            assert_eq!(read_frame(&mut r, decode_body).unwrap().0, expected);
+        }
         assert!(r.is_empty());
     }
 }

@@ -17,9 +17,6 @@
 //! and handshaken, and whatever the dead process held is genuinely
 //! gone — a later fetch for its blocks misses for real.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,66 +25,14 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use super::wire::{read_msg, write_msg, WireMsg};
+use super::wire::{decode_body, encode_body, WireMsg};
 use super::TransportMode;
 use crate::error::JobError;
 use crate::payload::Payload;
+use crate::wire::{read_frame, write_frame, Addr, Conn, Listener};
 
 /// How long the driver waits for executor connections/handshakes.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(20);
-
-/// A connected byte stream to one executor (TCP or Unix).
-trait Conn: Read + Write + Send {}
-impl Conn for TcpStream {}
-impl Conn for UnixStream {}
-
-enum Listener {
-    Tcp(TcpListener),
-    /// The Unix listener plus its socket path, unlinked on drop.
-    Unix(UnixListener, PathBuf),
-}
-
-impl Listener {
-    /// The address executors are told to connect to
-    /// (`tcp:<ip>:<port>` or `unix:<path>`).
-    fn connect_addr(&self) -> String {
-        match self {
-            Listener::Tcp(l) => format!("tcp:{}", l.local_addr().expect("bound listener")),
-            Listener::Unix(_, path) => format!("unix:{}", path.display()),
-        }
-    }
-
-    fn accept(&self) -> std::io::Result<Box<dyn Conn>> {
-        match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nodelay(true).ok();
-                s.set_nonblocking(false)?;
-                Ok(Box::new(s))
-            }
-            Listener::Unix(l, _) => {
-                let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
-                Ok(Box::new(s))
-            }
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-            Listener::Unix(l, _) => l.set_nonblocking(nb),
-        }
-    }
-}
-
-impl Drop for Listener {
-    fn drop(&mut self) {
-        if let Listener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
 
 /// One live executor subprocess and its connection.
 struct Worker {
@@ -189,27 +134,17 @@ impl ExecutorManager {
             mode != TransportMode::InProcess,
             "InProcess mode has no executor subprocesses"
         );
-        let listener = match mode {
-            TransportMode::Tcp => Listener::Tcp(
-                TcpListener::bind("127.0.0.1:0")
-                    .map_err(|e| JobError::Transport(format!("bind loopback listener: {e}")))?,
-            ),
-            TransportMode::Unix => {
-                let path = unix_socket_path();
-                Listener::Unix(
-                    UnixListener::bind(&path).map_err(|e| {
-                        JobError::Transport(format!("bind unix socket {}: {e}", path.display()))
-                    })?,
-                    path,
-                )
-            }
+        let bind = match mode {
+            TransportMode::Tcp => Addr::Tcp("127.0.0.1:0".into()),
+            TransportMode::Unix => Addr::Unix(unix_socket_path()),
             TransportMode::InProcess => unreachable!(),
         };
+        let listener =
+            Listener::bind(&bind).map_err(|e| JobError::Transport(format!("bind {bind}: {e}")))?;
         let bin = executor_binary()?;
-        let addr = listener.connect_addr();
         let mut children: Vec<Option<Child>> = Vec::with_capacity(executors);
         for node in 0..executors {
-            children.push(Some(spawn_executor(&bin, &addr, node)?));
+            children.push(Some(spawn_executor(&bin, listener.addr(), node)?));
         }
         // Accept and handshake every child; `Hello{node}` tells us
         // which slot each connection belongs to.
@@ -304,13 +239,13 @@ impl ExecutorManager {
             .worker
             .as_mut()
             .ok_or_else(|| JobError::Transport(format!("executor {node} is shut down")))?;
-        let sent = write_msg(&mut worker.conn, msg)
+        let sent = write_frame(&mut worker.conn, &encode_body(msg))
             .map_err(|e| JobError::Transport(format!("send to executor {node}: {e}")))?;
         self.tx_bytes[node].fetch_add(sent, Ordering::Relaxed);
         if !expect_reply {
             return Ok((None, sent, 0));
         }
-        let (reply, got) = read_msg(&mut worker.conn)
+        let (reply, got) = read_frame(&mut worker.conn, decode_body)
             .map_err(|e| JobError::Transport(format!("reply from executor {node}: {e}")))?;
         self.rx_bytes[node].fetch_add(got, Ordering::Relaxed);
         Ok((Some(reply), sent, got))
@@ -520,7 +455,7 @@ impl ExecutorManager {
         // instead of hitting a dead socket.
         let listener = self.listener.lock();
         let bin = executor_binary()?;
-        let mut pending = vec![Some(spawn_executor(&bin, &listener.connect_addr(), node)?)];
+        let mut pending = vec![Some(spawn_executor(&bin, listener.addr(), node)?)];
         let (hello_node, conn) = accept_handshake(&listener, &mut pending)?;
         if hello_node != node {
             return Err(JobError::Transport(format!(
@@ -613,10 +548,10 @@ impl ExecutorManager {
             let Some(mut worker) = slot.worker.take() else {
                 continue;
             };
-            let tx = write_msg(&mut worker.conn, &WireMsg::Shutdown);
+            let tx = write_frame(&mut worker.conn, &encode_body(&WireMsg::Shutdown));
             if let Ok(sent) = tx {
                 self.tx_bytes[node].fetch_add(sent, Ordering::Relaxed);
-                if let Ok((reply, got)) = read_msg(&mut worker.conn) {
+                if let Ok((reply, got)) = read_frame(&mut worker.conn, decode_body) {
                     self.rx_bytes[node].fetch_add(got, Ordering::Relaxed);
                     debug_assert_eq!(reply, WireMsg::ShutdownAck);
                 }
@@ -642,10 +577,10 @@ impl Drop for ExecutorManager {
     }
 }
 
-fn spawn_executor(bin: &std::path::Path, addr: &str, node: usize) -> Result<Child, JobError> {
+fn spawn_executor(bin: &std::path::Path, addr: &Addr, node: usize) -> Result<Child, JobError> {
     Command::new(bin)
         .env("SPARKLET_NODE", node.to_string())
-        .env("SPARKLET_CONNECT", addr)
+        .env("SPARKLET_CONNECT", addr.to_string())
         .stdin(Stdio::null())
         .spawn()
         .map_err(|e| JobError::Transport(format!("spawn executor {node} ({}): {e}", bin.display())))
@@ -699,7 +634,7 @@ fn accept_handshake(
     listener
         .set_nonblocking(false)
         .map_err(|e| JobError::Transport(format!("listener nonblocking: {e}")))?;
-    let (hello, _) = read_msg(&mut conn)
+    let (hello, _) = read_frame(&mut conn, decode_body)
         .map_err(|e| JobError::Transport(format!("executor handshake read: {e}")))?;
     let node = match hello {
         WireMsg::Hello { node } => node as usize,
@@ -709,7 +644,10 @@ fn accept_handshake(
             )))
         }
     };
-    write_msg(&mut conn, &WireMsg::HelloAck { node: node as u64 })
-        .map_err(|e| JobError::Transport(format!("executor handshake ack: {e}")))?;
+    write_frame(
+        &mut conn,
+        &encode_body(&WireMsg::HelloAck { node: node as u64 }),
+    )
+    .map_err(|e| JobError::Transport(format!("executor handshake ack: {e}")))?;
     Ok((node, conn))
 }

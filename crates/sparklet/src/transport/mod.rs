@@ -28,7 +28,7 @@ pub mod manager;
 pub mod wire;
 
 pub use manager::{ExecutorManager, HeartbeatInfo};
-pub use wire::{WireMsg, MAX_FRAME};
+pub use wire::WireMsg;
 
 /// Which transport backs the executors of a [`crate::SparkContext`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

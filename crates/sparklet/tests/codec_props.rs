@@ -7,29 +7,12 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sparklet::codec::{decode_le_slice, decode_one, encode_le_slice, encode_one};
-use sparklet::transport::wire::{decode_body, encode_body, read_msg, write_msg, WireMsg};
-use sparklet::transport::MAX_FRAME;
+use sparklet::service::{wire as svc_wire, SvcMsg};
+use sparklet::transport::wire::{self as exec_wire, WireMsg};
 use sparklet::{Compression, Either, JobError, Payload, Storable};
 
-/// Minimal seeded xorshift so failures replay from a printed seed.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+mod wire_harness;
+use wire_harness::{assert_golden, hostile_input_harness, Rng};
 
 fn roundtrip<T: Storable + PartialEq + std::fmt::Debug>(v: T) {
     let enc = encode_one(&v);
@@ -391,27 +374,44 @@ fn sparse_frames_ride_payload_frames_like_any_other_bytes() {
     }
 }
 
-// ---- Transport wire boundary ------------------------------------------
+// ---- Wire boundary ------------------------------------------------------
 //
 // The same hostile-input discipline, pushed one layer down to the
-// length-prefixed socket protocol: whatever a peer writes, the decoder
-// answers with `JobError::Codec` / `io::Error` — never a panic, never
-// an unbounded allocation.
+// length-prefixed socket protocols: one harness (`wire_harness`), run
+// for the executor protocol and the submission protocol, both
+// directions of each — requests a hostile client or driver could send
+// and replies a lying server or executor could answer with.
 
-/// A representative message of every shape the protocol carries,
-/// including an embedded sealed payload frame. Raw-sealed on purpose:
-/// a raw frame's declared length is checked structurally at decode, so
-/// *every* truncation is detectable without inflating anything (an Lz4
-/// body is only fully checkable by `open()`, at the consumer).
-fn sample_msgs(rng: &mut Rng) -> Vec<WireMsg> {
-    let body: Vec<u8> = (0..rng.below(200)).map(|_| rng.next() as u8).collect();
-    let frame = Payload::seal(Bytes::from(body), Compression::None).frame();
-    vec![
+/// A raw-sealed payload frame over `len` random bytes.
+fn sealed(rng: &mut Rng, len: u64) -> Bytes {
+    let body: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+    Payload::seal(Bytes::from(body), Compression::None).frame()
+}
+
+/// Open whatever payload a (possibly corrupted) message still carries:
+/// it must open or error cleanly.
+fn open_frame(frame: Option<Bytes>) {
+    if let Some(Ok(p)) = frame.map(Payload::from_frame) {
+        let _ = p.open();
+    }
+}
+
+#[test]
+fn executor_messages_survive_hostile_input() {
+    let mut rng = Rng::new(0xbead);
+    let frame = sealed(&mut rng, 200);
+    let samples = [
         WireMsg::Hello { node: rng.next() },
         WireMsg::TaskLaunch {
             stage: rng.next(),
             partition: rng.next(),
             attempt: rng.next(),
+        },
+        WireMsg::TaskDone {
+            stage: rng.next(),
+            partition: rng.next(),
+            attempt: rng.next(),
+            ok: true,
         },
         WireMsg::ShufflePut {
             shuffle: rng.next(),
@@ -428,91 +428,242 @@ fn sample_msgs(rng: &mut Rng) -> Vec<WireMsg> {
         WireMsg::Block { frame: None },
         WireMsg::BroadcastPut {
             id: rng.next(),
-            frame: Payload::seal(Bytes::from_static(b"bcast"), Compression::None).frame(),
+            frame: sealed(&mut rng, 5),
         },
         WireMsg::Heartbeat { seq: rng.next() },
+        WireMsg::HeartbeatAck {
+            seq: rng.next(),
+            buckets: rng.next(),
+            bucket_bytes: rng.next(),
+            broadcasts: rng.next(),
+            tasks_launched: rng.next(),
+            tasks_done: rng.next(),
+        },
+        WireMsg::Ack,
         WireMsg::Shutdown,
-    ]
-}
-
-#[test]
-fn truncated_wire_bodies_error_and_never_panic() {
-    let mut rng = Rng::new(0xbead);
-    for msg in sample_msgs(&mut rng) {
-        let body = encode_body(&msg);
-        assert_eq!(decode_body(&body).unwrap(), msg, "clean body roundtrips");
-        for cut in 0..body.len() {
-            assert!(
-                matches!(decode_body(&body[..cut]), Err(JobError::Codec(_))),
-                "truncation at {cut}/{} must be a codec error, not a panic",
-                body.len()
-            );
-        }
-        // Trailing garbage is an error too — a peer that frames
-        // sloppily is corrupt, not "close enough".
-        let mut long = body.clone();
-        long.push(0);
-        assert!(matches!(decode_body(&long), Err(JobError::Codec(_))));
-    }
-}
-
-#[test]
-fn corrupted_wire_bodies_error_or_misparse_but_never_panic() {
-    let mut rng = Rng::new(0xbadd);
-    let msgs = sample_msgs(&mut rng);
-    for _ in 0..600 {
-        let msg = &msgs[rng.below(msgs.len() as u64) as usize];
-        let mut bad = encode_body(msg);
-        for _ in 0..=rng.below(4) {
-            let at = rng.below(bad.len() as u64) as usize;
-            bad[at] ^= rng.next() as u8;
-        }
-        // A flipped tag, length, or embedded frame byte may decode to a
-        // different-but-valid message; it must never panic, and any
-        // embedded payload it yields must still open or error cleanly.
-        if let Ok(
-            WireMsg::ShufflePut { frame, .. }
-            | WireMsg::BroadcastPut { frame, .. }
-            | WireMsg::Block { frame: Some(frame) },
-        ) = decode_body(&bad)
-        {
-            if let Ok(p) = Payload::from_frame(frame) {
-                let _ = p.open();
+    ];
+    hostile_input_harness(
+        0xbadd,
+        &samples,
+        exec_wire::encode_body,
+        exec_wire::decode_body,
+        |msg| match msg {
+            WireMsg::ShufflePut { frame, .. } | WireMsg::BroadcastPut { frame, .. } => {
+                open_frame(Some(frame))
             }
-        }
-    }
+            WireMsg::Block { frame } => open_frame(frame),
+            _ => {}
+        },
+    );
 }
 
 #[test]
-fn truncated_wire_streams_error_at_the_socket_boundary() {
-    let mut rng = Rng::new(0xfeed);
-    for msg in sample_msgs(&mut rng) {
-        let mut stream = Vec::new();
-        let wrote = write_msg(&mut stream, &msg).unwrap();
-        assert_eq!(wrote as usize, stream.len());
-        // Every proper prefix of the stream — including a cut inside
-        // the length prefix itself — is an io::Error, never a panic.
-        for cut in 0..stream.len() {
-            let mut r = &stream[..cut];
-            assert!(
-                read_msg(&mut r).is_err(),
-                "stream cut at {cut}/{} must error",
-                stream.len()
-            );
-        }
-        let mut r = stream.as_slice();
-        assert_eq!(read_msg(&mut r).unwrap().0, msg);
-    }
+fn service_messages_survive_hostile_input() {
+    let mut rng = Rng::new(0x5e4c);
+    let frame = sealed(&mut rng, 120);
+    let samples = [
+        SvcMsg::Submit {
+            tenant: rng.next(),
+            frame: frame.clone(),
+        },
+        SvcMsg::SubmitOk { job: rng.next() },
+        SvcMsg::SubmitErr {
+            code: rng.next() as u8,
+            message: "over budget: κόστος".into(),
+        },
+        SvcMsg::Wait { job: rng.next() },
+        SvcMsg::Status {
+            job: rng.next(),
+            state: 2,
+            cache_hit: true,
+            stages_run: rng.next(),
+            frame: Some(frame),
+            error: None,
+        },
+        SvcMsg::Status {
+            job: rng.next(),
+            state: 3,
+            cache_hit: false,
+            stages_run: rng.next(),
+            frame: None,
+            error: Some("task failed".into()),
+        },
+        SvcMsg::CancelOk,
+        SvcMsg::StatsOk {
+            submitted: rng.next(),
+            admitted: rng.next(),
+            rejected: rng.next(),
+            completed: rng.next(),
+            cache_hits: rng.next(),
+            cancelled: rng.next(),
+        },
+        SvcMsg::Shutdown,
+    ];
+    hostile_input_harness(
+        0x5e4d,
+        &samples,
+        svc_wire::encode_body,
+        svc_wire::decode_body,
+        |msg| match msg {
+            SvcMsg::Submit { frame, .. } => open_frame(Some(frame)),
+            SvcMsg::Status { frame, .. } => open_frame(frame),
+            _ => {}
+        },
+    );
+}
+
+// Golden vectors: the hex of every executor and service message, as
+// encoded by the commit *before* the three codecs were put on one wire
+// layer (3831a70). A drift here is a wire-format change.
+
+#[test]
+fn executor_wire_bytes_match_the_golden_vectors() {
+    let frame = Payload::seal(Bytes::from_static(b"bucket"), Compression::None).frame();
+    let samples = [
+        WireMsg::Hello { node: 3 },
+        WireMsg::HelloAck { node: 3 },
+        WireMsg::TaskLaunch {
+            stage: 7,
+            partition: 2,
+            attempt: 1,
+        },
+        WireMsg::TaskDone {
+            stage: 7,
+            partition: 2,
+            attempt: 1,
+            ok: true,
+        },
+        WireMsg::ShufflePut {
+            shuffle: 9,
+            map_task: 1,
+            reduce: 4,
+            frame: frame.clone(),
+        },
+        WireMsg::ShuffleGet {
+            shuffle: 9,
+            map_task: 1,
+            reduce: 4,
+        },
+        WireMsg::Block {
+            frame: Some(frame.clone()),
+        },
+        WireMsg::Block { frame: None },
+        WireMsg::ShuffleRemove {
+            shuffle: 9,
+            map_task: 1,
+            reduce: 4,
+        },
+        WireMsg::ShuffleRelease { shuffle: 9 },
+        WireMsg::ShuffleClear,
+        WireMsg::BroadcastPut { id: 5, frame },
+        WireMsg::BroadcastGet { id: 5 },
+        WireMsg::BroadcastRemove { id: 5 },
+        WireMsg::Heartbeat { seq: 11 },
+        WireMsg::HeartbeatAck {
+            seq: 11,
+            buckets: 2,
+            bucket_bytes: 64,
+            broadcasts: 1,
+            tasks_launched: 12,
+            tasks_done: 10,
+        },
+        WireMsg::Ack,
+        WireMsg::Shutdown,
+        WireMsg::ShutdownAck,
+    ];
+    let golden = [
+        "010300000000000000",
+        "020300000000000000",
+        "03070000000000000002000000000000000100000000000000",
+        "0407000000000000000200000000000000010000000000000001",
+        "050900000000000000010000000000000004000000000000000006000000000000006275636b6574",
+        "06090000000000000001000000000000000400000000000000",
+        "07010006000000000000006275636b6574",
+        "0700",
+        "12090000000000000001000000000000000400000000000000",
+        "080900000000000000",
+        "09",
+        "0a05000000000000000006000000000000006275636b6574",
+        "0b0500000000000000",
+        "0c0500000000000000",
+        "0d0b00000000000000",
+        "0e0b000000000000000200000000000000400000000000000001000000000000000c000000000000000a00000000000000",
+        "0f",
+        "10",
+        "11",
+    ];
+    assert_golden(
+        &samples,
+        &golden,
+        exec_wire::encode_body,
+        exec_wire::decode_body,
+    );
 }
 
 #[test]
-fn oversized_wire_length_prefixes_are_rejected_before_allocation() {
-    for len in [MAX_FRAME + 1, u32::MAX] {
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&len.to_le_bytes());
-        stream.extend_from_slice(b"\0\0\0\0");
-        let mut r = stream.as_slice();
-        let err = read_msg(&mut r).expect_err("oversized frame must be refused");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
+fn service_wire_bytes_match_the_golden_vectors() {
+    let frame = Payload::seal(Bytes::from_static(b"job-body"), Compression::None).frame();
+    let samples = [
+        SvcMsg::Submit {
+            tenant: 42,
+            frame: frame.clone(),
+        },
+        SvcMsg::SubmitOk { job: 7 },
+        SvcMsg::SubmitErr {
+            code: 2,
+            message: "over budget".into(),
+        },
+        SvcMsg::Poll { job: 7 },
+        SvcMsg::Wait { job: 7 },
+        SvcMsg::Status {
+            job: 7,
+            state: 2,
+            cache_hit: true,
+            stages_run: 0,
+            frame: Some(frame),
+            error: None,
+        },
+        SvcMsg::Status {
+            job: 8,
+            state: 3,
+            cache_hit: false,
+            stages_run: 4,
+            frame: None,
+            error: Some("task failed".into()),
+        },
+        SvcMsg::Cancel { job: 7 },
+        SvcMsg::CancelOk,
+        SvcMsg::Stats,
+        SvcMsg::StatsOk {
+            submitted: 9,
+            admitted: 8,
+            rejected: 1,
+            completed: 7,
+            cache_hits: 3,
+            cancelled: 1,
+        },
+        SvcMsg::Shutdown,
+        SvcMsg::ShutdownAck,
+    ];
+    let golden = [
+        "012a000000000000000008000000000000006a6f622d626f6479",
+        "020700000000000000",
+        "03020b000000000000006f76657220627564676574",
+        "040700000000000000",
+        "050700000000000000",
+        "0607000000000000000201000000000000000000010008000000000000006a6f622d626f6479",
+        "06080000000000000003000400000000000000010b000000000000007461736b206661696c656400",
+        "070700000000000000",
+        "08",
+        "09",
+        "0a090000000000000008000000000000000100000000000000070000000000000003000000000000000100000000000000",
+        "0b",
+        "0c",
+    ];
+    assert_golden(
+        &samples,
+        &golden,
+        svc_wire::encode_body,
+        svc_wire::decode_body,
+    );
 }
