@@ -19,8 +19,7 @@ use sparklet::{SparkConf, SparkContext};
 fn run(cluster: &ClusterSpec, grid: bool) -> (u64, u64, f64) {
     let cfg = DpConfig::new(dp_bench::PAPER_N, 1024)
         .with_strategy(Strategy::InMemory)
-        .with_grid_partitioner(grid)
-        .virtual_mode();
+        .with_grid_partitioner(grid);
     let sc = SparkContext::new(
         SparkConf::default()
             .with_executors(cluster.nodes)

@@ -92,9 +92,7 @@ pub fn fig6_variants(threads: usize) -> Vec<Variant> {
 
 /// Build a `DpConfig` for a paper-scale virtual run.
 pub fn paper_cfg(n: usize, block: usize, strategy: Strategy) -> DpConfig {
-    DpConfig::new(n, block)
-        .with_strategy(strategy)
-        .virtual_mode()
+    DpConfig::new(n, block).with_strategy(strategy)
 }
 
 /// Pretty row printer for sweep tables (— for missing/timeout cells).

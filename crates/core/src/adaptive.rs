@@ -21,7 +21,7 @@ use std::time::Instant;
 use gep_kernels::Matrix;
 use sparklet::{JobError, SparkContext};
 
-use crate::backend::{registry, KernelSpec, SIMULATE};
+use crate::backend::{registry, KernelSpec};
 use crate::config::DpConfig;
 use crate::problem::DpProblem;
 use crate::solver::solve;
@@ -82,8 +82,8 @@ pub fn adaptive_solve<S: DpProblem>(
 }
 
 /// Like [`adaptive_solve`], but the candidate list comes from the
-/// backend registry: every available registered backend except the
-/// cost-accounting `simulate` one, in registration order (so the probe
+/// backend registry: every available registered dense backend, in
+/// registration order (so the probe
 /// sequence — and therefore the tie-break — is deterministic), each
 /// carrying `cfg`'s kernel params. Registering a new backend makes it
 /// a probe candidate with no call-site changes.
@@ -97,11 +97,7 @@ pub fn adaptive_solve_registry<S: DpProblem>(
     let candidates: Vec<KernelSpec> = reg
         .backends()
         .iter()
-        .filter(|b| {
-            b.available()
-                && b.name() != SIMULATE
-                && b.supports_repr(gep_kernels::sparse::TileRepr::Dense)
-        })
+        .filter(|b| b.available() && b.supports_repr(gep_kernels::sparse::TileRepr::Dense))
         .map(|b| KernelSpec::named(b.name()).with_params(cfg.kernel.params))
         .collect();
     adaptive_solve::<S>(sc, cfg, input, &candidates, probe_phases)
@@ -201,9 +197,7 @@ mod tests {
         let real: Vec<_> = reg
             .backends()
             .iter()
-            .filter(|b| {
-                b.name() != SIMULATE && b.supports_repr(gep_kernels::sparse::TileRepr::Dense)
-            })
+            .filter(|b| b.supports_repr(gep_kernels::sparse::TileRepr::Dense))
             .map(|b| b.name())
             .collect();
         assert_eq!(out.probe_seconds.len(), real.len(), "one probe per backend");

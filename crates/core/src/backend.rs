@@ -33,9 +33,10 @@
 //! ([`BackendRegistry::resolve`]) is unchanged byte-for-byte.
 //!
 //! Built-in backends, registered in this fixed order: `iterative`,
-//! `recursive`, `blocked` (cache-blocked micro-tiled), `simulate`
-//! (the cost-accounting path virtual runs use), and `sweep` (the CSR
-//! relaxation sweep behind the sparse-APSP path).
+//! `recursive`, `blocked` (cache-blocked micro-tiled), and `sweep`
+//! (the CSR relaxation sweep behind the sparse-APSP path). Virtual
+//! (cost-accounting) runs need no backend of their own: a kernel on a
+//! `Block::Virtual` is priced as the resolved backend and not run.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -270,11 +271,6 @@ pub trait KernelBackend<S: DpProblem>: Send + Sync {
         w: Option<TileRef<'_, S::Elem>>,
     );
 
-    /// Cost-account one kernel on a virtual block (no numeric data).
-    /// The default is the universal no-op — the invocation record the
-    /// caller wrote is the accounting.
-    fn simulate(&self, _kind: Kind, _params: &KernelParams, _block_side: usize) {}
-
     /// Execute one relaxation sweep over a CSR tile — the sparse
     /// counterpart of [`KernelBackend::run`]: for every source row `s`
     /// of `dist` and stored edge `(u → v, w)` of `edges`, fold
@@ -305,8 +301,6 @@ pub const ITERATIVE: &str = "iterative";
 pub const RECURSIVE: &str = "recursive";
 /// Registry name of the cache-blocked micro-tiled backend.
 pub const BLOCKED: &str = "blocked";
-/// Registry name of the cost-accounting backend.
-pub const SIMULATE: &str = "simulate";
 /// Registry name of the CSR relaxation-sweep backend (sparse tiles).
 pub const SWEEP: &str = "sweep";
 
@@ -416,34 +410,6 @@ impl<S: DpProblem> KernelBackend<S> for BlockedBackend {
     }
 }
 
-/// The cost-accounting backend virtual runs flow through: it only ever
-/// `simulate`s. Selecting it for a real (numeric) solve is a
-/// configuration error, reported loudly instead of silently skipping
-/// updates.
-struct SimulateBackend;
-
-impl<S: DpProblem> KernelBackend<S> for SimulateBackend {
-    fn name(&self) -> &'static str {
-        SIMULATE
-    }
-
-    fn kernel_type(&self, _params: &KernelParams) -> cluster_model::KernelType {
-        cluster_model::KernelType::Iterative
-    }
-
-    fn run(
-        &self,
-        _kind: Kind,
-        _params: &KernelParams,
-        _x: &mut TileMut<'_, S::Elem>,
-        _u: Option<TileRef<'_, S::Elem>>,
-        _v: Option<TileRef<'_, S::Elem>>,
-        _w: Option<TileRef<'_, S::Elem>>,
-    ) {
-        panic!("the `simulate` backend only cost-accounts virtual blocks; use DpConfig::virtual_mode or pick a compute backend");
-    }
-}
-
 /// The CSR relaxation-sweep backend — the first sparse-representation
 /// citizen of the registry. It serves `TileRepr::SparseCsr` only:
 /// dense resolution never reaches it (`supports_repr` rejects dense),
@@ -507,13 +473,12 @@ impl<S: DpProblem> BackendRegistry<S> {
     }
 
     /// The built-in backends: `iterative`, `recursive`, `blocked`,
-    /// `simulate`, `sweep` — in that fixed order.
+    /// `sweep` — in that fixed order.
     pub fn builtin() -> Self {
         let mut r = BackendRegistry::new();
         r.register(Arc::new(IterativeBackend));
         r.register(Arc::new(RecursiveBackend));
         r.register(Arc::new(BlockedBackend));
-        r.register(Arc::new(SimulateBackend));
         r.register(Arc::new(SweepBackend));
         r
     }
@@ -661,7 +626,7 @@ mod tests {
         let r = BackendRegistry::<Tropical>::builtin();
         assert_eq!(
             r.names(),
-            vec![ITERATIVE, RECURSIVE, BLOCKED, SIMULATE, SWEEP],
+            vec![ITERATIVE, RECURSIVE, BLOCKED, SWEEP],
             "registration order is the determinism contract"
         );
     }
@@ -690,10 +655,7 @@ mod tests {
                 registered,
             }) => {
                 assert_eq!(requested, vec!["missing", "also-missing"]);
-                assert_eq!(
-                    registered,
-                    vec![ITERATIVE, RECURSIVE, BLOCKED, SIMULATE, SWEEP]
-                );
+                assert_eq!(registered, vec![ITERATIVE, RECURSIVE, BLOCKED, SWEEP]);
             }
             Err(other) => panic!("expected NoUsableBackend, got {other:?}"),
             Ok(b) => panic!("expected NoUsableBackend, resolved {}", b.name()),
@@ -704,10 +666,7 @@ mod tests {
     fn reregistration_replaces_in_place() {
         let mut r = BackendRegistry::<Tropical>::builtin();
         r.register(Arc::new(IterativeBackend));
-        assert_eq!(
-            r.names(),
-            vec![ITERATIVE, RECURSIVE, BLOCKED, SIMULATE, SWEEP]
-        );
+        assert_eq!(r.names(), vec![ITERATIVE, RECURSIVE, BLOCKED, SWEEP]);
     }
 
     #[test]

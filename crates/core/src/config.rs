@@ -40,8 +40,6 @@ pub struct DpConfig {
     /// Use the locality-aware grid partitioner instead of Spark's
     /// default hash partitioner (the paper's future-work extension).
     pub grid_partitioner: bool,
-    /// Run with virtual blocks (cost accounting only, no numeric data).
-    pub virtual_data: bool,
     /// Storage level for the per-iteration materialization (`None` →
     /// the strategy's default, currently `MemoryAndDisk` for both).
     pub storage_level: Option<StorageLevel>,
@@ -64,7 +62,6 @@ impl DpConfig {
             partitions: None,
             min_partitions: None,
             grid_partitioner: false,
-            virtual_data: false,
             storage_level: None,
             recompute_on_evict: false,
         }
@@ -155,12 +152,6 @@ impl DpConfig {
     /// Toggle the locality-aware grid partitioner.
     pub fn with_grid_partitioner(mut self, on: bool) -> Self {
         self.grid_partitioner = on;
-        self
-    }
-
-    /// Switch to virtual (cost-accounting) blocks.
-    pub fn virtual_mode(mut self) -> Self {
-        self.virtual_data = true;
         self
     }
 

@@ -4,8 +4,8 @@
 //! Every application records a [`cluster_model::KernelInvocation`] on
 //! the task so the cost model can price the compute; the kernel itself
 //! is resolved through the [`crate::backend::BackendRegistry`] — real
-//! blocks run the resolved backend, virtual blocks flow through its
-//! cost-accounting `simulate` hook.
+//! blocks run the resolved backend; for virtual blocks the recorded
+//! invocation is the whole effect.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,7 +28,7 @@ const MAX_POOLS: usize = 8;
 /// Shared "OpenMP runtime": one pool per requested thread count,
 /// created lazily and reused across tasks (a task's kernel joins the
 /// team sized like its `OMP_NUM_THREADS`). The pool map is bounded by
-/// [`MAX_POOLS`]; once full, the nearest-size pool is reused — tuning
+/// `MAX_POOLS`; once full, the nearest-size pool is reused — tuning
 /// sweeps over many thread counts no longer accrete one OS thread team
 /// per distinct value for the life of the process.
 pub fn omp_pool(threads: usize) -> Arc<Pool> {
@@ -101,7 +101,6 @@ pub fn apply_kernel<S: DpProblem>(
     if x.is_virtual() {
         debug_assert!(u.is_none_or(Block::is_virtual));
         debug_assert!(w.is_none_or(Block::is_virtual));
-        backend.simulate(kind, &kernel.params, b);
         return;
     }
     let (bi, bj) = key;

@@ -15,8 +15,8 @@
 //!
 //! Kernel execution is dispatched through a [`backend::BackendRegistry`]
 //! of named [`backend::KernelBackend`]s (the table above plus a
-//! cache-blocked `blocked` backend and the cost-accounting `simulate`
-//! backend); a [`KernelSpec`] names the backend, an optional fallback
+//! cache-blocked `blocked` backend and the sparse `sweep` backend); a
+//! [`KernelSpec`] names the backend, an optional fallback
 //! chain, and the shape params.
 //!
 //! **IM** (Listing 1) keeps everything in RDDs: each iteration runs the
@@ -31,9 +31,11 @@
 //! OpenMP-style pool whose size plays `OMP_NUM_THREADS`.
 //!
 //! Executions are **real** (real blocks, real kernels, validated
-//! bitwise against the sequential reference) or **virtual** (same
-//! dataflow, cost-accounted kernels and declared byte volumes) for
-//! paper-scale timing through `cluster-model`.
+//! bitwise against the sequential reference) or **virtual**
+//! ([`solve_virtual`] / [`simulate_seconds`]: the same dataflow over
+//! `Block::Virtual` tiles, whose kernels are recorded for pricing and
+//! not run, with declared byte volumes) for paper-scale timing through
+//! `cluster-model`.
 
 #![warn(missing_docs)]
 

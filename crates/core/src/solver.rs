@@ -242,7 +242,6 @@ pub fn solve<S: DpProblem>(
 ) -> Result<Matrix<S::Elem>, JobError> {
     assert_eq!(input.rows(), input.cols(), "GEP tables are square");
     assert_eq!(input.rows(), cfg.n, "config/problem size mismatch");
-    assert!(!cfg.virtual_data, "use solve_virtual for virtual runs");
     let padded = pad_to_multiple::<S>(input, cfg.block);
     let g = cfg.grid();
     let b = cfg.block;

@@ -12,7 +12,7 @@
 use cluster_model::ClusterSpec;
 use sparklet::JobError;
 
-use crate::backend::{registry, KernelParams, KernelSpec, ITERATIVE, SIMULATE};
+use crate::backend::{registry, KernelParams, KernelSpec, ITERATIVE};
 use crate::config::{DpConfig, Strategy};
 use crate::problem::DpProblem;
 use crate::solver::simulate_seconds;
@@ -60,8 +60,8 @@ impl Default for TuneSpace {
 /// numeric data is touched.
 ///
 /// The kernel axis of the grid is the backend registry itself, walked
-/// in registration order (deterministic): every available backend
-/// except the cost-accounting `simulate` one is evaluated, with the
+/// in registration order (deterministic): every available dense
+/// backend is evaluated, with the
 /// `iterative` baseline gated by [`TuneSpace::include_iterative`].
 /// Fan-out-parametric backends (the recursive family) expand into the
 /// `r_shared × threads` grid; fixed-shape backends are priced once at
@@ -81,7 +81,6 @@ pub fn tune<S: DpProblem>(
         for &strategy in &space.strategies {
             for backend in reg.backends() {
                 if !backend.available()
-                    || backend.name() == SIMULATE
                     || !backend.supports_repr(gep_kernels::sparse::TileRepr::Dense)
                 {
                     continue;
@@ -103,8 +102,7 @@ pub fn tune<S: DpProblem>(
                                 });
                             let cfg = DpConfig::new(n, block)
                                 .with_strategy(strategy)
-                                .with_kernel(spec)
-                                .virtual_mode();
+                                .with_kernel(spec);
                             let secs =
                                 simulate_seconds::<S>(cluster, cluster.node.cores, &cfg, None)?;
                             results.push(TuneResult {
@@ -117,8 +115,7 @@ pub fn tune<S: DpProblem>(
                 } else {
                     let cfg = DpConfig::new(n, block)
                         .with_strategy(strategy)
-                        .with_kernel(KernelSpec::named(backend.name()))
-                        .virtual_mode();
+                        .with_kernel(KernelSpec::named(backend.name()));
                     let secs = simulate_seconds::<S>(cluster, cluster.node.cores, &cfg, None)?;
                     results.push(TuneResult {
                         config: cfg,

@@ -1,7 +1,6 @@
-//! Cross-backend equivalence: every *real* backend in the registry
-//! (everything except the cost-accounting `simulate` one) must produce
-//! results **bit-identical** to the sequential `gep_reference` oracle,
-//! across all four blocked-kernel kinds and both floating semirings
+//! Cross-backend equivalence: every dense backend in the registry must
+//! produce results **bit-identical** to the sequential `gep_reference`
+//! oracle, across all four blocked-kernel kinds and both floating semirings
 //! (min-plus FW-APSP and max-min widest-path closure). This is the
 //! registry's correctness contract: registering a backend means
 //! passing this suite.
@@ -18,8 +17,6 @@ use gep_kernels::gep::{gep_reference, SemiringPaths};
 use gep_kernels::semiring::MaxMin;
 use gep_kernels::{GaussianElim, Matrix, Tropical};
 use sparklet::{SparkConf, SparkContext};
-
-const SIMULATE: &str = "simulate";
 
 fn ctx() -> SparkContext {
     SparkContext::new(
@@ -77,11 +74,7 @@ fn real_backends<S: dp_core::DpProblem>() -> Vec<&'static str> {
     registry::<S>()
         .backends()
         .iter()
-        .filter(|b| {
-            b.available()
-                && b.name() != SIMULATE
-                && b.supports_repr(gep_kernels::sparse::TileRepr::Dense)
-        })
+        .filter(|b| b.available() && b.supports_repr(gep_kernels::sparse::TileRepr::Dense))
         .map(|b| b.name())
         .collect()
 }

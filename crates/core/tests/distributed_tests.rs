@@ -148,13 +148,11 @@ fn fw_apsp_agrees_with_dijkstra_on_random_graph() {
 #[test]
 fn im_moves_more_shuffle_bytes_than_cb() {
     // The defining difference of the two strategies.
-    let cfg_im = DpConfig::new(64, 16).virtual_mode();
+    let cfg_im = DpConfig::new(64, 16);
     let sc_im = ctx();
     let rep_im = solve_virtual::<GaussianElim>(&sc_im, &cfg_im).unwrap();
 
-    let cfg_cb = DpConfig::new(64, 16)
-        .with_strategy(Strategy::CollectBroadcast)
-        .virtual_mode();
+    let cfg_cb = DpConfig::new(64, 16).with_strategy(Strategy::CollectBroadcast);
     let sc_cb = ctx();
     let rep_cb = solve_virtual::<GaussianElim>(&sc_cb, &cfg_cb).unwrap();
 
@@ -179,7 +177,7 @@ fn virtual_and_real_runs_produce_identical_stage_structure() {
     let (stages_real, tasks_real) =
         sc_real.with_event_log(|log| (log.stage_count(), log.task_count()));
 
-    let cfg_virt = DpConfig::new(n, 8).virtual_mode();
+    let cfg_virt = DpConfig::new(n, 8);
     let sc_virt = ctx();
     solve_virtual::<GaussianElim>(&sc_virt, &cfg_virt).unwrap();
     let (stages_virt, tasks_virt) =
@@ -195,7 +193,7 @@ fn virtual_and_real_runs_produce_identical_stage_structure() {
 fn virtual_byte_accounting_reflects_full_scale() {
     // 4×4 grid of 1K×1K virtual FW blocks: one IM iteration's A-stage
     // alone copies the diagonal to 15 consumers ≈ 15 × 8 MB.
-    let cfg = DpConfig::new(4096, 1024).virtual_mode();
+    let cfg = DpConfig::new(4096, 1024);
     let sc = ctx();
     let rep = solve_virtual::<Tropical>(&sc, &cfg).unwrap();
     let block_bytes = (1024u64 * 1024 * 8) + 17;

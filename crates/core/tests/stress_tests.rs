@@ -94,8 +94,7 @@ fn paper_scale_virtual_smoke() {
     for strategy in [Strategy::InMemory, Strategy::CollectBroadcast] {
         let cfg = DpConfig::new(32 * 1024, 2048)
             .with_strategy(strategy)
-            .with_kernel(KernelSpec::recursive(4, 64, 8))
-            .virtual_mode();
+            .with_kernel(KernelSpec::recursive(4, 64, 8));
         let secs = simulate_seconds::<Tropical>(&cluster, 32, &cfg, None).expect("simulate");
         assert!(secs > 10.0 && secs < 8.0 * 3600.0, "{strategy:?}: {secs}");
     }

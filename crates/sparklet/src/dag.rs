@@ -1,17 +1,22 @@
 //! The driver-side DAG scheduler.
 //!
-//! Actions no longer materialize upstream shuffles through a recursive
-//! serial walk. Instead the driver runs a *plan pass* that extracts a
-//! stage graph from the lineage — narrow chains stay fused into their
+//! Actions do not materialize upstream shuffles through a recursive
+//! serial walk. The driver runs a *plan pass* that extracts a stage
+//! graph from the lineage — narrow chains stay fused into their
 //! consuming stage; every shuffle boundary becomes a stage node with
 //! explicit parent edges — and an *event loop* that keeps every ready
 //! stage in flight simultaneously on the shared executor pools
-//! ([`materialize_stage_graph`]). Independent branches of a lineage
+//! (`materialize_stage_graph`). Independent branches of a lineage
 //! (and independent concurrently-submitted jobs) therefore overlap,
-//! like Spark's `DAGScheduler`.
+//! like Spark's `DAGScheduler`. The plan (`StagePlan`) owns the
+//! progress bookkeeping — pending-parent counts, the ready set, the
+//! completion cascade, latch claims, launch-time stage metadata; the
+//! threaded loop and the seeded single-threaded loop only differ in
+//! which ready stage goes next and how a claimed stage is run and
+//! awaited.
 //!
 //! Exactly-once in-flight dedup is latched per shuffle id
-//! ([`ShuffleLatch`]): a shuffle referenced by several branches or by
+//! (`ShuffleLatch`): a shuffle referenced by several branches or by
 //! several concurrent jobs is materialized once; late arrivals wait on
 //! the winner's latch instead of re-running the map stage. A failed
 //! materialization is sticky, exactly like the old per-node
@@ -305,6 +310,18 @@ impl ShuffleRegistry {
 // Plan pass: lineage -> stage graph
 // ---------------------------------------------------------------------
 
+/// The distinct shuffle ids of `deps`, in first-occurrence order.
+pub(crate) fn shuffle_ids(deps: &[Arc<dyn ShuffleDep>]) -> Vec<u64> {
+    let mut ids = Vec::new();
+    for dep in deps {
+        let id = dep.shuffle_id();
+        if !ids.contains(&id) {
+            ids.push(id);
+        }
+    }
+    ids
+}
+
 struct StageNode {
     dep: Arc<dyn ShuffleDep>,
     /// Direct parent shuffle ids (including already-staged ones, for
@@ -312,16 +329,45 @@ struct StageNode {
     parents: Vec<u64>,
     /// Children among the plan's pending nodes.
     children: Vec<u64>,
+    /// Parents among the plan's pending nodes that have not settled.
+    pending: usize,
 }
 
+/// The stage graph of one action and its progress: which stages are
+/// ready, which settled, and the first failure. Both event loops drive
+/// it; they differ only in how a claimed stage is run and awaited.
 struct StagePlan {
     nodes: HashMap<u64, StageNode>,
-    /// Deterministic postorder (parents before children, roots in
-    /// submission order) — the launch order of the event loop.
-    order: Vec<u64>,
+    /// Stages whose parents have all settled, oldest first: seeded from
+    /// the deterministic postorder (parents before children, roots in
+    /// submission order), then in promotion order.
+    ready: Vec<u64>,
+    /// Settled stages whose children have not been promoted yet.
+    done: VecDeque<u64>,
+    /// First failure: stops new launches; what is in flight drains.
+    failure: Option<JobError>,
 }
 
-fn visit(ctx: &SparkContext, dep: &Arc<dyn ShuffleDep>, plan: &mut StagePlan) {
+/// How a claimed stage gets settled.
+enum Launch {
+    /// The caller won the shuffle's latch: run the map stage under
+    /// `meta`, publish the outcome with [`ShuffleLatch::finish`], then
+    /// [`SparkContext::stage_finished`].
+    Run {
+        dep: Arc<dyn ShuffleDep>,
+        latch: Arc<ShuffleLatch>,
+        meta: StageMeta,
+    },
+    /// Another job is materializing it: [`ShuffleLatch::wait_done`].
+    Wait(Arc<ShuffleLatch>),
+}
+
+fn visit(
+    ctx: &SparkContext,
+    dep: &Arc<dyn ShuffleDep>,
+    plan: &mut StagePlan,
+    order: &mut Vec<u64>,
+) {
     let id = dep.shuffle_id();
     if plan.nodes.contains_key(&id) {
         return;
@@ -337,55 +383,129 @@ fn visit(ctx: &SparkContext, dep: &Arc<dyn ShuffleDep>, plan: &mut StagePlan) {
             dep: Arc::clone(dep),
             parents: Vec::new(),
             children: Vec::new(),
+            pending: 0,
         },
     );
     let parents = dep.parents();
-    let mut pids = Vec::new();
     for parent in &parents {
-        let pid = parent.shuffle_id();
-        if !pids.contains(&pid) {
-            pids.push(pid);
-        }
-        visit(ctx, parent, plan);
+        visit(ctx, parent, plan, order);
     }
-    plan.nodes.get_mut(&id).expect("just inserted").parents = pids;
-    plan.order.push(id);
+    plan.nodes.get_mut(&id).expect("just inserted").parents = shuffle_ids(&parents);
+    order.push(id);
 }
 
-fn build_plan(ctx: &SparkContext, roots: &[Arc<dyn ShuffleDep>]) -> StagePlan {
-    let mut plan = StagePlan {
-        nodes: HashMap::new(),
-        order: Vec::new(),
-    };
-    for root in roots {
-        visit(ctx, root, &mut plan);
+impl StagePlan {
+    /// Plan pass: every pending shuffle the roots (transitively) depend
+    /// on, with child edges, pending-parent counts and the initial
+    /// ready set.
+    fn build(ctx: &SparkContext, roots: &[Arc<dyn ShuffleDep>]) -> StagePlan {
+        let mut plan = StagePlan {
+            nodes: HashMap::new(),
+            ready: Vec::new(),
+            done: VecDeque::new(),
+            failure: None,
+        };
+        let mut order = Vec::new();
+        for root in roots {
+            visit(ctx, root, &mut plan, &mut order);
+        }
+        // Walk `order`, not the node map: HashMap iteration order would
+        // make each parent's `children` list — and therefore the
+        // ready-queue order of the event loop — vary from run to run,
+        // which breaks seeded replay.
+        for &id in &order {
+            let parents = plan.nodes[&id].parents.clone();
+            let mut pending = 0;
+            for parent in parents {
+                if let Some(node) = plan.nodes.get_mut(&parent) {
+                    node.children.push(id);
+                    pending += 1;
+                }
+            }
+            plan.nodes.get_mut(&id).expect("in plan").pending = pending;
+            if pending == 0 {
+                plan.ready.push(id);
+            }
+        }
+        plan
     }
-    // Derive child edges from `order`, not from the node map: HashMap
-    // iteration order would make each parent's `children` list — and
-    // therefore the ready-queue order of the event loop — vary from
-    // run to run, which breaks seeded replay.
-    let edges: Vec<(u64, u64)> = plan
-        .order
-        .iter()
-        .flat_map(|&id| {
-            plan.nodes[&id]
-                .parents
-                .iter()
-                .copied()
-                .map(move |p| (p, id))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    for (parent, child) in edges {
-        if let Some(p) = plan.nodes.get_mut(&parent) {
-            p.children.push(child);
+
+    /// Top of every event-loop turn. Stage-boundary cancellation poll:
+    /// once cancelled, stop launching and drain what's in flight (those
+    /// latches settle normally). Then cascade completions: unblock
+    /// children, queue the newly ready.
+    fn turn(&mut self) {
+        if self.failure.is_none() {
+            self.failure = check_cancelled().err();
+        }
+        while let Some(id) = self.done.pop_front() {
+            let children = std::mem::take(&mut self.nodes.get_mut(&id).expect("in plan").children);
+            for child in children {
+                let node = self.nodes.get_mut(&child).expect("child in plan");
+                node.pending -= 1;
+                if node.pending == 0 {
+                    self.ready.push(child);
+                }
+            }
         }
     }
-    plan
+
+    /// May another stage launch?
+    fn launchable(&self) -> bool {
+        self.failure.is_none() && !self.ready.is_empty()
+    }
+
+    /// Claim ready stage `id`'s shuffle latch. An already-staged stage
+    /// settles instantly and a sticky failure fails the job (`None`
+    /// either way); otherwise the caller settles it as the returned
+    /// [`Launch`] says.
+    fn claim(&mut self, ctx: &SparkContext, id: u64) -> Option<Launch> {
+        let node = &self.nodes[&id];
+        let latch = ctx.inner.registry.latch(id);
+        match latch.try_claim() {
+            Claim::Done => {
+                self.settle(id, Ok(()));
+                None
+            }
+            Claim::Failed(e) => {
+                self.settle(id, Err(e));
+                None
+            }
+            Claim::Run => {
+                // Ordinal and concurrency gauge are taken at launch
+                // time, on the loop thread: launch order (and thus
+                // fault-injection ordinals) stays deterministic even
+                // when completions race.
+                let meta = StageMeta {
+                    stage_id: ctx.alloc_stage_ordinal(),
+                    parent_shuffles: node.parents.clone(),
+                    concurrent: ctx.stage_launched(),
+                };
+                ctx.inner.registry.note_stage(id, meta.stage_id);
+                Some(Launch::Run {
+                    dep: Arc::clone(&node.dep),
+                    latch,
+                    meta,
+                })
+            }
+            Claim::Wait => Some(Launch::Wait(latch)),
+        }
+    }
+
+    /// Stage `id` settled: promote its children next turn, or keep the
+    /// first failure.
+    fn settle(&mut self, id: u64, result: Result<(), JobError>) {
+        match result {
+            Ok(()) => self.done.push_back(id),
+            Err(e) => {
+                self.failure.get_or_insert(e);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
-// Event loop
+// Event loops
 // ---------------------------------------------------------------------
 
 /// Materialize every pending shuffle the given roots (transitively)
@@ -402,31 +522,19 @@ pub(crate) fn materialize_stage_graph(
     ctx: &SparkContext,
     roots: &[Arc<dyn ShuffleDep>],
 ) -> Result<(), JobError> {
-    let plan = build_plan(ctx, roots);
-    if plan.order.is_empty() {
-        return Ok(());
-    }
+    let mut plan = StagePlan::build(ctx, roots);
     if ctx.is_deterministic() {
-        return materialize_sim(ctx, plan);
+        drive_seeded(ctx, &mut plan);
+    } else {
+        drive_threads(ctx, &mut plan);
     }
-    let mut pending: HashMap<u64, usize> = plan
-        .nodes
-        .iter()
-        .map(|(&id, node)| {
-            let n = node
-                .parents
-                .iter()
-                .filter(|p| plan.nodes.contains_key(p))
-                .count();
-            (id, n)
-        })
-        .collect();
-    let mut ready: VecDeque<u64> = plan
-        .order
-        .iter()
-        .copied()
-        .filter(|id| pending[id] == 0)
-        .collect();
+    plan.failure.map_or(Ok(()), Err)
+}
+
+/// Threaded event loop: every launchable stage (up to the configured
+/// cap) runs or waits on its own driver thread and reports over a
+/// channel.
+fn drive_threads(ctx: &SparkContext, plan: &mut StagePlan) {
     let cap = ctx
         .conf()
         .max_concurrent_stages
@@ -434,75 +542,38 @@ pub(crate) fn materialize_stage_graph(
         .max(1);
     let (tx, rx) = crossbeam::channel::unbounded::<(u64, bool, Result<(), JobError>)>();
     let mut running = 0usize;
-    let mut done: VecDeque<u64> = VecDeque::new();
-    let mut failure: Option<JobError> = None;
     loop {
-        // Stage-boundary cancellation poll: stop launching, drain
-        // what's in flight (those latches settle normally).
-        if failure.is_none() {
-            if let Err(e) = check_cancelled() {
-                failure = Some(e);
-            }
+        plan.turn();
+        while running < cap && plan.launchable() {
+            let id = plan.ready.remove(0);
+            let Some(launch) = plan.claim(ctx, id) else {
+                continue;
+            };
+            let tx = tx.clone();
+            match launch {
+                Launch::Run { dep, latch, meta } => std::thread::Builder::new()
+                    .name(format!("dag-stage-{id}"))
+                    .spawn(move || {
+                        let res = dep.run_map_stage(meta);
+                        latch.finish(&res);
+                        // Drop the lineage reference *before*
+                        // reporting, so Drop-based shuffle GC is never
+                        // kept alive by a runner thread racing the
+                        // driver's own drop.
+                        drop(dep);
+                        let _ = tx.send((id, true, res));
+                    })
+                    .expect("spawn stage runner"),
+                Launch::Wait(latch) => std::thread::Builder::new()
+                    .name(format!("dag-wait-{id}"))
+                    .spawn(move || {
+                        let _ = tx.send((id, false, latch.wait_done()));
+                    })
+                    .expect("spawn stage waiter"),
+            };
+            running += 1;
         }
-        // Cascade completions: unblock children, queue newly-ready.
-        while let Some(id) = done.pop_front() {
-            for child in &plan.nodes[&id].children {
-                let slot = pending.get_mut(child).expect("child in plan");
-                *slot -= 1;
-                if *slot == 0 {
-                    ready.push_back(*child);
-                }
-            }
-        }
-        // Launch every ready stage (up to the configured cap).
-        while failure.is_none() && running < cap && !ready.is_empty() {
-            let id = ready.pop_front().expect("nonempty");
-            let node = &plan.nodes[&id];
-            let latch = ctx.inner.registry.latch(id);
-            match latch.try_claim() {
-                Claim::Done => done.push_back(id),
-                Claim::Failed(e) => failure = Some(e),
-                Claim::Run => {
-                    // Ordinal and concurrency gauge are taken at launch
-                    // time, on the loop thread: launch order (and thus
-                    // fault-injection ordinals) stays deterministic
-                    // even when completions race.
-                    let meta = StageMeta {
-                        stage_id: ctx.alloc_stage_ordinal(),
-                        parent_shuffles: node.parents.clone(),
-                        concurrent: ctx.stage_launched(),
-                    };
-                    ctx.inner.registry.note_stage(id, meta.stage_id);
-                    let dep = Arc::clone(&node.dep);
-                    let tx = tx.clone();
-                    std::thread::Builder::new()
-                        .name(format!("dag-stage-{id}"))
-                        .spawn(move || {
-                            let res = dep.run_map_stage(meta);
-                            latch.finish(&res);
-                            // Drop the lineage reference *before*
-                            // reporting, so Drop-based shuffle GC is
-                            // never kept alive by a runner thread
-                            // racing the driver's own drop.
-                            drop(dep);
-                            let _ = tx.send((id, true, res));
-                        })
-                        .expect("spawn stage runner");
-                    running += 1;
-                }
-                Claim::Wait => {
-                    let tx = tx.clone();
-                    std::thread::Builder::new()
-                        .name(format!("dag-wait-{id}"))
-                        .spawn(move || {
-                            let _ = tx.send((id, false, latch.wait_done()));
-                        })
-                        .expect("spawn stage waiter");
-                    running += 1;
-                }
-            }
-        }
-        if !done.is_empty() {
+        if !plan.done.is_empty() {
             continue;
         }
         if running == 0 {
@@ -513,18 +584,7 @@ pub(crate) fn materialize_stage_graph(
         if executed {
             ctx.stage_finished();
         }
-        match res {
-            Ok(()) => done.push_back(id),
-            Err(e) => {
-                if failure.is_none() {
-                    failure = Some(e);
-                }
-            }
-        }
-    }
-    match failure {
-        None => Ok(()),
-        Some(e) => Err(e),
+        plan.settle(id, res);
     }
 }
 
@@ -533,81 +593,29 @@ pub(crate) fn materialize_stage_graph(
 /// ready the *seeded* context RNG picks which runs next — so a single
 /// `u64` seed fully determines the stage schedule, while still
 /// exercising every interleaving the threaded loop could produce.
-fn materialize_sim(ctx: &SparkContext, plan: StagePlan) -> Result<(), JobError> {
-    let mut pending: HashMap<u64, usize> = plan
-        .nodes
-        .iter()
-        .map(|(&id, node)| {
-            let n = node
-                .parents
-                .iter()
-                .filter(|p| plan.nodes.contains_key(p))
-                .count();
-            (id, n)
-        })
-        .collect();
-    let mut ready: Vec<u64> = plan
-        .order
-        .iter()
-        .copied()
-        .filter(|id| pending[id] == 0)
-        .collect();
-    let mut done: VecDeque<u64> = VecDeque::new();
-    let mut failure: Option<JobError> = None;
+fn drive_seeded(ctx: &SparkContext, plan: &mut StagePlan) {
     loop {
-        if failure.is_none() {
-            if let Err(e) = check_cancelled() {
-                failure = Some(e);
-            }
-        }
-        while let Some(id) = done.pop_front() {
-            for child in &plan.nodes[&id].children {
-                let slot = pending.get_mut(child).expect("child in plan");
-                *slot -= 1;
-                if *slot == 0 {
-                    ready.push(*child);
-                }
-            }
-        }
-        if failure.is_some() || ready.is_empty() {
-            if done.is_empty() {
+        plan.turn();
+        if !plan.launchable() {
+            if plan.done.is_empty() {
                 break;
             }
             continue;
         }
-        let id = ready.swap_remove(ctx.sim_draw(ready.len()));
-        let node = &plan.nodes[&id];
-        let latch = ctx.inner.registry.latch(id);
-        match latch.try_claim() {
-            Claim::Done => done.push_back(id),
-            Claim::Failed(e) => failure = Some(e),
-            Claim::Run => {
-                let meta = StageMeta {
-                    stage_id: ctx.alloc_stage_ordinal(),
-                    parent_shuffles: node.parents.clone(),
-                    concurrent: ctx.stage_launched(),
-                };
-                ctx.inner.registry.note_stage(id, meta.stage_id);
-                let res = node.dep.run_map_stage(meta);
+        let id = plan.ready.swap_remove(ctx.sim_draw(plan.ready.len()));
+        match plan.claim(ctx, id) {
+            None => {}
+            Some(Launch::Run { dep, latch, meta }) => {
+                let res = dep.run_map_stage(meta);
                 latch.finish(&res);
                 ctx.stage_finished();
-                match res {
-                    Ok(()) => done.push_back(id),
-                    Err(e) => failure = Some(e),
-                }
+                plan.settle(id, res);
             }
             // Jobs are inlined in sim mode, so a Running latch can only
             // belong to another real thread (mixed-mode use); settle it
             // the same way the threaded loop would.
-            Claim::Wait => match latch.wait_done() {
-                Ok(()) => done.push_back(id),
-                Err(e) => failure = Some(e),
-            },
+            Some(Launch::Wait(latch)) => plan.settle(id, latch.wait_done()),
         }
-    }
-    match failure {
-        None => Ok(()),
-        Some(e) => Err(e),
     }
 }
 
@@ -643,20 +651,13 @@ pub(crate) fn explain_graph_into(roots: &[Arc<dyn ShuffleDep>], out: &mut String
         for parent in &parents {
             walk(parent, seen, out);
         }
-        let mut pids: Vec<u64> = Vec::new();
-        for parent in &parents {
-            let pid = parent.shuffle_id();
-            if !pids.contains(&pid) {
-                pids.push(pid);
-            }
-        }
         out.push_str(&format!(
             "stage shuffle#{} {} [{} map tasks -> {} partitions] <- {}\n",
             id,
             dep.op_name(),
             dep.num_maps(),
             dep.num_reduces(),
-            fmt_parent_ids(&pids)
+            fmt_parent_ids(&shuffle_ids(&parents))
         ));
     }
     let mut seen = Vec::new();

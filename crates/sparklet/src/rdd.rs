@@ -1,13 +1,18 @@
 //! Lazy pair-RDDs with lineage.
 //!
 //! An [`Rdd<K, V>`] is a handle to a plan node implementing the
-//! internal `RddOps` trait.
-//! Narrow transformations wrap their parent and fuse at compute time
-//! (one pass per partition, like Spark pipelining); wide
-//! transformations own a shuffle that becomes a stage node of the
-//! extracted stage graph. Actions hand their upstream shuffle roots to
-//! the driver-side DAG scheduler ([`crate::dag`]), which materializes
-//! all ready stages concurrently, then run a result stage.
+//! internal `RddOps` trait. There is one single-parent narrow node
+//! (`NarrowRdd`: a per-partition closure, an `explain()` line, a
+//! keeps-partitioning bit — every narrow transformation is an instance)
+//! and one wide node (`ShuffledRdd`: owns a shuffle, with an optional
+//! combiner); `union`, `coalesce`, the parallelized source and
+//! materialized blocks are the remaining node kinds.
+//! Narrow nodes wrap their parent and fuse at compute time (one pass
+//! per partition, like Spark pipelining); a wide node's shuffle becomes
+//! a stage node of the extracted stage graph. Actions hand their
+//! upstream shuffle roots to the driver-side DAG scheduler
+//! ([`crate::dag`]), which materializes all ready stages concurrently,
+//! then run a result stage.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -114,80 +119,28 @@ impl<K: Key, V: ShufVal> RddOps<K, V> for ParallelizeRdd<K, V> {
     }
 }
 
-struct MapRdd<K1: Key, V1: ShufVal, K2, V2> {
+/// A whole-partition transform: partition index, the parent's pairs,
+/// the running task's context.
+type PartitionFn<K1, V1, K2, V2> =
+    Arc<dyn Fn(usize, Vec<(K1, V1)>, &TaskContext) -> Vec<(K2, V2)> + Send + Sync>;
+
+/// The single-parent narrow node behind `map`, `flat_map`,
+/// `map_values`, `filter`, `map_partitions`, `map_partitions_to` and an
+/// elided `partition_by`: they differ only in the closure (the user's
+/// function is monomorphised inside it, so a partition costs one
+/// dynamic call however many pairs it holds), the `explain()` line,
+/// and whether key placement survives.
+struct NarrowRdd<K1: Key, V1: ShufVal, K2, V2> {
     parent: Arc<dyn RddOps<K1, V1>>,
-    #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn((K1, V1)) -> (K2, V2) + Send + Sync>,
+    f: PartitionFn<K1, V1, K2, V2>,
+    label: String,
+    /// Keys unchanged ⇒ the parent's placement signature carries over.
+    keeps_partitioning: bool,
 }
 
-impl<K1: Key, V1: ShufVal, K2: Key, V2: ShufVal> RddOps<K2, V2> for MapRdd<K1, V1, K2, V2> {
+impl<K1: Key, V1: ShufVal, K2: Key, V2: ShufVal> RddOps<K2, V2> for NarrowRdd<K1, V1, K2, V2> {
     fn explain_into(&self, depth: usize, out: &mut String) {
-        write_plan_line(out, depth, "Map [narrow]");
-        self.parent.explain_into(depth + 1, out);
-    }
-    fn ctx(&self) -> &SparkContext {
-        self.parent.ctx()
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn shuffle_deps(self: Arc<Self>) -> Vec<Arc<dyn ShuffleDep>> {
-        Arc::clone(&self.parent).shuffle_deps()
-    }
-    fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K2, V2)>, JobError> {
-        Ok(self
-            .parent
-            .compute(p, tc)?
-            .into_iter()
-            .map(|kv| (self.f)(kv))
-            .collect())
-    }
-    fn preferred_node(&self, p: usize) -> Option<usize> {
-        self.parent.preferred_node(p)
-    }
-}
-
-struct FlatMapRdd<K1: Key, V1: ShufVal, K2, V2> {
-    parent: Arc<dyn RddOps<K1, V1>>,
-    #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn((K1, V1)) -> Vec<(K2, V2)> + Send + Sync>,
-}
-
-impl<K1: Key, V1: ShufVal, K2: Key, V2: ShufVal> RddOps<K2, V2> for FlatMapRdd<K1, V1, K2, V2> {
-    fn explain_into(&self, depth: usize, out: &mut String) {
-        write_plan_line(out, depth, "FlatMap [narrow]");
-        self.parent.explain_into(depth + 1, out);
-    }
-    fn ctx(&self) -> &SparkContext {
-        self.parent.ctx()
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn shuffle_deps(self: Arc<Self>) -> Vec<Arc<dyn ShuffleDep>> {
-        Arc::clone(&self.parent).shuffle_deps()
-    }
-    fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K2, V2)>, JobError> {
-        Ok(self
-            .parent
-            .compute(p, tc)?
-            .into_iter()
-            .flat_map(|kv| (self.f)(kv))
-            .collect())
-    }
-    fn preferred_node(&self, p: usize) -> Option<usize> {
-        self.parent.preferred_node(p)
-    }
-}
-
-struct MapValuesRdd<K: Key, V1: ShufVal, V2> {
-    parent: Arc<dyn RddOps<K, V1>>,
-    f: Arc<dyn Fn(V1) -> V2 + Send + Sync>,
-}
-
-impl<K: Key, V1: ShufVal, V2: ShufVal> RddOps<K, V2> for MapValuesRdd<K, V1, V2> {
-    fn explain_into(&self, depth: usize, out: &mut String) {
-        write_plan_line(out, depth, "MapValues [narrow, preserves partitioning]");
+        write_plan_line(out, depth, &self.label);
         self.parent.explain_into(depth + 1, out);
     }
     fn ctx(&self) -> &SparkContext {
@@ -197,57 +150,17 @@ impl<K: Key, V1: ShufVal, V2: ShufVal> RddOps<K, V2> for MapValuesRdd<K, V1, V2>
         self.parent.num_partitions()
     }
     fn partitioner_sig(&self) -> Option<PartSig> {
-        // Keys unchanged ⇒ placement preserved.
-        self.parent.partitioner_sig()
+        if self.keeps_partitioning {
+            self.parent.partitioner_sig()
+        } else {
+            None
+        }
     }
     fn shuffle_deps(self: Arc<Self>) -> Vec<Arc<dyn ShuffleDep>> {
         Arc::clone(&self.parent).shuffle_deps()
     }
-    fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K, V2)>, JobError> {
-        Ok(self
-            .parent
-            .compute(p, tc)?
-            .into_iter()
-            .map(|(k, v)| (k, (self.f)(v)))
-            .collect())
-    }
-    fn preferred_node(&self, p: usize) -> Option<usize> {
-        self.parent.preferred_node(p)
-    }
-}
-
-/// Shared predicate over key-value pairs.
-type PredFn<K, V> = Arc<dyn Fn(&K, &V) -> bool + Send + Sync>;
-
-struct FilterRdd<K: Key, V: ShufVal> {
-    parent: Arc<dyn RddOps<K, V>>,
-    pred: PredFn<K, V>,
-}
-
-impl<K: Key, V: ShufVal> RddOps<K, V> for FilterRdd<K, V> {
-    fn explain_into(&self, depth: usize, out: &mut String) {
-        write_plan_line(out, depth, "Filter [narrow, preserves partitioning]");
-        self.parent.explain_into(depth + 1, out);
-    }
-    fn ctx(&self) -> &SparkContext {
-        self.parent.ctx()
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn partitioner_sig(&self) -> Option<PartSig> {
-        self.parent.partitioner_sig()
-    }
-    fn shuffle_deps(self: Arc<Self>) -> Vec<Arc<dyn ShuffleDep>> {
-        Arc::clone(&self.parent).shuffle_deps()
-    }
-    fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K, V)>, JobError> {
-        Ok(self
-            .parent
-            .compute(p, tc)?
-            .into_iter()
-            .filter(|(k, v)| (self.pred)(k, v))
-            .collect())
+    fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K2, V2)>, JobError> {
+        Ok((self.f)(p, self.parent.compute(p, tc)?, tc))
     }
     fn preferred_node(&self, p: usize) -> Option<usize> {
         self.parent.preferred_node(p)
@@ -305,73 +218,6 @@ impl<K: Key, V: ShufVal> RddOps<K, V> for UnionRdd<K, V> {
     }
 }
 
-#[allow(clippy::type_complexity)]
-struct MapPartitionsRdd<K: Key, V: ShufVal> {
-    parent: Arc<dyn RddOps<K, V>>,
-    f: Arc<dyn Fn(usize, Vec<(K, V)>, &TaskContext) -> Vec<(K, V)> + Send + Sync>,
-    preserves_partitioning: bool,
-}
-
-impl<K: Key, V: ShufVal> RddOps<K, V> for MapPartitionsRdd<K, V> {
-    fn explain_into(&self, depth: usize, out: &mut String) {
-        write_plan_line(out, depth, "MapPartitions [narrow]");
-        self.parent.explain_into(depth + 1, out);
-    }
-    fn ctx(&self) -> &SparkContext {
-        self.parent.ctx()
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn partitioner_sig(&self) -> Option<PartSig> {
-        if self.preserves_partitioning {
-            self.parent.partitioner_sig()
-        } else {
-            None
-        }
-    }
-    fn shuffle_deps(self: Arc<Self>) -> Vec<Arc<dyn ShuffleDep>> {
-        Arc::clone(&self.parent).shuffle_deps()
-    }
-    fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K, V)>, JobError> {
-        Ok((self.f)(p, self.parent.compute(p, tc)?, tc))
-    }
-    fn preferred_node(&self, p: usize) -> Option<usize> {
-        self.parent.preferred_node(p)
-    }
-}
-
-/// Type-changing whole-partition transform (no partitioning preserved).
-#[allow(clippy::type_complexity)]
-struct MapPartitionsToRdd<K1: Key, V1: ShufVal, K2, V2> {
-    parent: Arc<dyn RddOps<K1, V1>>,
-    f: Arc<dyn Fn(usize, Vec<(K1, V1)>, &TaskContext) -> Vec<(K2, V2)> + Send + Sync>,
-}
-
-impl<K1: Key, V1: ShufVal, K2: Key, V2: ShufVal> RddOps<K2, V2>
-    for MapPartitionsToRdd<K1, V1, K2, V2>
-{
-    fn explain_into(&self, depth: usize, out: &mut String) {
-        write_plan_line(out, depth, "MapPartitionsTo [narrow]");
-        self.parent.explain_into(depth + 1, out);
-    }
-    fn ctx(&self) -> &SparkContext {
-        self.parent.ctx()
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn shuffle_deps(self: Arc<Self>) -> Vec<Arc<dyn ShuffleDep>> {
-        Arc::clone(&self.parent).shuffle_deps()
-    }
-    fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K2, V2)>, JobError> {
-        Ok((self.f)(p, self.parent.compute(p, tc)?, tc))
-    }
-    fn preferred_node(&self, p: usize) -> Option<usize> {
-        self.parent.preferred_node(p)
-    }
-}
-
 /// Shuffle-free partition-count reduction: output partition `g`
 /// concatenates a fixed group of parent partitions (Spark's
 /// `CoalescedRDD` without locality preferences).
@@ -423,61 +269,61 @@ impl<K: Key, V: ShufVal> RddOps<K, V> for CoalescedRdd<K, V> {
     }
 }
 
-/// Pass-through marker for an elided `partition_by`: the RDD was
-/// already partitioned identically, so no shuffle node enters the
-/// stage graph — but the elision stays visible in `explain()`.
-struct ElidedRdd<K: Key, V: ShufVal> {
-    parent: Arc<dyn RddOps<K, V>>,
-    partitions: usize,
-    part_name: &'static str,
+/// Order-preserving per-key fold used by map- and reduce-side
+/// combining: a key's first item starts its accumulator (`create`),
+/// later items fold into it (`merge`). Deterministic output order
+/// (first-seen key order) independent of hash iteration order.
+fn combine_ordered<K: Key, T, C>(
+    items: impl IntoIterator<Item = (K, T)>,
+    create: impl Fn(T) -> C,
+    merge: impl Fn(C, T) -> C,
+) -> Vec<(K, C)> {
+    let mut index: HashMap<K, usize> = HashMap::new();
+    let mut out: Vec<(K, Option<C>)> = Vec::new();
+    for (k, t) in items {
+        match index.get(&k) {
+            Some(&i) => {
+                let prev = out[i].1.take().expect("slot full");
+                out[i].1 = Some(merge(prev, t));
+            }
+            None => {
+                index.insert(k.clone(), out.len());
+                out.push((k, Some(create(t))));
+            }
+        }
+    }
+    out.into_iter()
+        .map(|(k, c)| (k, c.expect("slot full")))
+        .collect()
 }
 
-impl<K: Key, V: ShufVal> RddOps<K, V> for ElidedRdd<K, V> {
-    fn explain_into(&self, depth: usize, out: &mut String) {
-        write_plan_line(
-            out,
-            depth,
-            &format!(
-                "PartitionBy [elided: already partitioned by {} into {}]",
-                self.part_name, self.partitions
-            ),
-        );
-        self.parent.explain_into(depth + 1, out);
-    }
-    fn ctx(&self) -> &SparkContext {
-        self.parent.ctx()
-    }
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn partitioner_sig(&self) -> Option<PartSig> {
-        self.parent.partitioner_sig()
-    }
-    fn shuffle_deps(self: Arc<Self>) -> Vec<Arc<dyn ShuffleDep>> {
-        Arc::clone(&self.parent).shuffle_deps()
-    }
-    fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K, V)>, JobError> {
-        self.parent.compute(p, tc)
-    }
-    fn preferred_node(&self, p: usize) -> Option<usize> {
-        self.parent.preferred_node(p)
-    }
-}
-
-/// Wide node: re-partition by a partitioner (`partitionBy`).
-struct ShuffledRdd<K: Key, V: ShufVal> {
+/// The wide node: owns shuffle `shuffle_id`, one stage of the stage
+/// graph. `partition_by` stages its pairs as they are; `combine_by_key`
+/// adds a combiner on both sides of the shuffle.
+#[allow(clippy::type_complexity)]
+struct ShuffledRdd<K: Key, V: ShufVal, C: ShufVal> {
     parent: Arc<dyn RddOps<K, V>>,
+    /// Map side: the pairs a map task stages for its partition — the
+    /// partition itself, or its per-key combiners in first-seen key
+    /// order (`create` on a key's first value, `merge_value` after).
+    stage: Arc<dyn Fn(Vec<(K, V)>) -> Vec<(K, C)> + Send + Sync>,
+    /// Reduce side: `merge_combiners`. Without one, fetched pairs pass
+    /// through in map-task order, duplicates kept.
+    merge: Option<Arc<dyn Fn(C, C) -> C + Send + Sync>>,
     partitioner: Arc<dyn Partitioner<K>>,
     partitions: usize,
     shuffle_id: u64,
 }
 
-impl<K: Key, V: ShufVal> ShuffleDep for ShuffledRdd<K, V> {
+impl<K: Key, V: ShufVal, C: ShufVal> ShuffleDep for ShuffledRdd<K, V, C> {
     fn shuffle_id(&self) -> u64 {
         self.shuffle_id
     }
     fn op_name(&self) -> &'static str {
-        "partition_by"
+        match self.merge {
+            Some(_) => "combine_by_key",
+            None => "partition_by",
+        }
     }
     fn num_maps(&self) -> usize {
         self.parent.num_partitions()
@@ -495,6 +341,7 @@ impl<K: Key, V: ShufVal> ShuffleDep for ShuffledRdd<K, V> {
             .shuffle
             .register(self.shuffle_id, maps, self.partitions);
         let parent = Arc::clone(&self.parent);
+        let stage = Arc::clone(&self.stage);
         let partitioner = Arc::clone(&self.partitioner);
         let partitions = self.partitions;
         let shuffle_id = self.shuffle_id;
@@ -503,27 +350,31 @@ impl<K: Key, V: ShufVal> ShuffleDep for ShuffledRdd<K, V> {
             let parent = Arc::clone(&self.parent);
             move |p: usize| parent.preferred_node(p)
         };
+        let suffix = match self.merge {
+            Some(_) => "combine-map",
+            None => "map",
+        };
         ctx.run_stage(
-            &format!("shuffle#{shuffle_id}.map"),
+            &format!("shuffle#{shuffle_id}.{suffix}"),
             meta,
             maps,
             pref,
             Arc::new(move |p, tc: &TaskContext| {
-                let items = parent.compute(p, tc)?;
+                let items = stage(parent.compute(p, tc)?);
                 // Sparse bucket map: most of the (often ~1000) reduce
                 // partitions receive nothing from a given map task.
                 // Pairs are serialized exactly once, straight into each
                 // bucket's frame-in-progress.
                 let mut bufs: HashMap<usize, (PayloadBuilder, u64)> = HashMap::new();
-                for (k, v) in items {
+                for (k, c) in items {
                     let b = partitioner.partition(&k, partitions);
                     let slot = bufs.entry(b).or_default();
                     // Declared (logical) bytes: exact encoded size for
                     // dense types, deliberately larger for virtual
                     // blocks (their accounting weight is the point).
-                    slot.1 += (k.approx_bytes() + v.approx_bytes()) as u64;
+                    slot.1 += (k.approx_bytes() + c.approx_bytes()) as u64;
                     k.encode(slot.0.buf());
-                    v.encode(slot.0.buf());
+                    c.encode(slot.0.buf());
                 }
                 // Flush in bucket order: HashMap iteration order would
                 // vary the shuffle-write sequence (and thus staging
@@ -549,7 +400,7 @@ impl<K: Key, V: ShufVal> ShuffleDep for ShuffledRdd<K, V> {
     }
 }
 
-impl<K: Key, V: ShufVal> Drop for ShuffledRdd<K, V> {
+impl<K: Key, V: ShufVal, C: ShufVal> Drop for ShuffledRdd<K, V, C> {
     fn drop(&mut self) {
         // Last lineage reference gone ⇒ nothing can fetch this shuffle
         // again: release its staged bytes (Spark's ContextCleaner
@@ -561,187 +412,19 @@ impl<K: Key, V: ShufVal> Drop for ShuffledRdd<K, V> {
     }
 }
 
-impl<K: Key, V: ShufVal> RddOps<K, V> for ShuffledRdd<K, V> {
+impl<K: Key, V: ShufVal, C: ShufVal> RddOps<K, C> for ShuffledRdd<K, V, C> {
     fn explain_into(&self, depth: usize, out: &mut String) {
-        write_plan_line(
-            out,
-            depth,
-            &format!(
-                "PartitionBy [WIDE shuffle #{}, {} partitions, {}]",
-                self.shuffle_id,
-                self.partitions,
+        let (id, n) = (self.shuffle_id, self.partitions);
+        let line = match self.merge {
+            Some(_) => {
+                format!("CombineByKey [WIDE shuffle #{id}, {n} partitions, map-side combine]")
+            }
+            None => format!(
+                "PartitionBy [WIDE shuffle #{id}, {n} partitions, {}]",
                 self.partitioner.signature().0
             ),
-        );
-        self.parent.explain_into(depth + 1, out);
-    }
-    fn ctx(&self) -> &SparkContext {
-        self.parent.ctx()
-    }
-    fn num_partitions(&self) -> usize {
-        self.partitions
-    }
-    fn partitioner_sig(&self) -> Option<PartSig> {
-        let (name, param) = self.partitioner.signature();
-        Some((name, param, self.partitions))
-    }
-    fn shuffle_deps(self: Arc<Self>) -> Vec<Arc<dyn ShuffleDep>> {
-        vec![self]
-    }
-    fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K, V)>, JobError> {
-        let ctx = self.parent.ctx();
-        let payloads = ctx.inner.shuffle.fetch(self.shuffle_id, p, tc)?;
-        let mut out = Vec::new();
-        for payload in payloads {
-            // Uncompressed frames open as a zero-copy view of the
-            // staged allocation; decode consumes the view in place.
-            let mut buf = payload.open()?;
-            while buf.has_remaining() {
-                let k = K::decode(&mut buf)?;
-                let v = V::decode(&mut buf)?;
-                out.push((k, v));
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// Order-preserving group/merge used by map- and reduce-side combining:
-/// deterministic output order (first-seen key order) independent of
-/// hash iteration order.
-fn combine_ordered<K: Key, C>(
-    items: impl IntoIterator<Item = (K, C)>,
-    merge: impl Fn(C, C) -> C,
-) -> Vec<(K, C)> {
-    let mut index: HashMap<K, usize> = HashMap::new();
-    let mut out: Vec<(K, Option<C>)> = Vec::new();
-    for (k, c) in items {
-        match index.get(&k) {
-            Some(&i) => {
-                let prev = out[i].1.take().expect("slot full");
-                out[i].1 = Some(merge(prev, c));
-            }
-            None => {
-                index.insert(k.clone(), out.len());
-                out.push((k, Some(c)));
-            }
-        }
-    }
-    out.into_iter()
-        .map(|(k, c)| (k, c.expect("slot full")))
-        .collect()
-}
-
-/// Wide node: `combineByKey` with map-side combining.
-#[allow(clippy::type_complexity)]
-struct CombinedRdd<K: Key, V: ShufVal, C: ShufVal> {
-    parent: Arc<dyn RddOps<K, V>>,
-    create: Arc<dyn Fn(V) -> C + Send + Sync>,
-    merge_value: Arc<dyn Fn(C, V) -> C + Send + Sync>,
-    merge_combiners: Arc<dyn Fn(C, C) -> C + Send + Sync>,
-    partitioner: Arc<dyn Partitioner<K>>,
-    partitions: usize,
-    shuffle_id: u64,
-}
-
-impl<K: Key, V: ShufVal, C: ShufVal> ShuffleDep for CombinedRdd<K, V, C> {
-    fn shuffle_id(&self) -> u64 {
-        self.shuffle_id
-    }
-    fn op_name(&self) -> &'static str {
-        "combine_by_key"
-    }
-    fn num_maps(&self) -> usize {
-        self.parent.num_partitions()
-    }
-    fn num_reduces(&self) -> usize {
-        self.partitions
-    }
-    fn parents(&self) -> Vec<Arc<dyn ShuffleDep>> {
-        Arc::clone(&self.parent).shuffle_deps()
-    }
-    fn run_map_stage(&self, meta: StageMeta) -> Result<(), JobError> {
-        let ctx = self.parent.ctx().clone();
-        let maps = self.parent.num_partitions();
-        ctx.inner
-            .shuffle
-            .register(self.shuffle_id, maps, self.partitions);
-        let parent = Arc::clone(&self.parent);
-        let create = Arc::clone(&self.create);
-        let merge_value = Arc::clone(&self.merge_value);
-        let merge_combiners = Arc::clone(&self.merge_combiners);
-        let partitioner = Arc::clone(&self.partitioner);
-        let partitions = self.partitions;
-        let shuffle_id = self.shuffle_id;
-        let inner_ctx = ctx.clone();
-        let pref = {
-            let parent = Arc::clone(&self.parent);
-            move |p: usize| parent.preferred_node(p)
         };
-        ctx.run_stage(
-            &format!("shuffle#{shuffle_id}.combine-map"),
-            meta,
-            maps,
-            pref,
-            Arc::new(move |p, tc: &TaskContext| {
-                let items = parent.compute(p, tc)?;
-                // Map-side combine (order-preserving, deterministic).
-                let combined =
-                    combine_ordered(items.into_iter().map(|(k, v)| (k, (create)(v))), |a, b| {
-                        (merge_combiners)(a, b)
-                    });
-                let _ = &merge_value; // map-side path creates then merges combiners
-                let mut bufs: HashMap<usize, (PayloadBuilder, u64)> = HashMap::new();
-                for (k, c) in combined {
-                    let b = partitioner.partition(&k, partitions);
-                    let slot = bufs.entry(b).or_default();
-                    // Declared bytes follow approx_bytes (see the
-                    // ShuffledRdd map path: virtual blocks stay heavy).
-                    slot.1 += (k.approx_bytes() + c.approx_bytes()) as u64;
-                    k.encode(slot.0.buf());
-                    c.encode(slot.0.buf());
-                }
-                // Flush in bucket order (see ShuffledRdd: deterministic
-                // write sequence for seeded replay).
-                let mut bufs: Vec<(usize, (PayloadBuilder, u64))> = bufs.into_iter().collect();
-                bufs.sort_unstable_by_key(|&(bucket, _)| bucket);
-                let compression = inner_ctx.inner.conf.compression;
-                for (bucket, (builder, declared)) in bufs {
-                    inner_ctx.inner.shuffle.write(
-                        shuffle_id,
-                        p,
-                        bucket,
-                        tc.node(),
-                        builder.seal(compression),
-                        declared,
-                        tc,
-                    )?;
-                }
-                Ok(())
-            }),
-        )?;
-        Ok(())
-    }
-}
-
-impl<K: Key, V: ShufVal, C: ShufVal> Drop for CombinedRdd<K, V, C> {
-    fn drop(&mut self) {
-        let ctx = self.parent.ctx();
-        ctx.inner.shuffle.release(self.shuffle_id);
-        ctx.inner.registry.remove(self.shuffle_id);
-    }
-}
-
-impl<K: Key, V: ShufVal, C: ShufVal> RddOps<K, C> for CombinedRdd<K, V, C> {
-    fn explain_into(&self, depth: usize, out: &mut String) {
-        write_plan_line(
-            out,
-            depth,
-            &format!(
-                "CombineByKey [WIDE shuffle #{}, {} partitions, map-side combine]",
-                self.shuffle_id, self.partitions
-            ),
-        );
+        write_plan_line(out, depth, &line);
         self.parent.explain_into(depth + 1, out);
     }
     fn ctx(&self) -> &SparkContext {
@@ -762,6 +445,8 @@ impl<K: Key, V: ShufVal, C: ShufVal> RddOps<K, C> for CombinedRdd<K, V, C> {
         let payloads = ctx.inner.shuffle.fetch(self.shuffle_id, p, tc)?;
         let mut pairs = Vec::new();
         for payload in payloads {
+            // Uncompressed frames open as a zero-copy view of the
+            // staged allocation; decode consumes the view in place.
             let mut buf = payload.open()?;
             while buf.has_remaining() {
                 let k = K::decode(&mut buf)?;
@@ -769,7 +454,10 @@ impl<K: Key, V: ShufVal, C: ShufVal> RddOps<K, C> for CombinedRdd<K, V, C> {
                 pairs.push((k, c));
             }
         }
-        Ok(combine_ordered(pairs, |a, b| (self.merge_combiners)(a, b)))
+        Ok(match &self.merge {
+            Some(merge) => combine_ordered(pairs, |c| c, &**merge),
+            None => pairs,
+        })
     }
 }
 
@@ -955,15 +643,9 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         let elided = out.matches("[elided").count();
         let roots = Arc::clone(&self.ops).shuffle_deps();
         if !roots.is_empty() {
-            let mut ids: Vec<u64> = Vec::new();
-            for root in &roots {
-                let id = root.shuffle_id();
-                if !ids.contains(&id) {
-                    ids.push(id);
-                }
-            }
             out.push_str("== stage graph ==\n");
             dag::explain_graph_into(&roots, &mut out);
+            let ids = dag::shuffle_ids(&roots);
             out.push_str(&format!("stage result <- {}\n", dag::fmt_parent_ids(&ids)));
         }
         if elided > 0 {
@@ -974,18 +656,32 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         out
     }
 
+    /// A [`NarrowRdd`] over `self`.
+    fn narrow<K2: Key, V2: ShufVal>(
+        &self,
+        label: impl Into<String>,
+        keeps_partitioning: bool,
+        f: impl Fn(usize, Vec<(K, V)>, &TaskContext) -> Vec<(K2, V2)> + Send + Sync + 'static,
+    ) -> Rdd<K2, V2> {
+        Rdd {
+            ctx: self.ctx.clone(),
+            ops: Arc::new(NarrowRdd {
+                parent: Arc::clone(&self.ops),
+                f: Arc::new(f),
+                label: label.into(),
+                keeps_partitioning,
+            }),
+        }
+    }
+
     /// Narrow: transform each pair (may change key and value types).
     pub fn map<K2: Key, V2: ShufVal>(
         &self,
         f: impl Fn((K, V)) -> (K2, V2) + Send + Sync + 'static,
     ) -> Rdd<K2, V2> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            ops: Arc::new(MapRdd {
-                parent: Arc::clone(&self.ops),
-                f: Arc::new(f),
-            }),
-        }
+        self.narrow("Map [narrow]", false, move |_, items, _| {
+            items.into_iter().map(&f).collect()
+        })
     }
 
     /// Narrow: transform values, keeping keys (and partitioning).
@@ -993,13 +689,11 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         &self,
         f: impl Fn(V) -> V2 + Send + Sync + 'static,
     ) -> Rdd<K, V2> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            ops: Arc::new(MapValuesRdd {
-                parent: Arc::clone(&self.ops),
-                f: Arc::new(f),
-            }),
-        }
+        self.narrow(
+            "MapValues [narrow, preserves partitioning]",
+            true,
+            move |_, items, _| items.into_iter().map(|(k, v)| (k, f(v))).collect(),
+        )
     }
 
     /// Narrow: transform each pair into zero or more pairs.
@@ -1007,24 +701,18 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         &self,
         f: impl Fn((K, V)) -> Vec<(K2, V2)> + Send + Sync + 'static,
     ) -> Rdd<K2, V2> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            ops: Arc::new(FlatMapRdd {
-                parent: Arc::clone(&self.ops),
-                f: Arc::new(f),
-            }),
-        }
+        self.narrow("FlatMap [narrow]", false, move |_, items, _| {
+            items.into_iter().flat_map(&f).collect()
+        })
     }
 
     /// Narrow: keep pairs matching the predicate.
     pub fn filter(&self, pred: impl Fn(&K, &V) -> bool + Send + Sync + 'static) -> Rdd<K, V> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            ops: Arc::new(FilterRdd {
-                parent: Arc::clone(&self.ops),
-                pred: Arc::new(pred),
-            }),
-        }
+        self.narrow(
+            "Filter [narrow, preserves partitioning]",
+            true,
+            move |_, items, _| items.into_iter().filter(|(k, v)| pred(k, v)).collect(),
+        )
     }
 
     /// Narrow: concatenate two RDDs' partitions.
@@ -1044,29 +732,17 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         preserves_partitioning: bool,
         f: impl Fn(usize, Vec<(K, V)>, &TaskContext) -> Vec<(K, V)> + Send + Sync + 'static,
     ) -> Rdd<K, V> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            ops: Arc::new(MapPartitionsRdd {
-                parent: Arc::clone(&self.ops),
-                f: Arc::new(f),
-                preserves_partitioning,
-            }),
-        }
+        self.narrow("MapPartitions [narrow]", preserves_partitioning, f)
     }
 
     /// Narrow: transform whole partitions with a possible key/value
-    /// type change (receives the partition index and task context).
+    /// type change (receives the partition index and task context; no
+    /// partitioning preserved).
     pub fn map_partitions_to<K2: Key, V2: ShufVal>(
         &self,
         f: impl Fn(usize, Vec<(K, V)>, &TaskContext) -> Vec<(K2, V2)> + Send + Sync + 'static,
     ) -> Rdd<K2, V2> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            ops: Arc::new(MapPartitionsToRdd {
-                parent: Arc::clone(&self.ops),
-                f: Arc::new(f),
-            }),
-        }
+        self.narrow("MapPartitionsTo [narrow]", false, f)
     }
 
     /// Narrow: reduce the partition count by concatenating groups of
@@ -1117,9 +793,33 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         }
     }
 
+    /// A [`ShuffledRdd`] over `self`, owning a fresh shuffle id.
+    #[allow(clippy::type_complexity)]
+    fn shuffled<C: ShufVal>(
+        &self,
+        stage: Arc<dyn Fn(Vec<(K, V)>) -> Vec<(K, C)> + Send + Sync>,
+        merge: Option<Arc<dyn Fn(C, C) -> C + Send + Sync>>,
+        partitions: usize,
+        partitioner: Arc<dyn Partitioner<K>>,
+    ) -> Rdd<K, C> {
+        Rdd {
+            ctx: self.ctx.clone(),
+            ops: Arc::new(ShuffledRdd {
+                parent: Arc::clone(&self.ops),
+                stage,
+                merge,
+                partitioner,
+                partitions,
+                shuffle_id: self.ctx.next_id(),
+            }),
+        }
+    }
+
     /// Wide: redistribute by `partitioner` into `partitions`. Elided
-    /// (returns `self`) when the RDD is already partitioned identically
-    /// — the paper's footnote-1 fast path.
+    /// when the RDD is already partitioned identically — the paper's
+    /// footnote-1 fast path: no shuffle node enters the stage graph,
+    /// only a pass-through marker that keeps the elision visible in
+    /// `explain()`.
     pub fn partition_by(
         &self,
         partitions: usize,
@@ -1127,24 +827,13 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
     ) -> Rdd<K, V> {
         let (name, param) = partitioner.signature();
         if self.ops.partitioner_sig() == Some((name, param, partitions)) {
-            return Rdd {
-                ctx: self.ctx.clone(),
-                ops: Arc::new(ElidedRdd {
-                    parent: Arc::clone(&self.ops),
-                    partitions,
-                    part_name: name,
-                }),
-            };
+            return self.narrow(
+                format!("PartitionBy [elided: already partitioned by {name} into {partitions}]"),
+                true,
+                |_, items, _| items,
+            );
         }
-        Rdd {
-            ctx: self.ctx.clone(),
-            ops: Arc::new(ShuffledRdd {
-                parent: Arc::clone(&self.ops),
-                partitioner,
-                partitions,
-                shuffle_id: self.ctx.next_id(),
-            }),
-        }
+        self.shuffled(Arc::new(|items| items), None, partitions, partitioner)
     }
 
     /// Wide: Spark's `combineByKey` with map-side combining.
@@ -1156,18 +845,12 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         partitions: usize,
         partitioner: Arc<dyn Partitioner<K>>,
     ) -> Rdd<K, C> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            ops: Arc::new(CombinedRdd {
-                parent: Arc::clone(&self.ops),
-                create: Arc::new(create),
-                merge_value: Arc::new(merge_value),
-                merge_combiners: Arc::new(merge_combiners),
-                partitioner,
-                partitions,
-                shuffle_id: self.ctx.next_id(),
-            }),
-        }
+        self.shuffled(
+            Arc::new(move |items| combine_ordered(items, &create, &merge_value)),
+            Some(Arc::new(merge_combiners)),
+            partitions,
+            partitioner,
+        )
     }
 
     /// Wide: group all values per key (deterministic order: map-task
@@ -1242,16 +925,9 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         let roots = Arc::clone(&self.ops).shuffle_deps();
         dag::materialize_stage_graph(&self.ctx, &roots)?;
         dag::check_cancelled()?;
-        let mut parent_shuffles: Vec<u64> = Vec::new();
-        for root in &roots {
-            let id = root.shuffle_id();
-            if !parent_shuffles.contains(&id) {
-                parent_shuffles.push(id);
-            }
-        }
         let meta = StageMeta {
             stage_id: self.ctx.alloc_stage_ordinal(),
-            parent_shuffles,
+            parent_shuffles: dag::shuffle_ids(&roots),
             concurrent: self.ctx.stage_launched(),
         };
         let stage_id = meta.stage_id;
@@ -1287,51 +963,49 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         Ok(counts.into_iter().sum())
     }
 
+    /// Submit `job` over this RDD on a driver thread — or, in
+    /// deterministic mode, run it inline on the calling thread and
+    /// return the handle already finished, so the seeded schedule has
+    /// no hidden thread interleavings.
+    fn submit<T: Send + 'static>(
+        &self,
+        job: impl FnOnce(&Self) -> Result<T, JobError> + Send + 'static,
+    ) -> JobHandle<T> {
+        if self.ctx.is_deterministic() {
+            return JobHandle::ready(job(self));
+        }
+        let rdd = self.clone();
+        JobHandle::spawn(move || job(&rdd))
+    }
+
     /// Submit [`Rdd::collect`] as an asynchronous job on a driver
     /// thread. Independent jobs overlap; a shuffle shared with another
     /// in-flight job is materialized exactly once (latched per shuffle
     /// id by the DAG scheduler).
     /// In deterministic mode the job runs inline on the calling thread
-    /// instead — the handle is returned already finished — so the
-    /// seeded schedule has no hidden thread interleavings.
+    /// instead — the handle is returned already finished.
     pub fn collect_async(&self) -> JobHandle<Vec<(K, V)>> {
-        if self.ctx.is_deterministic() {
-            return JobHandle::ready(self.collect());
-        }
-        let rdd = self.clone();
-        JobHandle::spawn(move || rdd.collect())
+        self.submit(Self::collect)
     }
 
     /// Submit [`Rdd::count`] as an asynchronous job on a driver thread
     /// (inline when deterministic, like [`Rdd::collect_async`]).
     pub fn count_async(&self) -> JobHandle<usize> {
-        if self.ctx.is_deterministic() {
-            return JobHandle::ready(self.count());
-        }
-        let rdd = self.clone();
-        JobHandle::spawn(move || rdd.count())
+        self.submit(Self::count)
     }
 
     /// Submit [`Rdd::persist`] as an asynchronous job on a driver
     /// thread (inline when deterministic), returning a handle to the
     /// materialized RDD.
     pub fn persist_async(&self, level: StorageLevel) -> JobHandle<Rdd<K, V>> {
-        if self.ctx.is_deterministic() {
-            return JobHandle::ready(self.persist(level));
-        }
-        let rdd = self.clone();
-        JobHandle::spawn(move || rdd.persist(level))
+        self.submit(move |rdd| rdd.persist(level))
     }
 
     /// Submit [`Rdd::checkpoint_with_level`] as an asynchronous job on
     /// a driver thread (inline when deterministic), returning a handle
     /// to the materialized RDD.
     pub fn checkpoint_async_with_level(&self, level: StorageLevel) -> JobHandle<Rdd<K, V>> {
-        if self.ctx.is_deterministic() {
-            return JobHandle::ready(self.checkpoint_with_level(level));
-        }
-        let rdd = self.clone();
-        JobHandle::spawn(move || rdd.checkpoint_with_level(level))
+        self.submit(move |rdd| rdd.checkpoint_with_level(level))
     }
 
     /// Materialize every partition into the block stores at the

@@ -2,25 +2,31 @@
 //! exponential backoff, speculative re-execution, attempt fencing,
 //! fault injection, and event-log recording.
 //!
-//! `run_stage` is the per-stage engine; it no longer owns stage
-//! ordering. The driver-side DAG event loop ([`crate::dag`]) extracts
-//! the stage graph, assigns stage ordinals at launch, and may keep
-//! several `run_stage` calls in flight on different driver threads at
-//! once — so every counter this module attributes to a stage record is
-//! claimed under one mutex ([`SparkContext::claim_stage_deltas`]) and
-//! fault-injection bookkeeping is keyed per stage.
+//! `run_stage` is the per-stage engine: one bookkeeping value
+//! (`StageRun`) makes every per-attempt decision — placement, fault
+//! verdict, what a completion means, the stage record — and one of two
+//! thin dispatchers drives it: executor pools plus a completion
+//! channel, or (under a sim seed) a seeded pick on the driver thread
+//! with a virtual clock.
+//!
+//! It does not own stage ordering. The driver-side DAG event loop
+//! ([`crate::dag`]) extracts the stage graph, assigns stage ordinals at
+//! launch, and may keep several `run_stage` calls in flight on
+//! different driver threads at once — so every counter this module
+//! attributes to a stage record is claimed under one mutex
+//! (`SparkContext::claim_stage_deltas`) and fault-injection bookkeeping
+//! is keyed per stage.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cluster_model::{StageRecord, TaskRecord};
-use par_pool::Clock;
+use par_pool::{Clock, VirtualClock};
 
-use crate::context::{CommitBoard, SparkContext, StorageTotals, TaskContext};
+use crate::context::{CommitBoard, SimState, SparkContext, StorageTotals, TaskContext};
 use crate::error::JobError;
 use crate::sim::ChaosEvent;
 
@@ -192,27 +198,259 @@ fn run_task_attempt<R>(
     (outcome, tc.into_record())
 }
 
+/// Driver-side bookkeeping of one running stage: every decision about
+/// an attempt — where it runs, whether a fault hits it, what its
+/// completion means, what the stage's record says — is a method here,
+/// made once. The two dispatchers ([`SparkContext::drive_pools`],
+/// [`SparkContext::drive_seeded`]) only decide *when* a parked launch
+/// happens and how its attempt is executed and awaited.
+struct StageRun<'a, R> {
+    ctx: &'a SparkContext,
+    label: &'a str,
+    meta: StageMeta,
+    /// `meta.parent_shuffles` resolved to the stages that ran them.
+    parent_stage_ids: Vec<u64>,
+    /// Winning attempt per partition, shared with running tasks so
+    /// late twins see themselves fenced.
+    board: CommitBoard,
+    /// Per partition: launches so far (= highest attempt number),
+    /// attempts in flight, committed flag, speculated flag.
+    attempts: Vec<u64>,
+    in_flight: Vec<usize>,
+    committed: Vec<bool>,
+    speculated: Vec<bool>,
+    /// Launches waiting for their time, `(due, partition)` in clock
+    /// milliseconds: every first attempt (due at 0) and every retry
+    /// backing off. A parked partition has no attempt in flight — the
+    /// speculation sweep skips it, and no task message can arrive for
+    /// it until it launches. Order matters to the seeded dispatcher,
+    /// which draws an index into it.
+    parked: Vec<(u64, usize)>,
+    completed: usize,
+    retries: u64,
+    speculative_launches: u64,
+    /// Committed attempts' records, in commit order, and results.
+    records: Vec<TaskRecord>,
+    results: Vec<Option<R>>,
+}
+
+impl<'a, R> StageRun<'a, R> {
+    fn new(ctx: &'a SparkContext, label: &'a str, meta: StageMeta, ntasks: usize) -> Self {
+        let parent_stage_ids = meta
+            .parent_shuffles
+            .iter()
+            .filter_map(|&sid| ctx.inner.registry.stage_of(sid))
+            .filter(|&s| s != meta.stage_id)
+            .collect();
+        StageRun {
+            ctx,
+            label,
+            meta,
+            parent_stage_ids,
+            board: Arc::new((0..ntasks).map(|_| AtomicU64::new(0)).collect()),
+            attempts: vec![0; ntasks],
+            in_flight: vec![0; ntasks],
+            committed: vec![false; ntasks],
+            speculated: vec![false; ntasks],
+            parked: (0..ntasks).map(|p| (0, p)).collect(),
+            completed: 0,
+            retries: 0,
+            speculative_launches: 0,
+            records: Vec::with_capacity(ntasks),
+            results: (0..ntasks).map(|_| None).collect(),
+        }
+    }
+
+    fn is_complete(&self) -> bool {
+        self.completed == self.results.len()
+    }
+
+    /// Earliest parked deadline: how long a dispatcher may wait (or how
+    /// far virtual time may jump) before a launch is due.
+    fn next_deadline(&self) -> Option<u64> {
+        self.parked.iter().map(|&(due, _)| due).min()
+    }
+
+    /// Unpark every partition due by `now`, earliest deadline first. A
+    /// clock jump (virtual time, or a long completion burst) can pass
+    /// several deadlines at once.
+    fn take_due(&mut self, now: u64) -> Vec<usize> {
+        let mut due: Vec<(u64, usize)> = Vec::new();
+        self.parked.retain(|&slot| {
+            let is_due = slot.0 <= now;
+            if is_due {
+                due.push(slot);
+            }
+            !is_due
+        });
+        due.sort_unstable();
+        due.into_iter().map(|(_, p)| p).collect()
+    }
+
+    /// Count a launch of partition `p` and return its fresh attempt
+    /// number. `None` when `p` is already committed: a parked partition
+    /// that a still-in-flight twin won in the meantime must not
+    /// relaunch.
+    fn launch(&mut self, p: usize, speculative: bool) -> Option<u64> {
+        if self.committed[p] {
+            return None;
+        }
+        self.attempts[p] += 1;
+        self.in_flight[p] += 1;
+        if speculative {
+            self.speculated[p] = true;
+            self.speculative_launches += 1;
+        } else if self.attempts[p] > 1 {
+            self.retries += 1;
+        }
+        Some(self.attempts[p])
+    }
+
+    /// Where attempt `attempt` of partition `p` runs: its preferred
+    /// node (cached partitions) or round-robin, with re-executions
+    /// moving to the next node (the failed or slow one may be "bad"),
+    /// matching Spark's blacklist-lite behaviour.
+    fn place(&self, p: usize, attempt: u64, preferred: Option<usize>) -> usize {
+        let nodes = self.ctx.inner.executors.len();
+        (preferred.unwrap_or(p % nodes) + (attempt - 1) as usize) % nodes
+    }
+
+    /// The fault verdict for one launch: whether an injected failure
+    /// hits it and which chaos event, to be armed on the attempt. An
+    /// executor loss is a driver-visible event, not task code: the
+    /// node's state is killed synchronously and the attempt is reported
+    /// dead (`Err`) without running.
+    fn verdict(
+        &self,
+        p: usize,
+        attempt: u64,
+        node: usize,
+    ) -> Result<(bool, Option<ChaosEvent>), JobError> {
+        let stage = self.meta.stage_id;
+        let injected = self.ctx.inner.faults.lock().should_fail(stage, p);
+        let chaos = self.ctx.chaos_event(stage, p, attempt);
+        if matches!(chaos, Some(ChaosEvent::ExecutorLoss)) {
+            self.ctx.kill_executor(node);
+            return Err(JobError::TaskFailed {
+                stage: self.label.to_string(),
+                partition: p,
+                attempts: attempt as usize,
+                message: format!("executor {node} lost (chaos)"),
+            });
+        }
+        Ok((injected, chaos))
+    }
+
+    /// What a finished attempt means. The first success of a partition
+    /// commits it and publishes the winner on the board (`Ok(true)`);
+    /// later twins are fenced — result and record dropped. A failure
+    /// counts only when no twin can still decide the partition: then it
+    /// is parked until its backoff deadline (a zero backoff is due at
+    /// once), or — not retryable, or out of attempts — fails the stage
+    /// (`Err`; the error already carries its stage label and attempt
+    /// count, filled at construction).
+    fn finished(
+        &mut self,
+        p: usize,
+        attempt: u64,
+        outcome: Result<R, JobError>,
+        record: TaskRecord,
+    ) -> Result<bool, JobError> {
+        self.in_flight[p] -= 1;
+        match outcome {
+            Ok(_) if self.committed[p] => Ok(false),
+            Ok(r) => {
+                self.committed[p] = true;
+                self.completed += 1;
+                self.board[p].store(attempt, Ordering::Release);
+                self.results[p] = Some(r);
+                self.records.push(record);
+                Ok(true)
+            }
+            Err(_) if self.committed[p] || self.in_flight[p] > 0 => Ok(false),
+            Err(err) => {
+                let conf = &self.ctx.inner.conf;
+                if !retryable(&err) || self.attempts[p] as usize >= conf.max_task_attempts {
+                    return Err(err);
+                }
+                let backoff = retry_backoff_ms(
+                    conf.retry_backoff_ms,
+                    conf.retry_backoff_max_ms,
+                    self.attempts[p],
+                );
+                self.parked
+                    .push((self.ctx.inner.clock.now_ms() + backoff, p));
+                Ok(false)
+            }
+        }
+    }
+
+    /// Uncommitted partitions with an attempt in flight and no
+    /// speculative twin yet: the stragglers a speculation sweep
+    /// re-launches on another node.
+    fn stragglers(&self) -> Vec<usize> {
+        (0..self.results.len())
+            .filter(|&q| !self.committed[q] && !self.speculated[q] && self.in_flight[q] > 0)
+            .collect()
+    }
+
+    /// Close the stage: append its [`StageRecord`] — stage id,
+    /// parent-stage edges and achieved concurrency from `meta`, every
+    /// committed task's metrics, the retry/speculation counters and
+    /// this stage's slice of the engine counters — timed under its
+    /// label when the stage completed (`Ok(wall seconds)`), under
+    /// `"<label> (failed)"` with what it had when an attempt failed it.
+    fn close(self, wall: Result<f64, JobError>) -> Result<Vec<R>, JobError> {
+        let (zombies, released, st) = self.ctx.claim_stage_deltas();
+        let record = StageRecord {
+            stage_id: self.meta.stage_id,
+            parent_stage_ids: self.parent_stage_ids,
+            concurrent_stages: self.meta.concurrent,
+            tasks: self.records,
+            retries: self.retries,
+            speculative_launches: self.speculative_launches,
+            zombie_writes_fenced: zombies,
+            staged_released_bytes: released,
+            cache_hits: st.cache_hits,
+            cache_misses: st.cache_misses,
+            spilled_bytes: st.spilled_bytes,
+            evicted_bytes: st.evicted_bytes,
+            recomputes: st.recomputes,
+            ..Default::default()
+        };
+        let mut log = self.ctx.inner.log.lock();
+        match wall {
+            Ok(seconds) => {
+                log.push_timed(self.label.to_string(), record, seconds);
+                Ok(self
+                    .results
+                    .into_iter()
+                    .map(|r| r.expect("task completed"))
+                    .collect())
+            }
+            Err(err) => {
+                log.push(format!("{} (failed)", self.label), record);
+                Err(err)
+            }
+        }
+    }
+}
+
 impl SparkContext {
-    /// Run one stage of `ntasks` tasks on the executor pools and wait.
+    /// Run one stage of `ntasks` tasks and wait.
     ///
     /// `preferred(p)` pins a task to a node (cached partitions);
-    /// otherwise placement is round-robin with re-executions moving to
-    /// the next node, Spark-style. Each launch gets a fresh attempt
-    /// number; the first attempt to complete a partition commits it on
-    /// the stage's [`CommitBoard`] and late twins are fenced: their
-    /// results, records, and shuffle writes are dropped. Genuine
-    /// retries back off exponentially
+    /// otherwise placement is round-robin. Each launch gets a fresh
+    /// attempt number; the first attempt to complete a partition
+    /// commits it on the stage's [`CommitBoard`] and late twins are
+    /// fenced: their results, records, and shuffle writes are dropped.
+    /// Genuine retries back off exponentially
     /// ([`crate::SparkConf::retry_backoff_ms`]) via *deferred
-    /// relaunch*: the partition is parked on a deadline heap and the
-    /// result loop keeps draining other completions in the meantime
-    /// (`recv_deadline`), so one backing-off task never stalls the
-    /// stage. Once [`crate::SparkConf::speculation_quantile`] of the
-    /// stage has completed, stragglers are speculatively re-launched on
-    /// another node (when [`crate::SparkConf::speculation`] is on).
-    /// Records a [`StageRecord`] carrying the stage id, parent-stage
-    /// edges, and achieved concurrency from `meta`, plus every
-    /// committed task's metrics and the stage's
-    /// retry/speculation/fencing counters.
+    /// relaunch*: the partition is parked until its deadline while
+    /// other completions keep draining, so one backing-off task never
+    /// stalls the stage. All of that lives in [`StageRun`]; this picks
+    /// the dispatcher — executor pools normally, the seeded
+    /// single-threaded one in sim mode — and records the stage.
     pub(crate) fn run_stage<R: Send + 'static>(
         &self,
         label: &str,
@@ -221,62 +459,43 @@ impl SparkContext {
         preferred: impl Fn(usize) -> Option<usize>,
         work: TaskFn<R>,
     ) -> Result<Vec<R>, JobError> {
-        if self.inner.sim.is_some() {
-            return self.run_stage_sim(label, meta, ntasks, preferred, work);
-        }
-        let t0 = Instant::now();
-        let stage = meta.stage_id;
-        let parent_stage_ids: Vec<u64> = meta
-            .parent_shuffles
-            .iter()
-            .filter_map(|&sid| self.inner.registry.stage_of(sid))
-            .filter(|&s| s != stage)
-            .collect();
-        let conf = &self.inner.conf;
-        let nodes = self.inner.executors.len();
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let board: CommitBoard = Arc::new((0..ntasks).map(|_| AtomicU64::new(0)).collect());
-        let mut results: Vec<Option<R>> = (0..ntasks).map(|_| None).collect();
-        let mut records = Vec::with_capacity(ntasks);
-        // Per-partition bookkeeping: launches so far (= highest attempt
-        // number), in-flight attempts, committed flag, speculated flag.
-        let mut attempts = vec![0u64; ntasks];
-        let mut in_flight = vec![0usize; ntasks];
-        let mut committed = vec![false; ntasks];
-        let mut speculated = vec![false; ntasks];
-        // Partitions parked for backoff: (relaunch deadline in clock
-        // milliseconds, partition). A parked partition has no attempt
-        // in flight; the speculation sweep skips it (`in_flight == 0`)
-        // and no task message can arrive for it until relaunch.
-        let mut deferred: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let mut retries = 0u64;
-        let mut speculative_launches = 0u64;
-        let spawn_attempt = |p: usize, attempt: u64| {
-            let base = preferred(p).unwrap_or(p % nodes);
-            // Re-executions move to the next node (the failed or slow
-            // one may be "bad"), matching Spark's blacklist-lite
-            // behaviour.
-            let node = (base + (attempt - 1) as usize) % nodes;
-            let injected = self.inner.faults.lock().should_fail(stage, p);
-            let chaos = self.chaos_event(stage, p, attempt);
-            if matches!(chaos, Some(ChaosEvent::ExecutorLoss)) {
-                // Executor loss is a driver-visible event, not task
-                // code: kill the node's state synchronously and report
-                // the attempt dead without running it.
-                self.kill_executor(node);
-                let _ = tx.send((
-                    p,
-                    attempt,
-                    Err(JobError::TaskFailed {
-                        stage: label.to_string(),
-                        partition: p,
-                        attempts: attempt as usize,
-                        message: format!("executor {node} lost (chaos)"),
-                    }),
-                    TaskRecord::default(),
-                ));
-                return;
+        let mut run = StageRun::new(self, label, meta, ntasks);
+        let wall = match (&self.inner.sim, &self.inner.vclock) {
+            (Some(sim), Some(vclock)) => {
+                self.drive_seeded(&mut run, sim, vclock, &preferred, &work)
             }
+            _ => self.drive_pools(&mut run, &preferred, &work),
+        };
+        run.close(wall)
+    }
+
+    /// Threaded dispatcher: attempts run on the executor pools and
+    /// report over a channel; the loop waits for the next completion,
+    /// but only until the nearest parked deadline. Once
+    /// [`crate::SparkConf::speculation_quantile`] of the stage has
+    /// completed, stragglers are speculatively re-launched on another
+    /// node (when [`crate::SparkConf::speculation`] is on).
+    fn drive_pools<R: Send + 'static>(
+        &self,
+        run: &mut StageRun<'_, R>,
+        preferred: &dyn Fn(usize) -> Option<usize>,
+        work: &TaskFn<R>,
+    ) -> Result<f64, JobError> {
+        let t0 = Instant::now();
+        let conf = &self.inner.conf;
+        let clock = &self.inner.clock;
+        let stage = run.meta.stage_id;
+        let ntasks = run.results.len();
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let spawn = |run: &StageRun<'_, R>, p: usize, attempt: u64| {
+            let node = run.place(p, attempt, preferred(p));
+            let (injected, chaos) = match run.verdict(p, attempt, node) {
+                Ok(armed) => armed,
+                Err(lost) => {
+                    let _ = tx.send((p, attempt, Err(lost), TaskRecord::default()));
+                    return;
+                }
+            };
             // Under a wire transport the owning executor subprocess is
             // told about every launch and completion (fire-and-forget
             // lifecycle messages — its heartbeat counters report them).
@@ -284,11 +503,11 @@ impl SparkContext {
             if let Some(manager) = &remote {
                 manager.notify_task_launch(node, stage, p as u64, attempt);
             }
-            let work = Arc::clone(&work);
+            let work = Arc::clone(work);
             let tx = tx.clone();
-            let board = Arc::clone(&board);
-            let label = label.to_string();
-            let clock = Arc::clone(&self.inner.clock);
+            let board = Arc::clone(&run.board);
+            let label = run.label.to_string();
+            let clock = Arc::clone(clock);
             self.inner.executors[node].pool.spawn(move || {
                 let (outcome, record) = run_task_attempt(
                     &label, p, attempt, node, &board, &work, injected, chaos, &clock,
@@ -310,332 +529,100 @@ impl SparkContext {
         } else {
             usize::MAX
         };
-        for p in 0..ntasks {
-            attempts[p] = 1;
-            in_flight[p] = 1;
-            spawn_attempt(p, 1);
-        }
-        let mut completed = 0usize;
-        while completed < ntasks {
-            // Relaunch every parked partition whose deadline passed. A
-            // clock jump (virtual time, or a long completion burst) can
-            // pass several deadlines at once; a partition committed by a
-            // still-in-flight twin in the meantime must not relaunch.
-            let now = self.inner.clock.now_ms();
-            while deferred.peek().is_some_and(|Reverse((due, _))| *due <= now) {
-                let Reverse((_, p)) = deferred.pop().expect("peeked");
-                if committed[p] {
-                    continue;
+        while !run.is_complete() {
+            for p in run.take_due(clock.now_ms()) {
+                if let Some(attempt) = run.launch(p, false) {
+                    spawn(run, p, attempt);
                 }
-                retries += 1;
-                attempts[p] += 1;
-                in_flight[p] = 1;
-                spawn_attempt(p, attempts[p]);
             }
-            // Wait for the next completion, but only until the nearest
-            // relaunch deadline — other tasks keep completing while a
-            // failed partition backs off.
-            let received = if let Some(Reverse((due, _))) = deferred.peek() {
-                let wait = due.saturating_sub(self.inner.clock.now_ms());
-                match rx.recv_timeout(Duration::from_millis(wait)) {
-                    Ok(msg) => msg,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                        unreachable!("stage holds a sender")
+            let (p, attempt, outcome, record) = match run.next_deadline() {
+                Some(due) => {
+                    let wait = due.saturating_sub(clock.now_ms());
+                    match rx.recv_timeout(Duration::from_millis(wait)) {
+                        Ok(msg) => msg,
+                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
+                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                            unreachable!("stage holds a sender")
+                        }
                     }
                 }
-            } else {
-                rx.recv().expect("task channel open")
+                None => rx.recv().expect("task channel open"),
             };
-            let (p, attempt, outcome, record) = received;
-            in_flight[p] -= 1;
-            match outcome {
-                Ok(r) => {
-                    if committed[p] {
-                        // A fenced twin finishing late: first success
-                        // already won; drop result and record.
-                        continue;
-                    }
-                    committed[p] = true;
-                    completed += 1;
-                    // Publish the winning attempt so in-flight twins
-                    // see themselves fenced from here on.
-                    board[p].store(attempt, Ordering::Release);
-                    results[p] = Some(r);
-                    records.push(record);
-                    if completed >= speculation_target && completed < ntasks {
-                        for q in 0..ntasks {
-                            if !committed[q] && !speculated[q] && in_flight[q] > 0 {
-                                speculated[q] = true;
-                                attempts[q] += 1;
-                                in_flight[q] += 1;
-                                speculative_launches += 1;
-                                spawn_attempt(q, attempts[q]);
-                            }
-                        }
-                    }
-                }
-                Err(err) => {
-                    if committed[p] || in_flight[p] > 0 {
-                        // Another attempt already won, or a twin is
-                        // still running — let it decide the partition.
-                        continue;
-                    }
-                    if retryable(&err) && (attempts[p] as usize) < conf.max_task_attempts {
-                        let backoff = retry_backoff_ms(
-                            conf.retry_backoff_ms,
-                            conf.retry_backoff_max_ms,
-                            attempts[p],
-                        );
-                        if backoff == 0 {
-                            retries += 1;
-                            attempts[p] += 1;
-                            in_flight[p] = 1;
-                            spawn_attempt(p, attempts[p]);
-                        } else {
-                            deferred.push(Reverse((now + backoff, p)));
-                        }
-                    } else {
-                        // Record what we have, then fail the job. The
-                        // error already carries its stage label and
-                        // attempt count (filled at construction).
-                        let (zombies, released, st) = self.claim_stage_deltas();
-                        self.inner.log.lock().push(
-                            format!("{label} (failed)"),
-                            StageRecord {
-                                stage_id: stage,
-                                parent_stage_ids,
-                                concurrent_stages: meta.concurrent,
-                                tasks: records,
-                                retries,
-                                speculative_launches,
-                                zombie_writes_fenced: zombies,
-                                staged_released_bytes: released,
-                                cache_hits: st.cache_hits,
-                                cache_misses: st.cache_misses,
-                                spilled_bytes: st.spilled_bytes,
-                                evicted_bytes: st.evicted_bytes,
-                                recomputes: st.recomputes,
-                                ..Default::default()
-                            },
-                        );
-                        return Err(err);
+            let won = run.finished(p, attempt, outcome, record)?;
+            if won && run.completed >= speculation_target && !run.is_complete() {
+                for q in run.stragglers() {
+                    if let Some(attempt) = run.launch(q, true) {
+                        spawn(run, q, attempt);
                     }
                 }
             }
         }
-        let (zombies, released, st) = self.claim_stage_deltas();
-        self.inner.log.lock().push_timed(
-            label.to_string(),
-            StageRecord {
-                stage_id: stage,
-                parent_stage_ids,
-                concurrent_stages: meta.concurrent,
-                tasks: records,
-                retries,
-                speculative_launches,
-                zombie_writes_fenced: zombies,
-                staged_released_bytes: released,
-                cache_hits: st.cache_hits,
-                cache_misses: st.cache_misses,
-                spilled_bytes: st.spilled_bytes,
-                evicted_bytes: st.evicted_bytes,
-                recomputes: st.recomputes,
-                ..Default::default()
-            },
-            t0.elapsed().as_secs_f64(),
-        );
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("task completed"))
-            .collect())
+        Ok(t0.elapsed().as_secs_f64())
     }
 
-    /// Deterministic single-threaded twin of [`SparkContext::run_stage`]:
-    /// attempts run sequentially on the driver thread, the seeded
-    /// context RNG picks which runnable attempt goes next, backoff
-    /// deadlines live in *virtual* milliseconds (the clock jumps
-    /// forward when nothing is runnable instead of sleeping), and each
+    /// Deterministic dispatcher: attempts run one at a time on the
+    /// driver thread, the seeded context RNG picks which due launch
+    /// goes next, deadlines live in *virtual* milliseconds (the clock
+    /// jumps forward when nothing is due instead of sleeping), and each
     /// attempt's footprint is charged to the virtual clock through the
     /// tick charger — so a single `u64` seed fully determines the task
-    /// schedule, every interleaving the threaded scheduler could take
+    /// schedule, every interleaving the threaded dispatcher could take
     /// is reachable by some seed, and faults replay exactly.
     ///
     /// Speculative re-execution is structurally absent here: it needs
     /// two attempts of one partition in flight at once, which a
     /// sequential schedule cannot express. Zombie fencing therefore
     /// never triggers in sim mode either.
-    fn run_stage_sim<R: Send + 'static>(
+    fn drive_seeded<R>(
         &self,
-        label: &str,
-        meta: StageMeta,
-        ntasks: usize,
-        preferred: impl Fn(usize) -> Option<usize>,
-        work: TaskFn<R>,
-    ) -> Result<Vec<R>, JobError> {
+        run: &mut StageRun<'_, R>,
+        sim: &SimState,
+        vclock: &VirtualClock,
+        preferred: &dyn Fn(usize) -> Option<usize>,
+        work: &TaskFn<R>,
+    ) -> Result<f64, JobError> {
         let clock = &self.inner.clock;
-        let vclock = self
-            .inner
-            .vclock
-            .as_ref()
-            .expect("sim mode implies a virtual clock");
-        let sim = self.inner.sim.as_ref().expect("sim mode");
         let t0_ms = clock.now_ms();
-        let stage = meta.stage_id;
-        let parent_stage_ids: Vec<u64> = meta
-            .parent_shuffles
-            .iter()
-            .filter_map(|&sid| self.inner.registry.stage_of(sid))
-            .filter(|&s| s != stage)
-            .collect();
-        let conf = &self.inner.conf;
-        let nodes = self.inner.executors.len();
-        let board: CommitBoard = Arc::new((0..ntasks).map(|_| AtomicU64::new(0)).collect());
-        let mut results: Vec<Option<R>> = (0..ntasks).map(|_| None).collect();
-        let mut records = Vec::with_capacity(ntasks);
-        let mut attempts = vec![1u64; ntasks];
-        let mut committed = vec![false; ntasks];
-        let mut retries = 0u64;
-        // Launchable attempts: a partition appears at most once, with
-        // the virtual time its (possibly backed-off) launch is due.
-        struct Pending {
-            p: usize,
-            attempt: u64,
-            ready_at: u64,
-        }
-        let mut queue: Vec<Pending> = (0..ntasks)
-            .map(|p| Pending {
-                p,
-                attempt: 1,
-                ready_at: 0,
-            })
-            .collect();
-        let mut completed = 0usize;
-        while completed < ntasks {
+        while !run.is_complete() {
             let now = clock.now_ms();
-            let runnable: Vec<usize> = queue
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.ready_at <= now)
-                .map(|(i, _)| i)
+            let due: Vec<usize> = (0..run.parked.len())
+                .filter(|&i| run.parked[i].0 <= now)
                 .collect();
-            if runnable.is_empty() {
-                // Every pending attempt is backing off: jump virtual
+            if due.is_empty() {
+                // Every parked launch is backing off: jump virtual
                 // time to the earliest deadline (this is where real
                 // schedulers sleep).
-                let due = queue.iter().map(|t| t.ready_at).min().unwrap_or_else(|| {
+                let deadline = run.next_deadline().unwrap_or_else(|| {
                     panic!(
-                        "sim scheduler quiesced with {} of {ntasks} tasks incomplete \
-                             (stage {stage}, CHAOS_SEED={:?})",
-                        ntasks - completed,
-                        conf.sim_seed
+                        "sim scheduler quiesced with {} of {} tasks incomplete \
+                         (stage {}, CHAOS_SEED={:?})",
+                        run.results.len() - run.completed,
+                        run.results.len(),
+                        run.meta.stage_id,
+                        self.inner.conf.sim_seed
                     )
                 });
-                vclock.advance_to(due);
+                vclock.advance_to(deadline);
                 continue;
             }
-            let task = queue.swap_remove(runnable[self.sim_draw(runnable.len())]);
-            let (p, attempt) = (task.p, task.attempt);
-            if committed[p] {
+            let (_, p) = run.parked.swap_remove(due[self.sim_draw(due.len())]);
+            let Some(attempt) = run.launch(p, false) else {
                 continue;
-            }
-            if attempt > 1 {
-                retries += 1;
-            }
-            let base = preferred(p).unwrap_or(p % nodes);
-            let node = (base + (attempt - 1) as usize) % nodes;
-            let injected = self.inner.faults.lock().should_fail(stage, p);
-            let chaos = self.chaos_event(stage, p, attempt);
-            let (outcome, record) = if matches!(chaos, Some(ChaosEvent::ExecutorLoss)) {
-                self.kill_executor(node);
-                (
-                    Err(JobError::TaskFailed {
-                        stage: label.to_string(),
-                        partition: p,
-                        attempts: attempt as usize,
-                        message: format!("executor {node} lost (chaos)"),
-                    }),
-                    TaskRecord::default(),
-                )
-            } else {
-                run_task_attempt(
-                    label, p, attempt, node, &board, &work, injected, chaos, clock,
-                )
+            };
+            let node = run.place(p, attempt, preferred(p));
+            let (outcome, record) = match run.verdict(p, attempt, node) {
+                Ok((injected, chaos)) => run_task_attempt(
+                    run.label, p, attempt, node, &run.board, work, injected, chaos, clock,
+                ),
+                Err(lost) => (Err(lost), TaskRecord::default()),
             };
             // Charge the attempt's recorded footprint to virtual time:
             // later deadlines (and chaos draws) see a clock that moved
             // like a real run's would.
             vclock.advance_ms(sim.charger.task_ticks(&record));
-            match outcome {
-                Ok(r) => {
-                    committed[p] = true;
-                    completed += 1;
-                    board[p].store(attempt, Ordering::Release);
-                    results[p] = Some(r);
-                    records.push(record);
-                }
-                Err(err) => {
-                    if retryable(&err) && (attempts[p] as usize) < conf.max_task_attempts {
-                        let backoff = retry_backoff_ms(
-                            conf.retry_backoff_ms,
-                            conf.retry_backoff_max_ms,
-                            attempts[p],
-                        );
-                        attempts[p] += 1;
-                        queue.push(Pending {
-                            p,
-                            attempt: attempts[p],
-                            ready_at: clock.now_ms() + backoff,
-                        });
-                    } else {
-                        let (zombies, released, st) = self.claim_stage_deltas();
-                        self.inner.log.lock().push(
-                            format!("{label} (failed)"),
-                            StageRecord {
-                                stage_id: stage,
-                                parent_stage_ids,
-                                concurrent_stages: meta.concurrent,
-                                tasks: records,
-                                retries,
-                                zombie_writes_fenced: zombies,
-                                staged_released_bytes: released,
-                                cache_hits: st.cache_hits,
-                                cache_misses: st.cache_misses,
-                                spilled_bytes: st.spilled_bytes,
-                                evicted_bytes: st.evicted_bytes,
-                                recomputes: st.recomputes,
-                                ..Default::default()
-                            },
-                        );
-                        return Err(err);
-                    }
-                }
-            }
+            run.finished(p, attempt, outcome, record)?;
         }
-        let (zombies, released, st) = self.claim_stage_deltas();
-        self.inner.log.lock().push_timed(
-            label.to_string(),
-            StageRecord {
-                stage_id: stage,
-                parent_stage_ids,
-                concurrent_stages: meta.concurrent,
-                tasks: records,
-                retries,
-                zombie_writes_fenced: zombies,
-                staged_released_bytes: released,
-                cache_hits: st.cache_hits,
-                cache_misses: st.cache_misses,
-                spilled_bytes: st.spilled_bytes,
-                evicted_bytes: st.evicted_bytes,
-                recomputes: st.recomputes,
-                ..Default::default()
-            },
-            (clock.now_ms() - t0_ms) as f64 / 1000.0,
-        );
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("task completed"))
-            .collect())
+        Ok((clock.now_ms() - t0_ms) as f64 / 1000.0)
     }
 
     /// Unattributed engine-counter growth since the last stage record:

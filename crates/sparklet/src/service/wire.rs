@@ -33,7 +33,7 @@ pub enum SvcMsg {
         job: u64,
     },
     /// The job was rejected by admission control (typed; `code` is a
-    /// [`super::Rejection`] discriminant via [`rejection_code`]).
+    /// [`super::Rejection`] discriminant via `rejection_code`).
     SubmitErr {
         /// Machine-readable rejection class.
         code: u8,
@@ -53,7 +53,7 @@ pub enum SvcMsg {
         job: u64,
     },
     /// Job status snapshot. `state` encodes
-    /// [`super::JobState`] via [`state_code`]; `frame` carries the
+    /// [`super::JobState`] via `state_code`; `frame` carries the
     /// sealed result payload once done.
     Status {
         /// Job the status describes.

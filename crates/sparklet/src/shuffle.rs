@@ -73,7 +73,7 @@ struct ShuffleData {
 
 /// State behind one lock: the bucket matrices plus the staging
 /// accounting they imply. Invariant: `staged[n]` equals the sum of
-/// `declared` over every [`Slot::Data`] bucket with `origin_node == n`.
+/// `declared` over every `Slot::Data` bucket with `origin_node == n`.
 #[derive(Debug)]
 struct ShuffleInner {
     shuffles: HashMap<ShuffleId, ShuffleData>,
@@ -250,7 +250,7 @@ impl ShuffleManager {
     /// Fetch all map buckets for `reduce_partition`, recording
     /// local/remote read bytes on the calling task. Buckets come back
     /// in map-task order as refcounted [`Payload`] frames — the fetch
-    /// path performs no byte copies. A [`Slot::Lost`] bucket (its
+    /// path performs no byte copies. A `Slot::Lost` bucket (its
     /// executor died) fails the fetch with [`JobError::FetchFailed`] —
     /// the reduce must not proceed on partial inputs; the driver
     /// resubmits the producing map stage instead.
@@ -305,7 +305,7 @@ impl ShuffleManager {
                 // Remote fetch: a real frame handoff from the origin
                 // node's executor. A miss means that executor died and
                 // was respawned empty since the write — the same
-                // condition [`Slot::Lost`] models — so it fails the
+                // condition `Slot::Lost` models — so it fails the
                 // fetch the same way, driving map-stage resubmission.
                 match manager.fetch_block(
                     bucket.origin_node,
@@ -370,7 +370,7 @@ impl ShuffleManager {
     }
 
     /// Executor death: every bucket `node` staged becomes
-    /// [`Slot::Lost`] (reduces fetching it see
+    /// `Slot::Lost` (reduces fetching it see
     /// [`JobError::FetchFailed`]) and its bytes leave the staging
     /// accounting as *lost*, not released. Returns `(buckets, bytes)`
     /// destroyed.
@@ -400,7 +400,7 @@ impl ShuffleManager {
     }
 
     /// Verify the staging invariant: `staged[n]` must equal the sum of
-    /// declared bytes over every stored [`Slot::Data`] bucket with
+    /// declared bytes over every stored `Slot::Data` bucket with
     /// origin `n`. Returns a description of the first discrepancy.
     pub fn audit(&self) -> Result<(), String> {
         let inner = self.inner.lock();
@@ -471,7 +471,7 @@ impl ShuffleManager {
         }
     }
 
-    /// Number of stored [`Slot::Data`] buckets per origin node — the
+    /// Number of stored `Slot::Data` buckets per origin node — the
     /// driver-side inventory an executor audit checks each subprocess
     /// against.
     pub fn bucket_counts(&self) -> Vec<u64> {

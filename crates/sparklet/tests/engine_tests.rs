@@ -135,6 +135,37 @@ fn group_by_key_collects_all_values_deterministically() {
 }
 
 #[test]
+fn combine_by_key_merges_values_map_side_and_combiners_reduce_side() {
+    // Spark's contract: within one map task a key's first value goes
+    // through `create`, every later one through `merge_value`;
+    // `merge_combiners` only ever joins the outputs of different map
+    // tasks. The two merges tag their output differently, so the
+    // result shows which one ran where.
+    let sc = ctx();
+    let one_map_task = sc.parallelize(vec![(1usize, 1u64), (1, 2)], Some(1));
+    let another = sc.parallelize(vec![(1usize, 3u64)], Some(1));
+    let got = one_map_task
+        .union(&another)
+        .combine_by_key(
+            |v| vec![v],
+            |mut acc, v| {
+                acc.push(100 + v);
+                acc
+            },
+            |mut a, mut b| {
+                a.push(1000);
+                a.append(&mut b);
+                a
+            },
+            1,
+            Arc::new(HashPartitioner),
+        )
+        .collect()
+        .unwrap();
+    assert_eq!(got, vec![(1, vec![1, 102, 1000, 3])]);
+}
+
+#[test]
 fn reduce_by_key_sums() {
     let sc = ctx();
     let data: Vec<(usize, u64)> = (0..100).map(|i| (i % 7, 1u64)).collect();

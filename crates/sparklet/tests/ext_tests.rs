@@ -3,7 +3,8 @@
 
 use std::sync::Arc;
 
-use sparklet::{HashPartitioner, SparkConf, SparkContext};
+use sparklet::rdd::{Key, PartSig, ShufVal};
+use sparklet::{HashPartitioner, Rdd, SparkConf, SparkContext};
 
 fn ctx() -> SparkContext {
     SparkContext::new(SparkConf::default().with_executors(3).with_partitions(6))
@@ -163,6 +164,68 @@ fn explain_shows_the_lineage_plan() {
     let plan = ckpt.explain();
     assert_eq!(plan.lines().count(), 1);
     assert!(plan.starts_with("Materialized"), "{plan}");
+
+    // Every transformation's exact plan line, and what it does to the
+    // key placement it inherits: narrow nodes keep the parent's
+    // signature exactly when keys cannot move, wide nodes set their own.
+    fn row<K: Key, V: ShufVal>(rdd: Rdd<K, V>) -> (String, Option<PartSig>) {
+        let plan = rdd.explain();
+        let line = plan.lines().next().expect("a plan has a first line");
+        (line.to_string(), rdd.partitioner_sig())
+    }
+    let sc = ctx();
+    let base = sc.parallelize((0..10usize).map(|i| (i, i as u64)).collect(), Some(4));
+    let hash = || Arc::new(HashPartitioner);
+    let kept = base.partitioner_sig();
+    assert_eq!(kept, Some(("hash", 0, 4)));
+    let table = [
+        (row(base.map(|kv| kv)), "Map [narrow]", None),
+        (row(base.flat_map(|kv| vec![kv])), "FlatMap [narrow]", None),
+        (
+            row(base.map_values(|v| v as f64)),
+            "MapValues [narrow, preserves partitioning]",
+            kept,
+        ),
+        (
+            row(base.filter(|_, _| true)),
+            "Filter [narrow, preserves partitioning]",
+            kept,
+        ),
+        (
+            row(base.map_partitions(true, |_, items, _| items)),
+            "MapPartitions [narrow]",
+            kept,
+        ),
+        (
+            row(base.map_partitions(false, |_, items, _| items)),
+            "MapPartitions [narrow]",
+            None,
+        ),
+        (
+            row(base.map_partitions_to(|_, items, _| items)),
+            "MapPartitionsTo [narrow]",
+            None,
+        ),
+        (
+            row(base.partition_by(4, hash())),
+            "PartitionBy [elided: already partitioned by hash into 4]",
+            kept,
+        ),
+        (
+            row(base.partition_by(3, hash())),
+            "PartitionBy [WIDE shuffle #1, 3 partitions, hash]",
+            Some(("hash", 0, 3)),
+        ),
+        (
+            row(base.reduce_by_key(|a, b| a + b, 5, hash())),
+            "CombineByKey [WIDE shuffle #2, 5 partitions, map-side combine]",
+            Some(("hash", 0, 5)),
+        ),
+    ];
+    for ((line, sig), want_line, want_sig) in table {
+        assert_eq!(line, want_line);
+        assert_eq!(sig, want_sig, "{want_line}");
+    }
 }
 
 #[test]

@@ -43,13 +43,20 @@ pub fn seeds(scenario: &str, default_n: u64) -> Vec<u64> {
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(default_n);
-    // FNV-1a over the scenario name: a stable per-scenario seed base.
-    let mut base: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in scenario.bytes() {
-        base ^= b as u64;
-        base = base.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    // A stable per-scenario seed base.
+    let base = fnv1a(FNV_OFFSET, scenario.as_bytes());
     (0..n).map(|i| base.wrapping_add(i)).collect()
+}
+
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into a 64-bit FNV-1a state.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Is this the default fixed-seed sweep (no `CHAOS_SEED` pin, no
@@ -125,8 +132,37 @@ pub fn workload(
 pub struct SimRun {
     pub result: Result<Vec<(usize, u64)>, String>,
     pub schedule: Vec<(u64, String)>,
+    /// Per stage, the node of each committed task in commit order: the
+    /// seeded task picks made visible (placement is `p % NODES` plus
+    /// the attempt number, so the sequence moves with every draw).
+    pub placements: Vec<Vec<usize>>,
     pub counters: Vec<(&'static str, u64)>,
     pub virtual_ms: u64,
+}
+
+impl SimRun {
+    /// 64-bit FNV-1a over everything the run fingerprints besides its
+    /// data: the stage schedule, the task commit order, every counter,
+    /// and the virtual clock.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = FNV_OFFSET;
+        for (stage, label) in &self.schedule {
+            h = fnv1a(h, &stage.to_le_bytes());
+            h = fnv1a(h, label.as_bytes());
+            h = fnv1a(h, &[0]);
+        }
+        for nodes in &self.placements {
+            for &node in nodes {
+                h = fnv1a(h, &[node as u8]);
+            }
+            h = fnv1a(h, &[0xff]);
+        }
+        for (name, value) in &self.counters {
+            h = fnv1a(h, name.as_bytes());
+            h = fnv1a(h, &value.to_le_bytes());
+        }
+        fnv1a(h, &self.virtual_ms.to_le_bytes())
+    }
 }
 
 /// Counter fingerprint: every engine total that must be bit-identical
@@ -152,6 +188,17 @@ pub fn counters(sc: &SparkContext) -> Vec<(&'static str, u64)> {
     c.push(("staged_lost", sc.staged_lost_bytes()));
     c.push(("resubmissions", sc.stage_resubmissions()));
     c
+}
+
+/// Commit-order task placement per recorded stage (see
+/// [`SimRun::placements`]).
+pub fn placements(sc: &SparkContext) -> Vec<Vec<usize>> {
+    sc.with_event_log(|log| {
+        log.stages()
+            .iter()
+            .map(|s| s.record.tasks.iter().map(|t| t.node).collect())
+            .collect()
+    })
 }
 
 /// Engine invariants that must hold after every scenario run, chaotic
@@ -229,6 +276,7 @@ pub fn run_scenario(
     SimRun {
         result,
         schedule: sc.with_event_log(|log| log.stage_order()),
+        placements: placements(&sc),
         counters: counters(&sc),
         virtual_ms: sc.now_ms(),
     }

@@ -215,6 +215,40 @@ fn clean_schedule_is_bit_identical_across_replays() {
     }
 }
 
+/// Seeded schedules must not drift *across commits* either: the
+/// nightly 60-seed "faults actually fired" aggregates are only
+/// meaningful while each seed keeps producing the schedule it produced
+/// when the rates were chosen. Golden [`sim::SimRun::fingerprint`]s of
+/// the harness workload, clean and under the mixed fault policy,
+/// recorded at the commit before the stage and DAG loops were merged.
+/// A deliberate change to RNG draw order, stage labels, fault verdicts
+/// or the tick charger re-records them (the assertion prints the new
+/// values).
+#[test]
+fn seeded_schedules_match_their_golden_fingerprints() {
+    const GOLDEN: [(u64, u64, u64); 3] = [
+        (7, 0x0700_3743_0946_da8b, 0x50f1_cc03_b39e_3cb1),
+        (1234, 0xcb1e_4385_ebfc_fcad, 0x3a45_d2ac_c911_cdc3),
+        (0xdead_beef, 0x98c1_11b4_cc59_2983, 0xa7ce_589e_7dd3_4994),
+    ];
+    let chaos = |s: u64| {
+        ChaosPolicy::seeded(s)
+            .with_task_panics(120)
+            .with_stragglers(100, 200)
+            .with_fetch_failures(60)
+            .with_executor_loss(25, 2)
+    };
+    let got = GOLDEN.map(|(seed, _, _)| {
+        let clean = sim::run_scenario(seed, None, None, sim::sim_conf(seed));
+        let chaotic = sim::run_scenario(seed, Some(chaos(seed)), None, sim::sim_conf(seed));
+        (seed, clean.fingerprint(), chaotic.fingerprint())
+    });
+    assert_eq!(
+        got, GOLDEN,
+        "seeded schedules drifted from the golden (seed, clean, chaotic) fingerprints; got {got:#x?}"
+    );
+}
+
 /// The wire codec must be invisible to everything the simulation
 /// fingerprints: declared-byte accounting (staging, spill, reads),
 /// the seeded schedule, the virtual clock, and of course the data.
@@ -381,6 +415,7 @@ fn adaptive_replan_scenario_sweep() {
             sim::SimRun {
                 result,
                 schedule: sc.with_event_log(|log| log.stage_order()),
+                placements: sim::placements(&sc),
                 counters: sim::counters(&sc),
                 virtual_ms: sc.now_ms(),
             },

@@ -117,9 +117,7 @@ fn grid_partitioner_reduces_remote_traffic() {
     // cross-node traffic than hash placement.
     let run = |grid: bool| {
         let sc = ctx();
-        let cfg = DpConfig::new(4096, 512)
-            .with_grid_partitioner(grid)
-            .virtual_mode();
+        let cfg = DpConfig::new(4096, 512).with_grid_partitioner(grid);
         solve_virtual::<Tropical>(&sc, &cfg).expect("virtual solve")
     };
     let hash = run(false);
@@ -135,7 +133,7 @@ fn grid_partitioner_reduces_remote_traffic() {
 #[test]
 fn cost_model_prices_any_recorded_run() {
     let sc = ctx();
-    let cfg = DpConfig::new(2048, 512).virtual_mode();
+    let cfg = DpConfig::new(2048, 512);
     solve_virtual::<Tropical>(&sc, &cfg).expect("virtual solve");
     let records = sc.with_event_log(|log| log.records());
     let secs = CostModel::new(ClusterSpec::skylake(), 32).job_seconds(&records);
@@ -211,7 +209,7 @@ fn staging_limit_kills_im_but_not_cb() {
     // IM at 4K×4K virtual scale stages ~130 MB/node *per iteration*
     // (staging is reclaimed between iterations); cap at 64 MB/node.
     let sc_im = make(64 << 20);
-    let cfg_im = DpConfig::new(4096, 1024).virtual_mode();
+    let cfg_im = DpConfig::new(4096, 1024);
     let err = solve_virtual::<Tropical>(&sc_im, &cfg_im).unwrap_err();
     assert!(
         matches!(err, sparklet::JobError::StagingOverflow { .. }),
@@ -220,8 +218,6 @@ fn staging_limit_kills_im_but_not_cb() {
     // CB's staging footprint is the repartition only (~34 MB/node) —
     // it fits in the same budget.
     let sc_cb = make(64 << 20);
-    let cfg_cb = DpConfig::new(4096, 1024)
-        .with_strategy(Strategy::CollectBroadcast)
-        .virtual_mode();
+    let cfg_cb = DpConfig::new(4096, 1024).with_strategy(Strategy::CollectBroadcast);
     solve_virtual::<Tropical>(&sc_cb, &cfg_cb).expect("CB fits in the same budget");
 }
