@@ -203,10 +203,8 @@ fn bench_backend_matrix(_c: &mut Criterion) {
     let panel_v = dist_matrix(b, 23);
     let bytes = (b * b * 8) as u64;
     let reg = registry::<Tropical>();
-    for backend in reg.backends().iter() {
-        if !backend.available() || !backend.supports_repr(gep_kernels::sparse::TileRepr::Dense) {
-            continue;
-        }
+    for spec in reg.dense_candidates(params) {
+        let backend = reg.resolve(&spec).expect("a dense candidate resolves");
         let name = backend.name();
         for kind in [Kind::A, Kind::B, Kind::C, Kind::D] {
             let label = format!("backend_kernel/{name}/{kind:?}");

@@ -5,7 +5,12 @@
 //! [`adaptive_solve`] probes each candidate kernel on the first
 //! iteration of the real workload (wall-clock, on a throwaway copy of
 //! the table RDD), commits to the fastest, and runs the full solve with
-//! it. The probe measures the *actual* machine and engine — no model.
+//! it. The probe measures the *actual* machine and engine — no model —
+//! under the caller's own config: only the table size (and a block
+//! clamped to it) and the kernel differ from the solve that follows.
+//! The candidate list is the caller's; the registry's
+//! [`dense_candidates`](crate::BackendRegistry::dense_candidates)
+//! supplies "every backend that can run here".
 //!
 //! Probes run **one at a time**. An earlier version submitted every
 //! candidate as a concurrent [`sparklet::JobHandle`] job with the
@@ -21,7 +26,7 @@ use std::time::Instant;
 use gep_kernels::Matrix;
 use sparklet::{JobError, SparkContext};
 
-use crate::backend::{registry, KernelSpec};
+use crate::backend::KernelSpec;
 use crate::config::DpConfig;
 use crate::problem::DpProblem;
 use crate::solver::solve;
@@ -40,6 +45,12 @@ pub struct AdaptiveOutcome<E> {
 /// Probe `candidates` on a truncated copy of the problem (the first
 /// `probe_phases` block phases at full block size), then solve the real
 /// problem with the fastest. Returns the solution plus the decision.
+///
+/// To probe every registered dense backend pass
+/// `&registry::<S>().dense_candidates(cfg.kernel.params)`: the list is
+/// in registration order, so the probe sequence — and therefore the
+/// tie-break — is deterministic, and registering a new backend makes
+/// it a probe candidate with no call-site changes.
 pub fn adaptive_solve<S: DpProblem>(
     sc: &SparkContext,
     cfg: &DpConfig,
@@ -60,9 +71,16 @@ pub fn adaptive_solve<S: DpProblem>(
     let mut probe_seconds = Vec::with_capacity(candidates.len());
     let mut best = (0usize, f64::INFINITY);
     for (i, candidate) in candidates.iter().enumerate() {
-        let probe_cfg = DpConfig::new(probe_n, cfg.block.min(probe_n))
-            .with_strategy(cfg.strategy)
-            .with_kernel(candidate.clone());
+        // Everything but the size and the kernel is the caller's:
+        // partition count, partitioner, storage level and
+        // materialization mode all move a timing, and the ranking must
+        // hold for the solve that follows.
+        let probe_cfg = DpConfig {
+            n: probe_n,
+            block: cfg.block.min(probe_n),
+            ..cfg.clone()
+        }
+        .with_kernel(candidate.clone());
         let t0 = Instant::now();
         let _ = solve::<S>(sc, &probe_cfg, &probe_input)?;
         let secs = t0.elapsed().as_secs_f64();
@@ -79,28 +97,6 @@ pub fn adaptive_solve<S: DpProblem>(
         chosen,
         probe_seconds,
     })
-}
-
-/// Like [`adaptive_solve`], but the candidate list comes from the
-/// backend registry: every available registered dense backend, in
-/// registration order (so the probe
-/// sequence — and therefore the tie-break — is deterministic), each
-/// carrying `cfg`'s kernel params. Registering a new backend makes it
-/// a probe candidate with no call-site changes.
-pub fn adaptive_solve_registry<S: DpProblem>(
-    sc: &SparkContext,
-    cfg: &DpConfig,
-    input: &Matrix<S::Elem>,
-    probe_phases: usize,
-) -> Result<AdaptiveOutcome<S::Elem>, JobError> {
-    let reg = registry::<S>();
-    let candidates: Vec<KernelSpec> = reg
-        .backends()
-        .iter()
-        .filter(|b| b.available() && b.supports_repr(gep_kernels::sparse::TileRepr::Dense))
-        .map(|b| KernelSpec::named(b.name()).with_params(cfg.kernel.params))
-        .collect();
-    adaptive_solve::<S>(sc, cfg, input, &candidates, probe_phases)
 }
 
 #[cfg(test)]
@@ -171,10 +167,39 @@ mod tests {
         )
         .expect("adaptive solve");
         assert_eq!(out.probe_seconds.len(), 3, "one timing per candidate");
-        let peak = sc.with_event_log(|log| log.max_concurrent_stages());
+        let peak = sc.summary().max_concurrent_stages;
         assert_eq!(
             peak, 1,
             "probe jobs overlapped: gauge {peak} despite per-job cap 1"
+        );
+    }
+
+    #[test]
+    fn probes_run_under_the_callers_partition_count() {
+        // Regression: each probe config used to be rebuilt from
+        // `DpConfig::new`, dropping `partitions` (and the partitioner,
+        // storage level and materialization mode), so on a context
+        // whose default is 16 partitions the candidates were ranked 16
+        // wide for a solve that then ran 3 wide.
+        let n = 24;
+        let input = Matrix::from_fn(n, n, |i, j| if i == j { 0.0 } else { (i + j) as f64 });
+        let cfg = DpConfig::new(n, 6).with_partitions(3);
+        let ctx = || SparkContext::new(SparkConf::default().with_executors(2).with_partitions(16));
+        let widest_stage = |sc: &SparkContext| {
+            sc.with_event_log(|log| {
+                let widths = log.stages().iter().map(|s| s.record.tasks.len());
+                widths.max().expect("the run logged stages")
+            })
+        };
+        let plain = ctx();
+        solve::<Tropical>(&plain, &cfg, &input).expect("plain solve");
+        let sc = ctx();
+        let candidates = [KernelSpec::iterative(), KernelSpec::recursive(2, 2, 2)];
+        adaptive_solve::<Tropical>(&sc, &cfg, &input, &candidates, 2).expect("adaptive solve");
+        assert_eq!(
+            widest_stage(&sc),
+            widest_stage(&plain),
+            "a probe stage ran wider than any stage of the solve it was probing for"
         );
     }
 
@@ -185,23 +210,16 @@ mod tests {
         let mut reference = input.clone();
         gep_reference::<Tropical>(&mut reference);
         let sc = SparkContext::new(SparkConf::default().with_executors(2).with_partitions(4));
-        let out = adaptive_solve_registry::<Tropical>(
-            &sc,
-            &DpConfig::new(n, 4).with_strategy(Strategy::InMemory),
-            &input,
-            1,
-        )
-        .expect("adaptive solve");
+        let cfg = DpConfig::new(n, 4).with_strategy(Strategy::InMemory);
+        let real = crate::backend::registry::<Tropical>().dense_candidates(cfg.kernel.params);
+        let out = adaptive_solve::<Tropical>(&sc, &cfg, &input, &real, 1).expect("adaptive solve");
         assert_eq!(out.result.first_difference(&reference), None);
-        let reg = crate::backend::registry::<Tropical>();
-        let real: Vec<_> = reg
-            .backends()
+        assert!(real.len() >= 3, "iterative, recursive, blocked: {real:?}");
+        assert!(real
             .iter()
-            .filter(|b| b.supports_repr(gep_kernels::sparse::TileRepr::Dense))
-            .map(|b| b.name())
-            .collect();
+            .all(|spec| spec.backend != crate::backend::SWEEP));
         assert_eq!(out.probe_seconds.len(), real.len(), "one probe per backend");
-        assert!(real.contains(&out.chosen.backend.as_str()));
+        assert!(real.contains(&out.chosen));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //!
 //! Spark 3's AQE re-optimizes a query between stages using runtime
 //! statistics; the analogue for the paper's bounded-iteration DP jobs
-//! is a driver-side loop that, after each iteration commits, feeds the
-//! *measured* event-log records (bytes moved, kernel updates, spill
-//! and eviction counters) into the `cluster-model` cost terms and
-//! decides for the iterations still to run:
+//! is a driver-side loop that, after each iteration commits, folds the
+//! event-log records that iteration appended into a
+//! [`sparklet::RunSummary`] (bytes moved, kernel updates, spill and
+//! eviction counters — the same fold every report is), feeds it into
+//! the `cluster-model` cost terms and decides, against the solver's
+//! current [`Plan`], for the iterations still to run:
 //!
 //! * **partition count** — the GEP active set shrinks phase by phase
 //!   (for Gaussian elimination, phase `k` touches `(g-k)²` blocks), so
@@ -29,17 +31,18 @@
 //! decision sequence is a pure function of the seed and replays
 //! bit-identically. Each adopted decision is recorded via
 //! [`sparklet::SparkContext::log_adaptive_decision`] and surfaces in
-//! [`crate::SolveReport::adaptive_decisions`].
+//! [`sparklet::RunSummary::adaptive_decisions`].
 
 use cluster_model::{
     ClusterSpec, CostModel, KernelInvocation, KernelType, StageRecord, TaskRecord,
 };
-use sparklet::{GridPartitioner, HashPartitioner, Partitioner, SparkContext, StorageLevel};
+use sparklet::{Partitioner, RunSummary, SparkContext, StorageLevel};
 
 use crate::backend::{registry, KernelBackend, KernelSpec};
-use crate::config::{DpConfig, Strategy};
+use crate::config::Strategy;
 use crate::filters;
 use crate::problem::DpProblem;
+use crate::solver::Plan;
 
 /// Wide-ish stages one IM iteration runs (combine ×2 + repartition +
 /// materialize) — overhead multiplier for modeled iteration cost.
@@ -56,7 +59,7 @@ const STRATEGY_MARGIN: f64 = 0.80;
 
 /// One adopted re-plan step.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AqeAction {
+pub(crate) enum AqeAction {
     /// Change the RDD partition count for the remaining iterations
     /// (coalesce when it shrinks by a divisor, shuffle split otherwise).
     Repartition(usize),
@@ -71,7 +74,7 @@ pub enum AqeAction {
 /// An adopted decision plus its audit strings (what/why), as logged to
 /// the event log.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AqeDecision {
+pub(crate) struct AqeDecision {
     /// The plan change to apply.
     pub action: AqeAction,
     /// Machine-readable label, e.g. `coalesce:64->16`.
@@ -80,22 +83,10 @@ pub struct AqeDecision {
     pub reason: String,
 }
 
-/// What one iteration measurably did, aggregated from the event-log
-/// records it appended.
-#[derive(Debug, Clone, Copy, Default)]
-struct IterStats {
-    shuffle_bytes: u64,
-    updates: f64,
-    collect_bytes: u64,
-    broadcast_bytes: u64,
-    spilled_bytes: u64,
-    evicted_bytes: u64,
-}
-
 /// Driver-side adaptive planner. One instance lives for the duration
 /// of a solve; it keeps a watermark into the event log so each replan
-/// only reads the records of the iteration that just committed.
-pub struct AqePlanner {
+/// only summarises the records of the iteration that just committed.
+pub(crate) struct AqePlanner {
     model: CostModel,
     stage_watermark: usize,
     min_partitions: usize,
@@ -106,22 +97,17 @@ pub struct AqePlanner {
 impl AqePlanner {
     /// Planner for a run on `sc`, pricing with a model shaped like the
     /// context (node count, cores) on the reference cluster node.
-    pub fn new(sc: &SparkContext, cfg: &DpConfig, elem_bytes: usize) -> Self {
+    /// Coalescing never goes below one partition per executor.
+    pub(crate) fn new(sc: &SparkContext, elem_bytes: usize) -> Self {
         let conf = sc.conf();
         let spec = ClusterSpec::skylake().with_nodes(conf.executors);
         AqePlanner {
             model: CostModel::new(spec, conf.executor_cores),
-            stage_watermark: sc.with_event_log(|log| log.stage_count()),
-            min_partitions: cfg.min_partitions.unwrap_or(conf.executors).max(1),
+            stage_watermark: sc.with_event_log(|log| log.stages().len()),
+            min_partitions: conf.executors.max(1),
             elem_bytes,
             retiered: false,
         }
-    }
-
-    /// Planner with an explicit cost model (tests, custom clusters).
-    pub fn with_model(mut self, model: CostModel) -> Self {
-        self.model = model;
-        self
     }
 
     /// Model-only plan for iteration 0, taken before anything runs:
@@ -129,19 +115,8 @@ impl AqePlanner {
     /// and per-kind update counts (no measurements exist yet), and the
     /// partition count is re-picked the same way [`Self::replan`]
     /// does. Measured records then refine the plan every iteration.
-    pub fn plan_initial<S: DpProblem>(
-        &mut self,
-        cfg: &DpConfig,
-        partitions: usize,
-        strategy: Strategy,
-        kernel: &KernelSpec,
-    ) -> Vec<AqeDecision> {
-        let backend = registry::<S>()
-            .resolve(kernel)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let kt = backend.kernel_type(&kernel.params);
-        let g = cfg.grid();
-        let b = cfg.block;
+    pub(crate) fn plan_initial<S: DpProblem>(&self, plan: &Plan) -> Vec<AqeDecision> {
+        let (g, b) = (plan.grid, plan.block);
         let keys = active_keys::<S>(0, g, b);
         if keys.is_empty() {
             return Vec::new();
@@ -151,119 +126,63 @@ impl AqePlanner {
             .filter_map(|&key| filters::kind_of::<S>(key, 0, b))
             .map(|kind| S::updates_for(kind, b))
             .sum();
-        let block_bytes = (b * b * self.elem_bytes) as u64;
-        let nb = count_keys(g, |key| filters::filter_b::<S>(key, 0, b));
-        let nc = count_keys(g, |key| filters::filter_c::<S>(key, 0, b));
-        let nd = count_keys(g, |key| filters::filter_d::<S>(key, 0, b));
-        // IM moves each D block's B and C inputs plus the panels
-        // themselves through the shuffle.
-        let bytes = (2 * nd + nb + nc + 1) as u64 * block_bytes;
-        let part: Box<dyn Partitioner<(usize, usize)>> = if cfg.grid_partitioner {
-            Box::new(GridPartitioner::new(g))
-        } else {
-            Box::new(HashPartitioner)
-        };
-        self.repartition(
-            partitions,
-            &keys,
-            part.as_ref(),
-            bytes,
-            updates,
-            b,
-            strategy,
-            kt,
-        )
-        .into_iter()
-        .collect()
+        let (panel, d_blocks) = phase_blocks::<S>(0, g, b);
+        let bytes = self.im_shuffle_bytes(panel, d_blocks, b);
+        let kt = resolve::<S>(&plan.kernel).kernel_type(&plan.kernel.params);
+        self.repartition(plan, &keys, bytes, updates, kt)
+            .into_iter()
+            .collect()
     }
 
-    /// Consume the records the finished iteration `k` appended and
+    /// Summarise the records the finished iteration `k` appended and
     /// decide the plan for iteration `k + 1`. Returns the adopted
     /// decisions in application order (storage, partitions, strategy,
     /// kernel — at most one each).
-    #[allow(clippy::too_many_arguments)]
-    pub fn replan<S: DpProblem>(
+    pub(crate) fn replan<S: DpProblem>(
         &mut self,
         sc: &SparkContext,
-        cfg: &DpConfig,
         k: usize,
-        partitions: usize,
-        strategy: Strategy,
-        kernel: &KernelSpec,
-        level: StorageLevel,
+        plan: &Plan,
     ) -> Vec<AqeDecision> {
-        let backend = registry::<S>()
-            .resolve(kernel)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let kt = backend.kernel_type(&kernel.params);
-        let stats = self.drain_stats(sc);
-        let g = cfg.grid();
-        let b = cfg.block;
-        let active_now = active_blocks::<S>(k, g, b);
+        let backend = resolve::<S>(&plan.kernel);
+        let kt = backend.kernel_type(&plan.kernel.params);
+        let did = sc.with_event_log(|log| {
+            let stages = log.stages();
+            let from = self.stage_watermark.min(stages.len());
+            self.stage_watermark = stages.len();
+            RunSummary::of(&stages[from..])
+        });
+        let (g, b) = (plan.grid, plan.block);
+        let active_now = active_keys::<S>(k, g, b).len();
         let next_keys = active_keys::<S>(k + 1, g, b);
         let active_next = next_keys.len();
         if active_now == 0 || active_next == 0 {
             return Vec::new();
         }
         let ratio = active_next as f64 / active_now as f64;
-        let next_bytes = (stats.shuffle_bytes as f64 * ratio) as u64;
-        let next_updates = stats.updates * ratio;
-        let part: Box<dyn Partitioner<(usize, usize)>> = if cfg.grid_partitioner {
-            Box::new(GridPartitioner::new(g))
-        } else {
-            Box::new(HashPartitioner)
-        };
+        let next_bytes = (did.staged_bytes as f64 * ratio) as u64;
+        let next_updates = did.kernel_updates * ratio;
 
         let mut out = Vec::new();
-        if let Some(d) = self.retier(&stats, level) {
-            out.push(d);
-        }
-        let mut partitions = partitions;
-        if let Some(d) = self.repartition(
-            partitions,
-            &next_keys,
-            part.as_ref(),
-            next_bytes,
-            next_updates,
-            b,
-            strategy,
-            kt,
-        ) {
+        out.extend(self.retier(&did, plan.level));
+        let mut partitions = plan.partitions;
+        if let Some(d) = self.repartition(plan, &next_keys, next_bytes, next_updates, kt) {
             if let AqeAction::Repartition(p) = d.action {
                 partitions = p;
             }
             out.push(d);
         }
-        let loads = placement_loads(&next_keys, part.as_ref(), partitions);
-        if let Some(d) =
-            self.switch_strategy::<S>(k + 1, g, b, &loads, strategy, kt, next_bytes, next_updates)
-        {
-            out.push(d);
-        }
-        if let Some(d) = self.retune(backend.as_ref(), kernel, next_updates, partitions, b) {
-            out.push(d);
-        }
+        let loads = placement_loads(&next_keys, plan.partitioner.as_ref(), partitions);
+        out.extend(self.switch_strategy::<S>(plan, k + 1, &loads, kt, next_bytes, next_updates));
+        out.extend(self.retune(backend.as_ref(), plan, next_updates, partitions));
         out
     }
 
-    /// Aggregate and consume the event-log delta since the watermark.
-    fn drain_stats(&mut self, sc: &SparkContext) -> IterStats {
-        sc.with_event_log(|log| {
-            let stages = log.stages();
-            let mut s = IterStats::default();
-            for ev in &stages[self.stage_watermark.min(stages.len())..] {
-                s.collect_bytes += ev.record.collect_bytes;
-                s.broadcast_bytes += ev.record.broadcast_bytes;
-                s.spilled_bytes += ev.record.spilled_bytes;
-                s.evicted_bytes += ev.record.evicted_bytes;
-                for t in &ev.record.tasks {
-                    s.shuffle_bytes += t.shuffle_write_bytes;
-                    s.updates += t.kernels.iter().map(|inv| inv.updates).sum::<f64>();
-                }
-            }
-            self.stage_watermark = stages.len();
-            s
-        })
+    /// What one IM iteration shuffles, from block counts alone: each D
+    /// block's B and C inputs plus the A block and the panels
+    /// themselves.
+    fn im_shuffle_bytes(&self, panel: usize, d_blocks: usize, b: usize) -> u64 {
+        ((2 * d_blocks + panel) * b * b * self.elem_bytes) as u64
     }
 
     /// Synthetic stage record: `bytes` shuffled and `updates` computed
@@ -324,73 +243,57 @@ impl AqePlanner {
         }
     }
 
-    /// Modeled seconds for one IM iteration with per-task `loads`.
-    fn im_iter_seconds(
+    /// Modeled seconds for one iteration of `strategy` with per-task
+    /// `loads`. `bytes` is what IM shuffles, or what CB collects to the
+    /// driver and broadcasts back.
+    fn iter_seconds(
         &self,
+        strategy: Strategy,
         loads: &[f64],
         bytes: u64,
         updates: f64,
         b: usize,
         kt: KernelType,
     ) -> f64 {
-        let main = self
-            .model
-            .stage_seconds(&self.synth_stage(loads, bytes, updates, b, kt));
-        let extra = self.model.stage_seconds(&self.synth_overhead(loads.len()));
-        main + extra * (IM_STAGES_PER_ITER - 1) as f64
-    }
-
-    /// Modeled seconds for one CB iteration with per-task `loads` and
-    /// `collect`/`broadcast` driver volume.
-    fn cb_iter_seconds(
-        &self,
-        loads: &[f64],
-        updates: f64,
-        b: usize,
-        kt: KernelType,
-        collect: u64,
-        broadcast: u64,
-    ) -> f64 {
-        let compute = self
-            .model
-            .stage_seconds(&self.synth_stage(loads, 0, updates, b, kt));
-        let driver = self.model.stage_seconds(&StageRecord {
-            collect_bytes: collect,
-            broadcast_bytes: broadcast,
-            ..Default::default()
-        });
-        let extra = self.model.stage_seconds(&self.synth_overhead(loads.len()));
-        compute + driver + extra * (CB_STAGES_PER_ITER - 2) as f64
+        let price = |stage: &StageRecord| self.model.stage_seconds(stage);
+        let extra = price(&self.synth_overhead(loads.len()));
+        match strategy {
+            Strategy::InMemory => {
+                let main = price(&self.synth_stage(loads, bytes, updates, b, kt));
+                main + extra * (IM_STAGES_PER_ITER - 1) as f64
+            }
+            Strategy::CollectBroadcast => {
+                let compute = price(&self.synth_stage(loads, 0, updates, b, kt));
+                let driver = price(&StageRecord {
+                    collect_bytes: bytes,
+                    broadcast_bytes: bytes,
+                    ..Default::default()
+                });
+                compute + driver + extra * (CB_STAGES_PER_ITER - 2) as f64
+            }
+        }
     }
 
     /// Price candidate partition counts for the next iteration and
     /// adopt the winner if it clears the margin. Candidates are the
-    /// divisors of `current` at or above the floor (narrow,
-    /// signature-preserving coalesce) plus one 2× split. Each
+    /// divisors of the plan's current count at or above the floor
+    /// (narrow, signature-preserving coalesce) plus one 2× split. Each
     /// candidate is priced at the partitioner's *actual* placement of
     /// the next phase's active keys, so quantization skew at low
     /// counts is charged honestly.
-    #[allow(clippy::too_many_arguments)]
     fn repartition(
         &self,
-        current: usize,
+        plan: &Plan,
         next_keys: &[(usize, usize)],
-        part: &dyn Partitioner<(usize, usize)>,
         bytes: u64,
         updates: f64,
-        b: usize,
-        strategy: Strategy,
         kt: KernelType,
     ) -> Option<AqeDecision> {
+        let (current, b) = (plan.partitions, plan.block);
         let active_next = next_keys.len();
         let price = |p: usize| {
-            let loads = placement_loads(next_keys, part, p);
-            match strategy {
-                Strategy::InMemory => self.im_iter_seconds(&loads, bytes, updates, b, kt),
-                Strategy::CollectBroadcast => {
-                    self.cb_iter_seconds(&loads, updates, b, kt, bytes, bytes)
-                }
-            }
+            let loads = placement_loads(next_keys, plan.partitioner.as_ref(), p);
+            self.iter_seconds(plan.strategy, &loads, bytes, updates, b, kt)
         };
         let mut candidates: Vec<usize> = (self.min_partitions..=current)
             .filter(|p| current.is_multiple_of(*p))
@@ -420,35 +323,30 @@ impl AqePlanner {
 
     /// Price IM vs CB at the next phase's volumes and switch if the
     /// other strategy wins by [`STRATEGY_MARGIN`].
-    #[allow(clippy::too_many_arguments)]
     fn switch_strategy<S: DpProblem>(
         &self,
+        plan: &Plan,
         k: usize,
-        g: usize,
-        b: usize,
         loads: &[f64],
-        strategy: Strategy,
         kt: KernelType,
         im_bytes: u64,
         updates: f64,
     ) -> Option<AqeDecision> {
+        let (g, b, strategy) = (plan.grid, plan.block, plan.strategy);
         // CB moves the A block plus the B/C panels through the driver,
         // regardless of what IM would shuffle.
-        let panel = 1
-            + count_keys(g, |key| filters::filter_b::<S>(key, k, b))
-            + count_keys(g, |key| filters::filter_c::<S>(key, k, b));
+        let (panel, d_blocks) = phase_blocks::<S>(k, g, b);
         let cb_volume = (panel * b * b * self.elem_bytes) as u64;
         // IM's shuffle volume: measured when we are running IM (scaled
-        // by the caller), reconstructed from the panel volume when we
-        // are running CB (every D block re-fetches its B and C inputs).
-        let d_blocks = count_keys(g, |key| filters::filter_d::<S>(key, k, b));
+        // by the caller), reconstructed from the filters when we are
+        // running CB.
         let im_volume = if strategy == Strategy::InMemory {
             im_bytes
         } else {
-            ((2 * d_blocks + panel) * b * b * self.elem_bytes) as u64
+            self.im_shuffle_bytes(panel, d_blocks, b)
         };
-        let im = self.im_iter_seconds(loads, im_volume, updates, b, kt);
-        let cb = self.cb_iter_seconds(loads, updates, b, kt, cb_volume, cb_volume);
+        let im = self.iter_seconds(Strategy::InMemory, loads, im_volume, updates, b, kt);
+        let cb = self.iter_seconds(Strategy::CollectBroadcast, loads, cb_volume, updates, b, kt);
         let (to, ours, theirs) = match strategy {
             Strategy::InMemory => (Strategy::CollectBroadcast, im, cb),
             Strategy::CollectBroadcast => (Strategy::InMemory, cb, im),
@@ -475,14 +373,14 @@ impl AqePlanner {
     fn retune<S: DpProblem>(
         &self,
         backend: &dyn KernelBackend<S>,
-        kernel: &KernelSpec,
+        plan: &Plan,
         updates: f64,
         partitions: usize,
-        b: usize,
     ) -> Option<AqeDecision> {
         if !backend.fanout_parametric() {
             return None;
         }
+        let (kernel, b) = (&plan.kernel, plan.block);
         let r_shared = kernel.params.r_shared;
         let per_task = updates / partitions.max(1) as f64;
         let price = |r: usize| {
@@ -518,10 +416,10 @@ impl AqePlanner {
 
     /// Re-tier `MemoryOnly` to `MemoryAndDisk` once pressure shows up
     /// in the counters. One-way: never flaps back.
-    fn retier(&mut self, stats: &IterStats, level: StorageLevel) -> Option<AqeDecision> {
+    fn retier(&mut self, did: &RunSummary, level: StorageLevel) -> Option<AqeDecision> {
         if self.retiered
             || level != StorageLevel::MemoryOnly
-            || (stats.spilled_bytes == 0 && stats.evicted_bytes == 0)
+            || (did.spilled_bytes == 0 && did.evicted_bytes == 0)
         {
             return None;
         }
@@ -531,31 +429,31 @@ impl AqePlanner {
             label: "storage:memory->memory+disk".into(),
             reason: format!(
                 "pressure observed: {} spilled, {} evicted bytes",
-                stats.spilled_bytes, stats.evicted_bytes
+                did.spilled_bytes, did.evicted_bytes
             ),
         })
     }
 }
 
-/// Blocks phase `k` touches on a `g×g` grid.
-fn active_blocks<S: DpProblem>(k: usize, g: usize, b: usize) -> usize {
-    active_keys::<S>(k, g, b).len()
+/// The dense backend `kernel` resolves to; an unusable spec is a
+/// config bug the solve itself would also panic on.
+fn resolve<S: DpProblem>(kernel: &KernelSpec) -> std::sync::Arc<dyn KernelBackend<S>> {
+    registry::<S>()
+        .resolve(kernel)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The block keys phase `k` touches, in row-major order.
+/// Every block key of a `g×g` grid, in row-major order.
+fn grid_keys(g: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..g).flat_map(move |i| (0..g).map(move |j| (i, j)))
+}
+
+/// The block keys phase `k` touches, in row-major order (none once
+/// `k` is past the last phase).
 fn active_keys<S: DpProblem>(k: usize, g: usize, b: usize) -> Vec<(usize, usize)> {
-    let mut keys = Vec::new();
-    if k >= g {
-        return keys;
-    }
-    for i in 0..g {
-        for j in 0..g {
-            if filters::touched::<S>((i, j), k, b) {
-                keys.push((i, j));
-            }
-        }
-    }
-    keys
+    grid_keys(g)
+        .filter(|&key| k < g && filters::touched::<S>(key, k, b))
+        .collect()
 }
 
 /// Per-partition active-block counts under `part` at count `p`.
@@ -571,32 +469,30 @@ fn placement_loads(
     loads
 }
 
-fn count_keys(g: usize, f: impl Fn((usize, usize)) -> bool) -> usize {
-    let mut n = 0;
-    for i in 0..g {
-        for j in 0..g {
-            if f((i, j)) {
-                n += 1;
-            }
-        }
-    }
-    n
+/// Phase `k`'s `(panel, d)` block counts: the A block with its B and C
+/// panels, and the trailing D blocks.
+fn phase_blocks<S: DpProblem>(k: usize, g: usize, b: usize) -> (usize, usize) {
+    let count = |f: fn((usize, usize), usize, usize) -> bool| {
+        grid_keys(g).filter(|&key| f(key, k, b)).count()
+    };
+    let panel = 1 + count(filters::filter_b::<S>) + count(filters::filter_c::<S>);
+    (panel, count(filters::filter_d::<S>))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DpConfig;
     use gep_kernels::{GaussianElim, Tropical};
 
     #[test]
     fn active_set_shrinks_for_ge_not_fw() {
         let b = 8;
-        let ge0 = active_blocks::<GaussianElim>(0, 8, b);
-        let ge6 = active_blocks::<GaussianElim>(6, 8, b);
-        assert!(ge6 < ge0, "GE active set must shrink: {ge0} -> {ge6}");
-        assert_eq!(active_blocks::<Tropical>(0, 8, b), 64);
-        assert_eq!(active_blocks::<Tropical>(6, 8, b), 64, "FW touches all");
-        assert_eq!(active_blocks::<GaussianElim>(8, 8, b), 0, "past the end");
+        let active = |k| active_keys::<GaussianElim>(k, 8, b).len();
+        assert!(active(6) < active(0), "GE active set must shrink");
+        assert_eq!(active_keys::<Tropical>(0, 8, b).len(), 64);
+        assert_eq!(active_keys::<Tropical>(6, 8, b).len(), 64, "FW touches all");
+        assert_eq!(active(8), 0, "past the end");
     }
 
     #[test]
@@ -607,23 +503,14 @@ mod tests {
                 .with_executor_cores(2)
                 .with_sim_seed(7),
         );
-        let cfg = DpConfig::new(64, 8);
-        let planner = AqePlanner::new(&sc, &cfg, 8);
+        let planner = AqePlanner::new(&sc, 8);
         // A tiny next-phase volume at a huge partition count: overhead
         // dominates, so the planner must coalesce — and only to a
         // divisor at or above the 4-executor floor.
+        let plan = Plan::new(&sc, &DpConfig::new(64, 8).with_partitions(96));
         let keys = [(0, 0), (0, 1), (1, 0), (1, 1)];
         let d = planner
-            .repartition(
-                96,
-                &keys,
-                &HashPartitioner,
-                1 << 12,
-                1e4,
-                8,
-                Strategy::InMemory,
-                KernelType::Iterative,
-            )
+            .repartition(&plan, &keys, 1 << 12, 1e4, KernelType::Iterative)
             .expect("overhead-dominated stage must coalesce");
         let AqeAction::Repartition(p) = d.action else {
             panic!("expected repartition, got {d:?}");
@@ -635,11 +522,10 @@ mod tests {
     #[test]
     fn retier_fires_once_and_only_under_pressure() {
         let sc = SparkContext::new(sparklet::SparkConf::default().with_sim_seed(3));
-        let cfg = DpConfig::new(64, 8);
-        let mut planner = AqePlanner::new(&sc, &cfg, 8);
-        let clean = IterStats::default();
+        let mut planner = AqePlanner::new(&sc, 8);
+        let clean = RunSummary::default();
         assert!(planner.retier(&clean, StorageLevel::MemoryOnly).is_none());
-        let pressured = IterStats {
+        let pressured = RunSummary {
             spilled_bytes: 1 << 20,
             ..Default::default()
         };

@@ -510,6 +510,24 @@ impl<S: DpProblem> BackendRegistry<S> {
         &self.entries
     }
 
+    /// Can `b` run tiles of `repr` on this host?
+    fn usable(b: &dyn KernelBackend<S>, repr: TileRepr) -> bool {
+        b.available() && b.supports_repr(repr)
+    }
+
+    /// One spec per backend that can run dense tiles here (available
+    /// and dense-capable), in registration order, each carrying
+    /// `params`: the candidate list of every tuner and sweep, so a
+    /// newly registered backend joins all of them with no call-site
+    /// change.
+    pub fn dense_candidates(&self, params: KernelParams) -> Vec<KernelSpec> {
+        self.entries
+            .iter()
+            .filter(|b| Self::usable(b.as_ref(), TileRepr::Dense))
+            .map(|b| KernelSpec::named(b.name()).with_params(params))
+            .collect()
+    }
+
     /// Resolve a spec to a backend for **dense** tiles — the
     /// historical entry point, byte-identical to its pre-sparse
     /// behavior (every pre-sparse backend supports dense).
@@ -531,7 +549,7 @@ impl<S: DpProblem> BackendRegistry<S> {
             std::iter::once(spec.backend.as_str()).chain(spec.fallbacks.iter().map(String::as_str));
         for name in chain {
             if let Some(b) = self.get(name) {
-                if b.available() && b.supports_repr(repr) {
+                if Self::usable(b.as_ref(), repr) {
                     return Ok(b);
                 }
             }

@@ -478,7 +478,7 @@ mod tests {
         let sc = ctx();
         solve_parenthesis(&sc, &w, 4).expect("solve");
         sc.with_event_log(|log| {
-            assert!(log.total_broadcast_bytes() > 0);
+            assert!(log.summary().broadcast_bytes > 0);
             // 3 block diagonals ⇒ 3 broadcast pseudo-stages.
             let bcast_stages = log
                 .stages()

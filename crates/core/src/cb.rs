@@ -12,24 +12,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use gep_kernels::gep::Kind;
-use sparklet::{JobError, Partitioner, Rdd, SparkContext, Storable, StorageLevel};
+use sparklet::{JobError, Rdd, SparkContext, Storable};
 
-use crate::backend::KernelSpec;
 use crate::block::Block;
 use crate::filters;
 use crate::kernels::apply_kernel;
 use crate::problem::DpProblem;
+use crate::solver::Plan;
 
 type K = (usize, usize);
-
-/// Storage level the solver uses for CB's per-iteration checkpoint
-/// when the config does not pin one. CB already leans on shared
-/// storage for its broadcasts, so letting the cached table spill to
-/// the disk tier matches the strategy's character (and keeps
-/// undersized-memory runs alive, like IM's default).
-pub fn default_storage_level() -> StorageLevel {
-    StorageLevel::MemoryAndDisk
-}
 
 /// One CB iteration: consumes the DP table RDD for phase `k`, returns
 /// the updated (not yet checkpointed) table RDD.
@@ -37,24 +28,19 @@ pub fn default_storage_level() -> StorageLevel {
 /// The D-block update and the A/B/C rebuild are independent branches
 /// over the cached table, so their materializations are submitted as
 /// concurrent jobs ([`Rdd::persist_async`] /
-/// [`Rdd::checkpoint_async_with_level`]) at `level`; `keep_lineage`
-/// selects persist (recompute-backed) over checkpoint (lineage-cutting).
-#[allow(clippy::too_many_arguments)]
-pub fn step<S: DpProblem>(
+/// [`Rdd::checkpoint_async_with_level`]) at the plan's level; its
+/// `keep_lineage` selects persist (recompute-backed) over checkpoint
+/// (lineage-cutting).
+pub(crate) fn step<S: DpProblem>(
     sc: &SparkContext,
     dp: &Rdd<K, Block<S::Elem>>,
     k: usize,
-    _g: usize,
-    b: usize,
-    kernel: KernelSpec,
-    partitions: usize,
-    partitioner: Arc<dyn Partitioner<K>>,
-    level: StorageLevel,
-    keep_lineage: bool,
+    plan: &Plan,
 ) -> Result<Rdd<K, Block<S::Elem>>, JobError> {
-    let kc = kernel.clone();
-    let kc_bc = kernel.clone();
-    let kc_d = kernel;
+    let (b, level) = (plan.block, plan.level);
+    let kc = plan.kernel.clone();
+    let kc_bc = plan.kernel.clone();
+    let kc_d = plan.kernel.clone();
 
     // ---- Stage 1: A kernel, collect to driver, broadcast ------------
     let a_up = dp
@@ -190,7 +176,7 @@ pub fn step<S: DpProblem>(
     // D and the A/B/C rebuild read only the cached table and the
     // broadcasts — neither depends on the other — so both jobs are
     // submitted at once and the driver runs their stages side by side.
-    let (d_handle, abc_handle) = if keep_lineage {
+    let (d_handle, abc_handle) = if plan.keep_lineage {
         (d_up.persist_async(level), updated_abc.persist_async(level))
     } else {
         (
@@ -206,5 +192,5 @@ pub fn step<S: DpProblem>(
     Ok(untouched
         .union(&updated_abc)
         .union(&d_up)
-        .partition_by(partitions, partitioner))
+        .partition_by(plan.partitions, Arc::clone(&plan.partitioner)))
 }

@@ -16,6 +16,16 @@ pub enum Strategy {
     CollectBroadcast,
 }
 
+/// Storage level of a per-iteration materialization when the config
+/// does not pin one — for both strategies and the sparse sweep. IM *is*
+/// the memory-pressure strategy (it must hold the whole cached table
+/// in executor memory), so it degrades to spilling serialized blocks
+/// rather than dying with `MemoryOverflow` when `executor_memory` is
+/// undersized; CB already leans on shared storage for its broadcasts,
+/// so a cached table that spills to the disk tier matches its
+/// character and keeps undersized-memory runs alive the same way.
+pub(crate) const DEFAULT_LEVEL: StorageLevel = StorageLevel::MemoryAndDisk;
+
 /// One experiment configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DpConfig {
@@ -33,15 +43,11 @@ pub struct DpConfig {
     /// RDD partition count (`None` → the context default, which the
     /// paper sets to 2× total cores).
     pub partitions: Option<usize>,
-    /// Floor for adaptive partition coalescing (`None` → the executor
-    /// count). Only consulted when the context runs with
-    /// `SparkConf::with_adaptive_execution`.
-    pub min_partitions: Option<usize>,
     /// Use the locality-aware grid partitioner instead of Spark's
     /// default hash partitioner (the paper's future-work extension).
     pub grid_partitioner: bool,
     /// Storage level for the per-iteration materialization (`None` →
-    /// the strategy's default, currently `MemoryAndDisk` for both).
+    /// `MemoryAndDisk`, whatever the strategy).
     pub storage_level: Option<StorageLevel>,
     /// Materialize iterations with `persist` (lineage retained, blocks
     /// droppable and recomputable under memory pressure) instead of
@@ -60,7 +66,6 @@ impl DpConfig {
             kernel: KernelSpec::iterative(),
             strategy: Strategy::InMemory,
             partitions: None,
-            min_partitions: None,
             grid_partitioner: false,
             storage_level: None,
             recompute_on_evict: false,
@@ -139,13 +144,6 @@ impl DpConfig {
     pub fn with_partitions(mut self, p: usize) -> Self {
         assert!(p >= 1);
         self.partitions = Some(p);
-        self
-    }
-
-    /// Floor adaptive partition coalescing at `p` partitions.
-    pub fn with_min_partitions(mut self, p: usize) -> Self {
-        assert!(p >= 1);
-        self.min_partitions = Some(p);
         self
     }
 
@@ -250,17 +248,6 @@ mod tests {
                 threads: 1
             }))
             .is_ok());
-    }
-
-    #[test]
-    fn adaptive_knobs_compose() {
-        let c = DpConfig::new(32, 8).with_min_partitions(8);
-        assert_eq!(c.min_partitions, Some(8));
-        assert_eq!(
-            DpConfig::new(32, 8).min_partitions,
-            None,
-            "floor defaults to the executor count at plan time"
-        );
     }
 
     #[test]

@@ -20,22 +20,13 @@
 use std::sync::Arc;
 
 use gep_kernels::gep::Kind;
-use sparklet::{JobError, Partitioner, Rdd, StorageLevel};
+use sparklet::{JobError, Rdd};
 
-use crate::backend::KernelSpec;
 use crate::block::Block;
 use crate::filters;
 use crate::kernels::apply_kernel;
 use crate::problem::DpProblem;
-
-/// Storage level the solver uses for IM's per-iteration checkpoint
-/// when the config does not pin one. IM *is* the memory-pressure
-/// strategy — it must hold the whole cached table in executor memory —
-/// so it degrades to spilling serialized blocks rather than dying with
-/// `MemoryOverflow` when `executor_memory` is undersized.
-pub fn default_storage_level() -> StorageLevel {
-    StorageLevel::MemoryAndDisk
-}
+use crate::solver::Plan;
 
 /// Value tags distinguishing a block's own payload from operand copies.
 pub const ROLE_MAIN: u8 = 0;
@@ -56,19 +47,16 @@ fn pick<E>(group: &[(u8, Block<E>)], role: u8) -> Option<usize> {
 
 /// One IM iteration: consumes the DP table RDD for phase `k`, returns
 /// the updated (not yet checkpointed) table RDD.
-pub fn step<S: DpProblem>(
+pub(crate) fn step<S: DpProblem>(
     dp: &Rdd<K, Block<S::Elem>>,
     k: usize,
-    g: usize,
-    b: usize,
-    kernel: KernelSpec,
-    partitions: usize,
-    partitioner: Arc<dyn Partitioner<K>>,
+    plan: &Plan,
 ) -> Result<Rdd<K, Block<S::Elem>>, JobError> {
+    let (g, b, partitions) = (plan.grid, plan.block, plan.partitions);
     // ---- Stage 1: A kernel + copies to every consumer --------------
-    let kc = kernel.clone();
-    let kc_bc = kernel.clone();
-    let kc_d = kernel;
+    let kc = plan.kernel.clone();
+    let kc_bc = plan.kernel.clone();
+    let kc_d = plan.kernel.clone();
     let a_all = dp
         .filter(move |key, _| filters::filter_a(*key, k))
         .map_partitions_to(move |_p, items, tc| {
@@ -109,58 +97,33 @@ pub fn step<S: DpProblem>(
         .map_values(|blk| (ROLE_MAIN, blk));
     let abc_grouped = bc_mains
         .union(&a_all)
-        .group_by_key(partitions, Arc::clone(&partitioner));
+        .group_by_key(partitions, Arc::clone(&plan.partitioner));
     let bc_out = abc_grouped.map_partitions_to(move |_p, groups, tc| {
         let mut out: Tagged<S::Elem> = Vec::new();
         for (key, mut group) in groups {
+            let is_b = filters::filter_b::<S>(key, k, b);
             if filters::filter_a(key, k) {
                 // The diagonal block passes through to the final union.
                 let main = pick(&group, ROLE_MAIN).expect("A main present");
                 out.push((key, group.swap_remove(main)));
-            } else if filters::filter_b::<S>(key, k, b) {
-                let d = pick(&group, ROLE_DIAG).expect("B needs the diagonal copy");
+            } else if is_b || filters::filter_c::<S>(key, k, b) {
+                // A row-panel block (B) is the `v` operand of the D
+                // blocks in its block column; a column-panel block (C)
+                // is the `u` operand of those in its block row.
+                let (kind, role) = if is_b {
+                    (Kind::B, ROLE_V)
+                } else {
+                    (Kind::C, ROLE_U)
+                };
+                let d = pick(&group, ROLE_DIAG).expect("a panel needs the diagonal copy");
                 let diag = group.swap_remove(d).1;
-                let m = pick(&group, ROLE_MAIN).expect("B main present");
+                let m = pick(&group, ROLE_MAIN).expect("panel main present");
                 let mut blk = group.swap_remove(m).1;
-                apply_kernel::<S>(
-                    Kind::B,
-                    key,
-                    k,
-                    &mut blk,
-                    None,
-                    None,
-                    Some(&diag),
-                    &kc_bc,
-                    tc,
-                );
-                // Copies toward the D consumers in this block column.
-                let j = key.1;
-                for i in 0..g {
-                    if filters::filter_d::<S>((i, j), k, b) {
-                        out.push(((i, j), (ROLE_V, blk.clone())));
-                    }
-                }
-                out.push((key, (ROLE_MAIN, blk)));
-            } else if filters::filter_c::<S>(key, k, b) {
-                let d = pick(&group, ROLE_DIAG).expect("C needs the diagonal copy");
-                let diag = group.swap_remove(d).1;
-                let m = pick(&group, ROLE_MAIN).expect("C main present");
-                let mut blk = group.swap_remove(m).1;
-                apply_kernel::<S>(
-                    Kind::C,
-                    key,
-                    k,
-                    &mut blk,
-                    None,
-                    None,
-                    Some(&diag),
-                    &kc_bc,
-                    tc,
-                );
-                let i = key.0;
-                for j in 0..g {
-                    if filters::filter_d::<S>((i, j), k, b) {
-                        out.push(((i, j), (ROLE_U, blk.clone())));
+                apply_kernel::<S>(kind, key, k, &mut blk, None, None, Some(&diag), &kc_bc, tc);
+                for t in 0..g {
+                    let consumer = if is_b { (t, key.1) } else { (key.0, t) };
+                    if filters::filter_d::<S>(consumer, k, b) {
+                        out.push((consumer, (role, blk.clone())));
                     }
                 }
                 out.push((key, (ROLE_MAIN, blk)));
@@ -182,7 +145,7 @@ pub fn step<S: DpProblem>(
         .map_values(|blk| (ROLE_MAIN, blk));
     let d_grouped = d_mains
         .union(&bc_out)
-        .group_by_key(partitions, Arc::clone(&partitioner));
+        .group_by_key(partitions, Arc::clone(&plan.partitioner));
     let updated = d_grouped.map_partitions_to(move |_p, groups, tc| {
         let mut out: Vec<(K, Block<S::Elem>)> = Vec::new();
         for (key, mut group) in groups {
@@ -224,14 +187,15 @@ pub fn step<S: DpProblem>(
     let untouched = dp.filter(move |key, _| !filters::touched::<S>(*key, k, b));
     Ok(untouched
         .union(&updated)
-        .partition_by(partitions, partitioner))
+        .partition_by(partitions, Arc::clone(&plan.partitioner)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DpConfig;
     use gep_kernels::Tropical;
-    use sparklet::{GridPartitioner, SparkConf, SparkContext};
+    use sparklet::{SparkConf, SparkContext};
 
     /// Pin the stage graph the DAG scheduler extracts from one
     /// representative IM iteration: the two `group_by_key` joins chain
@@ -254,10 +218,9 @@ mod tests {
                 blocks.push(((i, j), Block::Virtual { rows: b, cols: b }));
             }
         }
-        let partitioner: Arc<dyn Partitioner<K>> = Arc::new(GridPartitioner::new(g));
-        let dp = sc.parallelize_with(blocks, parts, Arc::clone(&partitioner));
-        let next = step::<Tropical>(&dp, 1, g, b, KernelSpec::iterative(), parts, partitioner)
-            .expect("IM iterations build lazily");
+        let plan = Plan::new(&sc, &DpConfig::new(g * b, b).with_grid_partitioner(true));
+        let dp = sc.parallelize_with(blocks, parts, Arc::clone(&plan.partitioner));
+        let next = step::<Tropical>(&dp, 1, &plan).expect("IM iterations build lazily");
         let plan = next.explain();
         let expected = "\
 == stage graph ==

@@ -36,11 +36,18 @@
 //! `Block::Virtual` tiles, whose kernels are recorded for pricing and
 //! not run, with declared byte volumes) for paper-scale timing through
 //! `cluster-model`.
+//!
+//! Every run entry point — [`solve`], [`solve_sparse_apsp`],
+//! [`solve_alignment`], [`solve_parenthesis`], [`solve_linear_system`],
+//! [`adaptive_solve`] — returns its result only. What the run did is
+//! `sc.summary()` afterwards (a [`RunSummary`], one fold over the
+//! context's event log), and a run under injected faults is the same
+//! call inside `let _chaos = sc.install_chaos(policy);`.
 
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod aqe;
+mod aqe;
 pub mod backend;
 pub mod beyond;
 pub mod block;
@@ -56,8 +63,7 @@ pub mod solver;
 pub mod sssp;
 pub mod tuner;
 
-pub use adaptive::{adaptive_solve, adaptive_solve_registry, AdaptiveOutcome};
-pub use aqe::{AqeAction, AqeDecision, AqePlanner};
+pub use adaptive::{adaptive_solve, AdaptiveOutcome};
 pub use backend::{
     register_backend, registry, BackendRegistry, ConfigError, KernelBackend, KernelParams,
     KernelSpec, ThreadModel,
@@ -68,10 +74,7 @@ pub use config::{DpConfig, Strategy};
 pub use jobs::{decode_matrix_f64, decode_matrix_i64, decode_vec_f64, DpJobRequest, DpJobRunner};
 pub use linsys::solve_linear_system;
 pub use problem::DpProblem;
-pub use solver::{
-    simulate_seconds, solve, solve_chaos, solve_virtual, solve_with_report, SolveReport,
-};
-pub use sssp::{
-    solve_sparse_apsp, solve_sparse_apsp_chaos, solve_sparse_apsp_with_report, SweepVal,
-};
+pub use solver::{simulate_seconds, solve, solve_virtual};
+pub use sparklet::RunSummary;
+pub use sssp::{solve_sparse_apsp, SweepVal};
 pub use tuner::{tune, TuneResult};

@@ -1,5 +1,15 @@
 //! Top-level solver: distribute the table, iterate phases, validate,
 //! and (for paper-scale runs) map the event log to simulated seconds.
+//!
+//! The driver loop's state is one crate-private `Plan` value —
+//! partition count, strategy, kernel shape and storage level, the four
+//! things Section V tunes per cluster, beside the run's fixed shape.
+//! The IM and CB steps and the adaptive planner read it; adopting an
+//! adaptive decision is the one method that changes it. A run's report
+//! is `sc.summary()` ([`sparklet::RunSummary`]) after any entry point
+//! here, and faults are a scope
+//! (`let _chaos = sc.install_chaos(policy);`), so no entry point has a
+//! reporting or a chaos variant.
 
 use std::sync::Arc;
 
@@ -7,195 +17,122 @@ use cluster_model::{ClusterSpec, CostModel, ModelParams};
 use gep_kernels::padding::{pad_to_multiple, unpad};
 use gep_kernels::Matrix;
 use sparklet::{
-    AdaptiveDecision, ChaosPolicy, GridPartitioner, HashPartitioner, JobError, Partitioner, Rdd,
-    SparkConf, SparkContext,
+    GridPartitioner, HashPartitioner, JobError, Partitioner, Rdd, RunSummary, SparkConf,
+    SparkContext, StorageLevel,
 };
 
-use crate::aqe::{AqeAction, AqePlanner};
+use crate::aqe::{AqeAction, AqeDecision, AqePlanner};
+use crate::backend::KernelSpec;
 use crate::block::Block;
-use crate::config::{DpConfig, Strategy};
+use crate::config::{DpConfig, Strategy, DEFAULT_LEVEL};
 use crate::problem::DpProblem;
 use crate::{cb, im};
 
 type K = (usize, usize);
 
-/// Summary of a distributed run (for reports and tests).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolveReport {
-    /// Stages executed.
-    pub stages: usize,
-    /// Tasks executed.
-    pub tasks: usize,
-    /// Shuffle bytes crossing node boundaries.
-    pub remote_bytes: u64,
-    /// Map-output bytes staged to local storage.
-    pub staged_bytes: u64,
-    /// Bytes collected to the driver.
-    pub collect_bytes: u64,
-    /// Bytes broadcast via shared storage.
-    pub broadcast_bytes: u64,
-    /// Failed attempts re-launched via lineage retry.
-    pub retries: u64,
-    /// Straggler attempts re-launched speculatively.
-    pub speculative_launches: u64,
-    /// Late shuffle writes dropped by attempt fencing.
-    pub zombie_writes_fenced: u64,
-    /// Staged bytes released back by shuffle GC and retry
-    /// reconciliation.
-    pub staged_released_bytes: u64,
-    /// Cached-partition reads served from either storage tier.
-    pub cache_hits: u64,
-    /// Cached-partition reads that found neither tier populated.
-    pub cache_misses: u64,
-    /// Cached bytes serialized into the disk tier (spills + `DiskOnly`
-    /// puts).
-    pub spilled_bytes: u64,
-    /// Cached bytes dropped under memory pressure (recompute-backed
-    /// evictions).
-    pub evicted_bytes: u64,
-    /// Lineage recomputations of dropped cached blocks.
-    pub recomputes: u64,
-    /// Highest number of stages the DAG scheduler had in flight
-    /// simultaneously.
-    pub max_concurrent_stages: u64,
-    /// Adaptive re-plan decisions taken mid-job, in order (empty
-    /// unless the context ran with `with_adaptive_execution`).
-    pub adaptive_decisions: Vec<AdaptiveDecision>,
+/// How the iterations still to run are executed.
+pub(crate) struct Plan {
+    /// Grid side `g` (fixed for the run).
+    pub grid: usize,
+    /// Block side `b` (fixed for the run).
+    pub block: usize,
+    /// Grid or hash placement of block keys (fixed for the run).
+    pub partitioner: Arc<dyn Partitioner<K>>,
+    /// Materialize iterations with `persist` (lineage retained) instead
+    /// of `checkpoint` (fixed for the run).
+    pub keep_lineage: bool,
+    /// RDD partition count.
+    pub partitions: usize,
+    /// IM or CB.
+    pub strategy: Strategy,
+    /// Executor kernel backend and shape.
+    pub kernel: KernelSpec,
+    /// Storage level of each iteration's materialization.
+    pub level: StorageLevel,
 }
 
-/// Build the run summary from a context's event log.
-pub(crate) fn report_from(sc: &SparkContext) -> SolveReport {
-    sc.with_event_log(|log| SolveReport {
-        stages: log.stage_count(),
-        tasks: log.task_count(),
-        remote_bytes: log.total_remote_bytes(),
-        staged_bytes: log.total_staged_bytes(),
-        collect_bytes: log.total_collect_bytes(),
-        broadcast_bytes: log.total_broadcast_bytes(),
-        retries: log.total_retries(),
-        speculative_launches: log.total_speculative_launches(),
-        zombie_writes_fenced: log.total_zombie_writes_fenced(),
-        staged_released_bytes: log.total_staged_released_bytes(),
-        cache_hits: log.total_cache_hits(),
-        cache_misses: log.total_cache_misses(),
-        spilled_bytes: log.total_spilled_bytes(),
-        evicted_bytes: log.total_evicted_bytes(),
-        recomputes: log.total_recomputes(),
-        max_concurrent_stages: log.max_concurrent_stages(),
-        adaptive_decisions: log.decisions().to_vec(),
-    })
-}
+impl Plan {
+    /// The plan `cfg` asks for on `sc`, defaults resolved.
+    pub(crate) fn new(sc: &SparkContext, cfg: &DpConfig) -> Self {
+        cfg.validate()
+            .unwrap_or_else(|e| panic!("invalid DpConfig: {e}"));
+        let mut kernel = cfg.kernel.clone();
+        // A context-level backend override (e.g. `DP_KERNEL_BACKEND` via
+        // the sparklet conf) rebinds the spec's primary backend while
+        // keeping its params and fallback chain — the hook the CI matrix
+        // uses to run the whole suite per backend.
+        if let Some(name) = sc.conf().kernel_backend.as_deref() {
+            kernel.backend = name.to_string();
+        }
+        Plan {
+            grid: cfg.grid(),
+            block: cfg.block,
+            partitioner: if cfg.grid_partitioner {
+                Arc::new(GridPartitioner::new(cfg.grid()))
+            } else {
+                Arc::new(HashPartitioner)
+            },
+            keep_lineage: cfg.recompute_on_evict,
+            partitions: cfg.partitions.unwrap_or(sc.conf().default_partitions),
+            strategy: cfg.strategy,
+            kernel,
+            level: cfg.storage_level.unwrap_or(DEFAULT_LEVEL),
+        }
+    }
 
-fn partitioner_for(cfg: &DpConfig) -> Arc<dyn Partitioner<K>> {
-    if cfg.grid_partitioner {
-        Arc::new(GridPartitioner::new(cfg.grid()))
-    } else {
-        Arc::new(HashPartitioner)
+    /// Adopt one adaptive decision for the remaining iterations and
+    /// log it. A divisor shrink goes through `coalesce` (narrow, keeps
+    /// the partitioner signature so the next `partition_by` elides its
+    /// shuffle); any other partition change re-shuffles `dp` once.
+    fn adopt<S: DpProblem>(
+        &mut self,
+        sc: &SparkContext,
+        d: AqeDecision,
+        iteration: u64,
+        dp: &mut Rdd<K, Block<S::Elem>>,
+    ) {
+        match d.action {
+            AqeAction::Repartition(p) => {
+                *dp = if p < self.partitions && self.partitions.is_multiple_of(p) {
+                    dp.coalesce(p)
+                } else {
+                    dp.partition_by(p, Arc::clone(&self.partitioner))
+                };
+                self.partitions = p;
+            }
+            AqeAction::SwitchStrategy(s) => self.strategy = s,
+            AqeAction::Retune(spec) => self.kernel = spec,
+            AqeAction::Retier(level) => self.level = level,
+        }
+        sc.log_adaptive_decision(iteration, &d.label, &d.reason);
     }
 }
 
 /// Run the distributed GEP loop over an already-created block RDD.
 ///
 /// Under `SparkConf::with_adaptive_execution` the loop consults an
-/// [`AqePlanner`] after each iteration commits: the planner reads the
-/// iteration's event-log records and may coalesce/split the partition
-/// count (a divisor-coalesce stays narrow and keeps the partitioner
-/// signature, so the next `partition_by` elides its shuffle), switch
-/// IM↔CB, re-pick the recursive fan-out, or re-tier storage. Every
-/// adopted decision is logged to the event log.
+/// [`AqePlanner`] after each iteration commits: the planner summarises
+/// the event-log records the iteration appended and may coalesce/split
+/// the partition count, switch IM↔CB, re-pick the recursive fan-out, or
+/// re-tier storage. Every adopted decision is logged to the event log.
 fn run_loop<S: DpProblem>(
     sc: &SparkContext,
-    cfg: &DpConfig,
+    mut plan: Plan,
     mut dp: Rdd<K, Block<S::Elem>>,
 ) -> Result<Rdd<K, Block<S::Elem>>, JobError> {
-    cfg.validate()
-        .unwrap_or_else(|e| panic!("invalid DpConfig: {e}"));
-    let g = cfg.grid();
-    let b = cfg.block;
-    let mut partitions = cfg.partitions.unwrap_or(sc.conf().default_partitions);
-    let mut strategy = cfg.strategy;
-    let mut kernel = cfg.kernel.clone();
-    // A context-level backend override (e.g. `DP_KERNEL_BACKEND` via
-    // the sparklet conf) rebinds the spec's primary backend while
-    // keeping its params and fallback chain — the hook the CI matrix
-    // uses to run the whole suite per backend.
-    if let Some(name) = sc.conf().kernel_backend.as_deref() {
-        kernel.backend = name.to_string();
-    }
-    let partitioner = partitioner_for(cfg);
-    let mut level = cfg.storage_level.unwrap_or_else(|| match cfg.strategy {
-        Strategy::InMemory => im::default_storage_level(),
-        Strategy::CollectBroadcast => cb::default_storage_level(),
-    });
     let mut planner = sc
         .conf()
         .adaptive_execution
-        .then(|| AqePlanner::new(sc, cfg, std::mem::size_of::<S::Elem>()));
-    // Apply one adopted decision to the loop's mutable plan state and
-    // log it. A divisor shrink goes through `coalesce` (narrow, keeps
-    // the partitioner signature so the next `partition_by` elides its
-    // shuffle); anything else re-shuffles once.
-    let apply = |d: &crate::aqe::AqeDecision,
-                 iteration: u64,
-                 dp: &mut Rdd<K, Block<S::Elem>>,
-                 partitions: &mut usize,
-                 strategy: &mut Strategy,
-                 kernel: &mut crate::backend::KernelSpec,
-                 level: &mut sparklet::StorageLevel,
-                 partitioner: &Arc<dyn Partitioner<K>>| {
-        match &d.action {
-            AqeAction::Repartition(p) => {
-                let p = *p;
-                *dp = if p < *partitions && partitions.is_multiple_of(p) {
-                    dp.coalesce(p)
-                } else {
-                    dp.partition_by(p, Arc::clone(partitioner))
-                };
-                *partitions = p;
-            }
-            AqeAction::SwitchStrategy(s) => *strategy = *s,
-            AqeAction::Retune(spec) => *kernel = spec.clone(),
-            AqeAction::Retier(lv) => *level = *lv,
-        }
-        sc.log_adaptive_decision(iteration, &d.label, &d.reason);
-    };
-    if let Some(planner) = planner.as_mut() {
-        for d in planner.plan_initial::<S>(cfg, partitions, strategy, &kernel) {
-            apply(
-                &d,
-                0,
-                &mut dp,
-                &mut partitions,
-                &mut strategy,
-                &mut kernel,
-                &mut level,
-                &partitioner,
-            );
+        .then(|| AqePlanner::new(sc, std::mem::size_of::<S::Elem>()));
+    if let Some(planner) = planner.as_ref() {
+        for d in planner.plan_initial::<S>(&plan) {
+            plan.adopt::<S>(sc, d, 0, &mut dp);
         }
     }
-    for k in 0..g {
-        let next = match strategy {
-            Strategy::InMemory => im::step::<S>(
-                &dp,
-                k,
-                g,
-                b,
-                kernel.clone(),
-                partitions,
-                Arc::clone(&partitioner),
-            )?,
-            Strategy::CollectBroadcast => cb::step::<S>(
-                sc,
-                &dp,
-                k,
-                g,
-                b,
-                kernel.clone(),
-                partitions,
-                Arc::clone(&partitioner),
-                level,
-                cfg.recompute_on_evict,
-            )?,
+    for k in 0..plan.grid {
+        let next = match plan.strategy {
+            Strategy::InMemory => im::step::<S>(&dp, k, &plan)?,
+            Strategy::CollectBroadcast => cb::step::<S>(sc, &dp, k, &plan)?,
         };
         // Materialize the iteration (the paper's programs are bounded
         // the same way: each iteration's output feeds the next). The
@@ -207,29 +144,39 @@ fn run_loop<S: DpProblem>(
         // instead: lineage is retained (upstream shuffles stay staged)
         // so blocks may be dropped under memory pressure and rebuilt
         // on demand.
-        dp = if cfg.recompute_on_evict {
-            next.persist(level)?
+        dp = if plan.keep_lineage {
+            next.persist(plan.level)?
         } else {
-            next.checkpoint_with_level(level)?
+            next.checkpoint_with_level(plan.level)?
         };
         if let Some(planner) = planner.as_mut() {
-            if k + 1 < g {
-                for d in planner.replan::<S>(sc, cfg, k, partitions, strategy, &kernel, level) {
-                    apply(
-                        &d,
-                        k as u64,
-                        &mut dp,
-                        &mut partitions,
-                        &mut strategy,
-                        &mut kernel,
-                        &mut level,
-                        &partitioner,
-                    );
+            if k + 1 < plan.grid {
+                for d in planner.replan::<S>(sc, k, &plan) {
+                    plan.adopt::<S>(sc, d, k as u64, &mut dp);
                 }
             }
         }
     }
     Ok(dp)
+}
+
+/// Deal the `g×g` blocks `block_at` makes to the plan's partitions and
+/// run the loop over them.
+fn scatter_and_run<S: DpProblem>(
+    sc: &SparkContext,
+    cfg: &DpConfig,
+    block_at: impl Fn(usize, usize) -> Block<S::Elem>,
+) -> Result<Rdd<K, Block<S::Elem>>, JobError> {
+    let plan = Plan::new(sc, cfg);
+    let g = plan.grid;
+    let mut blocks: Vec<(K, Block<S::Elem>)> = Vec::with_capacity(g * g);
+    for i in 0..g {
+        for j in 0..g {
+            blocks.push(((i, j), block_at(i, j)));
+        }
+    }
+    let dp = sc.parallelize_with(blocks, plan.partitions, Arc::clone(&plan.partitioner));
+    run_loop::<S>(sc, plan, dp)
 }
 
 /// Solve a GEP instance on the engine and return the resulting table
@@ -245,89 +192,32 @@ pub fn solve<S: DpProblem>(
     let padded = pad_to_multiple::<S>(input, cfg.block);
     let g = cfg.grid();
     let b = cfg.block;
-    let mut blocks: Vec<(K, Block<S::Elem>)> = Vec::with_capacity(g * g);
-    for i in 0..g {
-        for j in 0..g {
-            blocks.push(((i, j), Block::Real(padded.copy_block(i * b, j * b, b, b))));
-        }
-    }
-    let partitions = cfg.partitions.unwrap_or(sc.conf().default_partitions);
-    let dp = sc.parallelize_with(blocks, partitions, partitioner_for(cfg));
-    let dp = run_loop::<S>(sc, cfg, dp)?;
-    let items = dp.collect()?;
+    let dp = scatter_and_run::<S>(sc, cfg, |i, j| {
+        Block::Real(padded.copy_block(i * b, j * b, b, b))
+    })?;
     let mut out = Matrix::filled(g * b, g * b, S::padding_value(0, 1));
-    for ((i, j), blk) in items {
+    for ((i, j), blk) in dp.collect()? {
         out.paste_block(i * b, j * b, blk.expect_real());
     }
     Ok(unpad(&out, cfg.n))
 }
 
-/// Like [`solve`], but also returns the run summary (stages, traffic,
-/// cache behaviour) alongside the resulting table.
-pub fn solve_with_report<S: DpProblem>(
-    sc: &SparkContext,
-    cfg: &DpConfig,
-    input: &Matrix<S::Elem>,
-) -> Result<(Matrix<S::Elem>, SolveReport), JobError> {
-    let out = solve::<S>(sc, cfg, input)?;
-    Ok((out, report_from(sc)))
-}
-
-/// Like [`solve_with_report`], but with a [`ChaosPolicy`] installed on
-/// the context before the run: every task attempt consults the policy,
-/// so a seeded deterministic context (`SparkConf::with_sim_seed`)
-/// replays the exact same fault schedule from the seed. The policy is
-/// removed again afterwards so later jobs on the context run clean.
-pub fn solve_chaos<S: DpProblem>(
-    sc: &SparkContext,
-    cfg: &DpConfig,
-    input: &Matrix<S::Elem>,
-    chaos: ChaosPolicy,
-) -> Result<(Matrix<S::Elem>, SolveReport), JobError> {
-    let _installed = ChaosGuard::install(sc, chaos);
-    solve_with_report::<S>(sc, cfg, input)
-}
-
-/// A [`ChaosPolicy`] installed for the guard's lifetime. Cleared on
-/// drop, so a solve that panics (a shape `assert!`, fenced upstream by
-/// `catch_unwind`) cannot leave its faults installed for every later
-/// job on the context.
-pub(crate) struct ChaosGuard<'a>(&'a SparkContext);
-
-impl<'a> ChaosGuard<'a> {
-    pub(crate) fn install(sc: &'a SparkContext, chaos: ChaosPolicy) -> Self {
-        sc.install_chaos(chaos);
-        ChaosGuard(sc)
-    }
-}
-
-impl Drop for ChaosGuard<'_> {
-    fn drop(&mut self) {
-        self.0.clear_chaos();
-    }
-}
-
 /// Run the identical dataflow with virtual blocks: kernels become cost
-/// records, bytes are declared at full scale. Returns the run summary.
+/// records, bytes are declared at full scale. There is no table to
+/// return, so this returns `sc.summary()`.
 pub fn solve_virtual<S: DpProblem>(
     sc: &SparkContext,
     cfg: &DpConfig,
-) -> Result<SolveReport, JobError> {
-    assert!(cfg.padded_n().is_multiple_of(cfg.block));
-    let g = cfg.grid();
+) -> Result<RunSummary, JobError> {
     let b = cfg.block;
-    let mut blocks: Vec<(K, Block<S::Elem>)> = Vec::with_capacity(g * g);
-    for i in 0..g {
-        for j in 0..g {
-            blocks.push(((i, j), Block::Virtual { rows: b, cols: b }));
-        }
-    }
-    let partitions = cfg.partitions.unwrap_or(sc.conf().default_partitions);
-    let dp = sc.parallelize_with(blocks, partitions, partitioner_for(cfg));
-    let dp = run_loop::<S>(sc, cfg, dp)?;
+    let dp = scatter_and_run::<S>(sc, cfg, |_, _| Block::Virtual { rows: b, cols: b })?;
     let n_blocks = dp.count()?;
-    debug_assert_eq!(n_blocks, g * g, "table must stay complete");
-    Ok(report_from(sc))
+    debug_assert_eq!(
+        n_blocks,
+        cfg.grid() * cfg.grid(),
+        "table must stay complete"
+    );
+    Ok(sc.summary())
 }
 
 /// Paper-scale timing: run the full dataflow virtually on a context

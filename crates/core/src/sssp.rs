@@ -36,14 +36,13 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gep_kernels::sparse::Csr;
 use gep_kernels::{Matrix, Tropical};
-use sparklet::{ChaosPolicy, HashPartitioner, JobError, Partitioner, SparkContext, Storable};
+use sparklet::{HashPartitioner, JobError, Partitioner, SparkContext, Storable};
 
 use crate::backend::{KernelSpec, SWEEP};
 use crate::block::Block;
+use crate::config::DEFAULT_LEVEL;
 use crate::filters;
-use crate::im;
 use crate::kernels::apply_sweep;
-use crate::solver::{report_from, ChaosGuard, SolveReport};
 
 /// Value of the sweep-path RDD, keyed by partition id.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,7 +179,6 @@ pub fn solve_sparse_apsp(
     }
 
     let partitioner: Arc<dyn Partitioner<usize>> = Arc::new(HashPartitioner);
-    let level = im::default_storage_level();
     let mut state = sc.parallelize_with(init, parts, Arc::clone(&partitioner));
     let mut rounds = 0usize;
     loop {
@@ -295,7 +293,7 @@ pub fn solve_sparse_apsp(
             }
             out
         });
-        state = merged.checkpoint_with_level(level)?;
+        state = merged.checkpoint_with_level(DEFAULT_LEVEL)?;
     }
 
     let mut out = Matrix::filled(sources_v.len(), n, inf);
@@ -307,31 +305,6 @@ pub fn solve_sparse_apsp(
         out.paste_block(0, lo, dist.expect_real());
     }
     Ok(out)
-}
-
-/// Like [`solve_sparse_apsp`], but also returns the run summary.
-pub fn solve_sparse_apsp_with_report(
-    sc: &SparkContext,
-    edges: &Csr<f64>,
-    sources: &[u32],
-    parts: usize,
-) -> Result<(Matrix<f64>, SolveReport), JobError> {
-    let out = solve_sparse_apsp(sc, edges, sources, parts)?;
-    Ok((out, report_from(sc)))
-}
-
-/// Like [`solve_sparse_apsp_with_report`], but with a [`ChaosPolicy`]
-/// installed for the duration of the run (removed afterwards), so a
-/// seeded context replays the identical fault schedule.
-pub fn solve_sparse_apsp_chaos(
-    sc: &SparkContext,
-    edges: &Csr<f64>,
-    sources: &[u32],
-    parts: usize,
-    chaos: ChaosPolicy,
-) -> Result<(Matrix<f64>, SolveReport), JobError> {
-    let _installed = ChaosGuard::install(sc, chaos);
-    solve_sparse_apsp_with_report(sc, edges, sources, parts)
 }
 
 #[cfg(test)]

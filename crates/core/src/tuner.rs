@@ -12,7 +12,7 @@
 use cluster_model::ClusterSpec;
 use sparklet::JobError;
 
-use crate::backend::{registry, KernelParams, KernelSpec, ITERATIVE};
+use crate::backend::{registry, KernelParams, ITERATIVE};
 use crate::config::{DpConfig, Strategy};
 use crate::problem::DpProblem;
 use crate::solver::simulate_seconds;
@@ -79,48 +79,34 @@ pub fn tune<S: DpProblem>(
             continue;
         }
         for &strategy in &space.strategies {
-            for backend in reg.backends() {
-                if !backend.available()
-                    || !backend.supports_repr(gep_kernels::sparse::TileRepr::Dense)
-                {
+            for spec in reg.dense_candidates(KernelParams::default()) {
+                if spec.backend == ITERATIVE && !space.include_iterative {
                     continue;
                 }
-                if backend.name() == ITERATIVE && !space.include_iterative {
-                    continue;
-                }
-                if backend.fanout_parametric() {
-                    for &r_shared in &space.r_shared {
-                        if r_shared >= block {
-                            continue;
-                        }
-                        for &threads in &space.threads {
-                            let spec =
-                                KernelSpec::named(backend.name()).with_params(KernelParams {
-                                    r_shared,
-                                    base: 64,
-                                    threads,
-                                });
-                            let cfg = DpConfig::new(n, block)
-                                .with_strategy(strategy)
-                                .with_kernel(spec);
-                            let secs =
-                                simulate_seconds::<S>(cluster, cluster.node.cores, &cfg, None)?;
-                            results.push(TuneResult {
-                                config: cfg,
-                                omp_threads: threads,
-                                seconds: secs,
-                            });
-                        }
-                    }
+                let backend = reg.get(&spec.backend).expect("candidates are registered");
+                let shapes: Vec<KernelParams> = if backend.fanout_parametric() {
+                    let fanouts = space.r_shared.iter().filter(|&&r| r < block);
+                    fanouts
+                        .flat_map(|&r_shared| {
+                            space.threads.iter().map(move |&threads| KernelParams {
+                                r_shared,
+                                base: 64,
+                                threads,
+                            })
+                        })
+                        .collect()
                 } else {
+                    vec![spec.params]
+                };
+                for params in shapes {
                     let cfg = DpConfig::new(n, block)
                         .with_strategy(strategy)
-                        .with_kernel(KernelSpec::named(backend.name()));
-                    let secs = simulate_seconds::<S>(cluster, cluster.node.cores, &cfg, None)?;
+                        .with_kernel(spec.clone().with_params(params));
+                    let seconds = simulate_seconds::<S>(cluster, cluster.node.cores, &cfg, None)?;
                     results.push(TuneResult {
                         config: cfg,
-                        omp_threads: 1,
-                        seconds: secs,
+                        omp_threads: params.threads,
+                        seconds,
                     });
                 }
             }

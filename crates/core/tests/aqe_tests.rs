@@ -4,15 +4,15 @@
 //! solve must (a) match or beat every static partition configuration
 //! under the same cost model, (b) replay bit-identically from its
 //! seed, decisions included, and (c) surface every re-plan in the
-//! `SolveReport`.
+//! run's `RunSummary`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use cluster_model::{ClusterSpec, CostModel};
-use dp_core::{solve_chaos, solve_virtual, solve_with_report, DpConfig};
+use dp_core::{solve, solve_virtual, DpConfig, KernelSpec, RunSummary, Strategy};
 use gep_kernels::gep::gep_reference;
 use gep_kernels::{GaussianElim, Matrix};
-use sparklet::{ChaosPolicy, SparkConf, SparkContext};
+use sparklet::{AdaptiveDecision, ChaosPolicy, SparkConf, SparkContext};
 
 const NODES: usize = 4;
 const CORES: usize = 2;
@@ -72,7 +72,7 @@ fn static_seconds(seed: u64, partitions: usize) -> f64 {
     model().job_seconds(&sc.with_event_log(|log| log.records()))
 }
 
-fn adaptive_run(seed: u64) -> (f64, dp_core::SolveReport, Vec<(u64, String)>) {
+fn adaptive_run(seed: u64) -> (f64, RunSummary, Vec<(u64, String)>) {
     let sc = SparkContext::new(conf(seed).with_adaptive_execution());
     let cfg = ge_cfg().with_partitions(64);
     solve_virtual::<GaussianElim>(&sc, &cfg).expect("adaptive run");
@@ -174,7 +174,8 @@ fn adaptive_real_run_stays_numerically_exact() {
     gep_reference::<GaussianElim>(&mut reference);
     let sc = SparkContext::new(conf(5).with_partitions(24).with_adaptive_execution());
     let cfg = DpConfig::new(n, 4).with_partitions(24);
-    let (out, report) = solve_with_report::<GaussianElim>(&sc, &cfg, &input).expect("solve");
+    let out = solve::<GaussianElim>(&sc, &cfg, &input).expect("solve");
+    let report = sc.summary();
     assert_eq!(out.first_difference(&reference), None);
     // The run may or may not re-plan at this size; what matters is the
     // result above and that any decision it did take is well-formed.
@@ -200,10 +201,13 @@ fn adaptive_under_seeded_chaos_is_correct_and_replayable() {
     sweep("aqe chaos", 3, |seed| {
         let run = |_: ()| {
             let sc = SparkContext::new(conf(seed).with_partitions(16).with_adaptive_execution());
-            let chaos = ChaosPolicy::seeded(seed)
-                .with_task_panics(60)
-                .with_stragglers(60, 100);
-            solve_chaos::<GaussianElim>(&sc, &cfg, &input, chaos).expect("chaos solve")
+            let _chaos = sc.install_chaos(
+                ChaosPolicy::seeded(seed)
+                    .with_task_panics(60)
+                    .with_stragglers(60, 100),
+            );
+            let out = solve::<GaussianElim>(&sc, &cfg, &input).expect("chaos solve");
+            (out, sc.summary())
         };
         let (out1, rep1) = run(());
         let (out2, rep2) = run(());
@@ -215,4 +219,112 @@ fn adaptive_under_seeded_chaos_is_correct_and_replayable() {
         );
         assert_eq!(rep1, rep2, "seed {seed}: reports diverged on replay");
     });
+}
+
+fn decision(at_stage: u64, iteration: u64, action: &str, reason: &str) -> AdaptiveDecision {
+    AdaptiveDecision {
+        at_stage,
+        iteration,
+        action: action.into(),
+        reason: reason.into(),
+    }
+}
+
+/// Golden reports and decision lists, recorded through `solve_virtual`
+/// at the commit before the driver layer was rewritten onto
+/// `RunSummary` / `Plan` (the parent of PR 14). The other tests here
+/// compare a run with its own replay; these compare across commits:
+/// same stages, same traffic, same decisions at the same stages for
+/// the same reasons. `local_bytes` and `kernel_updates` were read off
+/// the parent's event log.
+#[test]
+fn seeded_adaptive_runs_match_the_goldens_recorded_before_the_rewrite() {
+    // The run `adaptive_decisions_reach_the_report_and_the_event_log`
+    // makes: only the model-only initial plan fires.
+    let sc = SparkContext::new(conf(11).with_adaptive_execution());
+    let report = solve_virtual::<GaussianElim>(&sc, &ge_cfg().with_partitions(64)).expect("run");
+    let golden = RunSummary {
+        stages: 33,
+        tasks: 912,
+        remote_bytes: 765475642,
+        local_bytes: 2162202046,
+        staged_bytes: 2927677688,
+        kernel_updates: 22898104320.0,
+        collect_bytes: 0,
+        broadcast_bytes: 0,
+        retries: 0,
+        speculative_launches: 0,
+        zombie_writes_fenced: 0,
+        staged_released_bytes: 2927677688,
+        cache_hits: 464,
+        cache_misses: 0,
+        spilled_bytes: 0,
+        evicted_bytes: 0,
+        recomputes: 0,
+        max_concurrent_stages: 1,
+        adaptive_decisions: vec![decision(
+            0,
+            0,
+            "coalesce:64->16",
+            "modeled iter 10.601s at 16 parts vs 11.321s at 64 (64 active blocks)",
+        )],
+    };
+    assert_eq!(report, golden);
+
+    // A run whose measured re-plans all fire: the planner's watermark
+    // fold of each iteration's records drives a CB→IM switch, a late
+    // coalesce and a switch back.
+    let sc = SparkContext::new(conf(11).with_partitions(128).with_adaptive_execution());
+    let cfg = DpConfig::new(8192, 512)
+        .with_partitions(128)
+        .with_strategy(Strategy::CollectBroadcast)
+        .with_kernel(KernelSpec::recursive(2, 64, 1));
+    let report = solve_virtual::<GaussianElim>(&sc, &cfg).expect("run");
+    let golden = RunSummary {
+        stages: 121,
+        tasks: 1840,
+        remote_bytes: 33555104,
+        local_bytes: 10735491118,
+        staged_bytes: 8688637830,
+        kernel_updates: 183218384896.0,
+        collect_bytes: 520101880,
+        broadcast_bytes: 520102104,
+        retries: 0,
+        speculative_launches: 0,
+        zombie_writes_fenced: 0,
+        staged_released_bytes: 8688637830,
+        cache_hits: 1536,
+        cache_misses: 0,
+        spilled_bytes: 0,
+        evicted_bytes: 0,
+        recomputes: 0,
+        max_concurrent_stages: 1,
+        adaptive_decisions: vec![
+            decision(
+                0,
+                0,
+                "coalesce:128->16",
+                "modeled iter 19.847s at 16 parts vs 21.947s at 128 (256 active blocks)",
+            ),
+            decision(
+                104,
+                12,
+                "strategy:cb->im",
+                "modeled iter 1.730s vs 2.215s staying",
+            ),
+            decision(
+                108,
+                13,
+                "coalesce:16->4",
+                "modeled iter 1.627s at 4 parts vs 1.717s at 16 (4 active blocks)",
+            ),
+            decision(
+                112,
+                14,
+                "strategy:im->cb",
+                "modeled iter 1.611s vs 2.015s staying",
+            ),
+        ],
+    };
+    assert_eq!(report, golden);
 }

@@ -69,20 +69,11 @@ fn maxmin_matrix(n: usize, seed: u64) -> Matrix<MaxMin> {
     })
 }
 
-/// Names of every registered backend that computes real data.
-fn real_backends<S: dp_core::DpProblem>() -> Vec<&'static str> {
-    registry::<S>()
-        .backends()
-        .iter()
-        .filter(|b| b.available() && b.supports_repr(gep_kernels::sparse::TileRepr::Dense))
-        .map(|b| b.name())
-        .collect()
-}
-
-/// A spec for `name` with params every backend accepts (r=2 fits any
-/// block ≥ 2; base/threads small so recursion actually recurses).
-fn spec_for(name: &str) -> KernelSpec {
-    KernelSpec::named(name).with_params(dp_core::KernelParams {
+/// A spec for every registered backend that computes real data, with
+/// params every backend accepts (r=2 fits any block ≥ 2; base/threads
+/// small so recursion actually recurses).
+fn real_backends<S: dp_core::DpProblem>() -> Vec<KernelSpec> {
+    registry::<S>().dense_candidates(dp_core::KernelParams {
         r_shared: 2,
         base: 2,
         threads: 2,
@@ -99,12 +90,13 @@ fn every_real_backend_matches_reference_bitwise_minplus() {
     gep_reference::<Tropical>(&mut reference);
     let backends = real_backends::<Tropical>();
     assert!(backends.len() >= 3, "iterative, recursive, blocked");
-    for name in backends {
+    for spec in backends {
+        let name = &spec.backend;
         for strategy in [Strategy::InMemory, Strategy::CollectBroadcast] {
             let sc = ctx();
             let cfg = DpConfig::new(24, 6)
                 .with_strategy(strategy)
-                .with_kernel(spec_for(name));
+                .with_kernel(spec.clone());
             let out = solve::<Tropical>(&sc, &cfg, &input).expect("solve");
             assert_eq!(
                 out.first_difference(&reference),
@@ -122,9 +114,10 @@ fn every_real_backend_matches_reference_bitwise_ge() {
     let input = dd_matrix(24, 77);
     let mut reference = input.clone();
     gep_reference::<GaussianElim>(&mut reference);
-    for name in real_backends::<GaussianElim>() {
+    for spec in real_backends::<GaussianElim>() {
+        let name = &spec.backend;
         let sc = ctx();
-        let cfg = DpConfig::new(24, 8).with_kernel(spec_for(name));
+        let cfg = DpConfig::new(24, 8).with_kernel(spec.clone());
         let out = solve::<GaussianElim>(&sc, &cfg, &input).expect("solve");
         assert_eq!(
             out.first_difference(&reference),
@@ -139,9 +132,10 @@ fn every_real_backend_matches_reference_bitwise_maxmin() {
     let input = maxmin_matrix(20, 5);
     let mut reference = input.clone();
     gep_reference::<SemiringPaths<MaxMin>>(&mut reference);
-    for name in real_backends::<SemiringPaths<MaxMin>>() {
+    for spec in real_backends::<SemiringPaths<MaxMin>>() {
+        let name = &spec.backend;
         let sc = ctx();
-        let cfg = DpConfig::new(20, 5).with_kernel(spec_for(name));
+        let cfg = DpConfig::new(20, 5).with_kernel(spec.clone());
         let out = solve::<SemiringPaths<MaxMin>>(&sc, &cfg, &input).expect("solve");
         assert_eq!(
             out.first_difference(&reference),

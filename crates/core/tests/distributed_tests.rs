@@ -174,19 +174,17 @@ fn virtual_and_real_runs_produce_identical_stage_structure() {
     let sc_real = ctx();
     let input = dd_matrix(n, 13);
     solve::<GaussianElim>(&sc_real, &cfg_real, &input).unwrap();
-    let (stages_real, tasks_real) =
-        sc_real.with_event_log(|log| (log.stage_count(), log.task_count()));
+    let real = sc_real.summary();
 
     let cfg_virt = DpConfig::new(n, 8);
     let sc_virt = ctx();
     solve_virtual::<GaussianElim>(&sc_virt, &cfg_virt).unwrap();
-    let (stages_virt, tasks_virt) =
-        sc_virt.with_event_log(|log| (log.stage_count(), log.task_count()));
+    let virt = sc_virt.summary();
 
     // The virtual run has one final `count` stage where the real run
     // has one final `collect`; everything else is identical.
-    assert_eq!(stages_real, stages_virt);
-    assert_eq!(tasks_real, tasks_virt);
+    assert_eq!(real.stages, virt.stages);
+    assert_eq!(real.tasks, virt.tasks);
 }
 
 #[test]

@@ -95,6 +95,7 @@ fn run_fw_seeded(
     let cfg = DpConfig::new(32, 8);
     let out = solve::<Tropical>(&sc, &cfg, input)?;
     let (stages, tasks, staged_written, retries, max_task_write) = sc.with_event_log(|log| {
+        let did = log.summary();
         let max_w = log
             .records()
             .iter()
@@ -102,13 +103,7 @@ fn run_fw_seeded(
             .map(|t| t.shuffle_write_bytes)
             .max()
             .unwrap_or(0);
-        (
-            log.stage_count(),
-            log.task_count(),
-            log.total_staged_bytes(),
-            log.total_retries(),
-            max_w,
-        )
+        (did.stages, did.tasks, did.staged_bytes, did.retries, max_w)
     });
     Ok(RunStats {
         out,

@@ -202,14 +202,14 @@ fn cache_hit_runs_zero_new_stages_and_matches_cold_bitwise() {
     assert!(!cold.cache_hit);
     assert!(cold.stages_run > 0);
 
-    let stages_before = svc.sc().with_event_log(|l| l.stage_count());
+    let stages_before = svc.sc().summary().stages;
     let warm_id = svc.submit(2, apsp_body(18, 13, 6, None)).expect("admit");
     svc.pump_all();
     let warm = svc.wait(warm_id).expect("known");
     assert!(warm.cache_hit, "identical lineage from another tenant hits");
     assert_eq!(warm.stages_run, 0);
     assert_eq!(
-        svc.sc().with_event_log(|l| l.stage_count()),
+        svc.sc().summary().stages,
         stages_before,
         "the cached path must not touch the engine"
     );
@@ -224,7 +224,7 @@ fn fetchfailed_mid_service_completes_both_tenants_correctly() {
     // Seeded probabilistic fetch failures (7% of attempts) while both
     // tenants' jobs are in flight: recovery interleaves with healthy
     // execution, and the whole schedule replays from the seed.
-    sc.install_chaos(ChaosPolicy::seeded(31).with_fetch_failures(70));
+    let chaos = sc.install_chaos(ChaosPolicy::seeded(31).with_fetch_failures(70));
     let svc = JobService::new(sc, ServiceConfig::default().with_inflight(2, 2), runner());
     let j1 = svc.submit(1, apsp_body(24, 42, 6, None)).expect("admit");
     let j2 = svc.submit(2, apsp_body(24, 77, 6, None)).expect("admit");
@@ -245,20 +245,20 @@ fn fetchfailed_mid_service_completes_both_tenants_correctly() {
         "a failed fetch must re-stage its map outputs, got {}",
         svc.sc().stage_resubmissions()
     );
-    svc.sc().clear_chaos();
+    drop(chaos);
     svc.sc().audit().expect("post-chaos audit");
 
     // The recovery re-staged the lost shuffle exactly once: re-asking
     // the same query now is a pure cache hit — zero engine stages, and
     // byte-identical to the answer computed through the failure.
-    let stages_after_chaos = svc.sc().with_event_log(|l| l.stage_count());
+    let stages_after_chaos = svc.sc().summary().stages;
     let again = svc.submit(1, apsp_body(24, 42, 6, None)).expect("admit");
     svc.pump_all();
     let vr = svc.wait(again).expect("known");
     assert!(vr.cache_hit);
     assert_eq!(vr.result, v1.result);
     assert_eq!(
-        svc.sc().with_event_log(|l| l.stage_count()),
+        svc.sc().summary().stages,
         stages_after_chaos,
         "nothing is re-staged twice"
     );
@@ -279,7 +279,7 @@ fn service_survives_a_real_sigkill_with_two_tenants_in_flight() {
     // Lose an executor on the first attempt of two early stages while
     // both tenants' jobs are in flight: each kill is a real SIGKILL +
     // respawn wiping that subprocess's staged map outputs.
-    sc.install_chaos(
+    let chaos = sc.install_chaos(
         ChaosPolicy::seeded(7)
             .script(1, 0, 1, ChaosEvent::ExecutorLoss)
             .script(3, 0, 1, ChaosEvent::ExecutorLoss),
@@ -309,7 +309,7 @@ fn service_survives_a_real_sigkill_with_two_tenants_in_flight() {
         svc.sc().executor_respawns() >= 1,
         "the scripted loss must have SIGKILLed a real subprocess"
     );
-    svc.sc().clear_chaos();
+    drop(chaos);
     svc.sc().audit().expect("post-recovery audit");
     svc.stop();
     assert_eq!(

@@ -10,7 +10,7 @@
 use bytes::Bytes;
 use cluster_model::{ClusterSpec, CostModel};
 use dp_core::jobs::{decode_matrix_f64, DpJobRequest, DpJobRunner};
-use dp_core::{solve_sparse_apsp, solve_sparse_apsp_chaos, DpConfig};
+use dp_core::{solve_sparse_apsp, DpConfig};
 use gep_kernels::graph::{bellman_ford, dijkstra, sparse_erdos_renyi};
 use gep_kernels::Matrix;
 use sparklet::service::JobService;
@@ -77,14 +77,10 @@ fn chaos_sweep_replays_identically_and_keeps_the_bits() {
 
     for chaos_seed in [11u64, 12, 13] {
         let run = || {
-            solve_sparse_apsp_chaos(
-                &sim_ctx(chaos_seed),
-                &g,
-                &sources,
-                3,
-                ChaosPolicy::seeded(chaos_seed).with_fetch_failures(60),
-            )
-            .expect("chaos run recovers")
+            let sc = sim_ctx(chaos_seed);
+            let _chaos = sc.install_chaos(ChaosPolicy::seeded(chaos_seed).with_fetch_failures(60));
+            let out = solve_sparse_apsp(&sc, &g, &sources, 3).expect("chaos run recovers");
+            (out, sc.summary())
         };
         let (out1, rep1) = run();
         let (out2, rep2) = run();

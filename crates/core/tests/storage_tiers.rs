@@ -6,7 +6,7 @@
 //! (`MemoryOnly` + `recompute_on_evict`) — and stay byte-reconciled
 //! under the fault-injection matrix from the attempt-fencing work.
 
-use dp_core::{solve_with_report, DpConfig, SolveReport};
+use dp_core::{solve, DpConfig, RunSummary};
 use gep_kernels::gep::gep_reference;
 use gep_kernels::{Matrix, Tropical};
 use sparklet::{SparkConf, SparkContext, StorageLevel};
@@ -46,7 +46,7 @@ fn dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
 
 struct Run {
     out: Matrix<f64>,
-    report: SolveReport,
+    report: RunSummary,
     /// Per-node (memory, disk) bytes still cached after the solve.
     final_cached: Vec<(u64, u64)>,
     /// Highest per-node memory-tier high-water mark.
@@ -64,10 +64,10 @@ fn run_fw(
     if fault_every_wave {
         sc.inject_failure_every_stage(0, 1);
     }
-    let (out, report) = solve_with_report::<Tropical>(&sc, cfg, input).expect("solve");
+    let out = solve::<Tropical>(&sc, cfg, input).expect("solve");
     Run {
         out,
-        report,
+        report: sc.summary(),
         final_cached: (0..NODES)
             .map(|n| (sc.cached_bytes(n), sc.cached_disk_bytes(n)))
             .collect(),

@@ -1,10 +1,10 @@
 //! Multi-process acceptance at the solver level: a Floyd–Warshall run
 //! over the TCP transport with real executor subprocesses must be
 //! bit-identical to the in-process run with an equivalent
-//! `SolveReport`, and a real `SIGKILL` mid-job must recover to the
+//! `RunSummary`, and a real `SIGKILL` mid-job must recover to the
 //! correct distances.
 
-use dp_core::{solve_chaos, solve_with_report, DpConfig, SolveReport};
+use dp_core::{solve, DpConfig, RunSummary};
 use gep_kernels::gep::gep_reference;
 use gep_kernels::{Matrix, Tropical};
 use sparklet::{ChaosEvent, ChaosPolicy, SparkConf, SparkContext, TransportMode};
@@ -45,7 +45,7 @@ fn dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
 /// The threaded scheduler's stage-concurrency high-water mark is a
 /// timing artifact, not a property of the plan — mask it before
 /// comparing reports across transports.
-fn comparable(mut rep: SolveReport) -> SolveReport {
+fn comparable(mut rep: RunSummary) -> RunSummary {
     rep.max_concurrent_stages = 0;
     rep
 }
@@ -58,12 +58,13 @@ fn fw_over_tcp_is_bit_identical_with_an_equivalent_report() {
     let cfg = DpConfig::new(32, 8);
 
     let sc = ctx(TransportMode::InProcess);
-    let (out_local, rep_local) =
-        solve_with_report::<Tropical>(&sc, &cfg, &input).expect("in-process solve");
+    let out_local = solve::<Tropical>(&sc, &cfg, &input).expect("in-process solve");
+    let rep_local = sc.summary();
     assert_eq!(out_local.first_difference(&reference), None);
 
     let sc = ctx(TransportMode::Tcp);
-    let (out_tcp, rep_tcp) = solve_with_report::<Tropical>(&sc, &cfg, &input).expect("TCP solve");
+    let out_tcp = solve::<Tropical>(&sc, &cfg, &input).expect("TCP solve");
+    let rep_tcp = sc.summary();
     assert_eq!(
         out_tcp.first_difference(&out_local),
         None,
@@ -101,7 +102,11 @@ fn fw_survives_a_real_sigkill_mid_job() {
     let chaos = ChaosPolicy::seeded(7)
         .script(1, 0, 1, ChaosEvent::ExecutorLoss)
         .script(3, 0, 1, ChaosEvent::ExecutorLoss);
-    let (out, rep) = solve_chaos::<Tropical>(&sc, &cfg, &input, chaos).expect("chaotic solve");
+    let out = {
+        let _chaos = sc.install_chaos(chaos);
+        solve::<Tropical>(&sc, &cfg, &input).expect("chaotic solve")
+    };
+    let rep = sc.summary();
     assert_eq!(
         out.first_difference(&reference),
         None,

@@ -11,7 +11,7 @@ use crate::broadcast::{Broadcast, BroadcastStore};
 use crate::codec::Storable;
 use crate::config::SparkConf;
 use crate::dag::ShuffleRegistry;
-use crate::metrics::EventLog;
+use crate::metrics::{EventLog, RunSummary};
 use crate::partitioner::{HashPartitioner, Partitioner};
 use crate::rdd::{Key, Rdd, ShufVal};
 use crate::scheduler::FaultPlan;
@@ -108,6 +108,20 @@ pub struct StorageTotals {
 #[derive(Clone)]
 pub struct SparkContext {
     pub(crate) inner: Arc<CtxInner>,
+}
+
+/// An installed [`ChaosPolicy`]; dropping it removes the policy, so
+/// later jobs on the context run clean. A scope, not a pair of calls:
+/// a job that panics under the policy (fenced upstream by
+/// `catch_unwind`, as the job service fences its runners) cannot
+/// leave its faults installed for every later job.
+#[must_use = "the policy is removed as soon as the guard drops"]
+pub struct InstalledChaos(SparkContext);
+
+impl Drop for InstalledChaos {
+    fn drop(&mut self) {
+        *self.0.inner.chaos.lock() = None;
+    }
 }
 
 impl SparkContext {
@@ -268,6 +282,15 @@ impl SparkContext {
         f(&self.inner.log.lock())
     }
 
+    /// [`RunSummary`] of the whole context log: the report of a run
+    /// when the context ran nothing else. Runs sharing a context add
+    /// up; for one of them, take `mark = stages().len()` before it and
+    /// fold `RunSummary::of(&stages()[mark..])` after it
+    /// ([`SparkContext::with_event_log`]).
+    pub fn summary(&self) -> RunSummary {
+        self.inner.log.lock().summary()
+    }
+
     /// Drain the event log (between benchmark configurations).
     pub fn take_event_log(&self) -> Vec<crate::metrics::StageEvent> {
         self.inner.log.lock().take()
@@ -408,15 +431,12 @@ impl SparkContext {
         self.inner.clock.now_ms()
     }
 
-    /// Install a seeded [`ChaosPolicy`]; every subsequent task attempt
-    /// consults it. Replaces any previous policy.
-    pub fn install_chaos(&self, policy: ChaosPolicy) {
+    /// Install a seeded [`ChaosPolicy`] for the returned guard's
+    /// lifetime; every task attempt in that scope consults it.
+    /// Replaces any previous policy.
+    pub fn install_chaos(&self, policy: ChaosPolicy) -> InstalledChaos {
         *self.inner.chaos.lock() = Some(policy);
-    }
-
-    /// Remove any installed [`ChaosPolicy`]; later jobs run clean.
-    pub fn clear_chaos(&self) {
-        *self.inner.chaos.lock() = None;
+        InstalledChaos(self.clone())
     }
 
     /// Kill executor `node`: its cached blocks vanish (recomputable

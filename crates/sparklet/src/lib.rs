@@ -78,11 +78,13 @@ pub mod wire;
 pub use broadcast::Broadcast;
 pub use codec::Storable;
 pub use config::SparkConf;
-pub use context::{Accumulator, ExecutorLoss, SparkContext, StorageTotals, TaskContext};
+pub use context::{
+    Accumulator, ExecutorLoss, InstalledChaos, SparkContext, StorageTotals, TaskContext,
+};
 pub use dag::{with_cancel, CancelToken, JobHandle};
 pub use error::JobError;
 pub use ext::{Either, RangePartitioner};
-pub use metrics::{AdaptiveDecision, EventLog};
+pub use metrics::{AdaptiveDecision, EventLog, RunSummary};
 pub use partitioner::{GridPartitioner, HashPartitioner, Partitioner, SigLayout};
 pub use payload::{Compression, Payload, PayloadBuilder};
 pub use rdd::Rdd;

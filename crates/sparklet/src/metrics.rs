@@ -1,5 +1,9 @@
 //! Execution event log — the bridge between real `sparklet` runs and
-//! the `cluster-model` cost model.
+//! the `cluster-model` cost model — and the one fold over it:
+//! [`RunSummary::of`] totals any slice of stage events in a single
+//! pass. Reports, the sim harness's counter fingerprints and the
+//! adaptive planner's per-iteration evidence are all that fold, over
+//! the whole log or a suffix of it.
 
 use cluster_model::StageRecord;
 
@@ -31,6 +35,98 @@ pub struct AdaptiveDecision {
     pub reason: String,
 }
 
+/// What a run (any slice of the stage log) did, totalled. Every field
+/// is replay-deterministic: two runs of one `with_sim_seed` seed
+/// compare `==`, which is what the replay suites assert. Host wall
+/// time is therefore not a field ([`EventLog::total_wall_seconds`]),
+/// and neither are the measured `*_wire_bytes` of the task records,
+/// which differ across codecs and transports while everything here
+/// must not.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunSummary {
+    /// Stages executed.
+    pub stages: usize,
+    /// Tasks executed.
+    pub tasks: usize,
+    /// Shuffle bytes fetched across node boundaries.
+    pub remote_bytes: u64,
+    /// Shuffle bytes fetched from the task's own node.
+    pub local_bytes: u64,
+    /// Map-output bytes staged to local storage.
+    pub staged_bytes: u64,
+    /// Kernel cell updates recorded by the tasks (whole numbers, so
+    /// the sum does not depend on stage order).
+    pub kernel_updates: f64,
+    /// Bytes collected to the driver (CB pattern).
+    pub collect_bytes: u64,
+    /// Broadcast bytes read back by executors (CB pattern).
+    pub broadcast_bytes: u64,
+    /// Failed attempts re-launched via lineage retry.
+    pub retries: u64,
+    /// Straggler attempts re-launched speculatively.
+    pub speculative_launches: u64,
+    /// Late shuffle writes dropped by attempt fencing.
+    pub zombie_writes_fenced: u64,
+    /// Staged bytes released back by shuffle GC and retry
+    /// reconciliation.
+    pub staged_released_bytes: u64,
+    /// Cached-partition reads served from either storage tier.
+    pub cache_hits: u64,
+    /// Cached-partition reads that found neither tier populated.
+    pub cache_misses: u64,
+    /// Cached bytes serialized into the disk tier (spills + `DiskOnly`
+    /// puts).
+    pub spilled_bytes: u64,
+    /// Cached bytes dropped under memory pressure (recompute-backed
+    /// evictions).
+    pub evicted_bytes: u64,
+    /// Lineage recomputations of dropped cached blocks.
+    pub recomputes: u64,
+    /// Highest number of stages the DAG scheduler had in flight
+    /// simultaneously at any stage launch (each record carries the
+    /// driver's in-flight gauge at its launch instant).
+    pub max_concurrent_stages: u64,
+    /// Adaptive re-plan decisions in the order taken. Decisions live
+    /// beside the stages, not in them, so [`RunSummary::of`] leaves
+    /// this empty and [`EventLog::summary`] fills it.
+    pub adaptive_decisions: Vec<AdaptiveDecision>,
+}
+
+impl RunSummary {
+    /// Total `stages` in one pass. Additive over concatenation (max
+    /// for `max_concurrent_stages`), so the summary of a log suffix is
+    /// the summary of exactly the stages that suffix holds — what the
+    /// adaptive planner's per-iteration watermark relies on.
+    pub fn of(stages: &[StageEvent]) -> Self {
+        let mut s = RunSummary {
+            stages: stages.len(),
+            ..Default::default()
+        };
+        for StageEvent { record: r, .. } in stages {
+            s.tasks += r.tasks.len();
+            for t in &r.tasks {
+                s.remote_bytes += t.remote_read_bytes;
+                s.local_bytes += t.local_read_bytes;
+                s.staged_bytes += t.shuffle_write_bytes;
+                s.kernel_updates += t.kernels.iter().map(|inv| inv.updates).sum::<f64>();
+            }
+            s.collect_bytes += r.collect_bytes;
+            s.broadcast_bytes += r.broadcast_bytes;
+            s.retries += r.retries;
+            s.speculative_launches += r.speculative_launches;
+            s.zombie_writes_fenced += r.zombie_writes_fenced;
+            s.staged_released_bytes += r.staged_released_bytes;
+            s.cache_hits += r.cache_hits;
+            s.cache_misses += r.cache_misses;
+            s.spilled_bytes += r.spilled_bytes;
+            s.evicted_bytes += r.evicted_bytes;
+            s.recomputes += r.recomputes;
+            s.max_concurrent_stages = s.max_concurrent_stages.max(r.concurrent_stages);
+        }
+        s
+    }
+}
+
 /// Ordered log of every stage a context has executed.
 #[derive(Debug, Default)]
 pub struct EventLog {
@@ -53,7 +149,8 @@ impl EventLog {
         });
     }
 
-    /// Total host wall seconds across stages.
+    /// Total host wall seconds across stages. Kept apart from
+    /// [`RunSummary`]: wall time differs between replays of one seed.
     pub fn total_wall_seconds(&self) -> f64 {
         self.stages.iter().map(|s| s.wall_seconds).sum()
     }
@@ -63,129 +160,13 @@ impl EventLog {
         &self.stages
     }
 
-    /// Number of stages executed.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Total tasks across all stages.
-    pub fn task_count(&self) -> usize {
-        self.stages.iter().map(|s| s.record.tasks.len()).sum()
-    }
-
-    /// Total shuffle bytes fetched across node boundaries.
-    pub fn total_remote_bytes(&self) -> u64 {
-        self.stages
-            .iter()
-            .flat_map(|s| &s.record.tasks)
-            .map(|t| t.remote_read_bytes)
-            .sum()
-    }
-
-    /// Total shuffle bytes fetched from the task's own node.
-    pub fn total_local_bytes(&self) -> u64 {
-        self.stages
-            .iter()
-            .flat_map(|s| &s.record.tasks)
-            .map(|t| t.local_read_bytes)
-            .sum()
-    }
-
-    /// Total map-output bytes staged to local storage.
-    pub fn total_staged_bytes(&self) -> u64 {
-        self.stages
-            .iter()
-            .flat_map(|s| &s.record.tasks)
-            .map(|t| t.shuffle_write_bytes)
-            .sum()
-    }
-
-    /// Total measured wire bytes behind shuffle fetches (local +
-    /// remote). Non-zero only when compression is on and the frames
-    /// actually shrank; deliberately NOT part of the sim counter
-    /// fingerprint, which must be identical across codec settings.
-    pub fn total_shuffle_wire_bytes(&self) -> u64 {
-        self.stages
-            .iter()
-            .flat_map(|s| &s.record.tasks)
-            .map(|t| t.remote_read_wire_bytes + t.local_read_wire_bytes)
-            .sum()
-    }
-
-    /// Total measured wire bytes behind spill writes and reads.
-    /// Same caveats as [`EventLog::total_shuffle_wire_bytes`].
-    pub fn total_spill_wire_bytes(&self) -> u64 {
-        self.stages
-            .iter()
-            .flat_map(|s| &s.record.tasks)
-            .map(|t| t.spill_write_wire_bytes + t.spill_read_wire_bytes)
-            .sum()
-    }
-
-    /// Total driver collect bytes (CB pattern).
-    pub fn total_collect_bytes(&self) -> u64 {
-        self.stages.iter().map(|s| s.record.collect_bytes).sum()
-    }
-
-    /// Total broadcast bytes read back by executors (CB pattern).
-    pub fn total_broadcast_bytes(&self) -> u64 {
-        self.stages.iter().map(|s| s.record.broadcast_bytes).sum()
-    }
-
-    /// Total failed attempts re-launched via lineage retry.
-    pub fn total_retries(&self) -> u64 {
-        self.stages.iter().map(|s| s.record.retries).sum()
-    }
-
-    /// Total straggler attempts re-launched speculatively.
-    pub fn total_speculative_launches(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| s.record.speculative_launches)
-            .sum()
-    }
-
-    /// Total late shuffle writes dropped by attempt fencing.
-    pub fn total_zombie_writes_fenced(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| s.record.zombie_writes_fenced)
-            .sum()
-    }
-
-    /// Total staged bytes released back (shuffle GC + reconciliation).
-    pub fn total_staged_released_bytes(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| s.record.staged_released_bytes)
-            .sum()
-    }
-
-    /// Total cached-partition reads served from either storage tier.
-    pub fn total_cache_hits(&self) -> u64 {
-        self.stages.iter().map(|s| s.record.cache_hits).sum()
-    }
-
-    /// Total cached-partition reads that found neither tier populated.
-    pub fn total_cache_misses(&self) -> u64 {
-        self.stages.iter().map(|s| s.record.cache_misses).sum()
-    }
-
-    /// Total cached bytes serialized into the disk tier (spills +
-    /// `DiskOnly` puts).
-    pub fn total_spilled_bytes(&self) -> u64 {
-        self.stages.iter().map(|s| s.record.spilled_bytes).sum()
-    }
-
-    /// Total cached bytes dropped under memory pressure
-    /// (recompute-backed evictions).
-    pub fn total_evicted_bytes(&self) -> u64 {
-        self.stages.iter().map(|s| s.record.evicted_bytes).sum()
-    }
-
-    /// Total lineage recomputations of dropped cached blocks.
-    pub fn total_recomputes(&self) -> u64 {
-        self.stages.iter().map(|s| s.record.recomputes).sum()
+    /// [`RunSummary::of`] every stage logged so far, plus the adaptive
+    /// decisions taken.
+    pub fn summary(&self) -> RunSummary {
+        RunSummary {
+            adaptive_decisions: self.decisions.clone(),
+            ..RunSummary::of(&self.stages)
+        }
     }
 
     /// Mutable view of the most recent stage (action annotations).
@@ -202,17 +183,6 @@ impl EventLog {
             .iter_mut()
             .rev()
             .find(|s| s.record.stage_id == stage_id)
-    }
-
-    /// Highest number of stages the DAG scheduler had in flight
-    /// simultaneously at any stage launch (each record carries the
-    /// driver's in-flight gauge at its launch instant).
-    pub fn max_concurrent_stages(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| s.record.concurrent_stages)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Schedule fingerprint: `(stage_id, label)` in completion order.
@@ -253,22 +223,56 @@ mod tests {
     use super::*;
     use cluster_model::TaskRecord;
 
+    /// Field-wise sum (max for the concurrency gauge) of two
+    /// decision-free summaries — what `of(a ++ b)` must equal.
+    fn plus(a: &RunSummary, b: &RunSummary) -> RunSummary {
+        RunSummary {
+            stages: a.stages + b.stages,
+            tasks: a.tasks + b.tasks,
+            remote_bytes: a.remote_bytes + b.remote_bytes,
+            local_bytes: a.local_bytes + b.local_bytes,
+            staged_bytes: a.staged_bytes + b.staged_bytes,
+            kernel_updates: a.kernel_updates + b.kernel_updates,
+            collect_bytes: a.collect_bytes + b.collect_bytes,
+            broadcast_bytes: a.broadcast_bytes + b.broadcast_bytes,
+            retries: a.retries + b.retries,
+            speculative_launches: a.speculative_launches + b.speculative_launches,
+            zombie_writes_fenced: a.zombie_writes_fenced + b.zombie_writes_fenced,
+            staged_released_bytes: a.staged_released_bytes + b.staged_released_bytes,
+            cache_hits: a.cache_hits + b.cache_hits,
+            cache_misses: a.cache_misses + b.cache_misses,
+            spilled_bytes: a.spilled_bytes + b.spilled_bytes,
+            evicted_bytes: a.evicted_bytes + b.evicted_bytes,
+            recomputes: a.recomputes + b.recomputes,
+            max_concurrent_stages: a.max_concurrent_stages.max(b.max_concurrent_stages),
+            adaptive_decisions: Vec::new(),
+        }
+    }
+
+    fn kernel(updates: f64) -> cluster_model::KernelInvocation {
+        cluster_model::KernelInvocation {
+            updates,
+            block_side: 8,
+            elem_bytes: 8,
+            kernel: cluster_model::KernelType::Iterative,
+        }
+    }
+
     #[test]
-    fn aggregates_sum_over_stages() {
+    fn summary_of_a_concatenation_is_the_sum_of_the_summaries() {
         let mut log = EventLog::default();
         log.push(
             "s0".into(),
             StageRecord {
                 tasks: vec![TaskRecord {
                     node: 0,
+                    kernels: vec![kernel(512.0), kernel(64.0)],
                     remote_read_bytes: 10,
                     local_read_bytes: 5,
                     shuffle_write_bytes: 7,
-                    remote_read_wire_bytes: 4,
-                    local_read_wire_bytes: 2,
-                    spill_write_wire_bytes: 3,
                     ..Default::default()
                 }],
+                concurrent_stages: 2,
                 collect_bytes: 100,
                 broadcast_bytes: 50,
                 retries: 2,
@@ -284,24 +288,75 @@ mod tests {
                     remote_read_bytes: 1,
                     ..Default::default()
                 }],
+                concurrent_stages: 3,
                 ..Default::default()
             },
         );
-        assert_eq!(log.stage_count(), 2);
-        assert_eq!(log.task_count(), 2);
-        assert_eq!(log.total_remote_bytes(), 11);
-        assert_eq!(log.total_local_bytes(), 5);
-        assert_eq!(log.total_staged_bytes(), 7);
-        assert_eq!(log.total_collect_bytes(), 100);
-        assert_eq!(log.total_broadcast_bytes(), 50);
-        assert_eq!(log.total_retries(), 2);
-        assert_eq!(log.total_speculative_launches(), 0);
-        assert_eq!(log.total_staged_released_bytes(), 30);
-        assert_eq!(log.total_shuffle_wire_bytes(), 6);
-        assert_eq!(log.total_spill_wire_bytes(), 3);
+        log.push(
+            "s2".into(),
+            StageRecord {
+                tasks: vec![
+                    TaskRecord {
+                        node: 0,
+                        kernels: vec![kernel(8.0)],
+                        local_read_bytes: 9,
+                        ..Default::default()
+                    },
+                    TaskRecord::default(),
+                ],
+                concurrent_stages: 1,
+                speculative_launches: 1,
+                zombie_writes_fenced: 4,
+                cache_hits: 6,
+                cache_misses: 1,
+                spilled_bytes: 11,
+                evicted_bytes: 12,
+                recomputes: 13,
+                ..Default::default()
+            },
+        );
+        let first_two = RunSummary::of(&log.stages()[..2]);
+        assert_eq!(first_two.stages, 2);
+        assert_eq!(first_two.tasks, 2);
+        assert_eq!(first_two.remote_bytes, 11);
+        assert_eq!(first_two.local_bytes, 5);
+        assert_eq!(first_two.staged_bytes, 7);
+        assert_eq!(first_two.kernel_updates, 576.0);
+        assert_eq!(first_two.collect_bytes, 100);
+        assert_eq!(first_two.broadcast_bytes, 50);
+        assert_eq!(first_two.retries, 2);
+        assert_eq!(first_two.speculative_launches, 0);
+        assert_eq!(first_two.staged_released_bytes, 30);
+        assert_eq!(first_two.max_concurrent_stages, 3);
+
+        let whole = log.summary();
+        assert_eq!(whole, RunSummary::of(log.stages()), "no decisions logged");
+        assert_eq!(RunSummary::of(&[]), RunSummary::default());
+        for cut in 0..=log.stages().len() {
+            let (a, b) = log.stages().split_at(cut);
+            assert_eq!(
+                plus(&RunSummary::of(a), &RunSummary::of(b)),
+                whole,
+                "cut at {cut}"
+            );
+        }
+        assert_eq!(
+            (whole.tasks, whole.local_bytes, whole.kernel_updates),
+            (4, 14, 584.0)
+        );
+        assert_eq!(
+            (whole.speculative_launches, whole.zombie_writes_fenced),
+            (1, 4)
+        );
+        assert_eq!((whole.cache_hits, whole.cache_misses), (6, 1));
+        assert_eq!(
+            (whole.spilled_bytes, whole.evicted_bytes, whole.recomputes),
+            (11, 12, 13)
+        );
+
         let taken = log.take();
-        assert_eq!(taken.len(), 2);
-        assert_eq!(log.stage_count(), 0);
+        assert_eq!(taken.len(), 3);
+        assert!(log.stages().is_empty());
     }
 
     #[test]
@@ -322,6 +377,7 @@ mod tests {
         assert_eq!(log.decisions().len(), 2);
         assert_eq!(log.decisions()[0].at_stage, 4);
         assert!(log.decisions()[1].action.starts_with("storage:"));
+        assert_eq!(log.summary().adaptive_decisions, log.decisions());
         log.take();
         assert!(log.decisions().is_empty(), "take() drains decisions too");
     }

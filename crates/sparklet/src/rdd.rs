@@ -14,7 +14,7 @@
 //! ([`crate::dag`]), which materializes all ready stages concurrently,
 //! then run a result stage.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bytes::Buf;
@@ -363,12 +363,27 @@ impl<K: Key, V: ShufVal, C: ShufVal> ShuffleDep for ShuffledRdd<K, V, C> {
                 let items = stage(parent.compute(p, tc)?);
                 // Sparse bucket map: most of the (often ~1000) reduce
                 // partitions receive nothing from a given map task.
-                // Pairs are serialized exactly once, straight into each
-                // bucket's frame-in-progress.
-                let mut bufs: HashMap<usize, (PayloadBuilder, u64)> = HashMap::new();
-                for (k, c) in items {
-                    let b = partitioner.partition(&k, partitions);
-                    let slot = bufs.entry(b).or_default();
+                // Each bucket's frame is allocated once, at its exact
+                // size: a frame grown by doubling re-copies megabytes
+                // of tiles and leaves the allocator a chain of large
+                // dead buffers to trim and fault back in, and how much
+                // of that it does differs from one run to the next.
+                let buckets: Vec<usize> = items
+                    .iter()
+                    .map(|(k, _)| partitioner.partition(k, partitions))
+                    .collect();
+                let mut sizes: BTreeMap<usize, usize> = BTreeMap::new();
+                for ((k, c), &b) in items.iter().zip(&buckets) {
+                    *sizes.entry(b).or_default() += k.encoded_len() + c.encoded_len();
+                }
+                let mut bufs: BTreeMap<usize, (PayloadBuilder, u64)> = sizes
+                    .into_iter()
+                    .map(|(b, len)| (b, (PayloadBuilder::with_capacity(len), 0)))
+                    .collect();
+                // Pairs are serialized exactly once, straight into
+                // their bucket's frame.
+                for ((k, c), b) in items.into_iter().zip(buckets) {
+                    let slot = bufs.get_mut(&b).expect("sized in the pass above");
                     // Declared (logical) bytes: exact encoded size for
                     // dense types, deliberately larger for virtual
                     // blocks (their accounting weight is the point).
@@ -376,11 +391,9 @@ impl<K: Key, V: ShufVal, C: ShufVal> ShuffleDep for ShuffledRdd<K, V, C> {
                     k.encode(slot.0.buf());
                     c.encode(slot.0.buf());
                 }
-                // Flush in bucket order: HashMap iteration order would
-                // vary the shuffle-write sequence (and thus staging
-                // overflow points) between runs, breaking seeded replay.
-                let mut bufs: Vec<(usize, (PayloadBuilder, u64))> = bufs.into_iter().collect();
-                bufs.sort_unstable_by_key(|&(bucket, _)| bucket);
+                // Flush in bucket order (the map is ordered): a varying
+                // shuffle-write sequence (and thus staging overflow
+                // points) between runs would break seeded replay.
                 let compression = inner_ctx.inner.conf.compression;
                 for (bucket, (builder, declared)) in bufs {
                     inner_ctx.inner.shuffle.write(

@@ -698,11 +698,11 @@ impl JobService {
             );
             return;
         }
-        let before = inner.sc.with_event_log(|l| l.stage_count()) as u64;
+        let before = inner.sc.with_event_log(|l| l.stages().len()) as u64;
         let res = catch_runner("run", || {
             with_cancel(&d.cancel, || inner.runner.run(&inner.sc, &d.body))
         });
-        let stages = (inner.sc.with_event_log(|l| l.stage_count()) as u64).saturating_sub(before);
+        let stages = (inner.sc.with_event_log(|l| l.stages().len()) as u64).saturating_sub(before);
         match res {
             Ok(full) => {
                 let stored = match d.key {

@@ -49,7 +49,7 @@ fn independent_stages_run_concurrently() {
         sc.peak_concurrent_stages()
     );
     assert!(
-        sc.with_event_log(|log| log.max_concurrent_stages()) >= 2,
+        sc.summary().max_concurrent_stages >= 2,
         "event log recorded no concurrent stage launch"
     );
 
@@ -105,7 +105,7 @@ fn shared_shuffle_under_concurrent_jobs_materializes_exactly_once() {
             .map(|(k, v)| (k % 9, v))
             .reduce_by_key(|a, b| a.wrapping_add(b), 4, Arc::new(HashPartitioner));
         let _ = wide.collect().expect("baseline job");
-        sc.with_event_log(|log| log.total_staged_bytes())
+        sc.summary().staged_bytes
     };
 
     let sc = ctx();
@@ -144,7 +144,7 @@ fn shared_shuffle_under_concurrent_jobs_materializes_exactly_once() {
     });
     assert_eq!(map_stages, 1, "shared shuffle staged more than once");
     assert_eq!(
-        sc.with_event_log(|log| log.total_staged_bytes()),
+        sc.summary().staged_bytes,
         baseline,
         "concurrent jobs wrote more shuffle bytes than one job"
     );
@@ -182,7 +182,7 @@ fn fault_matrix_with_multiple_stages_in_flight() {
                 .collect()
                 .expect("branched job"),
         );
-        let retries = sc.with_event_log(|log| log.total_retries());
+        let retries = sc.summary().retries;
         let peak = sc.peak_concurrent_stages();
         (got, retries, peak)
     };
@@ -226,22 +226,21 @@ fn staged_bytes_reconcile_under_interleaved_stage_completion() {
     // been released (failed attempts' partial writes are reconciled
     // too, so releases can only exceed the logged writes).
     let _ = sc.parallelize(vec![(0usize, 0u64)], Some(1)).count();
-    sc.with_event_log(|log| {
-        assert_eq!(
-            log.total_staged_released_bytes(),
-            sc.staged_released_bytes(),
-            "per-stage release attribution must sum to the context counter"
-        );
-        assert!(
-            log.total_staged_released_bytes() >= log.total_staged_bytes(),
-            "released {} < staged {}",
-            log.total_staged_released_bytes(),
-            log.total_staged_bytes()
-        );
-        assert!(log.total_staged_bytes() > 0, "the job staged something");
-    });
+    let did = sc.summary();
     assert_eq!(
-        sc.with_event_log(|log| log.total_zombie_writes_fenced()),
+        did.staged_released_bytes,
+        sc.staged_released_bytes(),
+        "per-stage release attribution must sum to the context counter"
+    );
+    assert!(
+        did.staged_released_bytes >= did.staged_bytes,
+        "released {} < staged {}",
+        did.staged_released_bytes,
+        did.staged_bytes
+    );
+    assert!(did.staged_bytes > 0, "the job staged something");
+    assert_eq!(
+        sc.summary().zombie_writes_fenced,
         sc.zombie_writes_fenced(),
         "per-stage zombie attribution must sum to the context counter"
     );
@@ -296,7 +295,7 @@ fn retry_backoff_defers_without_blocking_the_stage() {
             .expect("backoff job"),
     );
     assert_eq!(got, sorted(pairs(16)));
-    assert_eq!(sc.with_event_log(|log| log.total_retries()), 4);
+    assert_eq!(sc.summary().retries, 4);
     let elapsed_ms = sc.now_ms();
     assert!(
         (200..650).contains(&(elapsed_ms as usize)),

@@ -39,10 +39,9 @@ fn map_filter_flatmap_chain_fuses_in_one_stage() {
     assert!(got.iter().any(|&(k, v)| k == 4 && v == 17));
     assert!(got.iter().any(|&(k, v)| k == 1004 && v == 17));
     // Whole narrow chain + collect = exactly one stage.
-    sc.with_event_log(|log| {
-        assert_eq!(log.stage_count(), 1, "narrow chain must fuse");
-        assert_eq!(log.task_count(), 8);
-    });
+    let did = sc.summary();
+    assert_eq!(did.stages, 1, "narrow chain must fuse");
+    assert_eq!(did.tasks, 8);
 }
 
 #[test]
@@ -79,14 +78,13 @@ fn partition_by_places_keys_and_counts_a_shuffle() {
         .partition_by(4, Arc::new(HashPartitioner));
     let got = sorted(rdd.collect().unwrap());
     assert_eq!(got, pairs(64));
-    sc.with_event_log(|log| {
-        assert_eq!(log.stage_count(), 2, "shuffle map stage + collect");
-        assert!(
-            log.total_remote_bytes() + log.total_local_bytes() > 0,
-            "shuffle moved real bytes"
-        );
-        assert!(log.total_staged_bytes() > 0, "map outputs were staged");
-    });
+    let did = sc.summary();
+    assert_eq!(did.stages, 2, "shuffle map stage + collect");
+    assert!(
+        did.remote_bytes + did.local_bytes > 0,
+        "shuffle moved real bytes"
+    );
+    assert!(did.staged_bytes > 0, "map outputs were staged");
 }
 
 #[test]
@@ -96,19 +94,13 @@ fn partition_by_same_partitioner_elides_shuffle() {
     // parallelize already hash-partitioned into 8.
     let same = rdd.partition_by(8, Arc::new(HashPartitioner));
     same.collect().unwrap();
-    sc.with_event_log(|log| {
-        assert_eq!(
-            log.stage_count(),
-            1,
-            "no shuffle for identical partitioning"
-        );
-    });
+    let did = sc.summary();
+    assert_eq!(did.stages, 1, "no shuffle for identical partitioning");
     // Different partition count still shuffles.
     let different = rdd.partition_by(4, Arc::new(HashPartitioner));
     different.collect().unwrap();
-    sc.with_event_log(|log| {
-        assert_eq!(log.stage_count(), 3);
-    });
+    let did = sc.summary();
+    assert_eq!(did.stages, 3);
 }
 
 #[test]
@@ -189,7 +181,7 @@ fn map_side_combine_shrinks_shuffle() {
         .reduce_by_key(|a, b| a + b, 4, Arc::new(HashPartitioner))
         .collect()
         .unwrap();
-    let staged = sc.with_event_log(|log| log.total_staged_bytes());
+    let staged = sc.summary().staged_bytes;
     // Raw would be 1000 × 16 B = 16 kB; combined is ≤ 4 maps × 10 keys × 16 B.
     assert!(staged <= 4 * 10 * 16, "staged={staged}");
 }
@@ -202,18 +194,17 @@ fn checkpoint_cuts_lineage_and_pins_location() {
         .map_values(|v| v + 1)
         .checkpoint()
         .unwrap();
-    let stages_after_ckpt = sc.with_event_log(|log| log.stage_count());
+    let stages_after_ckpt = sc.summary().stages;
     assert_eq!(stages_after_ckpt, 1, "checkpoint ran one stage");
     // Collect twice: each is a single stage reading cached partitions.
     let a = sorted(rdd.collect().unwrap());
     let b = sorted(rdd.collect().unwrap());
     assert_eq!(a, b);
     assert_eq!(a[3], (3, 10));
-    sc.with_event_log(|log| {
-        assert_eq!(log.stage_count(), 3);
-        // Cached reads are node-local: no remote traffic in collects.
-        assert_eq!(log.total_remote_bytes(), 0);
-    });
+    let did = sc.summary();
+    assert_eq!(did.stages, 3);
+    // Cached reads are node-local: no remote traffic in collects.
+    assert_eq!(did.remote_bytes, 0);
 }
 
 #[test]
@@ -312,20 +303,18 @@ fn broadcast_reaches_tasks_via_shared_storage() {
 fn driver_traffic_pseudo_stage_is_logged() {
     let sc = ctx();
     sc.log_driver_traffic("cb-iter-0", 1024, 2048);
-    sc.with_event_log(|log| {
-        assert_eq!(log.total_collect_bytes(), 1024);
-        assert_eq!(log.total_broadcast_bytes(), 2048);
-    });
+    let did = sc.summary();
+    assert_eq!(did.collect_bytes, 1024);
+    assert_eq!(did.broadcast_bytes, 2048);
 }
 
 #[test]
 fn collect_records_bytes_to_driver() {
     let sc = ctx();
     sc.parallelize(pairs(10), Some(2)).collect().unwrap();
-    sc.with_event_log(|log| {
-        // 10 pairs × (8 + 8) bytes.
-        assert_eq!(log.total_collect_bytes(), 160);
-    });
+    let did = sc.summary();
+    // 10 pairs × (8 + 8) bytes.
+    assert_eq!(did.collect_bytes, 160);
 }
 
 #[test]
@@ -338,7 +327,7 @@ fn grid_partitioner_gives_locality_for_block_keys() {
     let got = rdd.collect().unwrap();
     assert_eq!(got.len(), 64);
     // Keys of one block row share a partition → collected adjacently.
-    sc.with_event_log(|log| assert_eq!(log.task_count(), 16));
+    assert_eq!(sc.summary().tasks, 16);
 }
 
 #[test]
@@ -368,10 +357,9 @@ fn shared_lineage_materializes_shuffle_once() {
     let b = shuffled.map_values(|v| v + 2);
     a.collect().unwrap();
     b.collect().unwrap();
-    sc.with_event_log(|log| {
-        // map stage once + two collects = 3 stages, not 4.
-        assert_eq!(log.stage_count(), 3);
-    });
+    let did = sc.summary();
+    // map stage once + two collects = 3 stages, not 4.
+    assert_eq!(did.stages, 3);
 }
 
 #[test]
@@ -470,10 +458,7 @@ fn retry_restages_within_capacity() {
     sc.inject_failure(0, 3, 1);
     let got = shuffle_job(&sc);
     assert_eq!(got, want, "results must be byte-identical under faults");
-    assert!(
-        sc.with_event_log(|log| log.total_retries()) >= 3,
-        "faults were retried"
-    );
+    assert!(sc.summary().retries >= 3, "faults were retried");
     assert_eq!(
         sc.zombie_writes_fenced(),
         0,
@@ -503,7 +488,7 @@ fn faulty_run_matches_fault_free_run() {
         // Total staged while the shuffle is live: retries may migrate a
         // bucket to another node, but the sum must reconcile exactly.
         let staged_total: u64 = (0..4).map(|n| sc.staged_bytes(n)).sum();
-        let retries = sc.with_event_log(|log| log.total_retries());
+        let retries = sc.summary().retries;
         let zombies = sc.zombie_writes_fenced();
         drop(rdd);
         let after_gc: u64 = (0..4).map(|n| sc.staged_bytes(n)).sum();
@@ -553,7 +538,7 @@ fn speculation_relaunches_stragglers() {
         });
     let got = sorted(rdd.collect().unwrap());
     assert_eq!(got, pairs(8));
-    let speculated = sc.with_event_log(|log| log.total_speculative_launches());
+    let speculated = sc.summary().speculative_launches;
     assert!(
         speculated >= 1,
         "the straggler was speculatively re-launched"

@@ -273,7 +273,7 @@ fn coalesce_reduces_partitions_without_losing_data() {
     // Task count reflects the coalesced width.
     sc.take_event_log();
     co.count().unwrap();
-    sc.with_event_log(|log| assert_eq!(log.task_count(), 4));
+    assert_eq!(sc.summary().tasks, 4);
     // target >= current is a no-op.
     assert_eq!(rdd.coalesce(100).num_partitions(), 12);
     assert!(co.explain().contains("Coalesce [4 partitions"));

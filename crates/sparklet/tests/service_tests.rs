@@ -291,7 +291,7 @@ fn cache_hits_are_bitwise_identical_and_skip_stages() {
     assert!(!cold.cache_hit);
     assert!(cold.stages_run > 0, "cold run drives the engine");
 
-    let stages_before = svc.sc().with_event_log(|l| l.stage_count());
+    let stages_before = svc.sc().summary().stages;
     // Identical query from ANOTHER tenant: lineage, not tenant, keys
     // the cache (results are tenant-independent facts about the input).
     let j2 = svc.submit(2, body(1, 99, 400, 0)).expect("admit");
@@ -301,7 +301,7 @@ fn cache_hits_are_bitwise_identical_and_skip_stages() {
     assert!(warm.cache_hit, "identical lineage must hit");
     assert_eq!(warm.stages_run, 0);
     assert_eq!(
-        svc.sc().with_event_log(|l| l.stage_count()),
+        svc.sc().summary().stages,
         stages_before,
         "a cache hit runs no new engine stages"
     );

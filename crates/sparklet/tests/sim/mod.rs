@@ -168,26 +168,26 @@ impl SimRun {
 /// Counter fingerprint: every engine total that must be bit-identical
 /// between two equal-seed runs.
 pub fn counters(sc: &SparkContext) -> Vec<(&'static str, u64)> {
-    let mut c = sc.with_event_log(|log| {
-        vec![
-            ("stages", log.stage_count() as u64),
-            ("tasks", log.task_count() as u64),
-            ("retries", log.total_retries()),
-            ("staged", log.total_staged_bytes()),
-            ("released", log.total_staged_released_bytes()),
-            ("remote", log.total_remote_bytes()),
-            ("local", log.total_local_bytes()),
-            ("cache_hits", log.total_cache_hits()),
-            ("cache_misses", log.total_cache_misses()),
-            ("spilled", log.total_spilled_bytes()),
-            ("evicted", log.total_evicted_bytes()),
-            ("recomputes", log.total_recomputes()),
-            ("zombies", log.total_zombie_writes_fenced()),
-        ]
-    });
-    c.push(("staged_lost", sc.staged_lost_bytes()));
-    c.push(("resubmissions", sc.stage_resubmissions()));
-    c
+    // Names and order feed the golden fingerprints: append, never
+    // reorder.
+    let s = sc.summary();
+    vec![
+        ("stages", s.stages as u64),
+        ("tasks", s.tasks as u64),
+        ("retries", s.retries),
+        ("staged", s.staged_bytes),
+        ("released", s.staged_released_bytes),
+        ("remote", s.remote_bytes),
+        ("local", s.local_bytes),
+        ("cache_hits", s.cache_hits),
+        ("cache_misses", s.cache_misses),
+        ("spilled", s.spilled_bytes),
+        ("evicted", s.evicted_bytes),
+        ("recomputes", s.recomputes),
+        ("zombies", s.zombie_writes_fenced),
+        ("staged_lost", sc.staged_lost_bytes()),
+        ("resubmissions", sc.stage_resubmissions()),
+    ]
 }
 
 /// Commit-order task placement per recorded stage (see
@@ -217,27 +217,28 @@ pub fn assert_invariants(sc: &SparkContext, seed: u64) {
     if let Err(e) = sc.audit() {
         panic!("CHAOS_SEED={seed}: engine audit failed: {e}");
     }
+    let did = sc.summary();
+    // 3. Per-stage attribution sums exactly to the context counters.
+    assert_eq!(
+        did.staged_released_bytes,
+        sc.staged_released_bytes(),
+        "CHAOS_SEED={seed}: staged-release attribution drifted"
+    );
+    assert_eq!(
+        did.zombie_writes_fenced,
+        sc.zombie_writes_fenced(),
+        "CHAOS_SEED={seed}: zombie-write attribution drifted"
+    );
+    // 4. Every committed staged byte was either released (GC /
+    //    reconciliation) or written off with a dead executor.
+    assert!(
+        did.staged_released_bytes + sc.staged_lost_bytes() >= did.staged_bytes,
+        "CHAOS_SEED={seed}: released {} + lost {} < staged {}",
+        did.staged_released_bytes,
+        sc.staged_lost_bytes(),
+        did.staged_bytes
+    );
     sc.with_event_log(|log| {
-        // 3. Per-stage attribution sums exactly to the context counters.
-        assert_eq!(
-            log.total_staged_released_bytes(),
-            sc.staged_released_bytes(),
-            "CHAOS_SEED={seed}: staged-release attribution drifted"
-        );
-        assert_eq!(
-            log.total_zombie_writes_fenced(),
-            sc.zombie_writes_fenced(),
-            "CHAOS_SEED={seed}: zombie-write attribution drifted"
-        );
-        // 4. Every committed staged byte was either released (GC /
-        //    reconciliation) or written off with a dead executor.
-        assert!(
-            log.total_staged_released_bytes() + sc.staged_lost_bytes() >= log.total_staged_bytes(),
-            "CHAOS_SEED={seed}: released {} + lost {} < staged {}",
-            log.total_staged_released_bytes(),
-            sc.staged_lost_bytes(),
-            log.total_staged_bytes()
-        );
         // 5. Exactly-once materialization: a committed map stage only
         //    re-runs under a fetch-failure resubmission.
         let mut label_counts: HashMap<&str, u64> = HashMap::new();
@@ -266,11 +267,10 @@ pub fn run_scenario(
 ) -> SimRun {
     let sc = SparkContext::new(conf);
     assert!(sc.is_deterministic(), "scenario contexts must be seeded");
-    if let Some(policy) = chaos {
-        sc.install_chaos(policy);
-    }
-    let result = workload(&sc, persist_level).map_err(|e| e.to_string());
-    sc.clear_chaos();
+    let result = {
+        let _chaos = chaos.map(|policy| sc.install_chaos(policy));
+        workload(&sc, persist_level).map_err(|e| e.to_string())
+    };
     let _ = sc.parallelize(vec![(0usize, 0u64)], Some(1)).count();
     assert_invariants(&sc, seed);
     SimRun {

@@ -167,18 +167,18 @@ fn zero_length_partitions_survive_chaos() {
     sim::sweep("sparse", 10, |seed| {
         let run = |s: u64, chaotic: bool| {
             let sc = SparkContext::new(sim::sim_conf(s));
-            if chaotic {
+            let chaos = chaotic.then(|| {
                 sc.install_chaos(
                     ChaosPolicy::seeded(s)
                         .with_task_panics(100)
                         .with_fetch_failures(60),
-                );
-            }
+                )
+            });
             let out = sc
                 .parallelize(sim::pairs(3), Some(8))
                 .reduce_by_key(|a, b| a.wrapping_add(b), 6, Arc::new(HashPartitioner))
                 .collect();
-            sc.clear_chaos();
+            drop(chaos);
             let res = out.map(|mut v| {
                 v.sort_unstable();
                 v
@@ -302,7 +302,7 @@ fn virtual_clock_jump_relaunches_each_deferred_partition_once() {
     assert_eq!(got, sim::pairs(16));
     // All four partitions park on the same 500 ms deadline; the jump
     // drains them in one pass — exactly one retry each, no doubles.
-    assert_eq!(sc.with_event_log(|log| log.total_retries()), 4);
+    assert_eq!(sc.summary().retries, 4);
     assert!(
         sc.now_ms() >= 500,
         "the virtual clock must have jumped past the backoff deadline"
@@ -315,7 +315,7 @@ fn virtual_clock_jump_relaunches_each_deferred_partition_once() {
 #[test]
 fn pinned_checkpoint_surfaces_disk_overflow_under_chaos() {
     let sc = SparkContext::new(sim::sim_conf(9).with_disk_capacity(1 << 20));
-    sc.install_chaos(ChaosPolicy::seeded(9).with_disk_full(1000));
+    let _chaos = sc.install_chaos(ChaosPolicy::seeded(9).with_disk_full(1000));
     match sc
         .parallelize(sim::pairs(32), Some(4))
         .checkpoint_with_level(StorageLevel::DiskOnly)
@@ -336,12 +336,12 @@ fn pinned_checkpoint_surfaces_disk_overflow_under_chaos() {
 fn scripted_executor_loss_resubmits_the_map_stage() {
     let run = |chaos: bool| {
         let sc = SparkContext::new(sim::sim_conf(5));
-        if chaos {
-            // Stage 1 is the reduce/result stage of the first job
-            // (stage 0 is the shuffle map stage): kill the executor
-            // hosting the first reduce attempt's node before it runs.
-            sc.install_chaos(ChaosPolicy::seeded(5).script(1, 0, 1, ChaosEvent::ExecutorLoss));
-        }
+        // Stage 1 is the reduce/result stage of the first job
+        // (stage 0 is the shuffle map stage): kill the executor
+        // hosting the first reduce attempt's node before it runs.
+        let _chaos = chaos.then(|| {
+            sc.install_chaos(ChaosPolicy::seeded(5).script(1, 0, 1, ChaosEvent::ExecutorLoss))
+        });
         let mut got = sc
             .parallelize(sim::pairs(64), Some(4))
             .map(|(k, v)| (k % 6, v))
@@ -349,7 +349,6 @@ fn scripted_executor_loss_resubmits_the_map_stage() {
             .collect()
             .expect("loss must be recovered via resubmission");
         got.sort_unstable();
-        sc.clear_chaos();
         (got, sc.stage_resubmissions(), sc.staged_lost_bytes())
     };
     let (want, zero_resub, zero_lost) = run(false);
@@ -367,6 +366,37 @@ fn scripted_executor_loss_resubmits_the_map_stage() {
     );
 }
 
+/// Installed chaos is a scope. Driver code that panics with a policy
+/// installed — fenced by `catch_unwind`, as the job service fences its
+/// runners — drops the guard while unwinding, so the context comes
+/// back clean: the next seeded job does exactly what it does on a
+/// fresh context. The policy here panics every attempt, so a leaked
+/// one would fail that job outright.
+#[test]
+fn a_panic_under_installed_chaos_leaves_the_context_clean() {
+    let job = |sc: &SparkContext| {
+        let mut got = sc
+            .parallelize(sim::pairs(64), Some(4))
+            .map(|(k, v)| (k % 6, v))
+            .reduce_by_key(|a, b| a.wrapping_add(b), 4, Arc::new(HashPartitioner))
+            .collect()
+            .expect("no policy is installed");
+        got.sort_unstable();
+        got
+    };
+    let fresh = SparkContext::new(sim::sim_conf(5));
+    let want = job(&fresh);
+
+    let sc = SparkContext::new(sim::sim_conf(5));
+    let fenced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _chaos = sc.install_chaos(ChaosPolicy::seeded(5).with_task_panics(1000));
+        panic!("the driver dies with the policy installed");
+    }));
+    assert!(fenced.is_err());
+    assert_eq!(job(&sc), want);
+    assert_eq!(sc.summary(), fresh.summary());
+}
+
 #[test]
 fn adaptive_replan_scenario_sweep() {
     // The AQE execution pattern under chaos: a mid-job re-plan — a
@@ -376,13 +406,13 @@ fn adaptive_replan_scenario_sweep() {
     // and the same result as the fault-free run.
     let run_one = |seed: u64, chaos: bool| {
         let sc = SparkContext::new(sim::sim_conf(seed).with_adaptive_execution());
-        if chaos {
+        let chaos = chaos.then(|| {
             sc.install_chaos(
                 ChaosPolicy::seeded(seed)
                     .with_task_panics(100)
                     .with_stragglers(100, 200),
-            );
-        }
+            )
+        });
         let result = {
             let wide = sc
                 .parallelize(sim::pairs(96), Some(6))
@@ -402,7 +432,7 @@ fn adaptive_replan_scenario_sweep() {
                     .map_err(|e| e.to_string())
             })
         };
-        sc.clear_chaos();
+        drop(chaos);
         let _ = sc.parallelize(vec![(0usize, 0u64)], Some(1)).count();
         sim::assert_invariants(&sc, seed);
         let decisions = sc.with_event_log(|log| {

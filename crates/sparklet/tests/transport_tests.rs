@@ -117,9 +117,9 @@ fn scripted_executor_loss_sigkills_and_recovers_via_resubmission() {
     // the first reduce attempt. The kill is a real SIGKILL + respawn;
     // the retry's fetch misses the dead executor's map outputs and the
     // fetch failure resubmits the map stage.
-    sc.install_chaos(ChaosPolicy::seeded(7).script(1, 0, 1, ChaosEvent::ExecutorLoss));
+    let chaos = sc.install_chaos(ChaosPolicy::seeded(7).script(1, 0, 1, ChaosEvent::ExecutorLoss));
     let got = run_reduce(&sc);
-    sc.clear_chaos();
+    drop(chaos);
     assert_eq!(got, reference, "recovery changed the result");
     assert!(
         sc.executor_respawns() >= 1,

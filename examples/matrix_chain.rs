@@ -67,12 +67,11 @@ fn main() {
         "distributed must equal the sequential reference"
     );
     println!("  validated against the sequential reference (bitwise)");
-    sc.with_event_log(|log| {
-        println!(
-            "  engine: {} stages, {:.1} MB broadcast over {} wavefront diagonals",
-            log.stage_count(),
-            log.total_broadcast_bytes() as f64 / 1e6,
-            n.div_ceil(16),
-        );
-    });
+    let did = sc.summary();
+    println!(
+        "  engine: {} stages, {:.1} MB broadcast over {} wavefront diagonals",
+        did.stages,
+        did.broadcast_bytes as f64 / 1e6,
+        n.div_ceil(16),
+    );
 }

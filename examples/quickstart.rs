@@ -49,13 +49,12 @@ fn main() {
     println!("d(0 → {}) = {}", n - 1, dist.get(0, n - 1));
 
     // What the engine did.
-    sc.with_event_log(|log| {
-        println!(
-            "engine: {} stages, {} tasks, {:.1} MB shuffled ({:.1} MB cross-node)",
-            log.stage_count(),
-            log.task_count(),
-            (log.total_local_bytes() + log.total_remote_bytes()) as f64 / 1e6,
-            log.total_remote_bytes() as f64 / 1e6,
-        );
-    });
+    let did = sc.summary();
+    println!(
+        "engine: {} stages, {} tasks, {:.1} MB shuffled ({:.1} MB cross-node)",
+        did.stages,
+        did.tasks,
+        (did.local_bytes + did.remote_bytes) as f64 / 1e6,
+        did.remote_bytes as f64 / 1e6,
+    );
 }

@@ -95,12 +95,11 @@ fn main() {
     );
     println!("validated against the sequential reference (bitwise)");
 
-    sc.with_event_log(|log| {
-        println!(
-            "engine: {} stages across {} wavefront diagonals, {:.1} kB of halos broadcast",
-            log.stage_count(),
-            2 * reference_genome.len().div_ceil(64) - 1,
-            log.total_broadcast_bytes() as f64 / 1e3,
-        );
-    });
+    let did = sc.summary();
+    println!(
+        "engine: {} stages across {} wavefront diagonals, {:.1} kB of halos broadcast",
+        did.stages,
+        2 * reference_genome.len().div_ceil(64) - 1,
+        did.broadcast_bytes as f64 / 1e3,
+    );
 }

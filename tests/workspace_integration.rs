@@ -32,11 +32,10 @@ fn full_stack_apsp_on_road_network() {
         .with_kernel(KernelSpec::recursive(3, 3, 2));
     let times = solve::<Tropical>(&sc, &cfg, &roads).expect("solve");
     assert_eq!(check_apsp(&roads, &times, 1e-9), None);
-    sc.with_event_log(|log| {
-        assert!(log.stage_count() >= 4 * 4, "4 phases × ≥4 stages each");
-        assert!(log.total_staged_bytes() > 0, "IM stages shuffle data");
-        assert!(log.total_collect_bytes() > 0, "final collect");
-    });
+    let did = sc.summary();
+    assert!(did.stages >= 4 * 4, "4 phases × ≥4 stages each");
+    assert!(did.staged_bytes > 0, "IM stages shuffle data");
+    assert!(did.collect_bytes > 0, "final collect");
 }
 
 #[test]
