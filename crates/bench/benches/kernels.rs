@@ -185,7 +185,7 @@ fn bench_d_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Every registered dense backend through the registry's own `run`
+/// Every registered backend through the registry's own `run`
 /// entry point, per GEP kind, on min-plus tiles. Operands follow the
 /// solver's raw convention: A updates the diagonal in place, B/C see
 /// the diagonal as `w`, D gets the column/row panels (`w` elided —
@@ -204,7 +204,7 @@ fn bench_backend_matrix(_c: &mut Criterion) {
     let bytes = (b * b * 8) as u64;
     let reg = registry::<Tropical>();
     for spec in reg.dense_candidates(params) {
-        let backend = reg.resolve(&spec).expect("a dense candidate resolves");
+        let backend = reg.resolve(&spec).expect("a candidate resolves");
         let name = backend.name();
         for kind in [Kind::A, Kind::B, Kind::C, Kind::D] {
             let label = format!("backend_kernel/{name}/{kind:?}");

@@ -38,7 +38,7 @@ use cluster_model::{
 };
 use sparklet::{Partitioner, RunSummary, SparkContext, StorageLevel};
 
-use crate::backend::{registry, KernelBackend, KernelSpec};
+use crate::backend::KernelParams;
 use crate::config::Strategy;
 use crate::filters;
 use crate::problem::DpProblem;
@@ -65,8 +65,9 @@ pub(crate) enum AqeAction {
     Repartition(usize),
     /// Switch the distribution strategy for the remaining iterations.
     SwitchStrategy(Strategy),
-    /// Change the executor kernel shape for the remaining iterations.
-    Retune(KernelSpec),
+    /// Change the executor kernel shape for the remaining iterations
+    /// (same backend, new params).
+    Retune(KernelParams),
     /// Re-tier the materialization storage level.
     Retier(StorageLevel),
 }
@@ -115,7 +116,7 @@ impl AqePlanner {
     /// and per-kind update counts (no measurements exist yet), and the
     /// partition count is re-picked the same way [`Self::replan`]
     /// does. Measured records then refine the plan every iteration.
-    pub(crate) fn plan_initial<S: DpProblem>(&self, plan: &Plan) -> Vec<AqeDecision> {
+    pub(crate) fn plan_initial<S: DpProblem>(&self, plan: &Plan<S>) -> Vec<AqeDecision> {
         let (g, b) = (plan.grid, plan.block);
         let keys = active_keys::<S>(0, g, b);
         if keys.is_empty() {
@@ -128,8 +129,7 @@ impl AqePlanner {
             .sum();
         let (panel, d_blocks) = phase_blocks::<S>(0, g, b);
         let bytes = self.im_shuffle_bytes(panel, d_blocks, b);
-        let kt = resolve::<S>(&plan.kernel).kernel_type(&plan.kernel.params);
-        self.repartition(plan, &keys, bytes, updates, kt)
+        self.repartition(plan, &keys, bytes, updates)
             .into_iter()
             .collect()
     }
@@ -142,10 +142,8 @@ impl AqePlanner {
         &mut self,
         sc: &SparkContext,
         k: usize,
-        plan: &Plan,
+        plan: &Plan<S>,
     ) -> Vec<AqeDecision> {
-        let backend = resolve::<S>(&plan.kernel);
-        let kt = backend.kernel_type(&plan.kernel.params);
         let did = sc.with_event_log(|log| {
             let stages = log.stages();
             let from = self.stage_watermark.min(stages.len());
@@ -166,15 +164,15 @@ impl AqePlanner {
         let mut out = Vec::new();
         out.extend(self.retier(&did, plan.level));
         let mut partitions = plan.partitions;
-        if let Some(d) = self.repartition(plan, &next_keys, next_bytes, next_updates, kt) {
+        if let Some(d) = self.repartition(plan, &next_keys, next_bytes, next_updates) {
             if let AqeAction::Repartition(p) = d.action {
                 partitions = p;
             }
             out.push(d);
         }
         let loads = placement_loads(&next_keys, plan.partitioner.as_ref(), partitions);
-        out.extend(self.switch_strategy::<S>(plan, k + 1, &loads, kt, next_bytes, next_updates));
-        out.extend(self.retune(backend.as_ref(), plan, next_updates, partitions));
+        out.extend(self.switch_strategy(plan, k + 1, &loads, next_bytes, next_updates));
+        out.extend(self.retune(plan, next_updates, partitions));
         out
     }
 
@@ -281,15 +279,14 @@ impl AqePlanner {
     /// candidate is priced at the partitioner's *actual* placement of
     /// the next phase's active keys, so quantization skew at low
     /// counts is charged honestly.
-    fn repartition(
+    fn repartition<S: DpProblem>(
         &self,
-        plan: &Plan,
+        plan: &Plan<S>,
         next_keys: &[(usize, usize)],
         bytes: u64,
         updates: f64,
-        kt: KernelType,
     ) -> Option<AqeDecision> {
-        let (current, b) = (plan.partitions, plan.block);
+        let (current, b, kt) = (plan.partitions, plan.block, plan.kernel.kernel_type());
         let active_next = next_keys.len();
         let price = |p: usize| {
             let loads = placement_loads(next_keys, plan.partitioner.as_ref(), p);
@@ -325,14 +322,14 @@ impl AqePlanner {
     /// other strategy wins by [`STRATEGY_MARGIN`].
     fn switch_strategy<S: DpProblem>(
         &self,
-        plan: &Plan,
+        plan: &Plan<S>,
         k: usize,
         loads: &[f64],
-        kt: KernelType,
         im_bytes: u64,
         updates: f64,
     ) -> Option<AqeDecision> {
         let (g, b, strategy) = (plan.grid, plan.block, plan.strategy);
+        let kt = plan.kernel.kernel_type();
         // CB moves the A block plus the B/C panels through the driver,
         // regardless of what IM would shuffle.
         let (panel, d_blocks) = phase_blocks::<S>(k, g, b);
@@ -368,29 +365,30 @@ impl AqePlanner {
     /// Re-pick `r_shared` for fan-out-parametric backends (the
     /// recursive family) from the compute model at the next
     /// iteration's update volume. Backends whose shape has no fan-out
-    /// knob ([`KernelBackend::fanout_parametric`] is `false`) are left
-    /// alone.
+    /// knob ([`crate::KernelBackend::fanout_parametric`] is `false`)
+    /// are left alone.
     fn retune<S: DpProblem>(
         &self,
-        backend: &dyn KernelBackend<S>,
-        plan: &Plan,
+        plan: &Plan<S>,
         updates: f64,
         partitions: usize,
     ) -> Option<AqeDecision> {
-        if !backend.fanout_parametric() {
+        let (kernel, b) = (&plan.kernel, plan.block);
+        if !kernel.fanout_parametric() {
             return None;
         }
-        let (kernel, b) = (&plan.kernel, plan.block);
-        let r_shared = kernel.params.r_shared;
+        let r_shared = kernel.params().r_shared;
         let per_task = updates / partitions.max(1) as f64;
+        let at = |r: usize| KernelParams {
+            r_shared: r,
+            ..kernel.params()
+        };
         let price = |r: usize| {
-            let mut params = kernel.params;
-            params.r_shared = r;
             self.model.core_seconds(&KernelInvocation {
                 updates: per_task,
                 block_side: b,
                 elem_bytes: self.elem_bytes,
-                kernel: backend.kernel_type(&params),
+                kernel: kernel.with_params(at(r)).kernel_type(),
             })
         };
         let now = price(r_shared);
@@ -402,10 +400,8 @@ impl AqePlanner {
         if best.1 >= now * REPLAN_MARGIN {
             return None;
         }
-        let mut retuned = kernel.clone();
-        retuned.params.r_shared = best.0;
         Some(AqeDecision {
-            action: AqeAction::Retune(retuned),
+            action: AqeAction::Retune(at(best.0)),
             label: format!("kernel:r{}->r{}", r_shared, best.0),
             reason: format!(
                 "modeled task compute {:.4}s vs {:.4}s at r={}",
@@ -433,14 +429,6 @@ impl AqePlanner {
             ),
         })
     }
-}
-
-/// The dense backend `kernel` resolves to; an unusable spec is a
-/// config bug the solve itself would also panic on.
-fn resolve<S: DpProblem>(kernel: &KernelSpec) -> std::sync::Arc<dyn KernelBackend<S>> {
-    registry::<S>()
-        .resolve(kernel)
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Every block key of a `g×g` grid, in row-major order.
@@ -507,10 +495,11 @@ mod tests {
         // A tiny next-phase volume at a huge partition count: overhead
         // dominates, so the planner must coalesce — and only to a
         // divisor at or above the 4-executor floor.
-        let plan = Plan::new(&sc, &DpConfig::new(64, 8).with_partitions(96));
+        let plan = Plan::<Tropical>::new(&sc, &DpConfig::new(64, 8).with_partitions(96))
+            .expect("the default config resolves");
         let keys = [(0, 0), (0, 1), (1, 0), (1, 1)];
         let d = planner
-            .repartition(&plan, &keys, 1 << 12, 1e4, KernelType::Iterative)
+            .repartition(&plan, &keys, 1 << 12, 1e4)
             .expect("overhead-dominated stage must coalesce");
         let AqeAction::Repartition(p) = d.action else {
             panic!("expected repartition, got {d:?}");

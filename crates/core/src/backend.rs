@@ -1,53 +1,48 @@
-//! Pluggable kernel backends: the formulation/backend split.
+//! Kernel backends: the formulation/backend split.
 //!
-//! The paper's kernels (iterative `A..D`, recursive r-way R-DP) were
-//! historically a hard-coded enum branched inside `apply_kernel`;
-//! every new compute path (Strassen-style kernels, sparse sweeps, a
-//! GPU offload) had to edit the solve path, the adaptive prober, the
-//! AQE planner, and the cost model in lockstep. This module splits the
+//! The paper has two executor kernel types — the loop-based baseline
+//! and the parallel r-way recursive R-DP kernel. This module splits the
 //! *formulation* (a [`crate::problem::DpProblem`]: update `f`, Σ_G,
 //! filters) from the *backend* (how one block kernel is executed) and
-//! routes every dispatch through a [`BackendRegistry`]:
+//! gives the choice between backends one home:
 //!
-//! * [`KernelBackend`] — capability descriptor + execution hook. A
-//!   backend names itself, declares which GEP kinds it handles, maps
-//!   itself onto a cost-model [`cluster_model::KernelType`], reports
-//!   runtime availability, and runs (or cost-accounts) one kernel.
+//! * [`KernelBackend`] — four hooks: a registry `name`, whether
+//!   `r_shared` changes its shape (`fanout_parametric`), the cost-model
+//!   [`KernelType`] it prices as, and `run`.
 //! * [`BackendRegistry`] — named registration with **deterministic
 //!   resolution**: entries keep their registration order, and a
 //!   [`KernelSpec`]'s `backend` + fallback chain is walked in the
-//!   caller-given order, skipping unregistered/unavailable entries.
-//!   Resolution consults no ambient state (no time, no randomness), so
-//!   seeded sim/chaos replays stay bit-identical with the registry in
-//!   place.
+//!   caller-given order, skipping unregistered names. Resolution
+//!   consults no ambient state (no time, no randomness), so seeded
+//!   sim/chaos replays stay bit-identical with the registry in place.
 //! * [`KernelSpec`] — the config-surface selector: a backend name,
 //!   an ordered fallback chain, and the shared numeric parameters
-//!   ([`KernelParams`]). (The pre-registry `KernelChoice` enum and its
-//!   deprecation shim are gone; specs are the only selector.)
+//!   ([`KernelParams`]).
 //!
-//! Backends are also **representation-aware**: each declares which
-//! [`TileRepr`]s it can execute (`supports_repr`, dense-only by
-//! default), and [`BackendRegistry::resolve_for`] walks the spec's
-//! chain *per representation*, so a sparse tile can never resolve to a
-//! dense-only kernel and vice versa. Dense resolution
-//! ([`BackendRegistry::resolve`]) is unchanged byte-for-byte.
+//! A solve resolves its spec **once, on the driver**, when its plan is
+//! built (a crate-private `ResolvedKernel`: backend, params, priced
+//! type); task closures clone that handle and never come back here. An
+//! unusable chain is therefore one typed error before any stage runs,
+//! and re-registering a backend mid-solve cannot change a plan already
+//! in flight.
 //!
-//! Built-in backends, registered in this fixed order: `iterative`,
-//! `recursive`, `blocked` (cache-blocked micro-tiled), and `sweep`
-//! (the CSR relaxation sweep behind the sparse-APSP path). Virtual
-//! (cost-accounting) runs need no backend of their own: a kernel on a
-//! `Block::Virtual` is priced as the resolved backend and not run.
+//! Built-in backends, registered in this fixed order: `iterative` and
+//! `recursive`. Virtual (cost-accounting) runs need no backend of their
+//! own: a kernel on a `Block::Virtual` is priced as the resolved
+//! backend and not run. The sparse-APSP relaxation sweep is not a
+//! backend: it has one implementation
+//! ([`gep_kernels::sparse::sweep_gep`]), so
+//! [`crate::kernels::apply_sweep`] calls it directly.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gep_kernels::blocked::blocked_kernel;
+use cluster_model::KernelType;
 use gep_kernels::gep::Kind;
 use gep_kernels::iterative::block_kernel;
 use gep_kernels::recursive::{rec_kernel, RecConfig};
-use gep_kernels::sparse::{sweep_gep, Csr, TileRepr};
-use gep_kernels::{Matrix, TileMut, TileRef};
+use gep_kernels::{TileMut, TileRef};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -55,8 +50,8 @@ use crate::kernels::omp_pool;
 use crate::problem::DpProblem;
 
 /// Numeric kernel parameters shared by every backend. Backends read
-/// what they understand (`iterative`/`blocked` ignore all three;
-/// `recursive` reads the full set).
+/// what they understand (`iterative` ignores all three; `recursive`
+/// reads the full set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelParams {
     /// Recursive fan-out inside the executor kernel (`r_shared`).
@@ -79,14 +74,13 @@ impl Default for KernelParams {
 
 /// Config-surface kernel selector: which backend runs executor kernels,
 /// in what parameterization, and what to fall back to when the primary
-/// is not registered or reports itself unavailable at runtime.
+/// is not registered.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelSpec {
     /// Primary backend name (a [`BackendRegistry`] registration name).
     pub backend: String,
     /// Ordered fallback chain, tried after `backend` in the given
-    /// order. Resolution is deterministic: first registered *and*
-    /// available name wins.
+    /// order. Resolution is deterministic: first registered name wins.
     pub fallbacks: Vec<String>,
     /// Shared numeric parameters.
     pub params: KernelParams,
@@ -161,8 +155,7 @@ pub enum ConfigError {
     },
     /// A parameter that must be ≥ 1 was 0 (names the parameter).
     ZeroParam(&'static str),
-    /// The spec's backend chain contains no name that is registered
-    /// and available.
+    /// The spec's backend chain contains no registered name.
     NoUsableBackend {
         /// The chain that was walked, primary first.
         requested: Vec<String>,
@@ -202,60 +195,23 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// How a backend uses threads inside one task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadModel {
-    /// Single-threaded within the task.
-    Serial,
-    /// Joins an OpenMP-style shared pool of `params.threads` workers.
-    PooledTeam,
-}
-
-/// One executor-side kernel implementation plus its capability
-/// descriptor. Implementations must be deterministic: same inputs →
-/// bit-identical outputs, with no dependence on wall time or ambient
+/// One executor-side kernel implementation plus what the planner needs
+/// to know about it. Implementations must be deterministic: same inputs
+/// → bit-identical outputs, with no dependence on wall time or ambient
 /// randomness (the seeded sim/chaos replay contract).
 pub trait KernelBackend<S: DpProblem>: Send + Sync {
-    /// Registry name (also the `DpConfig::with_backend` selector).
+    /// Registry name (what a [`KernelSpec`] selects by).
     fn name(&self) -> &'static str;
 
-    /// Does this backend implement the given GEP kind? Resolution does
-    /// not consult this per-call (a backend serves whole solves); it
-    /// is a capability declaration for tooling and tests.
-    fn supports_kind(&self, _kind: Kind) -> bool {
-        true
-    }
-
     /// Does `params.r_shared` change this backend's execution (and
-    /// pricing)? The AQE r-retune decision only fires for parametric
-    /// backends.
+    /// pricing)? The AQE r-retune decision and the tuner's
+    /// `r_shared × threads` grid only apply to parametric backends.
     fn fanout_parametric(&self) -> bool {
         false
     }
 
-    /// Runtime availability check (a GPU backend would probe its
-    /// device here). Unavailable backends are skipped by resolution.
-    fn available(&self) -> bool {
-        true
-    }
-
-    /// Which tile representations this backend can execute. The
-    /// default — dense only — is exactly the pre-sparse contract, so
-    /// existing backends need no changes.
-    /// [`BackendRegistry::resolve_for`] skips backends that reject the
-    /// tile's representation; dense enumeration sites (the adaptive
-    /// prober, the tuner, the equivalence oracle) filter on it too.
-    fn supports_repr(&self, repr: TileRepr) -> bool {
-        repr == TileRepr::Dense
-    }
-
-    /// Thread model inside one task.
-    fn thread_model(&self) -> ThreadModel {
-        ThreadModel::Serial
-    }
-
     /// The cost-model descriptor this backend prices as.
-    fn kernel_type(&self, params: &KernelParams) -> cluster_model::KernelType;
+    fn kernel_type(&self, params: &KernelParams) -> KernelType;
 
     /// Execute one block kernel. Operands arrive in the solver's raw
     /// convention: `u`/`v` are the column/row panels (kind D only),
@@ -270,39 +226,12 @@ pub trait KernelBackend<S: DpProblem>: Send + Sync {
         v: Option<TileRef<'_, S::Elem>>,
         w: Option<TileRef<'_, S::Elem>>,
     );
-
-    /// Execute one relaxation sweep over a CSR tile — the sparse
-    /// counterpart of [`KernelBackend::run`]: for every source row `s`
-    /// of `dist` and stored edge `(u → v, w)` of `edges`, fold
-    /// `cand[s][v] = f(cand[s][v], dist[s][u], w, w)` through the
-    /// problem's update function. `skip` marks source distances that
-    /// cannot relax anything (`+∞` for min-plus). The default panics:
-    /// only backends with `supports_repr(SparseCsr)` are ever resolved
-    /// for sparse tiles, and they must override this.
-    fn sweep(
-        &self,
-        edges: &Csr<S::Elem>,
-        dist: &Matrix<S::Elem>,
-        skip: S::Elem,
-        cand: &mut Matrix<S::Elem>,
-    ) {
-        let _ = (edges, dist, skip, cand);
-        panic!(
-            "backend `{}` does not implement sparse sweeps (supports_repr \
-             must gate it out of sparse resolution)",
-            self.name()
-        );
-    }
 }
 
 /// Registry name of the loop-based baseline backend.
 pub const ITERATIVE: &str = "iterative";
 /// Registry name of the r-way recursive backend.
 pub const RECURSIVE: &str = "recursive";
-/// Registry name of the cache-blocked micro-tiled backend.
-pub const BLOCKED: &str = "blocked";
-/// Registry name of the CSR relaxation-sweep backend (sparse tiles).
-pub const SWEEP: &str = "sweep";
 
 /// The loop-based block kernels (the paper's Numba-baseline analogue).
 struct IterativeBackend;
@@ -312,8 +241,8 @@ impl<S: DpProblem> KernelBackend<S> for IterativeBackend {
         ITERATIVE
     }
 
-    fn kernel_type(&self, _params: &KernelParams) -> cluster_model::KernelType {
-        cluster_model::KernelType::Iterative
+    fn kernel_type(&self, _params: &KernelParams) -> KernelType {
+        KernelType::Iterative
     }
 
     fn run(
@@ -349,12 +278,8 @@ impl<S: DpProblem> KernelBackend<S> for RecursiveBackend {
         true
     }
 
-    fn thread_model(&self) -> ThreadModel {
-        ThreadModel::PooledTeam
-    }
-
-    fn kernel_type(&self, params: &KernelParams) -> cluster_model::KernelType {
-        cluster_model::KernelType::Recursive {
+    fn kernel_type(&self, params: &KernelParams) -> KernelType {
+        KernelType::Recursive {
             r_shared: params.r_shared,
             threads: params.threads,
         }
@@ -375,86 +300,6 @@ impl<S: DpProblem> KernelBackend<S> for RecursiveBackend {
     }
 }
 
-/// The cache-blocked micro-tiled iterative kernel (see
-/// [`gep_kernels::blocked`]): D kernels run in cache-sized `i×j` tiles
-/// with register-blocked min-plus/max-min inner loops.
-struct BlockedBackend;
-
-impl<S: DpProblem> KernelBackend<S> for BlockedBackend {
-    fn name(&self) -> &'static str {
-        BLOCKED
-    }
-
-    fn kernel_type(&self, _params: &KernelParams) -> cluster_model::KernelType {
-        // Same loop count and asymptotic cache profile class as the
-        // iterative baseline; the cost model's iterative tiers apply.
-        cluster_model::KernelType::Iterative
-    }
-
-    fn run(
-        &self,
-        kind: Kind,
-        _params: &KernelParams,
-        x: &mut TileMut<'_, S::Elem>,
-        u: Option<TileRef<'_, S::Elem>>,
-        v: Option<TileRef<'_, S::Elem>>,
-        w: Option<TileRef<'_, S::Elem>>,
-    ) {
-        let (ku, kv, kw) = match kind {
-            Kind::A => (None, None, None),
-            Kind::B => (w, None, w),
-            Kind::C => (None, w, w),
-            Kind::D => (u, v, w),
-        };
-        blocked_kernel::<S>(kind, x, ku, kv, kw);
-    }
-}
-
-/// The CSR relaxation-sweep backend — the first sparse-representation
-/// citizen of the registry. It serves `TileRepr::SparseCsr` only:
-/// dense resolution never reaches it (`supports_repr` rejects dense),
-/// and its `run` hook panics loudly if somehow handed a dense tile.
-/// Priced as [`cluster_model::KernelType::SparseSweep`], whose work
-/// term is `sources · nnz` — the representation-aware cost the
-/// crossover study leans on.
-struct SweepBackend;
-
-impl<S: DpProblem> KernelBackend<S> for SweepBackend {
-    fn name(&self) -> &'static str {
-        SWEEP
-    }
-
-    fn supports_repr(&self, repr: TileRepr) -> bool {
-        repr == TileRepr::SparseCsr
-    }
-
-    fn kernel_type(&self, _params: &KernelParams) -> cluster_model::KernelType {
-        cluster_model::KernelType::SparseSweep
-    }
-
-    fn run(
-        &self,
-        _kind: Kind,
-        _params: &KernelParams,
-        _x: &mut TileMut<'_, S::Elem>,
-        _u: Option<TileRef<'_, S::Elem>>,
-        _v: Option<TileRef<'_, S::Elem>>,
-        _w: Option<TileRef<'_, S::Elem>>,
-    ) {
-        panic!("the `sweep` backend executes CSR relaxation sweeps, not dense block kernels");
-    }
-
-    fn sweep(
-        &self,
-        edges: &Csr<S::Elem>,
-        dist: &Matrix<S::Elem>,
-        skip: S::Elem,
-        cand: &mut Matrix<S::Elem>,
-    ) {
-        sweep_gep::<S>(edges, dist, skip, cand);
-    }
-}
-
 /// Named kernel backends in fixed registration order.
 ///
 /// Order is part of the determinism contract: `names()` reports it,
@@ -472,14 +317,12 @@ impl<S: DpProblem> BackendRegistry<S> {
         }
     }
 
-    /// The built-in backends: `iterative`, `recursive`, `blocked`,
-    /// `sweep` — in that fixed order.
+    /// The built-in backends — the paper's two kernel types —
+    /// `iterative`, `recursive`, in that fixed order.
     pub fn builtin() -> Self {
         let mut r = BackendRegistry::new();
         r.register(Arc::new(IterativeBackend));
         r.register(Arc::new(RecursiveBackend));
-        r.register(Arc::new(BlockedBackend));
-        r.register(Arc::new(SweepBackend));
         r
     }
 
@@ -510,56 +353,28 @@ impl<S: DpProblem> BackendRegistry<S> {
         &self.entries
     }
 
-    /// Can `b` run tiles of `repr` on this host?
-    fn usable(b: &dyn KernelBackend<S>, repr: TileRepr) -> bool {
-        b.available() && b.supports_repr(repr)
-    }
-
-    /// One spec per backend that can run dense tiles here (available
-    /// and dense-capable), in registration order, each carrying
-    /// `params`: the candidate list of every tuner and sweep, so a
-    /// newly registered backend joins all of them with no call-site
-    /// change.
+    /// One spec per registered backend, in registration order, each
+    /// carrying `params`: the candidate list of every tuner and sweep,
+    /// so a newly registered backend joins all of them with no
+    /// call-site change.
     pub fn dense_candidates(&self, params: KernelParams) -> Vec<KernelSpec> {
         self.entries
             .iter()
-            .filter(|b| Self::usable(b.as_ref(), TileRepr::Dense))
             .map(|b| KernelSpec::named(b.name()).with_params(params))
             .collect()
     }
 
-    /// Resolve a spec to a backend for **dense** tiles — the
-    /// historical entry point, byte-identical to its pre-sparse
-    /// behavior (every pre-sparse backend supports dense).
+    /// Resolve a spec to a backend: walk `[spec.backend] + fallbacks`
+    /// in order, skip unregistered names, return the first hit.
+    /// Deterministic by construction.
     pub fn resolve(&self, spec: &KernelSpec) -> Result<Arc<dyn KernelBackend<S>>, ConfigError> {
-        self.resolve_for(spec, TileRepr::Dense)
-    }
-
-    /// Resolve a spec to a backend for tiles of the given
-    /// representation: walk `[spec.backend] + fallbacks` in order,
-    /// skip names that are unregistered, report `available() ==
-    /// false`, or reject `repr`, return the first hit. Deterministic
-    /// by construction.
-    pub fn resolve_for(
-        &self,
-        spec: &KernelSpec,
-        repr: TileRepr,
-    ) -> Result<Arc<dyn KernelBackend<S>>, ConfigError> {
-        let chain =
-            std::iter::once(spec.backend.as_str()).chain(spec.fallbacks.iter().map(String::as_str));
-        for name in chain {
-            if let Some(b) = self.get(name) {
-                if Self::usable(b.as_ref(), repr) {
-                    return Ok(b);
-                }
-            }
-        }
-        Err(ConfigError::NoUsableBackend {
-            requested: std::iter::once(spec.backend.clone())
-                .chain(spec.fallbacks.iter().cloned())
-                .collect(),
-            registered: self.names().iter().map(|s| s.to_string()).collect(),
-        })
+        let chain = || std::iter::once(&spec.backend).chain(&spec.fallbacks);
+        chain()
+            .find_map(|name| self.get(name))
+            .ok_or_else(|| ConfigError::NoUsableBackend {
+                requested: chain().cloned().collect(),
+                registered: self.names().iter().map(|s| s.to_string()).collect(),
+            })
     }
 }
 
@@ -604,38 +419,115 @@ pub fn register_backend<S: DpProblem>(backend: Arc<dyn KernelBackend<S>>) {
     );
 }
 
+/// A [`KernelSpec`] resolved once, on the driver, when a plan is
+/// built: the backend the chain picked, the params it runs with and the
+/// cost-model type those price as. Task closures clone it (an `Arc`
+/// bump) instead of walking the process-wide registry per tile, so the
+/// registry lock is off the executor path and a plan in flight keeps
+/// the backend it started with whatever is registered meanwhile.
+pub(crate) struct ResolvedKernel<S: DpProblem> {
+    backend: Arc<dyn KernelBackend<S>>,
+    params: KernelParams,
+    kernel_type: KernelType,
+}
+
+impl<S: DpProblem> Clone for ResolvedKernel<S> {
+    fn clone(&self) -> Self {
+        ResolvedKernel {
+            backend: Arc::clone(&self.backend),
+            ..*self
+        }
+    }
+}
+
+impl<S: DpProblem> ResolvedKernel<S> {
+    /// `backend` at `params`, priced.
+    fn bind(backend: Arc<dyn KernelBackend<S>>, params: KernelParams) -> Self {
+        ResolvedKernel {
+            kernel_type: backend.kernel_type(&params),
+            backend,
+            params,
+        }
+    }
+
+    /// Resolve `spec` against the process-wide registry for `S`.
+    pub(crate) fn resolve(spec: &KernelSpec) -> Result<Self, ConfigError> {
+        Ok(Self::bind(registry::<S>().resolve(spec)?, spec.params))
+    }
+
+    /// The same backend at other params (the AQE r-retune), re-priced.
+    pub(crate) fn with_params(&self, params: KernelParams) -> Self {
+        Self::bind(Arc::clone(&self.backend), params)
+    }
+
+    /// The params the backend runs with.
+    pub(crate) fn params(&self) -> KernelParams {
+        self.params
+    }
+
+    /// What one invocation prices as.
+    pub(crate) fn kernel_type(&self) -> KernelType {
+        self.kernel_type
+    }
+
+    /// See [`KernelBackend::fanout_parametric`].
+    pub(crate) fn fanout_parametric(&self) -> bool {
+        self.backend.fanout_parametric()
+    }
+
+    /// See [`KernelBackend::run`].
+    pub(crate) fn run(
+        &self,
+        kind: Kind,
+        x: &mut TileMut<'_, S::Elem>,
+        u: Option<TileRef<'_, S::Elem>>,
+        v: Option<TileRef<'_, S::Elem>>,
+        w: Option<TileRef<'_, S::Elem>>,
+    ) {
+        self.backend.run(kind, &self.params, x, u, v, w);
+    }
+}
+
+/// The `DP_KERNEL_BACKEND` rule: a non-empty `primary` rebinds the
+/// spec's primary backend and nothing else — params and the fallback
+/// chain stay the caller's. It is how CI runs the whole acceptance
+/// suite once per backend. Only dense plans apply it; the sparse sweep
+/// takes no spec.
+pub(crate) fn rebind_primary(mut spec: KernelSpec, primary: Option<&str>) -> KernelSpec {
+    if let Some(name) = primary.filter(|name| !name.is_empty()) {
+        spec.backend = name.to_string();
+    }
+    spec
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gep_kernels::Tropical;
+    use gep_kernels::{TransitiveClosure, Tropical};
 
-    /// A backend that is registered but reports itself unavailable —
-    /// the GPU-not-present stand-in for fallback tests.
-    struct Unavailable;
+    /// A third backend, as a user crate would register one: the
+    /// iterative loops under another name.
+    struct Extra;
 
-    impl<S: DpProblem> KernelBackend<S> for Unavailable {
+    impl<S: DpProblem> KernelBackend<S> for Extra {
         fn name(&self) -> &'static str {
-            "gpu-test"
+            "extra-test"
         }
 
-        fn available(&self) -> bool {
-            false
-        }
-
-        fn kernel_type(&self, _params: &KernelParams) -> cluster_model::KernelType {
-            cluster_model::KernelType::Iterative
+        fn kernel_type(&self, _params: &KernelParams) -> KernelType {
+            KernelType::Iterative
         }
 
         fn run(
             &self,
-            _kind: Kind,
-            _params: &KernelParams,
-            _x: &mut TileMut<'_, S::Elem>,
-            _u: Option<TileRef<'_, S::Elem>>,
-            _v: Option<TileRef<'_, S::Elem>>,
-            _w: Option<TileRef<'_, S::Elem>>,
+            kind: Kind,
+            params: &KernelParams,
+            x: &mut TileMut<'_, S::Elem>,
+            u: Option<TileRef<'_, S::Elem>>,
+            v: Option<TileRef<'_, S::Elem>>,
+            w: Option<TileRef<'_, S::Elem>>,
         ) {
-            unreachable!("never resolved")
+            KernelBackend::<S>::run(&IterativeBackend, kind, params, x, u, v, w);
         }
     }
 
@@ -644,7 +536,7 @@ mod tests {
         let r = BackendRegistry::<Tropical>::builtin();
         assert_eq!(
             r.names(),
-            vec![ITERATIVE, RECURSIVE, BLOCKED, SWEEP],
+            vec![ITERATIVE, RECURSIVE],
             "registration order is the determinism contract"
         );
     }
@@ -652,14 +544,15 @@ mod tests {
     #[test]
     fn resolve_walks_fallback_chain_deterministically() {
         let mut r = BackendRegistry::<Tropical>::builtin();
-        r.register(Arc::new(Unavailable));
-        // Primary unavailable → first fallback unregistered → second
-        // fallback wins. Same input, same answer, every time.
+        r.register(Arc::new(Extra));
+        // Primary and first fallback unregistered → second fallback
+        // wins, ahead of the third. Same input, same answer, every time.
         let spec = KernelSpec::named("gpu-test")
             .with_fallback("no-such-backend")
-            .with_fallback(BLOCKED);
+            .with_fallback("extra-test")
+            .with_fallback(ITERATIVE);
         for _ in 0..3 {
-            assert_eq!(r.resolve(&spec).unwrap().name(), BLOCKED);
+            assert_eq!(r.resolve(&spec).unwrap().name(), "extra-test");
         }
     }
 
@@ -673,7 +566,7 @@ mod tests {
                 registered,
             }) => {
                 assert_eq!(requested, vec!["missing", "also-missing"]);
-                assert_eq!(registered, vec![ITERATIVE, RECURSIVE, BLOCKED, SWEEP]);
+                assert_eq!(registered, vec![ITERATIVE, RECURSIVE]);
             }
             Err(other) => panic!("expected NoUsableBackend, got {other:?}"),
             Ok(b) => panic!("expected NoUsableBackend, resolved {}", b.name()),
@@ -684,75 +577,71 @@ mod tests {
     fn reregistration_replaces_in_place() {
         let mut r = BackendRegistry::<Tropical>::builtin();
         r.register(Arc::new(IterativeBackend));
-        assert_eq!(r.names(), vec![ITERATIVE, RECURSIVE, BLOCKED, SWEEP]);
+        assert_eq!(r.names(), vec![ITERATIVE, RECURSIVE]);
     }
 
     #[test]
-    fn sparse_resolution_is_repr_gated_both_ways() {
-        let r = BackendRegistry::<Tropical>::builtin();
-        // A dense spec never resolves to the sweep backend, even named
-        // directly — it falls through to its dense fallback.
-        let spec = KernelSpec::named(SWEEP).with_fallback(ITERATIVE);
-        assert_eq!(r.resolve(&spec).unwrap().name(), ITERATIVE);
-        // Sparse resolution skips every dense backend and lands on
-        // sweep, whatever the chain order.
-        let chain = KernelSpec::iterative()
-            .with_fallback(BLOCKED)
-            .with_fallback(SWEEP);
+    fn global_registry_is_per_problem_and_extendable() {
+        // Registered under a problem type no other unit test enumerates
+        // candidates for, so their probe lists stay the built-ins.
+        register_backend::<TransitiveClosure>(Arc::new(Extra));
+        let r = registry::<TransitiveClosure>();
+        assert_eq!(r.names(), vec![ITERATIVE, RECURSIVE, "extra-test"]);
+        let spec = KernelSpec::named("missing").with_fallback("extra-test");
+        assert_eq!(r.resolve(&spec).unwrap().name(), "extra-test");
+        assert!(!registry::<Tropical>().names().contains(&"extra-test"));
+    }
+
+    #[test]
+    fn resolved_kernel_prices_and_retunes_without_the_registry() {
+        let k = ResolvedKernel::<Tropical>::resolve(&KernelSpec::recursive(2, 4, 3)).unwrap();
+        assert!(k.fanout_parametric());
         assert_eq!(
-            r.resolve_for(&chain, TileRepr::SparseCsr).unwrap().name(),
-            SWEEP
+            k.kernel_type(),
+            KernelType::Recursive {
+                r_shared: 2,
+                threads: 3
+            }
         );
-        // A sparse tile with a dense-only chain is a typed error, not
-        // a deep-in-kernel panic.
+        let mut params = k.params();
+        params.r_shared = 4;
+        assert_eq!(
+            k.with_params(params).kernel_type(),
+            KernelType::Recursive {
+                r_shared: 4,
+                threads: 3
+            }
+        );
         assert!(matches!(
-            r.resolve_for(&KernelSpec::iterative(), TileRepr::SparseCsr),
+            ResolvedKernel::<Tropical>::resolve(&KernelSpec::named("nope")),
             Err(ConfigError::NoUsableBackend { .. })
         ));
     }
 
     #[test]
-    fn sweep_backend_relaxes_through_the_problem_update() {
-        let r = BackendRegistry::<Tropical>::builtin();
-        let b = r.get(SWEEP).unwrap();
-        assert!(b.supports_repr(TileRepr::SparseCsr));
-        assert!(!b.supports_repr(TileRepr::Dense));
+    fn env_override_rebinds_only_the_primary_backend() {
+        // The rule over the variable's value, so no test mutates the
+        // process environment. The sparse path cannot be touched by
+        // it: `apply_sweep` takes no spec.
+        let spec = KernelSpec::recursive(4, 16, 2).with_fallback(ITERATIVE);
+        let rebound = rebind_primary(spec.clone(), Some(ITERATIVE));
+        assert_eq!(rebound.backend, ITERATIVE);
+        assert_eq!(rebound.params, spec.params, "params are the caller's");
+        assert_eq!(rebound.fallbacks, spec.fallbacks, "so is the chain");
         assert_eq!(
-            b.kernel_type(&KernelParams::default()),
-            cluster_model::KernelType::SparseSweep
+            rebind_primary(spec.clone(), Some("")),
+            spec,
+            "empty = unset"
         );
-        let inf = f64::INFINITY;
-        // 0 →(2) 1, 1 →(3) 2 over 3 vertices, single source at 0.
-        let edges = Csr::from_dense(
-            &Matrix::from_vec(3, 3, vec![inf, 2.0, inf, inf, inf, 3.0, inf, inf, inf]),
-            inf,
-        );
-        let dist = Matrix::from_vec(1, 3, vec![0.0, 2.0, inf]);
-        let mut cand = Matrix::filled(1, 3, inf);
-        b.sweep(&edges, &dist, inf, &mut cand);
-        assert_eq!(cand.get(0, 1), 2.0);
-        assert_eq!(cand.get(0, 2), 5.0);
-        assert_eq!(cand.get(0, 0), inf);
-    }
-
-    #[test]
-    fn global_registry_is_per_problem_and_extendable() {
-        let before = registry::<Tropical>().names().len();
-        register_backend::<Tropical>(Arc::new(Unavailable));
-        let r = registry::<Tropical>();
-        assert!(r.names().contains(&"gpu-test"));
-        assert!(r.names().len() >= before);
-        // Unavailable: spec naming it falls back deterministically.
-        let spec = KernelSpec::named("gpu-test").with_fallback(ITERATIVE);
-        assert_eq!(r.resolve(&spec).unwrap().name(), ITERATIVE);
+        assert_eq!(rebind_primary(spec.clone(), None), spec);
     }
 
     #[test]
     fn spec_labels_and_constructors() {
         assert_eq!(KernelSpec::iterative().label(), "iter");
         assert_eq!(KernelSpec::recursive(4, 64, 8).label(), "rec4x8t");
-        assert_eq!(KernelSpec::named(BLOCKED).label(), "blocked");
-        let s = KernelSpec::iterative().with_fallback(BLOCKED);
-        assert_eq!(s.fallbacks, vec![BLOCKED.to_string()]);
+        assert_eq!(KernelSpec::named("custom").label(), "custom");
+        let s = KernelSpec::iterative().with_fallback(RECURSIVE);
+        assert_eq!(s.fallbacks, vec![RECURSIVE.to_string()]);
     }
 }

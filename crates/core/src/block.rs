@@ -18,7 +18,7 @@
 //! additive.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use gep_kernels::sparse::{Csr, TileRepr};
+use gep_kernels::sparse::Csr;
 use gep_kernels::Matrix;
 use sparklet::codec::{decode_le_slice, encode_le_slice};
 use sparklet::{JobError, Storable};
@@ -140,16 +140,6 @@ impl<E: ElemCodec> Block<E> {
         matches!(self, Block::Virtual { .. })
     }
 
-    /// Which tile representation this block carries. Virtual blocks
-    /// declare dense geometry — they stand in for full-scale dense
-    /// tiles in the accounting.
-    pub fn repr(&self) -> TileRepr {
-        match self {
-            Block::Real(_) | Block::Virtual { .. } => TileRepr::Dense,
-            Block::Sparse(_) => TileRepr::SparseCsr,
-        }
-    }
-
     /// Stored entries: `rows·cols` for dense (every cell is
     /// materialized), the CSR nnz for sparse. This is the volume the
     /// cost model prices sparse work by.
@@ -173,7 +163,7 @@ impl<E: ElemCodec> Block<E> {
     }
 
     /// The real matrix, or a panic for virtual/sparse blocks (callers
-    /// branch on [`Block::is_virtual`]/[`Block::repr`] first).
+    /// match on the variant first).
     pub fn expect_real(&self) -> &Matrix<E> {
         match self {
             Block::Real(m) => m,
@@ -424,7 +414,6 @@ mod tests {
         let csr = Csr::from_dense(&dense, f64::INFINITY);
         let nnz = csr.nnz();
         let b = Block::Sparse(csr);
-        assert_eq!(b.repr(), TileRepr::SparseCsr);
         assert_eq!(b.nnz(), nnz);
         let wire = encode_one(&b);
         assert_eq!(wire.len(), b.encoded_len());

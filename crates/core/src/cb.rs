@@ -35,7 +35,7 @@ pub(crate) fn step<S: DpProblem>(
     sc: &SparkContext,
     dp: &Rdd<K, Block<S::Elem>>,
     k: usize,
-    plan: &Plan,
+    plan: &Plan<S>,
 ) -> Result<Rdd<K, Block<S::Elem>>, JobError> {
     let (b, level) = (plan.block, plan.level);
     let kc = plan.kernel.clone();
@@ -49,7 +49,7 @@ pub(crate) fn step<S: DpProblem>(
             items
                 .into_iter()
                 .map(|(key, mut blk)| {
-                    apply_kernel::<S>(Kind::A, key, k, &mut blk, None, None, None, &kc, tc);
+                    apply_kernel(&kc, Kind::A, key, k, &mut blk, None, None, None, tc);
                     (key, blk)
                 })
                 .collect()
@@ -76,7 +76,7 @@ pub(crate) fn step<S: DpProblem>(
                 .into_iter()
                 .map(|(key, mut blk)| {
                     let kind = if key.0 == k { Kind::B } else { Kind::C };
-                    apply_kernel::<S>(kind, key, k, &mut blk, None, None, Some(diag), &kc_bc, tc);
+                    apply_kernel(&kc_bc, kind, key, k, &mut blk, None, None, Some(diag), tc);
                     (key, blk)
                 })
                 .collect()
@@ -116,7 +116,8 @@ pub(crate) fn step<S: DpProblem>(
                 .map(|((i, j), mut blk)| {
                     let u = &panels[*by_key.get(&(i, k)).expect("column-panel operand")].1;
                     let v = &panels[*by_key.get(&(k, j)).expect("row-panel operand")].1;
-                    apply_kernel::<S>(
+                    apply_kernel(
+                        &kc_d,
                         Kind::D,
                         (i, j),
                         k,
@@ -124,7 +125,6 @@ pub(crate) fn step<S: DpProblem>(
                         Some(u),
                         Some(v),
                         Some(diag),
-                        &kc_d,
                         tc,
                     );
                     ((i, j), blk)

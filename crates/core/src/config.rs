@@ -97,14 +97,6 @@ impl DpConfig {
         Ok(self)
     }
 
-    /// Select the kernel backend by registry name, keeping the current
-    /// parameters and fallback chain.
-    pub fn with_backend(mut self, name: &str) -> Self {
-        self.kernel.backend = name.to_string();
-        self.validate().unwrap_or_else(|e| panic!("{e}"));
-        self
-    }
-
     /// Validate the kernel parameterization against this config
     /// (config-time checks; backend-name resolution happens per
     /// problem type at solve time).
@@ -179,7 +171,6 @@ impl DpConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BLOCKED;
 
     #[test]
     fn grid_and_padding() {
@@ -199,8 +190,10 @@ mod tests {
         assert_eq!(c.label(), "CB/rec4x8t/b256");
         assert_eq!(DpConfig::new(8, 4).label(), "IM/iter/b4");
         assert_eq!(
-            DpConfig::new(8, 4).with_backend(BLOCKED).label(),
-            "IM/blocked/b4"
+            DpConfig::new(8, 4)
+                .with_kernel(KernelSpec::named("custom"))
+                .label(),
+            "IM/custom/b4"
         );
     }
 
@@ -240,7 +233,7 @@ mod tests {
             ConfigError::ZeroParam("threads")
         );
         // The fan-out cap applies to the recursive backend only: the
-        // same params under `iterative` or `blocked` are inert.
+        // same params under `iterative` are inert.
         assert!(DpConfig::new(32, 4)
             .try_with_kernel(KernelSpec::iterative().with_params(KernelParams {
                 r_shared: 8,

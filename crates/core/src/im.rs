@@ -50,7 +50,7 @@ fn pick<E>(group: &[(u8, Block<E>)], role: u8) -> Option<usize> {
 pub(crate) fn step<S: DpProblem>(
     dp: &Rdd<K, Block<S::Elem>>,
     k: usize,
-    plan: &Plan,
+    plan: &Plan<S>,
 ) -> Result<Rdd<K, Block<S::Elem>>, JobError> {
     let (g, b, partitions) = (plan.grid, plan.block, plan.partitions);
     // ---- Stage 1: A kernel + copies to every consumer --------------
@@ -62,7 +62,7 @@ pub(crate) fn step<S: DpProblem>(
         .map_partitions_to(move |_p, items, tc| {
             let mut out: Tagged<S::Elem> = Vec::new();
             for (key, mut blk) in items {
-                apply_kernel::<S>(Kind::A, key, k, &mut blk, None, None, None, &kc, tc);
+                apply_kernel(&kc, Kind::A, key, k, &mut blk, None, None, None, tc);
                 for j in 0..g {
                     if filters::filter_b::<S>((k, j), k, b) {
                         out.push(((k, j), (ROLE_DIAG, blk.clone())));
@@ -119,7 +119,7 @@ pub(crate) fn step<S: DpProblem>(
                 let diag = group.swap_remove(d).1;
                 let m = pick(&group, ROLE_MAIN).expect("panel main present");
                 let mut blk = group.swap_remove(m).1;
-                apply_kernel::<S>(kind, key, k, &mut blk, None, None, Some(&diag), &kc_bc, tc);
+                apply_kernel(&kc_bc, kind, key, k, &mut blk, None, None, Some(&diag), tc);
                 for t in 0..g {
                     let consumer = if is_b { (t, key.1) } else { (key.0, t) };
                     if filters::filter_d::<S>(consumer, k, b) {
@@ -162,7 +162,8 @@ pub(crate) fn step<S: DpProblem>(
                 } else {
                     None
                 };
-                apply_kernel::<S>(
+                apply_kernel(
+                    &kc_d,
                     Kind::D,
                     key,
                     k,
@@ -170,7 +171,6 @@ pub(crate) fn step<S: DpProblem>(
                     Some(&u_blk),
                     Some(&v_blk),
                     w_blk.as_ref(),
-                    &kc_d,
                     tc,
                 );
                 out.push((key, blk));
@@ -218,9 +218,10 @@ mod tests {
                 blocks.push(((i, j), Block::Virtual { rows: b, cols: b }));
             }
         }
-        let plan = Plan::new(&sc, &DpConfig::new(g * b, b).with_grid_partitioner(true));
+        let plan = Plan::<Tropical>::new(&sc, &DpConfig::new(g * b, b).with_grid_partitioner(true))
+            .expect("the default config resolves");
         let dp = sc.parallelize_with(blocks, parts, Arc::clone(&plan.partitioner));
-        let next = step::<Tropical>(&dp, 1, &plan).expect("IM iterations build lazily");
+        let next = step(&dp, 1, &plan).expect("IM iterations build lazily");
         let plan = next.explain();
         let expected = "\
 == stage graph ==

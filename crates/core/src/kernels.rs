@@ -2,21 +2,24 @@
 //! `CRecGE`/`DRecGE` and their iterative counterparts).
 //!
 //! Every application records a [`cluster_model::KernelInvocation`] on
-//! the task so the cost model can price the compute; the kernel itself
-//! is resolved through the [`crate::backend::BackendRegistry`] — real
-//! blocks run the resolved backend; for virtual blocks the recorded
+//! the task so the cost model can price the compute. The kernel itself
+//! arrives already resolved — the plan walked the
+//! [`crate::backend::BackendRegistry`] once, on the driver — so real
+//! blocks run that handle and for virtual blocks the recorded
 //! invocation is the whole effect.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cluster_model::KernelInvocation;
+use cluster_model::{KernelInvocation, KernelType};
 use gep_kernels::gep::Kind;
+use gep_kernels::sparse::sweep_gep;
+use gep_kernels::Matrix;
 use par_pool::Pool;
 use parking_lot::Mutex;
 use sparklet::TaskContext;
 
-use crate::backend::{registry, KernelSpec};
+use crate::backend::ResolvedKernel;
 use crate::block::Block;
 use crate::problem::DpProblem;
 
@@ -63,20 +66,20 @@ fn pool_for(pools: &mut BTreeMap<usize, Arc<Pool>>, threads: usize, cap: usize) 
     Arc::clone(p)
 }
 
-/// Run (or account) one block kernel through the backend registry.
+/// Run (or account) one block kernel on the plan's resolved backend.
 ///
+/// * `kernel` — the handle the plan resolved on the driver;
 /// * `kind` — which GEP kernel;
 /// * `key` — the block's grid coordinate `(bi, bj)`;
 /// * `kb` — the phase (diagonal block index);
 /// * `x` — the block to update;
 /// * `u`/`v` — column-/row-panel operand blocks (kind D only);
 /// * `w` — the diagonal block (kinds B, C, D).
-///
-/// The spec's backend + fallback chain is resolved deterministically;
-/// an exhausted chain is a configuration bug and panics with the typed
-/// error's message (task-level recovery cannot repair a bad config).
+// Nine arguments: the kernel's own operands (kind, position, phase and
+// the four blocks) plus the handle and the task they are recorded on.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_kernel<S: DpProblem>(
+pub(crate) fn apply_kernel<S: DpProblem>(
+    kernel: &ResolvedKernel<S>,
     kind: Kind,
     key: (usize, usize),
     kb: usize,
@@ -84,19 +87,15 @@ pub fn apply_kernel<S: DpProblem>(
     u: Option<&Block<S::Elem>>,
     v: Option<&Block<S::Elem>>,
     w: Option<&Block<S::Elem>>,
-    kernel: &KernelSpec,
     tc: &TaskContext,
 ) {
     let b = x.rows();
     assert_eq!(x.cols(), b, "blocks are square");
-    let backend = registry::<S>()
-        .resolve(kernel)
-        .unwrap_or_else(|e| panic!("{e}"));
     tc.record_kernel(KernelInvocation {
         updates: S::updates_for(kind, b),
         block_side: b,
         elem_bytes: std::mem::size_of::<S::Elem>(),
-        kernel: backend.kernel_type(&kernel.params),
+        kernel: kernel.kernel_type(),
     });
     if x.is_virtual() {
         debug_assert!(u.is_none_or(Block::is_virtual));
@@ -121,11 +120,12 @@ pub fn apply_kernel<S: DpProblem>(
             debug_assert!(w.is_some() || !S::USES_W);
         }
     }
-    backend.run(kind, &kernel.params, &mut xv, uv, vv, wv);
+    kernel.run(kind, &mut xv, uv, vv, wv);
 }
 
-/// Run one relaxation sweep over a CSR edge tile through the backend
-/// registry — the sparse counterpart of [`apply_kernel`].
+/// Run one relaxation sweep over a CSR edge tile — the sparse
+/// counterpart of the dense block kernels. The sweep has one
+/// implementation, [`sweep_gep`], so it is called directly.
 ///
 /// * `edges` — the partition's outgoing-edge tile
 ///   (`owned_vertices × n_target`, CSR);
@@ -136,38 +136,32 @@ pub fn apply_kernel<S: DpProblem>(
 /// * `cand` — the candidate matrix the sweep folds into
 ///   (`sources × n_target`).
 ///
-/// Resolution walks the spec chain with
-/// [`TileRepr::SparseCsr`](gep_kernels::sparse::TileRepr), so a
-/// dense-only chain is a loud configuration error. The recorded
-/// invocation prices by **nnz**: `updates = sources · nnz`, the
-/// representation-aware term `KernelType::SparseSweep` expects.
+/// The recorded invocation prices by **nnz**: `updates = sources ·
+/// nnz`, the representation-aware term [`KernelType::SparseSweep`]
+/// expects.
 pub fn apply_sweep<S: DpProblem>(
     edges: &Block<S::Elem>,
-    dist: &gep_kernels::Matrix<S::Elem>,
+    dist: &Matrix<S::Elem>,
     skip: S::Elem,
-    cand: &mut gep_kernels::Matrix<S::Elem>,
-    kernel: &KernelSpec,
+    cand: &mut Matrix<S::Elem>,
     tc: &TaskContext,
 ) {
     let csr = edges.expect_sparse();
-    let backend = registry::<S>()
-        .resolve_for(kernel, gep_kernels::sparse::TileRepr::SparseCsr)
-        .unwrap_or_else(|e| panic!("{e}"));
     tc.record_kernel(KernelInvocation {
         updates: (dist.rows() * csr.nnz()) as f64,
         block_side: csr.rows(),
         elem_bytes: std::mem::size_of::<S::Elem>(),
-        kernel: backend.kernel_type(&kernel.params),
+        kernel: KernelType::SparseSweep,
     });
-    backend.sweep(csr, dist, skip, cand);
+    sweep_gep::<S>(csr, dist, skip, cand);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::BLOCKED;
+    use crate::backend::KernelSpec;
     use gep_kernels::gep::gep_reference;
-    use gep_kernels::{GaussianElim, Matrix, Tropical};
+    use gep_kernels::{GaussianElim, Tropical};
 
     fn blocks_of(m: &Matrix<f64>, g: usize) -> Vec<((usize, usize), Block<f64>)> {
         let b = m.rows() / g;
@@ -197,6 +191,7 @@ mod tests {
         kernel: &KernelSpec,
     ) -> Matrix<f64> {
         use crate::filters;
+        let kernel = &ResolvedKernel::<S>::resolve(kernel).expect("test specs resolve");
         let b = m.rows() / g;
         let tc = TaskContext::new(0);
         let mut blocks = blocks_of(m, g);
@@ -207,13 +202,14 @@ mod tests {
                 .unwrap();
             {
                 let (key, ref mut blk) = blocks[diag_idx];
-                apply_kernel::<S>(Kind::A, key, k, blk, None, None, None, kernel, &tc);
+                apply_kernel(kernel, Kind::A, key, k, blk, None, None, None, &tc);
             }
             let diag = blocks[diag_idx].1.clone();
             for idx in 0..blocks.len() {
                 let key = blocks[idx].0;
                 if filters::filter_b::<S>(key, k, b) {
-                    apply_kernel::<S>(
+                    apply_kernel(
+                        kernel,
                         Kind::B,
                         key,
                         k,
@@ -221,7 +217,6 @@ mod tests {
                         None,
                         None,
                         Some(&diag),
-                        kernel,
                         &tc,
                     );
                 }
@@ -229,7 +224,8 @@ mod tests {
             for idx in 0..blocks.len() {
                 let key = blocks[idx].0;
                 if filters::filter_c::<S>(key, k, b) {
-                    apply_kernel::<S>(
+                    apply_kernel(
+                        kernel,
                         Kind::C,
                         key,
                         k,
@@ -237,7 +233,6 @@ mod tests {
                         None,
                         None,
                         Some(&diag),
-                        kernel,
                         &tc,
                     );
                 }
@@ -257,7 +252,8 @@ mod tests {
                         .find(|((a, c), _)| (*a, *c) == (k, j))
                         .unwrap()
                         .1;
-                    apply_kernel::<S>(
+                    apply_kernel(
+                        kernel,
                         Kind::D,
                         key,
                         k,
@@ -265,7 +261,6 @@ mod tests {
                         Some(u),
                         Some(v),
                         Some(&diag),
-                        kernel,
                         &tc,
                     );
                 }
@@ -328,16 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_backend_via_registry_matches_reference() {
-        let kernel = KernelSpec::named(BLOCKED);
-        let m = dd_matrix(16);
-        let out = run_blocked::<GaussianElim>(&m, 2, &kernel);
-        let mut reference = m.clone();
-        gep_reference::<GaussianElim>(&mut reference);
-        assert_eq!(out.first_difference(&reference), None);
-    }
-
-    #[test]
     fn fallback_chain_reaches_a_real_backend() {
         // An unregistered primary falls through to the iterative
         // fallback and still computes the right answer.
@@ -353,17 +338,8 @@ mod tests {
     fn virtual_blocks_record_without_computing() {
         let tc = TaskContext::new(0);
         let mut x: Block<f64> = Block::Virtual { rows: 8, cols: 8 };
-        apply_kernel::<Tropical>(
-            Kind::A,
-            (0, 0),
-            0,
-            &mut x,
-            None,
-            None,
-            None,
-            &KernelSpec::iterative(),
-            &tc,
-        );
+        let kernel = ResolvedKernel::<Tropical>::resolve(&KernelSpec::iterative()).unwrap();
+        apply_kernel(&kernel, Kind::A, (0, 0), 0, &mut x, None, None, None, &tc);
         let rec = tc.snapshot();
         assert_eq!(rec.kernels.len(), 1);
         assert_eq!(rec.kernels[0].updates, 512.0);
@@ -387,17 +363,11 @@ mod tests {
         let nnz = edges.nnz();
         let dist = Matrix::from_fn(3, 4, |s, u| if s == u { 0.0 } else { inf });
         let mut cand = Matrix::filled(3, 4, inf);
-        // A dense-named chain with a sweep fallback resolves to sweep
-        // for sparse tiles.
-        let spec = KernelSpec::iterative().with_fallback(crate::backend::SWEEP);
-        apply_sweep::<Tropical>(&edges, &dist, inf, &mut cand, &spec, &tc);
+        apply_sweep::<Tropical>(&edges, &dist, inf, &mut cand, &tc);
         let rec = tc.snapshot();
         assert_eq!(rec.kernels.len(), 1);
         assert_eq!(rec.kernels[0].updates, (3 * nnz) as f64);
-        assert_eq!(
-            rec.kernels[0].kernel,
-            cluster_model::KernelType::SparseSweep
-        );
+        assert_eq!(rec.kernels[0].kernel, KernelType::SparseSweep);
         // And the sweep really relaxed: source 0 sits at vertex 0,
         // which has an edge to 1 (0+1 % 3 == 1) of weight 1.
         assert_eq!(cand.get(0, 1), 1.0);

@@ -13,11 +13,12 @@
 //! | [`Strategy::CollectBroadcast`] | `iterative` | CB, iterative |
 //! | [`Strategy::CollectBroadcast`] | `recursive` | CB, r-way R-DP |
 //!
-//! Kernel execution is dispatched through a [`backend::BackendRegistry`]
-//! of named [`backend::KernelBackend`]s (the table above plus a
-//! cache-blocked `blocked` backend and the sparse `sweep` backend); a
-//! [`KernelSpec`] names the backend, an optional fallback
-//! chain, and the shape params.
+//! The kernel column is a [`backend::BackendRegistry`] of named
+//! [`backend::KernelBackend`]s — exactly the table's two, plus whatever
+//! a user registers. A [`KernelSpec`] names the backend, an optional
+//! fallback chain, and the shape params; a solve resolves it once, on
+//! the driver, and `DP_KERNEL_BACKEND` (read where the plan is built)
+//! rebinds its primary backend for dense solves.
 //!
 //! **IM** (Listing 1) keeps everything in RDDs: each iteration runs the
 //! A kernel, flat-maps copies of updated blocks to their consumers,
@@ -66,7 +67,7 @@ pub mod tuner;
 pub use adaptive::{adaptive_solve, AdaptiveOutcome};
 pub use backend::{
     register_backend, registry, BackendRegistry, ConfigError, KernelBackend, KernelParams,
-    KernelSpec, ThreadModel,
+    KernelSpec,
 };
 pub use beyond::{solve_alignment, solve_parenthesis};
 pub use block::{Block, ElemCodec};

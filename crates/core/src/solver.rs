@@ -14,6 +14,7 @@
 use std::sync::Arc;
 
 use cluster_model::{ClusterSpec, CostModel, ModelParams};
+use gep_kernels::matrix::Elem;
 use gep_kernels::padding::{pad_to_multiple, unpad};
 use gep_kernels::Matrix;
 use sparklet::{
@@ -22,7 +23,7 @@ use sparklet::{
 };
 
 use crate::aqe::{AqeAction, AqeDecision, AqePlanner};
-use crate::backend::KernelSpec;
+use crate::backend::{rebind_primary, ConfigError, ResolvedKernel};
 use crate::block::Block;
 use crate::config::{DpConfig, Strategy, DEFAULT_LEVEL};
 use crate::problem::DpProblem;
@@ -31,7 +32,7 @@ use crate::{cb, im};
 type K = (usize, usize);
 
 /// How the iterations still to run are executed.
-pub(crate) struct Plan {
+pub(crate) struct Plan<S: DpProblem> {
     /// Grid side `g` (fixed for the run).
     pub grid: usize,
     /// Block side `b` (fixed for the run).
@@ -45,26 +46,26 @@ pub(crate) struct Plan {
     pub partitions: usize,
     /// IM or CB.
     pub strategy: Strategy,
-    /// Executor kernel backend and shape.
-    pub kernel: KernelSpec,
+    /// Executor kernel: the backend the config's spec resolved to
+    /// (once, here on the driver) and its shape.
+    pub kernel: ResolvedKernel<S>,
     /// Storage level of each iteration's materialization.
     pub level: StorageLevel,
 }
 
-impl Plan {
-    /// The plan `cfg` asks for on `sc`, defaults resolved.
-    pub(crate) fn new(sc: &SparkContext, cfg: &DpConfig) -> Self {
-        cfg.validate()
-            .unwrap_or_else(|e| panic!("invalid DpConfig: {e}"));
-        let mut kernel = cfg.kernel.clone();
-        // A context-level backend override (e.g. `DP_KERNEL_BACKEND` via
-        // the sparklet conf) rebinds the spec's primary backend while
-        // keeping its params and fallback chain — the hook the CI matrix
-        // uses to run the whole suite per backend.
-        if let Some(name) = sc.conf().kernel_backend.as_deref() {
-            kernel.backend = name.to_string();
-        }
-        Plan {
+impl<S: DpProblem> Plan<S> {
+    /// The plan `cfg` asks for on `sc`, defaults resolved and the
+    /// kernel spec resolved to its backend. `DP_KERNEL_BACKEND` is read
+    /// here — kernel selection's one home — and rebinds the spec's
+    /// primary backend (see [`rebind_primary`]).
+    pub(crate) fn new(sc: &SparkContext, cfg: &DpConfig) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        let spec = rebind_primary(
+            cfg.kernel.clone(),
+            std::env::var("DP_KERNEL_BACKEND").ok().as_deref(),
+        );
+        let kernel = ResolvedKernel::resolve(&spec)?;
+        Ok(Plan {
             grid: cfg.grid(),
             block: cfg.block,
             partitioner: if cfg.grid_partitioner {
@@ -77,14 +78,14 @@ impl Plan {
             strategy: cfg.strategy,
             kernel,
             level: cfg.storage_level.unwrap_or(DEFAULT_LEVEL),
-        }
+        })
     }
 
     /// Adopt one adaptive decision for the remaining iterations and
     /// log it. A divisor shrink goes through `coalesce` (narrow, keeps
     /// the partitioner signature so the next `partition_by` elides its
     /// shuffle); any other partition change re-shuffles `dp` once.
-    fn adopt<S: DpProblem>(
+    fn adopt(
         &mut self,
         sc: &SparkContext,
         d: AqeDecision,
@@ -101,7 +102,7 @@ impl Plan {
                 self.partitions = p;
             }
             AqeAction::SwitchStrategy(s) => self.strategy = s,
-            AqeAction::Retune(spec) => self.kernel = spec,
+            AqeAction::Retune(params) => self.kernel = self.kernel.with_params(params),
             AqeAction::Retier(level) => self.level = level,
         }
         sc.log_adaptive_decision(iteration, &d.label, &d.reason);
@@ -117,7 +118,7 @@ impl Plan {
 /// re-tier storage. Every adopted decision is logged to the event log.
 fn run_loop<S: DpProblem>(
     sc: &SparkContext,
-    mut plan: Plan,
+    mut plan: Plan<S>,
     mut dp: Rdd<K, Block<S::Elem>>,
 ) -> Result<Rdd<K, Block<S::Elem>>, JobError> {
     let mut planner = sc
@@ -125,14 +126,14 @@ fn run_loop<S: DpProblem>(
         .adaptive_execution
         .then(|| AqePlanner::new(sc, std::mem::size_of::<S::Elem>()));
     if let Some(planner) = planner.as_ref() {
-        for d in planner.plan_initial::<S>(&plan) {
-            plan.adopt::<S>(sc, d, 0, &mut dp);
+        for d in planner.plan_initial(&plan) {
+            plan.adopt(sc, d, 0, &mut dp);
         }
     }
     for k in 0..plan.grid {
         let next = match plan.strategy {
-            Strategy::InMemory => im::step::<S>(&dp, k, &plan)?,
-            Strategy::CollectBroadcast => cb::step::<S>(sc, &dp, k, &plan)?,
+            Strategy::InMemory => im::step(&dp, k, &plan)?,
+            Strategy::CollectBroadcast => cb::step(sc, &dp, k, &plan)?,
         };
         // Materialize the iteration (the paper's programs are bounded
         // the same way: each iteration's output feeds the next). The
@@ -151,13 +152,36 @@ fn run_loop<S: DpProblem>(
         };
         if let Some(planner) = planner.as_mut() {
             if k + 1 < plan.grid {
-                for d in planner.replan::<S>(sc, k, &plan) {
-                    plan.adopt::<S>(sc, d, k as u64, &mut dp);
+                for d in planner.replan(sc, k, &plan) {
+                    plan.adopt(sc, d, k as u64, &mut dp);
                 }
             }
         }
     }
     Ok(dp)
+}
+
+/// A config the run cannot start from, as the driver error every entry
+/// point returns before stage 0 (task-level recovery cannot repair it).
+fn config_error(e: ConfigError) -> JobError {
+    JobError::Driver(format!("invalid DpConfig: {e}"))
+}
+
+/// `input` must be the square `cfg.n`-sided table the config describes.
+pub(crate) fn check_table<E: Elem>(cfg: &DpConfig, input: &Matrix<E>) -> Result<(), JobError> {
+    let (rows, cols) = (input.rows(), input.cols());
+    if rows != cols {
+        return Err(JobError::Driver(format!(
+            "GEP tables are square, got {rows}×{cols}"
+        )));
+    }
+    if rows != cfg.n {
+        return Err(JobError::Driver(format!(
+            "config/problem size mismatch: table side {rows}, cfg.n {}",
+            cfg.n
+        )));
+    }
+    Ok(())
 }
 
 /// Deal the `g×g` blocks `block_at` makes to the plan's partitions and
@@ -167,7 +191,7 @@ fn scatter_and_run<S: DpProblem>(
     cfg: &DpConfig,
     block_at: impl Fn(usize, usize) -> Block<S::Elem>,
 ) -> Result<Rdd<K, Block<S::Elem>>, JobError> {
-    let plan = Plan::new(sc, cfg);
+    let plan = Plan::<S>::new(sc, cfg).map_err(config_error)?;
     let g = plan.grid;
     let mut blocks: Vec<(K, Block<S::Elem>)> = Vec::with_capacity(g * g);
     for i in 0..g {
@@ -176,19 +200,21 @@ fn scatter_and_run<S: DpProblem>(
         }
     }
     let dp = sc.parallelize_with(blocks, plan.partitions, Arc::clone(&plan.partitioner));
-    run_loop::<S>(sc, plan, dp)
+    run_loop(sc, plan, dp)
 }
 
 /// Solve a GEP instance on the engine and return the resulting table
 /// (same shape as `input`; virtual padding applied and removed
-/// internally).
+/// internally). A config that cannot run — invalid kernel params, a
+/// backend chain naming nothing registered, a table that is not the
+/// square `cfg.n` side — is `Err(JobError::Driver(..))` before any
+/// stage is submitted.
 pub fn solve<S: DpProblem>(
     sc: &SparkContext,
     cfg: &DpConfig,
     input: &Matrix<S::Elem>,
 ) -> Result<Matrix<S::Elem>, JobError> {
-    assert_eq!(input.rows(), input.cols(), "GEP tables are square");
-    assert_eq!(input.rows(), cfg.n, "config/problem size mismatch");
+    check_table(cfg, input)?;
     let padded = pad_to_multiple::<S>(input, cfg.block);
     let g = cfg.grid();
     let b = cfg.block;
@@ -246,4 +272,54 @@ pub fn simulate_seconds<S: DpProblem>(
     }
     let records = sc.with_event_log(|log| log.records());
     Ok(model.job_seconds(&records))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adaptive::adaptive_solve;
+    use crate::backend::KernelSpec;
+    use gep_kernels::Tropical;
+
+    /// Regression: an unresolvable chain used to panic inside every
+    /// task attempt (burning `max_task_attempts` retries per task
+    /// first), an invalid config panicked in the plan, and a table of
+    /// the wrong shape hit an `assert_eq!`. All are one typed error at
+    /// the front door, before anything is submitted.
+    #[test]
+    fn unusable_configs_are_driver_errors_before_stage_0() {
+        let sc = SparkContext::new(SparkConf::default().with_executors(2).with_partitions(4));
+        let message = |r: Result<(), JobError>| match r {
+            Err(JobError::Driver(msg)) => msg,
+            other => panic!("expected a driver error, got {other:?}"),
+        };
+        let table = |rows, cols| Matrix::from_fn(rows, cols, |i, j| ((i + j) % 5) as f64);
+        let ok = DpConfig::new(8, 4);
+        let run = |cfg: &DpConfig, input: &Matrix<f64>| {
+            message(solve::<Tropical>(&sc, cfg, input).map(drop))
+        };
+
+        // With `DP_KERNEL_BACKEND` set the primary is rebound to a
+        // registered name, so there is no unresolvable chain to see.
+        if std::env::var_os("DP_KERNEL_BACKEND").is_none() {
+            let nope = ok.clone().with_kernel(KernelSpec::named("nope"));
+            assert!(run(&nope, &table(8, 8)).contains("no usable kernel backend"));
+            message(solve_virtual::<Tropical>(&sc, &nope).map(drop));
+            let candidates = [KernelSpec::named("nope")];
+            message(adaptive_solve::<Tropical>(&sc, &ok, &table(8, 8), &candidates, 1).map(drop));
+        }
+
+        // Fields are public, so a config can dodge the builders' checks.
+        let mut zero_base = ok.clone();
+        zero_base.kernel.params.base = 0;
+        assert!(run(&zero_base, &table(8, 8)).contains("base must be"));
+
+        assert!(run(&ok, &table(6, 6)).contains("size mismatch"));
+        assert!(run(&ok, &table(8, 6)).contains("square"));
+        let candidates = [KernelSpec::iterative()];
+        message(adaptive_solve::<Tropical>(&sc, &ok, &table(6, 6), &candidates, 1).map(drop));
+
+        let did = sc.summary();
+        assert_eq!((did.stages, did.retries), (0, 0), "nothing was submitted");
+    }
 }

@@ -13,10 +13,10 @@
 //! ([`filters::sweep_active`]). One round is two Spark-style stages:
 //!
 //! 1. **Sweep** — every *active* partition relaxes all its stored
-//!    edges through the registry-resolved sparse backend
-//!    ([`crate::kernels::apply_sweep`], which records nnz-priced
-//!    [`cluster_model`] invocations), then cuts the candidate matrix
-//!    into per-destination-partition sparse update tiles (dropping
+//!    edges ([`crate::kernels::apply_sweep`]: `sweep_gep`, called
+//!    directly — it is the sweep's one implementation — plus an
+//!    nnz-priced [`cluster_model`] invocation), then cuts the candidate
+//!    matrix into per-destination-partition sparse update tiles (dropping
 //!    empty ones — the sparse analogue of IM's copy flat-map);
 //! 2. **Merge** — a `group_by_key` delivers each partition its state
 //!    plus incoming update tiles; the merge folds them in with `min`
@@ -38,7 +38,6 @@ use gep_kernels::sparse::Csr;
 use gep_kernels::{Matrix, Tropical};
 use sparklet::{HashPartitioner, JobError, Partitioner, SparkContext, Storable};
 
-use crate::backend::{KernelSpec, SWEEP};
 use crate::block::Block;
 use crate::config::DEFAULT_LEVEL;
 use crate::filters;
@@ -149,11 +148,6 @@ pub fn solve_sparse_apsp(
         return Ok(Matrix::filled(sources.len(), n, inf));
     }
     let parts = parts.clamp(1, n);
-    // The sparse path resolves against the representation-gated chain;
-    // `sweep` is the one built-in that accepts CSR tiles. Context-level
-    // dense-backend overrides (`DP_KERNEL_BACKEND`) do not rebind it —
-    // they name dense kernels, which `resolve_for` would reject.
-    let kernel = KernelSpec::named(SWEEP);
     let sources_v = sources.to_vec();
 
     let mut init: Vec<(usize, SweepVal)> = Vec::with_capacity(parts);
@@ -202,7 +196,6 @@ pub fn solve_sparse_apsp(
         }
         rounds += 1;
 
-        let kc = kernel.clone();
         let swept = state.map_partitions_to(move |_p, items, tc| {
             let mut out: Vec<(usize, SweepVal)> = Vec::new();
             for (q, v) in items {
@@ -217,7 +210,7 @@ pub fn solve_sparse_apsp(
                 if filters::sweep_active(changed) {
                     let dm = dist.expect_real();
                     let mut cand = Matrix::filled(dm.rows(), n, inf);
-                    apply_sweep::<Tropical>(&edges, dm, inf, &mut cand, &kc, tc);
+                    apply_sweep::<Tropical>(&edges, dm, inf, &mut cand, tc);
                     for t in 0..parts {
                         let (lo, hi) = filters::part_bounds(n, parts, t);
                         let tile = Csr::from_dense_cols(&cand, lo, hi, inf);
@@ -251,10 +244,7 @@ pub fn solve_sparse_apsp(
                             state_edges = Some(edges);
                             dist = Some(match d {
                                 Block::Real(m) => m,
-                                other => panic!(
-                                    "sweep state distances must be dense, got {:?}",
-                                    other.repr()
-                                ),
+                                _ => panic!("sweep state distances must be dense"),
                             });
                         }
                         SweepVal::Updates(b) => tiles.push(b),

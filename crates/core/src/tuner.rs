@@ -60,9 +60,9 @@ impl Default for TuneSpace {
 /// numeric data is touched.
 ///
 /// The kernel axis of the grid is the backend registry itself, walked
-/// in registration order (deterministic): every available dense
-/// backend is evaluated, with the
-/// `iterative` baseline gated by [`TuneSpace::include_iterative`].
+/// in registration order (deterministic): every registered backend is
+/// evaluated, with the `iterative` baseline gated by
+/// [`TuneSpace::include_iterative`].
 /// Fan-out-parametric backends (the recursive family) expand into the
 /// `r_shared × threads` grid; fixed-shape backends are priced once at
 /// default params. Registering a new backend adds it to every tuning

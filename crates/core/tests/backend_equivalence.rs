@@ -1,4 +1,4 @@
-//! Cross-backend equivalence: every dense backend in the registry must
+//! Cross-backend equivalence: every backend in the registry must
 //! produce results **bit-identical** to the sequential `gep_reference`
 //! oracle, across all four blocked-kernel kinds and both floating semirings
 //! (min-plus FW-APSP and max-min widest-path closure). This is the
@@ -6,16 +6,23 @@
 //! passing this suite.
 //!
 //! Also pinned here: fallback-chain resolution is deterministic — a
-//! spec whose primary backend is unregistered/unavailable falls
-//! through the chain to the same backend on every run, and an
-//! end-to-end solve through such a chain matches the reference.
+//! spec whose primary backend is unregistered falls through the chain
+//! to the same backend on every run, and an end-to-end solve through
+//! such a chain matches the reference — and a solve resolves its spec
+//! once: re-registering a backend mid-solve does not reach the plan in
+//! flight.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use dp_core::{registry, solve, DpConfig, KernelBackend, KernelSpec, Strategy};
+use cluster_model::KernelType;
+use dp_core::{
+    register_backend, registry, solve, DpConfig, DpProblem, KernelBackend, KernelParams,
+    KernelSpec, Strategy,
+};
 use gep_kernels::gep::{gep_reference, SemiringPaths};
 use gep_kernels::semiring::MaxMin;
-use gep_kernels::{GaussianElim, Matrix, Tropical};
+use gep_kernels::{GaussianElim, Kind, Matrix, TileMut, TileRef, TransitiveClosure, Tropical};
 use sparklet::{SparkConf, SparkContext};
 
 fn ctx() -> SparkContext {
@@ -72,8 +79,8 @@ fn maxmin_matrix(n: usize, seed: u64) -> Matrix<MaxMin> {
 /// A spec for every registered backend that computes real data, with
 /// params every backend accepts (r=2 fits any block ≥ 2; base/threads
 /// small so recursion actually recurses).
-fn real_backends<S: dp_core::DpProblem>() -> Vec<KernelSpec> {
-    registry::<S>().dense_candidates(dp_core::KernelParams {
+fn real_backends<S: DpProblem>() -> Vec<KernelSpec> {
+    registry::<S>().dense_candidates(KernelParams {
         r_shared: 2,
         base: 2,
         threads: 2,
@@ -89,7 +96,7 @@ fn every_real_backend_matches_reference_bitwise_minplus() {
     let mut reference = input.clone();
     gep_reference::<Tropical>(&mut reference);
     let backends = real_backends::<Tropical>();
-    assert!(backends.len() >= 3, "iterative, recursive, blocked");
+    assert!(backends.len() >= 2, "iterative, recursive");
     for spec in backends {
         let name = &spec.backend;
         for strategy in [Strategy::InMemory, Strategy::CollectBroadcast] {
@@ -145,45 +152,64 @@ fn every_real_backend_matches_reference_bitwise_maxmin() {
     }
 }
 
-/// A backend that reports itself unavailable — resolution must skip it.
-struct DownBackend;
+/// The built-in iterative loops registered under another name — what a
+/// user crate's third backend looks like to the registry. `before_phase_1`
+/// runs ahead of the second kind-A kernel, i.e. after everything of
+/// phase 0 and before anything of phase 1.
+struct Renamed<S: DpProblem> {
+    name: &'static str,
+    inner: Arc<dyn KernelBackend<S>>,
+    a_kernels: AtomicUsize,
+    before_phase_1: Box<dyn Fn() + Send + Sync>,
+}
 
-impl<S: dp_core::DpProblem> KernelBackend<S> for DownBackend {
+impl<S: DpProblem> Renamed<S> {
+    fn new(name: &'static str, before_phase_1: impl Fn() + Send + Sync + 'static) -> Arc<Self> {
+        Arc::new(Renamed {
+            name,
+            inner: registry::<S>().get("iterative").expect("built in"),
+            a_kernels: AtomicUsize::new(0),
+            before_phase_1: Box::new(before_phase_1),
+        })
+    }
+}
+
+impl<S: DpProblem> KernelBackend<S> for Renamed<S> {
     fn name(&self) -> &'static str {
-        "down-for-test"
+        self.name
     }
 
-    fn available(&self) -> bool {
-        false
-    }
-
-    fn kernel_type(&self, _params: &dp_core::KernelParams) -> cluster_model::KernelType {
-        cluster_model::KernelType::Iterative
+    fn kernel_type(&self, params: &KernelParams) -> KernelType {
+        self.inner.kernel_type(params)
     }
 
     fn run(
         &self,
-        _kind: gep_kernels::Kind,
-        _params: &dp_core::KernelParams,
-        _x: &mut gep_kernels::TileMut<'_, S::Elem>,
-        _u: Option<gep_kernels::TileRef<'_, S::Elem>>,
-        _v: Option<gep_kernels::TileRef<'_, S::Elem>>,
-        _w: Option<gep_kernels::TileRef<'_, S::Elem>>,
+        kind: Kind,
+        params: &KernelParams,
+        x: &mut TileMut<'_, S::Elem>,
+        u: Option<TileRef<'_, S::Elem>>,
+        v: Option<TileRef<'_, S::Elem>>,
+        w: Option<TileRef<'_, S::Elem>>,
     ) {
-        unreachable!("unavailable backends are never resolved");
+        if kind == Kind::A && self.a_kernels.fetch_add(1, Ordering::SeqCst) == 1 {
+            (self.before_phase_1)();
+        }
+        self.inner.run(kind, params, x, u, v, w);
     }
 }
 
 #[test]
-fn unavailable_backend_falls_through_chain_deterministically() {
-    dp_core::register_backend::<Tropical>(Arc::new(DownBackend));
+fn unregistered_primary_falls_through_chain_deterministically() {
+    register_backend::<Tropical>(Renamed::new("renamed-for-test", || ()));
     let spec = KernelSpec::named("down-for-test")
         .with_fallback("not-registered-anywhere")
-        .with_fallback("blocked");
+        .with_fallback("renamed-for-test")
+        .with_fallback("iterative");
     // Resolution is a pure function of the registry + spec.
     for _ in 0..5 {
         let resolved = registry::<Tropical>().resolve(&spec).expect("chain ends");
-        assert_eq!(resolved.name(), "blocked");
+        assert_eq!(resolved.name(), "renamed-for-test");
     }
     // And an end-to-end solve through the chain is still exact.
     let input = dist_matrix(16, 9);
@@ -193,4 +219,84 @@ fn unavailable_backend_falls_through_chain_deterministically() {
     let cfg = DpConfig::new(16, 4).with_kernel(spec);
     let out = solve::<Tropical>(&sc, &cfg, &input).expect("solve via fallback");
     assert_eq!(out.first_difference(&reference), None);
+}
+
+/// What `swap-for-test` is replaced with mid-solve: priced differently
+/// and unable to compute, so reaching it shows in the event log or
+/// fails the solve.
+struct Poisoned;
+
+impl<S: DpProblem> KernelBackend<S> for Poisoned {
+    fn name(&self) -> &'static str {
+        "swap-for-test"
+    }
+
+    fn kernel_type(&self, _params: &KernelParams) -> KernelType {
+        KernelType::Recursive {
+            r_shared: 9,
+            threads: 9,
+        }
+    }
+
+    fn run(
+        &self,
+        _kind: Kind,
+        _params: &KernelParams,
+        _x: &mut TileMut<'_, S::Elem>,
+        _u: Option<TileRef<'_, S::Elem>>,
+        _v: Option<TileRef<'_, S::Elem>>,
+        _w: Option<TileRef<'_, S::Elem>>,
+    ) {
+        panic!("a backend registered mid-solve reached the plan in flight");
+    }
+}
+
+/// A solve resolves its spec once, when its plan is built. Swapping
+/// the registry entry between phase 0 and phase 1 must leave the
+/// running plan on the backend — and the pricing — it started with.
+/// Runs over `TransitiveClosure`, a registry no other test here
+/// enumerates, so the poisoned entry stays this test's own.
+#[test]
+fn reregistering_mid_solve_does_not_reach_the_plan_in_flight() {
+    if std::env::var("DP_KERNEL_BACKEND").is_ok_and(|name| !name.is_empty()) {
+        // The CI matrix rebinds every spec's primary backend, so the
+        // backend under test would never be resolved.
+        return;
+    }
+    type S = TransitiveClosure;
+    let n = 16;
+    let input = Matrix::from_fn(n, n, |i, j| i == j || (i * 5 + j * 3) % 7 == 0);
+    let mut reference = input.clone();
+    gep_reference::<S>(&mut reference);
+    for strategy in [Strategy::InMemory, Strategy::CollectBroadcast] {
+        // A fresh kernel counter per run, over whatever the previous
+        // run left registered.
+        register_backend::<S>(Renamed::new("swap-for-test", || {
+            register_backend::<S>(Arc::new(Poisoned));
+        }));
+        let sc = ctx();
+        let cfg = DpConfig::new(n, 4)
+            .with_strategy(strategy)
+            .with_kernel(KernelSpec::named("swap-for-test"));
+        let out = solve::<S>(&sc, &cfg, &input).expect("the in-flight plan keeps its backend");
+        assert_eq!(out.first_difference(&reference), None, "{strategy:?}");
+        let swapped = registry::<S>().get("swap-for-test").expect("registered");
+        assert_ne!(
+            swapped.kernel_type(&KernelParams::default()),
+            KernelType::Iterative,
+            "the replacement did land in the registry mid-solve"
+        );
+        let priced: Vec<KernelType> = sc.with_event_log(|log| {
+            let tasks = log.records().into_iter().flat_map(|stage| stage.tasks);
+            tasks
+                .flat_map(|task| task.kernels)
+                .map(|k| k.kernel)
+                .collect()
+        });
+        assert!(!priced.is_empty());
+        assert!(
+            priced.iter().all(|kt| *kt == KernelType::Iterative),
+            "{strategy:?}: a kernel was priced as the replacement"
+        );
+    }
 }

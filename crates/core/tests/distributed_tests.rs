@@ -55,10 +55,8 @@ fn all_variants() -> Vec<(Strategy, KernelSpec)> {
     vec![
         (Strategy::InMemory, KernelSpec::iterative()),
         (Strategy::InMemory, KernelSpec::recursive(2, 2, 2)),
-        (Strategy::InMemory, KernelSpec::named("blocked")),
         (Strategy::CollectBroadcast, KernelSpec::iterative()),
         (Strategy::CollectBroadcast, KernelSpec::recursive(4, 2, 3)),
-        (Strategy::CollectBroadcast, KernelSpec::named("blocked")),
     ]
 }
 

@@ -46,7 +46,6 @@ fn dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
 fn any_kernel() -> impl proptest::strategy::Strategy<Value = KernelSpec> {
     prop_oneof![
         Just(KernelSpec::iterative()),
-        Just(KernelSpec::named("blocked")),
         (2usize..=4, 1usize..=4, 1usize..=3)
             .prop_map(|(r, base, threads)| KernelSpec::recursive(r, base, threads)),
     ]

@@ -183,11 +183,12 @@ fn fw_chaos_retries_fire_across_the_default_sweep() {
 
 #[test]
 fn a_panicking_chaos_solve_leaves_no_policy_behind() {
-    // The solvers `assert!` on shape mismatch. A caller that fences the
-    // panic (as the job service fences its runners) must get its
-    // context back clean: the guard dropped during the unwind, so the
-    // next plain solve on the context reports exactly what a fresh
-    // context's fault-free solve reports.
+    // A caller that fences a solver panic (as the job service fences
+    // its runners) must get its context back clean: the guard dropped
+    // during the unwind, so the next plain solve on the context reports
+    // exactly what a fresh context's fault-free solve reports. The
+    // dense solver reports a shape mismatch as a typed driver error
+    // before stage 0 — the same holds for that early return.
     let heavy = || ChaosPolicy::seeded(5).with_task_panics(300);
     let input = dist_matrix(32, 3);
     let cfg = DpConfig::new(32, 8);
@@ -198,7 +199,10 @@ fn a_panicking_chaos_solve_leaves_no_policy_behind() {
         let _chaos = sc.install_chaos(heavy());
         solve::<Tropical>(&sc, &cfg, &wrong_size)
     }));
-    assert!(fenced.is_err(), "size mismatch must panic");
+    assert!(
+        matches!(fenced, Ok(Err(sparklet::JobError::Driver(_)))),
+        "size mismatch is a typed driver error"
+    );
     solve::<Tropical>(&sc, &cfg, &input).unwrap();
     assert_eq!(sc.summary(), fresh);
 

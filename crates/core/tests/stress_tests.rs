@@ -27,7 +27,6 @@ fn large_fw_apsp_all_variants() {
     for (strategy, kernel) in [
         (Strategy::InMemory, KernelSpec::iterative()),
         (Strategy::InMemory, KernelSpec::recursive(4, 32, 2)),
-        (Strategy::InMemory, KernelSpec::named("blocked")),
         (Strategy::CollectBroadcast, KernelSpec::recursive(8, 16, 2)),
     ] {
         let sc = big_ctx();

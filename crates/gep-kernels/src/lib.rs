@@ -22,7 +22,9 @@
 //! * [`iterative`] — the loop-based kernels of Figs. 2 and 5, both as
 //!   whole-matrix references (the correctness oracles for everything
 //!   else) and as block kernels with the A/B/C/D aliasing variants used
-//!   by blocked and distributed executions;
+//!   by blocked and distributed executions; a hot instance specialises
+//!   its block kernel through the one hook
+//!   [`GepSpec::fast_block_kernel`] (bitwise identical, tested);
 //! * [`recursive`] — the **parametric r-way recursive divide-&-conquer
 //!   (r-way R-DP)** kernels of Fig. 4, parallelised on `par-pool`
 //!   (the stand-in for the paper's OpenMP offload), with tunable fan-out
@@ -53,7 +55,6 @@
 #![warn(missing_docs)]
 
 pub mod alignment;
-pub mod blocked;
 pub mod gep;
 pub mod graph;
 pub mod iterative;
@@ -71,4 +72,4 @@ pub mod tilegrid;
 pub use gep::{GaussianElim, GepSpec, Kind, TransitiveClosure, Tropical};
 pub use matrix::{Matrix, TileMut, TileRef};
 pub use recursive::RecConfig;
-pub use sparse::{Csr, CsrError, TileRepr};
+pub use sparse::{Csr, CsrError};

@@ -425,16 +425,6 @@ impl<'a, E: Elem> TileMut<'a, E> {
         };
         (left, right)
     }
-
-    /// Overwrite this window from an owned matrix of identical shape.
-    pub fn copy_from(&mut self, src: &Matrix<E>) {
-        assert_eq!((self.rows, self.cols), (src.rows(), src.cols()));
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                self.set(i, j, src.get(i, j));
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -14,15 +14,16 @@
 //!   increasing column indices within each row, no stored fills
 //!   required — makes equal tiles byte-equal on the wire, which the
 //!   lineage-keyed result cache relies on.
-//! * [`TileRepr`] — the representation tag threaded through `Block`,
-//!   the backend registry (`supports_repr`), and the cost model.
 //! * [`sweep_gep`] — one relaxation sweep expressed through
 //!   [`GepSpec::f`], the sparse counterpart of the dense A/B/C/D
 //!   kernels: for every source row `s` and stored edge `(u → v, w)`,
 //!   `cand[s][v] = f(cand[s][v], dist[s][u], w, w)`. For
 //!   [`Tropical`](crate::gep::Tropical) this is exactly the
 //!   Bellman–Ford relaxation `cand[s][v] = min(cand[s][v],
-//!   dist[s][u] + w)`.
+//!   dist[s][u] + w)`. It is the one implementation of the sweep, so
+//!   dp-core's sparse-APSP path calls it directly (as it calls
+//!   `align_block` and `parenthesis::rec_a`): a kernel registry would
+//!   have nothing to select between.
 //!
 //! The wire codec for CSR tiles lives with the rest of the `Block`
 //! codec in dp-core (this crate stays serialization-free); the
@@ -31,31 +32,6 @@
 
 use crate::gep::GepSpec;
 use crate::matrix::{Elem, Matrix};
-
-/// How a tile is laid out in memory and on the wire.
-///
-/// Backends advertise which representations they can consume via
-/// `KernelBackend::supports_repr`; the registry only resolves a
-/// backend for a tile whose representation it supports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TileRepr {
-    /// Dense row-major array of `rows × cols` elements (the default,
-    /// and the only representation prior to the sparse data plane).
-    Dense,
-    /// Compressed sparse row: only non-fill entries are materialized,
-    /// so memory and wire size are `O(nnz)`, not `O(rows · cols)`.
-    SparseCsr,
-}
-
-impl TileRepr {
-    /// Short stable name (used in logs, bench labels, and docs).
-    pub fn name(self) -> &'static str {
-        match self {
-            TileRepr::Dense => "dense",
-            TileRepr::SparseCsr => "csr",
-        }
-    }
-}
 
 /// Why a CSR construction or decode was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -52,12 +52,6 @@ impl Call {
             reads,
         }
     }
-
-    /// `W(F) ∉ R(F)` — can this call's output be produced without its
-    /// previous value?
-    pub fn is_flexible(&self) -> bool {
-        !self.reads.contains(&self.writes)
-    }
 }
 
 /// The in-order call sequence of the blocked GEP algorithm on a `g×g`

@@ -88,13 +88,6 @@ pub struct SparkConf {
     /// measured socket bytes, and chaos executor loss is a real
     /// `SIGKILL`.
     pub transport: TransportMode,
-    /// Kernel-backend override for DP workloads running on this
-    /// context (`spark.executorEnv`-style escape hatch). The engine
-    /// only carries the string; the DP solver rebinds its configured
-    /// backend name to it when set. Defaults from the
-    /// `DP_KERNEL_BACKEND` environment variable, which is how the CI
-    /// matrix runs one acceptance suite per registered backend.
-    pub kernel_backend: Option<String>,
 }
 
 impl Default for SparkConf {
@@ -119,9 +112,6 @@ impl Default for SparkConf {
             adaptive_execution: false,
             compression: Compression::None,
             transport: TransportMode::InProcess,
-            kernel_backend: std::env::var("DP_KERNEL_BACKEND")
-                .ok()
-                .filter(|s| !s.is_empty()),
         }
     }
 }
@@ -281,13 +271,6 @@ impl SparkConf {
     pub fn with_unix_transport(self) -> Self {
         self.with_transport(TransportMode::Unix)
     }
-
-    /// Override the DP kernel backend for workloads on this context
-    /// (see the `kernel_backend` field).
-    pub fn with_kernel_backend(mut self, name: &str) -> Self {
-        self.kernel_backend = Some(name.to_string());
-        self
-    }
 }
 
 #[cfg(test)]
@@ -383,12 +366,6 @@ mod tests {
             TransportMode::InProcess,
             "in-process executors by default: sim and tests stay untouched"
         );
-    }
-
-    #[test]
-    fn kernel_backend_knob_composes() {
-        let c = SparkConf::default().with_kernel_backend("blocked");
-        assert_eq!(c.kernel_backend.as_deref(), Some("blocked"));
     }
 
     #[test]

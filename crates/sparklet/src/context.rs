@@ -482,14 +482,6 @@ impl SparkContext {
         self.inner.stage_resubmissions.load(Ordering::Relaxed)
     }
 
-    /// Live shuffle-materialization latches. Latches are dropped with
-    /// their owning wide RDD, so a finished — or cancelled — job must
-    /// leave none of its own behind; tests use this to prove a
-    /// cancelled tenant released its lineage.
-    pub fn active_shuffle_latches(&self) -> usize {
-        self.inner.registry.len()
-    }
-
     /// Cross-check every manager's running counters against a recount
     /// of its actual state: the shuffle staging ledger and each node's
     /// block-store tier accounting. The simulation harness calls this

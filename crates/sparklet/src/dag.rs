@@ -297,13 +297,6 @@ impl ShuffleRegistry {
             l.reopen();
         }
     }
-
-    /// Live latch count (latches are dropped with their owning wide
-    /// RDD, so this is an observable for lineage leaks: a finished or
-    /// cancelled job must leave none of its own behind).
-    pub(crate) fn len(&self) -> usize {
-        self.latches.lock().len()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -722,12 +715,6 @@ impl<T: Send + 'static> JobHandle<T> {
     /// before noticing the flag still delivers its result.
     pub fn cancel(&self) {
         self.cancel.cancel();
-    }
-
-    /// The job's cancellation token (shareable; e.g. handed to a
-    /// connection watchdog that cancels on disconnect).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
     }
 
     /// Has the job finished (its result is ready to [`JobHandle::wait`] for)?

@@ -215,11 +215,6 @@ impl<K: Ord + Clone + std::hash::Hash> RangePartitioner<K> {
             signature: h.finish(),
         }
     }
-
-    /// Number of key ranges (bounds + 1).
-    pub fn num_ranges(&self) -> usize {
-        self.bounds.len() + 1
-    }
 }
 
 impl<K: Ord + Clone + std::hash::Hash + Send + Sync> Partitioner<K> for RangePartitioner<K> {

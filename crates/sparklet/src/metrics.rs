@@ -169,11 +169,6 @@ impl EventLog {
         }
     }
 
-    /// Mutable view of the most recent stage (action annotations).
-    pub fn last_stage_mut(&mut self) -> Option<&mut StageEvent> {
-        self.stages.last_mut()
-    }
-
     /// Mutable view of the stage with the given stage id. Searches
     /// from the back: with concurrent jobs, the most recent record
     /// need not be the caller's, and ids are assigned monotonically so

@@ -90,28 +90,6 @@ impl ResultCache {
         true
     }
 
-    /// Drop one entry (recovery invalidation).
-    pub(crate) fn invalidate(&mut self, key: u128) -> bool {
-        match self.map.remove(&key) {
-            Some(gone) => {
-                self.used -= gone.len() as u64;
-                if let Some(at) = self.lru.iter().position(|&k| k == key) {
-                    self.lru.remove(at);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub(crate) fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
     /// (hits, misses, evictions) since creation.
     pub(crate) fn stats(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.evictions)
@@ -164,14 +142,14 @@ mod tests {
         assert!(c.get(2).is_none(), "2 was evicted");
         assert!(c.get(1).is_some() && c.get(3).is_some());
         assert_eq!(c.stats().2, 1);
-        assert!(c.used_bytes() <= 10);
+        assert!(c.used <= 10);
     }
 
     #[test]
     fn oversized_entries_are_not_stored() {
         let mut c = ResultCache::new(4);
         assert!(!c.put(1, Bytes::from(vec![0u8; 5])));
-        assert_eq!(c.len(), 0);
+        assert!(c.map.is_empty());
     }
 
     #[test]
@@ -179,11 +157,8 @@ mod tests {
         let mut c = ResultCache::new(10);
         assert!(c.put(1, Bytes::from(vec![0u8; 8])));
         assert!(c.put(1, Bytes::from(vec![0u8; 2])));
-        assert_eq!(c.used_bytes(), 2);
-        assert_eq!(c.len(), 1);
-        assert!(c.invalidate(1));
-        assert!(!c.invalidate(1));
-        assert_eq!(c.used_bytes(), 0);
+        assert_eq!(c.used, 2);
+        assert_eq!(c.map.len(), 1);
     }
 
     #[test]

@@ -430,11 +430,28 @@ struct SvcState {
     next_job: JobId,
     committed: f64,
     dispatch_seq: u64,
-    decisions: Vec<ServiceDecision>,
+    /// The most recent decisions: a ring of [`DECISIONS_PER_JOB`] ×
+    /// the settled-job retention, so the log is bounded the way the
+    /// job table is.
+    decisions: VecDeque<ServiceDecision>,
+    decision_cap: usize,
     stats: ServiceStats,
 }
 
+/// Most decisions one job logs (admitted, dispatched, cache store or
+/// hit, completed): sizes the decision ring so it reaches at least as
+/// far back as the settled jobs still pollable.
+const DECISIONS_PER_JOB: usize = 4;
+
 impl SvcState {
+    /// Append to the decision ring, dropping the oldest entry at the cap.
+    fn log(&mut self, decision: ServiceDecision) {
+        if self.decisions.len() == self.decision_cap {
+            self.decisions.pop_front();
+        }
+        self.decisions.push_back(decision);
+    }
+
     /// Record `job` as settled and evict the oldest settled entries
     /// beyond the retention cap, freeing their bodies and results.
     fn retire(&mut self, job: JobId, keep: usize) {
@@ -503,6 +520,7 @@ impl JobService {
     pub fn new(sc: SparkContext, conf: ServiceConfig, runner: impl JobRunner) -> Self {
         let sched = FairScheduler::new(&conf);
         let cache = ResultCache::new(conf.cache_capacity);
+        let decision_cap = DECISIONS_PER_JOB * conf.settled_retention.max(1);
         JobService {
             inner: Arc::new(SvcInner {
                 sc,
@@ -515,7 +533,8 @@ impl JobService {
                     next_job: 1,
                     committed: 0.0,
                     dispatch_seq: 0,
-                    decisions: Vec::new(),
+                    decisions: VecDeque::new(),
+                    decision_cap,
                     stats: ServiceStats::default(),
                 }),
                 work: Condvar::new(),
@@ -541,7 +560,7 @@ impl JobService {
         let reject = |st: &mut SvcState, r: Rejection| {
             st.stats.submitted += 1;
             st.stats.rejected += 1;
-            st.decisions.push(ServiceDecision::Rejected {
+            st.log(ServiceDecision::Rejected {
                 tenant,
                 code: rejection_code(&r),
             });
@@ -576,7 +595,7 @@ impl JobService {
         st.committed += cost;
         st.stats.submitted += 1;
         st.stats.admitted += 1;
-        st.decisions.push(ServiceDecision::Admitted {
+        st.log(ServiceDecision::Admitted {
             job,
             tenant,
             cost_milli: (cost * 1000.0).round() as u64,
@@ -605,8 +624,7 @@ impl JobService {
         let (tenant, job) = st.sched.next()?;
         let seq = st.dispatch_seq;
         st.dispatch_seq += 1;
-        st.decisions
-            .push(ServiceDecision::Dispatched { job, tenant, seq });
+        st.log(ServiceDecision::Dispatched { job, tenant, seq });
         let entry = st.jobs.get_mut(&job).expect("dispatched job exists");
         entry.state = EntryState::Running;
         Some(Dispatch {
@@ -629,21 +647,20 @@ impl JobService {
         st.committed = (st.committed - st.jobs[&d.job].cost).max(0.0);
         if let Some(key) = stored_key {
             st.stats.cache_stores += 1;
-            st.decisions
-                .push(ServiceDecision::CacheStore { job: d.job, key });
+            st.log(ServiceDecision::CacheStore { job: d.job, key });
         }
         let state = match outcome {
             Ok((resp, hit, stages)) => {
                 if hit {
                     st.stats.cache_hits += 1;
-                    st.decisions.push(ServiceDecision::CacheHit {
+                    st.log(ServiceDecision::CacheHit {
                         job: d.job,
                         tenant: d.tenant,
                         key: d.key.expect("hit implies key"),
                     });
                 }
                 st.stats.completed += 1;
-                st.decisions.push(ServiceDecision::Completed {
+                st.log(ServiceDecision::Completed {
                     job: d.job,
                     tenant: d.tenant,
                     ok: true,
@@ -653,7 +670,7 @@ impl JobService {
             }
             Err(JobError::Cancelled(_)) => {
                 st.stats.cancelled += 1;
-                st.decisions.push(ServiceDecision::Cancelled {
+                st.log(ServiceDecision::Cancelled {
                     job: d.job,
                     tenant: d.tenant,
                 });
@@ -661,7 +678,7 @@ impl JobService {
             }
             Err(e) => {
                 st.stats.failed += 1;
-                st.decisions.push(ServiceDecision::Completed {
+                st.log(ServiceDecision::Completed {
                     job: d.job,
                     tenant: d.tenant,
                     ok: false,
@@ -788,8 +805,7 @@ impl JobService {
                 st.jobs.get_mut(&job).expect("queued job").state = EntryState::Cancelled;
                 st.retire(job, self.inner.conf.settled_retention);
                 st.stats.cancelled += 1;
-                st.decisions
-                    .push(ServiceDecision::Cancelled { job, tenant });
+                st.log(ServiceDecision::Cancelled { job, tenant });
             }
         }
         self.inner.work.notify_all();
@@ -837,8 +853,7 @@ impl JobService {
                 st.jobs.get_mut(&job).expect("present").state = EntryState::Cancelled;
                 st.retire(job, self.inner.conf.settled_retention);
                 st.stats.cancelled += 1;
-                st.decisions
-                    .push(ServiceDecision::Cancelled { job, tenant });
+                st.log(ServiceDecision::Cancelled { job, tenant });
                 drop(st);
                 self.inner.done.notify_all();
                 self.inner.work.notify_all();
@@ -851,10 +866,13 @@ impl JobService {
         true
     }
 
-    /// The decision log so far (replay-comparable under sequential
-    /// driving).
+    /// The most recent window of the decision log, oldest first
+    /// (replay-comparable under sequential driving). The window holds
+    /// four decisions per retained settled job
+    /// ([`ServiceConfig::settled_retention`]); older ones are dropped,
+    /// so a long-running service holds bounded memory.
     pub fn decisions(&self) -> Vec<ServiceDecision> {
-        self.inner.state.lock().decisions.clone()
+        self.inner.state.lock().decisions.iter().cloned().collect()
     }
 
     /// Counters snapshot.
@@ -871,19 +889,6 @@ impl JobService {
     /// Result-cache (hits, misses, evictions).
     pub fn cache_stats(&self) -> (u64, u64, u64) {
         self.inner.cache.lock().stats()
-    }
-
-    /// Result-cache (entries, used bytes).
-    pub fn cache_usage(&self) -> (usize, u64) {
-        let c = self.inner.cache.lock();
-        (c.len(), c.used_bytes())
-    }
-
-    /// Invalidate one cached lineage key (e.g. after recovery events
-    /// that make re-validation desirable). Returns whether an entry
-    /// was dropped.
-    pub fn invalidate_cached(&self, key: u128) -> bool {
-        self.inner.cache.lock().invalidate(key)
     }
 
     // -----------------------------------------------------------------

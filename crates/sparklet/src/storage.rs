@@ -154,7 +154,6 @@ struct StoreInner {
     mem_used: u64,
     mem_peak: u64,
     disk_used: u64,
-    disk_peak: u64,
 }
 
 /// One node's tiered cache.
@@ -191,7 +190,6 @@ impl BlockStore {
                 mem_used: 0,
                 mem_peak: 0,
                 disk_used: 0,
-                disk_peak: 0,
             }),
             mem_capacity,
             disk_capacity,
@@ -355,7 +353,6 @@ impl BlockStore {
         entry.tier = Tier::Disk(payload);
         self.remove_reconciled(inner, cache, partition, mem_credit, disk_credit);
         inner.disk_used += entry.bytes;
-        inner.disk_peak = inner.disk_peak.max(inner.disk_used);
         self.spilled_bytes.fetch_add(entry.bytes, Ordering::Relaxed);
         if let Some(tc) = tc {
             tc.add_spill_write(entry.bytes, wire);
@@ -428,7 +425,6 @@ impl BlockStore {
                     entry.tier = Tier::Disk(payload);
                     inner.mem_used -= bytes;
                     inner.disk_used += bytes;
-                    inner.disk_peak = inner.disk_peak.max(inner.disk_used);
                     freed += bytes;
                     self.spilled_bytes.fetch_add(bytes, Ordering::Relaxed);
                     if let Some(tc) = tc {
@@ -578,11 +574,6 @@ impl BlockStore {
     /// High-water mark of memory-tier bytes over the store's lifetime.
     pub fn peak_used_bytes(&self) -> u64 {
         self.inner.lock().mem_peak
-    }
-
-    /// High-water mark of disk-tier bytes over the store's lifetime.
-    pub fn peak_disk_used_bytes(&self) -> u64 {
-        self.inner.lock().disk_peak
     }
 
     /// Reads served from the memory tier.

@@ -538,6 +538,34 @@ fn settled_retention_bounds_job_memory() {
 }
 
 #[test]
+fn decision_log_is_a_ring_sized_from_the_settled_retention() {
+    // Regression: the log was a `Vec` that only grew, ≈ 3–4 entries a
+    // job for the life of the service. It keeps the most recent four
+    // decisions per retained settled job.
+    let svc = JobService::new(
+        sim_ctx(11),
+        ServiceConfig::default()
+            .with_inflight(1, 1)
+            .with_settled_retention(2),
+        PanicRunner,
+    );
+    let cap = 4 * 2;
+    let mut last = 0;
+    for _ in 0..3 * cap {
+        // Echo jobs: admitted, dispatched, completed — no engine work.
+        last = svc.submit(1, Bytes::from_static(&[1])).expect("admit");
+        svc.pump_all();
+    }
+    let log = svc.decisions();
+    assert_eq!(log.len(), cap, "the window holds the cap, not the history");
+    assert!(
+        matches!(log.last(), Some(ServiceDecision::Completed { job, ok: true, .. }) if *job == last),
+        "the window is the most recent one: {log:?}"
+    );
+    assert_eq!(svc.committed_cost(), 0.0);
+}
+
+#[test]
 fn wire_shutdown_performs_a_full_stop() {
     let svc = service(ctx(), ServiceConfig::default().with_inflight(1, 1));
     svc.start_workers(1);

@@ -6,7 +6,7 @@
 //! cargo run --release --example adaptive
 //! ```
 
-use dp_core::{adaptive_solve, DpConfig, KernelSpec, Strategy};
+use dp_core::{adaptive_solve, registry, DpConfig, KernelParams, KernelSpec, Strategy};
 use gep_kernels::graph::{check_apsp, erdos_renyi};
 use gep_kernels::Tropical;
 use sparklet::{SparkConf, SparkContext};
@@ -22,12 +22,15 @@ fn main() {
             .with_partitions(16),
     );
     let cfg = DpConfig::new(n, 128).with_strategy(Strategy::InMemory);
-    let candidates = [
-        KernelSpec::iterative(),
-        KernelSpec::named("blocked"),
-        KernelSpec::recursive(2, 32, 2),
-        KernelSpec::recursive(4, 32, 4),
-    ];
+    // Every registered backend at one shape (the fixed-shape ones
+    // ignore it), plus a second shape of the recursive kernel.
+    let params = KernelParams {
+        r_shared: 2,
+        base: 32,
+        threads: 2,
+    };
+    let mut candidates = registry::<Tropical>().dense_candidates(params);
+    candidates.push(KernelSpec::recursive(4, 32, 4));
 
     println!(
         "probing {} kernel candidates on a 1-phase prefix …",
