@@ -8,12 +8,10 @@
 //! right few-hundred-seconds regime; the *shape* conclusions (who wins,
 //! where crossovers fall) come from the mechanisms, not the constants.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::{ClusterSpec, SpecError};
 
 /// How a task executed its block kernels — the paper's two kernel types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelType {
     /// Loop-based kernel, single-threaded per task (the Numba baseline).
     Iterative,
@@ -33,7 +31,7 @@ pub enum KernelType {
 }
 
 /// One block-kernel execution inside a task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelInvocation {
     /// Number of GEP element updates performed (≈ Σ_G ∩ block volume).
     pub updates: f64,
@@ -46,7 +44,7 @@ pub struct KernelInvocation {
 }
 
 /// One task's recorded footprint.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskRecord {
     /// Executor (node) index the task ran on.
     pub node: usize,
@@ -67,40 +65,32 @@ pub struct TaskRecord {
     /// the engine's data-plane codec was on (0 = frames moved at their
     /// declared size; the model falls back to its assumed
     /// [`ModelParams::compression`] ratio).
-    #[serde(default)]
     pub remote_read_wire_bytes: u64,
     /// Compressed frame bytes actually read from this node's storage
     /// (0 = uncompressed).
-    #[serde(default)]
     pub local_read_wire_bytes: u64,
     /// Compressed frame bytes actually staged for later shuffles
     /// (0 = uncompressed).
-    #[serde(default)]
     pub shuffle_write_wire_bytes: u64,
     /// Compressed frame bytes actually written to the disk tier
     /// (0 = uncompressed).
-    #[serde(default)]
     pub spill_write_wire_bytes: u64,
     /// Compressed frame bytes actually read back from the disk tier
     /// (0 = uncompressed).
-    #[serde(default)]
     pub spill_read_wire_bytes: u64,
 }
 
 /// One stage's recorded footprint (plus driver-side traffic for CB).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StageRecord {
     /// Engine-assigned global stage ordinal (driver-only pseudo-stages
     /// keep the default 0).
-    #[serde(default)]
     pub stage_id: u64,
     /// Stage ids of the direct parent stages in the job DAG — the map
     /// stages whose shuffles this stage read.
-    #[serde(default)]
     pub parent_stage_ids: Vec<u64>,
     /// Stages the DAG scheduler had in flight when this one launched
     /// (including this one); 1 means serial execution.
-    #[serde(default)]
     pub concurrent_stages: u64,
     /// Every task of the stage (with placement).
     pub tasks: Vec<TaskRecord>,
@@ -191,7 +181,7 @@ impl TickCharger {
 }
 
 /// A stage's simulated time decomposed into components (seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageCost {
     /// End-to-end stage seconds.
     pub total: f64,
@@ -207,7 +197,7 @@ pub struct StageCost {
 
 /// Tunable constants. Defaults are calibrated against the paper's
 /// reported runtimes for cluster 1 (see `dp-bench` calibration notes).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelParams {
     /// GEP updates/s per core for an L2-resident iterative kernel.
     pub base_update_rate: f64,
@@ -252,9 +242,7 @@ pub struct ModelParams {
     /// Sparse-sweep kernels' per-update rate relative to L2-resident
     /// iterative (below 1: CSR relaxation chases row indices and
     /// scatters into the candidate matrix instead of streaming a dense
-    /// tile). Defaults when absent from serialized params, so
-    /// dense-era JSON keeps loading.
-    #[serde(default = "default_sweep_factor")]
+    /// tile).
     pub sweep_factor: f64,
 }
 
@@ -726,9 +714,8 @@ mod tests {
 
     #[test]
     fn sweep_factor_default_is_valid_and_discounted() {
-        // The serde fallback (dense-era params carry no sweep term)
-        // and Default must agree, validate, and price sweeps below
-        // the L2-resident iterative rate.
+        // The default must validate and price sweeps below the
+        // L2-resident iterative rate.
         let p = ModelParams::default();
         assert_eq!(p.sweep_factor, default_sweep_factor());
         assert!(p.sweep_factor > 0.0 && p.sweep_factor < 1.0);

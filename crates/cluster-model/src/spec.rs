@@ -1,7 +1,5 @@
 //! Hardware descriptions of the paper's experimental platforms.
 
-use serde::{Deserialize, Serialize};
-
 /// A spec or model rate that would poison cost estimates: a divisor
 /// that is zero, negative, NaN, or infinite turns every downstream
 /// `stage_seconds` into inf/NaN, which silently corrupts tuner and
@@ -38,7 +36,7 @@ pub(crate) fn check_rate(field: &'static str, value: f64) -> Result<(), SpecErro
 }
 
 /// Per-node compute resources.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Physical cores per node (the paper sets `executor-cores` to this).
     pub cores: usize,
@@ -56,7 +54,7 @@ pub struct NodeSpec {
 
 /// Local storage technology — the paper's clusters differ exactly here
 /// (SSD vs 7500 rpm spinning disks), which drives the Fig. 8 gap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageKind {
     /// Solid-state local storage (cluster 1).
     Ssd,
@@ -65,7 +63,7 @@ pub enum StorageKind {
 }
 
 /// Local storage used for shuffle staging and CB shared files.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageSpec {
     /// Storage technology.
     pub kind: StorageKind,
@@ -78,7 +76,7 @@ pub struct StorageSpec {
 }
 
 /// A whole cluster: homogeneous nodes plus interconnect.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Human-readable cluster name.
     pub name: String,

@@ -44,7 +44,6 @@ use gep_kernels::iterative::block_kernel;
 use gep_kernels::recursive::{rec_kernel, RecConfig};
 use gep_kernels::{TileMut, TileRef};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::kernels::omp_pool;
 use crate::problem::DpProblem;
@@ -52,7 +51,7 @@ use crate::problem::DpProblem;
 /// Numeric kernel parameters shared by every backend. Backends read
 /// what they understand (`iterative` ignores all three; `recursive`
 /// reads the full set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelParams {
     /// Recursive fan-out inside the executor kernel (`r_shared`).
     pub r_shared: usize,
@@ -75,7 +74,7 @@ impl Default for KernelParams {
 /// Config-surface kernel selector: which backend runs executor kernels,
 /// in what parameterization, and what to fall back to when the primary
 /// is not registered.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelSpec {
     /// Primary backend name (a [`BackendRegistry`] registration name).
     pub backend: String,

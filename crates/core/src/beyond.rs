@@ -124,6 +124,9 @@ pub fn solve_parenthesis(
     weight: &ParenWeight,
     b: usize,
 ) -> Result<Matrix<f64>, JobError> {
+    if b == 0 {
+        return Err(JobError::Driver("block side must be at least 1".into()));
+    }
     let n1 = weight.n() + 1;
     let g = n1.div_ceil(b);
     let padded = g * b;
@@ -402,6 +405,15 @@ mod tests {
             let reference = parenthesis::solve_reference(&w);
             assert_eq!(dist.first_difference(&reference), None, "n={n} b={b}");
         }
+    }
+
+    #[test]
+    fn zero_block_side_is_a_driver_error_before_any_stage() {
+        let w = ParenWeight::MatrixChain(random_dims(7, 3));
+        let sc = ctx();
+        let err = solve_parenthesis(&sc, &w, 0).unwrap_err();
+        assert!(matches!(err, JobError::Driver(_)), "{err}");
+        assert_eq!(sc.summary().stages, 0);
     }
 
     #[test]

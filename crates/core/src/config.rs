@@ -1,13 +1,12 @@
 //! The tunable parameter surface of a distributed GEP execution —
 //! exactly the knobs Section V of the paper sweeps.
 
-use serde::{Deserialize, Serialize};
 use sparklet::StorageLevel;
 
 use crate::backend::{ConfigError, KernelParams, KernelSpec, RECURSIVE};
 
 /// Distribution strategy (Section IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Listing 1: wide shuffles (`combineByKey`) move block copies.
     InMemory,
@@ -27,7 +26,7 @@ pub enum Strategy {
 pub(crate) const DEFAULT_LEVEL: StorageLevel = StorageLevel::MemoryAndDisk;
 
 /// One experiment configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DpConfig {
     /// Problem size: the DP table is `n×n` (padded up to a multiple of
     /// `block` if needed).

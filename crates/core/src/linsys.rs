@@ -19,8 +19,18 @@ pub fn solve_linear_system(
     a: &Matrix<f64>,
     b: &[f64],
 ) -> Result<Vec<f64>, JobError> {
-    assert_eq!(a.rows(), a.cols(), "coefficient matrix must be square");
-    assert_eq!(a.rows(), b.len(), "rhs length must match");
+    let (rows, cols) = (a.rows(), a.cols());
+    if rows != cols {
+        return Err(JobError::Driver(format!(
+            "coefficient matrix must be square, got {rows}×{cols}"
+        )));
+    }
+    if rows != b.len() {
+        return Err(JobError::Driver(format!(
+            "rhs length {} must match the {rows}×{rows} system",
+            b.len()
+        )));
+    }
     let table = pack_system(a, b);
     let mut cfg = template.clone();
     cfg.n = table.rows();
@@ -65,6 +75,21 @@ mod tests {
         for i in 0..31 {
             assert!((x[i] - x_true[i]).abs() < 1e-9, "x[{i}]");
         }
+    }
+
+    #[test]
+    fn malformed_systems_are_driver_errors_before_any_stage() {
+        let sc = SparkContext::new(SparkConf::default().with_executors(2).with_partitions(4));
+        let template = DpConfig::new(1, 2);
+        let (a, b, _) = dd_system(3, 1);
+        let wide = Matrix::from_fn(3, 2, |i, j| (i + j) as f64);
+        for err in [
+            solve_linear_system(&sc, &template, &wide, &b).unwrap_err(),
+            solve_linear_system(&sc, &template, &a, &b[..2]).unwrap_err(),
+        ] {
+            assert!(matches!(err, JobError::Driver(_)), "{err}");
+        }
+        assert_eq!(sc.summary().stages, 0);
     }
 
     #[test]

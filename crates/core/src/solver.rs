@@ -282,7 +282,7 @@ mod tests {
     use gep_kernels::Tropical;
 
     /// Regression: an unresolvable chain used to panic inside every
-    /// task attempt (burning `max_task_attempts` retries per task
+    /// task attempt (burning every allowed attempt of each task
     /// first), an invalid config panicked in the plan, and a table of
     /// the wrong shape hit an `assert_eq!`. All are one typed error at
     /// the front door, before anything is submitted.

@@ -5,7 +5,7 @@
 use dp_core::{solve, solve_virtual, DpConfig, KernelSpec, Strategy};
 use gep_kernels::gep::gep_reference;
 use gep_kernels::{GaussianElim, Matrix, TransitiveClosure, Tropical};
-use sparklet::{SparkConf, SparkContext};
+use sparklet::{ChaosEvent, ChaosPolicy, SparkConf, SparkContext};
 
 fn ctx() -> SparkContext {
     SparkContext::new(
@@ -220,8 +220,12 @@ fn injected_task_failure_recovers_mid_solve() {
     gep_reference::<GaussianElim>(&mut reference);
     let sc = ctx();
     // Fail a couple of tasks in early stages; lineage retry must heal.
-    sc.inject_failure(1, 0, 1);
-    sc.inject_failure(3, 2, 2);
+    let _chaos = sc.install_chaos(
+        ChaosPolicy::seeded(0)
+            .script(1, 0, 1, ChaosEvent::TaskPanic)
+            .script(3, 2, 1, ChaosEvent::TaskPanic)
+            .script(3, 2, 2, ChaosEvent::TaskPanic),
+    );
     let cfg = DpConfig::new(16, 4);
     let out = solve::<GaussianElim>(&sc, &cfg, &input).expect("solve with failures");
     assert_eq!(out.first_difference(&reference), None);

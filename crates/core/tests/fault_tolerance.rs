@@ -9,7 +9,7 @@
 use dp_core::{solve, DpConfig};
 use gep_kernels::gep::gep_reference;
 use gep_kernels::{Matrix, Tropical};
-use sparklet::{SparkConf, SparkContext};
+use sparklet::{ChaosPolicy, SparkConf, SparkContext};
 
 const NODES: usize = 4;
 
@@ -85,12 +85,11 @@ fn run_fw_seeded(
     sim_seed: Option<u64>,
 ) -> Result<RunStats, sparklet::JobError> {
     let sc = ctx(capacity, sim_seed);
-    if fault_every_wave {
-        // Partition 0 of every stage — every map wave of every
-        // iteration (and the reduce/collect stages too) — fails once
-        // after its side effects landed, then retries on another node.
-        sc.inject_failure_every_stage(0, 1);
-    }
+    // Partition 0 of every stage — every map wave of every
+    // iteration (and the reduce/collect stages too) — fails once
+    // after its side effects landed, then retries on another node.
+    let _chaos = fault_every_wave
+        .then(|| sc.install_chaos(ChaosPolicy::seeded(0).with_standing_panics(0, 1)));
     // n = 32, block = 8 ⇒ a 4×4 block grid (g = 4 map waves).
     let cfg = DpConfig::new(32, 8);
     let out = solve::<Tropical>(&sc, &cfg, input)?;

@@ -7,7 +7,7 @@ use dp_core::{solve, DpConfig, KernelSpec, Strategy as DpStrategy};
 use gep_kernels::gep::gep_reference;
 use gep_kernels::{GaussianElim, Matrix, TransitiveClosure, Tropical};
 use proptest::prelude::*;
-use sparklet::{SparkConf, SparkContext};
+use sparklet::{ChaosEvent, ChaosPolicy, SparkConf, SparkContext};
 
 fn dd_matrix(n: usize, seed: u64) -> Matrix<f64> {
     let mut state = seed | 1;
@@ -158,7 +158,11 @@ proptest! {
         let sc = SparkContext::new(
             SparkConf::default().with_executors(3).with_partitions(8),
         );
-        sc.inject_failure(fail_stage, fail_partition, 2);
+        let _chaos = sc.install_chaos(
+            ChaosPolicy::seeded(0)
+                .script(fail_stage, fail_partition, 1, ChaosEvent::TaskPanic)
+                .script(fail_stage, fail_partition, 2, ChaosEvent::TaskPanic),
+        );
         let cfg = DpConfig::new(16, 4);
         let out = solve::<Tropical>(&sc, &cfg, &input).expect("solve heals failures");
         prop_assert_eq!(out.first_difference(&reference), None);

@@ -9,7 +9,7 @@
 use dp_core::{solve, DpConfig, RunSummary};
 use gep_kernels::gep::gep_reference;
 use gep_kernels::{Matrix, Tropical};
-use sparklet::{SparkConf, SparkContext, StorageLevel};
+use sparklet::{ChaosPolicy, SparkConf, SparkContext, StorageLevel};
 
 const NODES: usize = 4;
 
@@ -61,9 +61,8 @@ fn run_fw(
     fault_every_wave: bool,
 ) -> Run {
     let sc = ctx(executor_memory);
-    if fault_every_wave {
-        sc.inject_failure_every_stage(0, 1);
-    }
+    let _chaos = fault_every_wave
+        .then(|| sc.install_chaos(ChaosPolicy::seeded(0).with_standing_panics(0, 1)));
     let out = solve::<Tropical>(&sc, cfg, input).expect("solve");
     Run {
         out,

@@ -85,7 +85,7 @@ pub trait GepSpec: Send + Sync + 'static {
 }
 
 /// Aliasing pattern of a blocked-GEP kernel application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kind {
     /// Diagonal block: `u`, `v`, `w` all alias `x`.
     A,

@@ -33,7 +33,7 @@ use crate::tilegrid::{col_split, phase_split, row_split};
 /// Tuning parameters of an r-way R-DP execution: the fan-out
 /// `r` (the paper's `r_shared` when run inside an executor) and the
 /// base-case tile side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecConfig {
     /// Recursive fan-out (`r_shared`); must be ≥ 2.
     pub r: usize,

@@ -36,8 +36,6 @@ pub struct SparkConf {
     /// Storage level used by [`crate::Rdd::checkpoint`] (explicit
     /// `checkpoint_with_level`/`persist` calls override it).
     pub storage_level: StorageLevel,
-    /// Maximum attempts per task before the job fails (lineage retry).
-    pub max_task_attempts: usize,
     /// Base delay before re-launching a failed task, doubling per
     /// attempt (`spark.task.retry.backoff`-style). 0 disables backoff.
     pub retry_backoff_ms: u64,
@@ -60,11 +58,6 @@ pub struct SparkConf {
     /// pure function of the seed (see DESIGN.md, "Deterministic
     /// simulation").
     pub sim_seed: Option<u64>,
-    /// Whole-job resubmissions allowed after a
-    /// [`crate::JobError::FetchFailed`] (lost or chaos-failed map
-    /// outputs trigger a map-stage re-run, Spark-style, rather than a
-    /// task retry).
-    pub max_fetch_retries: usize,
     /// Allow mid-job re-planning: a driver-side loop may consult the
     /// event log between stages and change partition counts, strategy,
     /// kernel shape, or storage tier for the remaining work
@@ -101,14 +94,12 @@ impl Default for SparkConf {
             executor_memory: None,
             disk_capacity: None,
             storage_level: StorageLevel::MemoryOnly,
-            max_task_attempts: 4,
             retry_backoff_ms: 0,
             retry_backoff_max_ms: 1000,
             speculation: false,
             speculation_quantile: 0.75,
             max_concurrent_stages: None,
             sim_seed: None,
-            max_fetch_retries: 8,
             adaptive_execution: false,
             compression: Compression::None,
             transport: TransportMode::InProcess,
@@ -127,7 +118,6 @@ impl SparkConf {
             default_partitions: 1024,
             staging_capacity: Some(1 << 40),
             executor_memory: Some(160 << 30),
-            max_task_attempts: 4,
             ..Default::default()
         }
     }
@@ -142,7 +132,6 @@ impl SparkConf {
             default_partitions: 640,
             staging_capacity: Some(1 << 40),
             executor_memory: Some(60 << 30),
-            max_task_attempts: 4,
             ..Default::default()
         }
     }
@@ -199,13 +188,6 @@ impl SparkConf {
         self
     }
 
-    /// Set the maximum attempts per task (lineage retry budget).
-    pub fn with_max_task_attempts(mut self, n: usize) -> Self {
-        assert!(n >= 1);
-        self.max_task_attempts = n;
-        self
-    }
-
     /// Set the exponential retry backoff: `base` ms doubling per
     /// attempt, capped at `max` ms.
     pub fn with_retry_backoff(mut self, base_ms: u64, max_ms: u64) -> Self {
@@ -233,12 +215,6 @@ impl SparkConf {
     /// Switch to deterministic simulation mode under `seed`.
     pub fn with_sim_seed(mut self, seed: u64) -> Self {
         self.sim_seed = Some(seed);
-        self
-    }
-
-    /// Set the whole-job resubmission budget for fetch failures.
-    pub fn with_max_fetch_retries(mut self, n: usize) -> Self {
-        self.max_fetch_retries = n;
         self
     }
 
@@ -318,10 +294,8 @@ mod tests {
     #[test]
     fn retry_and_speculation_knobs_compose() {
         let c = SparkConf::default()
-            .with_max_task_attempts(6)
             .with_retry_backoff(5, 80)
             .with_speculation(0.5);
-        assert_eq!(c.max_task_attempts, 6);
         assert_eq!((c.retry_backoff_ms, c.retry_backoff_max_ms), (5, 80));
         assert!(c.speculation);
         assert_eq!(c.speculation_quantile, 0.5);
@@ -332,14 +306,10 @@ mod tests {
 
     #[test]
     fn sim_knobs_compose() {
-        let c = SparkConf::default()
-            .with_sim_seed(1234)
-            .with_max_fetch_retries(3);
+        let c = SparkConf::default().with_sim_seed(1234);
         assert_eq!(c.sim_seed, Some(1234));
-        assert_eq!(c.max_fetch_retries, 3);
         let d = SparkConf::default();
         assert_eq!(d.sim_seed, None, "real execution by default");
-        assert_eq!(d.max_fetch_retries, 8);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::dag::ShuffleRegistry;
 use crate::metrics::{EventLog, RunSummary};
 use crate::partitioner::{HashPartitioner, Partitioner};
 use crate::rdd::{Key, Rdd, ShufVal};
-use crate::scheduler::FaultPlan;
 use crate::shuffle::ShuffleManager;
 use crate::sim::{ChaosEvent, ChaosPolicy, SimRng};
 use crate::storage::BlockStore;
@@ -37,7 +36,6 @@ pub(crate) struct CtxInner {
     pub shuffle: ShuffleManager,
     pub bcast: Arc<BroadcastStore>,
     pub log: Mutex<EventLog>,
-    pub faults: Mutex<FaultPlan>,
     ids: AtomicU64,
     pub stage_ordinal: AtomicU64,
     /// Per-shuffle materialization latches (exactly-once in-flight
@@ -171,7 +169,6 @@ impl SparkContext {
                 shuffle,
                 bcast: Arc::new(BroadcastStore::default()),
                 log: Mutex::new(EventLog::default()),
-                faults: Mutex::new(FaultPlan::default()),
                 ids: AtomicU64::new(1),
                 stage_ordinal: AtomicU64::new(0),
                 registry: ShuffleRegistry::default(),
@@ -324,20 +321,6 @@ impl SparkContext {
     /// reconciliation) since the context was created.
     pub fn staged_released_bytes(&self) -> u64 {
         self.inner.shuffle.staged_released_bytes()
-    }
-
-    /// Inject a failure: the task for `partition` of the `stage`-th
-    /// stage (0-based global ordinal) fails `times` times before
-    /// succeeding — exercising lineage-based retry.
-    pub fn inject_failure(&self, stage: u64, partition: usize, times: usize) {
-        self.inner.faults.lock().add(stage, partition, times);
-    }
-
-    /// Inject a failure into *every* stage: the task for `partition`
-    /// fails `times` times per stage before succeeding (a standing
-    /// chaos rule for fault-tolerance stress tests).
-    pub fn inject_failure_every_stage(&self, partition: usize, times: usize) {
-        self.inner.faults.lock().add_every_stage(partition, times);
     }
 
     /// Global ordinal the *next* stage will get.

@@ -37,6 +37,11 @@ impl<T: Data + Eq + std::hash::Hash + Storable> Key for T {}
 pub trait ShufVal: Data + Storable {}
 impl<T: Data + Storable> ShufVal for T {}
 
+/// Whole-job resubmissions allowed after a [`JobError::FetchFailed`]
+/// (lost or chaos-failed map outputs trigger a map-stage re-run,
+/// Spark-style, rather than a task retry).
+const MAX_FETCH_RETRIES: usize = 8;
+
 /// Partition-identity signature: (partitioner name, parameter,
 /// partition count). Equal signatures ⇒ identical key placement.
 pub type PartSig = (&'static str, u64, usize);
@@ -908,8 +913,7 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
     /// resubmission): the lost shuffle's latch reopens so the next
     /// plan pass re-runs its map stage from lineage, and each retry
     /// walks one more lost lineage level if the recovery itself hits
-    /// a missing grandparent. Bounded by
-    /// [`crate::SparkConf::max_fetch_retries`].
+    /// a missing grandparent. Bounded by [`MAX_FETCH_RETRIES`].
     fn run_action<R: Send + 'static>(
         &self,
         label: &str,
@@ -918,9 +922,7 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         let mut resubmits = 0usize;
         loop {
             match self.run_action_once(label, Arc::clone(&work)) {
-                Err(JobError::FetchFailed { shuffle, .. })
-                    if resubmits < self.ctx.conf().max_fetch_retries =>
-                {
+                Err(JobError::FetchFailed { shuffle, .. }) if resubmits < MAX_FETCH_RETRIES => {
                     resubmits += 1;
                     self.ctx.note_stage_resubmission(shuffle);
                 }

@@ -1,6 +1,6 @@
 //! Stage execution: task placement, waves, lineage retry with
 //! exponential backoff, speculative re-execution, attempt fencing,
-//! fault injection, and event-log recording.
+//! chaos verdicts, and event-log recording.
 //!
 //! `run_stage` is the per-stage engine: one bookkeeping value
 //! (`StageRun`) makes every per-attempt decision — placement, fault
@@ -14,10 +14,10 @@
 //! launch, and may keep several `run_stage` calls in flight on
 //! different driver threads at once — so every counter this module
 //! attributes to a stage record is claimed under one mutex
-//! (`SparkContext::claim_stage_deltas`) and fault-injection bookkeeping
-//! is keyed per stage.
+//! (`SparkContext::claim_stage_deltas`), and a fault verdict is a
+//! function of the attempt's `(stage, partition, attempt)` coordinate
+//! ([`crate::ChaosPolicy`]), not of the order stages ask in.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,7 +37,7 @@ pub(crate) type TaskFn<R> = Arc<dyn Fn(usize, &TaskContext) -> Result<R, JobErro
 /// loop (or an action submitter) *before* the stage runs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StageMeta {
-    /// Driver-wide stage ordinal (also the fault-injection key).
+    /// Driver-wide stage ordinal (also the chaos-script key).
     pub stage_id: u64,
     /// Direct parent shuffle ids from the stage graph.
     pub parent_shuffles: Vec<u64>,
@@ -45,84 +45,8 @@ pub(crate) struct StageMeta {
     pub concurrent: u64,
 }
 
-/// Deterministic fault injection: rules keyed by (stage ordinal,
-/// partition), each failing a bounded number of attempts. A rule can
-/// also apply to every stage (standing chaos for stress tests).
-#[derive(Debug, Default)]
-pub struct FaultPlan {
-    rules: Vec<FaultRule>,
-}
-
-#[derive(Debug)]
-enum FaultRule {
-    /// Fail `remaining` more attempts of (stage, partition).
-    Once {
-        stage: u64,
-        partition: usize,
-        remaining: usize,
-    },
-    /// Fail the first `times` attempts of `partition` in every stage.
-    /// Budgets are tracked per stage ordinal so the rule stays exact
-    /// when the DAG scheduler interleaves attempts of several stages.
-    EveryStage {
-        partition: usize,
-        times: usize,
-        used: HashMap<u64, usize>,
-    },
-}
-
-impl FaultPlan {
-    /// Schedule `times` failures for (stage ordinal, partition).
-    pub fn add(&mut self, stage: u64, partition: usize, times: usize) {
-        self.rules.push(FaultRule::Once {
-            stage,
-            partition,
-            remaining: times,
-        });
-    }
-
-    /// Schedule `times` failures for `partition` in *every* stage.
-    pub fn add_every_stage(&mut self, partition: usize, times: usize) {
-        self.rules.push(FaultRule::EveryStage {
-            partition,
-            times,
-            used: HashMap::new(),
-        });
-    }
-
-    /// Consume one failure budget for this (stage, partition) if any.
-    pub fn should_fail(&mut self, stage: u64, partition: usize) -> bool {
-        for rule in &mut self.rules {
-            match rule {
-                FaultRule::Once {
-                    stage: s,
-                    partition: p,
-                    remaining,
-                } => {
-                    if *s == stage && *p == partition && *remaining > 0 {
-                        *remaining -= 1;
-                        return true;
-                    }
-                }
-                FaultRule::EveryStage {
-                    partition: p,
-                    times,
-                    used,
-                } => {
-                    if *p != partition {
-                        continue;
-                    }
-                    let spent = used.entry(stage).or_insert(0);
-                    if *spent < *times {
-                        *spent += 1;
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-}
+/// Launches per partition before the job fails (lineage retry budget).
+const MAX_TASK_ATTEMPTS: u64 = 4;
 
 /// Is this error worth re-running the task for? Staging/memory/disk
 /// overflows are deterministic — retrying cannot help. A fetch failure
@@ -143,8 +67,8 @@ fn retryable(err: &JobError) -> bool {
 
 /// Execute one task attempt inline: fenced [`TaskContext`] with any
 /// chaos verdict armed on it, straggler delay charged to `clock`,
-/// panics caught, and injected/chaos panics failing the attempt *after*
-/// its side effects (shuffle writes, cache puts) have landed so retries
+/// panics caught, and chaos panics failing the attempt *after* its
+/// side effects (shuffle writes, cache puts) have landed so retries
 /// exercise real re-staging reconciliation. Shared by the threaded
 /// executor path (inside the spawned closure) and the deterministic
 /// scheduler (on the driver thread).
@@ -156,7 +80,6 @@ fn run_task_attempt<R>(
     node: usize,
     board: &CommitBoard,
     work: &TaskFn<R>,
-    injected: bool,
     chaos: Option<ChaosEvent>,
     clock: &Arc<dyn Clock>,
 ) -> (Result<R, JobError>, TaskRecord) {
@@ -181,17 +104,12 @@ fn run_task_attempt<R>(
             })
         }
     };
-    let fail_after = injected || matches!(chaos, Some(ChaosEvent::TaskPanic));
-    let outcome = match (fail_after, outcome) {
-        (true, Ok(_)) => Err(JobError::TaskFailed {
+    let outcome = match (chaos, outcome) {
+        (Some(ChaosEvent::TaskPanic), Ok(_)) => Err(JobError::TaskFailed {
             stage: label.to_string(),
             partition: p,
             attempts: attempt as usize,
-            message: if injected {
-                format!("injected failure (partition {p})")
-            } else {
-                format!("chaos panic (partition {p})")
-            },
+            message: format!("chaos panic (partition {p})"),
         }),
         (_, other) => other,
     };
@@ -315,20 +233,12 @@ impl<'a, R> StageRun<'a, R> {
         (preferred.unwrap_or(p % nodes) + (attempt - 1) as usize) % nodes
     }
 
-    /// The fault verdict for one launch: whether an injected failure
-    /// hits it and which chaos event, to be armed on the attempt. An
-    /// executor loss is a driver-visible event, not task code: the
-    /// node's state is killed synchronously and the attempt is reported
-    /// dead (`Err`) without running.
-    fn verdict(
-        &self,
-        p: usize,
-        attempt: u64,
-        node: usize,
-    ) -> Result<(bool, Option<ChaosEvent>), JobError> {
-        let stage = self.meta.stage_id;
-        let injected = self.ctx.inner.faults.lock().should_fail(stage, p);
-        let chaos = self.ctx.chaos_event(stage, p, attempt);
+    /// The fault verdict for one launch: which chaos event, if any, is
+    /// armed on the attempt. An executor loss is a driver-visible
+    /// event, not task code: the node's state is killed synchronously
+    /// and the attempt is reported dead (`Err`) without running.
+    fn verdict(&self, p: usize, attempt: u64, node: usize) -> Result<Option<ChaosEvent>, JobError> {
+        let chaos = self.ctx.chaos_event(self.meta.stage_id, p, attempt);
         if matches!(chaos, Some(ChaosEvent::ExecutorLoss)) {
             self.ctx.kill_executor(node);
             return Err(JobError::TaskFailed {
@@ -338,7 +248,7 @@ impl<'a, R> StageRun<'a, R> {
                 message: format!("executor {node} lost (chaos)"),
             });
         }
-        Ok((injected, chaos))
+        Ok(chaos)
     }
 
     /// What a finished attempt means. The first success of a partition
@@ -370,7 +280,7 @@ impl<'a, R> StageRun<'a, R> {
             Err(_) if self.committed[p] || self.in_flight[p] > 0 => Ok(false),
             Err(err) => {
                 let conf = &self.ctx.inner.conf;
-                if !retryable(&err) || self.attempts[p] as usize >= conf.max_task_attempts {
+                if !retryable(&err) || self.attempts[p] >= MAX_TASK_ATTEMPTS {
                     return Err(err);
                 }
                 let backoff = retry_backoff_ms(
@@ -489,7 +399,7 @@ impl SparkContext {
         let (tx, rx) = crossbeam::channel::unbounded();
         let spawn = |run: &StageRun<'_, R>, p: usize, attempt: u64| {
             let node = run.place(p, attempt, preferred(p));
-            let (injected, chaos) = match run.verdict(p, attempt, node) {
+            let chaos = match run.verdict(p, attempt, node) {
                 Ok(armed) => armed,
                 Err(lost) => {
                     let _ = tx.send((p, attempt, Err(lost), TaskRecord::default()));
@@ -509,9 +419,8 @@ impl SparkContext {
             let label = run.label.to_string();
             let clock = Arc::clone(clock);
             self.inner.executors[node].pool.spawn(move || {
-                let (outcome, record) = run_task_attempt(
-                    &label, p, attempt, node, &board, &work, injected, chaos, &clock,
-                );
+                let (outcome, record) =
+                    run_task_attempt(&label, p, attempt, node, &board, &work, chaos, &clock);
                 if let Some(manager) = &remote {
                     manager.notify_task_done(node, stage, p as u64, attempt, outcome.is_ok());
                 }
@@ -611,9 +520,9 @@ impl SparkContext {
             };
             let node = run.place(p, attempt, preferred(p));
             let (outcome, record) = match run.verdict(p, attempt, node) {
-                Ok((injected, chaos)) => run_task_attempt(
-                    run.label, p, attempt, node, &run.board, work, injected, chaos, clock,
-                ),
+                Ok(chaos) => {
+                    run_task_attempt(run.label, p, attempt, node, &run.board, work, chaos, clock)
+                }
                 Err(lost) => (Err(lost), TaskRecord::default()),
             };
             // Charge the attempt's recorded footprint to virtual time:
@@ -684,30 +593,6 @@ fn retry_backoff_ms(base: u64, max: u64, attempt: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_stage_rule_resets_per_stage() {
-        let mut plan = FaultPlan::default();
-        plan.add_every_stage(0, 1);
-        assert!(plan.should_fail(0, 0));
-        assert!(!plan.should_fail(0, 0)); // budget spent for stage 0
-        assert!(!plan.should_fail(0, 1)); // other partitions untouched
-        assert!(plan.should_fail(1, 0)); // fresh budget for stage 1
-        assert!(!plan.should_fail(1, 0));
-    }
-
-    #[test]
-    fn every_stage_budgets_are_independent_under_interleaving() {
-        // With the DAG scheduler two stages' attempts interleave; each
-        // stage ordinal must keep its own budget rather than resetting
-        // on every ordinal change.
-        let mut plan = FaultPlan::default();
-        plan.add_every_stage(0, 1);
-        assert!(plan.should_fail(0, 0));
-        assert!(plan.should_fail(1, 0)); // stage 1 interleaves
-        assert!(!plan.should_fail(0, 0)); // stage 0 budget still spent
-        assert!(!plan.should_fail(1, 0));
-    }
 
     #[test]
     fn backoff_doubles_and_caps() {

@@ -13,6 +13,8 @@
 //!   verdict for a coordinate never depends on the order in which the
 //!   scheduler asks — only executor-loss consumes a stateful budget
 //!   (and sim-mode queries are themselves deterministically ordered).
+//!   Scripted coordinates and the standing rule are plain lookups on
+//!   the same coordinate: this is the engine's one fault injector.
 //!
 //! Replay: every scenario failure prints `CHAOS_SEED=<seed>`; exporting
 //! that variable re-runs the identical schedule.
@@ -101,7 +103,8 @@ const STREAM_DISK: u64 = 5;
 /// Probabilities are per-mille (`0..=1000`) so draws stay in exact
 /// integer arithmetic. Scripted entries
 /// ([`ChaosPolicy::script`]) override the probabilistic draws for
-/// their exact coordinate.
+/// their exact coordinate, as does the standing rule
+/// ([`ChaosPolicy::with_standing_panics`]) for the attempts it names.
 #[derive(Debug, Clone)]
 pub struct ChaosPolicy {
     seed: u64,
@@ -113,6 +116,9 @@ pub struct ChaosPolicy {
     straggler_delay_ms: u64,
     loss_budget: u32,
     scripted: HashMap<(u64, usize, u64), ChaosEvent>,
+    /// `(partition, n)`: attempts `1..=n` of `partition` panic in every
+    /// stage.
+    standing: Vec<(usize, u64)>,
 }
 
 impl ChaosPolicy {
@@ -128,6 +134,7 @@ impl ChaosPolicy {
             straggler_delay_ms: 500,
             loss_budget: 0,
             scripted: HashMap::new(),
+            standing: Vec::new(),
         }
     }
 
@@ -173,6 +180,17 @@ impl ChaosPolicy {
         self
     }
 
+    /// Panic the first `attempts` attempts of `partition` in *every*
+    /// stage (the standing fault of the fault-tolerance stress tests).
+    /// Attempt numbers are 1-based and consecutive per
+    /// `(stage, partition)`, speculative twins included, so the rule is
+    /// a predicate on the attempt number — no per-stage budget to keep,
+    /// however the DAG scheduler interleaves stages.
+    pub fn with_standing_panics(mut self, partition: usize, attempts: u64) -> Self {
+        self.standing.push((partition, attempts));
+        self
+    }
+
     /// The seed this policy was built from (printed on scenario
     /// failure for replay).
     pub fn seed(&self) -> u64 {
@@ -195,10 +213,17 @@ impl ChaosPolicy {
     /// per coordinate; when several draws hit, the most disruptive
     /// wins: loss > panic > fetch failure > disk full > straggler.
     pub fn event_for(&mut self, stage: u64, partition: usize, attempt: u64) -> Option<ChaosEvent> {
-        // Scripted entries bypass the draws (and the loss budget: a
-        // script is an explicit ask).
+        // Scripted entries and the standing rule bypass the draws (and
+        // the loss budget: both are explicit asks).
         if let Some(ev) = self.scripted.get(&(stage, partition, attempt)) {
             return Some(*ev);
+        }
+        if self
+            .standing
+            .iter()
+            .any(|&(p, n)| p == partition && attempt <= n)
+        {
+            return Some(ChaosEvent::TaskPanic);
         }
         if self.loss_budget > 0
             && self.draw(STREAM_LOSS, self.loss_per_mille, stage, partition, attempt)
@@ -296,6 +321,62 @@ mod tests {
             None,
             "other partitions untouched"
         );
+    }
+
+    fn panics(policy: &mut ChaosPolicy, stage: u64, partition: usize, attempt: u64) -> bool {
+        policy.event_for(stage, partition, attempt) == Some(ChaosEvent::TaskPanic)
+    }
+
+    #[test]
+    fn standing_rule_resets_per_stage() {
+        let mut policy = ChaosPolicy::seeded(0).with_standing_panics(0, 1);
+        assert!(panics(&mut policy, 0, 0, 1));
+        assert!(!panics(&mut policy, 0, 0, 2)); // only the first attempt
+        assert!(!panics(&mut policy, 0, 1, 1)); // other partitions untouched
+        assert!(panics(&mut policy, 1, 0, 1)); // and again in stage 1
+        assert!(!panics(&mut policy, 1, 0, 2));
+    }
+
+    #[test]
+    fn standing_rule_is_independent_under_interleaving() {
+        // With the DAG scheduler two stages' attempts interleave; each
+        // stage ordinal must see its own first attempt fail, whatever
+        // the order of the asks.
+        let mut policy = ChaosPolicy::seeded(0).with_standing_panics(0, 1);
+        assert!(panics(&mut policy, 0, 0, 1));
+        assert!(panics(&mut policy, 1, 0, 1)); // stage 1 interleaves
+        assert!(!panics(&mut policy, 0, 0, 2)); // stage 0's retry still runs
+        assert!(!panics(&mut policy, 1, 0, 2));
+    }
+
+    #[test]
+    fn scripts_and_the_standing_rule_consume_no_draw() {
+        // Adding either to a policy must leave every other
+        // coordinate's verdict — loss budget included — unchanged.
+        let base = ChaosPolicy::seeded(11)
+            .with_task_panics(200)
+            .with_stragglers(150, 40)
+            .with_fetch_failures(100)
+            .with_disk_full(50)
+            .with_executor_loss(120, 3);
+        let mut plain = base.clone();
+        let mut asked = base
+            .script(1, 2, 1, ChaosEvent::FetchFailure)
+            .with_standing_panics(5, 2);
+        for stage in 0..6u64 {
+            for partition in 0..8usize {
+                for attempt in 1..=4u64 {
+                    let got = asked.event_for(stage, partition, attempt);
+                    if (stage, partition, attempt) == (1, 2, 1) {
+                        assert_eq!(got, Some(ChaosEvent::FetchFailure));
+                    } else if partition == 5 && attempt <= 2 {
+                        assert_eq!(got, Some(ChaosEvent::TaskPanic));
+                    } else {
+                        assert_eq!(got, plain.event_for(stage, partition, attempt));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{decode_one, Storable};
 use crate::context::TaskContext;
@@ -43,7 +42,7 @@ pub type CacheId = u64;
 
 /// Where a cached partition is allowed to live — Spark's storage
 /// levels, selected per `checkpoint`/`persist` call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StorageLevel {
     /// Deserialized in executor memory only (Spark `MEMORY_ONLY`).
     /// Under pressure a block is dropped when it can be recomputed

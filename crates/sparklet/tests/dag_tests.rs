@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use sparklet::{HashPartitioner, Partitioner, SparkConf, SparkContext};
+use sparklet::{ChaosEvent, ChaosPolicy, HashPartitioner, Partitioner, SparkConf, SparkContext};
 
 fn ctx() -> SparkContext {
     SparkContext::new(
@@ -163,11 +163,10 @@ fn fault_matrix_with_multiple_stages_in_flight() {
             .with_retry_backoff(2, 8)
             .with_speculation(0.5);
         let sc = SparkContext::new(conf);
-        if faults {
-            // Partition 0 of every stage fails once, whichever order
-            // the interleaved stages reach it in.
-            sc.inject_failure_every_stage(0, 1);
-        }
+        // Partition 0 of every stage fails once, whichever order
+        // the interleaved stages reach it in.
+        let _chaos =
+            faults.then(|| sc.install_chaos(ChaosPolicy::seeded(0).with_standing_panics(0, 1)));
         let left = sc
             .parallelize(pairs(96), Some(4))
             .map(|(k, v)| (k % 6, v))
@@ -196,7 +195,7 @@ fn fault_matrix_with_multiple_stages_in_flight() {
 #[test]
 fn staged_bytes_reconcile_under_interleaved_stage_completion() {
     let sc = ctx();
-    sc.inject_failure_every_stage(1, 1);
+    let _chaos = sc.install_chaos(ChaosPolicy::seeded(0).with_standing_panics(1, 1));
     let left = sc
         .parallelize(pairs(64), Some(4))
         .map(|(k, v)| (k % 5, v))
@@ -286,9 +285,9 @@ fn retry_backoff_defers_without_blocking_the_stage() {
             .with_retry_backoff(200, 200)
             .with_sim_seed(11),
     );
-    for p in 0..4 {
-        sc.inject_failure(0, p, 1);
-    }
+    let _chaos = sc.install_chaos((0..4).fold(ChaosPolicy::seeded(0), |policy, p| {
+        policy.script(0, p, 1, ChaosEvent::TaskPanic)
+    }));
     let got = sorted(
         sc.parallelize(pairs(16), Some(4))
             .collect()

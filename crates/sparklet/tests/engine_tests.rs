@@ -2,7 +2,10 @@
 
 use std::sync::Arc;
 
-use sparklet::{GridPartitioner, HashPartitioner, JobError, SparkConf, SparkContext, StorageLevel};
+use sparklet::{
+    ChaosEvent, ChaosPolicy, GridPartitioner, HashPartitioner, JobError, SparkConf, SparkContext,
+    StorageLevel,
+};
 
 fn ctx() -> SparkContext {
     SparkContext::new(SparkConf::default().with_executors(4).with_partitions(8))
@@ -10,6 +13,18 @@ fn ctx() -> SparkContext {
 
 fn pairs(n: usize) -> Vec<(usize, u64)> {
     (0..n).map(|i| (i, (i * i) as u64)).collect()
+}
+
+/// A policy that panics the first `times` attempts of each
+/// `(stage, partition, times)`.
+fn fail_first(faults: &[(u64, usize, u64)]) -> ChaosPolicy {
+    let mut policy = ChaosPolicy::seeded(0);
+    for &(stage, partition, times) in faults {
+        for attempt in 1..=times {
+            policy = policy.script(stage, partition, attempt, ChaosEvent::TaskPanic);
+        }
+    }
+    policy
 }
 
 fn sorted<K: Ord, V>(mut v: Vec<(K, V)>) -> Vec<(K, V)> {
@@ -212,7 +227,8 @@ fn injected_failures_are_retried_via_lineage() {
     let sc = ctx();
     let rdd = sc.parallelize(pairs(16), Some(4));
     // Fail partition 2 of the next stage twice; 4 attempts allowed.
-    sc.inject_failure(sc.next_stage_ordinal(), 2, 2);
+    let stage = sc.next_stage_ordinal();
+    let _chaos = sc.install_chaos(fail_first(&[(stage, 2, 2)]));
     let got = sorted(rdd.collect().unwrap());
     assert_eq!(got, pairs(16));
 }
@@ -221,7 +237,9 @@ fn injected_failures_are_retried_via_lineage() {
 fn too_many_failures_fail_the_job() {
     let sc = SparkContext::new(SparkConf::default().with_executors(2).with_partitions(4));
     let rdd = sc.parallelize(pairs(8), Some(4));
-    sc.inject_failure(sc.next_stage_ordinal(), 1, 10); // > max_task_attempts
+    let stage = sc.next_stage_ordinal();
+    // More scripted panics than the engine's four attempts per task.
+    let _chaos = sc.install_chaos(fail_first(&[(stage, 1, 10)]));
     let err = rdd.collect().unwrap_err();
     assert!(
         matches!(err, JobError::TaskFailed { partition: 1, .. }),
@@ -454,8 +472,8 @@ fn retry_restages_within_capacity() {
             .with_partitions(4)
             .with_staging_capacity(peak),
     );
-    sc.inject_failure(0, 1, 2); // fail a map task twice
-    sc.inject_failure(0, 3, 1);
+    // Fail one map task twice, another once.
+    let _chaos = sc.install_chaos(fail_first(&[(0, 1, 2), (0, 3, 1)]));
     let got = shuffle_job(&sc);
     assert_eq!(got, want, "results must be byte-identical under faults");
     assert!(sc.summary().retries >= 3, "faults were retried");
@@ -475,10 +493,7 @@ fn retry_restages_within_capacity() {
 fn faulty_run_matches_fault_free_run() {
     let run = |faults: bool| {
         let sc = ctx(); // 4 executors, 8 default partitions
-        if faults {
-            sc.inject_failure(0, 0, 2);
-            sc.inject_failure(0, 2, 1);
-        }
+        let _chaos = faults.then(|| sc.install_chaos(fail_first(&[(0, 0, 2), (0, 2, 1)])));
         let data: Vec<(usize, u64)> = (0..96).map(|i| (i, (i * 3) as u64)).collect();
         let rdd = sc
             .parallelize(data, Some(4))
@@ -697,7 +712,8 @@ fn retried_checkpoint_does_not_double_cache() {
     assert!(calm_total > 0);
 
     let faulted = ctx();
-    faulted.inject_failure(faulted.next_stage_ordinal(), 3, 1);
+    let stage = faulted.next_stage_ordinal();
+    let _chaos = faulted.install_chaos(fail_first(&[(stage, 3, 1)]));
     let b = faulted
         .parallelize(pairs(64), Some(8))
         .map_values(|v| v + 1)

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use sparklet::rdd::{Key, PartSig, ShufVal};
-use sparklet::{HashPartitioner, Rdd, SparkConf, SparkContext};
+use sparklet::{ChaosEvent, ChaosPolicy, HashPartitioner, Rdd, SparkConf, SparkContext};
 
 fn ctx() -> SparkContext {
     SparkContext::new(SparkConf::default().with_executors(3).with_partitions(6))
@@ -131,7 +131,9 @@ fn accumulator_counts_retries_like_spark() {
     let sc = ctx();
     let acc = sc.long_accumulator("attempts");
     let acc_for_tasks = acc.clone();
-    sc.inject_failure(sc.next_stage_ordinal(), 0, 1);
+    let stage = sc.next_stage_ordinal();
+    let _chaos =
+        sc.install_chaos(ChaosPolicy::seeded(0).script(stage, 0, 1, ChaosEvent::TaskPanic));
     let rdd = sc
         .parallelize(vec![(0usize, 0u64)], Some(1))
         .map_partitions(true, move |_p, items, _tc| {

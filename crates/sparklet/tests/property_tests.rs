@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sparklet::codec::{decode_one, encode_one};
-use sparklet::{HashPartitioner, Partitioner, SparkConf, SparkContext};
+use sparklet::{ChaosEvent, ChaosPolicy, HashPartitioner, Partitioner, SparkConf, SparkContext};
 
 fn ctx(executors: usize, partitions: usize) -> SparkContext {
     SparkContext::new(
@@ -156,7 +156,7 @@ proptest! {
 
     /// Retry soundness: with staging capacity fixed at the fault-free
     /// high-water mark, no fault plan whose per-task failure count
-    /// stays under `max_task_attempts` may flip a succeeding job into
+    /// stays under the four-attempt budget may flip a succeeding job into
     /// a `StagingOverflow` — re-staged buckets must reconcile, not
     /// accumulate. Single node, so retries land where the originals
     /// were staged (the worst case for accounting).
@@ -186,9 +186,17 @@ proptest! {
         );
         let mut per_task: HashMap<(u64, usize), usize> = HashMap::new();
         for &(stage, partition, times) in &plan {
-            sc.inject_failure(stage, partition, times);
             *per_task.entry((stage, partition)).or_default() += times;
         }
+        // Overlapping rules add up: a task fails its first `times`
+        // attempts in total.
+        let mut faults = ChaosPolicy::seeded(0);
+        for (&(stage, partition), &times) in &per_task {
+            for attempt in 1..=times as u64 {
+                faults = faults.script(stage, partition, attempt, ChaosEvent::TaskPanic);
+            }
+        }
+        let _chaos = sc.install_chaos(faults);
         // Overlapping rules can exhaust the 4-attempt budget; then the
         // job may legitimately fail — but never with StagingOverflow.
         let within_budget = per_task.values().all(|&t| t < 4);

@@ -291,9 +291,9 @@ fn compression_does_not_change_accounting_or_schedule() {
 #[test]
 fn virtual_clock_jump_relaunches_each_deferred_partition_once() {
     let sc = SparkContext::new(sim::sim_conf(42).with_retry_backoff(500, 500));
-    for p in 0..4 {
-        sc.inject_failure(0, p, 1);
-    }
+    let _chaos = sc.install_chaos((0..4).fold(ChaosPolicy::seeded(42), |policy, p| {
+        policy.script(0, p, 1, ChaosEvent::TaskPanic)
+    }));
     let mut got = sc
         .parallelize(sim::pairs(16), Some(4))
         .collect()
