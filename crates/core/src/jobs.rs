@@ -10,7 +10,11 @@
 //!   [`CostModel::admission_seconds`] (update volume over all task
 //!   slots + one NIC pass of the input bytes);
 //! * **lineage keying** that digests only the *logical* computation —
-//!   problem kind + canonical input. Execution knobs (block size, the
+//!   problem kind + canonical input. Every body is laid out
+//!   `tag ‖ knobs ‖ logical input`, and the key is the digest of the
+//!   tag and that suffix, byte for byte as the body carries them, so
+//!   a field is in the key exactly when it is written after the knobs.
+//!   Execution knobs (block size, the
 //!   sparse path's partition count) are excluded because every engine
 //!   path is validated bitwise-identical, and the *dense* APSP source
 //!   set is excluded because its cacheable result is the full table:
@@ -32,9 +36,9 @@ use gep_kernels::{Matrix, Tropical};
 use sparklet::codec::{encode_le_slice, LeScalar};
 use sparklet::service::JobRunner;
 use sparklet::wire::Reader;
-use sparklet::{JobError, SparkContext};
+use sparklet::{JobError, SparkContext, Storable};
 
-use crate::beyond::{solve_alignment, solve_parenthesis};
+use crate::beyond::{solve_alignment, solve_parenthesis, ScoreMsg, WeightMsg};
 use crate::config::DpConfig;
 use crate::linsys::solve_linear_system;
 use crate::solver::solve;
@@ -164,16 +168,24 @@ fn decode_all<T>(
 }
 
 impl DpJobRequest {
-    /// Serialize to the service body encoding.
+    /// The body's first byte, one per request kind.
+    fn tag(&self) -> u8 {
+        match self {
+            DpJobRequest::Apsp { .. } => TAG_APSP,
+            DpJobRequest::Alignment { .. } => TAG_ALIGN,
+            DpJobRequest::Parenthesis { .. } => TAG_PAREN,
+            DpJobRequest::LinearSystem { .. } => TAG_LINSYS,
+            DpJobRequest::SparseApsp { .. } => TAG_SPARSE_APSP,
+        }
+    }
+
+    /// Serialize to the service body encoding: the tag, the execution
+    /// knobs, then the logical input (`put_logical`).
     pub fn encode(&self) -> Bytes {
         let mut out = BytesMut::new();
+        out.put_u8(self.tag());
         match self {
-            DpJobRequest::Apsp {
-                dist,
-                block,
-                sources,
-            } => {
-                out.put_u8(TAG_APSP);
+            DpJobRequest::Apsp { block, sources, .. } => {
                 out.put_u64_le(*block as u64);
                 match sources {
                     None => out.put_u8(0),
@@ -182,66 +194,46 @@ impl DpJobRequest {
                         put_ids(&mut out, s);
                     }
                 }
-                put_matrix(&mut out, dist);
             }
-            DpJobRequest::Alignment { a, b, score, block } => {
-                out.put_u8(TAG_ALIGN);
-                out.put_u64_le(*block as u64);
-                match score {
-                    AlignScore::Lcs => out.put_u8(0),
-                    AlignScore::NeedlemanWunsch {
-                        matched,
-                        mismatch,
-                        gap,
-                    } => {
-                        out.put_u8(1);
-                        out.put_i64_le(*matched);
-                        out.put_i64_le(*mismatch);
-                        out.put_i64_le(*gap);
-                    }
-                }
-                put_run(&mut out, a);
-                put_run(&mut out, b);
+            DpJobRequest::Alignment { block, .. }
+            | DpJobRequest::Parenthesis { block, .. }
+            | DpJobRequest::LinearSystem { block, .. } => out.put_u64_le(*block as u64),
+            DpJobRequest::SparseApsp { parts, .. } => out.put_u64_le(*parts as u64),
+        }
+        self.put_logical(&mut out);
+        out.freeze()
+    }
+
+    /// Append the logical input — what the cacheable result is a
+    /// function of, and nothing else. It is the suffix of every body
+    /// and, behind the tag, all that [`DpJobRequest::lineage_key`]
+    /// digests, so a field written here is a field that keys the cache.
+    fn put_logical(&self, out: &mut BytesMut) {
+        match self {
+            DpJobRequest::Apsp { dist, .. } => put_matrix(out, dist),
+            DpJobRequest::Alignment { a, b, score, .. } => {
+                ScoreMsg(score.clone()).encode(out);
+                put_run(out, a);
+                put_run(out, b);
             }
-            DpJobRequest::Parenthesis { weight, block } => {
-                out.put_u8(TAG_PAREN);
-                out.put_u64_le(*block as u64);
-                match weight {
-                    ParenWeight::MatrixChain(dims) => {
-                        out.put_u8(0);
-                        put_run(&mut out, dims);
-                    }
-                    ParenWeight::Polygon(vs) => {
-                        out.put_u8(1);
-                        put_run(&mut out, vs);
-                    }
-                    ParenWeight::Zero => out.put_u8(2),
-                }
+            DpJobRequest::Parenthesis { weight, .. } => WeightMsg(weight.clone()).encode(out),
+            DpJobRequest::LinearSystem { a, rhs, .. } => {
+                put_run(out, rhs);
+                put_matrix(out, a);
             }
-            DpJobRequest::LinearSystem { a, rhs, block } => {
-                out.put_u8(TAG_LINSYS);
-                out.put_u64_le(*block as u64);
-                put_run(&mut out, rhs);
-                put_matrix(&mut out, a);
-            }
-            DpJobRequest::SparseApsp {
-                edges,
-                sources,
-                parts,
-            } => {
+            // Unlike dense APSP, the computed result *is* the requested
+            // rows, so the source set (and its order) is logical input.
+            DpJobRequest::SparseApsp { edges, sources, .. } => {
+                put_ids(out, sources);
                 // nnz-exact: the body scales with stored edges, not n².
-                out.put_u8(TAG_SPARSE_APSP);
-                out.put_u64_le(*parts as u64);
-                put_ids(&mut out, sources);
                 out.put_u64_le(edges.rows() as u64);
                 out.put_u64_le(edges.nnz() as u64);
                 out.put_f64_le(edges.fill());
-                encode_le_slice(edges.row_ptr(), &mut out);
-                encode_le_slice(edges.col_idx(), &mut out);
-                encode_le_slice(edges.vals(), &mut out);
+                encode_le_slice(edges.row_ptr(), out);
+                encode_le_slice(edges.col_idx(), out);
+                encode_le_slice(edges.vals(), out);
             }
         }
-        out.freeze()
     }
 
     /// Shape invariants the solver entry points assert: a decodable
@@ -340,15 +332,7 @@ impl DpJobRequest {
             }
             TAG_ALIGN => {
                 let block = rd.size()?;
-                let score = match rd.scalar::<u8>()? {
-                    0 => AlignScore::Lcs,
-                    1 => AlignScore::NeedlemanWunsch {
-                        matched: rd.scalar()?,
-                        mismatch: rd.scalar()?,
-                        gap: rd.scalar()?,
-                    },
-                    other => return Err(JobError::Codec(format!("bad score tag {other}"))),
-                };
+                let ScoreMsg(score) = rd.storable()?;
                 DpJobRequest::Alignment {
                     a: rd.counted_run()?,
                     b: rd.counted_run()?,
@@ -358,12 +342,7 @@ impl DpJobRequest {
             }
             TAG_PAREN => {
                 let block = rd.size()?;
-                let weight = match rd.scalar::<u8>()? {
-                    0 => ParenWeight::MatrixChain(rd.counted_run()?),
-                    1 => ParenWeight::Polygon(rd.counted_run()?),
-                    2 => ParenWeight::Zero,
-                    other => return Err(JobError::Codec(format!("bad weight tag {other}"))),
-                };
+                let WeightMsg(weight) = rd.storable()?;
                 DpJobRequest::Parenthesis { weight, block }
             }
             TAG_LINSYS => {
@@ -452,97 +431,20 @@ impl DpJobRequest {
         }
     }
 
-    /// The request's lineage digest: problem kind + canonical input
-    /// only. The block size and sparse partition count are execution
-    /// knobs (results are engine-path invariant), and the dense APSP
-    /// source set is a projection of the cached full table — all
-    /// deliberately excluded so equivalent computations share one
-    /// cache entry. The sparse APSP source set *is* digested: it
-    /// selects which rows get computed at all.
+    /// The request's lineage digest: the tag and the body's logical
+    /// suffix, exactly as [`DpJobRequest::encode`] writes them. The
+    /// block size and sparse partition count are execution knobs
+    /// (results are engine-path invariant), and the dense APSP source
+    /// set is a projection of the cached full table — all written
+    /// before the suffix and so excluded, which is what lets
+    /// equivalent computations share one cache entry. The sparse APSP
+    /// source set *is* digested: it selects which rows get computed at
+    /// all.
     pub fn lineage_key(&self) -> u128 {
-        let mut h = sparklet::LineageHasher::default();
-        match self {
-            DpJobRequest::Apsp { dist, .. } => {
-                h.update(b"apsp");
-                h.update(&(dist.rows() as u64).to_le_bytes());
-                for &v in dist.as_slice() {
-                    h.update(&v.to_bits().to_le_bytes());
-                }
-            }
-            DpJobRequest::Alignment { a, b, score, .. } => {
-                h.update(b"align");
-                match score {
-                    AlignScore::Lcs => {
-                        h.update(&[0]);
-                    }
-                    AlignScore::NeedlemanWunsch {
-                        matched,
-                        mismatch,
-                        gap,
-                    } => {
-                        h.update(&[1])
-                            .update(&matched.to_le_bytes())
-                            .update(&mismatch.to_le_bytes())
-                            .update(&gap.to_le_bytes());
-                    }
-                }
-                h.update(&(a.len() as u64).to_le_bytes()).update(a);
-                h.update(&(b.len() as u64).to_le_bytes()).update(b);
-            }
-            DpJobRequest::Parenthesis { weight, .. } => {
-                h.update(b"paren");
-                match weight {
-                    ParenWeight::MatrixChain(dims) => {
-                        h.update(&[0]);
-                        for &d in dims {
-                            h.update(&d.to_le_bytes());
-                        }
-                    }
-                    ParenWeight::Polygon(vs) => {
-                        h.update(&[1]);
-                        for &v in vs {
-                            h.update(&v.to_bits().to_le_bytes());
-                        }
-                    }
-                    ParenWeight::Zero => {
-                        h.update(&[2]);
-                    }
-                }
-            }
-            DpJobRequest::LinearSystem { a, rhs, .. } => {
-                h.update(b"linsys");
-                h.update(&(a.rows() as u64).to_le_bytes());
-                for &v in a.as_slice() {
-                    h.update(&v.to_bits().to_le_bytes());
-                }
-                for &v in rhs {
-                    h.update(&v.to_bits().to_le_bytes());
-                }
-            }
-            DpJobRequest::SparseApsp { edges, sources, .. } => {
-                // Unlike dense APSP, the computed result *is* the
-                // projected rows, so the source set (and its order)
-                // keys the cache entry; `parts` stays out — results
-                // are partition-invariant.
-                h.update(b"sparse-apsp");
-                h.update(&(edges.rows() as u64).to_le_bytes());
-                h.update(&edges.fill().to_bits().to_le_bytes());
-                for &p in edges.row_ptr() {
-                    h.update(&p.to_le_bytes());
-                }
-                for &c in edges.col_idx() {
-                    h.update(&c.to_le_bytes());
-                }
-                for &v in edges.vals() {
-                    h.update(&v.to_bits().to_le_bytes());
-                }
-                h.update(&(sources.len() as u64).to_le_bytes());
-                for &s in sources {
-                    h.update(&s.to_le_bytes());
-                }
-            }
-        }
-        h.finish()
+        let mut keyed = BytesMut::new();
+        keyed.put_u8(self.tag());
+        self.put_logical(&mut keyed);
+        sparklet::LineageHasher::default().update(&keyed).finish()
     }
 }
 
@@ -780,6 +682,22 @@ mod tests {
         assert_eq!(a.lineage_key(), b.lineage_key());
         assert_ne!(a.lineage_key(), c.lineage_key());
         assert_ne!(a.lineage_key(), d.lineage_key());
+        let e = sparse_req(8, 10, vec![2, 0], 2); // same sources, other row order
+        assert_ne!(a.lineage_key(), e.lineage_key());
+        // One stored edge's value.
+        let DpJobRequest::SparseApsp { edges, .. } = &a else {
+            unreachable!()
+        };
+        let mut dense = edges.to_dense();
+        let stored = |w: &f64| w.is_finite() && *w > 0.0;
+        let at = dense.as_slice().iter().position(stored).expect("an edge");
+        dense.set(at / 10, at % 10, 0.5);
+        let f = DpJobRequest::SparseApsp {
+            edges: Csr::from_dense(&dense, edges.fill()),
+            sources: vec![0, 2],
+            parts: 2,
+        };
+        assert_ne!(a.lineage_key(), f.lineage_key());
         // And the sparse family never collides with dense APSP keys.
         let dense = apsp_req(8, 10, None);
         assert_ne!(a.lineage_key(), dense.lineage_key());
@@ -820,24 +738,55 @@ mod tests {
         assert_eq!(a.lineage_key(), c.lineage_key());
         let d = apsp_req(12, 6, None);
         assert_ne!(a.lineage_key(), d.lineage_key(), "different graph");
-        // Alignment scoring is part of the key (it changes results).
-        let lcs = DpJobRequest::Alignment {
-            a: b"AB".to_vec(),
-            b: b"AC".to_vec(),
-            score: AlignScore::Lcs,
-            block: 2,
+        let DpJobRequest::Apsp { mut dist, .. } = apsp_req(11, 6, None) else {
+            unreachable!()
         };
-        let nw = DpJobRequest::Alignment {
-            a: b"AB".to_vec(),
-            b: b"AC".to_vec(),
-            score: AlignScore::NeedlemanWunsch {
-                matched: 1,
-                mismatch: -1,
-                gap: -1,
-            },
-            block: 2,
+        dist.set(2, 3, dist.get(2, 3) + 1.0);
+        let one_cell = DpJobRequest::Apsp {
+            dist,
+            block: 4,
+            sources: None,
         };
-        assert_ne!(lcs.lineage_key(), nw.lineage_key());
+        assert_ne!(a.lineage_key(), one_cell.lineage_key());
+
+        let same = |x: &DpJobRequest, y: &DpJobRequest| x.lineage_key() == y.lineage_key();
+
+        // Alignment: the block is a knob; the scoring (it changes
+        // results) and every sequence byte are logical.
+        let align = |a: &[u8], score: AlignScore, block: usize| DpJobRequest::Alignment {
+            a: a.to_vec(),
+            b: b"AC".to_vec(),
+            score,
+            block,
+        };
+        let nw = AlignScore::NeedlemanWunsch {
+            matched: 1,
+            mismatch: -1,
+            gap: -1,
+        };
+        let lcs = align(b"AB", AlignScore::Lcs, 2);
+        assert!(same(&lcs, &align(b"AB", AlignScore::Lcs, 7)));
+        assert!(!same(&lcs, &align(b"AB", nw, 2)));
+        assert!(!same(&lcs, &align(b"AD", AlignScore::Lcs, 2)));
+
+        // Parenthesization: block is a knob, each weight entry logical.
+        let chain = |dims: &[u64], block: usize| DpJobRequest::Parenthesis {
+            weight: ParenWeight::MatrixChain(dims.to_vec()),
+            block,
+        };
+        assert!(same(&chain(&[3, 4, 5], 2), &chain(&[3, 4, 5], 1)));
+        assert!(!same(&chain(&[3, 4, 5], 2), &chain(&[3, 4, 6], 2)));
+
+        // Linear systems: block is a knob, matrix and rhs entries logical.
+        let linsys = |cell: f64, rhs: &[f64], block: usize| DpJobRequest::LinearSystem {
+            a: Matrix::from_vec(2, 2, vec![2.0, cell, 1.0, 3.0]),
+            rhs: rhs.to_vec(),
+            block,
+        };
+        let sys = linsys(1.0, &[1.0, 2.0], 2);
+        assert!(same(&sys, &linsys(1.0, &[1.0, 2.0], 1)));
+        assert!(!same(&sys, &linsys(1.5, &[1.0, 2.0], 2)));
+        assert!(!same(&sys, &linsys(1.0, &[1.0, 2.5], 2)));
     }
 
     #[test]

@@ -132,16 +132,27 @@ impl Storable for SweepVal {
 /// pure execution knob): every candidate distance is the same
 /// left-to-right path sum a sequential Bellman–Ford forms, and `min`
 /// over an identical candidate set is order-blind.
+///
+/// A non-square adjacency or a source outside `0..n` is a
+/// [`JobError::Driver`] returned before any stage runs.
 pub fn solve_sparse_apsp(
     sc: &SparkContext,
     edges: &Csr<f64>,
     sources: &[u32],
     parts: usize,
 ) -> Result<Matrix<f64>, JobError> {
-    assert_eq!(edges.rows(), edges.cols(), "graph adjacency must be square");
+    if edges.rows() != edges.cols() {
+        return Err(JobError::Driver(format!(
+            "graph adjacency must be square, got {}x{}",
+            edges.rows(),
+            edges.cols()
+        )));
+    }
     let n = edges.rows();
-    for &s in sources {
-        assert!((s as usize) < n, "source {s} out of range for n={n}");
+    if let Some(s) = sources.iter().find(|&&s| s as usize >= n) {
+        return Err(JobError::Driver(format!(
+            "source {s} out of range for n={n}"
+        )));
     }
     let inf = f64::INFINITY;
     if n == 0 || sources.is_empty() {
@@ -397,6 +408,20 @@ mod tests {
         let g = sparse_erdos_renyi(6, 0.3, 1.0, 2.0, 1);
         let out = solve_sparse_apsp(&ctx(), &g, &[], 2).unwrap();
         assert_eq!((out.rows(), out.cols()), (0, 6));
+    }
+
+    #[test]
+    fn bad_shapes_are_typed_driver_errors_before_any_stage() {
+        let sc = ctx();
+        let g = sparse_erdos_renyi(24, 0.2, 1.0, 9.0, 11);
+        let oblong = Csr::from_dense(&Matrix::filled(3, 2, 1.0), f64::INFINITY);
+        for res in [
+            solve_sparse_apsp(&sc, &g, &[0, 99], 3),
+            solve_sparse_apsp(&sc, &oblong, &[0], 2),
+        ] {
+            assert!(matches!(res, Err(JobError::Driver(_))), "{res:?}");
+        }
+        assert_eq!(sc.summary().stages, 0);
     }
 
     #[test]

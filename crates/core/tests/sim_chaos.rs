@@ -206,7 +206,8 @@ fn a_panicking_chaos_solve_leaves_no_policy_behind() {
     solve::<Tropical>(&sc, &cfg, &input).unwrap();
     assert_eq!(sc.summary(), fresh);
 
-    // Same for the sparse sweep path (a source out of range panics).
+    // Same for the sparse sweep path (a source out of range is refused
+    // the same way).
     let edges = sparse_erdos_renyi(24, 0.2, 1.0, 9.0, 11);
     let (_, fresh) = sparse_run(5, &edges, &[0, 7], None);
     let sc = sim_ctx(5);
@@ -214,7 +215,10 @@ fn a_panicking_chaos_solve_leaves_no_policy_behind() {
         let _chaos = sc.install_chaos(heavy());
         solve_sparse_apsp(&sc, &edges, &[99], 3)
     }));
-    assert!(fenced.is_err(), "out-of-range source must panic");
+    assert!(
+        matches!(fenced, Ok(Err(sparklet::JobError::Driver(_)))),
+        "out-of-range source is a typed driver error"
+    );
     solve_sparse_apsp(&sc, &edges, &[0, 7], 3).unwrap();
     assert_eq!(sc.summary(), fresh);
 }

@@ -22,7 +22,14 @@
 //! generic over what a "job" is (dp-core supplies the DP descriptors),
 //! which keeps sparklet free of problem-specific code.
 //!
-//! Every policy outcome is appended to a [`ServiceDecision`] log. In
+//! This file is the state machine: a job is admitted or refused in one
+//! place (`SvcState::enter`) and leaves the active set in one place
+//! (`SvcState::exit`), whoever asks. The socket front end is `front`,
+//! the message table and every conversion to or from a message is
+//! [`wire`].
+//!
+//! Every policy outcome is appended to a [`ServiceDecision`] log, and
+//! [`ServiceStats`] counts what was appended. In
 //! sim mode (driven by [`JobService::pump`] /
 //! [`JobService::run_script`] on a seeded context) the whole service
 //! is single-threaded and clock-free, so two runs of the same script
@@ -33,10 +40,11 @@
 //! concurrency.
 
 pub mod cache;
+mod front;
 pub mod sched;
 pub mod wire;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -47,11 +55,10 @@ use parking_lot::{Condvar, Mutex};
 use crate::context::SparkContext;
 use crate::dag::{with_cancel, CancelToken};
 use crate::error::JobError;
-use crate::payload::{Compression, Payload};
-use crate::wire::{dial, read_frame, write_frame, Conn, Listener};
 
 pub use crate::wire::Addr as ServiceAddr;
 pub use cache::LineageHasher;
+pub use front::{ServeHandle, ServiceClient};
 pub use sched::{admit, AdmissionState, JobId, Rejection, TenantId};
 pub use wire::SvcMsg;
 
@@ -205,41 +212,6 @@ pub enum JobState {
     Cancelled,
 }
 
-/// Wire code for a [`JobState`].
-pub fn state_code(s: JobState) -> u8 {
-    match s {
-        JobState::Queued => 0,
-        JobState::Running => 1,
-        JobState::Done => 2,
-        JobState::Failed => 3,
-        JobState::Cancelled => 4,
-    }
-}
-
-/// Decode a wire state code.
-pub fn state_from_code(c: u8) -> Option<JobState> {
-    Some(match c {
-        0 => JobState::Queued,
-        1 => JobState::Running,
-        2 => JobState::Done,
-        3 => JobState::Failed,
-        4 => JobState::Cancelled,
-        _ => return None,
-    })
-}
-
-/// Wire code for a [`Rejection`] (carried in
-/// [`SvcMsg::SubmitErr`]).
-pub fn rejection_code(r: &Rejection) -> u8 {
-    match r {
-        Rejection::OverBudget { .. } => 1,
-        Rejection::TooExpensive { .. } => 2,
-        Rejection::QueueFull { .. } => 3,
-        Rejection::Malformed(_) => 4,
-        Rejection::ShuttingDown => 5,
-    }
-}
-
 /// A job's status snapshot as returned by [`JobService::poll`] /
 /// [`JobService::wait`] and reconstructed by [`ServiceClient`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -279,48 +251,30 @@ struct JobEntry {
 
 impl JobEntry {
     fn view(&self, job: JobId) -> JobStatusView {
+        let mut view = JobStatusView {
+            job,
+            state: JobState::Queued,
+            cache_hit: false,
+            stages_run: 0,
+            result: None,
+            error: None,
+        };
         match &self.state {
-            EntryState::Queued => JobStatusView {
-                job,
-                state: JobState::Queued,
-                cache_hit: false,
-                stages_run: 0,
-                result: None,
-                error: None,
-            },
-            EntryState::Running => JobStatusView {
-                job,
-                state: JobState::Running,
-                cache_hit: false,
-                stages_run: 0,
-                result: None,
-                error: None,
-            },
-            EntryState::Done { resp, hit, stages } => JobStatusView {
-                job,
-                state: JobState::Done,
-                cache_hit: *hit,
-                stages_run: *stages,
-                result: Some(resp.clone()),
-                error: None,
-            },
-            EntryState::Failed(e) => JobStatusView {
-                job,
-                state: JobState::Failed,
-                cache_hit: false,
-                stages_run: 0,
-                result: None,
-                error: Some(e.to_string()),
-            },
-            EntryState::Cancelled => JobStatusView {
-                job,
-                state: JobState::Cancelled,
-                cache_hit: false,
-                stages_run: 0,
-                result: None,
-                error: None,
-            },
+            EntryState::Queued => {}
+            EntryState::Running => view.state = JobState::Running,
+            EntryState::Done { resp, hit, stages } => {
+                view.state = JobState::Done;
+                view.cache_hit = *hit;
+                view.stages_run = *stages;
+                view.result = Some(resp.clone());
+            }
+            EntryState::Failed(e) => {
+                view.state = JobState::Failed;
+                view.error = Some(e.to_string());
+            }
+            EntryState::Cancelled => view.state = JobState::Cancelled,
         }
+        view
     }
 }
 
@@ -347,7 +301,7 @@ pub enum ServiceDecision {
     Rejected {
         /// Submitting tenant.
         tenant: TenantId,
-        /// Rejection class ([`rejection_code`]).
+        /// Rejection class (the code [`SvcMsg::SubmitErr`] carries).
         code: u8,
     },
     /// The WRR scheduler dispatched the job.
@@ -395,7 +349,10 @@ pub enum ServiceDecision {
     },
 }
 
-/// Monotonic service counters.
+/// Monotonic service counters. Each is the number of decisions of one
+/// kind ever logged (`submitted` = `Admitted` + `Rejected`, `completed`
+/// and `failed` = `Completed` by `ok`, the rest one kind each): they
+/// are bumped where the decision is appended and nowhere else.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Submissions seen (admitted + rejected).
@@ -422,11 +379,17 @@ pub struct ServiceStats {
 
 struct SvcState {
     sched: FairScheduler,
-    jobs: HashMap<JobId, JobEntry>,
+    /// Ordered by id, and ids are handed out in admission order, so a
+    /// walk over the table is a walk in admission order on every
+    /// instance — what [`JobService::stop`] cancels queued jobs in.
+    jobs: BTreeMap<JobId, JobEntry>,
     /// Settled job ids in settling order: the retention ring. Only
     /// terminal entries are ever listed here, so eviction never drops
     /// a queued or running job.
     settled: VecDeque<JobId>,
+    /// How many settled jobs the ring keeps
+    /// ([`ServiceConfig::settled_retention`], at least 1).
+    retention: usize,
     next_job: JobId,
     committed: f64,
     dispatch_seq: u64,
@@ -434,7 +397,6 @@ struct SvcState {
     /// the settled-job retention, so the log is bounded the way the
     /// job table is.
     decisions: VecDeque<ServiceDecision>,
-    decision_cap: usize,
     stats: ServiceStats,
 }
 
@@ -444,19 +406,129 @@ struct SvcState {
 const DECISIONS_PER_JOB: usize = 4;
 
 impl SvcState {
-    /// Append to the decision ring, dropping the oldest entry at the cap.
+    /// Append to the decision ring, dropping the oldest entry at the
+    /// cap, and count the decision: the one place [`ServiceStats`]
+    /// changes.
     fn log(&mut self, decision: ServiceDecision) {
-        if self.decisions.len() == self.decision_cap {
+        let s = &mut self.stats;
+        match decision {
+            ServiceDecision::Admitted { .. } => {
+                s.submitted += 1;
+                s.admitted += 1;
+            }
+            ServiceDecision::Rejected { .. } => {
+                s.submitted += 1;
+                s.rejected += 1;
+            }
+            ServiceDecision::Dispatched { .. } => {}
+            ServiceDecision::CacheHit { .. } => s.cache_hits += 1,
+            ServiceDecision::CacheStore { .. } => s.cache_stores += 1,
+            ServiceDecision::Completed { ok: true, .. } => s.completed += 1,
+            ServiceDecision::Completed { ok: false, .. } => s.failed += 1,
+            ServiceDecision::Cancelled { .. } => s.cancelled += 1,
+        }
+        if self.decisions.len() == DECISIONS_PER_JOB * self.retention {
             self.decisions.pop_front();
         }
         self.decisions.push_back(decision);
     }
 
+    /// The one way in, for a submission already priced and keyed (body,
+    /// cost, lineage key). One that arrives refused (the service is
+    /// stopping, the frame or body did not decode or price) and one
+    /// that [`admit`] refuses against the current queue snapshot end
+    /// in the same `Rejected` decision; anything else is given an id,
+    /// commits its cost and joins its tenant's queue.
+    fn enter(
+        &mut self,
+        tenant: TenantId,
+        priced: Result<(Bytes, f64, Option<u128>), Rejection>,
+        conf: &ServiceConfig,
+    ) -> Result<JobId, Rejection> {
+        let admitted = priced.and_then(|(body, cost, key)| {
+            let snapshot = AdmissionState {
+                committed: self.committed,
+                tenant_queued: self.sched.queued(tenant),
+            };
+            admit(&snapshot, tenant, cost, conf).map(|()| (body, cost, key))
+        });
+        let (body, cost, key) = match admitted {
+            Ok(priced) => priced,
+            Err(r) => {
+                self.log(ServiceDecision::Rejected {
+                    tenant,
+                    code: wire::rejection_code(&r),
+                });
+                return Err(r);
+            }
+        };
+        let job = self.next_job;
+        self.next_job += 1;
+        self.committed += cost;
+        self.log(ServiceDecision::Admitted {
+            job,
+            tenant,
+            cost_milli: (cost * 1000.0).round() as u64,
+        });
+        self.jobs.insert(
+            job,
+            JobEntry {
+                tenant,
+                cost,
+                key,
+                body,
+                cancel: CancelToken::new(),
+                state: EntryState::Queued,
+            },
+        );
+        self.sched.enqueue(tenant, job);
+        Ok(job)
+    }
+
+    /// The one way out: `job` leaves the active set for the terminal
+    /// state `end`. Whichever of `Queued` / `Running` it leaves from
+    /// gives back what that state held (its queue entry or its
+    /// dispatch slot), its admission cost is released, the terminal
+    /// decision is logged, and the entry joins the retention ring.
+    fn exit(&mut self, job: JobId, end: EntryState) {
+        let entry = self
+            .jobs
+            .get_mut(&job)
+            .expect("an active job is in the table");
+        let (tenant, cost) = (entry.tenant, entry.cost);
+        let terminal = match &end {
+            EntryState::Done { stages, .. } => ServiceDecision::Completed {
+                job,
+                tenant,
+                ok: true,
+                stages_run: *stages,
+            },
+            EntryState::Failed(_) => ServiceDecision::Completed {
+                job,
+                tenant,
+                ok: false,
+                stages_run: 0,
+            },
+            EntryState::Cancelled => ServiceDecision::Cancelled { job, tenant },
+            EntryState::Queued | EntryState::Running => unreachable!("exit to an active state"),
+        };
+        match std::mem::replace(&mut entry.state, end) {
+            EntryState::Queued => {
+                self.sched.remove_queued(tenant, job);
+            }
+            EntryState::Running => self.sched.job_finished(tenant),
+            _ => unreachable!("job {job} settled twice"),
+        }
+        self.committed = (self.committed - cost).max(0.0);
+        self.log(terminal);
+        self.retire(job);
+    }
+
     /// Record `job` as settled and evict the oldest settled entries
     /// beyond the retention cap, freeing their bodies and results.
-    fn retire(&mut self, job: JobId, keep: usize) {
+    fn retire(&mut self, job: JobId) {
         self.settled.push_back(job);
-        while self.settled.len() > keep.max(1) {
+        while self.settled.len() > self.retention {
             let old = self.settled.pop_front().expect("nonempty ring");
             self.jobs.remove(&old);
         }
@@ -520,7 +592,7 @@ impl JobService {
     pub fn new(sc: SparkContext, conf: ServiceConfig, runner: impl JobRunner) -> Self {
         let sched = FairScheduler::new(&conf);
         let cache = ResultCache::new(conf.cache_capacity);
-        let decision_cap = DECISIONS_PER_JOB * conf.settled_retention.max(1);
+        let retention = conf.settled_retention.max(1);
         JobService {
             inner: Arc::new(SvcInner {
                 sc,
@@ -528,13 +600,13 @@ impl JobService {
                 runner: Box::new(runner),
                 state: Mutex::new(SvcState {
                     sched,
-                    jobs: HashMap::new(),
+                    jobs: BTreeMap::new(),
                     settled: VecDeque::new(),
+                    retention,
                     next_job: 1,
                     committed: 0.0,
                     dispatch_seq: 0,
                     decisions: VecDeque::new(),
-                    decision_cap,
                     stats: ServiceStats::default(),
                 }),
                 work: Condvar::new(),
@@ -556,63 +628,36 @@ impl JobService {
     /// under the WRR scheduler. Returns the job id, or the typed
     /// rejection.
     pub fn submit(&self, tenant: TenantId, body: Bytes) -> Result<JobId, Rejection> {
+        self.admit_body(tenant, Ok(body))
+    }
+
+    /// [`JobService::submit`] for a body that may not have survived
+    /// its trip: the socket front end hands over what opening the
+    /// submitted frame gave, so a frame that does not inflate is
+    /// refused as `Malformed` like a body that does not decode.
+    fn admit_body(
+        &self,
+        tenant: TenantId,
+        body: Result<Bytes, JobError>,
+    ) -> Result<JobId, Rejection> {
         let inner = &self.inner;
-        let reject = |st: &mut SvcState, r: Rejection| {
-            st.stats.submitted += 1;
-            st.stats.rejected += 1;
-            st.log(ServiceDecision::Rejected {
-                tenant,
-                code: rejection_code(&r),
-            });
-            Err(r)
+        let priced = if inner.stopping.load(Ordering::Acquire) {
+            Err(Rejection::ShuttingDown)
+        } else {
+            // Price and key the body outside the lock — both are pure.
+            // Panic-fenced: this runs on the submitting client's thread.
+            body.and_then(|body| {
+                let (cost, key) = catch_runner("estimate", || {
+                    inner
+                        .runner
+                        .estimate(&body)
+                        .and_then(|cost| inner.runner.cache_key(&body).map(|key| (cost, key)))
+                })?;
+                Ok((body, cost, key))
+            })
+            .map_err(|e| Rejection::Malformed(e.to_string()))
         };
-        if inner.stopping.load(Ordering::Acquire) {
-            let mut st = inner.state.lock();
-            return reject(&mut st, Rejection::ShuttingDown);
-        }
-        // Price and key the body outside the lock — both are pure.
-        // Panic-fenced: this runs on the submitting client's thread.
-        let priced = catch_runner("estimate", || {
-            inner
-                .runner
-                .estimate(&body)
-                .and_then(|cost| inner.runner.cache_key(&body).map(|key| (cost, key)))
-        });
-        let mut st = inner.state.lock();
-        let (cost, key) = match priced {
-            Ok(ck) => ck,
-            Err(e) => return reject(&mut st, Rejection::Malformed(e.to_string())),
-        };
-        let snapshot = AdmissionState {
-            committed: st.committed,
-            tenant_queued: st.sched.queued(tenant),
-        };
-        if let Err(r) = admit(&snapshot, tenant, cost, &inner.conf) {
-            return reject(&mut st, r);
-        }
-        let job = st.next_job;
-        st.next_job += 1;
-        st.committed += cost;
-        st.stats.submitted += 1;
-        st.stats.admitted += 1;
-        st.log(ServiceDecision::Admitted {
-            job,
-            tenant,
-            cost_milli: (cost * 1000.0).round() as u64,
-        });
-        st.jobs.insert(
-            job,
-            JobEntry {
-                tenant,
-                cost,
-                key,
-                body,
-                cancel: CancelToken::new(),
-                state: EntryState::Queued,
-            },
-        );
-        st.sched.enqueue(tenant, job);
-        drop(st);
+        let job = inner.state.lock().enter(tenant, priced, &inner.conf)?;
         inner.work.notify_all();
         Ok(job)
     }
@@ -636,6 +681,8 @@ impl JobService {
         })
     }
 
+    /// Record a dispatched job's outcome, after the cache event that
+    /// led to it, and wake whoever waits on the job or on its slot.
     fn settle(
         &self,
         d: &Dispatch,
@@ -643,52 +690,24 @@ impl JobService {
         stored_key: Option<u128>,
     ) {
         let mut st = self.inner.state.lock();
-        st.sched.job_finished(d.tenant);
-        st.committed = (st.committed - st.jobs[&d.job].cost).max(0.0);
         if let Some(key) = stored_key {
-            st.stats.cache_stores += 1;
             st.log(ServiceDecision::CacheStore { job: d.job, key });
         }
-        let state = match outcome {
-            Ok((resp, hit, stages)) => {
-                if hit {
-                    st.stats.cache_hits += 1;
-                    st.log(ServiceDecision::CacheHit {
-                        job: d.job,
-                        tenant: d.tenant,
-                        key: d.key.expect("hit implies key"),
-                    });
-                }
-                st.stats.completed += 1;
-                st.log(ServiceDecision::Completed {
-                    job: d.job,
-                    tenant: d.tenant,
-                    ok: true,
-                    stages_run: stages,
-                });
-                EntryState::Done { resp, hit, stages }
-            }
-            Err(JobError::Cancelled(_)) => {
-                st.stats.cancelled += 1;
-                st.log(ServiceDecision::Cancelled {
-                    job: d.job,
-                    tenant: d.tenant,
-                });
-                EntryState::Cancelled
-            }
-            Err(e) => {
-                st.stats.failed += 1;
-                st.log(ServiceDecision::Completed {
-                    job: d.job,
-                    tenant: d.tenant,
-                    ok: false,
-                    stages_run: 0,
-                });
-                EntryState::Failed(e)
-            }
-        };
-        st.jobs.get_mut(&d.job).expect("job exists").state = state;
-        st.retire(d.job, self.inner.conf.settled_retention);
+        if let Ok((_, true, _)) = outcome {
+            st.log(ServiceDecision::CacheHit {
+                job: d.job,
+                tenant: d.tenant,
+                key: d.key.expect("hit implies key"),
+            });
+        }
+        st.exit(
+            d.job,
+            match outcome {
+                Ok((resp, hit, stages)) => EntryState::Done { resp, hit, stages },
+                Err(JobError::Cancelled(_)) => EntryState::Cancelled,
+                Err(e) => EntryState::Failed(e),
+            },
+        );
         drop(st);
         self.inner.done.notify_all();
         self.inner.work.notify_all();
@@ -786,26 +805,20 @@ impl JobService {
     }
 
     /// Stop the service: reject new submissions, drop every queued job
-    /// as cancelled (releasing its admission budget), let running jobs
-    /// finish, and join the workers.
+    /// as cancelled (releasing its admission budget) in admission
+    /// order, let running jobs finish, and join the workers.
     pub fn stop(&self) {
         self.inner.stopping.store(true, Ordering::Release);
         {
             let mut st = self.inner.state.lock();
-            let queued: Vec<(JobId, TenantId)> = st
+            let queued: Vec<JobId> = st
                 .jobs
                 .iter()
                 .filter(|(_, e)| matches!(e.state, EntryState::Queued))
-                .map(|(&j, e)| (j, e.tenant))
+                .map(|(&job, _)| job)
                 .collect();
-            for (job, tenant) in queued {
-                st.sched.remove_queued(tenant, job);
-                let cost = st.jobs[&job].cost;
-                st.committed = (st.committed - cost).max(0.0);
-                st.jobs.get_mut(&job).expect("queued job").state = EntryState::Cancelled;
-                st.retire(job, self.inner.conf.settled_retention);
-                st.stats.cancelled += 1;
-                st.log(ServiceDecision::Cancelled { job, tenant });
+            for job in queued {
+                st.exit(job, EntryState::Cancelled);
             }
         }
         self.inner.work.notify_all();
@@ -844,16 +857,9 @@ impl JobService {
         let Some(entry) = st.jobs.get(&job) else {
             return false;
         };
-        let tenant = entry.tenant;
-        let cost = entry.cost;
         match entry.state {
             EntryState::Queued => {
-                st.sched.remove_queued(tenant, job);
-                st.committed = (st.committed - cost).max(0.0);
-                st.jobs.get_mut(&job).expect("present").state = EntryState::Cancelled;
-                st.retire(job, self.inner.conf.settled_retention);
-                st.stats.cancelled += 1;
-                st.log(ServiceDecision::Cancelled { job, tenant });
+                st.exit(job, EntryState::Cancelled);
                 drop(st);
                 self.inner.done.notify_all();
                 self.inner.work.notify_all();
@@ -944,291 +950,4 @@ pub struct Arrival {
     pub tenant: TenantId,
     /// Job body.
     pub body: Bytes,
-}
-
-// ---------------------------------------------------------------------
-// Socket front end
-// ---------------------------------------------------------------------
-
-/// Handle on a listening service front end.
-pub struct ServeHandle {
-    addr: ServiceAddr,
-    accept: Option<JoinHandle<()>>,
-    svc: JobService,
-}
-
-impl ServeHandle {
-    /// The actually-bound address (resolves an ephemeral port).
-    pub fn addr(&self) -> &ServiceAddr {
-        &self.addr
-    }
-
-    /// Stop accepting, stop the service, and join the accept loop.
-    pub fn stop(mut self) {
-        self.svc.inner.stopping.store(true, Ordering::Release);
-        self.svc.stop();
-        if let Some(j) = self.accept.take() {
-            let _ = j.join();
-        }
-    }
-}
-
-impl JobService {
-    /// Serve the submission protocol on `addr`: an accept loop thread
-    /// plus one handler thread per connection. A client disconnect
-    /// cancels that connection's unfinished jobs (the tenant gave up).
-    pub fn serve(&self, addr: ServiceAddr) -> std::io::Result<ServeHandle> {
-        let listener = Listener::bind(&addr)?;
-        listener.set_nonblocking(true)?;
-        let actual = listener.addr().clone();
-        let svc = self.clone();
-        let accept = std::thread::Builder::new()
-            .name("svc-accept".into())
-            .spawn(move || loop {
-                if svc.inner.stopping.load(Ordering::Acquire) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok(conn) => {
-                        let svc = svc.clone();
-                        let _ = std::thread::Builder::new()
-                            .name("svc-conn".into())
-                            .spawn(move || handle_conn(&svc, conn));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    Err(_) => return,
-                }
-            })?;
-        Ok(ServeHandle {
-            addr: actual,
-            accept: Some(accept),
-            svc: self.clone(),
-        })
-    }
-}
-
-fn status_msg(view: &JobStatusView) -> SvcMsg {
-    SvcMsg::Status {
-        job: view.job,
-        state: state_code(view.state),
-        cache_hit: view.cache_hit,
-        stages_run: view.stages_run,
-        frame: view
-            .result
-            .as_ref()
-            .map(|r| Payload::seal(r.clone(), Compression::None).frame()),
-        error: view.error.clone(),
-    }
-}
-
-fn unknown_job_status(job: JobId) -> SvcMsg {
-    SvcMsg::Status {
-        job,
-        state: u8::MAX,
-        cache_hit: false,
-        stages_run: 0,
-        frame: None,
-        error: Some("unknown job".into()),
-    }
-}
-
-fn handle_conn(svc: &JobService, mut conn: Box<dyn Conn>) {
-    // Jobs this connection submitted and has not yet seen settle: a
-    // disconnect cancels them (client-gone tenant abort).
-    let mut open_jobs: Vec<JobId> = Vec::new();
-    // Until EOF or a protocol violation (either means disconnect):
-    while let Ok((msg, _)) = read_frame(&mut conn, wire::decode_body) {
-        let reply = match msg {
-            SvcMsg::Submit { tenant, frame } => {
-                let body = Payload::from_frame(frame).and_then(|p| p.open());
-                match body {
-                    Ok(body) => match svc.submit(tenant, body) {
-                        Ok(job) => {
-                            open_jobs.push(job);
-                            SvcMsg::SubmitOk { job }
-                        }
-                        Err(r) => SvcMsg::SubmitErr {
-                            code: rejection_code(&r),
-                            message: r.to_string(),
-                        },
-                    },
-                    Err(e) => SvcMsg::SubmitErr {
-                        code: rejection_code(&Rejection::Malformed(String::new())),
-                        message: e.to_string(),
-                    },
-                }
-            }
-            SvcMsg::Poll { job } => match svc.poll(job) {
-                Some(view) => status_msg(&view),
-                None => unknown_job_status(job),
-            },
-            SvcMsg::Wait { job } => match svc.wait(job) {
-                Some(view) => {
-                    open_jobs.retain(|&j| j != job);
-                    status_msg(&view)
-                }
-                None => unknown_job_status(job),
-            },
-            SvcMsg::Cancel { job } => {
-                svc.cancel(job);
-                SvcMsg::CancelOk
-            }
-            SvcMsg::Stats => {
-                let s = svc.stats();
-                SvcMsg::StatsOk {
-                    submitted: s.submitted,
-                    admitted: s.admitted,
-                    rejected: s.rejected,
-                    completed: s.completed,
-                    cache_hits: s.cache_hits,
-                    cancelled: s.cancelled,
-                }
-            }
-            SvcMsg::Shutdown => {
-                let _ = write_frame(&mut conn, &wire::encode_body(&SvcMsg::ShutdownAck));
-                // Full stop, same as ServeHandle::stop's service half:
-                // fence submissions, cancel queued jobs (releasing
-                // their admission budget), let running jobs finish,
-                // and join the workers. Only the accept loop is left
-                // for ServeHandle::stop to reap.
-                svc.stop();
-                break;
-            }
-            // Server-to-client messages arriving here are protocol
-            // violations; drop the connection.
-            _ => break,
-        };
-        if write_frame(&mut conn, &wire::encode_body(&reply)).is_err() {
-            break;
-        }
-    }
-    for job in open_jobs {
-        if let Some(view) = svc.poll(job) {
-            if matches!(view.state, JobState::Queued | JobState::Running) {
-                svc.cancel(job);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Client
-// ---------------------------------------------------------------------
-
-/// Blocking client for the submission protocol.
-pub struct ServiceClient {
-    conn: Box<dyn Conn>,
-}
-
-impl ServiceClient {
-    /// Connect to a serving [`JobService`].
-    pub fn connect(addr: &ServiceAddr) -> std::io::Result<Self> {
-        Ok(ServiceClient { conn: dial(addr)? })
-    }
-
-    fn rpc(&mut self, msg: &SvcMsg) -> std::io::Result<SvcMsg> {
-        write_frame(&mut self.conn, &wire::encode_body(msg))?;
-        Ok(read_frame(&mut self.conn, wire::decode_body)?.0)
-    }
-
-    /// Submit a job body for `tenant`. `Err((code, message))` carries
-    /// the typed rejection ([`rejection_code`] classes).
-    pub fn submit(
-        &mut self,
-        tenant: TenantId,
-        body: Bytes,
-    ) -> std::io::Result<Result<JobId, (u8, String)>> {
-        let frame = Payload::seal(body, Compression::None).frame();
-        match self.rpc(&SvcMsg::Submit { tenant, frame })? {
-            SvcMsg::SubmitOk { job } => Ok(Ok(job)),
-            SvcMsg::SubmitErr { code, message } => Ok(Err((code, message))),
-            other => Err(protocol_err(&other)),
-        }
-    }
-
-    fn view_from_status(msg: SvcMsg) -> std::io::Result<JobStatusView> {
-        let SvcMsg::Status {
-            job,
-            state,
-            cache_hit,
-            stages_run,
-            frame,
-            error,
-        } = msg
-        else {
-            return Err(protocol_err(&msg));
-        };
-        let state = state_from_code(state)
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad job state"))?;
-        let result = match frame {
-            Some(f) => Some(Payload::from_frame(f).and_then(|p| p.open()).map_err(|e| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-            })?),
-            None => None,
-        };
-        Ok(JobStatusView {
-            job,
-            state,
-            cache_hit,
-            stages_run,
-            result,
-            error,
-        })
-    }
-
-    /// Non-blocking status probe.
-    pub fn poll(&mut self, job: JobId) -> std::io::Result<JobStatusView> {
-        let msg = self.rpc(&SvcMsg::Poll { job })?;
-        Self::view_from_status(msg)
-    }
-
-    /// Block until the job settles; returns the final status.
-    pub fn wait(&mut self, job: JobId) -> std::io::Result<JobStatusView> {
-        let msg = self.rpc(&SvcMsg::Wait { job })?;
-        Self::view_from_status(msg)
-    }
-
-    /// Abort a job.
-    pub fn cancel(&mut self, job: JobId) -> std::io::Result<()> {
-        match self.rpc(&SvcMsg::Cancel { job })? {
-            SvcMsg::CancelOk => Ok(()),
-            other => Err(protocol_err(&other)),
-        }
-    }
-
-    /// Service counters: (submitted, admitted, rejected, completed,
-    /// cache_hits, cancelled).
-    pub fn stats(&mut self) -> std::io::Result<(u64, u64, u64, u64, u64, u64)> {
-        match self.rpc(&SvcMsg::Stats)? {
-            SvcMsg::StatsOk {
-                submitted,
-                admitted,
-                rejected,
-                completed,
-                cache_hits,
-                cancelled,
-            } => Ok((
-                submitted, admitted, rejected, completed, cache_hits, cancelled,
-            )),
-            other => Err(protocol_err(&other)),
-        }
-    }
-
-    /// Request service shutdown (acknowledged before the connection
-    /// closes).
-    pub fn shutdown(&mut self) -> std::io::Result<()> {
-        match self.rpc(&SvcMsg::Shutdown)? {
-            SvcMsg::ShutdownAck => Ok(()),
-            other => Err(protocol_err(&other)),
-        }
-    }
-}
-
-fn protocol_err(got: &SvcMsg) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("unexpected service reply: {got:?}"),
-    )
 }

@@ -8,10 +8,17 @@
 //! rules live in [`crate::wire`]: send with
 //! `write_frame(w, &encode_body(&msg))`, receive with
 //! `read_frame(r, decode_body)`.
+//!
+//! The numeric codes a message carries for a [`JobState`] or a
+//! [`Rejection`], and the conversions between the service's own types
+//! and the messages built from them, are at the end of this file —
+//! nothing outside it turns a state or a rejection into a byte.
 
 use bytes::{BufMut, Bytes};
 
+use super::{JobId, JobState, JobStatusView, Rejection};
 use crate::error::JobError;
+use crate::payload::{Compression, Payload};
 use crate::wire::{put_opt_frame, put_str, Reader};
 
 /// One submission-protocol message. Fixed-width little-endian
@@ -33,7 +40,8 @@ pub enum SvcMsg {
         job: u64,
     },
     /// The job was rejected by admission control (typed; `code` is a
-    /// [`super::Rejection`] discriminant via `rejection_code`).
+    /// [`super::Rejection`] discriminant: 1 over budget, 2 too
+    /// expensive, 3 queue full, 4 malformed, 5 shutting down).
     SubmitErr {
         /// Machine-readable rejection class.
         code: u8,
@@ -52,9 +60,10 @@ pub enum SvcMsg {
         /// Job to wait for.
         job: u64,
     },
-    /// Job status snapshot. `state` encodes
-    /// [`super::JobState`] via `state_code`; `frame` carries the
-    /// sealed result payload once done.
+    /// Job status snapshot. `state` encodes [`super::JobState`]
+    /// (0 queued, 1 running, 2 done, 3 failed, 4 cancelled; 255 for a
+    /// job the service does not know); `frame` carries the sealed
+    /// result payload once done.
     Status {
         /// Job the status describes.
         job: u64,
@@ -236,10 +245,122 @@ pub fn decode_body(body: &[u8]) -> Result<SvcMsg, JobError> {
     Ok(msg)
 }
 
+// ---------------------------------------------------------------------
+// Codes and conversions
+// ---------------------------------------------------------------------
+
+/// Wire code for a [`JobState`].
+fn state_code(s: JobState) -> u8 {
+    match s {
+        JobState::Queued => 0,
+        JobState::Running => 1,
+        JobState::Done => 2,
+        JobState::Failed => 3,
+        JobState::Cancelled => 4,
+    }
+}
+
+/// Decode a wire state code.
+fn state_from_code(c: u8) -> Option<JobState> {
+    Some(match c {
+        0 => JobState::Queued,
+        1 => JobState::Running,
+        2 => JobState::Done,
+        3 => JobState::Failed,
+        4 => JobState::Cancelled,
+        _ => return None,
+    })
+}
+
+/// The class of a [`Rejection`], as [`SvcMsg::SubmitErr`] carries it
+/// and [`super::ServiceDecision::Rejected`] logs it.
+pub(super) fn rejection_code(r: &Rejection) -> u8 {
+    match r {
+        Rejection::OverBudget { .. } => 1,
+        Rejection::TooExpensive { .. } => 2,
+        Rejection::QueueFull { .. } => 3,
+        Rejection::Malformed(_) => 4,
+        Rejection::ShuttingDown => 5,
+    }
+}
+
+/// The reply to a refused `Submit`. A [`Rejection`] is the only thing
+/// it can be built from, so every refusal a peer sees is one the
+/// service decided, logged and counted.
+pub(super) fn submit_err(r: &Rejection) -> SvcMsg {
+    SvcMsg::SubmitErr {
+        code: rejection_code(r),
+        message: r.to_string(),
+    }
+}
+
+pub(super) fn status_msg(view: &JobStatusView) -> SvcMsg {
+    SvcMsg::Status {
+        job: view.job,
+        state: state_code(view.state),
+        cache_hit: view.cache_hit,
+        stages_run: view.stages_run,
+        frame: view
+            .result
+            .as_ref()
+            .map(|r| Payload::seal(r.clone(), Compression::None).frame()),
+        error: view.error.clone(),
+    }
+}
+
+pub(super) fn unknown_job_status(job: JobId) -> SvcMsg {
+    SvcMsg::Status {
+        job,
+        state: u8::MAX,
+        cache_hit: false,
+        stages_run: 0,
+        frame: None,
+        error: Some("unknown job".into()),
+    }
+}
+
+/// The inverse of [`status_msg`], on the client's side of the socket.
+pub(super) fn view_from_status(msg: SvcMsg) -> std::io::Result<JobStatusView> {
+    let SvcMsg::Status {
+        job,
+        state,
+        cache_hit,
+        stages_run,
+        frame,
+        error,
+    } = msg
+    else {
+        return Err(protocol_err(&msg));
+    };
+    let state = state_from_code(state)
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad job state"))?;
+    let result =
+        match frame {
+            Some(f) => Some(Payload::from_frame(f).and_then(|p| p.open()).map_err(|e| {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+            })?),
+            None => None,
+        };
+    Ok(JobStatusView {
+        job,
+        state,
+        cache_hit,
+        stages_run,
+        result,
+        error,
+    })
+}
+
+pub(super) fn protocol_err(got: &SvcMsg) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("unexpected service reply: {got:?}"),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payload::{Compression, Payload};
 
     #[test]
     fn embedded_job_frames_survive_verbatim() {

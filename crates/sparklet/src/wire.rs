@@ -132,9 +132,16 @@ impl Reader {
         self.buf.len()
     }
 
+    /// One value of any [`Storable`] type, through its own checked
+    /// decode — how a body embeds a value that also crosses executor
+    /// boundaries without a second codec for it.
+    pub fn storable<T: Storable>(&mut self) -> Result<T, JobError> {
+        T::decode(&mut self.buf)
+    }
+
     /// One fixed-width little-endian scalar.
     pub fn scalar<T: LeScalar + Storable>(&mut self) -> Result<T, JobError> {
-        T::decode(&mut self.buf)
+        self.storable()
     }
 
     /// A `u64` that must fit this host's `usize`.
@@ -181,7 +188,7 @@ impl Reader {
     /// A `[len u64][utf-8 bytes]` string (length checked against the
     /// bytes left, then UTF-8 validated).
     pub fn string(&mut self) -> Result<String, JobError> {
-        String::decode(&mut self.buf)
+        self.storable()
     }
 
     /// The rest of the body as an embedded payload frame, validated

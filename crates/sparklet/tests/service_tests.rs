@@ -12,10 +12,11 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use sparklet::service::{JobRunner, JobService};
+use sparklet::service::{wire as svc_wire, JobRunner, JobService, SvcMsg};
+use sparklet::wire::{dial, read_frame, write_frame};
 use sparklet::{
     Arrival, HashPartitioner, JobError, JobState, LineageHasher, Rejection, ServiceAddr,
-    ServiceClient, ServiceConfig, ServiceDecision, SparkConf, SparkContext,
+    ServiceClient, ServiceConfig, ServiceDecision, ServiceStats, SparkConf, SparkContext,
 };
 
 fn ctx() -> SparkContext {
@@ -169,6 +170,32 @@ impl JobRunner for ToyRunner {
 
 fn service(sc: SparkContext, conf: ServiceConfig) -> JobService {
     JobService::new(sc, conf, ToyRunner)
+}
+
+/// Every counter is the number of decisions of one kind ever logged,
+/// so until the decision ring wraps, recounting the log must give the
+/// stats back.
+fn assert_stats_match_log(svc: &JobService) {
+    let mut want = ServiceStats::default();
+    for d in svc.decisions() {
+        match d {
+            ServiceDecision::Admitted { .. } => {
+                want.submitted += 1;
+                want.admitted += 1;
+            }
+            ServiceDecision::Rejected { .. } => {
+                want.submitted += 1;
+                want.rejected += 1;
+            }
+            ServiceDecision::Dispatched { .. } => {}
+            ServiceDecision::CacheHit { .. } => want.cache_hits += 1,
+            ServiceDecision::CacheStore { .. } => want.cache_stores += 1,
+            ServiceDecision::Completed { ok: true, .. } => want.completed += 1,
+            ServiceDecision::Completed { ok: false, .. } => want.failed += 1,
+            ServiceDecision::Cancelled { .. } => want.cancelled += 1,
+        }
+    }
+    assert_eq!(svc.stats(), want, "stats are counts of logged decisions");
 }
 
 // --- soak over real sockets ------------------------------------------
@@ -352,6 +379,7 @@ fn scripted_run_replays_bit_identically() {
                 Err(_) => None,
             })
             .collect();
+        assert_stats_match_log(&svc);
         (svc.decisions(), results, svc.stats())
     };
     let (d1, r1, s1) = run(1234);
@@ -395,6 +423,7 @@ fn admission_rejects_over_budget_and_releases_on_completion() {
     let stats = svc.stats();
     assert_eq!(stats.rejected, 2);
     assert_eq!(stats.admitted, 2);
+    assert_stats_match_log(&svc);
 }
 
 // --- cancellation ----------------------------------------------------
@@ -449,6 +478,7 @@ fn cancelling_a_running_job_releases_budget_and_latches() {
     let stats = svc.stats();
     assert_eq!(stats.cancelled, 2);
     svc.stop();
+    assert_stats_match_log(&svc);
 }
 
 // --- panic isolation -------------------------------------------------
@@ -510,6 +540,7 @@ fn panicking_runner_fails_the_job_without_wedging_the_service() {
     assert_eq!(view.state, JobState::Done, "{:?}", view.error);
     assert_eq!(view.result.expect("result"), Bytes::from_static(&[1]));
     svc.stop();
+    assert_stats_match_log(&svc);
 }
 
 // --- settled-job retention -------------------------------------------
@@ -602,6 +633,72 @@ fn wire_shutdown_performs_a_full_stop() {
         Err(Rejection::ShuttingDown)
     ));
     handle.stop();
+    assert_stats_match_log(&svc);
+}
+
+#[test]
+fn stop_cancels_queued_jobs_in_admission_order() {
+    // Regression: `stop` collected the queued jobs from a `HashMap`, so
+    // the `Cancelled` decisions (and the order entries entered the
+    // retention ring) differed from one service instance to the next.
+    let run = || {
+        let svc = service(sim_ctx(3), ServiceConfig::default());
+        for i in 0..8u64 {
+            svc.submit(1 + i % 2, body(1, 700 + i, 50, 0))
+                .expect("admit");
+        }
+        svc.stop();
+        assert_eq!(svc.committed_cost(), 0.0, "all budget released");
+        assert_stats_match_log(&svc);
+        svc.decisions()
+    };
+    let log = run();
+    let cancelled: Vec<u64> = log
+        .iter()
+        .filter_map(|d| match d {
+            ServiceDecision::Cancelled { job, .. } => Some(*job),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(cancelled, (1..=8).collect::<Vec<u64>>());
+    assert_eq!(log, run(), "two instances, one decision log");
+}
+
+#[test]
+fn a_frame_that_does_not_open_is_a_counted_rejection() {
+    // Regression: the connection handler answered such a `Submit`
+    // itself, so neither the counters nor the decision log saw it.
+    let svc = service(ctx(), ServiceConfig::default());
+    let handle = svc
+        .serve(ServiceAddr::Tcp("127.0.0.1:0".into()))
+        .expect("bind");
+    let mut conn = dial(handle.addr()).expect("connect");
+
+    // A well-formed LZ4 frame header (tag 1, 64 raw bytes declared)
+    // over a body that is not an LZ4 stream.
+    let mut frame = vec![1u8];
+    frame.extend_from_slice(&64u64.to_le_bytes());
+    frame.extend_from_slice(&[0xFF; 7]);
+    let submit = SvcMsg::Submit {
+        tenant: 9,
+        frame: Bytes::from(frame),
+    };
+    write_frame(&mut conn, &svc_wire::encode_body(&submit)).expect("send");
+    let (reply, _) = read_frame(&mut conn, svc_wire::decode_body).expect("reply");
+    assert!(
+        matches!(reply, SvcMsg::SubmitErr { code: 4, .. }),
+        "{reply:?}"
+    );
+
+    let stats = svc.stats();
+    assert_eq!((stats.submitted, stats.rejected), (1, 1));
+    assert_eq!(
+        svc.decisions(),
+        vec![ServiceDecision::Rejected { tenant: 9, code: 4 }]
+    );
+    drop(conn);
+    handle.stop();
+    assert_stats_match_log(&svc);
 }
 
 #[test]
