@@ -16,7 +16,7 @@ use sparklet::JobError;
 
 #[path = "../../sparklet/tests/wire_harness/mod.rs"]
 mod wire_harness;
-use wire_harness::{assert_golden, hostile_input_harness, Rng};
+use wire_harness::{assert_golden, framing_harness, hostile_input_harness, Rng};
 
 fn encode_job(req: &DpJobRequest) -> Vec<u8> {
     req.encode().to_vec()
@@ -102,7 +102,13 @@ fn job_bodies_survive_hostile_input() {
             parts: 3,
         },
     ];
-    hostile_input_harness(0x10b6, &samples, encode_job, decode_job, drop);
+    hostile_input_harness(
+        0x10b6,
+        &samples,
+        encode_job,
+        |body| DpJobRequest::decode(&body),
+        drop,
+    );
     assert!(decode_job(&[99]).is_err(), "unknown job tag");
 }
 
@@ -113,7 +119,7 @@ fn result_codecs_survive_hostile_input() {
         1,
         &[m],
         |m| encode_matrix_f64(m).to_vec(),
-        over_slice(decode_matrix_f64),
+        |body| decode_matrix_f64(&body),
         drop,
     );
     let mi = Matrix::from_fn(2, 5, |i, j| i as i64 * 100 - j as i64);
@@ -121,7 +127,7 @@ fn result_codecs_survive_hostile_input() {
         2,
         &[mi],
         |m| encode_matrix_i64(m).to_vec(),
-        over_slice(decode_matrix_i64),
+        |body| decode_matrix_i64(&body),
         drop,
     );
     let v = vec![1.5, -2.5, f64::INFINITY];
@@ -129,7 +135,7 @@ fn result_codecs_survive_hostile_input() {
         3,
         &[v],
         |v| encode_vec_f64(v).to_vec(),
-        over_slice(decode_vec_f64),
+        |body| decode_vec_f64(&body),
         drop,
     );
 }
@@ -212,6 +218,12 @@ fn job_body_bytes_match_the_golden_vectors() {
         "05020000000000000002000000000000000000000000000000020000000000000003000000000000000400000000000000000000000000f07f0000000002000000030000000400000001000000020000000200000000000000000000000000f83f000000000000104000000000000002400000000000001c40",
     ];
     assert_golden(&samples, &golden, encode_job, decode_job);
+    // A job body is all head: the degenerate case of the socket framing.
+    framing_harness(
+        &samples,
+        |req| encode_job(req).into(),
+        |body| DpJobRequest::decode(&body),
+    );
 }
 
 #[test]

@@ -505,8 +505,15 @@ impl Drop for Pool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.notify();
+        // The last handle may be dropped by a job running on one of
+        // these workers. That worker cannot join itself (`EDEADLK`); it
+        // is detached instead and leaves its loop when the job returns,
+        // having seen `shutdown`.
+        let me = std::thread::current().id();
         for handle in self.workers.drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
         }
     }
 }

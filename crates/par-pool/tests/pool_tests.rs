@@ -2,7 +2,8 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use par_pool::Pool;
 
@@ -228,4 +229,24 @@ fn scope_completion_race_hammer() {
             });
         }
     });
+}
+
+#[test]
+fn last_handle_dropped_on_a_worker_does_not_join_itself() {
+    // An engine context owns its pools and is itself shared with the
+    // jobs running on them, so the last reference can die on a worker.
+    let pool = Arc::new(Pool::new(2));
+    let inside = Arc::clone(&pool);
+    let (released, wait_released) = mpsc::channel::<()>();
+    let (done, wait_done) = mpsc::channel::<()>();
+    pool.spawn(move || {
+        wait_released.recv().expect("main dropped its handle first");
+        drop(inside); // the last one: `Pool::drop` runs on this worker
+        done.send(()).expect("main is waiting");
+    });
+    drop(pool);
+    released.send(()).expect("job is waiting");
+    wait_done
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker dropped its own pool and carried on");
 }

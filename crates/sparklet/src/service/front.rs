@@ -77,7 +77,7 @@ fn handle_conn(svc: &JobService, mut conn: Box<dyn Conn>) {
     // disconnect cancels them (client-gone tenant abort).
     let mut open_jobs: Vec<JobId> = Vec::new();
     // Until EOF or a protocol violation (either means disconnect):
-    while let Ok((msg, _)) = read_frame(&mut conn, wire::decode_body) {
+    while let Ok((msg, _)) = read_frame(&mut conn, wire::decode) {
         let reply = match msg {
             SvcMsg::Submit { tenant, frame } => {
                 // A frame that does not open is a submission too: it
@@ -118,7 +118,7 @@ fn handle_conn(svc: &JobService, mut conn: Box<dyn Conn>) {
                 }
             }
             SvcMsg::Shutdown => {
-                let _ = write_frame(&mut conn, &wire::encode_body(&SvcMsg::ShutdownAck));
+                let _ = write_frame(&mut conn, &wire::encode(&SvcMsg::ShutdownAck));
                 // Full stop, same as ServeHandle::stop's service half:
                 // fence submissions, cancel queued jobs (releasing
                 // their admission budget), let running jobs finish,
@@ -131,7 +131,7 @@ fn handle_conn(svc: &JobService, mut conn: Box<dyn Conn>) {
             // violations; drop the connection.
             _ => break,
         };
-        if write_frame(&mut conn, &wire::encode_body(&reply)).is_err() {
+        if write_frame(&mut conn, &wire::encode(&reply)).is_err() {
             break;
         }
     }
@@ -160,8 +160,8 @@ impl ServiceClient {
     }
 
     fn rpc(&mut self, msg: &SvcMsg) -> std::io::Result<SvcMsg> {
-        write_frame(&mut self.conn, &wire::encode_body(msg))?;
-        Ok(read_frame(&mut self.conn, wire::decode_body)?.0)
+        write_frame(&mut self.conn, &wire::encode(msg))?;
+        Ok(read_frame(&mut self.conn, wire::decode)?.0)
     }
 
     /// Submit a job body for `tenant`. `Err((code, message))` carries

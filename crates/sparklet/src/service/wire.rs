@@ -6,8 +6,10 @@
 //!
 //! Framing, the bounds-checked body reader and their hostile-input
 //! rules live in [`crate::wire`]: send with
-//! `write_frame(w, &encode_body(&msg))`, receive with
-//! `read_frame(r, decode_body)`.
+//! `write_frame(w, &encode(&msg))`, receive with
+//! `read_frame(r, decode)`. Neither copies an embedded frame: the
+//! encoder borrows it from the message and the decoder slices it out
+//! of the body it is handed.
 //!
 //! The numeric codes a message carries for a [`JobState`] or a
 //! [`Rejection`], and the conversions between the service's own types
@@ -19,7 +21,7 @@ use bytes::{BufMut, Bytes};
 use super::{JobId, JobState, JobStatusView, Rejection};
 use crate::error::JobError;
 use crate::payload::{Compression, Payload};
-use crate::wire::{put_opt_frame, put_str, Reader};
+use crate::wire::{put_str, Body, Reader};
 
 /// One submission-protocol message. Fixed-width little-endian
 /// integers; job bodies and results travel as sealed payload frames.
@@ -134,13 +136,12 @@ fn tagged(tag: u8, word: u64) -> Vec<u8> {
     out
 }
 
-/// Encode a message body (everything after the 4-byte length prefix).
-pub fn encode_body(msg: &SvcMsg) -> Vec<u8> {
-    match msg {
+/// Encode a message body (everything after the 4-byte length prefix):
+/// its head, plus the message's own frame where it carries one.
+pub fn encode(msg: &SvcMsg) -> Body<'_> {
+    let head = match msg {
         SvcMsg::Submit { tenant, frame } => {
-            let mut out = tagged(TAG_SUBMIT, *tenant);
-            out.put_slice(frame);
-            out
+            return Body::with_frame(tagged(TAG_SUBMIT, *tenant), frame);
         }
         SvcMsg::SubmitOk { job } => tagged(TAG_SUBMIT_OK, *job),
         SvcMsg::SubmitErr { code, message } => {
@@ -171,8 +172,7 @@ pub fn encode_body(msg: &SvcMsg) -> Vec<u8> {
             }
             // The frame is the variable-length tail, like the
             // executor wire's `Block`.
-            put_opt_frame(&mut out, frame.as_ref());
-            out
+            return Body::with_opt_frame(out, frame.as_deref());
         }
         SvcMsg::Cancel { job } => tagged(TAG_CANCEL, *job),
         SvcMsg::CancelOk => vec![TAG_CANCEL_OK],
@@ -195,13 +195,15 @@ pub fn encode_body(msg: &SvcMsg) -> Vec<u8> {
         }
         SvcMsg::Shutdown => vec![TAG_SHUTDOWN],
         SvcMsg::ShutdownAck => vec![TAG_SHUTDOWN_ACK],
-    }
+    };
+    head.into()
 }
 
 /// Decode a message body. Any malformed input — truncation, unknown
 /// tag, trailing garbage — yields [`JobError::Codec`], never a panic.
-pub fn decode_body(body: &[u8]) -> Result<SvcMsg, JobError> {
-    let mut c = Reader::new(Bytes::copy_from_slice(body));
+/// An embedded frame comes back as a slice of `body`, not a copy.
+pub fn decode(body: Bytes) -> Result<SvcMsg, JobError> {
+    let mut c = Reader::new(body);
     let msg = match c.scalar::<u8>()? {
         TAG_SUBMIT => SvcMsg::Submit {
             tenant: c.scalar()?,
@@ -243,6 +245,18 @@ pub fn decode_body(body: &[u8]) -> Result<SvcMsg, JobError> {
     };
     c.finish()?;
     Ok(msg)
+}
+
+/// [`encode`] into one buffer, copying the frame. Kept under this name
+/// for the benchmark (`crates/perf`) and the golden vectors; the socket
+/// path never calls it.
+pub fn encode_body(msg: &SvcMsg) -> Vec<u8> {
+    encode(msg).concat()
+}
+
+/// [`decode`] over a copy of `body` (same callers as [`encode_body`]).
+pub fn decode_body(body: &[u8]) -> Result<SvcMsg, JobError> {
+    decode(Bytes::copy_from_slice(body))
 }
 
 // ---------------------------------------------------------------------

@@ -18,12 +18,18 @@
 //! released individually when their RDD lineage is dropped
 //! ([`ShuffleManager::release`]) instead of only on global
 //! [`ShuffleManager::clear`].
+//!
+//! Under a wire transport the ledger lock is never held across a
+//! socket: a write is *check → ship → commit* (see
+//! [`ShuffleManager::write`]), a fetch snapshots its row and then
+//! reads, and release/clear update the ledger before they notify the
+//! executors — so one node's slow put stalls nobody else's shuffle I/O.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::context::TaskContext;
 use crate::error::JobError;
@@ -83,10 +89,71 @@ struct ShuffleInner {
     peak: Vec<u64>,
 }
 
+impl ShuffleInner {
+    fn slot_mut(
+        &mut self,
+        id: ShuffleId,
+        map_task: usize,
+        reduce_partition: usize,
+    ) -> Result<&mut Slot, JobError> {
+        self.shuffles
+            .get_mut(&id)
+            .ok_or_else(|| JobError::MissingBlock(format!("shuffle {id}")))?
+            .buckets
+            .get_mut(reduce_partition)
+            .and_then(|row| row.get_mut(map_task))
+            .ok_or_else(|| {
+                JobError::MissingBlock(format!(
+                    "shuffle {id} bucket ({reduce_partition}, {map_task})"
+                ))
+            })
+    }
+
+    /// The read-only half of a write: the slot must be registered and
+    /// the origin node's post-reconciliation total must fit `capacity`.
+    /// Returns the `(origin, declared)` of the bucket the write would
+    /// replace. A `Lost` slot carries no credit — its bytes were
+    /// written off when the executor died; the rewrite charges fresh.
+    fn admit(
+        &mut self,
+        id: ShuffleId,
+        map_task: usize,
+        reduce_partition: usize,
+        origin_node: usize,
+        declared: u64,
+        capacity: Option<u64>,
+    ) -> Result<Option<(usize, u64)>, JobError> {
+        let prev = match self.slot_mut(id, map_task, reduce_partition)? {
+            Slot::Data(b) => Some((b.origin_node, b.declared)),
+            Slot::Empty | Slot::Lost => None,
+        };
+        let credit = match prev {
+            Some((node, bytes)) if node == origin_node => bytes,
+            _ => 0,
+        };
+        let prospective = self.staged[origin_node] - credit + declared;
+        match capacity {
+            Some(cap) if prospective > cap => Err(JobError::StagingOverflow {
+                node: origin_node,
+                used: prospective,
+                capacity: cap,
+            }),
+            _ => Ok(prev),
+        }
+    }
+}
+
 /// Global shuffle state shared by all executors (it *is* the network).
 #[derive(Debug)]
 pub struct ShuffleManager {
     inner: Mutex<ShuffleInner>,
+    /// One mutex per origin node, taken only under a wire transport and
+    /// held across a write's ship + commit (and by
+    /// [`ShuffleManager::drop_node_outputs`]): what executor `n` holds
+    /// and what the ledger says `n` holds change together even though
+    /// `inner` is free while the bytes cross the socket. Never two at
+    /// once, and `inner` is only ever taken inside one, never around.
+    ship: Vec<Mutex<()>>,
     capacity: Option<u64>,
     /// Late writes dropped because another attempt already committed
     /// the partition.
@@ -116,6 +183,7 @@ impl ShuffleManager {
                 staged: vec![0; nodes],
                 peak: vec![0; nodes],
             }),
+            ship: (0..nodes).map(|_| Mutex::new(())).collect(),
             capacity,
             zombie_writes_fenced: AtomicU64::new(0),
             staged_released: AtomicU64::new(0),
@@ -128,6 +196,12 @@ impl ShuffleManager {
     pub(crate) fn with_remote(mut self, manager: Arc<ExecutorManager>) -> Self {
         self.remote = Some(manager);
         self
+    }
+
+    /// `node`'s ship mutex under a wire transport; nothing in process,
+    /// where there is no ship for it to order.
+    fn ship_turn(&self, node: usize) -> Option<MutexGuard<'_, ()>> {
+        self.remote.as_ref().map(|_| self.ship[node].lock())
     }
 
     /// Create the bucket matrix for a shuffle.
@@ -146,6 +220,15 @@ impl ShuffleManager {
     /// (idempotent re-staging), a fenced (zombie) attempt's write is
     /// dropped, and empty buckets are never stored. A capacity failure
     /// mutates nothing.
+    ///
+    /// In process the whole write is one critical section on the
+    /// ledger. Under a wire transport it is *check → ship → commit*:
+    /// the ledger lock is released while the frame crosses the socket
+    /// and the origin node's ship mutex covers all three steps instead,
+    /// so two attempts staging on one node cannot interleave their puts
+    /// and commits. A failed ship mutates nothing; a commit that finds
+    /// its shuffle released meanwhile drops the shipped block again and
+    /// fails with [`JobError::MissingBlock`].
     #[allow(clippy::too_many_arguments)]
     pub fn write(
         &self,
@@ -168,65 +251,47 @@ impl ShuffleManager {
             self.zombie_writes_fenced.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        let shuffle = inner
-            .shuffles
-            .get_mut(&id)
-            .ok_or_else(|| JobError::MissingBlock(format!("shuffle {id}")))?;
-        let slot = shuffle
-            .buckets
-            .get_mut(reduce_partition)
-            .and_then(|row| row.get_mut(map_task))
-            .ok_or_else(|| {
-                JobError::MissingBlock(format!(
-                    "shuffle {id} bucket ({reduce_partition}, {map_task})"
-                ))
-            })?;
-        // Capacity check on the post-reconciliation total, before any
-        // mutation: a rejected write leaves accounting untouched. A
-        // `Lost` slot carries no credit — its bytes were written off
-        // when the executor died; the rewrite charges fresh.
-        let prev = match &*slot {
-            Slot::Data(b) => Some((b.origin_node, b.declared)),
-            Slot::Empty | Slot::Lost => None,
+        let admit = |inner: &mut ShuffleInner| {
+            inner.admit(
+                id,
+                map_task,
+                reduce_partition,
+                origin_node,
+                declared,
+                self.capacity,
+            )
         };
-        let credit = match prev {
-            Some((node, bytes)) if node == origin_node => bytes,
-            _ => 0,
-        };
-        let prospective = inner.staged[origin_node] - credit + declared;
-        if let Some(cap) = self.capacity {
-            if prospective > cap {
-                return Err(JobError::StagingOverflow {
-                    node: origin_node,
-                    used: prospective,
-                    capacity: cap,
-                });
-            }
-        }
-        // With a wire transport, stage the frame on the origin node's
-        // executor *before* committing the slot: a failed ship mutates
-        // nothing (the task attempt fails with a retryable transport
-        // error, and the retry re-stages). The measured socket bytes
-        // replace the compression-only wire hint.
+        let turn = self.ship_turn(origin_node);
+        let mut inner = self.inner.lock();
+        // Registered slot and capacity on the post-reconciliation
+        // total, before any mutation or byte on the wire: a rejected
+        // write leaves accounting untouched.
+        let mut prev = admit(&mut inner)?;
         let mut wire = data.wire_hint(declared);
         if let Some(manager) = &self.remote {
-            wire = manager.put_block(
-                origin_node,
-                id,
-                map_task as u64,
-                reduce_partition as u64,
-                data.frame(),
-            )?;
-            // A retry that moved to another node strands the previous
-            // attempt's copy on the old executor: drop it there so
-            // executor inventories keep matching this ledger.
-            if let Some((prev_node, _)) = prev {
-                if prev_node != origin_node {
-                    manager.remove_block(prev_node, id, map_task as u64, reduce_partition as u64);
+            // Stage the frame on the origin node's executor *before*
+            // committing the slot, with the ledger unlocked: a failed
+            // ship mutates nothing (the task attempt fails with a
+            // retryable transport error, and the retry re-stages). The
+            // measured socket bytes replace the compression-only wire
+            // hint.
+            drop(inner);
+            let (map, reduce) = (map_task as u64, reduce_partition as u64);
+            wire = manager.put_block(origin_node, id, map, reduce, data.frame())?;
+            inner = self.inner.lock();
+            // The ledger may have moved while the bytes were in flight,
+            // so the commit looks again. Only release/clear can fail it
+            // now — `staged[origin_node]` grows through this node's
+            // ship mutex alone, so the capacity verdict stands — and
+            // then no executor may keep a bucket of that shuffle.
+            prev = match admit(&mut inner) {
+                Ok(prev) => prev,
+                Err(e) => {
+                    drop(inner);
+                    manager.remove_block(origin_node, id, map, reduce);
+                    return Err(e);
                 }
-            }
+            };
         }
         if let Some((node, bytes)) = prev {
             inner.staged[node] -= bytes;
@@ -236,15 +301,47 @@ impl ShuffleManager {
         if inner.staged[origin_node] > inner.peak[origin_node] {
             inner.peak[origin_node] = inner.staged[origin_node];
         }
-        *slot = Slot::Data(MapBucket {
+        *inner
+            .slot_mut(id, map_task, reduce_partition)
+            .expect("slot admitted under this guard") = Slot::Data(MapBucket {
             origin_node,
             attempt: tc.attempt(),
             data,
             declared,
         });
-        drop(guard);
+        drop(inner);
+        drop(turn);
+        if let (Some(manager), Some((prev_node, _))) = (&self.remote, prev) {
+            if prev_node != origin_node {
+                self.drop_stranded(manager, prev_node, id, map_task, reduce_partition);
+            }
+        }
         tc.add_shuffle_write(declared, wire);
         Ok(())
+    }
+
+    /// A retry that moved to another node strands the previous
+    /// attempt's copy on `node`'s executor: drop it there so executor
+    /// inventories keep matching this ledger. The commit decided this
+    /// from the bucket it replaced; it is confirmed under `node`'s own
+    /// ship mutex, because a yet later attempt may have staged the slot
+    /// on `node` again and that copy is the ledger's, not a stray.
+    fn drop_stranded(
+        &self,
+        manager: &ExecutorManager,
+        node: usize,
+        id: ShuffleId,
+        map_task: usize,
+        reduce_partition: usize,
+    ) {
+        let _turn = self.ship_turn(node);
+        let restaged = matches!(
+            self.inner.lock().slot_mut(id, map_task, reduce_partition),
+            Ok(Slot::Data(b)) if b.origin_node == node
+        );
+        if !restaged {
+            manager.remove_block(node, id, map_task as u64, reduce_partition as u64);
+        }
     }
 
     /// Fetch all map buckets for `reduce_partition`, recording
@@ -254,6 +351,11 @@ impl ShuffleManager {
     /// executor died) fails the fetch with [`JobError::FetchFailed`] —
     /// the reduce must not proceed on partial inputs; the driver
     /// resubmits the producing map stage instead.
+    ///
+    /// The row is snapshotted (refcount clones) under the ledger lock
+    /// and read after releasing it, so remote fetches from different
+    /// executors overlap. A fetch that loses a race with a release or
+    /// an executor death fails typed, like any other lost bucket.
     pub fn fetch(
         &self,
         id: ShuffleId,
@@ -267,16 +369,22 @@ impl ShuffleManager {
                 reason: "injected fetch failure (chaos)".to_string(),
             });
         }
-        let inner = self.inner.lock();
-        let shuffle = inner
-            .shuffles
-            .get(&id)
-            .ok_or_else(|| JobError::MissingBlock(format!("shuffle {id}")))?;
-        let row = shuffle.buckets.get(reduce_partition).ok_or_else(|| {
-            JobError::MissingBlock(format!("shuffle {id} partition {reduce_partition}"))
-        })?;
+        let row = {
+            let inner = self.inner.lock();
+            let shuffle = inner
+                .shuffles
+                .get(&id)
+                .ok_or_else(|| JobError::MissingBlock(format!("shuffle {id}")))?;
+            shuffle
+                .buckets
+                .get(reduce_partition)
+                .ok_or_else(|| {
+                    JobError::MissingBlock(format!("shuffle {id} partition {reduce_partition}"))
+                })?
+                .clone()
+        };
         let mut out = Vec::new();
-        for (map_task, slot) in row.iter().enumerate() {
+        for (map_task, slot) in row.into_iter().enumerate() {
             let bucket = match slot {
                 // Empty buckets are never written (map tasks skip them
                 // to keep the matrix sparse): genuinely no data.
@@ -294,13 +402,13 @@ impl ShuffleManager {
                 continue;
             }
             if bucket.origin_node == tc.node() {
-                // Local fetch: the node reads its own staged output — a
-                // refcount bump of the driver-held frame in every mode
-                // (the executor's copy is the same bytes; re-shipping
-                // them to ourselves would model a network hop that the
-                // real system doesn't take either).
+                // Local fetch: the node reads its own staged output —
+                // the driver-held frame in every mode (the executor's
+                // copy is the same bytes; re-shipping them to ourselves
+                // would model a network hop that the real system
+                // doesn't take either).
                 tc.add_local_read(bucket.declared, bucket.data.wire_hint(bucket.declared));
-                out.push(bucket.data.clone());
+                out.push(bucket.data);
             } else if let Some(manager) = &self.remote {
                 // Remote fetch: a real frame handoff from the origin
                 // node's executor. A miss means that executor died and
@@ -337,8 +445,8 @@ impl ShuffleManager {
                 }
             } else {
                 tc.add_remote_read(bucket.declared, bucket.data.wire_hint(bucket.declared));
-                // Refcount bump of the stored frame — never a byte copy.
-                out.push(bucket.data.clone());
+                // The stored frame itself — never a byte copy.
+                out.push(bucket.data);
             }
         }
         Ok(out)
@@ -375,6 +483,9 @@ impl ShuffleManager {
     /// accounting as *lost*, not released. Returns `(buckets, bytes)`
     /// destroyed.
     pub fn drop_node_outputs(&self, node: usize) -> (u64, u64) {
+        // Wait out a write that has shipped to `node` but not yet
+        // committed: it must land before the sweep, not after it.
+        let _turn = self.ship_turn(node);
         let mut inner = self.inner.lock();
         let mut buckets_lost = 0u64;
         let mut bytes_lost = 0u64;
@@ -439,9 +550,6 @@ impl ShuffleManager {
         let Some(data) = inner.shuffles.remove(&id) else {
             return;
         };
-        if let Some(manager) = &self.remote {
-            manager.shuffle_release(id);
-        }
         let mut released = 0u64;
         for row in data.buckets {
             for slot in row {
@@ -455,6 +563,12 @@ impl ShuffleManager {
         if released > 0 {
             self.staged_released.fetch_add(released, Ordering::Relaxed);
         }
+        // The ledger is settled and unlocked before the executors hear
+        // of it: the notification queues behind whatever their sockets
+        // are carrying, and running tasks must not queue behind it.
+        if let Some(manager) = &self.remote {
+            manager.shuffle_release(id);
+        }
     }
 
     /// Drop all shuffle data and reset staging accounting (a wholesale
@@ -466,6 +580,7 @@ impl ShuffleManager {
         for b in inner.staged.iter_mut() {
             *b = 0;
         }
+        drop(inner);
         if let Some(manager) = &self.remote {
             manager.shuffle_clear();
         }
@@ -747,5 +862,249 @@ mod tests {
         sm.write(3, 0, 0, 0, pay(b"x"), 1, &tc).unwrap();
         let got = sm.fetch(3, 0, &tc).unwrap();
         assert_eq!(opened(&got), vec![b"x".to_vec()]);
+    }
+
+    // -----------------------------------------------------------------
+    // Under a wire transport: two real `sparklet-executor` subprocesses
+    // (built by any `cargo test` that also builds this package's
+    // integration tests, or by `cargo build -p sparklet --bins`).
+    // -----------------------------------------------------------------
+
+    use crate::transport::TransportMode;
+    use std::sync::mpsc;
+    use std::sync::Barrier;
+    use std::time::Duration;
+
+    /// How long a thread that must not be blocked gets to finish.
+    const GRACE: Duration = Duration::from_secs(20);
+
+    fn remote_pair() -> (Arc<ExecutorManager>, ShuffleManager) {
+        let manager = Arc::new(
+            ExecutorManager::launch(TransportMode::Unix, 2).expect("launch two executors"),
+        );
+        let sm = ShuffleManager::new(2, None).with_remote(Arc::clone(&manager));
+        (manager, sm)
+    }
+
+    /// Ledger invariant, and every executor holds exactly the buckets
+    /// the ledger says it staged.
+    fn assert_balanced(manager: &ExecutorManager, sm: &ShuffleManager) {
+        sm.audit().expect("staging ledger");
+        manager
+            .audit(Some(&sm.bucket_counts()))
+            .expect("executor inventories match the ledger");
+    }
+
+    /// A bucket body that names who wrote it.
+    fn body(tag: u8) -> Vec<u8> {
+        vec![tag; 64 * 1024]
+    }
+
+    /// The committed bucket of one slot: `(origin, attempt, bytes)`.
+    fn committed(
+        sm: &ShuffleManager,
+        id: ShuffleId,
+        map: usize,
+        reduce: usize,
+    ) -> (usize, u64, Vec<u8>) {
+        match sm.inner.lock().slot_mut(id, map, reduce) {
+            Ok(Slot::Data(b)) => (b.origin_node, b.attempt, b.data.open().unwrap().to_vec()),
+            other => panic!("slot ({map}, {reduce}) of shuffle {id} is {other:?}"),
+        }
+    }
+
+    #[test]
+    fn remote_ship_leaves_the_ledger_unlocked() {
+        let (manager, sm) = remote_pair();
+        sm.register(1, 2, 1);
+        let hold = manager.hold_slot(0);
+        let (done, wait_done) = mpsc::channel();
+        let (parked, staged_meanwhile) = std::thread::scope(|s| {
+            // Checks, then parks inside `put_block` behind the held slot.
+            let put = s.spawn(|| sm.write(1, 0, 0, 0, pay(&body(1)), 7, &TaskContext::new(0)));
+            s.spawn(|| {
+                // Once the put has its turn it is a lock and a lookup
+                // away from the socket; everything below needs the
+                // ledger, round after round, while it stays there.
+                while sm.ship[0].try_lock().is_some() {
+                    std::thread::yield_now();
+                }
+                sm.write(1, 1, 0, 1, pay(&body(2)), 9, &TaskContext::new(1))
+                    .expect("node 1 stages while node 0's put is parked");
+                let uncommitted = (0..1000).all(|_| {
+                    std::thread::yield_now();
+                    (sm.staged_bytes(0), sm.staged_bytes(1)) == (0, 9)
+                });
+                done.send(uncommitted).expect("main is waiting");
+            });
+            let finished = wait_done.recv_timeout(GRACE);
+            let parked = !put.is_finished();
+            drop(hold);
+            put.join()
+                .unwrap()
+                .expect("the parked put lands once the slot frees");
+            (parked, finished)
+        });
+        let uncommitted = staged_meanwhile.expect("the ledger stayed locked across a ship");
+        assert!(uncommitted, "the parked put must not have been committed");
+        assert!(parked, "the put cannot have passed a held slot");
+        assert_eq!((sm.staged_bytes(0), sm.staged_bytes(1)), (7, 9));
+        assert_balanced(&manager, &sm);
+    }
+
+    #[test]
+    fn remote_release_and_clear_notify_after_unlocking_the_ledger() {
+        let (manager, sm) = remote_pair();
+        for id in [1, 2] {
+            sm.register(id, 1, 1);
+            sm.write(id, 0, 0, 1, pay(&body(id as u8)), 5, &TaskContext::new(1))
+                .unwrap();
+        }
+        // `settle` updates the ledger and then notifies node 0 first,
+        // which is parked; `settled` can only turn true — and the
+        // probe thread can only get at the ledger to see it — if the
+        // notification is sent with the ledger unlocked.
+        let check = |settle: &(dyn Fn() + Sync), settled: &(dyn Fn() -> bool + Sync)| {
+            let hold = manager.hold_slot(0);
+            let (done, wait_done) = mpsc::channel();
+            let (parked, seen) = std::thread::scope(|s| {
+                let notifier = s.spawn(settle);
+                s.spawn(|| {
+                    while !settled() {
+                        std::thread::yield_now();
+                    }
+                    done.send(()).expect("main is waiting");
+                });
+                let seen = wait_done.recv_timeout(GRACE);
+                let parked = !notifier.is_finished();
+                drop(hold);
+                notifier.join().unwrap();
+                (parked, seen)
+            });
+            seen.expect("the ledger stayed locked across a notification");
+            assert!(parked, "the notification cannot have passed a held slot");
+            assert_balanced(&manager, &sm);
+        };
+        check(&|| sm.release(1), &|| {
+            sm.fetch(1, 0, &TaskContext::new(1)).is_err() && sm.staged_bytes(1) == 5
+        });
+        check(&|| sm.clear(), &|| sm.staged_bytes(1) == 0);
+    }
+
+    #[test]
+    fn remote_attempts_on_one_slot_keep_executors_and_ledger_in_step() {
+        let (manager, sm) = remote_pair();
+        sm.register(1, 4, 2);
+        // Two live attempts of each map task (a speculative twin, or a
+        // retry racing the attempt it replaces): neither has committed
+        // its partition, so neither is fenced.
+        let board: crate::context::CommitBoard =
+            Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
+        let start = Barrier::new(4);
+        // Map task 0: both attempts on node 0. Map task 1: one attempt
+        // on each node. All four write both reduce buckets at once.
+        let writers = [(0usize, 0usize, 1u64), (0, 0, 2), (1, 0, 1), (1, 1, 2)];
+        std::thread::scope(|s| {
+            for (map, node, attempt) in writers {
+                let (sm, board, start) = (&sm, &board, &start);
+                s.spawn(move || {
+                    let tc = TaskContext::for_attempt(node, attempt, Arc::clone(board), map);
+                    start.wait();
+                    for reduce in 0..2 {
+                        let tag = (16 * node as u8) + attempt as u8;
+                        sm.write(1, map, reduce, node, pay(&body(tag)), 10, &tc)
+                            .expect("write");
+                    }
+                });
+            }
+        });
+        assert_balanced(&manager, &sm);
+        assert_eq!(sm.staged_bytes(0) + sm.staged_bytes(1), 4 * 10);
+        for map in 0..2 {
+            for reduce in 0..2 {
+                // What the origin's executor serves is what the ledger
+                // committed last, whoever that was.
+                let (origin, attempt, bytes) = committed(&sm, 1, map, reduce);
+                assert_eq!(bytes, body(16 * origin as u8 + attempt as u8));
+                let (served, _) = manager
+                    .fetch_block(origin, 1, map as u64, reduce as u64)
+                    .expect("fetch")
+                    .expect("the origin holds its bucket");
+                assert_eq!(served.open().unwrap(), bytes);
+                // And the node that lost the slot kept no copy of it.
+                let stray = manager
+                    .fetch_block(1 - origin, 1, map as u64, reduce as u64)
+                    .expect("fetch");
+                assert!(stray.is_none(), "map {map} reduce {reduce} stranded a copy");
+            }
+        }
+        // A retry that moved nodes, with nothing else in flight.
+        sm.write(1, 2, 0, 0, pay(&body(3)), 10, &TaskContext::new(0))
+            .unwrap();
+        sm.write(1, 2, 0, 1, pay(&body(4)), 10, &TaskContext::new(1))
+            .unwrap();
+        assert_eq!(committed(&sm, 1, 2, 0), (1, 1, body(4)));
+        assert!(manager.fetch_block(0, 1, 2, 0).unwrap().is_none());
+        assert_balanced(&manager, &sm);
+        sm.release(1);
+        assert_balanced(&manager, &sm);
+    }
+
+    #[test]
+    fn remote_fetches_racing_a_release_or_a_kill_fail_whole_or_not_at_all() {
+        let (manager, sm) = remote_pair();
+        let expected: Vec<Vec<u8>> = (0..4).map(|m| body(m as u8 + 1)).collect();
+        let populate = |id: ShuffleId| {
+            sm.register(id, 4, 1);
+            for (map, bytes) in expected.iter().enumerate() {
+                let node = map % 2;
+                sm.write(id, map, 0, node, pay(bytes), 3, &TaskContext::new(node))
+                    .unwrap();
+            }
+        };
+        // Readers on both nodes (each pulls the other node's two
+        // buckets over the socket) until `upset` has run and they have
+        // seen its effect; every fetch is all four buckets or an error.
+        let race = |id: ShuffleId, upset: &(dyn Fn() + Sync)| {
+            let start = Barrier::new(3);
+            std::thread::scope(|s| {
+                for node in 0..2 {
+                    let (sm, expected, start) = (&sm, &expected, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        loop {
+                            match sm.fetch(id, 0, &TaskContext::new(node)) {
+                                Ok(got) => assert_eq!(&opened(&got), expected),
+                                Err(JobError::MissingBlock(_) | JobError::FetchFailed { .. }) => {
+                                    break
+                                }
+                                Err(other) => panic!("fetch failed untyped: {other:?}"),
+                            }
+                        }
+                    });
+                }
+                start.wait();
+                upset();
+            });
+            assert_balanced(&manager, &sm);
+        };
+        populate(1);
+        race(1, &|| sm.release(1));
+        assert_eq!((sm.staged_bytes(0), sm.staged_bytes(1)), (0, 0));
+        populate(2);
+        race(2, &|| {
+            // What `SparkContext::kill_executor` does, in its order.
+            manager.kill_respawn(1).expect("SIGKILL + respawn");
+            sm.drop_node_outputs(1);
+        });
+        assert_eq!((sm.staged_bytes(0), sm.staged_bytes(1)), (6, 0));
+        // The map re-run restages the lost half; the fetch is whole again.
+        for map in [1, 3] {
+            sm.write(2, map, 0, 0, pay(&expected[map]), 3, &TaskContext::new(0))
+                .unwrap();
+        }
+        let got = sm.fetch(2, 0, &TaskContext::new(1)).unwrap();
+        assert_eq!(opened(&got), expected);
+        assert_balanced(&manager, &sm);
     }
 }

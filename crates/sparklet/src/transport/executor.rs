@@ -20,7 +20,7 @@ use std::io::{Read, Write};
 
 use bytes::Bytes;
 
-use super::wire::{decode_body, encode_body, WireMsg};
+use super::wire::{decode, encode, WireMsg};
 use crate::payload::Payload;
 use crate::wire::{read_frame, write_frame};
 
@@ -159,8 +159,8 @@ impl ExecutorState {
 /// Returns `Ok(())` on orderly shutdown or driver disconnect; any
 /// other I/O failure is surfaced for the binary to report.
 pub fn serve<S: Read + Write>(stream: &mut S, node: u64) -> std::io::Result<()> {
-    write_frame(stream, &encode_body(&WireMsg::Hello { node }))?;
-    let (ack, _) = read_frame(stream, decode_body)?;
+    write_frame(stream, &encode(&WireMsg::Hello { node }))?;
+    let (ack, _) = read_frame(stream, decode)?;
     match ack {
         WireMsg::HelloAck { node: n } if n == node => {}
         other => {
@@ -172,7 +172,7 @@ pub fn serve<S: Read + Write>(stream: &mut S, node: u64) -> std::io::Result<()> 
     }
     let mut state = ExecutorState::new();
     loop {
-        let msg = match read_frame(stream, decode_body) {
+        let msg = match read_frame(stream, decode) {
             Ok((msg, _)) => msg,
             // Driver went away (crashed or dropped the manager without
             // an orderly shutdown): exit cleanly rather than orphan.
@@ -181,7 +181,7 @@ pub fn serve<S: Read + Write>(stream: &mut S, node: u64) -> std::io::Result<()> 
         };
         let (reply, stop) = state.handle(msg);
         if let Some(reply) = reply {
-            write_frame(stream, &encode_body(&reply))?;
+            write_frame(stream, &encode(&reply))?;
         }
         if stop {
             return Ok(());
@@ -303,7 +303,7 @@ mod tests {
             },
             WireMsg::Shutdown,
         ] {
-            write_frame(&mut driver_out, &encode_body(&msg)).unwrap();
+            write_frame(&mut driver_out, &encode(&msg)).unwrap();
         }
 
         struct Duplex {
@@ -339,7 +339,7 @@ mod tests {
             },
             WireMsg::ShutdownAck,
         ] {
-            assert_eq!(read_frame(&mut r, decode_body).unwrap().0, expected);
+            assert_eq!(read_frame(&mut r, decode).unwrap().0, expected);
         }
         assert!(r.is_empty());
     }

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use super::wire::{decode_body, encode_body, WireMsg};
+use super::wire::{decode, encode, WireMsg};
 use super::TransportMode;
 use crate::error::JobError;
 use crate::payload::Payload;
@@ -225,6 +225,13 @@ impl ExecutorManager {
             .map(|w| w.child.id())
     }
 
+    /// Occupy `node`'s slot the way an exchange in flight does: every
+    /// message to that executor queues behind the returned guard.
+    #[cfg(test)]
+    pub(crate) fn hold_slot(&self, node: usize) -> impl Sized + '_ {
+        self.slots[node].lock()
+    }
+
     /// One request/reply (or fire-and-forget when `expect_reply` is
     /// false) under the node's slot lock. Returns the reply (if any)
     /// with the measured `(sent, received)` bytes of this exchange.
@@ -239,13 +246,13 @@ impl ExecutorManager {
             .worker
             .as_mut()
             .ok_or_else(|| JobError::Transport(format!("executor {node} is shut down")))?;
-        let sent = write_frame(&mut worker.conn, &encode_body(msg))
+        let sent = write_frame(&mut worker.conn, &encode(msg))
             .map_err(|e| JobError::Transport(format!("send to executor {node}: {e}")))?;
         self.tx_bytes[node].fetch_add(sent, Ordering::Relaxed);
         if !expect_reply {
             return Ok((None, sent, 0));
         }
-        let (reply, got) = read_frame(&mut worker.conn, decode_body)
+        let (reply, got) = read_frame(&mut worker.conn, decode)
             .map_err(|e| JobError::Transport(format!("reply from executor {node}: {e}")))?;
         self.rx_bytes[node].fetch_add(got, Ordering::Relaxed);
         Ok((Some(reply), sent, got))
@@ -548,10 +555,10 @@ impl ExecutorManager {
             let Some(mut worker) = slot.worker.take() else {
                 continue;
             };
-            let tx = write_frame(&mut worker.conn, &encode_body(&WireMsg::Shutdown));
+            let tx = write_frame(&mut worker.conn, &encode(&WireMsg::Shutdown));
             if let Ok(sent) = tx {
                 self.tx_bytes[node].fetch_add(sent, Ordering::Relaxed);
-                if let Ok((reply, got)) = read_frame(&mut worker.conn, decode_body) {
+                if let Ok((reply, got)) = read_frame(&mut worker.conn, decode) {
                     self.rx_bytes[node].fetch_add(got, Ordering::Relaxed);
                     debug_assert_eq!(reply, WireMsg::ShutdownAck);
                 }
@@ -634,7 +641,7 @@ fn accept_handshake(
     listener
         .set_nonblocking(false)
         .map_err(|e| JobError::Transport(format!("listener nonblocking: {e}")))?;
-    let (hello, _) = read_frame(&mut conn, decode_body)
+    let (hello, _) = read_frame(&mut conn, decode)
         .map_err(|e| JobError::Transport(format!("executor handshake read: {e}")))?;
     let node = match hello {
         WireMsg::Hello { node } => node as usize,
@@ -644,10 +651,7 @@ fn accept_handshake(
             )))
         }
     };
-    write_frame(
-        &mut conn,
-        &encode_body(&WireMsg::HelloAck { node: node as u64 }),
-    )
-    .map_err(|e| JobError::Transport(format!("executor handshake ack: {e}")))?;
+    write_frame(&mut conn, &encode(&WireMsg::HelloAck { node: node as u64 }))
+        .map_err(|e| JobError::Transport(format!("executor handshake ack: {e}")))?;
     Ok((node, conn))
 }

@@ -10,13 +10,15 @@
 //!
 //! Framing, the bounds-checked body reader and their hostile-input
 //! rules live in [`crate::wire`]: send with
-//! `write_frame(w, &encode_body(&msg))`, receive with
-//! `read_frame(r, decode_body)`.
+//! `write_frame(w, &encode(&msg))`, receive with
+//! `read_frame(r, decode)`. Neither copies an embedded frame: the
+//! encoder borrows it from the message and the decoder slices it out
+//! of the body it is handed.
 
 use bytes::{BufMut, Bytes};
 
 use crate::error::JobError;
-use crate::wire::{put_opt_frame, Reader};
+use crate::wire::{Body, Reader};
 
 /// One protocol message. Fixed-width little-endian integers; payloads
 /// are embedded as their sealed frame bytes.
@@ -175,9 +177,10 @@ fn tagged(tag: u8, words: &[u64]) -> Vec<u8> {
     out
 }
 
-/// Encode a message body (everything after the 4-byte length prefix).
-pub fn encode_body(msg: &WireMsg) -> Vec<u8> {
-    match msg {
+/// Encode a message body (everything after the 4-byte length prefix):
+/// its head, plus the message's own frame where it carries one.
+pub fn encode(msg: &WireMsg) -> Body<'_> {
+    let head = match msg {
         WireMsg::Hello { node } => tagged(TAG_HELLO, &[*node]),
         WireMsg::HelloAck { node } => tagged(TAG_HELLO_ACK, &[*node]),
         WireMsg::TaskLaunch {
@@ -201,9 +204,8 @@ pub fn encode_body(msg: &WireMsg) -> Vec<u8> {
             reduce,
             frame,
         } => {
-            let mut out = tagged(TAG_SHUFFLE_PUT, &[*shuffle, *map_task, *reduce]);
-            out.put_slice(frame);
-            out
+            let head = tagged(TAG_SHUFFLE_PUT, &[*shuffle, *map_task, *reduce]);
+            return Body::with_frame(head, frame);
         }
         WireMsg::ShuffleGet {
             shuffle,
@@ -211,9 +213,7 @@ pub fn encode_body(msg: &WireMsg) -> Vec<u8> {
             reduce,
         } => tagged(TAG_SHUFFLE_GET, &[*shuffle, *map_task, *reduce]),
         WireMsg::Block { frame } => {
-            let mut out = tagged(TAG_BLOCK, &[]);
-            put_opt_frame(&mut out, frame.as_ref());
-            out
+            return Body::with_opt_frame(tagged(TAG_BLOCK, &[]), frame.as_deref());
         }
         WireMsg::ShuffleRemove {
             shuffle,
@@ -223,9 +223,7 @@ pub fn encode_body(msg: &WireMsg) -> Vec<u8> {
         WireMsg::ShuffleRelease { shuffle } => tagged(TAG_SHUFFLE_RELEASE, &[*shuffle]),
         WireMsg::ShuffleClear => tagged(TAG_SHUFFLE_CLEAR, &[]),
         WireMsg::BroadcastPut { id, frame } => {
-            let mut out = tagged(TAG_BROADCAST_PUT, &[*id]);
-            out.put_slice(frame);
-            out
+            return Body::with_frame(tagged(TAG_BROADCAST_PUT, &[*id]), frame);
         }
         WireMsg::BroadcastGet { id } => tagged(TAG_BROADCAST_GET, &[*id]),
         WireMsg::BroadcastRemove { id } => tagged(TAG_BROADCAST_REMOVE, &[*id]),
@@ -251,13 +249,15 @@ pub fn encode_body(msg: &WireMsg) -> Vec<u8> {
         WireMsg::Ack => tagged(TAG_ACK, &[]),
         WireMsg::Shutdown => tagged(TAG_SHUTDOWN, &[]),
         WireMsg::ShutdownAck => tagged(TAG_SHUTDOWN_ACK, &[]),
-    }
+    };
+    head.into()
 }
 
 /// Decode a message body. Any malformed input — truncation, unknown
 /// tag, trailing garbage — yields [`JobError::Codec`], never a panic.
-pub fn decode_body(body: &[u8]) -> Result<WireMsg, JobError> {
-    let mut c = Reader::new(Bytes::copy_from_slice(body));
+/// An embedded frame comes back as a slice of `body`, not a copy.
+pub fn decode(body: Bytes) -> Result<WireMsg, JobError> {
+    let mut c = Reader::new(body);
     let msg = match c.scalar::<u8>()? {
         TAG_HELLO => WireMsg::Hello { node: c.scalar()? },
         TAG_HELLO_ACK => WireMsg::HelloAck { node: c.scalar()? },
@@ -317,6 +317,18 @@ pub fn decode_body(body: &[u8]) -> Result<WireMsg, JobError> {
     };
     c.finish()?;
     Ok(msg)
+}
+
+/// [`encode`] into one buffer, copying the frame. Kept under this name
+/// for the benchmark's codec probe (`crates/perf`) and the golden
+/// vectors; the socket path never calls it.
+pub fn encode_body(msg: &WireMsg) -> Vec<u8> {
+    encode(msg).concat()
+}
+
+/// [`decode`] over a copy of `body` (same callers as [`encode_body`]).
+pub fn decode_body(body: &[u8]) -> Result<WireMsg, JobError> {
+    decode(Bytes::copy_from_slice(body))
 }
 
 #[cfg(test)]

@@ -10,6 +10,12 @@
 //!   allocating, so neither side can be made to desynchronize the
 //!   stream or reserve unbounded memory. Both return `4 + body_len`,
 //!   the measured wire bytes the cost model's transfer terms consume.
+//!   A body's bytes are passed over once on each side of the socket and
+//!   nowhere else: the writer sends a [`Body`] — a small encoded head
+//!   plus the *borrowed* sealed frame that ends every data-bearing
+//!   message — without concatenating the two, and the reader fills one
+//!   un-zeroed buffer and hands it to the decoder as an owned
+//!   [`Bytes`], which [`Reader::frame`] slices instead of copying.
 //! * **Bodies.** Fixed-width little-endian scalars written with
 //!   [`bytes::BufMut`] and read back with [`Reader`], which is
 //!   bounds-checked on top of [`crate::codec`]'s checked decodes:
@@ -60,24 +66,79 @@ fn frame_prefix(len: usize) -> io::Result<[u8; 4]> {
         })
 }
 
+/// One message body on its way out: the encoded head and, for a
+/// data-bearing message, the sealed frame that follows it on the wire.
+/// The frame is borrowed from the message, so encoding never copies it;
+/// [`write_frame`] sends the two back to back.
+#[derive(Debug)]
+pub struct Body<'a> {
+    head: Vec<u8>,
+    frame: &'a [u8],
+}
+
+impl<'a> Body<'a> {
+    /// `head` followed by `frame`, verbatim.
+    pub fn with_frame(head: Vec<u8>, frame: &'a [u8]) -> Self {
+        Body { head, frame }
+    }
+
+    /// `head`, then an optional frame as the tail of the body: `[0]`,
+    /// or `[1]` followed by the frame bytes verbatim.
+    pub fn with_opt_frame(mut head: Vec<u8>, frame: Option<&'a [u8]>) -> Self {
+        head.put_u8(u8::from(frame.is_some()));
+        Body {
+            head,
+            frame: frame.unwrap_or_default(),
+        }
+    }
+
+    /// Body length on the wire.
+    fn len(&self) -> usize {
+        self.head.len() + self.frame.len()
+    }
+
+    /// The body as one buffer — the copy [`write_frame`] exists to
+    /// avoid; for callers that need the bytes rather than the socket.
+    pub fn concat(self) -> Vec<u8> {
+        let mut out = self.head;
+        out.extend_from_slice(self.frame);
+        out
+    }
+}
+
+/// A body that is all head (no embedded frame, or one already
+/// concatenated).
+impl From<Vec<u8>> for Body<'_> {
+    fn from(head: Vec<u8>) -> Self {
+        Body { head, frame: &[] }
+    }
+}
+
 /// Write one framed body; returns the total bytes put on the wire
 /// (length prefix + body). An oversize body is refused with
 /// `InvalidInput` and nothing is written, leaving the stream in sync.
-pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<u64> {
+/// The prefix travels with the head in one write and the frame follows
+/// from where it already lies.
+pub fn write_frame<W: Write>(w: &mut W, body: &Body<'_>) -> io::Result<u64> {
     let prefix = frame_prefix(body.len())?;
-    w.write_all(&prefix)?;
-    w.write_all(body)?;
+    let mut lead = Vec::with_capacity(4 + body.head.len());
+    lead.extend_from_slice(&prefix);
+    lead.extend_from_slice(&body.head);
+    w.write_all(&lead)?;
+    w.write_all(body.frame)?;
     w.flush()?;
     Ok(4 + body.len() as u64)
 }
 
 /// Read one framed body and decode it; returns the message with the
 /// total bytes taken off the wire. A length prefix above [`MAX_FRAME`]
-/// is rejected *before* any allocation; a body `decode` refuses
-/// surfaces as `InvalidData` carrying the codec error.
+/// is rejected *before* any allocation; a stream that ends inside the
+/// body is `UnexpectedEof`; a body `decode` refuses surfaces as
+/// `InvalidData` carrying the codec error. The body is read into spare
+/// capacity (never zero-filled first) and `decode` owns it.
 pub fn read_frame<R: Read, T>(
     r: &mut R,
-    decode: impl FnOnce(&[u8]) -> Result<T, JobError>,
+    decode: impl FnOnce(Bytes) -> Result<T, JobError>,
 ) -> io::Result<(T, u64)> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
@@ -88,10 +149,17 @@ pub fn read_frame<R: Read, T>(
             format!("frame of {len} bytes exceeds MAX_FRAME {MAX_FRAME}"),
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let msg = decode(&body).map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
-    Ok((msg, 4 + len as u64))
+    let mut body = Vec::with_capacity(len as usize);
+    r.take(u64::from(len)).read_to_end(&mut body)?;
+    if body.len() != len as usize {
+        return Err(io::Error::new(
+            ErrorKind::UnexpectedEof,
+            format!("frame body ended after {} of {len} bytes", body.len()),
+        ));
+    }
+    let msg = decode(Bytes::from(body))
+        .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
+    Ok((msg, 4 + u64::from(len)))
 }
 
 // ---------------------------------------------------------------------
@@ -102,18 +170,6 @@ pub fn read_frame<R: Read, T>(
 pub fn put_str(out: &mut impl BufMut, s: &str) {
     out.put_u64_le(s.len() as u64);
     out.put_slice(s.as_bytes());
-}
-
-/// Append an optional sealed payload frame as the tail of a body:
-/// `[0]`, or `[1]` followed by the frame bytes verbatim.
-pub fn put_opt_frame(out: &mut impl BufMut, frame: Option<&Bytes>) {
-    match frame {
-        Some(f) => {
-            out.put_u8(1);
-            out.put_slice(f);
-        }
-        None => out.put_u8(0),
-    }
 }
 
 /// Bounds-checked reader over one message body.
@@ -204,7 +260,7 @@ impl Reader {
         Ok(frame)
     }
 
-    /// The inverse of [`put_opt_frame`].
+    /// The inverse of [`Body::with_opt_frame`].
     pub fn opt_frame(&mut self) -> Result<Option<Bytes>, JobError> {
         Ok(if self.flag("frame presence flag")? {
             Some(self.frame()?)

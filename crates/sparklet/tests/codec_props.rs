@@ -5,14 +5,59 @@
 //! path, and the `Payload` frame behaves the same way under both
 //! codecs.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::ErrorKind;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sparklet::codec::{decode_le_slice, decode_one, encode_le_slice, encode_one};
 use sparklet::service::{wire as svc_wire, SvcMsg};
 use sparklet::transport::wire::{self as exec_wire, WireMsg};
+use sparklet::wire::{read_frame, MAX_FRAME};
 use sparklet::{Compression, Either, JobError, Payload, Storable};
 
 mod wire_harness;
-use wire_harness::{assert_golden, hostile_input_harness, Rng};
+use wire_harness::{assert_golden, framing_harness, hostile_input_harness, Rng};
+
+/// Forwards to the system allocator, noting the largest single request
+/// each thread has made — how a test sees what a decoder reserved.
+struct WatchedAlloc;
+
+thread_local! {
+    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_alloc(size: usize) {
+    // Ignored while a thread's locals are being torn down.
+    let _ = LARGEST_ALLOC.try_with(|m| m.set(m.get().max(size)));
+}
+
+// SAFETY: every call is handed to `System` with the arguments it came
+// with, so `System`'s guarantees are this allocator's.
+unsafe impl GlobalAlloc for WatchedAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        // SAFETY: the caller's contract for `alloc`, passed through.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        // SAFETY: the caller's contract for `alloc_zeroed`, passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        // SAFETY: the caller's contract for `realloc`, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract for `dealloc`, passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: WatchedAlloc = WatchedAlloc;
 
 fn roundtrip<T: Storable + PartialEq + std::fmt::Debug>(v: T) {
     let enc = encode_one(&v);
@@ -446,7 +491,7 @@ fn executor_messages_survive_hostile_input() {
         0xbadd,
         &samples,
         exec_wire::encode_body,
-        exec_wire::decode_body,
+        exec_wire::decode,
         |msg| match msg {
             WireMsg::ShufflePut { frame, .. } | WireMsg::BroadcastPut { frame, .. } => {
                 open_frame(Some(frame))
@@ -503,13 +548,32 @@ fn service_messages_survive_hostile_input() {
         0x5e4d,
         &samples,
         svc_wire::encode_body,
-        svc_wire::decode_body,
+        svc_wire::decode,
         |msg| match msg {
             SvcMsg::Submit { frame, .. } => open_frame(Some(frame)),
             SvcMsg::Status { frame, .. } => open_frame(frame),
             _ => {}
         },
     );
+}
+
+#[test]
+fn an_oversized_prefix_reserves_nothing_for_its_body() {
+    let largest_while_reading = |prefix: u32| {
+        LARGEST_ALLOC.with(|m| m.set(0));
+        let err = read_frame(&mut &prefix.to_le_bytes()[..], exec_wire::decode).unwrap_err();
+        (err.kind(), LARGEST_ALLOC.with(Cell::get))
+    };
+    for prefix in [MAX_FRAME + 1, u32::MAX] {
+        let (kind, largest) = largest_while_reading(prefix);
+        assert_eq!(kind, ErrorKind::InvalidData);
+        assert!(largest < 1024, "refusing {prefix} reserved {largest} bytes");
+    }
+    // The watch does see a body buffer: the largest prefix that is
+    // accepted reserves exactly itself, then finds the stream empty.
+    let (kind, largest) = largest_while_reading(MAX_FRAME);
+    assert_eq!(kind, ErrorKind::UnexpectedEof);
+    assert_eq!(largest, MAX_FRAME as usize);
 }
 
 // Golden vectors: the hex of every executor and service message, as
@@ -598,6 +662,9 @@ fn executor_wire_bytes_match_the_golden_vectors() {
         exec_wire::encode_body,
         exec_wire::decode_body,
     );
+    // The same messages as the socket moves them: head and frame sent
+    // back to back, the body decoded from the buffer it was read into.
+    framing_harness(&samples, exec_wire::encode, exec_wire::decode);
 }
 
 #[test]
@@ -666,4 +733,5 @@ fn service_wire_bytes_match_the_golden_vectors() {
         svc_wire::encode_body,
         svc_wire::decode_body,
     );
+    framing_harness(&samples, svc_wire::encode, svc_wire::decode);
 }

@@ -683,8 +683,8 @@ fn a_frame_that_does_not_open_is_a_counted_rejection() {
         tenant: 9,
         frame: Bytes::from(frame),
     };
-    write_frame(&mut conn, &svc_wire::encode_body(&submit)).expect("send");
-    let (reply, _) = read_frame(&mut conn, svc_wire::decode_body).expect("reply");
+    write_frame(&mut conn, &svc_wire::encode(&submit)).expect("send");
+    let (reply, _) = read_frame(&mut conn, svc_wire::decode).expect("reply");
     assert!(
         matches!(reply, SvcMsg::SubmitErr { code: 4, .. }),
         "{reply:?}"
