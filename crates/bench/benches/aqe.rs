@@ -11,7 +11,7 @@
 //! * `aqe_real_ge` — a small real solve, adaptive vs static: the
 //!   planner must never cost more than its coalesces save.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dp_bench::{bench_iters, time_sample};
 use dp_core::{solve, solve_virtual, DpConfig};
 use gep_kernels::{GaussianElim, Matrix};
 use sparklet::{SparkConf, SparkContext};
@@ -37,40 +37,25 @@ fn dd_matrix(n: usize) -> Matrix<f64> {
     m
 }
 
-fn bench_virtual(c: &mut Criterion) {
-    let mut group = c.benchmark_group("aqe_virtual_ge");
-    group.sample_size(10);
+fn main() {
+    let iters = bench_iters(10);
     for (name, partitions, adaptive) in [
         ("static64", 64usize, false),
         ("static16", 16, false),
         ("adaptive", 64, true),
     ] {
-        group.bench_function(BenchmarkId::from_parameter(name), |bench| {
-            bench.iter(|| {
-                let sc = SparkContext::new(conf(partitions, adaptive));
-                let cfg = DpConfig::new(4096, 512).with_partitions(partitions);
-                solve_virtual::<GaussianElim>(&sc, &cfg).unwrap()
-            });
+        time_sample(&format!("aqe_virtual_ge/{name}"), 0, iters, || {
+            let sc = SparkContext::new(conf(partitions, adaptive));
+            let cfg = DpConfig::new(4096, 512).with_partitions(partitions);
+            solve_virtual::<GaussianElim>(&sc, &cfg).unwrap();
         });
     }
-    group.finish();
-}
-
-fn bench_real(c: &mut Criterion) {
-    let mut group = c.benchmark_group("aqe_real_ge_64");
-    group.sample_size(10);
     let input = dd_matrix(64);
     for (name, adaptive) in [("static", false), ("adaptive", true)] {
-        group.bench_function(BenchmarkId::from_parameter(name), |bench| {
-            bench.iter(|| {
-                let sc = SparkContext::new(conf(32, adaptive));
-                let cfg = DpConfig::new(64, 8).with_partitions(32);
-                solve::<GaussianElim>(&sc, &cfg, &input).unwrap()
-            });
+        time_sample(&format!("aqe_real_ge_64/{name}"), 0, iters, || {
+            let sc = SparkContext::new(conf(32, adaptive));
+            let cfg = DpConfig::new(64, 8).with_partitions(32);
+            solve::<GaussianElim>(&sc, &cfg, &input).unwrap();
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_virtual, bench_real);
-criterion_main!(benches);

@@ -1,13 +1,14 @@
 //! The representation crossover study: dense Floyd–Warshall (work n³,
 //! density-blind) versus multi-source sparse CSR relaxation sweeps
 //! (work ≈ rounds · sources · nnz, so it scales with edge density) on
-//! the same seeded random graphs, sweeping density at fixed n. Besides
-//! the Criterion run, the suite writes `BENCH_sparse.json` (bench
-//! name, mean ns, graph bytes) so CI can assert the sidecar's shape
-//! and EXPERIMENTS.md can cite the crossover point.
+//! the same seeded random graphs, sweeping density at fixed n. The suite
+//! prints each mean and writes `BENCH_sparse.json` (bench name, mean
+//! ns, graph bytes) so CI can assert the sidecar's shape and
+//! EXPERIMENTS.md can cite the crossover point.
 
-use criterion::{black_box, criterion_group, Criterion};
-use dp_bench::{time_sample, write_bench_json, BenchSample};
+use std::hint::black_box;
+
+use dp_bench::{bench_iters, time_sample, write_bench_json};
 use gep_kernels::gep::gep_reference;
 use gep_kernels::graph::sparse_erdos_renyi;
 use gep_kernels::sparse::{sweep_gep, Csr};
@@ -15,12 +16,6 @@ use gep_kernels::{Matrix, Tropical};
 
 const N: usize = 128;
 const DENSITIES: [f64; 4] = [0.01, 0.05, 0.2, 0.5];
-
-static SAMPLES: std::sync::Mutex<Vec<BenchSample>> = std::sync::Mutex::new(Vec::new());
-
-fn record(sample: BenchSample) {
-    SAMPLES.lock().expect("samples").push(sample);
-}
 
 /// The dense view of the graph with the FW convention (0 diagonal).
 fn dense_input(g: &Csr<f64>) -> Matrix<f64> {
@@ -62,10 +57,9 @@ fn run_sweeps(g: &Csr<f64>) -> Matrix<f64> {
     panic!("generator emits non-negative weights; sweeps must converge");
 }
 
-fn bench_crossover(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sparse-crossover");
-    group.sample_size(10);
-
+fn main() {
+    let iters = bench_iters(10);
+    let mut samples = Vec::new();
     for density in DENSITIES {
         let g = sparse_erdos_renyi(N, density, 1.0, 10.0, 0xc0ffee);
         let dense = dense_input(&g);
@@ -90,38 +84,23 @@ fn bench_crossover(c: &mut Criterion) {
         let dense_bytes = (N * N * 8) as u64;
         let sparse_bytes = ((N + 1) * 4 + g.nnz() * 12) as u64;
 
-        group.bench_function(format!("fw/{tag}"), |b| {
-            b.iter(|| black_box(run_fw(&dense)))
-        });
-        record(time_sample(
+        samples.push(time_sample(
             &format!("sparse/fw_{tag}"),
             dense_bytes,
-            3,
+            iters,
             || {
                 black_box(run_fw(&dense));
             },
         ));
-
-        group.bench_function(format!("sweeps/{tag}"), |b| {
-            b.iter(|| black_box(run_sweeps(&g)))
-        });
-        record(time_sample(
+        samples.push(time_sample(
             &format!("sparse/sweeps_{tag}"),
             sparse_bytes,
-            3,
+            iters,
             || {
                 black_box(run_sweeps(&g));
             },
         ));
     }
-    group.finish();
-}
-
-criterion_group!(benches, bench_crossover);
-
-fn main() {
-    benches();
-    let samples = SAMPLES.lock().expect("samples").clone();
     match write_bench_json("sparse", &samples) {
         Ok(path) => eprintln!("wrote {} samples to {}", samples.len(), path.display()),
         Err(e) => eprintln!("BENCH_sparse.json not written: {e}"),

@@ -1,5 +1,5 @@
 //! `dp-bench` — shared plumbing for the reproduction binaries (one per
-//! table/figure of the paper) and the Criterion microbenches.
+//! table/figure of the paper) and the wall-clock microbenches.
 //!
 //! The repro pattern: run the **virtual** dataflow once per distinct
 //! dataflow shape (problem, strategy, block size, partition count),
@@ -203,8 +203,8 @@ pub fn write_csv(
     Ok(())
 }
 
-/// One self-timed measurement from a Criterion suite, destined for a
-/// `BENCH_<suite>.json` machine-readable sidecar.
+/// One measurement from a bench suite (`benches/*.rs`): printed as it
+/// is taken, and a row of the `BENCH_<suite>.json` sidecar.
 #[derive(Debug, Clone)]
 pub struct BenchSample {
     /// Benchmark name (`group/function` style).
@@ -215,10 +215,18 @@ pub struct BenchSample {
     pub bytes: u64,
 }
 
-/// Time `iters` runs of `body` and return the sample. This rides
-/// alongside Criterion (which owns the statistical run) so the same
-/// bench body also yields a machine-readable mean under `--test` runs
-/// and offline smoke builds, where Criterion executes bodies once.
+/// Iterations per sample for a bench suite: `full`, or one when the
+/// command line carries `--test` (`cargo bench … -- --test`, the smoke
+/// run CI makes).
+pub fn bench_iters(full: u32) -> u32 {
+    if std::env::args().any(|a| a == "--test") {
+        1
+    } else {
+        full
+    }
+}
+
+/// Time `iters` runs of `body`, print the mean and return the sample.
 pub fn time_sample(name: &str, bytes: u64, iters: u32, mut body: impl FnMut()) -> BenchSample {
     // One warmup pass so lazy setup (page faults, socket buffers)
     // stays out of the mean.
@@ -227,9 +235,11 @@ pub fn time_sample(name: &str, bytes: u64, iters: u32, mut body: impl FnMut()) -
     for _ in 0..iters {
         body();
     }
+    let mean_ns = start.elapsed().as_nanos() as f64 / f64::from(iters.max(1));
+    println!("{name:<44} {:>12.3} ms  ({iters} iters)", mean_ns / 1e6);
     BenchSample {
         name: name.to_string(),
-        mean_ns: start.elapsed().as_nanos() as f64 / f64::from(iters.max(1)),
+        mean_ns,
         bytes,
     }
 }

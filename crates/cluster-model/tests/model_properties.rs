@@ -4,7 +4,7 @@
 use cluster_model::{
     ClusterSpec, CostModel, KernelInvocation, KernelType, StageRecord, TaskRecord,
 };
-use proptest::prelude::*;
+use testkit::{check, Rng};
 
 fn task(node: usize, updates: f64, block: usize, kernel: KernelType) -> TaskRecord {
     TaskRecord {
@@ -19,42 +19,44 @@ fn task(node: usize, updates: f64, block: usize, kernel: KernelType) -> TaskReco
     }
 }
 
-fn any_kernel() -> impl Strategy<Value = KernelType> {
-    prop_oneof![
-        Just(KernelType::Iterative),
-        (2usize..=16, 1usize..=32).prop_map(|(r, t)| KernelType::Recursive {
-            r_shared: r,
-            threads: t
-        }),
-    ]
+fn any_kernel(rng: &mut Rng) -> KernelType {
+    if rng.bool() {
+        KernelType::Iterative
+    } else {
+        KernelType::Recursive {
+            r_shared: rng.range(2usize..=16),
+            threads: rng.range(1usize..=32),
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+const CASES: u32 = 48;
 
-    #[test]
-    fn stage_time_is_finite_and_positive(
-        ntasks in 1usize..64,
-        updates in 1.0f64..1e12,
-        block in 64usize..4096,
-        kernel in any_kernel(),
-        ec in 1usize..64,
-    ) {
-        let model = CostModel::new(ClusterSpec::skylake(), ec);
+#[test]
+fn stage_time_is_finite_and_positive() {
+    check(CASES, |rng| {
+        let ntasks = rng.range(1usize..64);
+        let updates = rng.range(1.0..1e12);
+        let block = rng.range(64usize..4096);
+        let kernel = any_kernel(rng);
+        let model = CostModel::new(ClusterSpec::skylake(), rng.range(1usize..64));
         let stage = StageRecord {
-            tasks: (0..ntasks).map(|i| task(i % 16, updates, block, kernel)).collect(),
+            tasks: (0..ntasks)
+                .map(|i| task(i % 16, updates, block, kernel))
+                .collect(),
             ..Default::default()
         };
         let secs = model.stage_seconds(&stage);
-        prop_assert!(secs.is_finite() && secs > 0.0);
-    }
+        assert!(secs.is_finite() && secs > 0.0);
+    });
+}
 
-    #[test]
-    fn more_work_never_runs_faster(
-        updates in 1.0f64..1e11,
-        factor in 1.0f64..10.0,
-        kernel in any_kernel(),
-    ) {
+#[test]
+fn more_work_never_runs_faster() {
+    check(CASES, |rng| {
+        let updates = rng.range(1.0..1e11);
+        let factor = rng.range(1.0..10.0);
+        let kernel = any_kernel(rng);
         let model = CostModel::new(ClusterSpec::skylake(), 32);
         let small = StageRecord {
             tasks: vec![task(0, updates, 1024, kernel)],
@@ -64,14 +66,15 @@ proptest! {
             tasks: vec![task(0, updates * factor, 1024, kernel)],
             ..Default::default()
         };
-        prop_assert!(model.stage_seconds(&big) >= model.stage_seconds(&small));
-    }
+        assert!(model.stage_seconds(&big) >= model.stage_seconds(&small));
+    });
+}
 
-    #[test]
-    fn more_bytes_never_run_faster(
-        bytes in 0u64..(1 << 34),
-        extra in 0u64..(1 << 33),
-    ) {
+#[test]
+fn more_bytes_never_run_faster() {
+    check(CASES, |rng| {
+        let bytes = rng.range(0u64..(1 << 34));
+        let extra = rng.range(0u64..(1 << 33));
         let model = CostModel::new(ClusterSpec::skylake(), 32);
         let mk = |b: u64| StageRecord {
             tasks: vec![TaskRecord {
@@ -82,36 +85,37 @@ proptest! {
             }],
             ..Default::default()
         };
-        prop_assert!(model.stage_seconds(&mk(bytes + extra)) >= model.stage_seconds(&mk(bytes)));
-    }
+        assert!(model.stage_seconds(&mk(bytes + extra)) >= model.stage_seconds(&mk(bytes)));
+    });
+}
 
-    #[test]
-    fn spreading_tasks_across_nodes_never_hurts(
-        ntasks in 2usize..64,
-        updates in 1e6f64..1e10,
-        kernel in any_kernel(),
-    ) {
+#[test]
+fn spreading_tasks_across_nodes_never_hurts() {
+    check(CASES, |rng| {
+        let ntasks = rng.range(2usize..64);
+        let updates = rng.range(1e6..1e10);
+        let kernel = any_kernel(rng);
         let model = CostModel::new(ClusterSpec::skylake(), 32);
         let clumped = StageRecord {
             tasks: (0..ntasks).map(|_| task(0, updates, 512, kernel)).collect(),
             ..Default::default()
         };
         let spread = StageRecord {
-            tasks: (0..ntasks).map(|i| task(i % 16, updates, 512, kernel)).collect(),
+            tasks: (0..ntasks)
+                .map(|i| task(i % 16, updates, 512, kernel))
+                .collect(),
             ..Default::default()
         };
-        prop_assert!(
-            model.stage_seconds(&spread) <= model.stage_seconds(&clumped) * 1.0001
-        );
-    }
+        assert!(model.stage_seconds(&spread) <= model.stage_seconds(&clumped) * 1.0001);
+    });
+}
 
-    #[test]
-    fn weaker_cluster_is_never_faster(
-        updates in 1e6f64..1e11,
-        bytes in 0u64..(1 << 32),
-        kernel in any_kernel(),
-    ) {
-        let mut t = task(0, updates, 1024, kernel);
+#[test]
+fn weaker_cluster_is_never_faster() {
+    check(CASES, |rng| {
+        let updates = rng.range(1e6..1e11);
+        let bytes = rng.range(0u64..(1 << 32));
+        let mut t = task(0, updates, 1024, any_kernel(rng));
         t.remote_read_bytes = bytes;
         t.shuffle_write_bytes = bytes;
         let stage = StageRecord {
@@ -120,14 +124,15 @@ proptest! {
         };
         let strong = CostModel::new(ClusterSpec::skylake(), 32).stage_seconds(&stage);
         let weak = CostModel::new(ClusterSpec::haswell(), 20).stage_seconds(&stage);
-        prop_assert!(weak >= strong * 0.999, "weak={weak} strong={strong}");
-    }
+        assert!(weak >= strong * 0.999, "weak={weak} strong={strong}");
+    });
+}
 
-    #[test]
-    fn iterative_never_beats_its_own_l2_resident_rate(
-        block in 600usize..4096,
-        updates in 1e6f64..1e10,
-    ) {
+#[test]
+fn iterative_never_beats_its_own_l2_resident_rate() {
+    check(CASES, |rng| {
+        let block = rng.range(600usize..4096);
+        let updates = rng.range(1e6..1e10);
         // Per-update time at big blocks ≥ per-update time at 256.
         let model = CostModel::new(ClusterSpec::skylake(), 32);
         let small = KernelInvocation {
@@ -142,6 +147,6 @@ proptest! {
             elem_bytes: 8,
             kernel: KernelType::Iterative,
         };
-        prop_assert!(model.core_seconds(&big) >= model.core_seconds(&small));
-    }
+        assert!(model.core_seconds(&big) >= model.core_seconds(&small));
+    });
 }

@@ -43,7 +43,7 @@ use gep_kernels::gep::Kind;
 use gep_kernels::iterative::block_kernel;
 use gep_kernels::recursive::{rec_kernel, RecConfig};
 use gep_kernels::{TileMut, TileRef};
-use parking_lot::Mutex;
+use par_pool::Mutex;
 
 use crate::kernels::omp_pool;
 use crate::problem::DpProblem;

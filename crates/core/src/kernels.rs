@@ -15,8 +15,7 @@ use cluster_model::{KernelInvocation, KernelType};
 use gep_kernels::gep::Kind;
 use gep_kernels::sparse::sweep_gep;
 use gep_kernels::Matrix;
-use par_pool::Pool;
-use parking_lot::Mutex;
+use par_pool::{Mutex, Pool};
 use sparklet::TaskContext;
 
 use crate::backend::ResolvedKernel;

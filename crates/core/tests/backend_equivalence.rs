@@ -24,6 +24,7 @@ use gep_kernels::gep::{gep_reference, SemiringPaths};
 use gep_kernels::semiring::MaxMin;
 use gep_kernels::{GaussianElim, Kind, Matrix, TileMut, TileRef, TransitiveClosure, Tropical};
 use sparklet::{SparkConf, SparkContext};
+use testkit::Rng;
 
 fn ctx() -> SparkContext {
     SparkContext::new(
@@ -34,20 +35,13 @@ fn ctx() -> SparkContext {
     )
 }
 
-fn xorshift(state: &mut u64) -> f64 {
-    *state ^= *state << 13;
-    *state ^= *state >> 7;
-    *state ^= *state << 17;
-    (*state >> 11) as f64 / (1u64 << 53) as f64
-}
-
 fn dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
-    let mut state = seed | 1;
+    let mut rng = Rng::new(seed);
     Matrix::from_fn(n, n, |i, j| {
         if i == j {
             0.0
-        } else if xorshift(&mut state) < 0.4 {
-            1.0 + (xorshift(&mut state) * 9.0).floor()
+        } else if rng.range(0.0..1.0) < 0.4 {
+            rng.range(1u32..=9) as f64
         } else {
             f64::INFINITY
         }
@@ -55,21 +49,21 @@ fn dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
 }
 
 fn dd_matrix(n: usize, seed: u64) -> Matrix<f64> {
-    let mut state = seed | 1;
-    let mut m = Matrix::from_fn(n, n, |_, _| xorshift(&mut state) * 2.0 - 1.0);
+    let mut rng = Rng::new(seed);
+    let mut m = Matrix::from_fn(n, n, |_, _| rng.range(-1.0..1.0));
     for i in 0..n {
-        m.set(i, i, n as f64 + 1.0 + xorshift(&mut state));
+        m.set(i, i, n as f64 + 1.0 + rng.range(0.0..1.0));
     }
     m
 }
 
 fn maxmin_matrix(n: usize, seed: u64) -> Matrix<MaxMin> {
-    let mut state = seed | 1;
+    let mut rng = Rng::new(seed);
     Matrix::from_fn(n, n, |i, j| {
         if i == j {
             MaxMin(f64::INFINITY)
-        } else if xorshift(&mut state) < 0.35 {
-            MaxMin((xorshift(&mut state) * 50.0).floor())
+        } else if rng.range(0.0..1.0) < 0.35 {
+            MaxMin(rng.range(0u32..50) as f64)
         } else {
             MaxMin(f64::NEG_INFINITY)
         }

@@ -16,7 +16,8 @@ use sparklet::JobError;
 
 #[path = "../../sparklet/tests/wire_harness/mod.rs"]
 mod wire_harness;
-use wire_harness::{assert_golden, framing_harness, hostile_input_harness, Rng};
+use testkit::Rng;
+use wire_harness::{assert_golden, framing_harness, hostile_input_harness};
 
 fn encode_job(req: &DpJobRequest) -> Vec<u8> {
     req.encode().to_vec()
@@ -40,9 +41,9 @@ fn random_csr(rng: &mut Rng, n: usize) -> Csr<f64> {
     let mut vals = Vec::new();
     for _ in 0..n {
         for c in 0..n {
-            if rng.below(3) == 0 {
+            if rng.range(0..3u64) == 0 {
                 col_idx.push(c as u32);
-                vals.push(rng.below(90) as f64 + 1.0);
+                vals.push(rng.range(0..90u64) as f64 + 1.0);
             }
         }
         row_ptr.push(col_idx.len() as u32);
@@ -56,10 +57,10 @@ fn job_bodies_survive_hostile_input() {
     let dist = Matrix::from_fn(5, 5, |i, j| {
         if i == j {
             0.0
-        } else if rng.below(4) == 0 {
+        } else if rng.range(0..4u64) == 0 {
             f64::INFINITY
         } else {
-            rng.below(100) as f64 + 1.0
+            rng.range(0..100u64) as f64 + 1.0
         }
     });
     let samples = [

@@ -7,11 +7,33 @@
 //! plus a Dijkstra oracle used to validate APSP results independently
 //! of any GEP code path.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::matrix::Matrix;
 use crate::sparse::Csr;
+
+/// SplitMix64 (Steele, Lea & Flood 2014): the generators' seeded stream.
+/// Seeds name graphs in tests, lineage keys and recorded benchmark
+/// inputs, so the stream is pinned by `tests::stream_is_pinned`.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`: the top 53 bits.
+    fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `[lo, hi)`.
+    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + self.unit() * (hi - lo)
+    }
+}
 
 /// Adjacency matrix of an Erdős–Rényi `G(n, p)` digraph with edge
 /// weights uniform in `[w_min, w_max)`; absent edges are `+∞`, the
@@ -22,12 +44,12 @@ pub fn erdos_renyi(n: usize, p: f64, w_min: f64, w_max: f64, seed: u64) -> Matri
         w_min >= 0.0 && w_max > w_min,
         "weights must be non-negative"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64(seed);
     Matrix::from_fn(n, n, |i, j| {
         if i == j {
             0.0
-        } else if rng.gen::<f64>() < p {
-            rng.gen_range(w_min..w_max)
+        } else if rng.unit() < p {
+            rng.range(w_min, w_max)
         } else {
             f64::INFINITY
         }
@@ -48,7 +70,7 @@ pub fn sparse_erdos_renyi(n: usize, density: f64, w_min: f64, w_max: f64, seed: 
         w_min >= 0.0 && w_max > w_min,
         "weights must be non-negative"
     );
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64(seed);
     let mut row_ptr = Vec::with_capacity(n + 1);
     let mut col_idx = Vec::new();
     let mut vals = Vec::new();
@@ -58,9 +80,9 @@ pub fn sparse_erdos_renyi(n: usize, density: f64, w_min: f64, w_max: f64, seed: 
             if u == v {
                 continue;
             }
-            if rng.gen::<f64>() < density {
+            if rng.unit() < density {
                 col_idx.push(v as u32);
-                vals.push(rng.gen_range(w_min..w_max));
+                vals.push(rng.range(w_min, w_max));
             }
         }
         row_ptr.push(col_idx.len() as u32);
@@ -76,14 +98,14 @@ pub fn sparse_erdos_renyi(n: usize, density: f64, w_min: f64, w_max: f64, seed: 
 /// matrix with `n = rows*cols`.
 pub fn grid_network(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
     let n = rows * cols;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64(seed);
     let mut m = Matrix::from_fn(n, n, |i, j| if i == j { 0.0 } else { f64::INFINITY });
     let idx = |r: usize, c: usize| r * cols + c;
     for r in 0..rows {
         for c in 0..cols {
-            let mut connect = |a: usize, b: usize, rng: &mut StdRng| {
-                m.set(a, b, 1.0 + rng.gen::<f64>() * 4.0);
-                m.set(b, a, 1.0 + rng.gen::<f64>() * 4.0);
+            let mut connect = |a: usize, b: usize, rng: &mut SplitMix64| {
+                m.set(a, b, 1.0 + rng.unit() * 4.0);
+                m.set(b, a, 1.0 + rng.unit() * 4.0);
             };
             if c + 1 < cols {
                 connect(idx(r, c), idx(r, c + 1), &mut rng);
@@ -211,6 +233,41 @@ pub fn check_apsp(adj: &Matrix<f64>, apsp: &Matrix<f64>, tol: f64) -> Option<(us
 mod tests {
     use super::*;
     use crate::gep::{gep_reference, Tropical};
+
+    fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Recorded from the build every session since PR 11 tested against
+    /// (its generator was this SplitMix64): a drift here silently
+    /// changes every seeded graph, lineage key and benchmark input.
+    #[test]
+    fn stream_is_pinned() {
+        let mut rng = SplitMix64(42);
+        let draws = [rng.unit(), rng.unit(), rng.unit()].map(f64::to_bits);
+        assert_eq!(
+            draws,
+            [0x3fe7bae644c5fd6d, 0x3fc477f199d93378, 0x3fd1d499d5c4c3e6]
+        );
+        assert_eq!(
+            SplitMix64(42).range(1.0, 10.0).to_bits(),
+            0x401eb2430d5ebd1b
+        );
+
+        let bits = |m: &Matrix<f64>| fnv(m.as_slice().iter().map(|x| x.to_bits()));
+        assert_eq!(
+            bits(&erdos_renyi(48, 0.3, 1.0, 10.0, 7)),
+            0x19bbbd0bf21c4c1d
+        );
+        assert_eq!(bits(&grid_network(5, 6, 7)), 0x90bbdc1a636297aa);
+        let sp = sparse_erdos_renyi(64, 0.1, 1.0, 10.0, 7);
+        let words = (sp.row_ptr().iter().chain(sp.col_idx()))
+            .map(|&x| u64::from(x))
+            .chain(sp.vals().iter().map(|x| x.to_bits()));
+        assert_eq!((sp.nnz(), fnv(words)), (394, 0x2d5999788fbe94bb));
+    }
 
     #[test]
     fn sparse_erdos_renyi_is_deterministic_and_canonical() {

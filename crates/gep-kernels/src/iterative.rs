@@ -214,39 +214,28 @@ pub fn floyd_warshall_reference(d: &mut Matrix<f64>) {
 mod tests {
     use super::*;
     use crate::gep::{gep_reference, GaussianElim, TransitiveClosure, Tropical};
+    use testkit::Rng;
 
     fn random_dd_matrix(n: usize, seed: u64) -> Matrix<f64> {
         // Diagonally dominant ⇒ GE without pivoting is well defined.
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut m = Matrix::from_fn(n, n, |_, _| next() * 2.0 - 1.0);
+        let mut rng = Rng::new(seed);
+        let mut m = Matrix::from_fn(n, n, |_, _| rng.range(-1.0..1.0));
         for i in 0..n {
-            m.set(i, i, n as f64 + 1.0 + next());
+            m.set(i, i, n as f64 + 1.0 + rng.range(0.0..1.0));
         }
         m
     }
 
     fn random_dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
-        let mut state = seed.wrapping_mul(0x2545F4914F6CDD1D) | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = Rng::new(seed);
         // Integer-valued weights: min-plus relaxations are then exact in
         // f64 regardless of association order, so every execution order
         // gives bitwise-identical distances.
         Matrix::from_fn(n, n, |i, j| {
             if i == j {
                 0.0
-            } else if next() < 0.4 {
-                1.0 + (next() * 9.0).floor()
+            } else if rng.range(0.0..1.0) < 0.4 {
+                rng.range(1u32..=9) as f64
             } else {
                 f64::INFINITY
             }
@@ -295,14 +284,8 @@ mod tests {
 
     #[test]
     fn blocked_tc_equals_reference() {
-        let mut state = 99u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut blocked = Matrix::from_fn(16, 16, |i, j| i == j || next() % 5 == 0);
+        let mut rng = Rng::new(99);
+        let mut blocked = Matrix::from_fn(16, 16, |i, j| i == j || rng.range(0u32..5) == 0);
         let mut reference = blocked.clone();
         blocked_gep::<TransitiveClosure>(&mut blocked, 4);
         gep_reference::<TransitiveClosure>(&mut reference);

@@ -342,35 +342,26 @@ pub fn rec_kernel<S: GepSpec>(
 mod tests {
     use super::*;
     use crate::gep::{gep_reference, GaussianElim, TransitiveClosure, Tropical};
-
-    fn xorshift(seed: u64) -> impl FnMut() -> f64 {
-        let mut state = seed | 1;
-        move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
+    use testkit::Rng;
 
     fn dd_matrix(n: usize, seed: u64) -> Matrix<f64> {
-        let mut next = xorshift(seed);
-        let mut m = Matrix::from_fn(n, n, |_, _| next() * 2.0 - 1.0);
+        let mut rng = Rng::new(seed);
+        let mut m = Matrix::from_fn(n, n, |_, _| rng.range(-1.0..1.0));
         for i in 0..n {
-            m.set(i, i, n as f64 + 1.0 + next());
+            m.set(i, i, n as f64 + 1.0 + rng.range(0.0..1.0));
         }
         m
     }
 
     fn dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
-        let mut next = xorshift(seed);
+        let mut rng = Rng::new(seed);
         // Integer weights ⇒ exact min-plus arithmetic ⇒ bitwise equality
         // across execution orders (see crate docs).
         Matrix::from_fn(n, n, |i, j| {
             if i == j {
                 0.0
-            } else if next() < 0.35 {
-                1.0 + (next() * 9.0).floor()
+            } else if rng.range(0.0..1.0) < 0.35 {
+                rng.range(1u32..=9) as f64
             } else {
                 f64::INFINITY
             }
@@ -420,8 +411,8 @@ mod tests {
     #[test]
     fn rway_tc_equals_reference() {
         let pool = Pool::new(3);
-        let mut next = xorshift(2024);
-        let mut rec = Matrix::from_fn(24, 24, |i, j| i == j || next() < 0.15);
+        let mut rng = Rng::new(2024);
+        let mut rec = Matrix::from_fn(24, 24, |i, j| i == j || rng.range(0.0..1.0) < 0.15);
         let mut reference = rec.clone();
         rway_gep::<TransitiveClosure>(&pool, &RecConfig::new(2, 3), &mut rec);
         gep_reference::<TransitiveClosure>(&mut reference);

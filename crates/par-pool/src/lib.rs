@@ -6,11 +6,14 @@
 //! thread count plays the role of `OMP_NUM_THREADS`.
 //!
 //! Design follows the idioms of Rayon's core (work-stealing deques, a
-//! global injector, help-first waiting) built directly on
-//! `crossbeam::deque`:
+//! global injector, help-first waiting) on `std::sync` alone. The
+//! queues are lock-based (`Mutex<VecDeque>`), not lock-free; every
+//! committed measurement of the pool (`pool.join_ns`, `sched.*`) was
+//! taken on them.
 //!
-//! * every worker owns a LIFO [`crossbeam::deque::Worker`] deque and
-//!   steals from siblings or the global injector when empty;
+//! * every worker owns a deque it pushes to and pops from at the back
+//!   (LIFO), and steals from the front of a sibling's, or drains the
+//!   global FIFO injector, when empty;
 //! * [`Pool::scope`] provides structured fork-join parallelism: tasks may
 //!   borrow from the enclosing stack frame, and the scope does not return
 //!   until every transitively spawned task has finished;
@@ -19,6 +22,10 @@
 //!   divide-&-conquer) cannot deadlock the pool;
 //! * panics inside tasks are captured and propagated to the scope owner,
 //!   matching `std::thread::scope` semantics.
+//!
+//! The crate also exports the workspace's [`Mutex`] and [`Condvar`]:
+//! `std::sync`'s, with the poison rule — a lock held across a panic
+//! stays usable — stated once for the pool and the engine above it.
 //!
 //! ```
 //! use par_pool::Pool;
@@ -39,11 +46,13 @@ mod clock;
 mod metrics;
 mod pool;
 mod scope;
+mod sync;
 
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use metrics::PoolMetrics;
 pub use pool::{Pool, PoolBuilder};
 pub use scope::Scope;
+pub use sync::{Condvar, Mutex};
 
 /// Splits `n` items into at most `parts` contiguous ranges of nearly equal
 /// length (difference at most one). Returns an iterator of `(start, end)`

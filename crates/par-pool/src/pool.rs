@@ -1,17 +1,16 @@
 //! Work-stealing pool: workers, deques, sleeping, and job routing.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::deque::{Injector, Stealer, Worker as Deque};
-use parking_lot::{Condvar, Mutex};
-
 use crate::clock::{Clock, SystemClock};
 use crate::metrics::PoolMetrics;
 use crate::scope::Scope;
+use crate::sync::{Condvar, Mutex};
 
 /// A type-erased unit of work. Scoped tasks are lifetime-transmuted into
 /// this by [`Scope::spawn`]; the scope guarantees they run before the
@@ -20,10 +19,13 @@ pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// State shared between the pool handle and its worker threads.
 pub(crate) struct Shared {
-    pub(crate) injector: Injector<Job>,
-    pub(crate) stealers: Vec<Stealer<Job>>,
+    /// Jobs pushed by threads outside the pool, taken in FIFO order.
+    injector: Mutex<VecDeque<Job>>,
+    /// One deque per worker. The owner pushes and pops at the back
+    /// (nested spawns run depth-first, the cache-friendly order for
+    /// recursive divide-&-conquer); thieves take from the front.
+    deques: Vec<Mutex<VecDeque<Job>>>,
     pub(crate) metrics: PoolMetrics,
-    threads: usize,
     shutdown: AtomicBool,
     /// Condvar used both by idle workers and by threads blocked in a
     /// scope wait. Wakeups are broadcast: at our job granularity (block
@@ -35,43 +37,40 @@ pub(crate) struct Shared {
 thread_local! {
     /// Identifies the pool worker running on this thread, if any:
     /// (address of its `Shared`, worker index). The address is only used
-    /// for identity comparison, never dereferenced from here.
+    /// for identity comparison, never dereferenced from here; a worker
+    /// holds its `Shared` alive for as long as this is set.
     static CURRENT_WORKER: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
 }
 
-/// Per-worker deque handles, stored thread-locally on worker threads so
-/// that nested spawns go to the local LIFO deque (depth-first execution,
-/// the cache-friendly order for recursive divide-&-conquer).
-struct WorkerCtx {
-    deque: Deque<Job>,
-    index: usize,
-    shared: Arc<Shared>,
-}
-
 impl Shared {
-    fn shared_id(self: &Arc<Self>) -> usize {
-        Arc::as_ptr(self) as usize
+    fn new(threads: usize) -> Self {
+        Shared {
+            injector: Mutex::default(),
+            deques: (0..threads).map(|_| Mutex::default()).collect(),
+            metrics: PoolMetrics::default(),
+            shutdown: AtomicBool::new(false),
+            sleep_lock: Mutex::new(()),
+            sleep_cv: Condvar::new(),
+        }
+    }
+
+    fn shared_id(&self) -> usize {
+        self as *const Self as usize
+    }
+
+    /// The calling thread's deque index, when it is one of this pool's
+    /// workers.
+    fn local_index(&self) -> Option<usize> {
+        let (id, index) = CURRENT_WORKER.get()?;
+        (id == self.shared_id()).then_some(index)
     }
 
     /// Push a job: onto the local deque when called from one of this
     /// pool's workers, otherwise onto the global injector.
-    pub(crate) fn push_job(self: &Arc<Self>, job: Job) {
-        let local = CURRENT_WORKER.with(|c| c.get());
-        match local {
-            Some((id, _idx)) if id == self.shared_id() => LOCAL_DEQUE.with(|d| {
-                let slot = d.take();
-                match slot {
-                    Some(ctx) if Arc::ptr_eq(&ctx.shared, self) => {
-                        ctx.deque.push(job);
-                        d.set(Some(ctx));
-                    }
-                    other => {
-                        d.set(other);
-                        self.injector.push(job);
-                    }
-                }
-            }),
-            _ => self.injector.push(job),
+    pub(crate) fn push_job(&self, job: Job) {
+        match self.local_index() {
+            Some(index) => self.deques[index].lock().push_back(job),
+            None => self.injector.lock().push_back(job),
         }
         self.notify();
     }
@@ -81,136 +80,79 @@ impl Shared {
         self.sleep_cv.notify_all();
     }
 
-    /// Find a job from the perspective of worker `index`: local deque
-    /// first, then the injector, then steal from siblings.
-    fn find_job_as_worker(&self, local: &Deque<Job>, index: usize) -> Option<Job> {
-        if let Some(job) = local.pop() {
-            self.metrics.record_task();
-            return Some(job);
-        }
-        self.find_job_shared(Some((local, index)))
+    /// Find a job from the perspective of worker `me` (`None`: a thread
+    /// outside the pool helping a scope): its own deque first, then the
+    /// injector, then steal from siblings.
+    fn find_job(&self, me: Option<usize>) -> Option<Job> {
+        let job = me
+            .and_then(|i| self.deques[i].lock().pop_back())
+            .or_else(|| self.take_injected(me))
+            .or_else(|| self.steal(me))?;
+        self.metrics.record_task();
+        Some(job)
     }
 
-    /// Find a job without a local deque (external thread helping a scope).
-    pub(crate) fn find_job_external(&self) -> Option<Job> {
-        self.find_job_shared(None)
+    /// The injector's oldest job. A worker also moves up to half of the
+    /// rest (at most 32) to its own deque, where siblings can steal them
+    /// — reversed, so its LIFO pops still see them in injector order.
+    fn take_injected(&self, me: Option<usize>) -> Option<Job> {
+        let mut injector = self.injector.lock();
+        let job = injector.pop_front()?;
+        let batch = (injector.len() / 2).min(32);
+        if let Some(i) = me.filter(|_| batch > 0) {
+            self.deques[i].lock().extend(injector.drain(..batch).rev());
+        }
+        Some(job)
     }
 
-    fn find_job_shared(&self, local: Option<(&Deque<Job>, usize)>) -> Option<Job> {
-        // Drain the injector (batched into the local deque when we have
-        // one, so siblings can steal the rest).
-        loop {
-            let steal = match local {
-                Some((deque, _)) => self.injector.steal_batch_and_pop(deque),
-                None => self.injector.steal(),
-            };
-            match steal {
-                crossbeam::deque::Steal::Success(job) => {
-                    self.metrics.record_task();
-                    return Some(job);
-                }
-                crossbeam::deque::Steal::Empty => break,
-                crossbeam::deque::Steal::Retry => continue,
-            }
-        }
-        // Steal from siblings.
-        let me = local.map(|(_, i)| i);
-        for (i, stealer) in self.stealers.iter().enumerate() {
-            if Some(i) == me {
-                continue;
-            }
-            loop {
-                match stealer.steal() {
-                    crossbeam::deque::Steal::Success(job) => {
-                        self.metrics.record_steal();
-                        self.metrics.record_task();
-                        return Some(job);
-                    }
-                    crossbeam::deque::Steal::Empty => break,
-                    crossbeam::deque::Steal::Retry => continue,
-                }
-            }
-        }
-        None
+    fn steal(&self, me: Option<usize>) -> Option<Job> {
+        let siblings = self.deques.iter().enumerate();
+        let job = siblings
+            .filter(|&(i, _)| Some(i) != me)
+            .find_map(|(_, deque)| deque.lock().pop_front())?;
+        self.metrics.record_steal();
+        Some(job)
     }
 
     /// Block until `should_stop` returns true, executing pool jobs while
     /// waiting. Used by scope waits from both worker and external threads.
     pub(crate) fn help_until(&self, should_stop: &dyn Fn() -> bool) {
-        loop {
-            if should_stop() {
-                return;
-            }
-            let job = LOCAL_DEQUE.with(|d| {
-                let slot = d.take();
-                match slot {
-                    Some(ctx) if std::ptr::eq(Arc::as_ptr(&ctx.shared), self) => {
-                        let job = self.find_job_as_worker(&ctx.deque, ctx.index);
-                        d.set(Some(ctx));
-                        job
-                    }
-                    other => {
-                        d.set(other);
-                        self.find_job_external()
-                    }
-                }
-            });
-            match job {
+        let me = self.local_index();
+        while !should_stop() {
+            match self.find_job(me) {
                 Some(job) => {
                     self.metrics.record_help();
                     job();
                 }
                 None => {
-                    let mut guard = self.sleep_lock.lock();
+                    let guard = self.sleep_lock.lock();
                     if should_stop() {
                         return;
                     }
                     // Timed wait: completions notify, but a short timeout
                     // makes us robust to races between the emptiness check
                     // and the condition flip.
-                    self.sleep_cv.wait_for(&mut guard, Duration::from_millis(1));
+                    drop(self.sleep_cv.wait_for(guard, Duration::from_millis(1)));
                 }
             }
         }
     }
 }
 
-thread_local! {
-    static LOCAL_DEQUE: Cell<Option<WorkerCtx>> = const { Cell::new(None) };
-}
-
-fn worker_loop(shared: Arc<Shared>, deque: Deque<Job>, index: usize) {
-    CURRENT_WORKER.with(|c| c.set(Some((shared.shared_id(), index))));
-    // Park the deque in a thread-local so that `push_job` / `help_until`
-    // reach it from arbitrary call depth; take it back out to run the
-    // main loop against it.
-    LOCAL_DEQUE.with(|d| {
-        d.set(Some(WorkerCtx {
-            deque,
-            index,
-            shared: Arc::clone(&shared),
-        }))
-    });
+fn worker_loop(shared: Arc<Shared>, index: usize) {
+    CURRENT_WORKER.set(Some((shared.shared_id(), index)));
     loop {
-        let job = LOCAL_DEQUE.with(|d| {
-            let ctx = d.take().expect("worker ctx present");
-            let job = shared.find_job_as_worker(&ctx.deque, ctx.index);
-            d.set(Some(ctx));
-            job
-        });
-        match job {
+        match shared.find_job(Some(index)) {
             Some(job) => job(),
             None => {
                 if shared.shutdown.load(Ordering::Acquire) {
                     break;
                 }
-                let mut guard = shared.sleep_lock.lock();
+                let guard = shared.sleep_lock.lock();
                 if shared.shutdown.load(Ordering::Acquire) {
                     break;
                 }
-                shared
-                    .sleep_cv
-                    .wait_for(&mut guard, Duration::from_millis(5));
+                drop(shared.sleep_cv.wait_for(guard, Duration::from_millis(5)));
             }
         }
     }
@@ -271,26 +213,14 @@ impl PoolBuilder {
     /// Spawn the workers and return the pool handle.
     pub fn build(self) -> Pool {
         let threads = self.threads.max(1);
-        let deques: Vec<Deque<Job>> = (0..threads).map(|_| Deque::new_lifo()).collect();
-        let stealers = deques.iter().map(Deque::stealer).collect();
-        let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
-            metrics: PoolMetrics::default(),
-            threads,
-            shutdown: AtomicBool::new(false),
-            sleep_lock: Mutex::new(()),
-            sleep_cv: Condvar::new(),
-        });
-        let workers = deques
-            .into_iter()
-            .enumerate()
-            .map(|(i, deque)| {
+        let shared = Arc::new(Shared::new(threads));
+        let workers = (0..threads)
+            .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("{}-{}", self.name_prefix, i))
                     .stack_size(self.stack_size)
-                    .spawn(move || worker_loop(shared, deque, i))
+                    .spawn(move || worker_loop(shared, i))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -313,7 +243,7 @@ pub struct Pool {
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pool")
-            .field("threads", &self.shared.threads)
+            .field("threads", &self.threads())
             .finish_non_exhaustive()
     }
 }
@@ -342,7 +272,7 @@ impl Pool {
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.shared.threads
+        self.shared.deques.len()
     }
 
     /// Execution counters.
@@ -515,5 +445,91 @@ impl Drop for Pool {
                 let _ = handle.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// A pool's shared state with no worker threads, so the test thread
+    /// decides who takes what; every job sends its number when run.
+    fn rig(threads: usize) -> (Shared, impl Fn(u32) -> Job, impl Fn(Option<Job>) -> u32) {
+        let (tx, rx) = mpsc::channel();
+        let job = move |n: u32| -> Job {
+            let tx = tx.clone();
+            Box::new(move || tx.send(n).expect("the test holds the receiver"))
+        };
+        let run = move |job: Option<Job>| {
+            job.expect("a job was queued")();
+            rx.try_recv().expect("the job just ran")
+        };
+        (Shared::new(threads), job, run)
+    }
+
+    #[test]
+    fn owner_pops_lifo_and_thieves_take_fifo() {
+        let (shared, job, run) = rig(2);
+        CURRENT_WORKER.set(Some((shared.shared_id(), 0)));
+        for n in 1..=4 {
+            shared.push_job(job(n));
+        }
+        assert!(shared.injector.lock().is_empty(), "a worker pushes locally");
+        assert_eq!(
+            run(shared.find_job(Some(0))),
+            4,
+            "the owner takes its newest"
+        );
+        assert_eq!(
+            run(shared.find_job(Some(1))),
+            1,
+            "a sibling steals the oldest"
+        );
+        assert_eq!(
+            run(shared.find_job(None)),
+            2,
+            "and so does a helping outsider"
+        );
+        assert_eq!(run(shared.find_job(Some(0))), 3);
+        assert!(shared.find_job(Some(0)).is_none());
+        assert_eq!(
+            (
+                shared.metrics.tasks_stolen(),
+                shared.metrics.tasks_executed()
+            ),
+            (2, 4)
+        );
+    }
+
+    #[test]
+    fn batch_steal_hands_the_owner_its_jobs_in_injector_order() {
+        let (shared, job, run) = rig(2);
+        for n in 0..100 {
+            shared.push_job(job(n)); // not a worker thread: the injector
+        }
+        assert_eq!(run(shared.find_job(Some(0))), 0);
+        assert_eq!(
+            shared.deques[0].lock().len(),
+            32,
+            "half of the rest, capped"
+        );
+        assert_eq!(shared.injector.lock().len(), 67);
+        for n in 1..100 {
+            assert_eq!(run(shared.find_job(Some(0))), n);
+        }
+        assert!(shared.find_job(Some(0)).is_none());
+        assert_eq!(
+            shared.metrics.tasks_stolen(),
+            0,
+            "the injector is not a sibling"
+        );
+
+        // A thread outside the pool takes one job and moves none.
+        shared.push_job(job(7));
+        shared.push_job(job(8));
+        shared.push_job(job(9));
+        assert_eq!(run(shared.find_job(None)), 7);
+        assert_eq!(shared.injector.lock().len(), 2);
     }
 }

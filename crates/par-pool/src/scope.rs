@@ -24,9 +24,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::pool::{Job, Shared};
+use crate::sync::Mutex;
 
 /// A fork-join scope handed to [`crate::Pool::scope`] closures and to
 /// every spawned task, allowing recursive spawning.

@@ -55,7 +55,6 @@ fn join_returns_both_results() {
 fn nested_scopes_do_not_deadlock() {
     // Recursive fan-out deeper than the worker count: only help-first
     // waiting makes this terminate.
-    let pool = Pool::new(2);
     fn fib(pool: &Pool, n: u64) -> u64 {
         if n < 2 {
             return n;
@@ -63,7 +62,14 @@ fn nested_scopes_do_not_deadlock() {
         let (a, b) = pool.join(|| fib(pool, n - 1), || fib(pool, n - 2));
         a + b
     }
-    assert_eq!(fib(&pool, 16), 987);
+    // A waiting thread's stack holds one frame chain per task it helped
+    // with, so the caller gets the stack the pool gives its own workers:
+    // on a test thread's 2 MiB a debug build overflows one run in three.
+    let caller = std::thread::Builder::new()
+        .stack_size(16 << 20)
+        .spawn(|| fib(&Pool::new(2), 16))
+        .expect("spawn the caller");
+    assert_eq!(caller.join().expect("no panic"), 987);
 }
 
 #[test]
@@ -116,6 +122,29 @@ fn panics_propagate_after_all_tasks_finish() {
     // Pool must stay usable after a panic.
     let (a, b) = pool.join(|| 1, || 2);
     assert_eq!(a + b, 3);
+}
+
+#[test]
+fn a_job_panicking_under_a_lock_does_not_wedge_the_next_scope() {
+    // What the engine's chaos suites inject: a task dies while it holds
+    // a lock the next stage's tasks need.
+    let pool = Pool::new(2);
+    let total = par_pool::Mutex::new(0u32);
+    let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        pool.scope(|s| {
+            s.spawn(|_| {
+                let _held = total.lock();
+                panic!("task boom with the lock taken");
+            });
+        });
+    }));
+    assert!(first.is_err());
+    pool.scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|_| *total.lock() += 1);
+        }
+    });
+    assert_eq!(*total.lock(), 8);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use par_pool::Mutex;
 
 use crate::codec::{decode_one, Storable};
 use crate::context::TaskContext;

@@ -4,8 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cluster_model::{KernelInvocation, TaskRecord, TickCharger};
-use par_pool::{Clock, SystemClock, VirtualClock};
-use parking_lot::Mutex;
+use par_pool::{Clock, Mutex, SystemClock, VirtualClock};
 
 use crate::broadcast::{Broadcast, BroadcastStore};
 use crate::codec::Storable;

@@ -28,14 +28,15 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use par_pool::{Condvar, Mutex};
 
 use crate::context::SparkContext;
 use crate::error::JobError;
-use crate::scheduler::StageMeta;
+use crate::scheduler::{Mailbox, StageMeta};
 
 // ---------------------------------------------------------------------
 // Cooperative job cancellation
@@ -216,7 +217,7 @@ impl ShuffleLatch {
     pub(crate) fn wait_done(&self) -> Result<(), JobError> {
         let mut st = self.state.lock();
         while matches!(&*st, LatchState::Idle | LatchState::Running) {
-            self.cond.wait(&mut st);
+            st = self.cond.wait(st);
         }
         match &*st {
             LatchState::Done => Ok(()),
@@ -533,7 +534,7 @@ fn drive_threads(ctx: &SparkContext, plan: &mut StagePlan) {
         .max_concurrent_stages
         .unwrap_or(usize::MAX)
         .max(1);
-    let (tx, rx) = crossbeam::channel::unbounded::<(u64, bool, Result<(), JobError>)>();
+    let done = Mailbox::<(u64, bool, Result<(), JobError>)>::new();
     let mut running = 0usize;
     loop {
         plan.turn();
@@ -542,7 +543,7 @@ fn drive_threads(ctx: &SparkContext, plan: &mut StagePlan) {
             let Some(launch) = plan.claim(ctx, id) else {
                 continue;
             };
-            let tx = tx.clone();
+            let done = Arc::clone(&done);
             match launch {
                 Launch::Run { dep, latch, meta } => std::thread::Builder::new()
                     .name(format!("dag-stage-{id}"))
@@ -554,13 +555,13 @@ fn drive_threads(ctx: &SparkContext, plan: &mut StagePlan) {
                         // kept alive by a runner thread racing the
                         // driver's own drop.
                         drop(dep);
-                        let _ = tx.send((id, true, res));
+                        done.send((id, true, res));
                     })
                     .expect("spawn stage runner"),
                 Launch::Wait(latch) => std::thread::Builder::new()
                     .name(format!("dag-wait-{id}"))
                     .spawn(move || {
-                        let _ = tx.send((id, false, latch.wait_done()));
+                        done.send((id, false, latch.wait_done()));
                     })
                     .expect("spawn stage waiter"),
             };
@@ -572,7 +573,7 @@ fn drive_threads(ctx: &SparkContext, plan: &mut StagePlan) {
         if running == 0 {
             break;
         }
-        let (id, executed, res) = rx.recv().expect("stage completion channel");
+        let (id, executed, res) = done.recv(None).expect("waits until a stage reports");
         running -= 1;
         if executed {
             ctx.stage_finished();
@@ -668,7 +669,8 @@ pub(crate) fn explain_graph_into(roots: &[Arc<dyn ShuffleDep>], out: &mut String
 /// [`JobHandle::spawn`]). Dropping the handle detaches the job: it
 /// keeps running to completion in the background.
 pub struct JobHandle<T> {
-    rx: crossbeam::channel::Receiver<Result<T, JobError>>,
+    /// Receives the job's one message: its result.
+    done: Arc<Mailbox<Result<T, JobError>>>,
     cancel: CancelToken,
 }
 
@@ -683,26 +685,31 @@ impl<T: Send + 'static> JobHandle<T> {
     /// [`JobHandle::cancel`] aborts it at its next stage boundary with
     /// [`JobError::Cancelled`].
     pub fn spawn(job: impl FnOnce() -> Result<T, JobError> + Send + 'static) -> Self {
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let done = Mailbox::new();
         let cancel = CancelToken::new();
-        let token = cancel.clone();
+        let (reply, token) = (Arc::clone(&done), cancel.clone());
         std::thread::Builder::new()
             .name("sparklet-job".into())
             .spawn(move || {
-                let _ = tx.send(with_cancel(&token, job));
+                // The handle waits for exactly one message, so a job
+                // that panics must still send one.
+                let result = catch_unwind(AssertUnwindSafe(|| with_cancel(&token, job)));
+                reply.send(result.unwrap_or_else(|_| {
+                    Err(JobError::Driver("job thread died without a result".into()))
+                }));
             })
             .expect("spawn job thread");
-        JobHandle { rx, cancel }
+        JobHandle { done, cancel }
     }
 
     /// Wrap an already-computed result. Used in deterministic mode,
     /// where "async" submissions run inline on the caller's thread so
     /// the seeded schedule has no hidden thread interleavings.
     pub(crate) fn ready(result: Result<T, JobError>) -> Self {
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        let _ = tx.send(result);
+        let done = Mailbox::new();
+        done.send(result);
         JobHandle {
-            rx,
+            done,
             cancel: CancelToken::new(),
         }
     }
@@ -719,14 +726,12 @@ impl<T: Send + 'static> JobHandle<T> {
 
     /// Has the job finished (its result is ready to [`JobHandle::wait`] for)?
     pub fn is_finished(&self) -> bool {
-        !self.rx.is_empty()
+        !self.done.is_empty()
     }
 
     /// Block until the job finishes and return its result.
     pub fn wait(self) -> Result<T, JobError> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err(JobError::Driver("job thread died without a result".into())))
+        self.done.recv(None).expect("waits until the job reports")
     }
 }
 

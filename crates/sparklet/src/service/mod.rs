@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use par_pool::{Condvar, Mutex};
 
 use crate::context::SparkContext;
 use crate::dag::{with_cancel, CancelToken};
@@ -789,14 +789,14 @@ impl JobService {
                             svc.execute(d);
                             continue;
                         }
-                        let mut st = svc.inner.state.lock();
+                        let st = svc.inner.state.lock();
                         if svc.inner.stopping.load(Ordering::Acquire) {
                             return;
                         }
                         // Re-check under the lock: a submit between our
                         // failed dispatch and this wait would be lost.
                         if st.sched.total_queued() == 0 || st.sched.inflight() > 0 {
-                            svc.inner.work.wait(&mut st);
+                            drop(svc.inner.work.wait(st));
                         }
                     })
                     .expect("spawn service worker"),
@@ -843,7 +843,7 @@ impl JobService {
                 Some(e) if !matches!(e.state, EntryState::Queued | EntryState::Running) => {
                     return Some(e.view(job));
                 }
-                Some(_) => self.inner.done.wait(&mut st),
+                Some(_) => st = self.inner.done.wait(st),
             }
         }
     }

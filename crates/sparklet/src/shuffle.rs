@@ -27,9 +27,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
-use parking_lot::{Mutex, MutexGuard};
+use par_pool::Mutex;
 
 use crate::context::TaskContext;
 use crate::error::JobError;

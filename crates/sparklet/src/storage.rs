@@ -30,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use par_pool::Mutex;
 
 use crate::codec::{decode_one, Storable};
 use crate::context::TaskContext;

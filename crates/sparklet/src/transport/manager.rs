@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use par_pool::Mutex;
 
 use super::wire::{decode, encode, WireMsg};
 use super::TransportMode;

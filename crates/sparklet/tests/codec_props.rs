@@ -17,7 +17,8 @@ use sparklet::wire::{read_frame, MAX_FRAME};
 use sparklet::{Compression, Either, JobError, Payload, Storable};
 
 mod wire_harness;
-use wire_harness::{assert_golden, framing_harness, hostile_input_harness, Rng};
+use testkit::Rng;
+use wire_harness::{assert_golden, framing_harness, hostile_input_harness};
 
 /// Forwards to the system allocator, noting the largest single request
 /// each thread has made — how a test sees what a decoder reserved.
@@ -74,40 +75,40 @@ fn roundtrip<T: Storable + PartialEq + std::fmt::Debug>(v: T) {
 fn every_storable_impl_roundtrips_exactly() {
     let mut rng = Rng::new(0x5eed);
     for _ in 0..50 {
-        roundtrip(rng.next() as u8);
-        roundtrip(rng.next() as u32);
-        roundtrip(rng.next());
-        roundtrip(rng.next() as i64);
-        roundtrip(rng.next() as f32 * 0.25 - 7.0);
-        roundtrip(rng.next() as f64 * 0.5 - 11.0);
-        roundtrip(rng.next() as usize);
-        roundtrip(rng.next().is_multiple_of(2));
+        roundtrip(rng.u64() as u8);
+        roundtrip(rng.u64() as u32);
+        roundtrip(rng.u64());
+        roundtrip(rng.u64() as i64);
+        roundtrip(rng.u64() as f32 * 0.25 - 7.0);
+        roundtrip(rng.u64() as f64 * 0.5 - 11.0);
+        roundtrip(rng.u64() as usize);
+        roundtrip(rng.u64().is_multiple_of(2));
         roundtrip(());
-        roundtrip((rng.next(), rng.next() as f64 * 0.5));
-        roundtrip((rng.next() as u8, rng.next() as u32, rng.next() as i64));
-        let n = rng.below(40) as usize;
-        roundtrip((0..n).map(|_| rng.next() as f64).collect::<Vec<f64>>());
+        roundtrip((rng.u64(), rng.u64() as f64 * 0.5));
+        roundtrip((rng.u64() as u8, rng.u64() as u32, rng.u64() as i64));
+        let n = rng.range(0..40usize);
+        roundtrip((0..n).map(|_| rng.u64() as f64).collect::<Vec<f64>>());
         roundtrip(
             (0..n)
-                .map(|_| (rng.next() as usize, rng.next()))
+                .map(|_| (rng.u64() as usize, rng.u64()))
                 .collect::<Vec<(usize, u64)>>(),
         );
         roundtrip(
-            (0..rng.below(6))
-                .map(|_| (0..rng.below(9)).map(|_| rng.next() as f32).collect())
+            (0..rng.range(0..6u64))
+                .map(|_| (0..rng.range(0..9u64)).map(|_| rng.u64() as f32).collect())
                 .collect::<Vec<Vec<f32>>>(),
         );
-        let s: String = (0..rng.below(30))
-            .map(|_| char::from(b'a' + (rng.below(26) as u8)))
+        let s: String = (0..rng.range(0..30u64))
+            .map(|_| char::from(rng.range(b'a'..=b'z')))
             .collect();
         roundtrip(s.clone());
-        roundtrip(if rng.next().is_multiple_of(2) {
+        roundtrip(if rng.u64().is_multiple_of(2) {
             Some(s)
         } else {
             None
         });
-        roundtrip(if rng.next().is_multiple_of(2) {
-            Either::<u64, String>::Left(rng.next())
+        roundtrip(if rng.u64().is_multiple_of(2) {
+            Either::<u64, String>::Left(rng.u64())
         } else {
             Either::<u64, String>::Right("right".into())
         });
@@ -137,8 +138,8 @@ fn special_float_values_survive_the_wire() {
 fn truncated_buffers_error_and_never_panic() {
     let mut rng = Rng::new(0xcafe);
     for _ in 0..20 {
-        let n = 1 + rng.below(20) as usize;
-        let v: Vec<(u64, f64)> = (0..n).map(|_| (rng.next(), rng.next() as f64)).collect();
+        let n = rng.range(1..=20usize);
+        let v: Vec<(u64, f64)> = (0..n).map(|_| (rng.u64(), rng.u64() as f64)).collect();
         let enc = encode_one(&v);
         for cut in 0..enc.len() {
             let err = decode_one::<Vec<(u64, f64)>>(enc.slice(..cut));
@@ -163,10 +164,10 @@ fn corrupted_buffers_error_or_misparse_but_never_panic() {
     let enc = encode_one(&v);
     for _ in 0..400 {
         let mut bad = enc.to_vec();
-        let flips = 1 + rng.below(4);
+        let flips = 1 + rng.range(0..4u64);
         for _ in 0..flips {
-            let at = rng.below(bad.len() as u64) as usize;
-            bad[at] ^= rng.next() as u8;
+            let at = rng.range(0..bad.len());
+            bad[at] ^= rng.u64() as u8;
         }
         // A corrupted length prefix may declare absurd sizes: decode
         // must bound-check before it allocates or reads.
@@ -208,12 +209,12 @@ fn unaligned_buffers_fall_back_to_the_bytewise_path() {
 fn payload_roundtrips_under_both_codecs_with_identical_declared_size() {
     let mut rng = Rng::new(0xf00d);
     for _ in 0..30 {
-        let n = rng.below(600) as usize;
+        let n = rng.range(0..600usize);
         // Mix compressible runs and incompressible noise.
         let raw: Vec<u8> = (0..n)
             .map(|i| {
-                if rng.next().is_multiple_of(3) {
-                    rng.next() as u8
+                if rng.u64().is_multiple_of(3) {
+                    rng.u64() as u8
                 } else {
                     (i / 7) as u8
                 }
@@ -259,9 +260,9 @@ fn corrupted_payload_frames_error_and_never_panic() {
         // Random corruptions.
         for _ in 0..300 {
             let mut bad = frame.to_vec();
-            for _ in 0..=rng.below(3) {
-                let at = rng.below(bad.len() as u64) as usize;
-                bad[at] ^= rng.next() as u8;
+            for _ in 0..=rng.range(0..3u64) {
+                let at = rng.range(0..bad.len());
+                bad[at] ^= rng.u64() as u8;
             }
             if let Ok(p) = Payload::from_frame(Bytes::from(bad)) {
                 let _ = p.open();
@@ -281,16 +282,16 @@ fn corrupted_payload_frames_error_and_never_panic() {
 
 /// A random canonical CSR tile: per-row sorted unique columns.
 fn random_csr(rng: &mut Rng, max_side: u64) -> gep_kernels::Csr<f64> {
-    let rows = rng.below(max_side) as usize + 1;
-    let cols = rng.below(max_side) as usize + 1;
+    let rows = rng.range(0..max_side) as usize + 1;
+    let cols = rng.range(0..max_side) as usize + 1;
     let mut row_ptr = vec![0u32];
     let mut col_idx = Vec::new();
     let mut vals = Vec::new();
     for _ in 0..rows {
         for c in 0..cols {
-            if rng.below(3) == 0 {
+            if rng.range(0..3u64) == 0 {
                 col_idx.push(c as u32);
-                vals.push(rng.next() as f64 * 0.125 - 3.0);
+                vals.push(rng.u64() as f64 * 0.125 - 3.0);
             }
         }
         row_ptr.push(col_idx.len() as u32);
@@ -337,9 +338,9 @@ fn corrupted_sparse_tiles_error_or_misparse_but_never_panic() {
     let enc = encode_one(&dp_core::Block::Sparse(random_csr(&mut rng, 12)));
     for _ in 0..500 {
         let mut bad = enc.to_vec();
-        for _ in 0..=rng.below(4) {
-            let at = rng.below(bad.len() as u64) as usize;
-            bad[at] ^= rng.next() as u8;
+        for _ in 0..=rng.range(0..4u64) {
+            let at = rng.range(0..bad.len());
+            bad[at] ^= rng.u64() as u8;
         }
         // A flipped length, pointer, or column index must be caught by
         // the bounds checks and canonical-form validation; a flip that
@@ -429,7 +430,7 @@ fn sparse_frames_ride_payload_frames_like_any_other_bytes() {
 
 /// A raw-sealed payload frame over `len` random bytes.
 fn sealed(rng: &mut Rng, len: u64) -> Bytes {
-    let body: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+    let body: Vec<u8> = (0..len).map(|_| rng.u64() as u8).collect();
     Payload::seal(Bytes::from(body), Compression::None).frame()
 }
 
@@ -446,43 +447,43 @@ fn executor_messages_survive_hostile_input() {
     let mut rng = Rng::new(0xbead);
     let frame = sealed(&mut rng, 200);
     let samples = [
-        WireMsg::Hello { node: rng.next() },
+        WireMsg::Hello { node: rng.u64() },
         WireMsg::TaskLaunch {
-            stage: rng.next(),
-            partition: rng.next(),
-            attempt: rng.next(),
+            stage: rng.u64(),
+            partition: rng.u64(),
+            attempt: rng.u64(),
         },
         WireMsg::TaskDone {
-            stage: rng.next(),
-            partition: rng.next(),
-            attempt: rng.next(),
+            stage: rng.u64(),
+            partition: rng.u64(),
+            attempt: rng.u64(),
             ok: true,
         },
         WireMsg::ShufflePut {
-            shuffle: rng.next(),
-            map_task: rng.next(),
-            reduce: rng.next(),
+            shuffle: rng.u64(),
+            map_task: rng.u64(),
+            reduce: rng.u64(),
             frame: frame.clone(),
         },
         WireMsg::ShuffleGet {
-            shuffle: rng.next(),
-            map_task: rng.next(),
-            reduce: rng.next(),
+            shuffle: rng.u64(),
+            map_task: rng.u64(),
+            reduce: rng.u64(),
         },
         WireMsg::Block { frame: Some(frame) },
         WireMsg::Block { frame: None },
         WireMsg::BroadcastPut {
-            id: rng.next(),
+            id: rng.u64(),
             frame: sealed(&mut rng, 5),
         },
-        WireMsg::Heartbeat { seq: rng.next() },
+        WireMsg::Heartbeat { seq: rng.u64() },
         WireMsg::HeartbeatAck {
-            seq: rng.next(),
-            buckets: rng.next(),
-            bucket_bytes: rng.next(),
-            broadcasts: rng.next(),
-            tasks_launched: rng.next(),
-            tasks_done: rng.next(),
+            seq: rng.u64(),
+            buckets: rng.u64(),
+            bucket_bytes: rng.u64(),
+            broadcasts: rng.u64(),
+            tasks_launched: rng.u64(),
+            tasks_done: rng.u64(),
         },
         WireMsg::Ack,
         WireMsg::Shutdown,
@@ -508,39 +509,39 @@ fn service_messages_survive_hostile_input() {
     let frame = sealed(&mut rng, 120);
     let samples = [
         SvcMsg::Submit {
-            tenant: rng.next(),
+            tenant: rng.u64(),
             frame: frame.clone(),
         },
-        SvcMsg::SubmitOk { job: rng.next() },
+        SvcMsg::SubmitOk { job: rng.u64() },
         SvcMsg::SubmitErr {
-            code: rng.next() as u8,
+            code: rng.u64() as u8,
             message: "over budget: κόστος".into(),
         },
-        SvcMsg::Wait { job: rng.next() },
+        SvcMsg::Wait { job: rng.u64() },
         SvcMsg::Status {
-            job: rng.next(),
+            job: rng.u64(),
             state: 2,
             cache_hit: true,
-            stages_run: rng.next(),
+            stages_run: rng.u64(),
             frame: Some(frame),
             error: None,
         },
         SvcMsg::Status {
-            job: rng.next(),
+            job: rng.u64(),
             state: 3,
             cache_hit: false,
-            stages_run: rng.next(),
+            stages_run: rng.u64(),
             frame: None,
             error: Some("task failed".into()),
         },
         SvcMsg::CancelOk,
         SvcMsg::StatsOk {
-            submitted: rng.next(),
-            admitted: rng.next(),
-            rejected: rng.next(),
-            completed: rng.next(),
-            cache_hits: rng.next(),
-            cancelled: rng.next(),
+            submitted: rng.u64(),
+            admitted: rng.u64(),
+            rejected: rng.u64(),
+            completed: rng.u64(),
+            cache_hits: rng.u64(),
+            cancelled: rng.u64(),
         },
         SvcMsg::Shutdown,
     ];

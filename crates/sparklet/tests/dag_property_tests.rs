@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use sparklet::{HashPartitioner, Rdd, SparkConf, SparkContext, StorageLevel};
+use testkit::{check, Rng};
 
 fn ctx() -> SparkContext {
     SparkContext::new(
@@ -30,16 +30,24 @@ enum NarrowOp {
     Duplicate { key_offset: usize },
 }
 
-fn narrow_op() -> impl Strategy<Value = NarrowOp> {
-    prop_oneof![
-        (0usize..5, any::<u64>()).prop_map(|(key_shift, add)| NarrowOp::Map { key_shift, add }),
-        any::<u64>().prop_map(NarrowOp::Xor),
-        (2usize..5, 0usize..5).prop_map(|(modulus, keep)| NarrowOp::Filter {
-            modulus,
-            keep: keep % modulus
-        }),
-        (1usize..4).prop_map(|key_offset| NarrowOp::Duplicate { key_offset }),
-    ]
+fn narrow_op(rng: &mut Rng) -> NarrowOp {
+    match rng.range(0u32..4) {
+        0 => NarrowOp::Map {
+            key_shift: rng.range(0usize..5),
+            add: rng.u64(),
+        },
+        1 => NarrowOp::Xor(rng.u64()),
+        2 => {
+            let modulus = rng.range(2usize..5);
+            NarrowOp::Filter {
+                modulus,
+                keep: rng.range(0usize..5) % modulus,
+            }
+        }
+        _ => NarrowOp::Duplicate {
+            key_offset: rng.range(1usize..4),
+        },
+    }
 }
 
 fn apply_rdd(rdd: &Rdd<usize, u64>, op: &NarrowOp) -> Rdd<usize, u64> {
@@ -78,18 +86,15 @@ fn sorted(mut v: Vec<(usize, u64)>) -> Vec<(usize, u64)> {
     v
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// A fused narrow chain (one pass per partition) must equal the
-    /// same chain executed with a forced materialization boundary
-    /// after every operator, and both must equal the reference model.
-    #[test]
-    fn fused_narrow_chain_equals_unfused_execution(
-        data in proptest::collection::vec((0usize..40, any::<u64>()), 0..80),
-        ops in proptest::collection::vec(narrow_op(), 0..5),
-        partitions in 1usize..7,
-    ) {
+/// A fused narrow chain (one pass per partition) must equal the
+/// same chain executed with a forced materialization boundary
+/// after every operator, and both must equal the reference model.
+#[test]
+fn fused_narrow_chain_equals_unfused_execution() {
+    check(16, |rng| {
+        let data = rng.vec(0..80, |r| (r.range(0usize..40), r.u64()));
+        let ops = rng.vec(0..5, narrow_op);
+        let partitions = rng.range(1usize..7);
         let sc = ctx();
         let mut fused = sc.parallelize(data.clone(), Some(partitions));
         for op in &ops {
@@ -111,20 +116,21 @@ proptest! {
         }
         let want = sorted(want);
 
-        prop_assert_eq!(&got_fused, &want, "fused chain diverged from the model");
-        prop_assert_eq!(&got_unfused, &want, "unfused chain diverged from the model");
-    }
+        assert_eq!(&got_fused, &want, "fused chain diverged from the model");
+        assert_eq!(&got_unfused, &want, "unfused chain diverged from the model");
+    });
+}
 
-    /// Re-collecting a wide lineage prunes its already-materialized
-    /// shuffles from the plan; the pruned plan must produce the same
-    /// output, and so must a plan whose middle sits behind a persisted
-    /// materialization.
-    #[test]
-    fn pruning_materialized_shuffles_never_changes_collect(
-        data in proptest::collection::vec((0usize..30, any::<u64>()), 1..80),
-        ops in proptest::collection::vec(narrow_op(), 0..3),
-        reduce_parts in 1usize..6,
-    ) {
+/// Re-collecting a wide lineage prunes its already-materialized
+/// shuffles from the plan; the pruned plan must produce the same
+/// output, and so must a plan whose middle sits behind a persisted
+/// materialization.
+#[test]
+fn pruning_materialized_shuffles_never_changes_collect() {
+    check(16, |rng| {
+        let data = rng.vec(1..80, |r| (r.range(0usize..30), r.u64()));
+        let ops = rng.vec(0..3, narrow_op);
+        let reduce_parts = rng.range(1usize..6);
         let sc = ctx();
         let mut narrow = sc.parallelize(data, Some(4));
         for op in &ops {
@@ -133,19 +139,23 @@ proptest! {
         // Repartition into a count outside the 1..6 strategy range so
         // the shuffle is never elided as already co-partitioned.
         let wide = narrow
-            .reduce_by_key(|a, b| a.wrapping_add(b), reduce_parts, Arc::new(HashPartitioner))
+            .reduce_by_key(
+                |a, b| a.wrapping_add(b),
+                reduce_parts,
+                Arc::new(HashPartitioner),
+            )
             .map_values(|v| v.rotate_left(1))
             .partition_by(7, Arc::new(HashPartitioner));
 
         let first = sorted(wide.collect().unwrap());
         // Second collect: both upstream shuffles are Done and pruned.
         let second = sorted(wide.collect().unwrap());
-        prop_assert_eq!(&first, &second, "pruned re-collect diverged");
+        assert_eq!(&first, &second, "pruned re-collect diverged");
 
         // A persisted cut mid-lineage must be invisible too.
         let persisted = wide.persist(StorageLevel::MemoryAndDisk).unwrap();
         let third = sorted(persisted.collect().unwrap());
-        prop_assert_eq!(&first, &third, "persisted re-collect diverged");
+        assert_eq!(&first, &third, "persisted re-collect diverged");
 
         let map_stages = sc.with_event_log(|log| {
             log.stages()
@@ -153,6 +163,6 @@ proptest! {
                 .filter(|s| s.label.ends_with("map"))
                 .count()
         });
-        prop_assert_eq!(map_stages, 2, "each shuffle must materialize exactly once");
-    }
+        assert_eq!(map_stages, 2, "each shuffle must materialize exactly once");
+    });
 }

@@ -11,26 +11,7 @@ use std::io::{ErrorKind, Read};
 use bytes::Bytes;
 use sparklet::wire::{read_frame, write_frame, Body, MAX_FRAME};
 use sparklet::JobError;
-
-/// Minimal seeded xorshift so failures replay from a printed seed.
-pub struct Rng(u64);
-
-impl Rng {
-    pub fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
-    pub fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use testkit::Rng;
 
 /// Run every hostile-input case over `samples`, moved by `encode` /
 /// `decode` — the owned-body decoder a socket read hands its buffer to;
@@ -76,9 +57,9 @@ pub fn hostile_input_harness<M: PartialEq + Debug>(
         // puts an absurd value in every count and length field.
         for _ in 0..200 {
             let mut bad = body.clone();
-            for _ in 0..=rng.below(4) {
-                let at = rng.below(bad.len() as u64) as usize;
-                bad[at] ^= rng.next() as u8;
+            for _ in 0..=rng.range(0..4u64) {
+                let at = rng.range(0..bad.len());
+                bad[at] ^= rng.u64() as u8;
             }
             decode_slice(&bad).into_iter().for_each(&poke);
         }
