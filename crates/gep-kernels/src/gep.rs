@@ -69,10 +69,13 @@ pub trait GepSpec: Send + Sync + 'static {
     /// change real entries (see `padding` module tests).
     fn padding_value(i: usize, j: usize) -> Self::Elem;
 
-    /// Optional hand-tuned override of the block kernel for hot
-    /// instances. Return `true` when the update was handled; the
-    /// default falls back to the generic triple loop. Overrides must be
-    /// *bitwise identical* to the generic kernel (tested).
+    /// Optional hand-tuned override of the block kernel for the
+    /// aliasing kinds A, B and C of a hot instance (kind D never
+    /// reaches it: one register-blocked loop serves every spec). Return
+    /// `true` when the update was handled; the default falls back to
+    /// the generic triple loop. Overrides must be *bitwise identical*
+    /// to the generic kernel whenever the phase-k operands are stable
+    /// (tested).
     fn fast_block_kernel(
         _kind: Kind,
         _x: &mut TileMut<Self::Elem>,
@@ -183,42 +186,39 @@ impl GepSpec for Tropical {
         }
     }
 
-    /// Hoisted min-plus kernel: `d[i][k]` is loop-invariant in `j`
-    /// (phase-k operands are stable), turning the inner loop into a
-    /// branch-predictable stream — the optimization the paper's
-    /// `-Ofast` C kernels get from the compiler.
+    /// Hoisted min-plus for the aliasing kinds: `d[i][k]` is
+    /// loop-invariant in `j` (phase-k operands are stable), and the
+    /// branch-free store lets the j-loop vectorise — the optimization
+    /// the paper's `-Ofast` C kernels get from the compiler.
     fn fast_block_kernel(
-        kind: Kind,
+        _kind: Kind,
         x: &mut TileMut<f64>,
         u: Option<TileRef<f64>>,
         v: Option<TileRef<f64>>,
-        w: Option<TileRef<f64>>,
+        _w: Option<TileRef<f64>>,
     ) -> bool {
-        let _ = w; // unused by the tropical semiring
-        let nk = match (&u, &v, kind) {
-            (Some(u), _, _) => u.cols(),
-            (None, Some(v), _) => v.rows(),
-            (None, None, _) => x.rows(),
+        let nk = match (&u, &v) {
+            (Some(u), _) => u.cols(),
+            (None, Some(v)) => v.rows(),
+            (None, None) => x.rows(),
         };
-        let (rows, cols) = (x.rows(), x.cols());
         for k in 0..nk {
-            for i in 0..rows {
+            for i in 0..x.rows() {
                 let dik = match &u {
                     Some(t) => t.at(i, k),
                     None => x.at(i, k),
                 };
-                if dik.is_infinite() {
+                // `+∞ + v` is `+∞` or NaN, never below `x`; `−∞` relaxes.
+                if dik == f64::INFINITY {
                     continue;
                 }
-                for j in 0..cols {
+                for j in 0..x.cols() {
                     let vkj = match &v {
                         Some(t) => t.at(k, j),
                         None => x.at(k, j),
                     };
-                    let via = dik + vkj;
-                    if via < x.at(i, j) {
-                        x.set(i, j, via);
-                    }
+                    let (via, old) = (dik + vkj, x.at(i, j));
+                    x.set(i, j, if via < old { via } else { old });
                 }
             }
         }

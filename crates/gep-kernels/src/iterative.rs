@@ -25,7 +25,9 @@ use crate::matrix::{Matrix, TileMut, TileRef};
 /// | D    | col panel | row panel | diagonal  |
 ///
 /// Σ_G is evaluated with **global** indices from the tiles' offsets, so
-/// the same kernel serves any block position.
+/// the same kernel serves any block position. Kind D runs one
+/// register-blocked loop for every spec; A/B/C take the spec's
+/// [`GepSpec::fast_block_kernel`] hook, else the generic loop.
 pub fn block_kernel<S: GepSpec>(
     kind: Kind,
     x: &mut TileMut<S::Elem>,
@@ -77,10 +79,73 @@ pub fn block_kernel<S: GepSpec>(
         assert_eq!(v.cols(), x.cols());
         assert_eq!(v.col0(), x.col0());
     }
+    if let (Kind::D, Some(u), Some(v)) = (kind, u, v) {
+        kernel_d::<S>(x, u, v, w, k0, nk);
+        return;
+    }
     if S::fast_block_kernel(kind, x, u, v, w) {
         return;
     }
     block_kernel_generic::<S>(kind, x, u, v, w, k0, nk);
+}
+
+/// Rows × columns of the `x` patch [`kernel_d`] keeps in registers.
+const MR: usize = 4;
+const NR: usize = 8;
+
+/// Kind D for every spec. No operand aliases `x`, so each element's
+/// k-sequence can run innermost: an `MR×NR` patch of `x` stays in
+/// locals for the whole k range, and each element sees the same `f`
+/// calls in the same order as in [`block_kernel_generic`] — bitwise
+/// identical for every spec and every input. Edge rows and columns run
+/// the same update one element at a time.
+fn kernel_d<S: GepSpec>(
+    x: &mut TileMut<S::Elem>,
+    u: TileRef<S::Elem>,
+    v: TileRef<S::Elem>,
+    w: Option<TileRef<S::Elem>>,
+    k0: usize,
+    nk: usize,
+) {
+    let (gi0, gj0) = (x.row0(), x.col0());
+    // Element (i, j) after phase step k: `f`, or `acc` outside Σ_G.
+    let step = |acc: S::Elem, i: usize, j: usize, k: usize| {
+        let (gk, uik) = (k0 + k, u.at(i, k));
+        // A w-less D feeds `u` as `w`, as the generic loop does.
+        let wkk = w.as_ref().map_or(uik, |w| w.at(k, k));
+        if S::sigma_i(gi0 + i, gk) && S::sigma_j(gj0 + j, gk) {
+            S::f(acc, uik, v.at(k, j), wkk)
+        } else {
+            acc
+        }
+    };
+    let (rows, cols) = (x.rows(), x.cols());
+    let (pr, pc) = (rows - rows % MR, cols - cols % NR);
+    for i in (0..pr).step_by(MR) {
+        for j in (0..pc).step_by(NR) {
+            let mut acc: [[S::Elem; NR]; MR] =
+                std::array::from_fn(|a| std::array::from_fn(|b| x.at(i + a, j + b)));
+            for k in 0..nk {
+                for (a, row) in acc.iter_mut().enumerate() {
+                    for (b, e) in row.iter_mut().enumerate() {
+                        *e = step(*e, i + a, j + b, k);
+                    }
+                }
+            }
+            for (a, row) in acc.iter().enumerate() {
+                for (b, &e) in row.iter().enumerate() {
+                    x.set(i + a, j + b, e);
+                }
+            }
+        }
+    }
+    // The columns right of the patches, then every column below them.
+    for i in 0..rows {
+        for j in if i < pr { pc } else { 0 }..cols {
+            let acc = (0..nk).fold(x.at(i, j), |acc, k| step(acc, i, j, k));
+            x.set(i, j, acc);
+        }
+    }
 }
 
 /// The generic (non-specialized) triple loop — public so specialized
@@ -301,57 +366,115 @@ mod tests {
         assert_eq!(a.first_difference(&b), None);
     }
 
-    #[test]
-    fn tropical_fast_kernel_is_bitwise_identical_to_generic() {
-        // Compare the specialized FW kernel against the generic triple
-        // loop for every kind and several geometries.
-        for &(n, r) in &[(12usize, 2usize), (16, 4), (24, 3)] {
-            let m = random_dist_matrix(n, (n * r) as u64);
-            for kb in 0..r {
-                let b = n / r;
-                // Generic path.
-                let mut generic = m.clone();
-                {
-                    let mut grid = generic.view_mut().split_grid(r);
-                    let parts = crate::tilegrid::phase_split(&mut grid, r, kb);
-                    let diag = parts.diag;
-                    block_kernel_generic::<Tropical>(Kind::A, diag, None, None, None, kb * b, b);
+    /// Run `kind` on a copy of `x` placed at global `at` through
+    /// [`block_kernel`] and through [`block_kernel_generic`], and
+    /// compare the two tables bit for bit (−0.0 and NaN count).
+    #[allow(clippy::too_many_arguments)]
+    fn assert_matches_generic<S: GepSpec>(
+        kind: Kind,
+        x: &Matrix<S::Elem>,
+        at: (usize, usize),
+        u: Option<TileRef<S::Elem>>,
+        v: Option<TileRef<S::Elem>>,
+        w: Option<TileRef<S::Elem>>,
+        (k0, nk): (usize, usize),
+        bits: fn(S::Elem) -> u64,
+    ) {
+        let (mut fast, mut generic) = (x.clone(), x.clone());
+        block_kernel::<S>(kind, &mut fast.view_mut_at(at.0, at.1), u, v, w);
+        let mut g = generic.view_mut_at(at.0, at.1);
+        block_kernel_generic::<S>(kind, &mut g, u, v, w, k0, nk);
+        let first = (fast.as_slice().iter().zip(generic.as_slice()))
+            .position(|(a, b)| bits(*a) != bits(*b));
+        let (name, rows, cols, w) = (S::NAME, x.rows(), x.cols(), w.is_some());
+        assert_eq!(
+            first, None,
+            "{name} {kind:?} {rows}x{cols} nk={nk} at {at:?} w={w}"
+        );
+    }
+
+    /// One spec's row of the kernel oracle: every kind, shapes off the
+    /// 4×8 patch plus one full 128³ tile, and `x` placed before, across
+    /// and after the k range (so GE's σ boundary falls inside it).
+    fn kernel_oracle<S: GepSpec>(draw: fn(&mut Rng) -> S::Elem, bits: fn(S::Elem) -> u64) {
+        const K0: usize = 160;
+        for (rows, cols, nk) in [(13, 11, 7), (3, 3, 17), (5, 9, 3), (128, 128, 128)] {
+            let mut rng = Rng::new((rows * cols * nk) as u64);
+            let mut fill = |r, c| Matrix::from_fn(r, c, |_, _| draw(&mut rng));
+            let (x, xb, xc, u, v) = (
+                fill(rows, cols),
+                fill(nk, cols),
+                fill(rows, nk),
+                fill(rows, nk),
+                fill(nk, cols),
+            );
+            // A diagonal block of an acyclic instance (draws above the
+            // diagonal, padding on and below it): the stable phase-k
+            // operands the aliasing kinds' hooks may assume.
+            let diag = Matrix::from_fn(nk, nk, |i, j| {
+                if i < j {
+                    draw(&mut rng)
+                } else {
+                    S::padding_value(i, j)
                 }
-                // Fast path.
-                let mut fast = m.clone();
-                {
-                    let mut grid = fast.view_mut().split_grid(r);
-                    let parts = crate::tilegrid::phase_split(&mut grid, r, kb);
-                    block_kernel::<Tropical>(Kind::A, parts.diag, None, None, None);
+            });
+            let (d, ks) = (Some(diag.view_at(K0, K0)), (K0, nk));
+            let across = |len: usize| (K0 + nk / 2).saturating_sub(len / 2);
+            let (r_at, c_at) = if nk == 128 {
+                (vec![across(rows)], vec![across(cols)])
+            } else {
+                (
+                    vec![K0 - rows, across(rows), K0 + nk],
+                    vec![K0 - cols, across(cols), K0 + nk],
+                )
+            };
+            assert_matches_generic::<S>(Kind::A, &diag, (K0, K0), None, None, None, ks, bits);
+            for (&r0, &c0) in r_at.iter().zip(&c_at) {
+                assert_matches_generic::<S>(Kind::B, &xb, (K0, c0), d, None, d, ks, bits);
+                assert_matches_generic::<S>(Kind::C, &xc, (r0, K0), None, d, d, ks, bits);
+                let (u, v) = (Some(u.view_at(r0, K0)), Some(v.view_at(K0, c0)));
+                assert_matches_generic::<S>(Kind::D, &x, (r0, c0), u, v, d, ks, bits);
+                if !S::USES_W {
+                    assert_matches_generic::<S>(Kind::D, &x, (r0, c0), u, v, None, ks, bits);
                 }
-                assert_eq!(fast.first_difference(&generic), None, "A n={n} kb={kb}");
             }
-            // B/C/D with external operands.
-            let mut generic = m.clone();
-            let mut fast = m.clone();
-            let b = n / r;
-            for (target, run_fast) in [(&mut generic, false), (&mut fast, true)] {
-                let mut grid = target.view_mut().split_grid(r);
-                let parts = crate::tilegrid::phase_split(&mut grid, r, 0);
-                let diag = parts.diag.as_ref();
-                for (_, t) in parts.row {
-                    if run_fast {
-                        block_kernel::<Tropical>(Kind::B, t, Some(diag), None, Some(diag));
-                    } else {
-                        block_kernel_generic::<Tropical>(
-                            Kind::B,
-                            t,
-                            Some(diag),
-                            None,
-                            Some(diag),
-                            0,
-                            b,
-                        );
-                    }
-                }
-            }
-            assert_eq!(fast.first_difference(&generic), None, "B n={n}");
         }
+    }
+
+    /// Mostly finite fractions, with ±∞ and ±0.0 mixed in.
+    fn draw_f64(rng: &mut Rng) -> f64 {
+        match rng.range(0u32..64) {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => -0.0,
+            3 => 0.0,
+            _ => rng.range(-4.0..16.0),
+        }
+    }
+
+    #[test]
+    fn block_kernel_is_bitwise_identical_to_generic() {
+        use crate::gep::SemiringPaths;
+        use crate::semiring::{MaxMin, MinPlus};
+        kernel_oracle::<Tropical>(draw_f64, f64::to_bits);
+        kernel_oracle::<GaussianElim>(draw_f64, f64::to_bits);
+        kernel_oracle::<TransitiveClosure>(Rng::bool, u64::from);
+        kernel_oracle::<SemiringPaths<MinPlus>>(|r| MinPlus(draw_f64(r)), |e| e.0.to_bits());
+        kernel_oracle::<SemiringPaths<MaxMin>>(|r| MaxMin(draw_f64(r)), |e| e.0.to_bits());
+    }
+
+    #[test]
+    fn tropical_kernel_relaxes_through_minus_infinity() {
+        // 0 →(−∞) 1 →(1) 2: the path 0 → 2 costs −∞. A `−∞` operand
+        // is not a no-op, so the hook must not skip it like `+∞`.
+        let inf = f64::INFINITY;
+        let d = vec![0.0, -inf, inf, inf, 0.0, 1.0, inf, inf, 0.0];
+        let mut kernel = Matrix::from_vec(3, 3, d);
+        let mut reference = kernel.clone();
+        block_kernel::<Tropical>(Kind::A, &mut kernel.view_mut(), None, None, None);
+        gep_reference::<Tropical>(&mut reference);
+        assert_eq!(reference.get(0, 2), -inf);
+        assert_eq!(kernel.first_difference(&reference), None);
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //! * [`iterative`] — the loop-based kernels of Figs. 2 and 5, both as
 //!   whole-matrix references (the correctness oracles for everything
 //!   else) and as block kernels with the A/B/C/D aliasing variants used
-//!   by blocked and distributed executions; a hot instance specialises
-//!   its block kernel through the one hook
-//!   [`GepSpec::fast_block_kernel`] (bitwise identical, tested);
+//!   by blocked and distributed executions. Kind D is one
+//!   register-blocked loop for every spec (k innermost, bitwise
+//!   identical to the generic loop, tested); a hot instance
+//!   specialises only the aliasing kinds A/B/C, through the one hook
+//!   [`GepSpec::fast_block_kernel`];
 //! * [`recursive`] — the **parametric r-way recursive divide-&-conquer
 //!   (r-way R-DP)** kernels of Fig. 4, parallelised on `par-pool`
 //!   (the stand-in for the paper's OpenMP offload), with tunable fan-out
