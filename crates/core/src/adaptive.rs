@@ -58,7 +58,11 @@ pub fn adaptive_solve<S: DpProblem>(
     candidates: &[KernelSpec],
     probe_phases: usize,
 ) -> Result<AdaptiveOutcome<S::Elem>, JobError> {
-    assert!(!candidates.is_empty(), "need at least one candidate");
+    if candidates.is_empty() {
+        return Err(JobError::Driver(
+            "adaptive solve needs at least one candidate kernel".into(),
+        ));
+    }
     check_table(cfg, input)?;
     let probe_phases = probe_phases.max(1);
     // Probe problem: the first `probe_phases` block rows/columns — a
@@ -221,10 +225,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one candidate")]
     fn rejects_empty_candidate_list() {
         let sc = SparkContext::new(SparkConf::default());
         let input = Matrix::square(4, 0.0f64);
-        let _ = adaptive_solve::<Tropical>(&sc, &DpConfig::new(4, 2), &input, &[], 1);
+        let err =
+            adaptive_solve::<Tropical>(&sc, &DpConfig::new(4, 2), &input, &[], 1).unwrap_err();
+        assert!(matches!(err, JobError::Driver(_)), "{err}");
+        assert_eq!(sc.summary().stages, 0);
     }
 }

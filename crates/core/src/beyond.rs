@@ -245,7 +245,8 @@ type Halo = (Vec<i64>, Vec<i64>);
 
 /// Distributed LCS / Needleman–Wunsch: anti-diagonal block wavefront
 /// with halo broadcast per diagonal. Returns the full `(n+1)×(m+1)`
-/// score table (so callers can trace back).
+/// score table (so callers can trace back). With an empty sequence
+/// the table is its boundary, returned before any stage runs.
 pub fn solve_alignment(
     sc: &SparkContext,
     a: &[u8],
@@ -255,9 +256,19 @@ pub fn solve_alignment(
 ) -> Result<Matrix<i64>, JobError> {
     use gep_kernels::alignment::align_block;
     let (n, m) = (a.len(), b.len());
+    let mut table = Matrix::filled(n + 1, m + 1, 0i64);
+    for i in 0..=n {
+        table.set(i, 0, score.boundary(i));
+    }
+    for j in 0..=m {
+        table.set(0, j, score.boundary(j));
+    }
+    if n == 0 || m == 0 {
+        return Ok(table);
+    }
     let block = block.max(1);
-    let row_blocks = n.div_ceil(block).max(1);
-    let col_blocks = m.div_ceil(block).max(1);
+    let row_blocks = n.div_ceil(block);
+    let col_blocks = m.div_ceil(block);
 
     let bc_a = sc.broadcast(&a.to_vec());
     let bc_b = sc.broadcast(&b.to_vec());
@@ -361,14 +372,7 @@ pub fn solve_alignment(
         }
     }
 
-    // Assemble the full table (boundaries + interior blocks).
-    let mut table = Matrix::filled(n + 1, m + 1, 0i64);
-    for i in 0..=n {
-        table.set(i, 0, score.boundary(i));
-    }
-    for j in 0..=m {
-        table.set(0, j, score.boundary(j));
-    }
+    // Paste the interior blocks inside the boundaries.
     for ((ii, jj), data) in &blocks_out {
         table.paste_block(1 + ii * block, 1 + jj * block, data);
     }
@@ -379,17 +383,11 @@ pub fn solve_alignment(
 mod tests {
     use super::*;
     use sparklet::SparkConf;
+    use testkit::Rng;
 
     fn random_dims(n: usize, seed: u64) -> Vec<u64> {
-        let mut state = seed | 1;
-        (0..=n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state % 30 + 1
-            })
-            .collect()
+        let mut rng = Rng::new(seed);
+        (0..=n).map(|_| rng.range(1u64..=30)).collect()
     }
 
     fn ctx() -> SparkContext {
@@ -482,6 +480,24 @@ mod tests {
         // Strongly rectangular.
         let t = solve_alignment(&sc, b"AAAAAAAAAAAAAAAA", b"AA", &AlignScore::Lcs, 4).unwrap();
         assert_eq!(t.get(16, 2), 2);
+    }
+
+    #[test]
+    fn empty_sequences_return_the_boundary_table_before_any_stage() {
+        use gep_kernels::alignment::{align_reference, AlignScore};
+        let nw = AlignScore::NeedlemanWunsch {
+            matched: 1,
+            mismatch: -1,
+            gap: -2,
+        };
+        for score in [AlignScore::Lcs, nw] {
+            for (a, b) in [(&b""[..], &b"ACGT"[..]), (b"ACGT", b""), (b"", b"")] {
+                let sc = ctx();
+                let table = solve_alignment(&sc, a, b, &score, 4).expect("a valid input");
+                assert_eq!(table.first_difference(&align_reference(a, b, &score)), None);
+                assert_eq!(sc.summary().stages, 0);
+            }
+        }
     }
 
     #[test]

@@ -606,20 +606,14 @@ mod tests {
     }
 
     fn apsp_req(seed: u64, n: usize, sources: Option<Vec<u32>>) -> DpJobRequest {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = testkit::Rng::new(seed);
         let dist = Matrix::from_fn(n, n, |i, j| {
             if i == j {
                 0.0
-            } else if next() % 4 == 0 {
+            } else if rng.range(0..4u64) == 0 {
                 f64::INFINITY
             } else {
-                (next() % 100) as f64 + 1.0
+                rng.range(1..=100u64) as f64
             }
         });
         DpJobRequest::Apsp {

@@ -44,16 +44,11 @@ mod tests {
     use crate::backend::KernelSpec;
     use crate::config::Strategy;
     use sparklet::SparkConf;
+    use testkit::Rng;
 
     fn dd_system(m: usize, seed: u64) -> (Matrix<f64>, Vec<f64>, Vec<f64>) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut a = Matrix::from_fn(m, m, |_, _| next() - 0.5);
+        let mut rng = Rng::new(seed);
+        let mut a = Matrix::from_fn(m, m, |_, _| rng.range(-0.5..0.5));
         for i in 0..m {
             a.set(i, i, m as f64 + 1.0);
         }

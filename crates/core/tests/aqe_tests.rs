@@ -6,24 +6,24 @@
 //! seed, decisions included, and (c) surface every re-plan in the
 //! run's `RunSummary`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+mod harness;
 
 use cluster_model::{ClusterSpec, CostModel};
-use dp_core::{solve, solve_virtual, DpConfig, KernelSpec, RunSummary, Strategy};
-use gep_kernels::gep::gep_reference;
-use gep_kernels::{GaussianElim, Matrix};
-use sparklet::{AdaptiveDecision, ChaosPolicy, SparkConf, SparkContext};
+use dp_core::{solve_virtual, DpConfig, KernelSpec, RunSummary, Strategy};
+use gep_kernels::GaussianElim;
+use harness::{cluster, sweep, Case, Chaos, Mode, Problem};
+use sparklet::{AdaptiveDecision, SparkConf, SparkContext};
 
 const NODES: usize = 4;
 const CORES: usize = 2;
 
+/// The suite's context, adaptive execution off.
+fn shape(partitions: usize) -> SparkConf {
+    cluster(NODES, CORES, partitions).with_retry_backoff(4, 64)
+}
+
 fn conf(seed: u64) -> SparkConf {
-    SparkConf::default()
-        .with_executors(NODES)
-        .with_executor_cores(CORES)
-        .with_partitions(64)
-        .with_retry_backoff(4, 64)
-        .with_sim_seed(seed)
+    shape(64).with_sim_seed(seed)
 }
 
 /// The judging model: same shape the planner prices with (node count
@@ -39,29 +39,6 @@ fn model() -> CostModel {
 /// workload's win.
 fn ge_cfg() -> DpConfig {
     DpConfig::new(4096, 512)
-}
-
-fn seeds(default_n: u64) -> Vec<u64> {
-    if let Ok(pin) = std::env::var("CHAOS_SEED") {
-        return vec![pin.trim().parse().expect("CHAOS_SEED must be a u64")];
-    }
-    let n = std::env::var("SIM_SEEDS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default_n);
-    (0..n).map(|i| 0xada9_0000 + i).collect()
-}
-
-fn sweep(name: &str, default_n: u64, body: impl Fn(u64)) {
-    for seed in seeds(default_n) {
-        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| body(seed))) {
-            eprintln!(
-                "\n{name} failed at seed {seed}; replay with:\n    \
-                 CHAOS_SEED={seed} cargo test -p dp-core --test aqe_tests\n"
-            );
-            std::panic::resume_unwind(panic);
-        }
-    }
 }
 
 /// Modeled seconds of a virtual GE run at a fixed partition count.
@@ -87,7 +64,7 @@ fn adaptive_run(seed: u64) -> (f64, RunSummary, Vec<(u64, String)>) {
 
 #[test]
 fn adaptive_matches_or_beats_every_static_partition_count() {
-    sweep("aqe vs statics", 2, |seed| {
+    sweep(2, |seed| {
         let (adaptive, report, _) = adaptive_run(seed);
         assert!(
             !report.adaptive_decisions.is_empty(),
@@ -138,7 +115,7 @@ fn adaptive_decisions_reach_the_report_and_the_event_log() {
 
 #[test]
 fn adaptive_replay_is_bit_identical_including_decisions() {
-    sweep("aqe replay", 2, |seed| {
+    sweep(2, |seed| {
         let run = |_: ()| {
             let sc = SparkContext::new(conf(seed).with_adaptive_execution());
             let cfg = ge_cfg().with_partitions(64);
@@ -158,27 +135,13 @@ fn adaptive_real_run_stays_numerically_exact() {
     // Decisions must never change the answer: a real (non-virtual)
     // adaptive GE run is compared element-for-element against the
     // sequential reference.
-    let n = 32;
-    let mut state = 0x5eed_cafe_u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let mut input = Matrix::from_fn(n, n, |_, _| next() - 0.5);
-    for i in 0..n {
-        input.set(i, i, n as f64 + 1.0);
-    }
-    let mut reference = input.clone();
-    gep_reference::<GaussianElim>(&mut reference);
-    let sc = SparkContext::new(conf(5).with_partitions(24).with_adaptive_execution());
-    let cfg = DpConfig::new(n, 4).with_partitions(24);
-    let out = solve::<GaussianElim>(&sc, &cfg, &input).expect("solve");
-    let report = sc.summary();
-    assert_eq!(out.first_difference(&reference), None);
+    let adaptive = shape(24).with_adaptive_execution();
+    let row = Case::new(Problem::Ge, 32, 4)
+        .on(adaptive)
+        .mode(Mode::Sim(5));
+    let report = row.cfg(|c| c.with_partitions(24)).check().summary;
     // The run may or may not re-plan at this size; what matters is the
-    // result above and that any decision it did take is well-formed.
+    // result and that any decision it did take is well-formed.
     for d in &report.adaptive_decisions {
         assert!(!d.action.is_empty() && !d.reason.is_empty());
     }
@@ -186,38 +149,18 @@ fn adaptive_real_run_stays_numerically_exact() {
 
 #[test]
 fn adaptive_under_seeded_chaos_is_correct_and_replayable() {
-    // The sim-scenario sweep: adaptation plus scripted faults must
-    // still replay exactly from the seed, and the answer must match
-    // the fault-free reference bit-for-bit.
-    let n = 24;
-    let mut input = Matrix::from_fn(n, n, |i, j| ((i * 5 + j * 3) % 7) as f64 - 3.0);
-    for i in 0..n {
-        input.set(i, i, n as f64 + 2.0);
-    }
-    let mut reference = input.clone();
-    gep_reference::<GaussianElim>(&mut reference);
-    let cfg = DpConfig::new(n, 4).with_partitions(16);
-
-    sweep("aqe chaos", 3, |seed| {
-        let run = |_: ()| {
-            let sc = SparkContext::new(conf(seed).with_partitions(16).with_adaptive_execution());
-            let _chaos = sc.install_chaos(
-                ChaosPolicy::seeded(seed)
-                    .with_task_panics(60)
-                    .with_stragglers(60, 100),
-            );
-            let out = solve::<GaussianElim>(&sc, &cfg, &input).expect("chaos solve");
-            (out, sc.summary())
-        };
-        let (out1, rep1) = run(());
-        let (out2, rep2) = run(());
-        assert_eq!(out1.first_difference(&reference), None, "seed {seed}");
-        assert_eq!(
-            out1.first_difference(&out2),
-            None,
-            "seed {seed}: results diverged"
-        );
-        assert_eq!(rep1, rep2, "seed {seed}: reports diverged on replay");
+    // The sim-scenario sweep: adaptation plus seeded faults must still
+    // replay exactly from the seed (decisions included), and the answer
+    // must match the reference bit-for-bit.
+    let adaptive = shape(16).with_adaptive_execution();
+    let row = Case::new(Problem::Ge, 24, 4)
+        .on(adaptive)
+        .cfg(|c| c.with_partitions(16));
+    sweep(3, |seed| {
+        row.clone()
+            .mode(Mode::Sim(seed))
+            .chaos(Chaos::Mix(60))
+            .check();
     });
 }
 

@@ -15,70 +15,35 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+mod harness;
+
 use cluster_model::KernelType;
 use dp_core::{
-    register_backend, registry, solve, DpConfig, DpProblem, KernelBackend, KernelParams,
-    KernelSpec, Strategy,
+    register_backend, registry, DpConfig, DpProblem, KernelBackend, KernelParams, KernelSpec,
 };
-use gep_kernels::gep::{gep_reference, SemiringPaths};
-use gep_kernels::semiring::MaxMin;
-use gep_kernels::{GaussianElim, Kind, Matrix, TileMut, TileRef, TransitiveClosure, Tropical};
-use sparklet::{SparkConf, SparkContext};
-use testkit::Rng;
+use gep_kernels::{Kind, TileMut, TileRef, TransitiveClosure, Tropical};
+use harness::{cluster, Case, Problem, STRATEGIES};
 
-fn ctx() -> SparkContext {
-    SparkContext::new(
-        SparkConf::default()
-            .with_executors(3)
-            .with_executor_cores(2)
-            .with_partitions(6),
-    )
-}
-
-fn dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
-    let mut rng = Rng::new(seed);
-    Matrix::from_fn(n, n, |i, j| {
-        if i == j {
-            0.0
-        } else if rng.range(0.0..1.0) < 0.4 {
-            rng.range(1u32..=9) as f64
-        } else {
-            f64::INFINITY
-        }
-    })
-}
-
-fn dd_matrix(n: usize, seed: u64) -> Matrix<f64> {
-    let mut rng = Rng::new(seed);
-    let mut m = Matrix::from_fn(n, n, |_, _| rng.range(-1.0..1.0));
-    for i in 0..n {
-        m.set(i, i, n as f64 + 1.0 + rng.range(0.0..1.0));
-    }
-    m
-}
-
-fn maxmin_matrix(n: usize, seed: u64) -> Matrix<MaxMin> {
-    let mut rng = Rng::new(seed);
-    Matrix::from_fn(n, n, |i, j| {
-        if i == j {
-            MaxMin(f64::INFINITY)
-        } else if rng.range(0.0..1.0) < 0.35 {
-            MaxMin(rng.range(0u32..50) as f64)
-        } else {
-            MaxMin(f64::NEG_INFINITY)
-        }
-    })
-}
-
-/// A spec for every registered backend that computes real data, with
-/// params every backend accepts (r=2 fits any block ≥ 2; base/threads
-/// small so recursion actually recurses).
-fn real_backends<S: DpProblem>() -> Vec<KernelSpec> {
-    registry::<S>().dense_candidates(KernelParams {
+/// Every registered backend that computes real data, each against the
+/// oracle, on a 3-node context of 6 partitions. Params every backend
+/// accepts: r=2 fits any block ≥ 2, base and threads small so the
+/// recursion actually recurses.
+fn every_backend(base: Case, strategies: &[dp_core::Strategy]) {
+    let params = KernelParams {
         r_shared: 2,
         base: 2,
         threads: 2,
-    })
+    };
+    let backends = base.problem.kernels(params);
+    assert!(backends.len() >= 2, "iterative, recursive");
+    for spec in backends {
+        for &strategy in strategies {
+            let kernel = spec.clone();
+            let row = base.clone().on(cluster(3, 2, 6));
+            row.cfg(|c| c.with_strategy(strategy).with_kernel(kernel))
+                .check();
+        }
+    }
 }
 
 /// Full distributed solves exercise all four kinds (A on the diagonal,
@@ -86,64 +51,19 @@ fn real_backends<S: DpProblem>() -> Vec<KernelSpec> {
 /// gives a 4×4 grid with non-trivial panels.
 #[test]
 fn every_real_backend_matches_reference_bitwise_minplus() {
-    let input = dist_matrix(24, 2024);
-    let mut reference = input.clone();
-    gep_reference::<Tropical>(&mut reference);
-    let backends = real_backends::<Tropical>();
-    assert!(backends.len() >= 2, "iterative, recursive");
-    for spec in backends {
-        let name = &spec.backend;
-        for strategy in [Strategy::InMemory, Strategy::CollectBroadcast] {
-            let sc = ctx();
-            let cfg = DpConfig::new(24, 6)
-                .with_strategy(strategy)
-                .with_kernel(spec.clone());
-            let out = solve::<Tropical>(&sc, &cfg, &input).expect("solve");
-            assert_eq!(
-                out.first_difference(&reference),
-                None,
-                "backend {name} / {strategy:?} diverged from gep_reference"
-            );
-        }
-    }
+    every_backend(Case::new(Problem::Fw, 24, 6).seed(2024), &STRATEGIES);
 }
 
 #[test]
 fn every_real_backend_matches_reference_bitwise_ge() {
     // GE reads `w` (USES_W), so kind D runs with the full u/v/w operand
     // set — the operand path min-plus alone would not cover.
-    let input = dd_matrix(24, 77);
-    let mut reference = input.clone();
-    gep_reference::<GaussianElim>(&mut reference);
-    for spec in real_backends::<GaussianElim>() {
-        let name = &spec.backend;
-        let sc = ctx();
-        let cfg = DpConfig::new(24, 8).with_kernel(spec.clone());
-        let out = solve::<GaussianElim>(&sc, &cfg, &input).expect("solve");
-        assert_eq!(
-            out.first_difference(&reference),
-            None,
-            "backend {name} diverged from gep_reference on GE"
-        );
-    }
+    every_backend(Case::new(Problem::Ge, 24, 8).seed(77), &STRATEGIES[..1]);
 }
 
 #[test]
 fn every_real_backend_matches_reference_bitwise_maxmin() {
-    let input = maxmin_matrix(20, 5);
-    let mut reference = input.clone();
-    gep_reference::<SemiringPaths<MaxMin>>(&mut reference);
-    for spec in real_backends::<SemiringPaths<MaxMin>>() {
-        let name = &spec.backend;
-        let sc = ctx();
-        let cfg = DpConfig::new(20, 5).with_kernel(spec.clone());
-        let out = solve::<SemiringPaths<MaxMin>>(&sc, &cfg, &input).expect("solve");
-        assert_eq!(
-            out.first_difference(&reference),
-            None,
-            "backend {name} diverged from gep_reference on max-min"
-        );
-    }
+    every_backend(Case::new(Problem::MaxMin, 20, 5).seed(5), &STRATEGIES[..1]);
 }
 
 /// The built-in iterative loops registered under another name — what a
@@ -206,13 +126,8 @@ fn unregistered_primary_falls_through_chain_deterministically() {
         assert_eq!(resolved.name(), "renamed-for-test");
     }
     // And an end-to-end solve through the chain is still exact.
-    let input = dist_matrix(16, 9);
-    let mut reference = input.clone();
-    gep_reference::<Tropical>(&mut reference);
-    let sc = ctx();
-    let cfg = DpConfig::new(16, 4).with_kernel(spec);
-    let out = solve::<Tropical>(&sc, &cfg, &input).expect("solve via fallback");
-    assert_eq!(out.first_difference(&reference), None);
+    let row = Case::new(Problem::Fw, 16, 4).seed(9).on(cluster(3, 2, 6));
+    row.cfg(|c| c.with_kernel(spec)).check();
 }
 
 /// What `swap-for-test` is replaced with mid-solve: priced differently
@@ -258,22 +173,22 @@ fn reregistering_mid_solve_does_not_reach_the_plan_in_flight() {
         return;
     }
     type S = TransitiveClosure;
-    let n = 16;
-    let input = Matrix::from_fn(n, n, |i, j| i == j || (i * 5 + j * 3) % 7 == 0);
-    let mut reference = input.clone();
-    gep_reference::<S>(&mut reference);
-    for strategy in [Strategy::InMemory, Strategy::CollectBroadcast] {
+    for strategy in STRATEGIES {
         // A fresh kernel counter per run, over whatever the previous
         // run left registered.
         register_backend::<S>(Renamed::new("swap-for-test", || {
             register_backend::<S>(Arc::new(Poisoned));
         }));
-        let sc = ctx();
-        let cfg = DpConfig::new(n, 4)
-            .with_strategy(strategy)
-            .with_kernel(KernelSpec::named("swap-for-test"));
-        let out = solve::<S>(&sc, &cfg, &input).expect("the in-flight plan keeps its backend");
-        assert_eq!(out.first_difference(&reference), None, "{strategy:?}");
+        let swap = |c: DpConfig| {
+            c.with_strategy(strategy)
+                .with_kernel(KernelSpec::named("swap-for-test"))
+        };
+        // The in-flight plan keeps its backend: the solve is exact.
+        let sc = Case::new(Problem::Tc, 16, 4)
+            .on(cluster(3, 2, 6))
+            .cfg(swap)
+            .check()
+            .sc;
         let swapped = registry::<S>().get("swap-for-test").expect("registered");
         assert_ne!(
             swapped.kernel_type(&KernelParams::default()),

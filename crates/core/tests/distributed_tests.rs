@@ -1,58 +1,18 @@
-//! End-to-end validation of the distributed solver: every strategy ×
-//! kernel combination must reproduce the sequential Fig. 1 reference
-//! bitwise (GE always; FW/TC on exact-arithmetic inputs).
+//! The distributed solver's pinned rows — every strategy × kernel
+//! combination reproduces the sequential Fig. 1 reference (GE always;
+//! FW/TC on exact-arithmetic inputs) — and what only virtual runs
+//! show: IM against CB traffic, and full-scale byte accounting.
 
-use dp_core::{solve, solve_virtual, DpConfig, KernelSpec, Strategy};
-use gep_kernels::gep::gep_reference;
-use gep_kernels::{GaussianElim, Matrix, TransitiveClosure, Tropical};
-use sparklet::{ChaosEvent, ChaosPolicy, SparkConf, SparkContext};
+mod harness;
 
-fn ctx() -> SparkContext {
-    SparkContext::new(
-        SparkConf::default()
-            .with_executors(4)
-            .with_executor_cores(2)
-            .with_partitions(8),
-    )
-}
+use cluster_model::ClusterSpec;
+use dp_core::{simulate_seconds, solve_virtual, DpConfig, KernelSpec, Strategy};
+use gep_kernels::{GaussianElim, Tropical};
+use harness::{cluster, Case, Chaos, Problem, STRATEGIES};
+use sparklet::SparkContext;
 
-fn dd_matrix(n: usize, seed: u64) -> Matrix<f64> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let mut m = Matrix::from_fn(n, n, |_, _| next() * 2.0 - 1.0);
-    for i in 0..n {
-        m.set(i, i, n as f64 + 1.0 + next());
-    }
-    m
-}
-
-fn dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    // Integer weights: exact arithmetic ⇒ bitwise-stable distances.
-    Matrix::from_fn(n, n, |i, j| {
-        if i == j {
-            0.0
-        } else if next() < 0.4 {
-            1.0 + (next() * 9.0).floor()
-        } else {
-            f64::INFINITY
-        }
-    })
-}
-
-fn all_variants() -> Vec<(Strategy, KernelSpec)> {
-    vec![
+fn all_variants() -> [(Strategy, KernelSpec); 4] {
+    [
         (Strategy::InMemory, KernelSpec::iterative()),
         (Strategy::InMemory, KernelSpec::recursive(2, 2, 2)),
         (Strategy::CollectBroadcast, KernelSpec::iterative()),
@@ -60,99 +20,84 @@ fn all_variants() -> Vec<(Strategy, KernelSpec)> {
     ]
 }
 
+fn variants_of(base: Case) {
+    for (strategy, kernel) in all_variants() {
+        base.clone()
+            .cfg(|c| c.with_strategy(strategy).with_kernel(kernel))
+            .check();
+    }
+}
+
 #[test]
 fn ge_all_variants_match_reference_bitwise() {
-    let input = dd_matrix(24, 42);
-    let mut reference = input.clone();
-    gep_reference::<GaussianElim>(&mut reference);
-    for (strategy, kernel) in all_variants() {
-        let sc = ctx();
-        let cfg = DpConfig::new(24, 8)
-            .with_strategy(strategy)
-            .with_kernel(kernel);
-        let out = solve::<GaussianElim>(&sc, &cfg, &input).expect("solve");
-        assert_eq!(out.first_difference(&reference), None, "{}", cfg.label());
-    }
+    variants_of(Case::new(Problem::Ge, 24, 8).seed(42));
 }
 
 #[test]
 fn fw_all_variants_match_reference_bitwise() {
-    let input = dist_matrix(24, 7);
-    let mut reference = input.clone();
-    gep_reference::<Tropical>(&mut reference);
-    for (strategy, kernel) in all_variants() {
-        let sc = ctx();
-        let cfg = DpConfig::new(24, 6)
-            .with_strategy(strategy)
-            .with_kernel(kernel);
-        let out = solve::<Tropical>(&sc, &cfg, &input).expect("solve");
-        assert_eq!(out.first_difference(&reference), None, "{}", cfg.label());
-    }
+    variants_of(Case::new(Problem::Fw, 24, 6).seed(7));
 }
 
 #[test]
 fn tc_both_strategies_match_reference() {
-    let mut state = 99u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let input = Matrix::from_fn(16, 16, |i, j| i == j || next() % 6 == 0);
-    let mut reference = input.clone();
-    gep_reference::<TransitiveClosure>(&mut reference);
-    for strategy in [Strategy::InMemory, Strategy::CollectBroadcast] {
-        let sc = ctx();
-        let cfg = DpConfig::new(16, 4).with_strategy(strategy);
-        let out = solve::<TransitiveClosure>(&sc, &cfg, &input).expect("solve");
-        assert_eq!(out.first_difference(&reference), None);
+    for strategy in STRATEGIES {
+        Case::new(Problem::Tc, 16, 4)
+            .seed(99)
+            .cfg(|c| c.with_strategy(strategy))
+            .check();
     }
 }
 
 #[test]
 fn non_divisible_size_pads_virtually() {
-    // n = 21, block = 8 → padded to 24; padding must be inert.
-    let input = dd_matrix(21, 5);
-    let mut reference = input.clone();
-    gep_reference::<GaussianElim>(&mut reference);
-    let sc = ctx();
-    let cfg = DpConfig::new(21, 8).with_strategy(Strategy::CollectBroadcast);
-    let out = solve::<GaussianElim>(&sc, &cfg, &input).expect("solve");
-    assert_eq!(out.rows(), 21);
-    assert_eq!(out.first_difference(&reference), None);
+    // n = 21, block = 8 → padded to 24; padding must be inert (and the
+    // result is 21 × 21, like the oracle's).
+    let cb = |c: DpConfig| c.with_strategy(Strategy::CollectBroadcast);
+    Case::new(Problem::Ge, 21, 8).seed(5).cfg(cb).check();
 }
 
 #[test]
 fn grid_partitioner_variant_matches_reference() {
-    let input = dist_matrix(16, 3);
-    let mut reference = input.clone();
-    gep_reference::<Tropical>(&mut reference);
-    let sc = ctx();
-    let cfg = DpConfig::new(16, 4).with_grid_partitioner(true);
-    let out = solve::<Tropical>(&sc, &cfg, &input).expect("solve");
-    assert_eq!(out.first_difference(&reference), None);
+    let grid = |c: DpConfig| c.with_grid_partitioner(true);
+    Case::new(Problem::Fw, 16, 4).seed(3).cfg(grid).check();
 }
 
 #[test]
 fn fw_apsp_agrees_with_dijkstra_on_random_graph() {
-    let adj = gep_kernels::graph::erdos_renyi(20, 0.3, 1.0, 9.0, 11);
-    let sc = ctx();
-    let cfg = DpConfig::new(20, 5).with_kernel(KernelSpec::recursive(2, 2, 2));
-    let out = solve::<Tropical>(&sc, &cfg, &adj).expect("solve");
-    assert_eq!(gep_kernels::graph::check_apsp(&adj, &out, 1e-9), None);
+    let rec = |c: DpConfig| c.with_kernel(KernelSpec::recursive(2, 2, 2));
+    Case::new(Problem::FwDijkstra { density: 0.3 }, 20, 5)
+        .seed(11)
+        .cfg(rec)
+        .check();
+}
+
+#[test]
+fn solver_is_deterministic_across_runs() {
+    let case = Case::new(Problem::Fw, 16, 4).seed(77);
+    case.check();
+    case.check();
+}
+
+#[test]
+fn injected_task_failure_recovers_mid_solve() {
+    // Fail a couple of tasks in early stages; lineage retry must heal.
+    let at = vec![(1, 0, 1), (3, 2, 1), (3, 2, 2)];
+    Case::new(Problem::Ge, 16, 4)
+        .seed(21)
+        .chaos(Chaos::Panics(at))
+        .check();
+}
+
+fn ctx() -> SparkContext {
+    SparkContext::new(cluster(4, 2, 8))
 }
 
 #[test]
 fn im_moves_more_shuffle_bytes_than_cb() {
     // The defining difference of the two strategies.
-    let cfg_im = DpConfig::new(64, 16);
-    let sc_im = ctx();
-    let rep_im = solve_virtual::<GaussianElim>(&sc_im, &cfg_im).unwrap();
-
+    let rep_im = solve_virtual::<GaussianElim>(&ctx(), &DpConfig::new(64, 16)).unwrap();
     let cfg_cb = DpConfig::new(64, 16).with_strategy(Strategy::CollectBroadcast);
-    let sc_cb = ctx();
-    let rep_cb = solve_virtual::<GaussianElim>(&sc_cb, &cfg_cb).unwrap();
+    let rep_cb = solve_virtual::<GaussianElim>(&ctx(), &cfg_cb).unwrap();
 
     let im_shuffle = rep_im.remote_bytes + rep_im.staged_bytes;
     let cb_shuffle = rep_cb.remote_bytes + rep_cb.staged_bytes;
@@ -167,18 +112,8 @@ fn im_moves_more_shuffle_bytes_than_cb() {
 
 #[test]
 fn virtual_and_real_runs_produce_identical_stage_structure() {
-    let n = 24;
-    let cfg_real = DpConfig::new(n, 8);
-    let sc_real = ctx();
-    let input = dd_matrix(n, 13);
-    solve::<GaussianElim>(&sc_real, &cfg_real, &input).unwrap();
-    let real = sc_real.summary();
-
-    let cfg_virt = DpConfig::new(n, 8);
-    let sc_virt = ctx();
-    solve_virtual::<GaussianElim>(&sc_virt, &cfg_virt).unwrap();
-    let virt = sc_virt.summary();
-
+    let real = Case::new(Problem::Ge, 24, 8).seed(13).check().summary;
+    let virt = solve_virtual::<GaussianElim>(&ctx(), &DpConfig::new(24, 8)).unwrap();
     // The virtual run has one final `count` stage where the real run
     // has one final `collect`; everything else is identical.
     assert_eq!(real.stages, virt.stages);
@@ -189,9 +124,7 @@ fn virtual_and_real_runs_produce_identical_stage_structure() {
 fn virtual_byte_accounting_reflects_full_scale() {
     // 4×4 grid of 1K×1K virtual FW blocks: one IM iteration's A-stage
     // alone copies the diagonal to 15 consumers ≈ 15 × 8 MB.
-    let cfg = DpConfig::new(4096, 1024);
-    let sc = ctx();
-    let rep = solve_virtual::<Tropical>(&sc, &cfg).unwrap();
+    let rep = solve_virtual::<Tropical>(&ctx(), &DpConfig::new(4096, 1024)).unwrap();
     let block_bytes = (1024u64 * 1024 * 8) + 17;
     assert!(
         rep.staged_bytes > 4 * 15 * block_bytes,
@@ -201,32 +134,14 @@ fn virtual_byte_accounting_reflects_full_scale() {
 }
 
 #[test]
-fn solver_is_deterministic_across_runs() {
-    let input = dist_matrix(16, 77);
-    let run = || {
-        let sc = ctx();
-        let cfg = DpConfig::new(16, 4);
-        solve::<Tropical>(&sc, &cfg, &input).unwrap()
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.first_difference(&b), None);
-}
-
-#[test]
-fn injected_task_failure_recovers_mid_solve() {
-    let input = dd_matrix(16, 21);
-    let mut reference = input.clone();
-    gep_reference::<GaussianElim>(&mut reference);
-    let sc = ctx();
-    // Fail a couple of tasks in early stages; lineage retry must heal.
-    let _chaos = sc.install_chaos(
-        ChaosPolicy::seeded(0)
-            .script(1, 0, 1, ChaosEvent::TaskPanic)
-            .script(3, 2, 1, ChaosEvent::TaskPanic)
-            .script(3, 2, 2, ChaosEvent::TaskPanic),
-    );
-    let cfg = DpConfig::new(16, 4);
-    let out = solve::<GaussianElim>(&sc, &cfg, &input).expect("solve with failures");
-    assert_eq!(out.first_difference(&reference), None);
+#[ignore = "heavy: paper-scale virtual sweep smoke (several minutes)"]
+fn paper_scale_virtual_smoke() {
+    let cluster = ClusterSpec::skylake();
+    for strategy in STRATEGIES {
+        let cfg = DpConfig::new(32 * 1024, 2048)
+            .with_strategy(strategy)
+            .with_kernel(KernelSpec::recursive(4, 64, 8));
+        let secs = simulate_seconds::<Tropical>(&cluster, 32, &cfg, None).expect("simulate");
+        assert!(secs > 10.0 && secs < 8.0 * 3600.0, "{strategy:?}: {secs}");
+    }
 }

@@ -7,61 +7,36 @@
 //! and a real executor `SIGKILL` over the TCP transport with two
 //! tenants in flight.
 
+mod harness;
+
 use bytes::Bytes;
-use cluster_model::{ClusterSpec, CostModel};
 use dp_core::jobs::{decode_matrix_f64, decode_matrix_i64, DpJobRequest, DpJobRunner};
 use dp_core::DpConfig;
 use gep_kernels::alignment::AlignScore;
-use gep_kernels::gep::gep_reference;
 use gep_kernels::parenthesis::ParenWeight;
 use gep_kernels::{Matrix, Tropical};
+use harness::{cluster, reference, weights, Rng};
 use sparklet::service::JobService;
 use sparklet::{
-    Arrival, ChaosEvent, ChaosPolicy, JobState, ServiceConfig, SparkConf, SparkContext,
-    TransportMode,
+    Arrival, ChaosEvent, ChaosPolicy, JobState, ServiceConfig, SparkContext, TransportMode,
 };
 
 const NODES: usize = 2;
 
 fn sim_ctx(seed: u64) -> SparkContext {
-    SparkContext::new(
-        SparkConf::default()
-            .with_executors(NODES)
-            .with_executor_cores(2)
-            .with_partitions(4)
-            .with_sim_seed(seed),
-    )
+    SparkContext::new(cluster(NODES, 2, 4).with_sim_seed(seed))
 }
 
 fn runner() -> DpJobRunner {
-    DpJobRunner::new(
-        CostModel::new(ClusterSpec::skylake(), 4),
-        DpConfig::new(1, 1),
-    )
+    harness::runner(DpConfig::new(1, 1))
 }
 
 fn service(sc: SparkContext, conf: ServiceConfig) -> JobService {
     JobService::new(sc, conf, runner())
 }
 
-/// Integer edge weights: exact arithmetic ⇒ bitwise-stable distances.
 fn dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    Matrix::from_fn(n, n, |i, j| {
-        if i == j {
-            0.0
-        } else if next() < 0.4 {
-            1.0 + (next() * 9.0).floor()
-        } else {
-            f64::INFINITY
-        }
-    })
+    weights(n, &mut Rng::new(seed))
 }
 
 fn apsp_body(n: usize, seed: u64, block: usize, sources: Option<Vec<u32>>) -> Bytes {
@@ -74,9 +49,7 @@ fn apsp_body(n: usize, seed: u64, block: usize, sources: Option<Vec<u32>>) -> By
 }
 
 fn apsp_reference(n: usize, seed: u64) -> Matrix<f64> {
-    let mut m = dist_matrix(n, seed);
-    gep_reference::<Tropical>(&mut m);
-    m
+    reference::<Tropical>(&dist_matrix(n, seed))
 }
 
 // --- the headline acceptance: seeded replay --------------------------
@@ -268,14 +241,8 @@ fn fetchfailed_mid_service_completes_both_tenants_correctly() {
 
 #[test]
 fn service_survives_a_real_sigkill_with_two_tenants_in_flight() {
-    let sc = SparkContext::new(
-        SparkConf::default()
-            .with_executors(NODES)
-            .with_executor_cores(2)
-            .with_partitions(8)
-            .with_retry_backoff(4, 64)
-            .with_transport(TransportMode::Tcp),
-    );
+    let tcp = cluster(NODES, 2, 8).with_retry_backoff(4, 64);
+    let sc = SparkContext::new(tcp.with_transport(TransportMode::Tcp));
     // Lose an executor on the first attempt of two early stages while
     // both tenants' jobs are in flight: each kill is a real SIGKILL +
     // respawn wiping that subprocess's staged map outputs.

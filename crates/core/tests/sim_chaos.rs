@@ -1,35 +1,110 @@
 //! Chaos acceptance at the solver level: a deterministic (seeded)
 //! Floyd–Warshall run under injected faults must produce bit-identical
 //! distances to the fault-free run, with `RunSummary` counters that
-//! replay exactly from the seed. Failures print a `CHAOS_SEED` line.
-//!
-//! A run's report is `sc.summary()` after the solve; a chaotic run is
-//! the same solve inside `let _chaos = sc.install_chaos(..)`.
+//! replay exactly from the seed — and match the goldens recorded
+//! across commits. Failures print a `CHAOS_SEED` line.
+
+mod harness;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dp_core::{solve, solve_sparse_apsp, DpConfig, RunSummary};
-use gep_kernels::gep::gep_reference;
 use gep_kernels::graph::sparse_erdos_renyi;
-use gep_kernels::sparse::Csr;
 use gep_kernels::{Matrix, Tropical};
-use sparklet::{ChaosPolicy, SparkConf, SparkContext};
+use harness::{assert_retries_keep_the_plan, cluster, seeds, sweep, Case, Chaos, Mode, Problem};
+use sparklet::{ChaosPolicy, SparkContext};
 
-const NODES: usize = 4;
-
-fn sim_ctx(seed: u64) -> SparkContext {
-    SparkContext::new(
-        SparkConf::default()
-            .with_executors(NODES)
-            .with_executor_cores(2)
-            .with_partitions(16)
-            .with_retry_backoff(4, 64)
-            .with_sim_seed(seed),
-    )
+/// A seeded FW row on 4 nodes × 16 partitions; the suite's fault mix
+/// is `Chaos::Mix(60)`: 6 % task panics (retried from lineage) and 6 %
+/// stragglers (virtual time only).
+fn fw(seed: u64) -> Case {
+    let conf = cluster(4, 2, 16).with_retry_backoff(4, 64);
+    Case::new(Problem::Fw, 32, 8).on(conf).mode(Mode::Sim(seed))
 }
 
-/// Integer edge weights: exact arithmetic ⇒ bitwise-stable distances.
-fn dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
+#[test]
+fn fw_under_seeded_chaos_is_bitwise_correct_and_replayable() {
+    // Both rows equal the reference and replay their reports; the
+    // chaotic one keeps the clean one's stage structure and committed
+    // shuffle volume (retries commit exactly one attempt per task).
+    sweep(3, |seed| {
+        assert_retries_keep_the_plan(&fw(seed).seed(99), &[Chaos::Mix(60)])
+    });
+}
+
+#[test]
+fn fw_chaos_retries_fire_across_the_default_sweep() {
+    // Per-seed retry counts vary, but a 6% panic rate over three full
+    // FW solves must retry somewhere — this guards against the chaos
+    // hook silently disconnecting from the solver path.
+    if std::env::var("CHAOS_SEED").is_ok() {
+        return; // pinned replay of the other test's seed
+    }
+    let retries = |seed| {
+        fw(seed)
+            .seed(7)
+            .chaos(Chaos::Mix(60))
+            .check()
+            .summary
+            .retries
+    };
+    let total: u64 = seeds(3).into_iter().map(retries).sum();
+    assert!(total > 0, "chaos panics never reached the solver's stages");
+}
+
+#[test]
+fn a_panicking_chaos_solve_leaves_no_policy_behind() {
+    // A caller that fences a solver panic (as the job service fences
+    // its runners) must get its context back clean: the guard dropped
+    // during the unwind, so the next plain solve on the context reports
+    // exactly what a fresh context's fault-free solve reports. The
+    // dense solver reports a shape mismatch as a typed driver error
+    // before stage 0 — the same holds for that early return.
+    let heavy = || ChaosPolicy::seeded(5).with_task_panics(300);
+    let dense = fw(5).seed(3);
+    let fresh = dense.check().summary;
+    let sc = dense.context();
+    let input = harness::weights(32, &mut harness::Rng::new(3));
+    let fenced = catch_unwind(AssertUnwindSafe(|| {
+        let _chaos = sc.install_chaos(heavy());
+        solve::<Tropical>(&sc, &dense.cfg, &input.copy_block(0, 0, 24, 24))
+    }));
+    assert!(
+        matches!(fenced, Ok(Err(sparklet::JobError::Driver(_)))),
+        "size mismatch is a typed driver error"
+    );
+    solve::<Tropical>(&sc, &dense.cfg, &input).unwrap();
+    assert_eq!(sc.summary(), fresh);
+
+    // Same for the sparse sweep path (a source out of range is refused
+    // the same way).
+    let problem = Problem::Sparse {
+        density: 0.2,
+        sources: Some(vec![0, 7]),
+    };
+    let sparse = Case {
+        problem,
+        ..fw(5).seed(11)
+    };
+    let fresh = sparse.check().summary;
+    let sc = sparse.context();
+    let edges = sparse_erdos_renyi(32, 0.2, 1.0, 10.0, 11);
+    let fenced = catch_unwind(AssertUnwindSafe(|| {
+        let _chaos = sc.install_chaos(heavy());
+        solve_sparse_apsp(&sc, &edges, &[99], 8)
+    }));
+    assert!(
+        matches!(fenced, Ok(Err(sparklet::JobError::Driver(_)))),
+        "out-of-range source is a typed driver error"
+    );
+    solve_sparse_apsp(&sc, &edges, &[0, 7], 8).unwrap();
+    assert_eq!(sc.summary(), fresh);
+}
+
+/// The input the goldens below were recorded on: the suite's own
+/// xorshift stream at the time, kept so the recorded runs stay the
+/// recorded runs.
+fn recorded_input(n: usize, seed: u64) -> Matrix<f64> {
     let mut state = seed | 1;
     let mut next = move || {
         state ^= state << 13;
@@ -48,179 +123,12 @@ fn dist_matrix(n: usize, seed: u64) -> Matrix<f64> {
     })
 }
 
-/// The suite's fault mix: 6 % task panics (retried from lineage) and
-/// 6 % stragglers (virtual time only).
-fn chaos(seed: u64) -> ChaosPolicy {
-    ChaosPolicy::seeded(seed)
-        .with_task_panics(60)
-        .with_stragglers(60, 100)
-}
-
-/// One FW solve on a fresh seeded context, optionally under `policy`:
-/// the distances and what the run did.
-fn fw_run(
-    seed: u64,
-    cfg: &DpConfig,
-    input: &Matrix<f64>,
-    policy: Option<ChaosPolicy>,
-) -> (Matrix<f64>, RunSummary) {
-    let sc = sim_ctx(seed);
-    let _chaos = policy.map(|p| sc.install_chaos(p));
-    let out = solve::<Tropical>(&sc, cfg, input).expect("seeded solve");
-    (out, sc.summary())
-}
-
-/// The sparse twin of [`fw_run`].
-fn sparse_run(
-    seed: u64,
-    edges: &Csr<f64>,
-    sources: &[u32],
-    policy: Option<ChaosPolicy>,
-) -> (Matrix<f64>, RunSummary) {
-    let sc = sim_ctx(seed);
-    let _chaos = policy.map(|p| sc.install_chaos(p));
-    let out = solve_sparse_apsp(&sc, edges, sources, 3).expect("seeded sparse solve");
-    (out, sc.summary())
-}
-
-fn seeds(default_n: u64) -> Vec<u64> {
-    if let Ok(pin) = std::env::var("CHAOS_SEED") {
-        return vec![pin.trim().parse().expect("CHAOS_SEED must be a u64")];
-    }
-    let n = std::env::var("SIM_SEEDS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default_n);
-    (0..n).map(|i| 0x5eed_0000 + i).collect()
-}
-
-fn sweep(name: &str, default_n: u64, body: impl Fn(u64)) {
-    for seed in seeds(default_n) {
-        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| body(seed))) {
-            eprintln!(
-                "\n{name} failed at seed {seed}; replay with:\n    \
-                 CHAOS_SEED={seed} cargo test -p dp-core --test sim_chaos\n"
-            );
-            std::panic::resume_unwind(panic);
-        }
-    }
-}
-
-#[test]
-fn fw_under_seeded_chaos_is_bitwise_correct_and_replayable() {
-    let input = dist_matrix(32, 99);
-    let mut reference = input.clone();
-    gep_reference::<Tropical>(&mut reference);
-    let cfg = DpConfig::new(32, 8);
-
-    sweep("fw chaos", 3, |seed| {
-        // Fault-free deterministic run of the same seed.
-        let (clean_out, clean_rep) = fw_run(seed, &cfg, &input, None);
-        assert_eq!(
-            clean_out.first_difference(&reference),
-            None,
-            "CHAOS_SEED={seed}: clean deterministic run diverged from the reference"
-        );
-
-        // Chaotic run: panics retry from lineage, stragglers only cost
-        // virtual time — the distances must not change, and the stage
-        // structure and committed shuffle volume must match the clean
-        // run exactly (retries commit exactly one attempt per task).
-        let (out, rep) = fw_run(seed, &cfg, &input, Some(chaos(seed)));
-        assert_eq!(
-            out.first_difference(&reference),
-            None,
-            "CHAOS_SEED={seed}: chaotic run diverged from the reference"
-        );
-        assert_eq!(
-            (rep.stages, rep.tasks),
-            (clean_rep.stages, clean_rep.tasks),
-            "CHAOS_SEED={seed}: chaos must not change the stage structure"
-        );
-        assert_eq!(
-            rep.staged_bytes, clean_rep.staged_bytes,
-            "CHAOS_SEED={seed}: committed shuffle volume must match the clean run"
-        );
-        assert_eq!(
-            rep.speculative_launches, 0,
-            "CHAOS_SEED={seed}: sequential sim schedules cannot speculate"
-        );
-
-        // Replay: the same seed must reproduce the identical report.
-        let (out2, rep2) = fw_run(seed, &cfg, &input, Some(chaos(seed)));
-        assert_eq!(
-            out2.first_difference(&out),
-            None,
-            "CHAOS_SEED={seed}: replay produced different distances"
-        );
-        assert_eq!(
-            rep2, rep,
-            "CHAOS_SEED={seed}: replay produced a different report"
-        );
-    });
-}
-
-#[test]
-fn fw_chaos_retries_fire_across_the_default_sweep() {
-    // Per-seed retry counts vary, but a 6% panic rate over three full
-    // FW solves must retry somewhere — this guards against the chaos
-    // hook silently disconnecting from the solver path.
-    if std::env::var("CHAOS_SEED").is_ok() {
-        return; // pinned replay of the other test's seed
-    }
-    let input = dist_matrix(32, 7);
-    let cfg = DpConfig::new(32, 8);
-    let mut total_retries = 0u64;
-    for seed in seeds(3) {
-        let policy = ChaosPolicy::seeded(seed).with_task_panics(60);
-        total_retries += fw_run(seed, &cfg, &input, Some(policy)).1.retries;
-    }
-    assert!(
-        total_retries > 0,
-        "chaos panics never reached the solver's stages"
-    );
-}
-
-#[test]
-fn a_panicking_chaos_solve_leaves_no_policy_behind() {
-    // A caller that fences a solver panic (as the job service fences
-    // its runners) must get its context back clean: the guard dropped
-    // during the unwind, so the next plain solve on the context reports
-    // exactly what a fresh context's fault-free solve reports. The
-    // dense solver reports a shape mismatch as a typed driver error
-    // before stage 0 — the same holds for that early return.
-    let heavy = || ChaosPolicy::seeded(5).with_task_panics(300);
-    let input = dist_matrix(32, 3);
-    let cfg = DpConfig::new(32, 8);
-    let (_, fresh) = fw_run(5, &cfg, &input, None);
-    let sc = sim_ctx(5);
-    let wrong_size = dist_matrix(24, 3);
-    let fenced = catch_unwind(AssertUnwindSafe(|| {
-        let _chaos = sc.install_chaos(heavy());
-        solve::<Tropical>(&sc, &cfg, &wrong_size)
-    }));
-    assert!(
-        matches!(fenced, Ok(Err(sparklet::JobError::Driver(_)))),
-        "size mismatch is a typed driver error"
-    );
-    solve::<Tropical>(&sc, &cfg, &input).unwrap();
-    assert_eq!(sc.summary(), fresh);
-
-    // Same for the sparse sweep path (a source out of range is refused
-    // the same way).
-    let edges = sparse_erdos_renyi(24, 0.2, 1.0, 9.0, 11);
-    let (_, fresh) = sparse_run(5, &edges, &[0, 7], None);
-    let sc = sim_ctx(5);
-    let fenced = catch_unwind(AssertUnwindSafe(|| {
-        let _chaos = sc.install_chaos(heavy());
-        solve_sparse_apsp(&sc, &edges, &[99], 3)
-    }));
-    assert!(
-        matches!(fenced, Ok(Err(sparklet::JobError::Driver(_)))),
-        "out-of-range source is a typed driver error"
-    );
-    solve_sparse_apsp(&sc, &edges, &[0, 7], 3).unwrap();
-    assert_eq!(sc.summary(), fresh);
+/// What one run of `case`'s context and fault schedule did.
+fn summary_of(case: &Case, solve: impl FnOnce(&SparkContext)) -> RunSummary {
+    let sc = case.context();
+    let _chaos = case.policy().map(|p| sc.install_chaos(p));
+    solve(&sc);
+    sc.summary()
 }
 
 /// Golden reports, recorded at the commit before the driver layer was
@@ -263,10 +171,13 @@ fn seeded_reports_match_the_goldens_recorded_before_the_rewrite() {
         cache_hits: 221,
         ..fw_clean.clone()
     };
-    let input = dist_matrix(32, 3);
+    let input = recorded_input(32, 3);
     let cfg = DpConfig::new(32, 8);
-    assert_eq!(fw_run(5, &cfg, &input, None).1, fw_clean);
-    assert_eq!(fw_run(5, &cfg, &input, Some(chaos(5))).1, fw_chaos);
+    let dense = |sc: &SparkContext| {
+        solve::<Tropical>(sc, &cfg, &input).unwrap();
+    };
+    assert_eq!(summary_of(&fw(5), dense), fw_clean);
+    assert_eq!(summary_of(&fw(5).chaos(Chaos::Mix(60)), dense), fw_chaos);
 
     let sparse_clean = RunSummary {
         stages: 17,
@@ -296,9 +207,12 @@ fn seeded_reports_match_the_goldens_recorded_before_the_rewrite() {
         ..sparse_clean.clone()
     };
     let edges = sparse_erdos_renyi(24, 0.2, 1.0, 9.0, 11);
-    assert_eq!(sparse_run(5, &edges, &[0, 7], None).1, sparse_clean);
+    let sparse = |sc: &SparkContext| {
+        solve_sparse_apsp(sc, &edges, &[0, 7], 3).unwrap();
+    };
+    assert_eq!(summary_of(&fw(5), sparse), sparse_clean);
     assert_eq!(
-        sparse_run(5, &edges, &[0, 7], Some(chaos(5))).1,
+        summary_of(&fw(5).chaos(Chaos::Mix(60)), sparse),
         sparse_chaos
     );
 }

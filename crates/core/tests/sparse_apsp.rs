@@ -7,62 +7,35 @@
 //! knobs, replay-identical decision logs, and malformed sparse bodies
 //! rejected at admission as `Malformed`.
 
+mod harness;
+
 use bytes::Bytes;
-use cluster_model::{ClusterSpec, CostModel};
 use dp_core::jobs::{decode_matrix_f64, DpJobRequest, DpJobRunner};
-use dp_core::{solve_sparse_apsp, DpConfig};
-use gep_kernels::graph::{bellman_ford, dijkstra, sparse_erdos_renyi};
-use gep_kernels::Matrix;
+use dp_core::DpConfig;
+use gep_kernels::graph::sparse_erdos_renyi;
+use harness::{assert_rows_match_oracles, cluster, Case, Chaos, Mode, Problem};
 use sparklet::service::JobService;
-use sparklet::{Arrival, ChaosPolicy, JobState, Rejection, ServiceConfig, SparkConf, SparkContext};
+use sparklet::{Arrival, JobState, Rejection, ServiceConfig, SparkContext};
 
 fn sim_ctx(seed: u64) -> SparkContext {
-    SparkContext::new(
-        SparkConf::default()
-            .with_executors(2)
-            .with_executor_cores(2)
-            .with_partitions(4)
-            .with_sim_seed(seed),
-    )
+    SparkContext::new(cluster(2, 2, 4).with_sim_seed(seed))
 }
 
-fn assert_rows_match_oracles(out: &Matrix<f64>, adj: &Matrix<f64>, sources: &[u32], label: &str) {
-    for (s, &src) in sources.iter().enumerate() {
-        let bf = bellman_ford(adj, src as usize).expect("no negative cycles");
-        let dj = dijkstra(adj, src as usize);
-        for v in 0..adj.rows() {
-            assert_eq!(
-                out.get(s, v).to_bits(),
-                bf[v].to_bits(),
-                "{label}: src={src} v={v} vs Bellman–Ford"
-            );
-            assert_eq!(
-                out.get(s, v).to_bits(),
-                dj[v].to_bits(),
-                "{label}: src={src} v={v} vs Dijkstra"
-            );
-        }
-    }
+fn sweeps(density: f64, sources: Option<Vec<u32>>, n: usize, parts: usize) -> Case {
+    let problem = Problem::Sparse { density, sources };
+    Case::new(problem, n, parts).on(cluster(2, 2, 4))
 }
 
 #[test]
 fn sweeps_match_both_oracles_across_seeds_densities_parts_and_sources() {
+    let n = 21;
     for (seed, density) in [(1u64, 0.05), (2, 0.15), (3, 0.4)] {
-        let n = 21;
-        let g = sparse_erdos_renyi(n, density, 1.0, 10.0, seed);
-        let adj = g.to_dense();
-        let all: Vec<u32> = (0..n as u32).collect();
-        let few = [0u32, 7, 20];
-        for sources in [&all[..], &few[..]] {
+        for sources in [None, Some(vec![0, 7, 20])] {
             for parts in [1usize, 2, 5, n] {
-                let sc = sim_ctx(seed);
-                let out = solve_sparse_apsp(&sc, &g, sources, parts).expect("solve");
-                assert_rows_match_oracles(
-                    &out,
-                    &adj,
-                    sources,
-                    &format!("seed={seed} density={density} parts={parts}"),
-                );
+                sweeps(density, sources.clone(), n, parts)
+                    .seed(seed)
+                    .mode(Mode::Sim(seed))
+                    .check();
             }
         }
     }
@@ -70,46 +43,19 @@ fn sweeps_match_both_oracles_across_seeds_densities_parts_and_sources() {
 
 #[test]
 fn chaos_sweep_replays_identically_and_keeps_the_bits() {
-    let n = 18;
-    let g = sparse_erdos_renyi(n, 0.2, 1.0, 8.0, 77);
-    let sources = [0u32, 4, 9, 17];
-    let clean = solve_sparse_apsp(&sim_ctx(5), &g, &sources, 3).expect("clean run");
-
+    // Each chaotic row recovers to both oracles' bits and replays its
+    // full report (stages, retries, traffic) from the seed.
+    let row = sweeps(0.2, Some(vec![0, 4, 9, 17]), 18, 3).seed(77);
     for chaos_seed in [11u64, 12, 13] {
-        let run = || {
-            let sc = sim_ctx(chaos_seed);
-            let _chaos = sc.install_chaos(ChaosPolicy::seeded(chaos_seed).with_fetch_failures(60));
-            let out = solve_sparse_apsp(&sc, &g, &sources, 3).expect("chaos run recovers");
-            (out, sc.summary())
-        };
-        let (out1, rep1) = run();
-        let (out2, rep2) = run();
-        assert_eq!(
-            out1.first_difference(&clean),
-            None,
-            "chaos seed {chaos_seed} drifted from the clean answer"
-        );
-        assert_eq!(
-            out1.first_difference(&out2),
-            None,
-            "chaos seed {chaos_seed} is not replay-stable"
-        );
-        assert_eq!(
-            rep1, rep2,
-            "chaos seed {chaos_seed}: the full run report (stages, retries, \
-             traffic) must replay from the seed"
-        );
-        assert_rows_match_oracles(&out1, &g.to_dense(), &sources, "under chaos");
+        let chaotic = row.clone().mode(Mode::Sim(chaos_seed));
+        chaotic.chaos(Chaos::FetchFailures(60)).check();
     }
 }
 
 // --- through the job service ------------------------------------------
 
 fn runner() -> DpJobRunner {
-    DpJobRunner::new(
-        CostModel::new(ClusterSpec::skylake(), 4),
-        DpConfig::new(1, 1),
-    )
+    harness::runner(DpConfig::new(1, 1))
 }
 
 fn sparse_body(seed: u64, n: usize, sources: Vec<u32>, parts: usize) -> Bytes {
@@ -173,9 +119,9 @@ fn scripted_service_run_replays_and_caches_across_execution_knobs() {
     // And the cached/recomputed answers are *right*, bitwise.
     let adj = sparse_erdos_renyi(20, 0.15, 1.0, 9.0, 42).to_dense();
     let first = decode_matrix_f64(r1[0].as_ref().expect("done")).expect("decode");
-    assert_rows_match_oracles(&first, &adj, &[0, 5, 19], "service run 1");
+    assert_rows_match_oracles(&first, &adj, &[0, 5, 19]);
     let third = decode_matrix_f64(r1[2].as_ref().expect("done")).expect("decode");
-    assert_rows_match_oracles(&third, &adj, &[1, 2], "service run 3");
+    assert_rows_match_oracles(&third, &adj, &[1, 2]);
 }
 
 #[test]

@@ -248,6 +248,26 @@ fn parenthesis_recursive_matches_reference() {
 }
 
 #[test]
+fn lcs_is_symmetric_and_bounded() {
+    use gep_kernels::alignment::{align_reference, AlignScore};
+    check(8, |rng| {
+        let a = rng.vec(0..30, |r| *r.pick(b"ACG"));
+        let b = rng.vec(0..30, |r| *r.pick(b"ACG"));
+        let ab = align_reference(&a, &b, &AlignScore::Lcs);
+        let ba = align_reference(&b, &a, &AlignScore::Lcs);
+        let len_ab = ab.get(a.len(), b.len());
+        let len_ba = ba.get(b.len(), a.len());
+        assert_eq!(len_ab, len_ba);
+        assert!(len_ab as usize <= a.len().min(b.len()));
+        // Monotone in prefixes.
+        if !a.is_empty() {
+            let shorter = align_reference(&a[..a.len() - 1], &b, &AlignScore::Lcs);
+            assert!(shorter.get(a.len() - 1, b.len()) <= len_ab);
+        }
+    });
+}
+
+#[test]
 fn rkleene_matches_fw_for_any_graph() {
     use gep_kernels::rkleene::apsp_rkleene;
     check(24, |rng| {
