@@ -16,7 +16,8 @@
 //!   outweighs its parallelism. The planner prices candidate counts
 //!   (divisors of the current count, so [`sparklet::Rdd::coalesce`]
 //!   stays narrow *and* keeps the partitioner signature, plus one 2×
-//!   split) against the model and coalesces or splits the winner.
+//!   split) against the model over every remaining iteration, and
+//!   coalesces or splits the winner.
 //! * **strategy** — IM's wide shuffles are priced against CB's serial
 //!   driver collect/broadcast phase at the *next* phase's volumes; the
 //!   loop switches when the other pattern wins by a clear margin.
@@ -36,7 +37,8 @@
 use cluster_model::{
     ClusterSpec, CostModel, KernelInvocation, KernelType, StageRecord, TaskRecord,
 };
-use sparklet::{Partitioner, RunSummary, SparkContext, StorageLevel};
+use gep_kernels::gep::Kind;
+use sparklet::{RunSummary, SparkContext, StorageLevel};
 
 use crate::backend::KernelParams;
 use crate::config::Strategy;
@@ -44,12 +46,15 @@ use crate::filters;
 use crate::problem::DpProblem;
 use crate::solver::Plan;
 
-/// Wide-ish stages one IM iteration runs (combine ×2 + repartition +
-/// materialize) — overhead multiplier for modeled iteration cost.
-const IM_STAGES_PER_ITER: usize = 4;
-/// Stages one CB iteration runs (collect/broadcast pseudo-stages,
-/// kernel maps, materialize).
-const CB_STAGES_PER_ITER: usize = 6;
+/// Stages one IM iteration runs: the A and B/C stages (each the map
+/// side of a shuffle) and the D stage that materializes.
+const IM_STAGES_PER_ITER: usize = 3;
+/// Stages one CB iteration runs: the A and B/C collects, the driver's
+/// collect/broadcast phase, and the D and A/B/C materializations.
+const CB_STAGES_PER_ITER: usize = 5;
+/// An iteration's kernel waves in dependency order. Each runs in a
+/// stage of its own under both strategies.
+const WAVES: [&[Kind]; 3] = [&[Kind::A], &[Kind::B, Kind::C], &[Kind::D]];
 /// Relative improvement a re-plan must promise before it is adopted
 /// (hysteresis against flapping on model noise).
 const REPLAN_MARGIN: f64 = 0.95;
@@ -128,8 +133,11 @@ impl AqePlanner {
             .map(|kind| S::updates_for(kind, b))
             .sum();
         let (panel, d_blocks) = phase_blocks::<S>(0, g, b);
-        let bytes = self.im_shuffle_bytes(panel, d_blocks, b);
-        self.repartition(plan, &keys, bytes, updates)
+        let bytes = match plan.strategy {
+            Strategy::InMemory => self.im_shuffle_bytes::<S>(panel, d_blocks, b),
+            Strategy::CollectBroadcast => self.cb_bytes(panel, b),
+        };
+        self.repartition(plan, 0, bytes, updates)
             .into_iter()
             .collect()
     }
@@ -152,43 +160,55 @@ impl AqePlanner {
         });
         let (g, b) = (plan.grid, plan.block);
         let active_now = active_keys::<S>(k, g, b).len();
-        let next_keys = active_keys::<S>(k + 1, g, b);
-        let active_next = next_keys.len();
+        let active_next = active_keys::<S>(k + 1, g, b).len();
         if active_now == 0 || active_next == 0 {
             return Vec::new();
         }
         let ratio = active_next as f64 / active_now as f64;
-        let next_bytes = (did.staged_bytes as f64 * ratio) as u64;
+        // What the iteration moved: IM's shuffles, or CB's driver phase.
+        let moved = match plan.strategy {
+            Strategy::InMemory => did.staged_bytes,
+            Strategy::CollectBroadcast => did.broadcast_bytes,
+        };
+        let next_bytes = (moved as f64 * ratio) as u64;
         let next_updates = did.kernel_updates * ratio;
 
         let mut out = Vec::new();
         out.extend(self.retier(&did, plan.level));
         let mut partitions = plan.partitions;
-        if let Some(d) = self.repartition(plan, &next_keys, next_bytes, next_updates) {
+        if let Some(d) = self.repartition(plan, k + 1, next_bytes, next_updates) {
             if let AqeAction::Repartition(p) = d.action {
                 partitions = p;
             }
             out.push(d);
         }
-        let loads = placement_loads(&next_keys, plan.partitioner.as_ref(), partitions);
-        out.extend(self.switch_strategy(plan, k + 1, &loads, next_bytes, next_updates));
+        out.extend(self.switch_strategy(plan, k + 1, partitions, next_bytes, next_updates));
         out.extend(self.retune(plan, next_updates, partitions));
         out
     }
 
-    /// What one IM iteration shuffles, from block counts alone: each D
-    /// block's B and C inputs plus the A block and the panels
-    /// themselves.
-    fn im_shuffle_bytes(&self, panel: usize, d_blocks: usize, b: usize) -> u64 {
-        ((2 * d_blocks + panel) * b * b * self.elem_bytes) as u64
+    /// What one IM iteration shuffles, from block counts alone. The A
+    /// stage ships the diagonal block and a copy of it per panel (and
+    /// per D block when `f` reads `w`); the B/C stage ships the diagonal
+    /// and the panels on, a copy per D block from each side, and any
+    /// diagonal copies bound for D. The in-place blocks do not move.
+    fn im_shuffle_bytes<S: DpProblem>(&self, panel: usize, d_blocks: usize, b: usize) -> u64 {
+        let w_copies = if S::USES_W { d_blocks } else { 0 };
+        ((2 * panel + 2 * d_blocks + 2 * w_copies) * b * b * self.elem_bytes) as u64
+    }
+
+    /// What one CB iteration collects to the driver and broadcasts
+    /// back: the A block and its panels.
+    fn cb_bytes(&self, panel: usize, b: usize) -> u64 {
+        (panel * b * b * self.elem_bytes) as u64
     }
 
     /// Synthetic stage record: `bytes` shuffled and `updates` computed
     /// over `p` tasks placed round-robin across the cluster's nodes.
-    /// `loads` weights each task's share (the candidate partitioner's
-    /// actual per-partition block counts) — uniform spread would hide
-    /// the quantization skew that makes very low partition counts
-    /// straggle, and the planner would over-coalesce.
+    /// `loads` weights each task's share (the work the candidate
+    /// partitioner actually places in each partition) — uniform spread
+    /// would hide the quantization skew that makes very low partition
+    /// counts straggle, and the planner would over-coalesce.
     fn synth_stage(
         &self,
         loads: &[f64],
@@ -226,8 +246,8 @@ impl AqePlanner {
         }
     }
 
-    /// Overhead-only stage: `p` empty tasks (models the extra stages of
-    /// an iteration beyond its dominant one).
+    /// Overhead-only stage: `p` empty tasks (models the stages of an
+    /// iteration that run no kernel wave).
     fn synth_overhead(&self, p: usize) -> StageRecord {
         let nodes = self.model.spec.nodes.max(1);
         StageRecord {
@@ -241,56 +261,97 @@ impl AqePlanner {
         }
     }
 
-    /// Modeled seconds for one iteration of `strategy` with per-task
-    /// `loads`. `bytes` is what IM shuffles, or what CB collects to the
-    /// driver and broadcasts back.
-    fn iter_seconds(
+    /// Modeled seconds for iteration `k` of `strategy` on `p`
+    /// partitions. `bytes` is what IM shuffles, or what CB collects to
+    /// the driver and broadcasts back; `updates` is the iteration's
+    /// kernel work. The kernels run as the recorded iteration runs
+    /// them: one synthetic stage per wave ([`WAVES`]), each over the
+    /// partitioner's actual placement of that wave's blocks, so the
+    /// waves' stragglers add up instead of hiding in one stage's total.
+    /// IM's shuffle traffic rides the D wave.
+    fn iter_seconds<S: DpProblem>(
         &self,
+        plan: &Plan<S>,
         strategy: Strategy,
-        loads: &[f64],
+        k: usize,
+        p: usize,
         bytes: u64,
         updates: f64,
-        b: usize,
-        kt: KernelType,
     ) -> f64 {
+        let (g, b, kt) = (plan.grid, plan.block, plan.kernel.kernel_type());
         let price = |stage: &StageRecord| self.model.stage_seconds(stage);
-        let extra = price(&self.synth_overhead(loads.len()));
+        // Each wave's work per partition, at the partitioner's placement.
+        let loads: Vec<Vec<f64>> = WAVES
+            .iter()
+            .map(|wave| {
+                let mut loads = vec![0.0; p.max(1)];
+                for key in grid_keys(g) {
+                    match filters::kind_of::<S>(key, k, b) {
+                        Some(kind) if wave.contains(&kind) => {
+                            loads[plan.partitioner.partition(&key, p.max(1))] +=
+                                S::updates_for(kind, b)
+                        }
+                        _ => {}
+                    }
+                }
+                loads
+            })
+            .collect();
+        // The measured work, split between the waves as the filters split it.
+        let total: f64 = loads.iter().flatten().sum::<f64>().max(1.0);
+        let waves: f64 = loads
+            .iter()
+            .zip(WAVES)
+            .map(|(loads, wave)| {
+                let shuffled = match strategy {
+                    Strategy::InMemory if wave.contains(&Kind::D) => bytes,
+                    _ => 0,
+                };
+                let work = updates * loads.iter().sum::<f64>() / total;
+                price(&self.synth_stage(loads, shuffled, work, b, kt))
+            })
+            .sum();
+        let extra = price(&self.synth_overhead(p));
         match strategy {
-            Strategy::InMemory => {
-                let main = price(&self.synth_stage(loads, bytes, updates, b, kt));
-                main + extra * (IM_STAGES_PER_ITER - 1) as f64
-            }
+            Strategy::InMemory => waves + extra * (IM_STAGES_PER_ITER - WAVES.len()) as f64,
             Strategy::CollectBroadcast => {
-                let compute = price(&self.synth_stage(loads, 0, updates, b, kt));
                 let driver = price(&StageRecord {
                     collect_bytes: bytes,
                     broadcast_bytes: bytes,
                     ..Default::default()
                 });
-                compute + driver + extra * (CB_STAGES_PER_ITER - 2) as f64
+                waves + driver + extra * (CB_STAGES_PER_ITER - WAVES.len() - 1) as f64
             }
         }
     }
 
-    /// Price candidate partition counts for the next iteration and
-    /// adopt the winner if it clears the margin. Candidates are the
-    /// divisors of the plan's current count at or above the floor
-    /// (narrow, signature-preserving coalesce) plus one 2× split. Each
-    /// candidate is priced at the partitioner's *actual* placement of
-    /// the next phase's active keys, so quantization skew at low
-    /// counts is charged honestly.
+    /// Price candidate partition counts for iterations `k..` and adopt
+    /// the winner if it clears the margin. Candidates are the divisors
+    /// of the plan's current count at or above the floor (narrow,
+    /// signature-preserving coalesce) plus one 2× split while the
+    /// active set can use it. A count is priced over *every* remaining
+    /// iteration, each at `bytes` and `updates` scaled by its active
+    /// set: once that set is too small to split again a coalesce is
+    /// final, so a count that wins the next iteration but loses the
+    /// tail to quantization must not be taken.
     fn repartition<S: DpProblem>(
         &self,
         plan: &Plan<S>,
-        next_keys: &[(usize, usize)],
+        k: usize,
         bytes: u64,
         updates: f64,
     ) -> Option<AqeDecision> {
-        let (current, b, kt) = (plan.partitions, plan.block, plan.kernel.kernel_type());
-        let active_next = next_keys.len();
-        let price = |p: usize| {
-            let loads = placement_loads(next_keys, plan.partitioner.as_ref(), p);
-            self.iter_seconds(plan.strategy, &loads, bytes, updates, b, kt)
+        let (g, b, current) = (plan.grid, plan.block, plan.partitions);
+        let active = |j: usize| active_keys::<S>(j, g, b).len();
+        let active_next = active(k);
+        let price = |p: usize| -> f64 {
+            (k..g)
+                .map(|j| {
+                    let r = active(j) as f64 / active_next as f64;
+                    let j_bytes = (bytes as f64 * r) as u64;
+                    self.iter_seconds(plan, plan.strategy, j, p, j_bytes, updates * r)
+                })
+                .sum()
         };
         let mut candidates: Vec<usize> = (self.min_partitions..=current)
             .filter(|p| current.is_multiple_of(*p))
@@ -312,38 +373,36 @@ impl AqePlanner {
             action: AqeAction::Repartition(p),
             label: format!("{verb}:{current}->{p}"),
             reason: format!(
-                "modeled iter {:.3}s at {p} parts vs {:.3}s at {current} ({active_next} active blocks)",
-                cost, now
+                "modeled {} iteration(s) {:.3}s at {p} parts vs {:.3}s at {current} ({active_next} active blocks)",
+                g - k,
+                cost,
+                now
             ),
         })
     }
 
-    /// Price IM vs CB at the next phase's volumes and switch if the
-    /// other strategy wins by [`STRATEGY_MARGIN`].
+    /// Price IM vs CB for iteration `k` at `partitions` and switch if
+    /// the other strategy wins by [`STRATEGY_MARGIN`].
     fn switch_strategy<S: DpProblem>(
         &self,
         plan: &Plan<S>,
         k: usize,
-        loads: &[f64],
-        im_bytes: u64,
+        partitions: usize,
+        bytes: u64,
         updates: f64,
     ) -> Option<AqeDecision> {
         let (g, b, strategy) = (plan.grid, plan.block, plan.strategy);
-        let kt = plan.kernel.kernel_type();
-        // CB moves the A block plus the B/C panels through the driver,
-        // regardless of what IM would shuffle.
+        // Each strategy's volume: measured for the one running (scaled
+        // by the caller), reconstructed from the filters for the other.
         let (panel, d_blocks) = phase_blocks::<S>(k, g, b);
-        let cb_volume = (panel * b * b * self.elem_bytes) as u64;
-        // IM's shuffle volume: measured when we are running IM (scaled
-        // by the caller), reconstructed from the filters when we are
-        // running CB.
-        let im_volume = if strategy == Strategy::InMemory {
-            im_bytes
-        } else {
-            self.im_shuffle_bytes(panel, d_blocks, b)
+        let (im_volume, cb_volume) = match strategy {
+            Strategy::InMemory => (bytes, self.cb_bytes(panel, b)),
+            Strategy::CollectBroadcast => (self.im_shuffle_bytes::<S>(panel, d_blocks, b), bytes),
         };
-        let im = self.iter_seconds(Strategy::InMemory, loads, im_volume, updates, b, kt);
-        let cb = self.iter_seconds(Strategy::CollectBroadcast, loads, cb_volume, updates, b, kt);
+        let price =
+            |s: Strategy, volume: u64| self.iter_seconds(plan, s, k, partitions, volume, updates);
+        let im = price(Strategy::InMemory, im_volume);
+        let cb = price(Strategy::CollectBroadcast, cb_volume);
         let (to, ours, theirs) = match strategy {
             Strategy::InMemory => (Strategy::CollectBroadcast, im, cb),
             Strategy::CollectBroadcast => (Strategy::InMemory, cb, im),
@@ -444,19 +503,6 @@ fn active_keys<S: DpProblem>(k: usize, g: usize, b: usize) -> Vec<(usize, usize)
         .collect()
 }
 
-/// Per-partition active-block counts under `part` at count `p`.
-fn placement_loads(
-    keys: &[(usize, usize)],
-    part: &dyn Partitioner<(usize, usize)>,
-    p: usize,
-) -> Vec<f64> {
-    let mut loads = vec![0.0; p.max(1)];
-    for key in keys {
-        loads[part.partition(key, p.max(1))] += 1.0;
-    }
-    loads
-}
-
 /// Phase `k`'s `(panel, d)` block counts: the A block with its B and C
 /// panels, and the trailing D blocks.
 fn phase_blocks<S: DpProblem>(k: usize, g: usize, b: usize) -> (usize, usize) {
@@ -492,20 +538,83 @@ mod tests {
                 .with_sim_seed(7),
         );
         let planner = AqePlanner::new(&sc, 8);
-        // A tiny next-phase volume at a huge partition count: overhead
-        // dominates, so the planner must coalesce — and only to a
-        // divisor at or above the 4-executor floor.
+        // A tiny volume for the last phase at a huge partition count:
+        // overhead dominates, so the planner must coalesce — and only
+        // to a divisor at or above the 4-executor floor.
         let plan = Plan::<Tropical>::new(&sc, &DpConfig::new(64, 8).with_partitions(96))
             .expect("the default config resolves");
-        let keys = [(0, 0), (0, 1), (1, 0), (1, 1)];
         let d = planner
-            .repartition(&plan, &keys, 1 << 12, 1e4)
+            .repartition(&plan, 7, 1 << 12, 1e4)
             .expect("overhead-dominated stage must coalesce");
         let AqeAction::Repartition(p) = d.action else {
             panic!("expected repartition, got {d:?}");
         };
         assert!(96 % p == 0 && p >= 4, "non-divisor or below floor: {p}");
         assert!(d.label.starts_with("coalesce:96->"), "{}", d.label);
+    }
+
+    /// The synthetic IM iteration must price what the recorded one
+    /// costs, at every phase and partition count, or the planner's
+    /// choices rest on a different run than the one it steers. GE's
+    /// tail is where one wave's straggler decides an iteration.
+    #[test]
+    fn synthetic_im_iterations_track_the_recorded_ones() {
+        use crate::solver::solve_virtual;
+        for partitions in [8, 16, 32] {
+            let sc = SparkContext::new(
+                sparklet::SparkConf::default()
+                    .with_executors(4)
+                    .with_executor_cores(2)
+                    .with_partitions(partitions),
+            );
+            let cfg = DpConfig::new(4096, 512).with_partitions(partitions);
+            let plan = Plan::<GaussianElim>::new(&sc, &cfg).expect("the config resolves");
+            let planner = AqePlanner::new(&sc, 8);
+            solve_virtual::<GaussianElim>(&sc, &cfg).expect("virtual run");
+            let stages = sc.with_event_log(|log| log.stages().to_vec());
+            for (k, iteration) in stages
+                .chunks(IM_STAGES_PER_ITER)
+                .take(plan.grid)
+                .enumerate()
+            {
+                let recorded: f64 = iteration
+                    .iter()
+                    .map(|s| planner.model.stage_seconds(&s.record))
+                    .sum();
+                let did = RunSummary::of(iteration);
+                let modeled = planner.iter_seconds(
+                    &plan,
+                    Strategy::InMemory,
+                    k,
+                    partitions,
+                    did.staged_bytes,
+                    did.kernel_updates,
+                );
+                assert!(
+                    (modeled / recorded - 1.0).abs() < 0.05,
+                    "iteration {k} at {partitions} partitions: modeled {modeled:.3}s, recorded {recorded:.3}s"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn strategy_switches_either_way_when_the_other_moves_far_less() {
+        let sc = SparkContext::new(sparklet::SparkConf::default().with_executors(4));
+        let planner = AqePlanner::new(&sc, 8);
+        for (from, to) in [
+            (Strategy::InMemory, Strategy::CollectBroadcast),
+            (Strategy::CollectBroadcast, Strategy::InMemory),
+        ] {
+            let cfg = DpConfig::new(4096, 512).with_strategy(from);
+            let plan = Plan::<GaussianElim>::new(&sc, &cfg).expect("the config resolves");
+            // The running strategy measured a terabyte; the other one's
+            // volume comes from the filters.
+            let d = planner
+                .switch_strategy(&plan, 1, 16, 1 << 40, 1e10)
+                .expect("a terabyte must lose to the filters' volume");
+            assert_eq!(d.action, AqeAction::SwitchStrategy(to));
+        }
     }
 
     #[test]

@@ -301,7 +301,8 @@ pub fn solve_alignment(
             bc_halos.clone(),
         );
         let blk = block;
-        let rdd = sc.parallelize(keys, None).map_partitions_to(
+        let rdd = sc.parallelize(keys, None).map_partitions(
+            false,
             move |_p, items, tc| -> Vec<((usize, usize), Vec<i64>)> {
                 if items.is_empty() {
                     return Vec::new();

@@ -7,6 +7,12 @@
 //! serialization and auxiliary storage is exactly the paper's stated
 //! trade; the cost model prices the driver phases from the
 //! `log_driver_traffic` records emitted here.
+//!
+//! Every branch of an iteration (the untouched blocks, the rebuilt
+//! A/B/C blocks, the updated D blocks) is a filter or a
+//! partitioning-preserving map of the table, so the closing union zips
+//! them partition by partition and Listing 2's repartition elides: an
+//! iteration stages no shuffle bytes at all.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -187,10 +193,9 @@ pub(crate) fn step<S: DpProblem>(
     let d_up = d_handle.wait()?;
     let updated_abc = abc_handle.wait()?;
 
-    // ---- Wrap up: union everything, one repartition per iteration ---
+    // ---- Wrap up: union everything; the repartition elides ----------
     let untouched = dp.filter(move |key, _| !filters::touched::<S>(*key, k, b));
-    Ok(untouched
-        .union(&updated_abc)
-        .union(&d_up)
+    Ok(sc
+        .union(vec![untouched, updated_abc, d_up])
         .partition_by(plan.partitions, Arc::clone(&plan.partitioner)))
 }

@@ -2,20 +2,25 @@
 //!
 //! One iteration `k` of the blocked GEP runs as three Spark-style
 //! stages, with updated blocks *copied* to their consumers through wide
-//! `combineByKey`-shaped shuffles:
+//! dependencies:
 //!
 //! 1. **A stage** — the diagonal block updates itself and flat-maps
 //!    `2(r-k-1) + (r-k-1)²` tagged copies of itself toward the B, C,
 //!    and D consumers (the copy multiplicity the paper identifies as
 //!    IM's bottleneck for heavy dependency patterns like GE);
-//! 2. **BC stage** — a `group_by_key` joins each panel block with its
+//! 2. **BC stage** — a `cogroup` joins each panel block with its
 //!    diagonal copy; kernels B/C run and flat-map their own copies
 //!    toward the D consumers;
-//! 3. **D stage** — a second `group_by_key` joins each trailing block
-//!    with its U/V/W operands; kernel D runs.
+//! 3. **D stage** — a second `cogroup` joins each trailing block with
+//!    its U/V/W operands; kernel D runs.
 //!
-//! The iteration ends with the untouched blocks unioned back in and a
-//! `partition_by` (the repartitioning step of Listing 1, line 22).
+//! Each `cogroup` takes the blocks being updated in place (the table's
+//! panel or trailing blocks, already placed by the plan's partitioner)
+//! as a narrow side, so only the tagged copies, plus the A and B/C
+//! blocks passing through, shuffle: two shuffles an iteration. The D
+//! stage keeps the placement, so the closing union with the untouched
+//! blocks zips partition by partition and Listing 1's repartition
+//! (line 22) elides.
 
 use std::sync::Arc;
 
@@ -59,7 +64,7 @@ pub(crate) fn step<S: DpProblem>(
     let kc_d = plan.kernel.clone();
     let a_all = dp
         .filter(move |key, _| filters::filter_a(*key, k))
-        .map_partitions_to(move |_p, items, tc| {
+        .map_partitions(false, move |_p, items, tc| {
             let mut out: Tagged<S::Elem> = Vec::new();
             for (key, mut blk) in items {
                 apply_kernel(&kc, Kind::A, key, k, &mut blk, None, None, None, tc);
@@ -89,18 +94,16 @@ pub(crate) fn step<S: DpProblem>(
             out
         });
 
-    // ---- Stage 2: combine panels with the diagonal; run B and C ----
-    let bc_mains = dp
-        .filter(move |key, _| {
-            filters::filter_b::<S>(*key, k, b) || filters::filter_c::<S>(*key, k, b)
-        })
-        .map_values(|blk| (ROLE_MAIN, blk));
-    let abc_grouped = bc_mains
-        .union(&a_all)
-        .group_by_key(partitions, Arc::clone(&plan.partitioner));
-    let bc_out = abc_grouped.map_partitions_to(move |_p, groups, tc| {
+    // ---- Stage 2: cogroup panels with the diagonal; run B and C ----
+    // The panel mains stay where they are (the narrow side); only the
+    // A stage's output shuffles to them.
+    let bc_mains = dp.filter(move |key, _| {
+        filters::filter_b::<S>(*key, k, b) || filters::filter_c::<S>(*key, k, b)
+    });
+    let abc_grouped = bc_mains.cogroup(&a_all, partitions, Arc::clone(&plan.partitioner));
+    let bc_out = abc_grouped.map_partitions(false, move |_p, groups, tc| {
         let mut out: Tagged<S::Elem> = Vec::new();
-        for (key, mut group) in groups {
+        for (key, (mut mains, mut group)) in groups {
             let is_b = filters::filter_b::<S>(key, k, b);
             if filters::filter_a(key, k) {
                 // The diagonal block passes through to the final union.
@@ -117,8 +120,7 @@ pub(crate) fn step<S: DpProblem>(
                 };
                 let d = pick(&group, ROLE_DIAG).expect("a panel needs the diagonal copy");
                 let diag = group.swap_remove(d).1;
-                let m = pick(&group, ROLE_MAIN).expect("panel main present");
-                let mut blk = group.swap_remove(m).1;
+                let mut blk = mains.pop().expect("panel main present");
                 apply_kernel(&kc_bc, kind, key, k, &mut blk, None, None, Some(&diag), tc);
                 for t in 0..g {
                     let consumer = if is_b { (t, key.1) } else { (key.0, t) };
@@ -139,19 +141,16 @@ pub(crate) fn step<S: DpProblem>(
         out
     });
 
-    // ---- Stage 3: combine trailing blocks with operands; run D -----
-    let d_mains = dp
-        .filter(move |key, _| filters::filter_d::<S>(*key, k, b))
-        .map_values(|blk| (ROLE_MAIN, blk));
-    let d_grouped = d_mains
-        .union(&bc_out)
-        .group_by_key(partitions, Arc::clone(&plan.partitioner));
-    let updated = d_grouped.map_partitions_to(move |_p, groups, tc| {
+    // ---- Stage 3: cogroup trailing blocks with operands; run D -----
+    // Same shape: the D mains are the narrow side, and the output keeps
+    // the placement, so the closing repartition elides.
+    let d_mains = dp.filter(move |key, _| filters::filter_d::<S>(*key, k, b));
+    let d_grouped = d_mains.cogroup(&bc_out, partitions, Arc::clone(&plan.partitioner));
+    let updated = d_grouped.map_partitions(true, move |_p, groups, tc| {
         let mut out: Vec<(K, Block<S::Elem>)> = Vec::new();
-        for (key, mut group) in groups {
+        for (key, (mut mains, mut group)) in groups {
             if filters::filter_d::<S>(key, k, b) {
-                let m = pick(&group, ROLE_MAIN).expect("D main present");
-                let mut blk = group.swap_remove(m).1;
+                let mut blk = mains.pop().expect("D main present");
                 let u = pick(&group, ROLE_U).expect("D needs a U copy");
                 let u_blk = group.swap_remove(u).1;
                 let v = pick(&group, ROLE_V).expect("D needs a V copy");
@@ -183,7 +182,7 @@ pub(crate) fn step<S: DpProblem>(
         out
     });
 
-    // ---- Wrap up: union untouched blocks, repartition ---------------
+    // ---- Wrap up: union untouched blocks; the repartition elides ----
     let untouched = dp.filter(move |key, _| !filters::touched::<S>(*key, k, b));
     Ok(untouched
         .union(&updated)
@@ -198,10 +197,11 @@ mod tests {
     use sparklet::{SparkConf, SparkContext};
 
     /// Pin the stage graph the DAG scheduler extracts from one
-    /// representative IM iteration: the two `group_by_key` joins chain
-    /// into the final repartition, and the result stage hangs off the
-    /// last shuffle. If stage extraction, fusion of the narrow
-    /// filter/map chains, or the explain format drifts, this fails.
+    /// representative IM iteration: each `cogroup` shuffles only the
+    /// stage output feeding it (4 map tasks), the two chain, and the
+    /// result stage hangs off the second. The in-place sides and the
+    /// closing repartition elide. If stage extraction, fusion of the narrow filter/map
+    /// chains, or the explain format drifts, this fails.
     #[test]
     fn explain_pins_the_im_iteration_stage_graph() {
         let g = 3;
@@ -225,10 +225,10 @@ mod tests {
         let plan = next.explain();
         let expected = "\
 == stage graph ==
-stage shuffle#1 combine_by_key [8 map tasks -> 4 partitions] <- [input]
-stage shuffle#2 combine_by_key [8 map tasks -> 4 partitions] <- [shuffle#1]
-stage shuffle#3 partition_by [8 map tasks -> 4 partitions] <- [shuffle#2]
-stage result <- [shuffle#3]
+stage shuffle#1 partition_by [4 map tasks -> 4 partitions] <- [input]
+stage shuffle#2 partition_by [4 map tasks -> 4 partitions] <- [shuffle#1]
+stage result <- [shuffle#2]
+note: 3 shuffle(s) elided (already co-partitioned)
 ";
         assert!(
             plan.contains(expected),

@@ -207,7 +207,7 @@ pub fn solve_sparse_apsp(
         }
         rounds += 1;
 
-        let swept = state.map_partitions_to(move |_p, items, tc| {
+        let swept = state.map_partitions(false, move |_p, items, tc| {
             let mut out: Vec<(usize, SweepVal)> = Vec::new();
             for (q, v) in items {
                 let SweepVal::State {
@@ -243,7 +243,7 @@ pub fn solve_sparse_apsp(
         });
 
         let grouped = swept.group_by_key(parts, Arc::clone(&partitioner));
-        let merged = grouped.map_partitions_to(move |_p, groups, _tc| {
+        let merged = grouped.map_partitions(false, move |_p, groups, _tc| {
             let mut out: Vec<(usize, SweepVal)> = Vec::new();
             for (q, vals) in groups {
                 let mut state_edges: Option<Block<f64>> = None;

@@ -220,12 +220,16 @@ impl SparkContext {
         Rdd::parallelize(self.clone(), data, partitions, partitioner)
     }
 
-    /// Union several RDDs (partitions concatenate; no shuffle).
+    /// Union several RDDs in one narrow node (no shuffle). Parents that
+    /// all report one partitioner signature are zipped (Spark's
+    /// `PartitionerAwareUnionRDD`): partition `p` is each parent's
+    /// partition `p` in parent order, on the node most of them prefer
+    /// (ties to the earliest), and the signature survives, so a
+    /// following `partition_by` with it elides. Otherwise partitions
+    /// concatenate, parent after parent, with no signature.
     pub fn union<K: Key, V: ShufVal>(&self, rdds: Vec<Rdd<K, V>>) -> Rdd<K, V> {
         assert!(!rdds.is_empty(), "union of zero RDDs");
-        let mut iter = rdds.into_iter();
-        let first = iter.next().unwrap();
-        iter.fold(first, |acc, r| acc.union(&r))
+        Rdd::union_of(self.clone(), rdds)
     }
 
     /// Ship a value to all executors through shared storage (the CB

@@ -11,7 +11,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crate::codec::Storable;
 use crate::error::JobError;
 use crate::partitioner::Partitioner;
-use crate::rdd::{Key, Rdd, ShufVal};
+use crate::rdd::{combine_ordered, Key, Rdd, ShufVal};
 
 /// Two-sided tagged value for cogrouping heterogeneous RDDs.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,27 +64,36 @@ impl<L: Storable, R: Storable> Storable for Either<L, R> {
 
 impl<K: Key, V: ShufVal> Rdd<K, V> {
     /// Group this RDD with another by key: for each key present in
-    /// either side, all left values and all right values.
+    /// either side, all left values, then all right values, each side
+    /// in map-task order (Spark's `CoGroupedRDD`). A side already placed
+    /// by `(partitioner, partitions)` is a narrow one-to-one dependency
+    /// (its repartition elides) and only the other side shuffles; with
+    /// both placed, no shuffle runs. The output keeps the signature, so
+    /// [`Rdd::join`], [`Rdd::left_outer_join`] and a following
+    /// `partition_by` inherit the rule.
     pub fn cogroup<W: ShufVal>(
         &self,
         other: &Rdd<K, W>,
         partitions: usize,
         partitioner: Arc<dyn Partitioner<K>>,
     ) -> Rdd<K, (Vec<V>, Vec<W>)> {
-        let left: Rdd<K, Either<V, W>> = self.map_values(Either::Left);
-        let right: Rdd<K, Either<V, W>> = other.map_values(Either::Right);
+        let left = self
+            .partition_by(partitions, Arc::clone(&partitioner))
+            .map_values(Either::Left);
+        let right = other
+            .partition_by(partitions, partitioner)
+            .map_values(Either::Right);
+        // Both sides now share one signature, so the union zips them.
         left.union(&right)
-            .group_by_key(partitions, partitioner)
-            .map_values(|tagged| {
-                let mut ls = Vec::new();
-                let mut rs = Vec::new();
-                for t in tagged {
+            .narrow("CoGroup [narrow]", true, |_p, tagged, _tc| {
+                let push = |(mut ls, mut rs): (Vec<V>, Vec<W>), t: Either<V, W>| {
                     match t {
                         Either::Left(l) => ls.push(l),
                         Either::Right(r) => rs.push(r),
                     }
-                }
-                (ls, rs)
+                    (ls, rs)
+                };
+                combine_ordered(tagged, |t| push((Vec::new(), Vec::new()), t), push)
             })
     }
 

@@ -130,8 +130,8 @@ type PartitionFn<K1, V1, K2, V2> =
     Arc<dyn Fn(usize, Vec<(K1, V1)>, &TaskContext) -> Vec<(K2, V2)> + Send + Sync>;
 
 /// The single-parent narrow node behind `map`, `flat_map`,
-/// `map_values`, `filter`, `map_partitions`, `map_partitions_to` and an
-/// elided `partition_by`: they differ only in the closure (the user's
+/// `map_values`, `filter`, `map_partitions` and an elided
+/// `partition_by`: they differ only in the closure (the user's
 /// function is monomorphised inside it, so a partition costs one
 /// dynamic call however many pairs it holds), the `explain()` line,
 /// and whether key placement survives.
@@ -172,11 +172,18 @@ impl<K1: Key, V1: ShufVal, K2: Key, V2: ShufVal> RddOps<K2, V2> for NarrowRdd<K1
     }
 }
 
+/// Narrow union. Parents that all report one partitioner signature are
+/// zipped (Spark's `PartitionerAwareUnionRDD`): partition `p` is every
+/// parent's partition `p` in parent order, and the signature survives.
+/// Any other parents concatenate, partition lists end to end.
 struct UnionRdd<K: Key, V: ShufVal> {
     parents: Vec<Arc<dyn RddOps<K, V>>>,
+    /// The signature every parent shares, when they do (zipped).
+    sig: Option<PartSig>,
 }
 
 impl<K: Key, V: ShufVal> UnionRdd<K, V> {
+    /// Concatenated layout: union partition `p` is `(parent, its partition)`.
     fn locate(&self, p: usize) -> (usize, usize) {
         let mut off = 0;
         for (i, parent) in self.parents.iter().enumerate() {
@@ -192,10 +199,14 @@ impl<K: Key, V: ShufVal> UnionRdd<K, V> {
 
 impl<K: Key, V: ShufVal> RddOps<K, V> for UnionRdd<K, V> {
     fn explain_into(&self, depth: usize, out: &mut String) {
+        let zipped = match self.sig {
+            Some((name, _, _)) => format!(", zipped, keeps {name} partitioning"),
+            None => String::new(),
+        };
         write_plan_line(
             out,
             depth,
-            &format!("Union [{} parents, narrow]", self.parents.len()),
+            &format!("Union [{} parents, narrow{zipped}]", self.parents.len()),
         );
         for parent in &self.parents {
             parent.explain_into(depth + 1, out);
@@ -205,7 +216,13 @@ impl<K: Key, V: ShufVal> RddOps<K, V> for UnionRdd<K, V> {
         self.parents[0].ctx()
     }
     fn num_partitions(&self) -> usize {
-        self.parents.iter().map(|p| p.num_partitions()).sum()
+        match self.sig {
+            Some((_, _, n)) => n,
+            None => self.parents.iter().map(|p| p.num_partitions()).sum(),
+        }
+    }
+    fn partitioner_sig(&self) -> Option<PartSig> {
+        self.sig
     }
     fn shuffle_deps(self: Arc<Self>) -> Vec<Arc<dyn ShuffleDep>> {
         self.parents
@@ -214,12 +231,30 @@ impl<K: Key, V: ShufVal> RddOps<K, V> for UnionRdd<K, V> {
             .collect()
     }
     fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K, V)>, JobError> {
-        let (i, local) = self.locate(p);
-        self.parents[i].compute(local, tc)
+        if self.sig.is_none() {
+            let (i, local) = self.locate(p);
+            return self.parents[i].compute(local, tc);
+        }
+        let mut out = Vec::new();
+        for parent in &self.parents {
+            out.extend(parent.compute(p, tc)?);
+        }
+        Ok(out)
     }
     fn preferred_node(&self, p: usize) -> Option<usize> {
-        let (i, local) = self.locate(p);
-        self.parents[i].preferred_node(local)
+        if self.sig.is_none() {
+            let (i, local) = self.locate(p);
+            return self.parents[i].preferred_node(local);
+        }
+        // Zipped: the node most parents prefer. `max_by_key` keeps the
+        // last maximum, so scanning in reverse gives ties to the earliest.
+        let nodes: Vec<usize> = self
+            .parents
+            .iter()
+            .filter_map(|q| q.preferred_node(p))
+            .collect();
+        let votes = |n: &&usize| nodes.iter().filter(|m| m == n).count();
+        nodes.iter().rev().max_by_key(votes).copied()
     }
 }
 
@@ -278,7 +313,7 @@ impl<K: Key, V: ShufVal> RddOps<K, V> for CoalescedRdd<K, V> {
 /// combining: a key's first item starts its accumulator (`create`),
 /// later items fold into it (`merge`). Deterministic output order
 /// (first-seen key order) independent of hash iteration order.
-fn combine_ordered<K: Key, T, C>(
+pub(crate) fn combine_ordered<K: Key, T, C>(
     items: impl IntoIterator<Item = (K, T)>,
     create: impl Fn(T) -> C,
     merge: impl Fn(C, T) -> C,
@@ -675,7 +710,7 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
     }
 
     /// A [`NarrowRdd`] over `self`.
-    fn narrow<K2: Key, V2: ShufVal>(
+    pub(crate) fn narrow<K2: Key, V2: ShufVal>(
         &self,
         label: impl Into<String>,
         keeps_partitioning: bool,
@@ -733,34 +768,32 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         )
     }
 
-    /// Narrow: concatenate two RDDs' partitions.
+    /// Narrow: the pairs of both RDDs (see [`SparkContext::union`]).
     pub fn union(&self, other: &Rdd<K, V>) -> Rdd<K, V> {
-        Rdd {
-            ctx: self.ctx.clone(),
-            ops: Arc::new(UnionRdd {
-                parents: vec![Arc::clone(&self.ops), Arc::clone(&other.ops)],
-            }),
-        }
+        Rdd::union_of(self.ctx.clone(), vec![self.clone(), other.clone()])
     }
 
-    /// Narrow: transform whole partitions (receives the partition index
-    /// and the task context, so DP kernels can record their work).
-    pub fn map_partitions(
+    /// One union node over `rdds` (non-empty).
+    pub(crate) fn union_of(ctx: SparkContext, rdds: Vec<Rdd<K, V>>) -> Rdd<K, V> {
+        let parents: Vec<_> = rdds.into_iter().map(|rdd| rdd.ops).collect();
+        let first = parents[0].partitioner_sig();
+        let sig = first.filter(|_| parents.iter().all(|q| q.partitioner_sig() == first));
+        let ops = Arc::new(UnionRdd { parents, sig });
+        Rdd { ctx, ops }
+    }
+
+    /// Narrow: transform whole partitions, possibly changing the key
+    /// and value types (Spark's `mapPartitions`). `f` receives the
+    /// partition index and the task context, so DP kernels can record
+    /// their work. `preserves_partitioning` asserts that every output
+    /// key stays in the partition its input came from, so the parent's
+    /// signature carries over.
+    pub fn map_partitions<K2: Key, V2: ShufVal>(
         &self,
         preserves_partitioning: bool,
-        f: impl Fn(usize, Vec<(K, V)>, &TaskContext) -> Vec<(K, V)> + Send + Sync + 'static,
-    ) -> Rdd<K, V> {
-        self.narrow("MapPartitions [narrow]", preserves_partitioning, f)
-    }
-
-    /// Narrow: transform whole partitions with a possible key/value
-    /// type change (receives the partition index and task context; no
-    /// partitioning preserved).
-    pub fn map_partitions_to<K2: Key, V2: ShufVal>(
-        &self,
         f: impl Fn(usize, Vec<(K, V)>, &TaskContext) -> Vec<(K2, V2)> + Send + Sync + 'static,
     ) -> Rdd<K2, V2> {
-        self.narrow("MapPartitionsTo [narrow]", false, f)
+        self.narrow("MapPartitions [narrow]", preserves_partitioning, f)
     }
 
     /// Narrow: reduce the partition count by concatenating groups of

@@ -350,7 +350,9 @@ fn compatible_coalesce_preserves_partitioner_and_elides_repartition() {
     // Correctness: every key really does sit in the partition the
     // 4-way hash partitioner assigns, and no element was lost.
     let tagged = narrow
-        .map_partitions_to(|p, items, _| items.into_iter().map(|(k, v)| (k, (p, v))).collect())
+        .map_partitions(false, |p, items, _| {
+            items.into_iter().map(|(k, v)| (k, (p, v))).collect()
+        })
         .collect()
         .expect("coalesced job");
     let mut all = Vec::new();

@@ -85,6 +85,42 @@ fn union_concatenates_partitions() {
 }
 
 #[test]
+fn union_of_copartitioned_parents_zips_and_keeps_the_signature() {
+    let sc = ctx();
+    let parents = [
+        sc.parallelize(pairs(10), Some(4)),
+        sc.parallelize(vec![(100usize, 1u64), (101, 2)], Some(4)),
+        sc.parallelize(pairs(10), Some(4)).map_values(|v| v + 1),
+    ];
+    let u = sc.union(parents.to_vec());
+    assert_eq!(u.num_partitions(), 4, "zipped, not concatenated");
+    assert_eq!(u.partitioner_sig(), Some(("hash", 0, 4)));
+    assert!(u.explain().starts_with("Union [3 parents, narrow, zipped"));
+    let again = u.partition_by(4, Arc::new(HashPartitioner));
+    assert_eq!(again.collect().unwrap().len(), 22);
+    let did = sc.summary();
+    assert_eq!(
+        (did.stages, did.staged_bytes),
+        (1, 0),
+        "the repartition elided"
+    );
+
+    // Partition `p` is each parent's partition `p`, in parent order.
+    let by_partition = |rdd: &sparklet::Rdd<usize, u64>| {
+        rdd.map_partitions(false, |p, items, _| {
+            items.into_iter().map(|kv| (p, kv)).collect()
+        })
+        .collect()
+        .unwrap()
+    };
+    let each: Vec<_> = parents.iter().map(by_partition).collect();
+    let want: Vec<(usize, (usize, u64))> = (0..4)
+        .flat_map(|p| each.iter().flatten().filter(move |(q, _)| *q == p).copied())
+        .collect();
+    assert_eq!(by_partition(&u), want);
+}
+
+#[test]
 fn partition_by_places_keys_and_counts_a_shuffle() {
     let sc = ctx();
     let rdd = sc
@@ -150,7 +186,9 @@ fn combine_by_key_merges_values_map_side_and_combiners_reduce_side() {
     // result shows which one ran where.
     let sc = ctx();
     let one_map_task = sc.parallelize(vec![(1usize, 1u64), (1, 2)], Some(1));
-    let another = sc.parallelize(vec![(1usize, 3u64)], Some(1));
+    // `map` drops the placement, so the union does not zip the two
+    // inputs into one map task.
+    let another = sc.parallelize(vec![(1usize, 3u64)], Some(1)).map(|kv| kv);
     let got = one_map_task
         .union(&another)
         .combine_by_key(

@@ -31,6 +31,93 @@ fn cogroup_pairs_both_sides() {
 }
 
 #[test]
+fn cogroup_shuffles_only_the_side_that_is_not_placed() {
+    let sc = ctx();
+    let placed = sc.parallelize(vec![(1usize, 10u64), (2, 20), (2, 21)], Some(4));
+    // `map` forgets the placement: this side must shuffle.
+    let other = sc
+        .parallelize(vec![(2usize, 5u64), (3, 6), (2, 7)], Some(3))
+        .map(|kv| kv);
+    let grouped = placed.cogroup(&other, 4, Arc::new(HashPartitioner));
+    assert_eq!(grouped.partitioner_sig(), Some(("hash", 0, 4)));
+    let got = sorted(grouped.collect().unwrap());
+    assert_eq!(
+        got,
+        vec![
+            (1, (vec![10], vec![])),
+            (2, (vec![20, 21], vec![5, 7])),
+            (3, (vec![], vec![6])),
+        ]
+    );
+    let did = sc.summary();
+    assert_eq!(did.stages, 2, "one shuffle map stage, then the result");
+    assert_eq!(
+        did.staged_bytes,
+        3 * 16,
+        "exactly the other side's three pairs"
+    );
+
+    // Both sides placed: no shuffle at all, and a repartition by the
+    // same signature afterwards elides too. A join inherits the rule.
+    let sc = ctx();
+    let left = sc.parallelize(vec![(1usize, 10u64), (2, 20)], Some(4));
+    let right = sc.parallelize(vec![(2usize, 2.5f64)], Some(4));
+    let grouped = left
+        .cogroup(&right, 4, Arc::new(HashPartitioner))
+        .partition_by(4, Arc::new(HashPartitioner));
+    let joined = left.join(&right, 4, Arc::new(HashPartitioner));
+    assert_eq!(sorted(grouped.collect().unwrap()).len(), 2);
+    assert_eq!(joined.collect().unwrap(), vec![(2, (20, 2.5))]);
+    let did = sc.summary();
+    assert_eq!((did.stages, did.staged_bytes), (2, 0), "two result stages");
+}
+
+#[test]
+fn cogroup_recovers_a_fetch_failure_on_its_one_shuffle() {
+    let run = |fail: bool| {
+        let sc = SparkContext::new(
+            SparkConf::default()
+                .with_executors(3)
+                .with_partitions(6)
+                .with_sim_seed(21),
+        );
+        // Stage `next` maps the shuffled side; `next + 1` is the result
+        // stage, whose first fetch fails once.
+        let next = sc.next_stage_ordinal();
+        let _chaos = fail.then(|| {
+            sc.install_chaos(ChaosPolicy::seeded(21).script(
+                next + 1,
+                0,
+                1,
+                ChaosEvent::FetchFailure,
+            ))
+        });
+        let placed = sc.parallelize((0..24usize).map(|i| (i % 8, i as u64)).collect(), Some(4));
+        let other = sc
+            .parallelize(
+                (0..24usize).map(|i| (i % 6, i as u64 * 3)).collect(),
+                Some(5),
+            )
+            .map(|kv| kv);
+        let got = sorted(
+            placed
+                .cogroup(&other, 4, Arc::new(HashPartitioner))
+                .collect()
+                .unwrap(),
+        );
+        (got, sc.stage_resubmissions())
+    };
+    let (want, calm) = run(false);
+    let (got, resubmitted) = run(true);
+    assert_eq!(calm, 0);
+    assert!(resubmitted >= 1, "the failed fetch resubmits the map stage");
+    assert_eq!(
+        got, want,
+        "recovery returns the same groups, in the same order"
+    );
+}
+
+#[test]
 fn join_is_inner_cartesian_per_key() {
     let sc = ctx();
     let users = sc.parallelize(
@@ -204,9 +291,11 @@ fn explain_shows_the_lineage_plan() {
             None,
         ),
         (
-            row(base.map_partitions_to(|_, items, _| items)),
-            "MapPartitionsTo [narrow]",
-            None,
+            row(base.map_partitions(true, |_, items, _| {
+                items.into_iter().map(|(k, v)| (k, v as f64)).collect()
+            })),
+            "MapPartitions [narrow]",
+            kept,
         ),
         (
             row(base.partition_by(4, hash())),

@@ -100,9 +100,11 @@ fn sorted(mut v: Vec<(usize, u64)>) -> Vec<(usize, u64)> {
 
 /// The scenario workload: two reduce branches over the same input,
 /// unioned and repartitioned — a diamond of three shuffles plus the
-/// result stage. `persist_level` persists the left branch (retained
-/// lineage, recompute-backed) so storage-pressure scenarios exercise
-/// the block-store paths too.
+/// result stage. The right branch's placement is dropped, so the union
+/// concatenates and the repartition shuffles ([`zipped_workload`] is
+/// the co-partitioned twin). `persist_level` persists the left branch
+/// (retained lineage, recompute-backed) so storage-pressure scenarios
+/// exercise the block-store paths too.
 pub fn workload(
     sc: &SparkContext,
     persist_level: Option<StorageLevel>,
@@ -121,8 +123,36 @@ pub fn workload(
         .map(|(k, v)| (k % 5, v ^ 3))
         .reduce_by_key(|a, b| a.wrapping_add(b), 4, Arc::new(HashPartitioner));
     let out = left
-        .union(&right)
+        .union(&right.map(|kv| kv))
         .partition_by(4, Arc::new(HashPartitioner))
+        .collect()?;
+    Ok(sorted(out))
+}
+
+/// The co-partitioned diamond: the same two reduce branches, both
+/// placed by the 4-way hash partitioner, so their union zips and its
+/// repartition elides; a cogroup then takes the union as its narrow
+/// side and shuffles only an unplaced third branch. Three shuffles
+/// plus the result stage, none of them after the union.
+pub fn zipped_workload(sc: &SparkContext) -> Result<Vec<(usize, u64)>, sparklet::JobError> {
+    let data = pairs(96);
+    let branch = |modulus: usize, mix: u64| {
+        sc.parallelize(data.clone(), Some(6))
+            .map(move |(k, v)| (k % modulus, v ^ mix))
+            .reduce_by_key(|a, b| a.wrapping_add(b), 4, Arc::new(HashPartitioner))
+    };
+    let unplaced = sc
+        .parallelize(data.clone(), Some(6))
+        .map(|(k, v)| (k % 3, v));
+    let out = branch(7, 0)
+        .union(&branch(5, 3))
+        .partition_by(4, Arc::new(HashPartitioner))
+        .cogroup(&unplaced, 4, Arc::new(HashPartitioner))
+        .map_values(|(ls, rs)| {
+            ls.into_iter()
+                .chain(rs)
+                .fold(0u64, |a, b| a.wrapping_mul(31).wrapping_add(b))
+        })
         .collect()?;
     Ok(sorted(out))
 }
@@ -265,11 +295,21 @@ pub fn run_scenario(
     persist_level: Option<StorageLevel>,
     conf: SparkConf,
 ) -> SimRun {
+    run_workload(seed, chaos, conf, |sc| workload(sc, persist_level))
+}
+
+/// [`run_scenario`] over any workload.
+pub fn run_workload(
+    seed: u64,
+    chaos: Option<ChaosPolicy>,
+    conf: SparkConf,
+    job: impl FnOnce(&SparkContext) -> Result<Vec<(usize, u64)>, sparklet::JobError>,
+) -> SimRun {
     let sc = SparkContext::new(conf);
     assert!(sc.is_deterministic(), "scenario contexts must be seeded");
     let result = {
         let _chaos = chaos.map(|policy| sc.install_chaos(policy));
-        workload(&sc, persist_level).map_err(|e| e.to_string())
+        job(&sc).map_err(|e| e.to_string())
     };
     let _ = sc.parallelize(vec![(0usize, 0u64)], Some(1)).count();
     assert_invariants(&sc, seed);

@@ -159,6 +159,77 @@ fn mixed_chaos_scenario_sweep() {
     });
 }
 
+/// The fault mix the zipped-diamond sweep and its goldens run under.
+fn zipped_chaos(s: u64) -> ChaosPolicy {
+    ChaosPolicy::seeded(s)
+        .with_task_panics(80)
+        .with_stragglers(50, 200)
+        .with_fetch_failures(60)
+        .with_executor_loss(15, 1)
+}
+
+#[test]
+fn zipped_diamond_scenario_sweep() {
+    // The co-partitioned paths under every fault kind at once: a zipped
+    // union reading two shuffles in one task, an elided repartition,
+    // and a cogroup whose narrow side is that union. Only the three
+    // branch shuffles run (plus the result and the trailing claim
+    // stage), and recovery must rebuild the narrow side from lineage.
+    let (survived, resubmissions) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    sim::sweep("zipped", 10, |seed| {
+        let run = sim::run_replay_stable("zipped", seed, |s| {
+            sim::run_workload(
+                s,
+                Some(zipped_chaos(s)),
+                sim::sim_conf(s),
+                sim::zipped_workload,
+            )
+        });
+        let clean = sim::run_workload(seed, None, sim::sim_conf(seed), sim::zipped_workload);
+        sim::assert_against_fault_free("zipped", seed, &run, &clean);
+        assert_eq!(
+            sim::counter(&clean, "stages"),
+            5,
+            "CHAOS_SEED={seed}: three branch shuffles, the result and the claim stage"
+        );
+        survived.set(survived.get() + u64::from(run.result.is_ok()));
+        resubmissions.set(resubmissions.get() + sim::counter(&run, "resubmissions"));
+    });
+    if sim::default_sweep() {
+        assert!(
+            survived.get() > 0 && resubmissions.get() > 0,
+            "the sweep must recover some runs through map-stage resubmission \
+             ({} survived, {} resubmissions)",
+            survived.get(),
+            resubmissions.get()
+        );
+    }
+}
+
+/// Golden [`sim::SimRun::fingerprint`]s of the zipped diamond, clean
+/// and under [`zipped_chaos`], recorded when the co-partitioned union
+/// and cogroup rules landed: the zipped path's own cross-commit pin,
+/// beside the concatenating diamond's above.
+#[test]
+fn zipped_schedules_match_their_golden_fingerprints() {
+    const GOLDEN: [(u64, u64, u64); 2] = [
+        (7, 0xb16c_1766_492f_d22b, 0xa513_730f_414b_35b6),
+        (1234, 0x007e_9e56_7bb3_1cdb, 0xc8e3_36c0_f28f_b870),
+    ];
+    let got = GOLDEN.map(|(seed, _, _)| {
+        let run = |chaos| sim::run_workload(seed, chaos, sim::sim_conf(seed), sim::zipped_workload);
+        (
+            seed,
+            run(None).fingerprint(),
+            run(Some(zipped_chaos(seed))).fingerprint(),
+        )
+    });
+    assert_eq!(
+        got, GOLDEN,
+        "zipped schedules drifted from the golden (seed, clean, chaotic) fingerprints; got {got:#x?}"
+    );
+}
+
 #[test]
 fn zero_length_partitions_survive_chaos() {
     // 3 pairs spread over 8 input partitions and reduced into 6: most

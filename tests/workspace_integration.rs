@@ -33,7 +33,10 @@ fn full_stack_apsp_on_road_network() {
     let times = solve::<Tropical>(&sc, &cfg, &roads).expect("solve");
     assert_eq!(check_apsp(&roads, &times, 1e-9), None);
     let did = sc.summary();
-    assert!(did.stages >= 4 * 4, "4 phases × ≥4 stages each");
+    assert!(
+        did.stages >= 4 * 3,
+        "4 phases × 3 stages each (two shuffle map stages, one materialization)"
+    );
     assert!(did.staged_bytes > 0, "IM stages shuffle data");
     assert!(did.collect_bytes > 0, "final collect");
 }
@@ -205,8 +208,10 @@ fn staging_limit_kills_im_but_not_cb() {
                 .with_staging_capacity(cap),
         )
     };
-    // IM at 4K×4K virtual scale stages ~130 MB/node *per iteration*
-    // (staging is reclaimed between iterations); cap at 64 MB/node.
+    // IM at 4K×4K virtual scale stages its operand copies, ~64 MB/node
+    // *per iteration* on average and more on the nodes the copies
+    // concentrate on (staging is reclaimed between iterations); cap at
+    // 64 MB/node.
     let sc_im = make(64 << 20);
     let cfg_im = DpConfig::new(4096, 1024);
     let err = solve_virtual::<Tropical>(&sc_im, &cfg_im).unwrap_err();
@@ -214,8 +219,8 @@ fn staging_limit_kills_im_but_not_cb() {
         matches!(err, sparklet::JobError::StagingOverflow { .. }),
         "{err}"
     );
-    // CB's staging footprint is the repartition only (~34 MB/node) —
-    // it fits in the same budget.
+    // CB stages nothing: its closing repartition elides. It fits in the
+    // same budget.
     let sc_cb = make(64 << 20);
     let cfg_cb = DpConfig::new(4096, 1024).with_strategy(Strategy::CollectBroadcast);
     solve_virtual::<Tropical>(&sc_cb, &cfg_cb).expect("CB fits in the same budget");
