@@ -107,6 +107,15 @@ pub struct StageRecord {
     /// Staged shuffle bytes released back during the stage window
     /// (per-shuffle GC plus retry re-staging reconciliation).
     pub staged_released_bytes: u64,
+    /// Staged shuffle bytes written off with a dead executor during the
+    /// stage window (destroyed, not released).
+    pub staged_lost_bytes: u64,
+    /// Whole-job resubmissions taken after fetch failures during the
+    /// stage window.
+    pub stage_resubmissions: u64,
+    /// Cache puts dropped by attempt fencing (zombie checkpoint tasks)
+    /// during the stage window.
+    pub fenced_cache_puts: u64,
     /// Cached-partition reads served from either storage tier during
     /// the stage window.
     pub cache_hits: u64,

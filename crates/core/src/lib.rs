@@ -42,7 +42,8 @@
 //! [`solve_alignment`], [`solve_parenthesis`], [`solve_linear_system`],
 //! [`adaptive_solve`] — returns its result only. What the run did is
 //! `sc.summary()` afterwards (a [`RunSummary`], one fold over the
-//! context's event log), and a run under injected faults is the same
+//! context's event log that covers every cumulative engine counter),
+//! and a run under injected faults is the same
 //! call inside `let _chaos = sc.install_chaos(policy);`.
 
 #![warn(missing_docs)]

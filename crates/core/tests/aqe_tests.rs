@@ -203,11 +203,14 @@ fn seeded_adaptive_runs_match_the_goldens_recorded_before_the_rewrite() {
         speculative_launches: 0,
         zombie_writes_fenced: 0,
         staged_released_bytes: 1442863968,
+        staged_lost_bytes: 0,
+        stage_resubmissions: 0,
         cache_hits: 900,
         cache_misses: 0,
         spilled_bytes: 0,
         evicted_bytes: 0,
         recomputes: 0,
+        fenced_cache_puts: 0,
         max_concurrent_stages: 1,
         adaptive_decisions: vec![
             decision(
@@ -248,11 +251,14 @@ fn seeded_adaptive_runs_match_the_goldens_recorded_before_the_rewrite() {
         speculative_launches: 0,
         zombie_writes_fenced: 0,
         staged_released_bytes: 79693068,
+        staged_lost_bytes: 0,
+        stage_resubmissions: 0,
         cache_hits: 1524,
         cache_misses: 0,
         spilled_bytes: 0,
         evicted_bytes: 0,
         recomputes: 0,
+        fenced_cache_puts: 0,
         max_concurrent_stages: 1,
         adaptive_decisions: vec![
             decision(

@@ -9,12 +9,16 @@ mod harness;
 use dp_core::Strategy;
 use harness::{cluster, Case, Mode, Problem};
 
-/// `(stages, tasks, staged bytes, remote + local bytes, shuffle wire
-/// bytes)` of a checked row. Remote and local bytes are shuffle
-/// fetches, cross-node cache reads and broadcast reads. The wire bytes
-/// are the measured frame sizes of the fetched shuffle buckets,
-/// non-zero only when the frames were compressed.
-fn counts(case: Case) -> (usize, usize, u64, u64, u64) {
+/// Two tuples of a checked row. The dataflow: `(stages, tasks, staged
+/// bytes, remote + local bytes, shuffle wire bytes)`. Remote and local
+/// bytes are shuffle fetches, cross-node cache reads and broadcast
+/// reads. The wire bytes are the measured frame sizes of the fetched
+/// shuffle buckets, non-zero only when the frames were compressed.
+/// The ledger: `(staged bytes released, cache hits, cache misses,
+/// staged bytes lost, stage resubmissions)`, exact in every mode
+/// because the summary counts what no stage record has taken yet.
+#[allow(clippy::type_complexity)]
+fn counts(case: Case) -> ((usize, usize, u64, u64, u64), (u64, u64, u64, u64, u64)) {
     let run = case.check();
     let did = run.summary;
     let wire = run.sc.with_event_log(|log| {
@@ -25,11 +29,20 @@ fn counts(case: Case) -> (usize, usize, u64, u64, u64) {
             .sum()
     });
     (
-        did.stages,
-        did.tasks,
-        did.staged_bytes,
-        did.remote_bytes + did.local_bytes,
-        wire,
+        (
+            did.stages,
+            did.tasks,
+            did.staged_bytes,
+            did.remote_bytes + did.local_bytes,
+            wire,
+        ),
+        (
+            did.staged_released_bytes,
+            did.cache_hits,
+            did.cache_misses,
+            did.staged_lost_bytes,
+            did.stage_resubmissions,
+        ),
     )
 }
 
@@ -49,7 +62,7 @@ fn fw_in_memory_moves_only_the_operand_copies() {
     // panels again with their 98 D operand copies.
     assert_eq!(
         counts(row(Problem::Fw, Strategy::InMemory)),
-        (25, 100, 559_104, 559_104, 0)
+        ((25, 100, 559_104, 559_104, 0), (559_104, 116, 0, 0, 0))
     );
 }
 
@@ -60,12 +73,15 @@ fn ge_collect_broadcast_stages_nothing() {
     // the tasks' broadcast reads; the closing repartition elides.
     assert_eq!(
         counts(row(Problem::Ge, Strategy::CollectBroadcast)),
-        (57, 164, 0, 70_008, 0)
+        ((57, 164, 0, 70_008, 0), (0, 208, 0, 0, 0))
     );
 }
 
 #[test]
 fn fw_in_memory_over_a_unix_socket_ships_the_same_buckets() {
     let case = row(Problem::Fw, Strategy::InMemory).mode(Mode::Unix).lz4();
-    assert_eq!(counts(case), (25, 100, 559_104, 559_104, 98_163));
+    assert_eq!(
+        counts(case),
+        ((25, 100, 559_104, 559_104, 98_163), (559_104, 116, 0, 0, 0))
+    );
 }

@@ -71,8 +71,7 @@ fn fw_survives_a_fault_in_every_wave_within_the_fault_free_budget() {
         did.retries
     );
     assert_eq!(
-        faulted.sc.zombie_writes_fenced(),
-        0,
+        did.zombie_writes_fenced, 0,
         "plain retries must not be fenced"
     );
     assert!(peak(&faulted.sc) <= cap);

@@ -213,10 +213,10 @@ fn fetchfailed_mid_service_completes_both_tenants_correctly() {
     let out2 = decode_matrix_f64(v2.result.as_ref().expect("done")).expect("decode");
     assert_eq!(out1.first_difference(&apsp_reference(24, 42)), None);
     assert_eq!(out2.first_difference(&apsp_reference(24, 77)), None);
+    let resubmissions = svc.sc().summary().stage_resubmissions;
     assert!(
-        svc.sc().stage_resubmissions() >= 1,
-        "a failed fetch must re-stage its map outputs, got {}",
-        svc.sc().stage_resubmissions()
+        resubmissions >= 1,
+        "a failed fetch must re-stage its map outputs, got {resubmissions}"
     );
     drop(chaos);
     svc.sc().audit().expect("post-chaos audit");

@@ -156,11 +156,14 @@ fn seeded_reports_match_the_goldens_recorded_before_the_rewrite() {
         speculative_launches: 0,
         zombie_writes_fenced: 0,
         staged_released_bytes: 69888,
+        staged_lost_bytes: 0,
+        stage_resubmissions: 0,
         cache_hits: 208,
         cache_misses: 0,
         spilled_bytes: 0,
         evicted_bytes: 0,
         recomputes: 0,
+        fenced_cache_puts: 0,
         max_concurrent_stages: 1,
         adaptive_decisions: vec![],
     };
@@ -195,11 +198,14 @@ fn seeded_reports_match_the_goldens_recorded_before_the_rewrite() {
         speculative_launches: 0,
         zombie_writes_fenced: 0,
         staged_released_bytes: 15115,
+        staged_lost_bytes: 0,
+        stage_resubmissions: 0,
         cache_hits: 30,
         cache_misses: 0,
         spilled_bytes: 0,
         evicted_bytes: 0,
         recomputes: 0,
+        fenced_cache_puts: 0,
         max_concurrent_stages: 1,
         adaptive_decisions: vec![],
     };

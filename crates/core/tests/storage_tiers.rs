@@ -24,13 +24,12 @@ fn capped(case: Case, bytes: u64) -> Case {
     case.conf(|c| c.with_executor_memory(bytes))
 }
 
-/// Highest per-node memory-tier high-water mark.
-fn peak_mem(sc: &SparkContext) -> u64 {
-    per_node(sc, SparkContext::peak_cached_bytes)
-        .into_iter()
-        .max()
-        .unwrap()
-}
+/// One table generation's memory-tier bytes on one node: the 4×4
+/// grid's 16 tiles of 546 declared bytes (an 8×8 `f64` block and its
+/// key) over 4 nodes. An uncapped iteration holds the old generation
+/// and the new one at once, so a cap of one table is below the
+/// working set.
+const TABLE_PER_NODE: u64 = 16 * 546 / 4;
 
 /// Per-node (memory, disk) bytes still cached.
 fn cached(sc: &SparkContext) -> Vec<(u64, u64)> {
@@ -39,14 +38,12 @@ fn cached(sc: &SparkContext) -> Vec<(u64, u64)> {
 
 #[test]
 fn fw_under_memory_pressure_spills_and_stays_bit_identical() {
-    // Calibrate: the uncapped run measures the MemoryOnly working set.
     let free = fw(77).check();
     assert_eq!(free.summary.spilled_bytes, 0, "uncapped run never spills");
-    assert!(peak_mem(&free.sc) > 0);
 
     // Cap executor memory below the working set: the default
     // MemoryAndDisk level must spill instead of failing.
-    let cap = peak_mem(&free.sc) / 2;
+    let cap = TABLE_PER_NODE;
     let spilled = capped(fw(77), cap).check();
     assert!(
         spilled.summary.spilled_bytes > 0,
@@ -74,17 +71,10 @@ fn fw_with_memory_only_recomputes_evicted_blocks() {
     assert_eq!(free.summary.recomputes, 0, "uncapped run keeps every block");
 
     // `persist` keeps every generation's cache alive (retained lineage),
-    // so the uncapped peak spans several table generations and LRU can
-    // satisfy a peak/2 cap by shedding stale generations nobody reads.
-    // To force recomputation of *live* blocks, cap below one table's
-    // per-node footprint. An uncapped checkpoint probe bounds it: its
-    // peak covers at most the old + new generation (old drops each
-    // iteration), so peak/2 ≥ one table and peak/4 is genuinely tight.
-    let probe = fw(99).check();
-    assert!(peak_mem(&probe.sc) > 0);
-    let squeezed = capped(fw(99), peak_mem(&probe.sc) / 4)
-        .cfg(recompute)
-        .check();
+    // so LRU can satisfy a cap of one table by shedding stale
+    // generations nobody reads. To force recomputation of *live*
+    // blocks, cap below one table's per-node footprint.
+    let squeezed = capped(fw(99), TABLE_PER_NODE / 2).cfg(recompute).check();
     assert!(
         squeezed.summary.recomputes > 0,
         "undersized memory must trigger lineage recomputation"
@@ -101,7 +91,7 @@ fn fw_faults_with_spill_enabled_never_double_charge() {
     // The full fault matrix (a fault in every stage's partition 0) on
     // top of an undersized memory tier: results stay byte-identical
     // and retried/speculative tasks must not double-charge either tier.
-    let cap = peak_mem(&fw(1234).check().sc) / 2;
+    let cap = TABLE_PER_NODE;
     let calm = capped(fw(1234), cap).check();
     let faulted = capped(fw(1234), cap).chaos(Chaos::EveryWave).check();
     assert!(faulted.summary.retries > 0, "faults were actually injected");
@@ -120,5 +110,5 @@ fn fw_faults_with_spill_enabled_never_double_charge() {
     // Speculation is off in this config, so any fenced put would mean a
     // zombie attempt raced a commit — there are none here; the counter
     // exists for the speculative path.
-    assert_eq!(faulted.sc.fenced_cache_puts(), 0);
+    assert_eq!(faulted.summary.fenced_cache_puts, 0);
 }

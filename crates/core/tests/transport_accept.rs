@@ -44,9 +44,9 @@ fn fw_survives_a_real_sigkill_mid_job() {
     // fire first — `retries` is incidental, the resubmission is the
     // invariant).
     assert!(
-        sc.stage_resubmissions() >= 1,
+        run.summary.stage_resubmissions >= 1,
         "lost map outputs must resubmit their map stage, got {} (retries {})",
-        sc.stage_resubmissions(),
+        run.summary.stage_resubmissions,
         run.summary.retries
     );
 }

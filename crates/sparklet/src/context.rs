@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use cluster_model::{KernelInvocation, TaskRecord, TickCharger};
+use cluster_model::{KernelInvocation, StageRecord, TaskRecord, TickCharger};
 use par_pool::{Clock, Mutex, SystemClock, VirtualClock};
 
 use crate::broadcast::{Broadcast, BroadcastStore};
@@ -40,15 +40,8 @@ pub(crate) struct CtxInner {
     /// Per-shuffle materialization latches (exactly-once in-flight
     /// dedup across branches and concurrent jobs).
     pub registry: ShuffleRegistry,
-    /// Engine-counter watermarks: totals already attributed to a stage
-    /// record. The next stage to finish claims the delta under this one
-    /// mutex, so between-stage GC releases still land in the event log
-    /// and concurrently completing stages claim disjoint slices.
-    pub claim_marks: Mutex<ClaimMarks>,
     /// Stages currently in flight (driver-wide gauge).
     pub stages_in_flight: AtomicU64,
-    /// High-water mark of [`CtxInner::stages_in_flight`].
-    pub peak_stages_in_flight: AtomicU64,
     /// The context's time source: wall clock normally, the virtual
     /// clock in sim mode.
     pub clock: Arc<dyn Clock>,
@@ -59,7 +52,8 @@ pub(crate) struct CtxInner {
     pub sim: Option<SimState>,
     /// Installed chaos policy, consulted per task attempt.
     pub chaos: Mutex<Option<ChaosPolicy>>,
-    /// Whole-job resubmissions taken after fetch failures.
+    /// Whole-job resubmissions taken after fetch failures since the
+    /// last stage record took them ([`SparkContext::tally`]).
     pub stage_resubmissions: AtomicU64,
     /// Executor subprocess manager, present iff the conf selects a
     /// wire transport. Shared with the shuffle manager (remote bucket
@@ -74,30 +68,6 @@ pub(crate) struct SimState {
     pub rng: Mutex<SimRng>,
     /// Converts task records into logical milliseconds.
     pub charger: TickCharger,
-}
-
-/// Watermarks of engine counters already attributed to stage records.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ClaimMarks {
-    pub zombies: u64,
-    pub released: u64,
-    pub storage: StorageTotals,
-}
-
-/// Snapshot of the cache-behaviour counters summed over every node's
-/// block store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StorageTotals {
-    /// Reads served from either tier (memory + disk hits).
-    pub cache_hits: u64,
-    /// Reads that found the partition in neither tier.
-    pub cache_misses: u64,
-    /// Bytes serialized into the disk tier (spills + DiskOnly puts).
-    pub spilled_bytes: u64,
-    /// Bytes of blocks dropped under pressure (recompute-backed).
-    pub evicted_bytes: u64,
-    /// Lineage recomputations of dropped blocks.
-    pub recomputes: u64,
 }
 
 /// The entry point: create one per simulated cluster. Cheap to clone
@@ -171,9 +141,7 @@ impl SparkContext {
                 ids: AtomicU64::new(1),
                 stage_ordinal: AtomicU64::new(0),
                 registry: ShuffleRegistry::default(),
-                claim_marks: Mutex::new(ClaimMarks::default()),
                 stages_in_flight: AtomicU64::new(0),
-                peak_stages_in_flight: AtomicU64::new(0),
                 clock,
                 vclock,
                 sim,
@@ -282,25 +250,44 @@ impl SparkContext {
         f(&self.inner.log.lock())
     }
 
-    /// [`RunSummary`] of the whole context log: the report of a run
-    /// when the context ran nothing else. Runs sharing a context add
-    /// up; for one of them, take `mark = stages().len()` before it and
+    /// [`RunSummary`] of the whole context log plus every count no
+    /// stage record has taken yet (say, the shuffle releases of RDDs
+    /// dropped after their last action): the report of a run when the
+    /// context ran nothing else, and the one read path for the
+    /// engine's cumulative counters. Runs sharing a context add up;
+    /// for one of them, take `mark = stages().len()` before it and
     /// fold `RunSummary::of(&stages()[mark..])` after it
     /// ([`SparkContext::with_event_log`]).
     pub fn summary(&self) -> RunSummary {
-        self.inner.log.lock().summary()
+        let log = self.inner.log.lock();
+        let mut pending = StageRecord::default();
+        self.tally(&mut pending, false);
+        let mut summary = log.summary();
+        summary.add(&pending);
+        summary
+    }
+
+    /// Add every counter owner's counts since the last stage record
+    /// took them — the shuffle ledger's, each block store's and this
+    /// context's resubmissions — to `record`; `take` also resets them.
+    /// Callers hold the log lock, so a summary never sees a tally
+    /// that a closing stage has half taken.
+    pub(crate) fn tally(&self, record: &mut StageRecord, take: bool) {
+        self.inner.shuffle.tally(record, take);
+        for e in &self.inner.executors {
+            e.store.tally(record, take);
+        }
+        let resubmissions = &self.inner.stage_resubmissions;
+        record.stage_resubmissions += if take {
+            resubmissions.swap(0, Ordering::Relaxed)
+        } else {
+            resubmissions.load(Ordering::Relaxed)
+        };
     }
 
     /// Drain the event log (between benchmark configurations).
     pub fn take_event_log(&self) -> Vec<crate::metrics::StageEvent> {
         self.inner.log.lock().take()
-    }
-
-    /// Drop all shuffle data and reset staging accounting. Safe once
-    /// downstream RDDs have been checkpointed (their lineage no longer
-    /// reaches the dropped shuffles).
-    pub fn clear_shuffles(&self) {
-        self.inner.shuffle.clear();
     }
 
     /// Currently staged shuffle bytes on `node`.
@@ -312,18 +299,6 @@ impl SparkContext {
     /// context's lifetime (for calibrating staging capacities).
     pub fn peak_staged_bytes(&self, node: usize) -> u64 {
         self.inner.shuffle.peak_staged_bytes(node)
-    }
-
-    /// Total late (zombie-attempt) shuffle writes dropped by attempt
-    /// fencing since the context was created.
-    pub fn zombie_writes_fenced(&self) -> u64 {
-        self.inner.shuffle.zombie_writes_fenced()
-    }
-
-    /// Total staged bytes released back (shuffle GC plus retry
-    /// reconciliation) since the context was created.
-    pub fn staged_released_bytes(&self) -> u64 {
-        self.inner.shuffle.staged_released_bytes()
     }
 
     /// Global ordinal the *next* stage will get.
@@ -338,25 +313,14 @@ impl SparkContext {
     }
 
     /// Note a stage entering flight; returns the gauge *including* the
-    /// new stage (recorded as the stage's achieved concurrency) and
-    /// advances the high-water mark.
+    /// new stage (recorded as the stage's achieved concurrency).
     pub(crate) fn stage_launched(&self) -> u64 {
-        let now = self.inner.stages_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.inner
-            .peak_stages_in_flight
-            .fetch_max(now, Ordering::Relaxed);
-        now
+        self.inner.stages_in_flight.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Note a stage leaving flight.
     pub(crate) fn stage_finished(&self) {
         self.inner.stages_in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// High-water mark of simultaneously in-flight stages over the
-    /// context's lifetime (the DAG scheduler's achieved concurrency).
-    pub fn peak_concurrent_stages(&self) -> u64 {
-        self.inner.peak_stages_in_flight.load(Ordering::Relaxed)
     }
 
     /// Currently cached memory-tier bytes on `node`.
@@ -368,36 +332,6 @@ impl SparkContext {
     /// spilled/`DiskOnly` blocks).
     pub fn cached_disk_bytes(&self, node: usize) -> u64 {
         self.inner.executors[node].store.disk_used_bytes()
-    }
-
-    /// High-water mark of cached memory-tier bytes on `node` over the
-    /// context's lifetime (for calibrating executor memory).
-    pub fn peak_cached_bytes(&self, node: usize) -> u64 {
-        self.inner.executors[node].store.peak_used_bytes()
-    }
-
-    /// Cache-behaviour counters summed over every node's block store
-    /// since the context was created.
-    pub fn storage_totals(&self) -> StorageTotals {
-        let mut t = StorageTotals::default();
-        for e in &self.inner.executors {
-            t.cache_hits += e.store.mem_hits() + e.store.disk_hits();
-            t.cache_misses += e.store.cache_misses();
-            t.spilled_bytes += e.store.spilled_bytes_total();
-            t.evicted_bytes += e.store.evicted_bytes_total();
-            t.recomputes += e.store.recomputes_total();
-        }
-        t
-    }
-
-    /// Total cache puts dropped by attempt fencing (zombie checkpoint
-    /// tasks) since the context was created.
-    pub fn fenced_cache_puts(&self) -> u64 {
-        self.inner
-            .executors
-            .iter()
-            .map(|e| e.store.fenced_puts_total())
-            .sum()
     }
 
     /// `true` when this context runs in deterministic simulation mode
@@ -453,19 +387,6 @@ impl SparkContext {
             map_buckets_lost,
             map_bytes_lost,
         }
-    }
-
-    /// Staged bytes written off as lost with their executor (distinct
-    /// from [`SparkContext::staged_released_bytes`], which counts
-    /// orderly reconciliation).
-    pub fn staged_lost_bytes(&self) -> u64 {
-        self.inner.shuffle.staged_lost_bytes()
-    }
-
-    /// Whole-job resubmissions taken after fetch failures since the
-    /// context was created.
-    pub fn stage_resubmissions(&self) -> u64 {
-        self.inner.stage_resubmissions.load(Ordering::Relaxed)
     }
 
     /// Cross-check every manager's running counters against a recount

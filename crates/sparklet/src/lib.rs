@@ -18,6 +18,8 @@
 //!   worker pool; tasks are placed by preferred location (cached
 //!   partitions) or round-robin, and every task's work and traffic is
 //!   recorded into an event log the cost model consumes;
+//!   [`SparkContext::summary`] folds that log, with every cumulative
+//!   engine counter, into one [`RunSummary`];
 //! * **shuffle staging** — map outputs are staged per node and count
 //!   against a configurable local-storage capacity; exceeding it fails
 //!   the job exactly like the paper's In-Memory drawback #2;
@@ -78,9 +80,7 @@ pub mod wire;
 pub use broadcast::Broadcast;
 pub use codec::Storable;
 pub use config::SparkConf;
-pub use context::{
-    Accumulator, ExecutorLoss, InstalledChaos, SparkContext, StorageTotals, TaskContext,
-};
+pub use context::{Accumulator, ExecutorLoss, InstalledChaos, SparkContext, TaskContext};
 pub use dag::{with_cancel, CancelToken, JobHandle};
 pub use error::JobError;
 pub use ext::{Either, RangePartitioner};

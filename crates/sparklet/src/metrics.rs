@@ -35,13 +35,16 @@ pub struct AdaptiveDecision {
     pub reason: String,
 }
 
-/// What a run (any slice of the stage log) did, totalled. Every field
-/// is replay-deterministic: two runs of one `with_sim_seed` seed
-/// compare `==`, which is what the replay suites assert. Host wall
-/// time is therefore not a field ([`EventLog::total_wall_seconds`]),
-/// and neither are the measured `*_wire_bytes` of the task records,
-/// which differ across codecs and transports while everything here
-/// must not.
+/// What a run (any slice of the stage log) did, totalled. It covers
+/// every cumulative engine counter: each one is taken into the next
+/// stage record to close, and [`crate::SparkContext::summary`] adds
+/// what no record has taken yet, so this is the one place to read
+/// them. Every field is replay-deterministic: two runs of one
+/// `with_sim_seed` seed compare `==`, which is what the replay suites
+/// assert. Host wall time is therefore not a field
+/// ([`EventLog::total_wall_seconds`]), and neither are the measured
+/// `*_wire_bytes` of the task records, which differ across codecs and
+/// transports while everything here must not.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunSummary {
     /// Stages executed.
@@ -70,6 +73,11 @@ pub struct RunSummary {
     /// Staged bytes released back by shuffle GC and retry
     /// reconciliation.
     pub staged_released_bytes: u64,
+    /// Staged bytes written off with dead executors (destroyed, not
+    /// released).
+    pub staged_lost_bytes: u64,
+    /// Whole-job resubmissions taken after fetch failures.
+    pub stage_resubmissions: u64,
     /// Cached-partition reads served from either storage tier.
     pub cache_hits: u64,
     /// Cached-partition reads that found neither tier populated.
@@ -82,6 +90,9 @@ pub struct RunSummary {
     pub evicted_bytes: u64,
     /// Lineage recomputations of dropped cached blocks.
     pub recomputes: u64,
+    /// Cache puts dropped by attempt fencing (zombie checkpoint
+    /// tasks).
+    pub fenced_cache_puts: u64,
     /// Highest number of stages the DAG scheduler had in flight
     /// simultaneously at any stage launch (each record carries the
     /// driver's in-flight gauge at its launch instant).
@@ -102,28 +113,37 @@ impl RunSummary {
             stages: stages.len(),
             ..Default::default()
         };
-        for StageEvent { record: r, .. } in stages {
-            s.tasks += r.tasks.len();
-            for t in &r.tasks {
-                s.remote_bytes += t.remote_read_bytes;
-                s.local_bytes += t.local_read_bytes;
-                s.staged_bytes += t.shuffle_write_bytes;
-                s.kernel_updates += t.kernels.iter().map(|inv| inv.updates).sum::<f64>();
-            }
-            s.collect_bytes += r.collect_bytes;
-            s.broadcast_bytes += r.broadcast_bytes;
-            s.retries += r.retries;
-            s.speculative_launches += r.speculative_launches;
-            s.zombie_writes_fenced += r.zombie_writes_fenced;
-            s.staged_released_bytes += r.staged_released_bytes;
-            s.cache_hits += r.cache_hits;
-            s.cache_misses += r.cache_misses;
-            s.spilled_bytes += r.spilled_bytes;
-            s.evicted_bytes += r.evicted_bytes;
-            s.recomputes += r.recomputes;
-            s.max_concurrent_stages = s.max_concurrent_stages.max(r.concurrent_stages);
+        for event in stages {
+            s.add(&event.record);
         }
         s
+    }
+
+    /// Add one record's tasks and counters. The caller counts stages:
+    /// a record of counts no stage has taken yet is not one.
+    pub(crate) fn add(&mut self, r: &StageRecord) {
+        self.tasks += r.tasks.len();
+        for t in &r.tasks {
+            self.remote_bytes += t.remote_read_bytes;
+            self.local_bytes += t.local_read_bytes;
+            self.staged_bytes += t.shuffle_write_bytes;
+            self.kernel_updates += t.kernels.iter().map(|inv| inv.updates).sum::<f64>();
+        }
+        self.collect_bytes += r.collect_bytes;
+        self.broadcast_bytes += r.broadcast_bytes;
+        self.retries += r.retries;
+        self.speculative_launches += r.speculative_launches;
+        self.zombie_writes_fenced += r.zombie_writes_fenced;
+        self.staged_released_bytes += r.staged_released_bytes;
+        self.staged_lost_bytes += r.staged_lost_bytes;
+        self.stage_resubmissions += r.stage_resubmissions;
+        self.cache_hits += r.cache_hits;
+        self.cache_misses += r.cache_misses;
+        self.spilled_bytes += r.spilled_bytes;
+        self.evicted_bytes += r.evicted_bytes;
+        self.recomputes += r.recomputes;
+        self.fenced_cache_puts += r.fenced_cache_puts;
+        self.max_concurrent_stages = self.max_concurrent_stages.max(r.concurrent_stages);
     }
 }
 
@@ -234,11 +254,14 @@ mod tests {
             speculative_launches: a.speculative_launches + b.speculative_launches,
             zombie_writes_fenced: a.zombie_writes_fenced + b.zombie_writes_fenced,
             staged_released_bytes: a.staged_released_bytes + b.staged_released_bytes,
+            staged_lost_bytes: a.staged_lost_bytes + b.staged_lost_bytes,
+            stage_resubmissions: a.stage_resubmissions + b.stage_resubmissions,
             cache_hits: a.cache_hits + b.cache_hits,
             cache_misses: a.cache_misses + b.cache_misses,
             spilled_bytes: a.spilled_bytes + b.spilled_bytes,
             evicted_bytes: a.evicted_bytes + b.evicted_bytes,
             recomputes: a.recomputes + b.recomputes,
+            fenced_cache_puts: a.fenced_cache_puts + b.fenced_cache_puts,
             max_concurrent_stages: a.max_concurrent_stages.max(b.max_concurrent_stages),
             adaptive_decisions: Vec::new(),
         }
@@ -272,6 +295,7 @@ mod tests {
                 broadcast_bytes: 50,
                 retries: 2,
                 staged_released_bytes: 30,
+                staged_lost_bytes: 3,
                 ..Default::default()
             },
         );
@@ -284,6 +308,7 @@ mod tests {
                     ..Default::default()
                 }],
                 concurrent_stages: 3,
+                stage_resubmissions: 1,
                 ..Default::default()
             },
         );
@@ -307,6 +332,7 @@ mod tests {
                 spilled_bytes: 11,
                 evicted_bytes: 12,
                 recomputes: 13,
+                fenced_cache_puts: 2,
                 ..Default::default()
             },
         );
@@ -322,6 +348,10 @@ mod tests {
         assert_eq!(first_two.retries, 2);
         assert_eq!(first_two.speculative_launches, 0);
         assert_eq!(first_two.staged_released_bytes, 30);
+        assert_eq!(
+            (first_two.staged_lost_bytes, first_two.stage_resubmissions),
+            (3, 1)
+        );
         assert_eq!(first_two.max_concurrent_stages, 3);
 
         let whole = log.summary();
@@ -348,6 +378,7 @@ mod tests {
             (whole.spilled_bytes, whole.evicted_bytes, whole.recomputes),
             (11, 12, 13)
         );
+        assert_eq!(whole.fenced_cache_puts, 2);
 
         let taken = log.take();
         assert_eq!(taken.len(), 3);

@@ -12,9 +12,9 @@
 //! It does not own stage ordering. The driver-side DAG event loop
 //! ([`crate::dag`]) extracts the stage graph, assigns stage ordinals at
 //! launch, and may keep several `run_stage` calls in flight on
-//! different driver threads at once — so every counter this module
-//! attributes to a stage record is claimed under one mutex
-//! (`SparkContext::claim_stage_deltas`), and a fault verdict is a
+//! different driver threads at once — so the engine counters a stage
+//! record closes with are taken from their owners under the log lock
+//! (`SparkContext::tally`), and a fault verdict is a
 //! function of the attempt's `(stage, partition, attempt)` coordinate
 //! ([`crate::ChaosPolicy`]), not of the order stages ask in.
 
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use cluster_model::{StageRecord, TaskRecord};
 use par_pool::{Clock, Condvar, Mutex, VirtualClock};
 
-use crate::context::{CommitBoard, SimState, SparkContext, StorageTotals, TaskContext};
+use crate::context::{CommitBoard, SimState, SparkContext, TaskContext};
 use crate::error::JobError;
 use crate::sim::ChaosEvent;
 
@@ -358,28 +358,23 @@ impl<'a, R> StageRun<'a, R> {
     /// Close the stage: append its [`StageRecord`] — stage id,
     /// parent-stage edges and achieved concurrency from `meta`, every
     /// committed task's metrics, the retry/speculation counters and
-    /// this stage's slice of the engine counters — timed under its
-    /// label when the stage completed (`Ok(wall seconds)`), under
+    /// every engine count since the previous record closed (taken
+    /// under the log lock, so each count lands in exactly one record
+    /// however stage completions interleave) — timed under its label
+    /// when the stage completed (`Ok(wall seconds)`), under
     /// `"<label> (failed)"` with what it had when an attempt failed it.
     fn close(self, wall: Result<f64, JobError>) -> Result<Vec<R>, JobError> {
-        let (zombies, released, st) = self.ctx.claim_stage_deltas();
-        let record = StageRecord {
+        let mut record = StageRecord {
             stage_id: self.meta.stage_id,
             parent_stage_ids: self.parent_stage_ids,
             concurrent_stages: self.meta.concurrent,
             tasks: self.records,
             retries: self.retries,
             speculative_launches: self.speculative_launches,
-            zombie_writes_fenced: zombies,
-            staged_released_bytes: released,
-            cache_hits: st.cache_hits,
-            cache_misses: st.cache_misses,
-            spilled_bytes: st.spilled_bytes,
-            evicted_bytes: st.evicted_bytes,
-            recomputes: st.recomputes,
             ..Default::default()
         };
         let mut log = self.ctx.inner.log.lock();
+        self.ctx.tally(&mut record, true);
         match wall {
             Ok(seconds) => {
                 log.push_timed(self.label.to_string(), record, seconds);
@@ -576,39 +571,6 @@ impl SparkContext {
             run.finished(p, attempt, outcome, record)?;
         }
         Ok((clock.now_ms() - t0_ms) as f64 / 1000.0)
-    }
-
-    /// Unattributed engine-counter growth since the last stage record:
-    /// zombie writes fenced and staged bytes released (shuffle GC) plus
-    /// block-store totals (cache hits/misses, spill/eviction bytes,
-    /// lineage recomputations). All watermarks advance under a single
-    /// mutex so that concurrently completing stages each claim a
-    /// disjoint slice and event-log totals stay equal to the managers'
-    /// counters however stage completions interleave.
-    fn claim_stage_deltas(&self) -> (u64, u64, StorageTotals) {
-        let mut marks = self.inner.claim_marks.lock();
-        let zombies = self.inner.shuffle.zombie_writes_fenced();
-        let released = self.inner.shuffle.staged_released_bytes();
-        let storage = self.storage_totals();
-        let dz = zombies.saturating_sub(marks.zombies);
-        let dr = released.saturating_sub(marks.released);
-        let ds = StorageTotals {
-            cache_hits: storage.cache_hits.saturating_sub(marks.storage.cache_hits),
-            cache_misses: storage
-                .cache_misses
-                .saturating_sub(marks.storage.cache_misses),
-            spilled_bytes: storage
-                .spilled_bytes
-                .saturating_sub(marks.storage.spilled_bytes),
-            evicted_bytes: storage
-                .evicted_bytes
-                .saturating_sub(marks.storage.evicted_bytes),
-            recomputes: storage.recomputes.saturating_sub(marks.storage.recomputes),
-        };
-        marks.zombies = zombies;
-        marks.released = released;
-        marks.storage = storage;
-        (dz, dr, ds)
     }
 
     /// Add collect bytes to the record of stage `stage_id` (an action's

@@ -515,6 +515,8 @@ impl SvcState {
         match std::mem::replace(&mut entry.state, end) {
             EntryState::Queued => {
                 self.sched.remove_queued(tenant, job);
+                // Never dispatched: nobody took its body.
+                entry.body = Bytes::new();
             }
             EntryState::Running => self.sched.job_finished(tenant),
             _ => unreachable!("job {job} settled twice"),
@@ -663,7 +665,9 @@ impl JobService {
     }
 
     /// Take the next WRR dispatch, marking it running. `None` when
-    /// nothing is dispatchable (empty queues or caps reached).
+    /// nothing is dispatchable (empty queues or caps reached). The
+    /// body moves into the dispatch: a settled entry kept for polling
+    /// does not hold it.
     fn dispatch_next(&self) -> Option<Dispatch> {
         let mut st = self.inner.state.lock();
         let (tenant, job) = st.sched.next()?;
@@ -675,7 +679,7 @@ impl JobService {
         Some(Dispatch {
             job,
             tenant,
-            body: entry.body.clone(),
+            body: std::mem::take(&mut entry.body),
             key: entry.key,
             cancel: entry.cancel.clone(),
         })
@@ -950,4 +954,44 @@ pub struct Arrival {
     pub tenant: TenantId,
     /// Job body.
     pub body: Bytes,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SparkConf;
+
+    /// Echoes the body back; every job costs one unit and is uncached.
+    struct Echo;
+
+    impl JobRunner for Echo {
+        fn estimate(&self, _body: &Bytes) -> Result<f64, JobError> {
+            Ok(1.0)
+        }
+
+        fn cache_key(&self, _body: &Bytes) -> Result<Option<u128>, JobError> {
+            Ok(None)
+        }
+
+        fn run(&self, _sc: &SparkContext, body: &Bytes) -> Result<Bytes, JobError> {
+            Ok(body.clone())
+        }
+    }
+
+    #[test]
+    fn settled_entries_keep_no_body() {
+        let sc = SparkContext::new(SparkConf::default().with_sim_seed(1));
+        let svc = JobService::new(sc, ServiceConfig::default(), Echo);
+        let ran = svc.submit(1, Bytes::from_static(b"run me")).expect("admit");
+        let queued = svc
+            .submit(1, Bytes::from_static(b"cancel me"))
+            .expect("admit");
+        assert!(svc.cancel(queued));
+        assert!(svc.pump());
+        assert_eq!(svc.poll(ran).expect("retained").state, JobState::Done);
+        let st = svc.inner.state.lock();
+        for job in [ran, queued] {
+            assert!(st.jobs[&job].body.is_empty(), "job {job} kept its body");
+        }
+    }
 }

@@ -16,19 +16,18 @@
 //! for their partition are fenced out entirely (see
 //! [`crate::context::TaskContext::is_fenced`]). Whole shuffles are
 //! released individually when their RDD lineage is dropped
-//! ([`ShuffleManager::release`]) instead of only on global
-//! [`ShuffleManager::clear`].
+//! ([`ShuffleManager::release`]).
 //!
 //! Under a wire transport the ledger lock is never held across a
 //! socket: a write is *check → ship → commit* (see
 //! [`ShuffleManager::write`]), a fetch snapshots its row and then
-//! reads, and release/clear update the ledger before they notify the
+//! reads, and a release updates the ledger before it notifies the
 //! executors — so one node's slow put stalls nobody else's shuffle I/O.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
 
+use cluster_model::StageRecord;
 use par_pool::Mutex;
 
 use crate::context::TaskContext;
@@ -77,6 +76,21 @@ struct ShuffleData {
     buckets: Vec<Vec<Slot>>,
 }
 
+/// Counts since the last stage record took them
+/// ([`ShuffleManager::tally`]).
+#[derive(Debug, Default, Clone, Copy)]
+struct ShuffleTally {
+    /// Late writes dropped because another attempt already committed
+    /// the partition.
+    zombie_writes_fenced: u64,
+    /// Bytes released back to staging: per-shuffle GC plus retry
+    /// reconciliation of overwritten buckets.
+    staged_released_bytes: u64,
+    /// Bytes written off when their executor died (distinct from
+    /// orderly releases — these were destroyed, not reconciled).
+    staged_lost_bytes: u64,
+}
+
 /// State behind one lock: the bucket matrices plus the staging
 /// accounting they imply. Invariant: `staged[n]` equals the sum of
 /// `declared` over every `Slot::Data` bucket with `origin_node == n`.
@@ -87,6 +101,7 @@ struct ShuffleInner {
     staged: Vec<u64>,
     /// High-water mark of `staged` per node.
     peak: Vec<u64>,
+    tally: ShuffleTally,
 }
 
 impl ShuffleInner {
@@ -155,15 +170,6 @@ pub struct ShuffleManager {
     /// once, and `inner` is only ever taken inside one, never around.
     ship: Vec<Mutex<()>>,
     capacity: Option<u64>,
-    /// Late writes dropped because another attempt already committed
-    /// the partition.
-    zombie_writes_fenced: AtomicU64,
-    /// Bytes released back to staging: per-shuffle GC plus retry
-    /// reconciliation of overwritten buckets.
-    staged_released: AtomicU64,
-    /// Bytes written off when their executor died (distinct from
-    /// orderly releases — these were destroyed, not reconciled).
-    staged_lost: AtomicU64,
     /// Wire transport to executor subprocesses. When set, the bucket
     /// matrix stays the authoritative *ledger* (origin, attempt,
     /// declared bytes — and the driver-side frame, which doubles as
@@ -182,12 +188,10 @@ impl ShuffleManager {
                 shuffles: HashMap::new(),
                 staged: vec![0; nodes],
                 peak: vec![0; nodes],
+                tally: ShuffleTally::default(),
             }),
             ship: (0..nodes).map(|_| Mutex::new(())).collect(),
             capacity,
-            zombie_writes_fenced: AtomicU64::new(0),
-            staged_released: AtomicU64::new(0),
-            staged_lost: AtomicU64::new(0),
             remote: None,
         }
     }
@@ -248,7 +252,7 @@ impl ShuffleManager {
         // A zombie attempt (its partition was committed by a different
         // attempt) must not disturb committed data or accounting.
         if tc.is_fenced() {
-            self.zombie_writes_fenced.fetch_add(1, Ordering::Relaxed);
+            self.inner.lock().tally.zombie_writes_fenced += 1;
             return Ok(());
         }
         let admit = |inner: &mut ShuffleInner| {
@@ -280,7 +284,7 @@ impl ShuffleManager {
             wire = manager.put_block(origin_node, id, map, reduce, data.frame())?;
             inner = self.inner.lock();
             // The ledger may have moved while the bytes were in flight,
-            // so the commit looks again. Only release/clear can fail it
+            // so the commit looks again. Only a release can fail it
             // now — `staged[origin_node]` grows through this node's
             // ship mutex alone, so the capacity verdict stands — and
             // then no executor may keep a bucket of that shuffle.
@@ -295,7 +299,7 @@ impl ShuffleManager {
         }
         if let Some((node, bytes)) = prev {
             inner.staged[node] -= bytes;
-            self.staged_released.fetch_add(bytes, Ordering::Relaxed);
+            inner.tally.staged_released_bytes += bytes;
         }
         inner.staged[origin_node] += declared;
         if inner.staged[origin_node] > inner.peak[origin_node] {
@@ -462,19 +466,18 @@ impl ShuffleManager {
         self.inner.lock().peak[node]
     }
 
-    /// Late writes dropped by attempt fencing so far.
-    pub fn zombie_writes_fenced(&self) -> u64 {
-        self.zombie_writes_fenced.load(Ordering::Relaxed)
-    }
-
-    /// Bytes released back to staging so far (GC + reconciliation).
-    pub fn staged_released_bytes(&self) -> u64 {
-        self.staged_released.load(Ordering::Relaxed)
-    }
-
-    /// Bytes destroyed with dead executors so far.
-    pub fn staged_lost_bytes(&self) -> u64 {
-        self.staged_lost.load(Ordering::Relaxed)
+    /// Add the counts since the last take to `record`; `take` also
+    /// resets them (see [`crate::SparkContext::summary`]).
+    pub(crate) fn tally(&self, record: &mut StageRecord, take: bool) {
+        let mut inner = self.inner.lock();
+        let t = if take {
+            std::mem::take(&mut inner.tally)
+        } else {
+            inner.tally
+        };
+        record.zombie_writes_fenced += t.zombie_writes_fenced;
+        record.staged_released_bytes += t.staged_released_bytes;
+        record.staged_lost_bytes += t.staged_lost_bytes;
     }
 
     /// Executor death: every bucket `node` staged becomes
@@ -503,10 +506,7 @@ impl ShuffleManager {
             }
         }
         inner.staged[node] -= bytes_lost;
-        drop(inner);
-        if bytes_lost > 0 {
-            self.staged_lost.fetch_add(bytes_lost, Ordering::Relaxed);
-        }
+        inner.tally.staged_lost_bytes += bytes_lost;
         (buckets_lost, bytes_lost)
     }
 
@@ -559,30 +559,13 @@ impl ShuffleManager {
                 }
             }
         }
+        inner.tally.staged_released_bytes += released;
         drop(inner);
-        if released > 0 {
-            self.staged_released.fetch_add(released, Ordering::Relaxed);
-        }
         // The ledger is settled and unlocked before the executors hear
         // of it: the notification queues behind whatever their sockets
         // are carrying, and running tasks must not queue behind it.
         if let Some(manager) = &self.remote {
             manager.shuffle_release(id);
-        }
-    }
-
-    /// Drop all shuffle data and reset staging accounting (a wholesale
-    /// reset between benchmark configurations; per-iteration cleanup
-    /// happens through [`ShuffleManager::release`]).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.shuffles.clear();
-        for b in inner.staged.iter_mut() {
-            *b = 0;
-        }
-        drop(inner);
-        if let Some(manager) = &self.remote {
-            manager.shuffle_clear();
         }
     }
 
@@ -611,11 +594,17 @@ mod tests {
     use crate::context::TaskContext;
     use crate::payload::{Compression, FRAME_HEADER};
     use bytes::Bytes;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     /// Seal a raw byte run into an uncompressed frame.
     fn pay(data: &[u8]) -> Payload {
         Payload::seal(Bytes::copy_from_slice(data), Compression::None)
+    }
+
+    /// The counts no stage record has taken yet.
+    fn tally(sm: &ShuffleManager) -> ShuffleTally {
+        sm.inner.lock().tally
     }
 
     /// The raw streams of fetched frames, for equality assertions.
@@ -717,7 +706,7 @@ mod tests {
         sm.write(7, 0, 0, 0, pay(&[0u8; 8]), 8, &tc).unwrap();
         sm.write(7, 0, 0, 0, pay(&[1u8; 8]), 8, &tc).unwrap();
         assert_eq!(sm.staged_bytes(0), 8);
-        assert_eq!(sm.staged_released_bytes(), 8);
+        assert_eq!(tally(&sm).staged_released_bytes, 8);
         let got = sm.fetch(7, 0, &TaskContext::new(0)).unwrap();
         assert_eq!(opened(&got), vec![vec![1u8; 8]]);
     }
@@ -757,7 +746,7 @@ mod tests {
         // Attempt 1 limps in after attempt 2 committed: fenced.
         let zombie = TaskContext::for_attempt(0, 1, Arc::clone(&board), 0);
         sm.write(2, 0, 0, 0, pay(b"old"), 3, &zombie).unwrap();
-        assert_eq!(sm.zombie_writes_fenced(), 1);
+        assert_eq!(tally(&sm).zombie_writes_fenced, 1);
         assert_eq!(sm.staged_bytes(0), 3);
         assert_eq!(zombie.snapshot().shuffle_write_bytes, 0);
         let got = sm.fetch(2, 0, &TaskContext::new(0)).unwrap();
@@ -775,11 +764,16 @@ mod tests {
             .unwrap();
         sm.release(1);
         assert_eq!((sm.staged_bytes(0), sm.staged_bytes(1)), (0, 2));
-        assert_eq!(sm.staged_released_bytes(), 4);
+        assert_eq!(tally(&sm).staged_released_bytes, 4);
         assert!(sm.fetch(1, 0, &TaskContext::new(0)).is_err());
         assert!(sm.fetch(2, 0, &TaskContext::new(0)).is_ok());
         sm.release(1); // double release is a no-op
-        assert_eq!(sm.staged_released_bytes(), 4);
+        assert_eq!(tally(&sm).staged_released_bytes, 4);
+        // A stage record takes the counts; the next one starts afresh.
+        let mut record = StageRecord::default();
+        sm.tally(&mut record, true);
+        assert_eq!(record.staged_released_bytes, 4);
+        assert_eq!(tally(&sm).staged_released_bytes, 0);
     }
 
     #[test]
@@ -795,18 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_staging() {
-        let sm = ShuffleManager::new(1, Some(10));
-        sm.register(7, 1, 1);
-        let tc = TaskContext::new(0);
-        sm.write(7, 0, 0, 0, pay(&[0u8; 8]), 8, &tc).unwrap();
-        assert_eq!(sm.staged_bytes(0), 8);
-        sm.clear();
-        assert_eq!(sm.staged_bytes(0), 0);
-        assert!(sm.fetch(7, 0, &tc).is_err());
-    }
-
-    #[test]
     fn lost_buckets_fail_the_fetch_instead_of_reading_as_empty() {
         let sm = ShuffleManager::new(2, None);
         sm.register(1, 2, 1);
@@ -817,8 +799,8 @@ mod tests {
         let (buckets, bytes) = sm.drop_node_outputs(1);
         assert_eq!((buckets, bytes), (1, 2));
         assert_eq!(sm.staged_bytes(1), 0);
-        assert_eq!(sm.staged_lost_bytes(), 2);
-        assert_eq!(sm.staged_released_bytes(), 0, "loss is not a release");
+        assert_eq!(tally(&sm).staged_lost_bytes, 2);
+        assert_eq!(tally(&sm).staged_released_bytes, 0, "loss is not a release");
         let err = sm.fetch(1, 0, &TaskContext::new(0)).unwrap_err();
         assert!(
             matches!(
@@ -953,42 +935,36 @@ mod tests {
     }
 
     #[test]
-    fn remote_release_and_clear_notify_after_unlocking_the_ledger() {
+    fn remote_release_notifies_after_unlocking_the_ledger() {
         let (manager, sm) = remote_pair();
         for id in [1, 2] {
             sm.register(id, 1, 1);
             sm.write(id, 0, 0, 1, pay(&body(id as u8)), 5, &TaskContext::new(1))
                 .unwrap();
         }
-        // `settle` updates the ledger and then notifies node 0 first,
-        // which is parked; `settled` can only turn true — and the
-        // probe thread can only get at the ledger to see it — if the
-        // notification is sent with the ledger unlocked.
-        let check = |settle: &(dyn Fn() + Sync), settled: &(dyn Fn() -> bool + Sync)| {
-            let hold = manager.hold_slot(0);
-            let (done, wait_done) = mpsc::channel();
-            let (parked, seen) = std::thread::scope(|s| {
-                let notifier = s.spawn(settle);
-                s.spawn(|| {
-                    while !settled() {
-                        std::thread::yield_now();
-                    }
-                    done.send(()).expect("main is waiting");
-                });
-                let seen = wait_done.recv_timeout(GRACE);
-                let parked = !notifier.is_finished();
-                drop(hold);
-                notifier.join().unwrap();
-                (parked, seen)
+        // The release updates the ledger and then notifies node 0
+        // first, which is parked; the probe thread can only get at the
+        // ledger to see the release if the notification is sent with
+        // the ledger unlocked.
+        let hold = manager.hold_slot(0);
+        let (done, wait_done) = mpsc::channel();
+        let (parked, seen) = std::thread::scope(|s| {
+            let notifier = s.spawn(|| sm.release(1));
+            s.spawn(|| {
+                while !(sm.fetch(1, 0, &TaskContext::new(1)).is_err() && sm.staged_bytes(1) == 5) {
+                    std::thread::yield_now();
+                }
+                done.send(()).expect("main is waiting");
             });
-            seen.expect("the ledger stayed locked across a notification");
-            assert!(parked, "the notification cannot have passed a held slot");
-            assert_balanced(&manager, &sm);
-        };
-        check(&|| sm.release(1), &|| {
-            sm.fetch(1, 0, &TaskContext::new(1)).is_err() && sm.staged_bytes(1) == 5
+            let seen = wait_done.recv_timeout(GRACE);
+            let parked = !notifier.is_finished();
+            drop(hold);
+            notifier.join().unwrap();
+            (parked, seen)
         });
-        check(&|| sm.clear(), &|| sm.staged_bytes(1) == 0);
+        seen.expect("the ledger stayed locked across a notification");
+        assert!(parked, "the notification cannot have passed a held slot");
+        assert_balanced(&manager, &sm);
     }
 
     #[test]

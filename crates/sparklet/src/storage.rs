@@ -30,6 +30,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cluster_model::StageRecord;
 use par_pool::Mutex;
 
 use crate::codec::{decode_one, Storable};
@@ -145,14 +146,26 @@ struct Entry {
     stamp: u64,
 }
 
+/// Counts since the last stage record took them
+/// ([`BlockStore::tally`]), named and defined as on [`StageRecord`].
+#[derive(Debug, Default, Clone, Copy)]
+struct StoreTally {
+    cache_hits: u64,
+    cache_misses: u64,
+    spilled_bytes: u64,
+    evicted_bytes: u64,
+    recomputes: u64,
+    fenced_cache_puts: u64,
+}
+
 /// All mutable store state behind one lock, so capacity checks and
 /// tier accounting can never observe each other half-updated (the old
 /// split `entries`/`used` mutexes had exactly that window).
 struct StoreInner {
     entries: HashMap<(CacheId, usize), Entry>,
     mem_used: u64,
-    mem_peak: u64,
     disk_used: u64,
+    tally: StoreTally,
 }
 
 /// One node's tiered cache.
@@ -167,13 +180,6 @@ pub struct BlockStore {
     compression: Compression,
     /// LRU clock; ticks on every put/get touch.
     clock: AtomicU64,
-    mem_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    spilled_bytes: AtomicU64,
-    evicted_bytes: AtomicU64,
-    recomputes: AtomicU64,
-    fenced_puts: AtomicU64,
     /// Per-partition latches serializing lineage recomputation, so
     /// concurrent readers of a dropped block recompute exactly once.
     recompute_latches: Mutex<LatchMap>,
@@ -187,20 +193,13 @@ impl BlockStore {
             inner: Mutex::new(StoreInner {
                 entries: HashMap::new(),
                 mem_used: 0,
-                mem_peak: 0,
                 disk_used: 0,
+                tally: StoreTally::default(),
             }),
             mem_capacity,
             disk_capacity,
             compression: Compression::None,
             clock: AtomicU64::new(0),
-            mem_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            spilled_bytes: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
-            recomputes: AtomicU64::new(0),
-            fenced_puts: AtomicU64::new(0),
             recompute_latches: Mutex::new(HashMap::new()),
         }
     }
@@ -236,7 +235,7 @@ impl BlockStore {
         tc: Option<&TaskContext>,
     ) -> Result<PutOutcome, JobError> {
         if tc.is_some_and(|tc| tc.is_fenced()) {
-            self.fenced_puts.fetch_add(1, Ordering::Relaxed);
+            self.inner.lock().tally.fenced_cache_puts += 1;
             return Ok(PutOutcome::Fenced);
         }
         let codec = codec_for::<T>();
@@ -306,7 +305,6 @@ impl BlockStore {
         }
         self.remove_reconciled(&mut inner, cache, partition, mem_credit, disk_credit);
         inner.mem_used += bytes;
-        inner.mem_peak = inner.mem_peak.max(inner.mem_used);
         inner.entries.insert((cache, partition), entry);
         Ok(PutOutcome::Memory)
     }
@@ -352,7 +350,7 @@ impl BlockStore {
         entry.tier = Tier::Disk(payload);
         self.remove_reconciled(inner, cache, partition, mem_credit, disk_credit);
         inner.disk_used += entry.bytes;
-        self.spilled_bytes.fetch_add(entry.bytes, Ordering::Relaxed);
+        inner.tally.spilled_bytes += entry.bytes;
         if let Some(tc) = tc {
             tc.add_spill_write(entry.bytes, wire);
         }
@@ -425,7 +423,7 @@ impl BlockStore {
                     inner.mem_used -= bytes;
                     inner.disk_used += bytes;
                     freed += bytes;
-                    self.spilled_bytes.fetch_add(bytes, Ordering::Relaxed);
+                    inner.tally.spilled_bytes += bytes;
                     if let Some(tc) = tc {
                         tc.add_spill_write(bytes, wire);
                     }
@@ -442,7 +440,7 @@ impl BlockStore {
             let entry = inner.entries.remove(&key).expect("victim present");
             inner.mem_used -= entry.bytes;
             freed += entry.bytes;
-            self.evicted_bytes.fetch_add(entry.bytes, Ordering::Relaxed);
+            inner.tally.evicted_bytes += entry.bytes;
         }
     }
 
@@ -458,10 +456,11 @@ impl BlockStore {
         tc: Option<&TaskContext>,
     ) -> Result<Option<(Arc<T>, u64)>, JobError> {
         let stamp = self.tick();
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let node = self.node;
         let Some(entry) = inner.entries.get_mut(&(cache, partition)) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            inner.tally.cache_misses += 1;
             return Ok(None);
         };
         entry.stamp = stamp;
@@ -474,13 +473,13 @@ impl BlockStore {
         match &entry.tier {
             Tier::Memory(data) => {
                 let data = Arc::clone(data).downcast::<T>().map_err(|_| mismatch())?;
-                self.mem_hits.fetch_add(1, Ordering::Relaxed);
+                inner.tally.cache_hits += 1;
                 Ok(Some((data, entry.bytes)))
             }
             Tier::Disk(payload) => {
                 let decoded = (entry.codec.decode)(payload)?;
                 let data = decoded.downcast::<T>().map_err(|_| mismatch())?;
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                inner.tally.cache_hits += 1;
                 if let Some(tc) = tc {
                     tc.add_spill_read(entry.bytes, spill_wire(payload, entry.bytes));
                 }
@@ -557,7 +556,7 @@ impl BlockStore {
 
     /// Record one lineage recomputation of a dropped block.
     pub fn note_recompute(&self) {
-        self.recomputes.fetch_add(1, Ordering::Relaxed);
+        self.inner.lock().tally.recomputes += 1;
     }
 
     /// Currently cached bytes in the memory tier.
@@ -570,46 +569,21 @@ impl BlockStore {
         self.inner.lock().disk_used
     }
 
-    /// High-water mark of memory-tier bytes over the store's lifetime.
-    pub fn peak_used_bytes(&self) -> u64 {
-        self.inner.lock().mem_peak
-    }
-
-    /// Reads served from the memory tier.
-    pub fn mem_hits(&self) -> u64 {
-        self.mem_hits.load(Ordering::Relaxed)
-    }
-
-    /// Reads served by deserializing from the disk tier.
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
-    }
-
-    /// Reads that found the partition in neither tier.
-    pub fn cache_misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes serialized into the disk tier (spills + DiskOnly
-    /// puts).
-    pub fn spilled_bytes_total(&self) -> u64 {
-        self.spilled_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes of blocks dropped under pressure (recompute-backed
-    /// evictions; unpersists are not counted).
-    pub fn evicted_bytes_total(&self) -> u64 {
-        self.evicted_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Lineage recomputations of dropped blocks.
-    pub fn recomputes_total(&self) -> u64 {
-        self.recomputes.load(Ordering::Relaxed)
-    }
-
-    /// Cache puts dropped because the task was attempt-fenced.
-    pub fn fenced_puts_total(&self) -> u64 {
-        self.fenced_puts.load(Ordering::Relaxed)
+    /// Add the counts since the last take to `record`; `take` also
+    /// resets them (see [`crate::SparkContext::summary`]).
+    pub(crate) fn tally(&self, record: &mut StageRecord, take: bool) {
+        let mut inner = self.inner.lock();
+        let t = if take {
+            std::mem::take(&mut inner.tally)
+        } else {
+            inner.tally
+        };
+        record.cache_hits += t.cache_hits;
+        record.cache_misses += t.cache_misses;
+        record.spilled_bytes += t.spilled_bytes;
+        record.evicted_bytes += t.evicted_bytes;
+        record.recomputes += t.recomputes;
+        record.fenced_cache_puts += t.fenced_cache_puts;
     }
 
     /// Executor death: destroy every entry in both tiers and all
@@ -663,6 +637,11 @@ mod tests {
     const MD: StorageLevel = StorageLevel::MemoryAndDisk;
     const DO: StorageLevel = StorageLevel::DiskOnly;
 
+    /// The counts no stage record has taken yet.
+    fn tally(store: &BlockStore) -> StoreTally {
+        store.inner.lock().tally
+    }
+
     #[test]
     fn discard_frees_exactly_one_partition() {
         let store = BlockStore::new(0, None, None);
@@ -689,7 +668,7 @@ mod tests {
         let (data, bytes) = store.get::<Vec<u32>>(1, 0, None).unwrap().unwrap();
         assert_eq!(*data, vec![1, 2, 3]);
         assert_eq!(bytes, 12);
-        assert_eq!(store.mem_hits(), 1);
+        assert_eq!(tally(&store).cache_hits, 1);
     }
 
     #[test]
@@ -706,7 +685,7 @@ mod tests {
     fn miss_is_none_not_error() {
         let store = BlockStore::new(0, None, None);
         assert!(store.get::<u64>(9, 0, None).unwrap().is_none());
-        assert_eq!(store.cache_misses(), 1);
+        assert_eq!(tally(&store).cache_misses, 1);
     }
 
     #[test]
@@ -769,12 +748,14 @@ mod tests {
         // Partition 0 was least recently used → spilled.
         assert_eq!(store.used_bytes(), 6);
         assert_eq!(store.disk_used_bytes(), 6);
-        assert_eq!(store.spilled_bytes_total(), 6);
+        assert_eq!(tally(&store).spilled_bytes, 6);
         // Disk-tier read round-trips through real serialization.
-        let (data, bytes) = store.get::<Vec<u64>>(1, 0, None).unwrap().unwrap();
+        let tc = TaskContext::new(0);
+        let (data, bytes) = store.get::<Vec<u64>>(1, 0, Some(&tc)).unwrap().unwrap();
         assert_eq!(*data, vec![1, 2]);
         assert_eq!(bytes, 6);
-        assert_eq!(store.disk_hits(), 1);
+        assert_eq!(tc.snapshot().spill_read_bytes, 6, "a disk-tier hit");
+        assert_eq!(tally(&store).cache_hits, 1);
     }
 
     #[test]
@@ -791,11 +772,15 @@ mod tests {
         store
             .put(1, 2, Arc::new(12u64), 6, MD, false, None)
             .unwrap();
-        assert_eq!(store.mem_hits(), 1);
-        store.get::<u64>(1, 0, None).unwrap().unwrap();
-        assert_eq!(store.mem_hits(), 2, "partition 0 stayed in memory");
-        store.get::<u64>(1, 1, None).unwrap().unwrap();
-        assert_eq!(store.disk_hits(), 1, "partition 1 was spilled");
+        // A disk-tier hit charges its read to the task; a memory hit
+        // reads nothing back.
+        let read_back = |p| {
+            let tc = TaskContext::new(0);
+            store.get::<u64>(1, p, Some(&tc)).unwrap().unwrap();
+            tc.snapshot().spill_read_bytes
+        };
+        assert_eq!(read_back(0), 0, "partition 0 stayed in memory");
+        assert_eq!(read_back(1), 6, "partition 1 was spilled");
     }
 
     #[test]
@@ -804,7 +789,7 @@ mod tests {
         store.put(1, 0, Arc::new(1u64), 6, ML, true, None).unwrap();
         let out = store.put(1, 1, Arc::new(2u64), 6, ML, true, None).unwrap();
         assert_eq!(out, PutOutcome::Memory);
-        assert_eq!(store.evicted_bytes_total(), 6);
+        assert_eq!(tally(&store).evicted_bytes, 6);
         assert!(store.get::<u64>(1, 0, None).unwrap().is_none());
         // An oversized recoverable block is skipped, not fatal.
         let out = store.put(1, 2, Arc::new(3u64), 99, ML, true, None).unwrap();
@@ -880,7 +865,7 @@ mod tests {
         assert_eq!(store.wipe(), (6, 9));
         assert_eq!(store.used_bytes(), 0);
         assert_eq!(store.disk_used_bytes(), 0);
-        assert_eq!(store.evicted_bytes_total(), 0, "loss is not eviction");
+        assert_eq!(tally(&store).evicted_bytes, 0, "loss is not eviction");
         assert!(store.get::<u64>(1, 0, None).unwrap().is_none());
         store.audit().unwrap();
     }
@@ -895,7 +880,7 @@ mod tests {
             .unwrap();
         // Ledgers stay on declared bytes no matter what the codec did.
         assert_eq!(store.disk_used_bytes(), 800);
-        assert_eq!(store.spilled_bytes_total(), 800);
+        assert_eq!(tally(&store).spilled_bytes, 800);
         let (got, bytes) = store.get::<Vec<u64>>(1, 0, Some(&tc)).unwrap().unwrap();
         assert_eq!(*got, data);
         assert_eq!(bytes, 800);

@@ -107,10 +107,6 @@ impl ExecutorState {
                 self.buckets.retain(|&(s, _, _), _| s != shuffle);
                 (None, false)
             }
-            WireMsg::ShuffleClear => {
-                self.buckets.clear();
-                (None, false)
-            }
             WireMsg::BroadcastPut { id, frame } => match Payload::from_frame(frame.clone()) {
                 Ok(_) => {
                     self.broadcasts.insert(id, frame);

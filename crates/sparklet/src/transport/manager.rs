@@ -339,13 +339,6 @@ impl ExecutorManager {
         }
     }
 
-    /// Propagate a wholesale shuffle clear to every executor.
-    pub fn shuffle_clear(&self) {
-        for node in 0..self.slots.len() {
-            let _ = self.exchange(node, &WireMsg::ShuffleClear, false);
-        }
-    }
-
     /// Push a broadcast frame to `node`'s executor. Returns the bytes
     /// put on the wire.
     pub fn broadcast_put(&self, node: usize, id: u64, frame: Bytes) -> Result<u64, JobError> {

@@ -98,8 +98,6 @@ pub enum WireMsg {
         /// Shuffle being released.
         shuffle: u64,
     },
-    /// Drop all shuffle state (benchmark reset; fire-and-forget).
-    ShuffleClear,
     /// Push a broadcast payload to the executor (answered by
     /// [`WireMsg::Ack`]).
     BroadcastPut {
@@ -155,7 +153,7 @@ const TAG_SHUFFLE_PUT: u8 = 5;
 const TAG_SHUFFLE_GET: u8 = 6;
 const TAG_BLOCK: u8 = 7;
 const TAG_SHUFFLE_RELEASE: u8 = 8;
-const TAG_SHUFFLE_CLEAR: u8 = 9;
+// Tag 9 is retired (a wholesale shuffle clear): it decodes as unknown.
 const TAG_BROADCAST_PUT: u8 = 10;
 const TAG_BROADCAST_GET: u8 = 11;
 const TAG_BROADCAST_REMOVE: u8 = 12;
@@ -221,7 +219,6 @@ pub fn encode(msg: &WireMsg) -> Body<'_> {
             reduce,
         } => tagged(TAG_SHUFFLE_REMOVE, &[*shuffle, *map_task, *reduce]),
         WireMsg::ShuffleRelease { shuffle } => tagged(TAG_SHUFFLE_RELEASE, &[*shuffle]),
-        WireMsg::ShuffleClear => tagged(TAG_SHUFFLE_CLEAR, &[]),
         WireMsg::BroadcastPut { id, frame } => {
             return Body::with_frame(tagged(TAG_BROADCAST_PUT, &[*id]), frame);
         }
@@ -294,7 +291,6 @@ pub fn decode(body: Bytes) -> Result<WireMsg, JobError> {
         TAG_SHUFFLE_RELEASE => WireMsg::ShuffleRelease {
             shuffle: c.scalar()?,
         },
-        TAG_SHUFFLE_CLEAR => WireMsg::ShuffleClear,
         TAG_BROADCAST_PUT => WireMsg::BroadcastPut {
             id: c.scalar()?,
             frame: c.frame()?,

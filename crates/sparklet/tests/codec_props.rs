@@ -619,7 +619,6 @@ fn executor_wire_bytes_match_the_golden_vectors() {
             reduce: 4,
         },
         WireMsg::ShuffleRelease { shuffle: 9 },
-        WireMsg::ShuffleClear,
         WireMsg::BroadcastPut { id: 5, frame },
         WireMsg::BroadcastGet { id: 5 },
         WireMsg::BroadcastRemove { id: 5 },
@@ -647,7 +646,6 @@ fn executor_wire_bytes_match_the_golden_vectors() {
         "0700",
         "12090000000000000001000000000000000400000000000000",
         "080900000000000000",
-        "09",
         "0a05000000000000000006000000000000006275636b6574",
         "0b0500000000000000",
         "0c0500000000000000",
@@ -666,6 +664,12 @@ fn executor_wire_bytes_match_the_golden_vectors() {
     // The same messages as the socket moves them: head and frame sent
     // back to back, the body decoded from the buffer it was read into.
     framing_harness(&samples, exec_wire::encode, exec_wire::decode);
+    // Tag 9 (a wholesale shuffle clear) is retired, not reused.
+    let retired = exec_wire::decode_body(&[9]);
+    assert!(
+        matches!(&retired, Err(JobError::Codec(m)) if m == "unknown wire tag 9"),
+        "{retired:?}"
+    );
 }
 
 #[test]

@@ -105,7 +105,7 @@ fn cogroup_recovers_a_fetch_failure_on_its_one_shuffle() {
                 .collect()
                 .unwrap(),
         );
-        (got, sc.stage_resubmissions())
+        (got, sc.summary().stage_resubmissions)
     };
     let (want, calm) = run(false);
     let (got, resubmitted) = run(true);

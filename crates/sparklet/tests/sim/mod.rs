@@ -215,8 +215,8 @@ pub fn counters(sc: &SparkContext) -> Vec<(&'static str, u64)> {
         ("evicted", s.evicted_bytes),
         ("recomputes", s.recomputes),
         ("zombies", s.zombie_writes_fenced),
-        ("staged_lost", sc.staged_lost_bytes()),
-        ("resubmissions", sc.stage_resubmissions()),
+        ("staged_lost", s.staged_lost_bytes),
+        ("resubmissions", s.stage_resubmissions),
     ]
 }
 
@@ -248,28 +248,17 @@ pub fn assert_invariants(sc: &SparkContext, seed: u64) {
         panic!("CHAOS_SEED={seed}: engine audit failed: {e}");
     }
     let did = sc.summary();
-    // 3. Per-stage attribution sums exactly to the context counters.
-    assert_eq!(
-        did.staged_released_bytes,
-        sc.staged_released_bytes(),
-        "CHAOS_SEED={seed}: staged-release attribution drifted"
-    );
-    assert_eq!(
-        did.zombie_writes_fenced,
-        sc.zombie_writes_fenced(),
-        "CHAOS_SEED={seed}: zombie-write attribution drifted"
-    );
-    // 4. Every committed staged byte was either released (GC /
+    // 3. Every committed staged byte was either released (GC /
     //    reconciliation) or written off with a dead executor.
     assert!(
-        did.staged_released_bytes + sc.staged_lost_bytes() >= did.staged_bytes,
+        did.staged_released_bytes + did.staged_lost_bytes >= did.staged_bytes,
         "CHAOS_SEED={seed}: released {} + lost {} < staged {}",
         did.staged_released_bytes,
-        sc.staged_lost_bytes(),
+        did.staged_lost_bytes,
         did.staged_bytes
     );
     sc.with_event_log(|log| {
-        // 5. Exactly-once materialization: a committed map stage only
+        // 4. Exactly-once materialization: a committed map stage only
         //    re-runs under a fetch-failure resubmission.
         let mut label_counts: HashMap<&str, u64> = HashMap::new();
         for s in log.stages() {
@@ -279,16 +268,15 @@ pub fn assert_invariants(sc: &SparkContext, seed: u64) {
         }
         let duplicates: u64 = label_counts.values().map(|&n| n - 1).sum();
         assert!(
-            duplicates <= sc.stage_resubmissions(),
+            duplicates <= did.stage_resubmissions,
             "CHAOS_SEED={seed}: {duplicates} duplicate map stages but only {} resubmissions",
-            sc.stage_resubmissions()
+            did.stage_resubmissions
         );
     });
 }
 
 /// Execute the workload once under `chaos` on a fresh seeded context
-/// and check invariants. A trailing one-partition stage claims any GC
-/// residue into the event log before the counters are read.
+/// and check invariants.
 pub fn run_scenario(
     seed: u64,
     chaos: Option<ChaosPolicy>,
@@ -311,6 +299,10 @@ pub fn run_workload(
         let _chaos = chaos.map(|policy| sc.install_chaos(policy));
         job(&sc).map_err(|e| e.to_string())
     };
+    // A trailing one-partition stage. `sc.summary()` needs no stage to
+    // read the counts no record has taken yet, but this one is part of
+    // every pinned schedule: the golden fingerprints hash its stage,
+    // its placement and the virtual time it takes.
     let _ = sc.parallelize(vec![(0usize, 0u64)], Some(1)).count();
     assert_invariants(&sc, seed);
     SimRun {

@@ -420,7 +420,8 @@ fn scripted_executor_loss_resubmits_the_map_stage() {
             .collect()
             .expect("loss must be recovered via resubmission");
         got.sort_unstable();
-        (got, sc.stage_resubmissions(), sc.staged_lost_bytes())
+        let did = sc.summary();
+        (got, did.stage_resubmissions, did.staged_lost_bytes)
     };
     let (want, zero_resub, zero_lost) = run(false);
     assert_eq!(zero_resub, 0);

@@ -127,10 +127,10 @@ fn scripted_executor_loss_sigkills_and_recovers_via_resubmission() {
     );
     let pid_after: Vec<u32> = (0..2).map(|n| sc.executor_pid(n).unwrap()).collect();
     assert_ne!(pid_before, pid_after, "a fresh subprocess must be running");
+    let resubmissions = sc.summary().stage_resubmissions;
     assert!(
-        sc.stage_resubmissions() >= 1,
-        "lost map outputs must resubmit the map stage, got {}",
-        sc.stage_resubmissions()
+        resubmissions >= 1,
+        "lost map outputs must resubmit the map stage, got {resubmissions}"
     );
     sc.audit().expect("post-recovery audit");
     assert_eq!(sc.shutdown().expect("shutdown"), vec![0, 0]);
