@@ -31,8 +31,9 @@ fn conf(partitions: usize, adaptive: bool) -> SparkConf {
 
 fn dd_matrix(n: usize) -> Matrix<f64> {
     let mut m = Matrix::from_fn(n, n, |i, j| (((i * 5 + j * 3) % 11) as f64 - 5.0) / 7.0);
+    let mut cells = m.view_mut();
     for i in 0..n {
-        m.set(i, i, n as f64 + 1.0);
+        cells.set(i, i, n as f64 + 1.0);
     }
     m
 }

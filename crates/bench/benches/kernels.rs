@@ -51,8 +51,9 @@ fn dd_matrix(n: usize, seed: u64) -> Matrix<f64> {
         (state >> 11) as f64 / (1u64 << 53) as f64
     };
     let mut m = Matrix::from_fn(n, n, |_, _| next() - 0.5);
+    let mut cells = m.view_mut();
     for i in 0..n {
-        m.set(i, i, n as f64 + 1.0);
+        cells.set(i, i, n as f64 + 1.0);
     }
     m
 }

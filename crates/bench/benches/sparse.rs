@@ -20,8 +20,9 @@ const DENSITIES: [f64; 4] = [0.01, 0.05, 0.2, 0.5];
 /// The dense view of the graph with the FW convention (0 diagonal).
 fn dense_input(g: &Csr<f64>) -> Matrix<f64> {
     let mut m = g.to_dense();
-    for i in 0..m.rows() {
-        m.set(i, i, 0.0);
+    let mut cells = m.view_mut();
+    for i in 0..cells.rows() {
+        cells.set(i, i, 0.0);
     }
     m
 }

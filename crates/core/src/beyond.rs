@@ -131,17 +131,14 @@ pub fn solve_parenthesis(
     let g = n1.div_ceil(b);
     let padded = g * b;
     // Padded init table: extra rows/columns stay ∞ except the diagonal
-    // (0) — inert because every candidate through them is ∞.
-    let base = parenthesis::init_table(weight);
-    let mut init = Matrix::square(padded, f64::INFINITY);
-    for i in 0..padded {
-        init.set(i, i, 0.0);
-    }
-    for i in 0..n1 {
-        for j in i..n1 {
-            init.set(i, j, base.get(i, j));
-        }
-    }
+    // (0) — inert because every candidate through them is ∞. The fresh
+    // table pasted into its corner is ∞ below its diagonal too.
+    let mut init = Matrix::from_fn(
+        padded,
+        padded,
+        |i, j| if i == j { 0.0 } else { f64::INFINITY },
+    );
+    init.paste_block(0, 0, &parenthesis::init_table(weight));
 
     let bc_weight = sc.broadcast(&WeightMsg(weight.clone()));
     let bc_init = sc.broadcast(&Block::Real(init.clone()));
@@ -256,13 +253,7 @@ pub fn solve_alignment(
 ) -> Result<Matrix<i64>, JobError> {
     use gep_kernels::alignment::align_block;
     let (n, m) = (a.len(), b.len());
-    let mut table = Matrix::filled(n + 1, m + 1, 0i64);
-    for i in 0..=n {
-        table.set(i, 0, score.boundary(i));
-    }
-    for j in 0..=m {
-        table.set(0, j, score.boundary(j));
-    }
+    let mut table = gep_kernels::alignment::boundary_table(n, m, score);
     if n == 0 || m == 0 {
         return Ok(table);
     }

@@ -103,9 +103,10 @@ impl ElemCodec for bool {
 /// One `b×b` tile of the distributed DP table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Block<E> {
-    /// Owned dense data.
+    /// Dense data; a clone shares the cells until one side writes.
     Real(Matrix<E>),
-    /// Owned sparse (CSR) data — only non-fill entries on the wire.
+    /// Owned sparse (CSR) data — only non-fill entries on the wire. A
+    /// clone copies every array.
     Sparse(Csr<E>),
     /// Geometry only; kernels become cost-accounting no-ops.
     Virtual {

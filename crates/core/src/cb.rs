@@ -139,7 +139,8 @@ pub(crate) fn step<S: DpProblem>(
         });
 
     // ---- Rebuild A/B/C blocks from the broadcast (executors read the
-    //      shared files rather than recomputing the kernels) ----------
+    //      shared files rather than recomputing the kernels; each block
+    //      shares the decoded broadcast tile's cells) -----------------
     let bc_a_for_abc = bc_a.clone();
     let bc_panels_for_abc = bc_panels.clone();
     let updated_abc = dp

@@ -165,11 +165,12 @@ pub fn solve_sparse_apsp(
     for q in 0..parts {
         let (lo, hi) = filters::part_bounds(n, parts, q);
         let mut dist = Matrix::filled(sources.len(), hi - lo, inf);
+        let mut cells = dist.view_mut();
         let mut seeded = false;
         for (s, &src) in sources.iter().enumerate() {
             let src = src as usize;
             if (lo..hi).contains(&src) {
-                dist.set(s, src - lo, 0.0);
+                cells.set(s, src - lo, 0.0);
                 seeded = true;
             }
         }
@@ -264,12 +265,20 @@ pub fn solve_sparse_apsp(
                 let edges = state_edges.expect("every partition carries its state");
                 let mut dist = dist.expect("state carries the distance slab");
                 let old = dist.clone();
+                let mut cells = dist.view_mut();
                 for tile in &tiles {
                     let csr = tile.expect_sparse();
+                    // The view's reads are unchecked: a tile must cover
+                    // exactly this slab.
+                    assert_eq!(
+                        (csr.rows(), csr.cols()),
+                        (cells.rows(), cells.cols()),
+                        "update tile shape differs from its distance slab"
+                    );
                     for s in 0..csr.rows() {
                         for (j, w) in csr.row(s) {
-                            if w < dist.get(s, j) {
-                                dist.set(s, j, w);
+                            if w < cells.at(s, j) {
+                                cells.set(s, j, w);
                             }
                         }
                     }

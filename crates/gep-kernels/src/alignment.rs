@@ -85,29 +85,34 @@ fn cell(score: &AlignScore, up_left: i64, up: i64, left: i64, same: bool) -> i64
     d.max(u).max(l)
 }
 
+/// An `(n+1)×(m+1)` score table holding only its boundary: row 0 and
+/// column 0 from [`AlignScore::boundary`], zeros inside.
+pub fn boundary_table(n: usize, m: usize, score: &AlignScore) -> Matrix<i64> {
+    Matrix::from_fn(n + 1, m + 1, |i, j| match (i, j) {
+        (i, 0) => score.boundary(i),
+        (0, j) => score.boundary(j),
+        _ => 0,
+    })
+}
+
 /// Full-table reference: the `(n+1)×(m+1)` score table.
 pub fn align_reference(a: &[u8], b: &[u8], score: &AlignScore) -> Matrix<i64> {
     let (n, m) = (a.len(), b.len());
-    let mut c = Matrix::filled(n + 1, m + 1, 0i64);
-    for i in 0..=n {
-        c.set(i, 0, score.boundary(i));
-    }
-    for j in 0..=m {
-        c.set(0, j, score.boundary(j));
-    }
+    let mut table = boundary_table(n, m, score);
+    let mut c = table.view_mut();
     for i in 1..=n {
         for j in 1..=m {
             let v = cell(
                 score,
-                c.get(i - 1, j - 1),
-                c.get(i - 1, j),
-                c.get(i, j - 1),
+                c.at(i - 1, j - 1),
+                c.at(i - 1, j),
+                c.at(i, j - 1),
                 a[i - 1] == b[j - 1],
             );
             c.set(i, j, v);
         }
     }
-    c
+    table
 }
 
 /// Compute one interior block of the table given its incoming halo:
@@ -221,13 +226,7 @@ mod tests {
             let reference = align_reference(a, b, &score);
             // Blocked: interior region (1..=n)×(1..=m) in uneven blocks.
             let (n, m) = (a.len(), b.len());
-            let mut table = Matrix::filled(n + 1, m + 1, 0i64);
-            for i in 0..=n {
-                table.set(i, 0, score.boundary(i));
-            }
-            for j in 0..=m {
-                table.set(0, j, score.boundary(j));
-            }
+            let mut table = boundary_table(n, m, &score);
             let (bi, bj) = (7usize, 6usize); // uneven block sides
             let row_blocks = n.div_ceil(bi);
             let col_blocks = m.div_ceil(bj);

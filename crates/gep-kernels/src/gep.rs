@@ -129,6 +129,7 @@ pub fn block_active<S: GepSpec>(bi: usize, bj: usize, kb: usize, b: usize) -> bo
 pub fn gep_reference<S: GepSpec>(c: &mut Matrix<S::Elem>) {
     let n = c.rows();
     assert_eq!(n, c.cols(), "GEP tables are square");
+    let mut c = c.view_mut();
     for k in 0..n {
         for i in 0..n {
             if !S::sigma_i(i, k) {
@@ -136,10 +137,10 @@ pub fn gep_reference<S: GepSpec>(c: &mut Matrix<S::Elem>) {
             }
             for j in 0..n {
                 if S::sigma_j(j, k) {
-                    let x = c.get(i, j);
-                    let u = c.get(i, k);
-                    let v = c.get(k, j);
-                    let w = c.get(k, k);
+                    let x = c.at(i, j);
+                    let u = c.at(i, k);
+                    let v = c.at(k, j);
+                    let w = c.at(k, k);
                     c.set(i, j, S::f(x, u, v, w));
                 }
             }

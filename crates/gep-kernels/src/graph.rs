@@ -100,12 +100,13 @@ pub fn grid_network(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
     let n = rows * cols;
     let mut rng = SplitMix64(seed);
     let mut m = Matrix::from_fn(n, n, |i, j| if i == j { 0.0 } else { f64::INFINITY });
+    let mut cells = m.view_mut();
     let idx = |r: usize, c: usize| r * cols + c;
     for r in 0..rows {
         for c in 0..cols {
             let mut connect = |a: usize, b: usize, rng: &mut SplitMix64| {
-                m.set(a, b, 1.0 + rng.unit() * 4.0);
-                m.set(b, a, 1.0 + rng.unit() * 4.0);
+                cells.set(a, b, 1.0 + rng.unit() * 4.0);
+                cells.set(b, a, 1.0 + rng.unit() * 4.0);
             };
             if c + 1 < cols {
                 connect(idx(r, c), idx(r, c + 1), &mut rng);

@@ -247,10 +247,11 @@ pub fn blocked_gep<S: GepSpec>(c: &mut Matrix<S::Elem>, r: usize) {
 pub fn gaussian_elim_reference(x: &mut Matrix<f64>) {
     let n = x.rows();
     assert_eq!(n, x.cols());
+    let mut x = x.view_mut();
     for k in 0..n {
         for i in (k + 1)..n {
             for j in (k + 1)..n {
-                let upd = x.get(i, j) - x.get(i, k) * x.get(k, j) / x.get(k, k);
+                let upd = x.at(i, j) - x.at(i, k) * x.at(k, j) / x.at(k, k);
                 x.set(i, j, upd);
             }
         }
@@ -262,12 +263,13 @@ pub fn gaussian_elim_reference(x: &mut Matrix<f64>) {
 pub fn floyd_warshall_reference(d: &mut Matrix<f64>) {
     let n = d.rows();
     assert_eq!(n, d.cols());
+    let mut d = d.view_mut();
     for k in 0..n {
         for i in 0..n {
-            let dik = d.get(i, k);
+            let dik = d.at(i, k);
             for j in 0..n {
-                let via = dik + d.get(k, j);
-                if via < d.get(i, j) {
+                let via = dik + d.at(k, j);
+                if via < d.at(i, j) {
                     d.set(i, j, via);
                 }
             }

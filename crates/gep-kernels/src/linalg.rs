@@ -86,13 +86,14 @@ pub fn pack_system(a: &Matrix<f64>, b: &[f64]) -> Matrix<f64> {
     assert_eq!(m, a.cols());
     assert_eq!(b.len(), m);
     let mut table = Matrix::square(m + 1, 0.0);
+    let mut cells = table.view_mut();
     for i in 0..m {
         for j in 0..m {
-            table.set(i, j, a.get(i, j));
+            cells.set(i, j, a.get(i, j));
         }
-        table.set(i, m, b[i]);
+        cells.set(i, m, b[i]);
     }
-    table.set(m, m, 1.0);
+    cells.set(m, m, 1.0);
     table
 }
 

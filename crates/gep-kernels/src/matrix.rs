@@ -1,9 +1,15 @@
 //! Dense row-major matrices and borrowed tile views.
 //!
-//! A [`Matrix`] owns its storage; [`TileRef`]/[`TileMut`] are strided
+//! A [`Matrix`] shares its cells copy-on-write: cloning one is a
+//! refcount bump, and the first mutable access through a handle whose
+//! cells another handle still holds copies them once (`Arc::make_mut`).
+//! So a cached table hands its tiles to every reader for free, and only
+//! a kernel's write pays for a copy. [`TileRef`]/[`TileMut`] are strided
 //! views onto a rectangular window of one, carrying the window's
 //! **global offsets** (`row0`, `col0`) so GEP kernels can evaluate Σ_G
 //! with global indices no matter how deeply a tile has been subdivided.
+//! Each `&mut` accessor unshares on every call, so a loop over cells
+//! takes one [`Matrix::view_mut`] and writes through it.
 //!
 //! The only unsafe code is the disjoint split of a `TileMut` into an
 //! `r×r` grid of sub-`TileMut`s — sound because the sub-windows
@@ -11,17 +17,19 @@
 //! them.
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 /// Element bound shared by all kernels in this crate.
 pub trait Elem: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {}
 impl<T: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static> Elem for T {}
 
-/// A dense row-major `rows × cols` matrix.
+/// A dense row-major `rows × cols` matrix whose cells are shared
+/// copy-on-write between clones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix<E> {
     rows: usize,
     cols: usize,
-    data: Vec<E>,
+    data: Arc<Vec<E>>,
 }
 
 impl<E: Elem> Matrix<E> {
@@ -30,7 +38,7 @@ impl<E: Elem> Matrix<E> {
         Self {
             rows,
             cols,
-            data: vec![fill; rows * cols],
+            data: Arc::new(vec![fill; rows * cols]),
         }
     }
 
@@ -47,13 +55,17 @@ impl<E: Elem> Matrix<E> {
                 data.push(f(i, j));
             }
         }
-        Self { rows, cols, data }
+        Self::from_vec(rows, cols, data)
     }
 
     /// Reassemble a matrix from owned data (must have `rows*cols` items).
     pub fn from_vec(rows: usize, cols: usize, data: Vec<E>) -> Self {
         assert_eq!(data.len(), rows * cols, "data length mismatch");
-        Self { rows, cols, data }
+        Self {
+            rows,
+            cols,
+            data: Arc::new(data),
+        }
     }
 
     /// Row count.
@@ -71,9 +83,15 @@ impl<E: Elem> Matrix<E> {
         &self.data
     }
 
-    /// Mutable flat row-major storage.
+    /// Mutable flat row-major storage (unshares the cells first).
     pub fn as_mut_slice(&mut self) -> &mut [E] {
-        &mut self.data
+        self.cells_mut()
+    }
+
+    /// The cells, copied first if another clone still holds them: the
+    /// one place a write pays for sharing.
+    fn cells_mut(&mut self) -> &mut Vec<E> {
+        Arc::make_mut(&mut self.data)
     }
 
     /// Read element `(i, j)`.
@@ -83,37 +101,26 @@ impl<E: Elem> Matrix<E> {
         self.data[i * self.cols + j]
     }
 
-    /// Write element `(i, j)`.
+    /// Write the one element `(i, j)`. Every call checks whether the
+    /// cells are shared (an atomic compare-and-swap), so a loop over
+    /// cells takes [`Matrix::view_mut`] once and writes through the
+    /// [`TileMut`].
     #[inline(always)]
     pub fn set(&mut self, i: usize, j: usize, v: E) {
         debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j] = v;
+        let cols = self.cols;
+        self.cells_mut()[i * cols + j] = v;
     }
 
     /// Immutable view of the whole matrix with global offsets `(0, 0)`.
     pub fn view(&self) -> TileRef<'_, E> {
-        TileRef {
-            ptr: self.data.as_ptr(),
-            stride: self.cols,
-            rows: self.rows,
-            cols: self.cols,
-            row0: 0,
-            col0: 0,
-            _marker: PhantomData,
-        }
+        self.view_at(0, 0)
     }
 
-    /// Mutable view of the whole matrix with global offsets `(0, 0)`.
+    /// Mutable view of the whole matrix with global offsets `(0, 0)`
+    /// (unshares the cells first).
     pub fn view_mut(&mut self) -> TileMut<'_, E> {
-        TileMut {
-            ptr: self.data.as_mut_ptr(),
-            stride: self.cols,
-            rows: self.rows,
-            cols: self.cols,
-            row0: 0,
-            col0: 0,
-            _marker: PhantomData,
-        }
+        self.view_mut_at(0, 0)
     }
 
     /// Immutable whole-matrix view that *pretends* to sit at global
@@ -132,10 +139,11 @@ impl<E: Elem> Matrix<E> {
         }
     }
 
-    /// Mutable counterpart of [`Matrix::view_at`].
+    /// Mutable counterpart of [`Matrix::view_at`] (unshares the cells
+    /// first).
     pub fn view_mut_at(&mut self, row0: usize, col0: usize) -> TileMut<'_, E> {
         TileMut {
-            ptr: self.data.as_mut_ptr(),
+            ptr: self.cells_mut().as_mut_ptr(),
             stride: self.cols,
             rows: self.rows,
             cols: self.cols,
@@ -154,16 +162,19 @@ impl<E: Elem> Matrix<E> {
             let off = (i0 + i) * self.cols + j0;
             data.extend_from_slice(&self.data[off..off + cols]);
         }
-        Matrix { rows, cols, data }
+        Matrix::from_vec(rows, cols, data)
     }
 
-    /// Write `block` into the window at `(i0, j0)`.
+    /// Write `block` into the window at `(i0, j0)` (unshares the cells
+    /// first).
     pub fn paste_block(&mut self, i0: usize, j0: usize, block: &Matrix<E>) {
         assert!(i0 + block.rows <= self.rows && j0 + block.cols <= self.cols);
+        let cols = self.cols;
+        let dst = self.cells_mut();
         for i in 0..block.rows {
             let src = &block.data[i * block.cols..(i + 1) * block.cols];
-            let off = (i0 + i) * self.cols + j0;
-            self.data[off..off + block.cols].copy_from_slice(src);
+            let off = (i0 + i) * cols + j0;
+            dst[off..off + block.cols].copy_from_slice(src);
         }
     }
 
@@ -520,6 +531,72 @@ mod tests {
         assert_eq!((v.row0(), v.col0()), (1, 2));
         let owned = v.to_matrix();
         assert_eq!(owned.get(0, 0), (1, 2));
+    }
+
+    /// A named write through one `&mut` accessor.
+    type Mutator = (&'static str, fn(&mut Matrix<i64>));
+
+    /// The five `&mut` accessors, each writing `-1` into cell `(0, 0)`.
+    fn mutators() -> [Mutator; 5] {
+        [
+            ("as_mut_slice", |m| m.as_mut_slice()[0] = -1),
+            ("set", |m| m.set(0, 0, -1)),
+            ("view_mut", |m| m.view_mut().set(0, 0, -1)),
+            ("view_mut_at", |m| m.view_mut_at(8, 4).set(0, 0, -1)),
+            ("paste_block", |m| {
+                m.paste_block(0, 0, &Matrix::filled(1, 1, -1))
+            }),
+        ]
+    }
+
+    #[test]
+    fn clone_shares_storage() {
+        let a = Matrix::from_fn(3, 5, |i, j| (i * 5 + j) as i64);
+        let b = a.clone();
+        assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn each_mutator_unshares_only_the_writer() {
+        for (name, write) in mutators() {
+            let original = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as i64);
+            let before = original.as_slice().to_vec();
+            let mut writer = original.clone();
+            write(&mut writer);
+            assert_ne!(
+                writer.as_slice().as_ptr(),
+                original.as_slice().as_ptr(),
+                "{name}: the writer keeps its own cells"
+            );
+            assert_eq!(original.as_slice(), &before[..], "{name}: reader moved");
+            assert_eq!(writer.get(0, 0), -1, "{name}");
+            assert_eq!(&writer.as_slice()[1..], &before[1..], "{name}");
+        }
+    }
+
+    #[test]
+    fn split_grid_of_a_shared_matrix_writes_only_the_copy() {
+        let original = Matrix::square(4, 0i64);
+        let mut writer = original.clone();
+        for (idx, mut t) in writer.view_mut().split_grid(2).into_iter().enumerate() {
+            t.set(0, 0, idx as i64 + 1);
+        }
+        assert!(original.as_slice().iter().all(|&x| x == 0));
+        let corners = [(0, 0), (0, 2), (2, 0), (2, 2)].map(|(i, j)| writer.get(i, j));
+        assert_eq!(corners, [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn unshared_matrix_writes_in_place() {
+        let mut m = Matrix::square(4, 0i64);
+        let cells = m.as_slice().as_ptr();
+        drop(m.clone()); // a clone that is gone leaves the cells unshared
+        for (name, write) in mutators() {
+            write(&mut m);
+            assert_eq!(m.as_slice().as_ptr(), cells, "{name} reallocated");
+        }
+        assert_eq!(m.get(0, 0), -1);
     }
 
     #[test]

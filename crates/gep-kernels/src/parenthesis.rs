@@ -81,26 +81,32 @@ impl ParenWeight {
 /// Fresh `(n+1)×(n+1)` table: `C[i][i] = 0`, `C[i][i+1] = init`, rest ∞.
 pub fn init_table(weight: &ParenWeight) -> Matrix<f64> {
     let n = weight.n();
-    let mut c = Matrix::square(n + 1, f64::INFINITY);
-    for i in 0..=n {
-        c.set(i, i, 0.0);
-        if i < n {
-            c.set(i, i + 1, weight.init(i));
+    Matrix::from_fn(n + 1, n + 1, |i, j| {
+        if j == i {
+            0.0
+        } else if j == i + 1 {
+            weight.init(i)
+        } else {
+            f64::INFINITY
         }
-    }
-    c
+    })
 }
 
 /// Iterative band-order reference (the classic O(n³) loop) — the
 /// correctness oracle for the recursive and distributed versions.
 pub fn paren_reference(c: &mut Matrix<f64>, weight: &ParenWeight) {
+    assert!(
+        c.rows() >= 1 && c.rows() == c.cols(),
+        "parenthesis tables are square"
+    );
     let n = c.rows() - 1;
+    let mut c = c.view_mut();
     for len in 2..=n {
         for i in 0..=(n - len) {
             let j = i + len;
-            let mut best = c.get(i, j);
+            let mut best = c.at(i, j);
             for k in (i + 1)..j {
-                let cand = c.get(i, k) + c.get(k, j) + weight.w(i, k, j);
+                let cand = c.at(i, k) + c.at(k, j) + weight.w(i, k, j);
                 if cand < best {
                     best = cand;
                 }

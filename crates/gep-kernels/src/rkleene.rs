@@ -18,7 +18,7 @@
 //! with the iterative FW loop as the base case. Splits need not be
 //! even, so any size works without padding.
 
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, TileMut};
 use crate::semiring::Semiring;
 
 /// A rectangular window of the matrix (row0, col0, rows, cols).
@@ -57,15 +57,15 @@ impl Region {
 /// `C ← C ⊕ A⊙B` over windows of the same matrix (windows must be
 /// pairwise positioned as in the R-Kleene steps: `C` disjoint from `A`
 /// and `B`, which holds for the two accumulate steps).
-fn gemm_acc<S: Semiring>(m: &mut Matrix<S>, c: Region, a: Region, b: Region) {
+fn gemm_acc<S: Semiring>(m: &mut TileMut<'_, S>, c: Region, a: Region, b: Region) {
     debug_assert_eq!(a.cols, b.rows);
     debug_assert_eq!(c.rows, a.rows);
     debug_assert_eq!(c.cols, b.cols);
     for i in 0..c.rows {
         for j in 0..c.cols {
-            let mut acc = m.get(c.r0 + i, c.c0 + j);
+            let mut acc = m.at(c.r0 + i, c.c0 + j);
             for k in 0..a.cols {
-                acc = acc.plus(m.get(a.r0 + i, a.c0 + k).times(m.get(b.r0 + k, b.c0 + j)));
+                acc = acc.plus(m.at(a.r0 + i, a.c0 + k).times(m.at(b.r0 + k, b.c0 + j)));
             }
             m.set(c.r0 + i, c.c0 + j, acc);
         }
@@ -73,14 +73,14 @@ fn gemm_acc<S: Semiring>(m: &mut Matrix<S>, c: Region, a: Region, b: Region) {
 }
 
 /// `C ← A⊙C` (left multiply-assign; `A` square, disjoint from `C`).
-fn lmul_assign<S: Semiring>(m: &mut Matrix<S>, a: Region, c: Region) {
+fn lmul_assign<S: Semiring>(m: &mut TileMut<'_, S>, a: Region, c: Region) {
     debug_assert_eq!(a.cols, c.rows);
     let mut tmp = vec![S::ZERO; c.rows * c.cols];
     for i in 0..c.rows {
         for j in 0..c.cols {
             let mut acc = S::ZERO;
             for k in 0..a.cols {
-                acc = acc.plus(m.get(a.r0 + i, a.c0 + k).times(m.get(c.r0 + k, c.c0 + j)));
+                acc = acc.plus(m.at(a.r0 + i, a.c0 + k).times(m.at(c.r0 + k, c.c0 + j)));
             }
             tmp[i * c.cols + j] = acc;
         }
@@ -93,14 +93,14 @@ fn lmul_assign<S: Semiring>(m: &mut Matrix<S>, a: Region, c: Region) {
 }
 
 /// `C ← C⊙A` (right multiply-assign; `A` square, disjoint from `C`).
-fn rmul_assign<S: Semiring>(m: &mut Matrix<S>, c: Region, a: Region) {
+fn rmul_assign<S: Semiring>(m: &mut TileMut<'_, S>, c: Region, a: Region) {
     debug_assert_eq!(c.cols, a.rows);
     let mut tmp = vec![S::ZERO; c.rows * c.cols];
     for i in 0..c.rows {
         for j in 0..c.cols {
             let mut acc = S::ZERO;
             for k in 0..c.cols {
-                acc = acc.plus(m.get(c.r0 + i, c.c0 + k).times(m.get(a.r0 + k, a.c0 + j)));
+                acc = acc.plus(m.at(c.r0 + i, c.c0 + k).times(m.at(a.r0 + k, a.c0 + j)));
             }
             tmp[i * c.cols + j] = acc;
         }
@@ -113,20 +113,20 @@ fn rmul_assign<S: Semiring>(m: &mut Matrix<S>, c: Region, a: Region) {
 }
 
 /// Iterative FW base case over a square window.
-fn star_base<S: Semiring>(m: &mut Matrix<S>, r: Region) {
+fn star_base<S: Semiring>(m: &mut TileMut<'_, S>, r: Region) {
     debug_assert_eq!(r.rows, r.cols);
     for k in 0..r.rows {
         for i in 0..r.rows {
             for j in 0..r.cols {
-                let via = m.get(r.r0 + i, r.c0 + k).times(m.get(r.r0 + k, r.c0 + j));
-                let cur = m.get(r.r0 + i, r.c0 + j);
+                let via = m.at(r.r0 + i, r.c0 + k).times(m.at(r.r0 + k, r.c0 + j));
+                let cur = m.at(r.r0 + i, r.c0 + j);
                 m.set(r.r0 + i, r.c0 + j, cur.plus(via));
             }
         }
     }
 }
 
-fn star<S: Semiring>(m: &mut Matrix<S>, r: Region, base: usize) {
+fn star<S: Semiring>(m: &mut TileMut<'_, S>, r: Region, base: usize) {
     if r.rows <= base.max(1) {
         star_base(m, r);
         return;
@@ -154,12 +154,13 @@ pub fn kleene_closure<S: Semiring>(m: &mut Matrix<S>, base: usize) {
     if n == 0 {
         return;
     }
+    let mut m = m.view_mut();
     for i in 0..n {
-        let d = m.get(i, i).plus(S::ONE);
+        let d = m.at(i, i).plus(S::ONE);
         m.set(i, i, d);
     }
     star(
-        m,
+        &mut m,
         Region {
             r0: 0,
             c0: 0,
@@ -178,10 +179,8 @@ pub fn apsp_rkleene(d: &mut Matrix<f64>, base: usize) {
     let n = d.rows();
     let mut t = Matrix::from_fn(n, n, |i, j| MinPlus(d.get(i, j)));
     kleene_closure(&mut t, base);
-    for i in 0..n {
-        for j in 0..n {
-            d.set(i, j, t.get(i, j).0);
-        }
+    for (out, closed) in d.as_mut_slice().iter_mut().zip(t.as_slice()) {
+        *out = closed.0;
     }
 }
 

@@ -186,13 +186,14 @@ impl<E: Elem> Csr<E> {
     /// Row-major traversal yields canonical (sorted) column order.
     pub fn from_dense(m: &Matrix<E>, fill: E) -> Self {
         let (rows, cols) = (m.rows(), m.cols());
+        let m = m.view();
         let mut row_ptr = Vec::with_capacity(rows + 1);
         let mut col_idx = Vec::new();
         let mut vals = Vec::new();
         row_ptr.push(0u32);
         for i in 0..rows {
             for j in 0..cols {
-                let v = m.get(i, j);
+                let v = m.at(i, j);
                 if v != fill {
                     col_idx.push(j as u32);
                     vals.push(v);
@@ -216,13 +217,14 @@ impl<E: Elem> Csr<E> {
     pub fn from_dense_cols(m: &Matrix<E>, c0: usize, c1: usize, fill: E) -> Self {
         assert!(c0 <= c1 && c1 <= m.cols(), "column slab out of range");
         let rows = m.rows();
+        let m = m.view();
         let mut row_ptr = Vec::with_capacity(rows + 1);
         let mut col_idx = Vec::new();
         let mut vals = Vec::new();
         row_ptr.push(0u32);
         for i in 0..rows {
             for j in c0..c1 {
-                let v = m.get(i, j);
+                let v = m.at(i, j);
                 if v != fill {
                     col_idx.push((j - c0) as u32);
                     vals.push(v);
@@ -261,9 +263,10 @@ impl<E: Elem> Csr<E> {
     /// Expand to a dense matrix (absent entries become `fill`).
     pub fn to_dense(&self) -> Matrix<E> {
         let mut m = Matrix::filled(self.rows, self.cols, self.fill);
+        let mut cells = m.view_mut();
         for i in 0..self.rows {
             for (j, v) in self.row(i) {
-                m.set(i, j, v);
+                cells.set(i, j, v);
             }
         }
         m
@@ -351,14 +354,15 @@ pub fn sweep_gep<S: GepSpec>(
     assert_eq!(dist.cols(), edges.rows(), "dist width != local vertices");
     assert_eq!(cand.cols(), edges.cols(), "cand width != target vertices");
     assert_eq!(cand.rows(), dist.rows(), "cand/dist source count mismatch");
+    let (dist, mut cand) = (dist.view(), cand.view_mut());
     for s in 0..dist.rows() {
         for u in 0..edges.rows() {
-            let d = dist.get(s, u);
+            let d = dist.at(s, u);
             if d == skip {
                 continue;
             }
             for (v, w) in edges.row(u) {
-                let x = cand.get(s, v);
+                let x = cand.at(s, v);
                 cand.set(s, v, S::f(x, d, w, w));
             }
         }

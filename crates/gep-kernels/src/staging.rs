@@ -301,7 +301,15 @@ pub fn execute_schedule<S: GepSpec>(
 fn apply_call<S: GepSpec>(c: &mut Matrix<S::Elem>, call: &Call, b: usize) {
     let (wi, wj) = call.writes;
     let (dk, _) = call.diag;
+    let end = |blk: usize| (blk + 1) * b;
+    assert!(
+        end(wi.max(dk)) <= c.rows() && end(wj.max(dk)) <= c.cols(),
+        "call {call:?} reaches outside the {}x{} matrix",
+        c.rows(),
+        c.cols()
+    );
     let ks0 = dk * b;
+    let mut c = c.view_mut();
     for k in 0..b {
         let gk = ks0 + k;
         for i in 0..b {
@@ -314,10 +322,10 @@ fn apply_call<S: GepSpec>(c: &mut Matrix<S::Elem>, call: &Call, b: usize) {
                 if !S::sigma_j(gj, gk) {
                     continue;
                 }
-                let x = c.get(gi, gj);
-                let u = c.get(gi, gk);
-                let v = c.get(gk, gj);
-                let w = c.get(gk, gk);
+                let x = c.at(gi, gj);
+                let u = c.at(gi, gk);
+                let v = c.at(gk, gj);
+                let w = c.at(gk, gk);
                 c.set(gi, gj, S::f(x, u, v, w));
             }
         }

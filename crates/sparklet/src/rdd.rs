@@ -116,10 +116,9 @@ impl<K: Key, V: ShufVal> RddOps<K, V> for ParallelizeRdd<K, V> {
         Vec::new()
     }
     fn compute(&self, p: usize, _tc: &TaskContext) -> Result<Vec<(K, V)>, JobError> {
-        // Driver-source fan-out, not the data plane: compute hands an
-        // owned Vec to the fused narrow chain above it, so the source
-        // partition is cloned per task. Serialized movement (shuffle,
-        // spill, broadcast) shares Payload frames by refcount instead.
+        // Compute hands an owned Vec to the fused narrow chain above
+        // it, so the source partition's pairs are cloned per task: as
+        // cheap as the values' `Clone` (a refcount for a dense tile).
         Ok(self.parts[p].clone())
     }
 }
@@ -586,6 +585,11 @@ impl<K: Key, V: ShufVal> RddOps<K, V> for MaterializedRdd<K, V> {
                 // the network (in-memory object, no measured wire form).
                 tc.add_remote_read(bytes, 0);
             }
+            // The reader gets its own Vec of the cached pairs, as a
+            // `MEMORY_ONLY` partition hands out object references: a
+            // dense tile's clone shares its cells, so a filter that
+            // drops a tile never copied it, and a kernel that writes one
+            // copies it then.
             return Ok((*data).clone());
         }
         let Some(parent) = &self.parent else {

@@ -30,11 +30,12 @@ fn main() {
         (state >> 11) as f64 / (1u64 << 53) as f64
     };
     let mut a = Matrix::square(unknowns, 0.0f64);
+    let mut cells = a.view_mut();
     for i in 0..unknowns {
         for j in 0..unknowns {
-            a.set(i, j, rnd() * 2.0 - 1.0);
+            cells.set(i, j, rnd() * 2.0 - 1.0);
         }
-        a.set(i, i, unknowns as f64 + 1.0 + rnd());
+        cells.set(i, i, unknowns as f64 + 1.0 + rnd());
     }
     let x_true: Vec<f64> = (0..unknowns)
         .map(|i| ((i % 17) as f64 - 8.0) / 4.0)

@@ -28,12 +28,13 @@ fn main() {
         state
     };
     let mut deps = Matrix::from_fn(n, n, |i, j| i == j);
+    let mut cells = deps.view_mut();
     for layer in 1..layers {
         for p in 0..per_layer {
             let pkg = layer * per_layer + p;
             for _ in 0..3 {
                 let dep = (rnd() as usize) % (layer * per_layer);
-                deps.set(pkg, dep, true);
+                cells.set(pkg, dep, true);
             }
         }
     }

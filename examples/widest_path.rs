@@ -28,18 +28,19 @@ fn main() {
         state
     };
     let mut caps = Matrix::filled(n, n, MaxMin::ZERO);
+    let mut cells = caps.view_mut();
     for i in 0..n {
-        caps.set(i, i, MaxMin::ONE);
-        caps.set(i, (i + 1) % n, MaxMin(10.0));
-        caps.set((i + 1) % n, i, MaxMin(10.0));
+        cells.set(i, i, MaxMin::ONE);
+        cells.set(i, (i + 1) % n, MaxMin(10.0));
+        cells.set((i + 1) % n, i, MaxMin(10.0));
     }
     for _ in 0..n {
         let a = (rnd() % n as u64) as usize;
         let b = (rnd() % n as u64) as usize;
         if a != b {
             let c = MaxMin((rnd() % 40 + 1) as f64);
-            caps.set(a, b, c);
-            caps.set(b, a, c);
+            cells.set(a, b, c);
+            cells.set(b, a, c);
         }
     }
 
