@@ -85,3 +85,26 @@ fn fw_in_memory_over_a_unix_socket_ships_the_same_buckets() {
         ((25, 100, 559_104, 559_104, 98_163), (559_104, 116, 0, 0, 0))
     );
 }
+
+#[test]
+fn ge_in_memory_ships_diagonal_copies_through_both_shuffles() {
+    // GE's D kernel reads `w`, so iteration k (m = 7 - k trailing
+    // blocks a side) stages 2 + 4m + 4m² tiles of 512 + 34 bytes: the
+    // diagonal with its 2m panel and m² D copies, then the diagonal,
+    // the 2m panels, their 2m² D operand copies and the m² diagonal
+    // copies passing through to D. Σ over m = 0..7 is 688 tiles.
+    assert_eq!(
+        counts(row(Problem::Ge, Strategy::InMemory)),
+        ((25, 100, 375_648, 375_648, 0), (375_648, 116, 0, 0, 0))
+    );
+}
+
+#[test]
+fn fw_collect_broadcast_runs_d_without_the_diagonal() {
+    // The same 7 records an iteration as GE's row; every block is
+    // active, so the D and A/B/C tasks read more broadcast bytes.
+    assert_eq!(
+        counts(row(Problem::Fw, Strategy::CollectBroadcast)),
+        ((57, 164, 0, 131_056, 0), (0, 208, 0, 0, 0))
+    );
+}
