@@ -37,24 +37,15 @@
 use cluster_model::{
     ClusterSpec, CostModel, KernelInvocation, KernelType, StageRecord, TaskRecord,
 };
-use gep_kernels::gep::Kind;
 use sparklet::{RunSummary, SparkContext, StorageLevel};
 
 use crate::backend::KernelParams;
 use crate::config::Strategy;
 use crate::filters;
+use crate::iteration::{grid_keys, Record, STRATEGIES, WAVES};
 use crate::problem::DpProblem;
 use crate::solver::Plan;
 
-/// Stages one IM iteration runs: the A and B/C stages (each the map
-/// side of a shuffle) and the D stage that materializes.
-const IM_STAGES_PER_ITER: usize = 3;
-/// Stages one CB iteration runs: the A and B/C collects, the driver's
-/// collect/broadcast phase, and the D and A/B/C materializations.
-const CB_STAGES_PER_ITER: usize = 5;
-/// An iteration's kernel waves in dependency order. Each runs in a
-/// stage of its own under both strategies.
-const WAVES: [&[Kind]; 3] = [&[Kind::A], &[Kind::B, Kind::C], &[Kind::D]];
 /// Relative improvement a re-plan must promise before it is adopted
 /// (hysteresis against flapping on model noise).
 const REPLAN_MARGIN: f64 = 0.95;
@@ -132,11 +123,7 @@ impl AqePlanner {
             .filter_map(|&key| filters::kind_of::<S>(key, 0, b))
             .map(|kind| S::updates_for(kind, b))
             .sum();
-        let (panel, d_blocks) = phase_blocks::<S>(0, g, b);
-        let bytes = match plan.strategy {
-            Strategy::InMemory => self.im_shuffle_bytes::<S>(panel, d_blocks, b),
-            Strategy::CollectBroadcast => self.cb_bytes(panel, b),
-        };
+        let bytes = self.estimate::<S>(plan.strategy, 0, g, b);
         self.repartition(plan, 0, bytes, updates)
             .into_iter()
             .collect()
@@ -165,12 +152,7 @@ impl AqePlanner {
             return Vec::new();
         }
         let ratio = active_next as f64 / active_now as f64;
-        // What the iteration moved: IM's shuffles, or CB's driver phase.
-        let moved = match plan.strategy {
-            Strategy::InMemory => did.staged_bytes,
-            Strategy::CollectBroadcast => did.broadcast_bytes,
-        };
-        let next_bytes = (moved as f64 * ratio) as u64;
+        let next_bytes = (plan.strategy.moved(&did) as f64 * ratio) as u64;
         let next_updates = did.kernel_updates * ratio;
 
         let mut out = Vec::new();
@@ -187,20 +169,10 @@ impl AqePlanner {
         out
     }
 
-    /// What one IM iteration shuffles, from block counts alone. The A
-    /// stage ships the diagonal block and a copy of it per panel (and
-    /// per D block when `f` reads `w`); the B/C stage ships the diagonal
-    /// and the panels on, a copy per D block from each side, and any
-    /// diagonal copies bound for D. The in-place blocks do not move.
-    fn im_shuffle_bytes<S: DpProblem>(&self, panel: usize, d_blocks: usize, b: usize) -> u64 {
-        let w_copies = if S::USES_W { d_blocks } else { 0 };
-        ((2 * panel + 2 * d_blocks + 2 * w_copies) * b * b * self.elem_bytes) as u64
-    }
-
-    /// What one CB iteration collects to the driver and broadcasts
-    /// back: the A block and its panels.
-    fn cb_bytes(&self, panel: usize, b: usize) -> u64 {
-        (panel * b * b * self.elem_bytes) as u64
+    /// What iteration `k` of `strategy` moves, in bytes, from the
+    /// filters alone.
+    fn estimate<S: DpProblem>(&self, strategy: Strategy, k: usize, g: usize, b: usize) -> u64 {
+        (strategy.tiles_moved::<S>(k, g, b) * b * b * self.elem_bytes) as u64
     }
 
     /// Synthetic stage record: `bytes` shuffled and `updates` computed
@@ -262,13 +234,13 @@ impl AqePlanner {
     }
 
     /// Modeled seconds for iteration `k` of `strategy` on `p`
-    /// partitions. `bytes` is what IM shuffles, or what CB collects to
-    /// the driver and broadcasts back; `updates` is the iteration's
-    /// kernel work. The kernels run as the recorded iteration runs
-    /// them: one synthetic stage per wave ([`WAVES`]), each over the
-    /// partitioner's actual placement of that wave's blocks, so the
-    /// waves' stragglers add up instead of hiding in one stage's total.
-    /// IM's shuffle traffic rides the D wave.
+    /// partitions: one synthetic record per record the iteration
+    /// appends ([`Strategy::records`]). `bytes` is what it moves;
+    /// `updates` is its kernel work. A wave's record runs its kernels
+    /// over the partitioner's actual placement of that wave's blocks,
+    /// so the waves' stragglers add up instead of hiding in one
+    /// stage's total. The driver records split `bytes` by their waves'
+    /// block counts.
     fn iter_seconds<S: DpProblem>(
         &self,
         plan: &Plan<S>,
@@ -280,49 +252,54 @@ impl AqePlanner {
     ) -> f64 {
         let (g, b, kt) = (plan.grid, plan.block, plan.kernel.kernel_type());
         let price = |stage: &StageRecord| self.model.stage_seconds(stage);
-        // Each wave's work per partition, at the partitioner's placement.
-        let loads: Vec<Vec<f64>> = WAVES
-            .iter()
-            .map(|wave| {
-                let mut loads = vec![0.0; p.max(1)];
-                for key in grid_keys(g) {
-                    match filters::kind_of::<S>(key, k, b) {
-                        Some(kind) if wave.contains(&kind) => {
-                            loads[plan.partitioner.partition(&key, p.max(1))] +=
-                                S::updates_for(kind, b)
-                        }
-                        _ => {}
-                    }
-                }
-                loads
-            })
-            .collect();
-        // The measured work, split between the waves as the filters split it.
-        let total: f64 = loads.iter().flatten().sum::<f64>().max(1.0);
-        let waves: f64 = loads
-            .iter()
-            .zip(WAVES)
-            .map(|(loads, wave)| {
-                let shuffled = match strategy {
-                    Strategy::InMemory if wave.contains(&Kind::D) => bytes,
-                    _ => 0,
-                };
-                let work = updates * loads.iter().sum::<f64>() / total;
-                price(&self.synth_stage(loads, shuffled, work, b, kt))
-            })
-            .sum();
-        let extra = price(&self.synth_overhead(p));
-        match strategy {
-            Strategy::InMemory => waves + extra * (IM_STAGES_PER_ITER - WAVES.len()) as f64,
-            Strategy::CollectBroadcast => {
-                let driver = price(&StageRecord {
-                    collect_bytes: bytes,
-                    broadcast_bytes: bytes,
-                    ..Default::default()
-                });
-                waves + driver + extra * (CB_STAGES_PER_ITER - WAVES.len() - 1) as f64
+        // Each wave's block count, and its work per partition at the
+        // partitioner's placement.
+        let mut blocks = [0usize; WAVES.len()];
+        let mut loads = vec![vec![0.0; p.max(1)]; WAVES.len()];
+        for key in grid_keys(g) {
+            if let Some(kind) = filters::kind_of::<S>(key, k, b) {
+                let w = WAVES
+                    .iter()
+                    .position(|wave| wave.contains(&kind))
+                    .expect("every kind has a wave");
+                blocks[w] += 1;
+                loads[w][plan.partitioner.partition(&key, p.max(1))] += S::updates_for(kind, b);
             }
         }
+        // The measured work, split between the waves as the filters split it.
+        let total: f64 = loads.iter().flatten().sum::<f64>().max(1.0);
+        let records = strategy.records();
+        let collected: usize = records
+            .iter()
+            .map(|r| match r {
+                Record::Driver(w) => blocks[*w],
+                _ => 0,
+            })
+            .sum();
+        records
+            .iter()
+            .map(|record| match *record {
+                Record::Wave(w) | Record::ShuffleWave(w) => {
+                    let shuffled = if let Record::ShuffleWave(_) = record {
+                        bytes
+                    } else {
+                        0
+                    };
+                    let work = updates * loads[w].iter().sum::<f64>() / total;
+                    price(&self.synth_stage(&loads[w], shuffled, work, b, kt))
+                }
+                Record::Driver(w) => {
+                    let share =
+                        (bytes as f64 * (blocks[w] as f64 / collected.max(1) as f64)) as u64;
+                    price(&StageRecord {
+                        collect_bytes: share,
+                        broadcast_bytes: share,
+                        ..Default::default()
+                    })
+                }
+                Record::Overhead => price(&self.synth_overhead(p)),
+            })
+            .sum()
     }
 
     /// Price candidate partition counts for iterations `k..` and adopt
@@ -391,32 +368,30 @@ impl AqePlanner {
         bytes: u64,
         updates: f64,
     ) -> Option<AqeDecision> {
-        let (g, b, strategy) = (plan.grid, plan.block, plan.strategy);
+        let (g, b, from) = (plan.grid, plan.block, plan.strategy);
         // Each strategy's volume: measured for the one running (scaled
         // by the caller), reconstructed from the filters for the other.
-        let (panel, d_blocks) = phase_blocks::<S>(k, g, b);
-        let (im_volume, cb_volume) = match strategy {
-            Strategy::InMemory => (bytes, self.cb_bytes(panel, b)),
-            Strategy::CollectBroadcast => (self.im_shuffle_bytes::<S>(panel, d_blocks, b), bytes),
+        let price = |s: Strategy| {
+            let volume = if s == from {
+                bytes
+            } else {
+                self.estimate::<S>(s, k, g, b)
+            };
+            self.iter_seconds(plan, s, k, partitions, volume, updates)
         };
-        let price =
-            |s: Strategy, volume: u64| self.iter_seconds(plan, s, k, partitions, volume, updates);
-        let im = price(Strategy::InMemory, im_volume);
-        let cb = price(Strategy::CollectBroadcast, cb_volume);
-        let (to, ours, theirs) = match strategy {
-            Strategy::InMemory => (Strategy::CollectBroadcast, im, cb),
-            Strategy::CollectBroadcast => (Strategy::InMemory, cb, im),
-        };
+        let ours = price(from);
+        let (to, theirs) = STRATEGIES
+            .into_iter()
+            .filter(|&s| s != from)
+            .map(|s| (s, price(s)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))?;
         if theirs >= ours * STRATEGY_MARGIN {
             return None;
         }
-        let name = |s: Strategy| match s {
-            Strategy::InMemory => "im",
-            Strategy::CollectBroadcast => "cb",
-        };
+        let name = |s: Strategy| s.tag().to_lowercase();
         Some(AqeDecision {
             action: AqeAction::SwitchStrategy(to),
-            label: format!("strategy:{}->{}", name(strategy), name(to)),
+            label: format!("strategy:{}->{}", name(from), name(to)),
             reason: format!("modeled iter {theirs:.3}s vs {ours:.3}s staying"),
         })
     }
@@ -490,27 +465,12 @@ impl AqePlanner {
     }
 }
 
-/// Every block key of a `g×g` grid, in row-major order.
-fn grid_keys(g: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..g).flat_map(move |i| (0..g).map(move |j| (i, j)))
-}
-
 /// The block keys phase `k` touches, in row-major order (none once
 /// `k` is past the last phase).
 fn active_keys<S: DpProblem>(k: usize, g: usize, b: usize) -> Vec<(usize, usize)> {
     grid_keys(g)
         .filter(|&key| k < g && filters::touched::<S>(key, k, b))
         .collect()
-}
-
-/// Phase `k`'s `(panel, d)` block counts: the A block with its B and C
-/// panels, and the trailing D blocks.
-fn phase_blocks<S: DpProblem>(k: usize, g: usize, b: usize) -> (usize, usize) {
-    let count = |f: fn((usize, usize), usize, usize) -> bool| {
-        grid_keys(g).filter(|&key| f(key, k, b)).count()
-    };
-    let panel = 1 + count(filters::filter_b::<S>) + count(filters::filter_c::<S>);
-    (panel, count(filters::filter_d::<S>))
 }
 
 #[cfg(test)]
@@ -573,7 +533,7 @@ mod tests {
             solve_virtual::<GaussianElim>(&sc, &cfg).expect("virtual run");
             let stages = sc.with_event_log(|log| log.stages().to_vec());
             for (k, iteration) in stages
-                .chunks(IM_STAGES_PER_ITER)
+                .chunks(Strategy::InMemory.records().len())
                 .take(plan.grid)
                 .enumerate()
             {

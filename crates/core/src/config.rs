@@ -15,6 +15,16 @@ pub enum Strategy {
     CollectBroadcast,
 }
 
+impl Strategy {
+    /// The paper's short name: `IM` or `CB`.
+    pub(crate) fn tag(self) -> &'static str {
+        match self {
+            Strategy::InMemory => "IM",
+            Strategy::CollectBroadcast => "CB",
+        }
+    }
+}
+
 /// Storage level of a per-iteration materialization when the config
 /// does not pin one — for both strategies and the sparse sweep. IM *is*
 /// the memory-pressure strategy (it must hold the whole cached table
@@ -159,10 +169,7 @@ impl DpConfig {
 
     /// Short human-readable label, e.g. `IM/rec4x8t/b1024`.
     pub fn label(&self) -> String {
-        let strat = match self.strategy {
-            Strategy::InMemory => "IM",
-            Strategy::CollectBroadcast => "CB",
-        };
+        let strat = self.strategy.tag();
         format!("{strat}/{}/b{}", self.kernel.label(), self.block)
     }
 }

@@ -53,10 +53,9 @@ mod aqe;
 pub mod backend;
 pub mod beyond;
 pub mod block;
-pub mod cb;
 pub mod config;
 pub mod filters;
-pub mod im;
+mod iteration;
 pub mod jobs;
 pub mod kernels;
 pub mod linsys;

@@ -26,8 +26,8 @@ use crate::aqe::{AqeAction, AqeDecision, AqePlanner};
 use crate::backend::{rebind_primary, ConfigError, ResolvedKernel};
 use crate::block::Block;
 use crate::config::{DpConfig, Strategy, DEFAULT_LEVEL};
+use crate::iteration;
 use crate::problem::DpProblem;
-use crate::{cb, im};
 
 type K = (usize, usize);
 
@@ -131,10 +131,7 @@ fn run_loop<S: DpProblem>(
         }
     }
     for k in 0..plan.grid {
-        let next = match plan.strategy {
-            Strategy::InMemory => im::step(&dp, k, &plan)?,
-            Strategy::CollectBroadcast => cb::step(sc, &dp, k, &plan)?,
-        };
+        let next = iteration::step(sc, &dp, k, &plan)?;
         // Materialize the iteration (the paper's programs are bounded
         // the same way: each iteration's output feeds the next). The
         // checkpoint cuts the lineage, so dropping `next` at the end
