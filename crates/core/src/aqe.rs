@@ -42,7 +42,7 @@ use sparklet::{RunSummary, SparkContext, StorageLevel};
 use crate::backend::KernelParams;
 use crate::config::Strategy;
 use crate::filters;
-use crate::iteration::{grid_keys, Record, STRATEGIES, WAVES};
+use crate::iteration::{grid_keys, wave_of, Record, STRATEGIES, WAVES};
 use crate::problem::DpProblem;
 use crate::solver::Plan;
 
@@ -258,10 +258,7 @@ impl AqePlanner {
         let mut loads = vec![vec![0.0; p.max(1)]; WAVES.len()];
         for key in grid_keys(g) {
             if let Some(kind) = filters::kind_of::<S>(key, k, b) {
-                let w = WAVES
-                    .iter()
-                    .position(|wave| wave.contains(&kind))
-                    .expect("every kind has a wave");
+                let w = wave_of(kind);
                 blocks[w] += 1;
                 loads[w][plan.partitioner.partition(&key, p.max(1))] += S::updates_for(kind, b);
             }
@@ -276,18 +273,15 @@ impl AqePlanner {
                 _ => 0,
             })
             .sum();
+        let wave = |w: usize, shuffled: u64| {
+            let work = updates * loads[w].iter().sum::<f64>() / total;
+            price(&self.synth_stage(&loads[w], shuffled, work, b, kt))
+        };
         records
             .iter()
             .map(|record| match *record {
-                Record::Wave(w) | Record::ShuffleWave(w) => {
-                    let shuffled = if let Record::ShuffleWave(_) = record {
-                        bytes
-                    } else {
-                        0
-                    };
-                    let work = updates * loads[w].iter().sum::<f64>() / total;
-                    price(&self.synth_stage(&loads[w], shuffled, work, b, kt))
-                }
+                Record::Wave(w) => wave(w, 0),
+                Record::ShuffleWave(w) => wave(w, bytes),
                 Record::Driver(w) => {
                     let share =
                         (bytes as f64 * (blocks[w] as f64 / collected.max(1) as f64)) as u64;
@@ -513,27 +507,34 @@ mod tests {
         assert!(d.label.starts_with("coalesce:96->"), "{}", d.label);
     }
 
-    /// The synthetic IM iteration must price what the recorded one
-    /// costs, at every phase and partition count, or the planner's
-    /// choices rest on a different run than the one it steers. GE's
-    /// tail is where one wave's straggler decides an iteration.
+    /// The synthetic iteration of each strategy must price what the
+    /// recorded one costs, at every phase and partition count, or the
+    /// planner's choices rest on a different run than the one it
+    /// steers. GE's tail is where one wave's straggler decides an
+    /// iteration; CB's driver records and kernel-free stages are a
+    /// fixed cost per record, so each must be priced.
     #[test]
-    fn synthetic_im_iterations_track_the_recorded_ones() {
+    fn synthetic_iterations_track_the_recorded_ones() {
         use crate::solver::solve_virtual;
-        for partitions in [8, 16, 32] {
+        for (strategy, partitions) in STRATEGIES
+            .into_iter()
+            .flat_map(|s| [8, 16, 32].map(|p| (s, p)))
+        {
             let sc = SparkContext::new(
                 sparklet::SparkConf::default()
                     .with_executors(4)
                     .with_executor_cores(2)
                     .with_partitions(partitions),
             );
-            let cfg = DpConfig::new(4096, 512).with_partitions(partitions);
+            let cfg = DpConfig::new(4096, 512)
+                .with_partitions(partitions)
+                .with_strategy(strategy);
             let plan = Plan::<GaussianElim>::new(&sc, &cfg).expect("the config resolves");
             let planner = AqePlanner::new(&sc, 8);
             solve_virtual::<GaussianElim>(&sc, &cfg).expect("virtual run");
             let stages = sc.with_event_log(|log| log.stages().to_vec());
             for (k, iteration) in stages
-                .chunks(Strategy::InMemory.records().len())
+                .chunks(strategy.records().len())
                 .take(plan.grid)
                 .enumerate()
             {
@@ -544,15 +545,15 @@ mod tests {
                 let did = RunSummary::of(iteration);
                 let modeled = planner.iter_seconds(
                     &plan,
-                    Strategy::InMemory,
+                    strategy,
                     k,
                     partitions,
-                    did.staged_bytes,
+                    strategy.moved(&did),
                     did.kernel_updates,
                 );
                 assert!(
                     (modeled / recorded - 1.0).abs() < 0.05,
-                    "iteration {k} at {partitions} partitions: modeled {modeled:.3}s, recorded {recorded:.3}s"
+                    "{strategy:?} iteration {k} at {partitions} partitions: modeled {modeled:.3}s, recorded {recorded:.3}s"
                 );
             }
         }

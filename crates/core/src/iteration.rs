@@ -56,6 +56,12 @@ pub(crate) const WAVES: [&[Kind]; 3] = [&[Kind::A], &[Kind::B, Kind::C], &[Kind:
 /// The last wave (D): it updates blocks nobody reads this phase.
 const LAST: usize = WAVES.len() - 1;
 
+/// The index in [`WAVES`] of the wave that runs `kind`.
+pub(crate) fn wave_of(kind: Kind) -> usize {
+    let wave = WAVES.iter().position(|wave| wave.contains(&kind));
+    wave.expect("every kind runs in a wave")
+}
+
 /// Tag of a block's own payload in the IM stream.
 const MAIN: u8 = 0;
 /// The diagonal block, read as `w` (by B, C, and D when `f` reads it).
@@ -91,7 +97,15 @@ impl Strategy {
         use Record::*;
         match self {
             Strategy::InMemory => &[Wave(0), Wave(1), ShuffleWave(LAST)],
-            Strategy::CollectBroadcast => &[Wave(0), Wave(1), Wave(LAST), Driver(0), Overhead],
+            Strategy::CollectBroadcast => &[
+                Wave(0),
+                Driver(0),
+                Wave(1),
+                Driver(1),
+                Wave(LAST),
+                Overhead,
+                Overhead,
+            ],
         }
     }
 
@@ -139,8 +153,7 @@ struct Phase<S: DpProblem> {
 impl<S: DpProblem> Phase<S> {
     /// The wave (index into [`WAVES`]) that updates `key`, if any.
     fn wave(&self, key: K) -> Option<usize> {
-        let kind = filters::kind_of::<S>(key, self.k, self.b)?;
-        WAVES.iter().position(|wave| wave.contains(&kind))
+        filters::kind_of::<S>(key, self.k, self.b).map(wave_of)
     }
 
     /// Run the phase's kernel on block `key`, reading its operands
