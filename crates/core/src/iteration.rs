@@ -309,10 +309,10 @@ fn source((i, j): K, role: u8, k: usize) -> K {
     }
 }
 
-/// CB's task body: every block of `items` that one of `shipped`
-/// broadcasts holds is rebuilt from it (sharing the decoded tile's
-/// cells, not recomputing its kernel); any other block updates against
-/// the broadcasts.
+/// CB's task body, given the broadcasts of the first `shipped.len()`
+/// waves: a block of one of those waves is rebuilt from its broadcast
+/// (sharing the decoded tile's cells, not recomputing its kernel); any
+/// other block updates against the broadcasts.
 fn with_broadcasts<S: DpProblem>(
     phase: &Phase<S>,
     shipped: &[Shipped<S::Elem>],
@@ -331,12 +331,11 @@ fn with_broadcasts<S: DpProblem>(
     items
         .into_iter()
         .map(|(key, mut blk)| {
-            match table.get(&key) {
-                Some(&fresh) => blk = fresh.clone(),
-                None => {
-                    let read = |role| table.get(&source(key, role, phase.k)).copied();
-                    phase.update(key, &mut blk, read, tc);
-                }
+            if phase.wave(key).is_some_and(|w| w < shipped.len()) {
+                blk = table[&key].clone();
+            } else {
+                let read = |role| table.get(&source(key, role, phase.k)).copied();
+                phase.update(key, &mut blk, read, tc);
             }
             (key, blk)
         })
