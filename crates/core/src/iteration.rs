@@ -27,7 +27,6 @@
 //! `Strategy::tiles_moved`), so the adaptive planner prices the
 //! iteration this module runs, not a copy of its shape.
 
-use std::collections::HashMap;
 use std::iter;
 use std::sync::Arc;
 
@@ -323,19 +322,26 @@ fn with_broadcasts<S: DpProblem>(
         .iter()
         .map(|bc| bc.value(tc).expect("broadcast available"))
         .collect();
-    // Indexed once per partition: a D block looks up two operands.
-    let table: HashMap<K, &Block<S::Elem>> = values
-        .iter()
-        .flat_map(|tiles| tiles.iter().map(|(key, blk)| (*key, blk)))
-        .collect();
+    // Every broadcast block lies in block row or column `k`, so two
+    // vectors indexed by position find any of them without hashing (a
+    // D block reads up to three).
+    let k = phase.k;
+    let (mut row, mut col) = (vec![None; phase.g], vec![None; phase.g]);
+    for (key, blk) in values.iter().flat_map(|tiles| tiles.iter()) {
+        if key.0 == k {
+            row[key.1] = Some(blk);
+        } else {
+            col[key.0] = Some(blk);
+        }
+    }
+    let get = |(i, j): K| if i == k { row[j] } else { col[i] };
     items
         .into_iter()
         .map(|(key, mut blk)| {
             if phase.wave(key).is_some_and(|w| w < shipped.len()) {
-                blk = table[&key].clone();
+                blk = get(key).expect("a broadcast wave's block").clone();
             } else {
-                let read = |role| table.get(&source(key, role, phase.k)).copied();
-                phase.update(key, &mut blk, read, tc);
+                phase.update(key, &mut blk, |role| get(source(key, role, k)), tc);
             }
             (key, blk)
         })
