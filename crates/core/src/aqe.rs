@@ -373,12 +373,8 @@ impl AqePlanner {
             };
             self.iter_seconds(plan, s, k, partitions, volume, updates)
         };
-        let ours = price(from);
-        let (to, theirs) = STRATEGIES
-            .into_iter()
-            .filter(|&s| s != from)
-            .map(|s| (s, price(s)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))?;
+        let to = STRATEGIES.into_iter().find(|&s| s != from)?;
+        let (ours, theirs) = (price(from), price(to));
         if theirs >= ours * STRATEGY_MARGIN {
             return None;
         }

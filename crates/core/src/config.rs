@@ -8,7 +8,7 @@ use crate::backend::{ConfigError, KernelParams, KernelSpec, RECURSIVE};
 /// Distribution strategy (Section IV-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Listing 1: wide shuffles (`combineByKey`) move block copies.
+    /// Listing 1: wide shuffles (`cogroup`) move block copies.
     InMemory,
     /// Listing 2: collect to the driver, redistribute via shared
     /// storage broadcast.

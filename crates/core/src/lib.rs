@@ -20,12 +20,15 @@
 //! the driver, and `DP_KERNEL_BACKEND` (read where the plan is built)
 //! rebinds its primary backend for dense solves.
 //!
-//! **IM** (Listing 1) keeps everything in RDDs: each iteration runs the
-//! A kernel, flat-maps copies of updated blocks to their consumers,
-//! `combineByKey`s them together (wide shuffles), and repartitions.
-//! **CB** (Listing 2) avoids wide dependencies inside an iteration by
-//! collecting updated blocks to the driver and redistributing them via
-//! shared-storage broadcast.
+//! Both strategies run one iteration (the crate-private `iteration`
+//! module): kernel A, then B/C, then D, over the same `FilterA/B/C/D`,
+//! closed by a union with the untouched blocks whose repartition elides.
+//! They differ only in how a wave's updated blocks reach their readers.
+//! **IM** (Listing 1) flat-maps copies of them to their readers and
+//! `cogroup`s the copies onto the next wave's blocks, which stay in
+//! place (the narrow side): two shuffles an iteration. **CB** (Listing
+//! 2) collects them to the driver and redistributes them via
+//! shared-storage broadcast: no shuffle at all.
 //!
 //! Kernels run inside executor tasks either iteratively (the baseline)
 //! or as parallel `r_shared`-way recursive divide-&-conquer on an
