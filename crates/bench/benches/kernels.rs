@@ -6,13 +6,12 @@
 //!
 //! Each sample clones its input tile and runs one kernel on the copy
 //! (the clone is O(b²) against the kernel's O(b³)). The suite also
-//! times every registered backend × GEP kind through the registry's
-//! `run` entry point; every mean is printed and lands in
-//! `BENCH_kernels.json` (bench name, mean ns, bytes touched) so CI can
-//! track per-backend kernel throughput.
+//! times both kernels × GEP kind through dp-core's `Backend::run`;
+//! every mean is printed and lands in `BENCH_kernels.json` (bench
+//! name, mean ns, bytes touched) so CI can track per-kernel throughput.
 
 use dp_bench::{bench_iters, time_sample, write_bench_json, BenchSample};
-use dp_core::{registry, KernelParams};
+use dp_core::{KernelParams, KernelSpec};
 use gep_kernels::gep::Kind;
 use gep_kernels::iterative::block_kernel;
 use gep_kernels::recursive::{rec_kernel, RecConfig};
@@ -148,11 +147,11 @@ fn bench_d_kernel(samples: &mut Vec<BenchSample>, iters: u32) {
     ));
 }
 
-/// Every registered backend through the registry's own `run`
-/// entry point, per GEP kind, on min-plus tiles. Operands follow the
-/// solver's raw convention: A updates the diagonal in place, B/C see
-/// the diagonal as `w`, D gets the column/row panels (`w` elided —
-/// min-plus is `!USES_W`). Samples land in `BENCH_kernels.json` as
+/// Both kernels through dp-core's `Backend::run`, per GEP kind, on
+/// min-plus tiles. Operands follow the solver's raw convention: A
+/// updates the diagonal in place, B/C see the diagonal as `w`, D gets
+/// the column/row panels (`w` elided — min-plus is `!USES_W`).
+/// Samples land in `BENCH_kernels.json` as
 /// `backend_kernel/<backend>/<kind>` rows.
 fn bench_backend_matrix(samples: &mut Vec<BenchSample>) {
     let b = 128;
@@ -164,10 +163,12 @@ fn bench_backend_matrix(samples: &mut Vec<BenchSample>) {
     let diag = dist_matrix(b, 21);
     let panel_u = dist_matrix(b, 22);
     let panel_v = dist_matrix(b, 23);
-    let reg = registry::<Tropical>();
-    for spec in reg.dense_candidates(params) {
-        let backend = reg.resolve(&spec).expect("a candidate resolves");
-        let name = backend.name();
+    let names = ["iterative", "recursive"];
+    for (name, spec) in names.into_iter().zip(KernelSpec::both(params)) {
+        let run = |kind, x: &mut Matrix<f64>, u, v, w| {
+            spec.backend
+                .run::<Tropical>(kind, &params, &mut x.view_mut(), u, v, w)
+        };
         for kind in [Kind::A, Kind::B, Kind::C, Kind::D] {
             let label = format!("backend_kernel/{name}/{kind:?}");
             let mut x = match kind {
@@ -177,19 +178,11 @@ fn bench_backend_matrix(samples: &mut Vec<BenchSample>) {
                 Kind::D => dist_matrix(b, 24),
             };
             samples.push(time_sample(&label, tile_bytes(b), 5, || match kind {
-                Kind::A => backend.run(kind, &params, &mut x.view_mut(), None, None, None),
-                Kind::B | Kind::C => backend.run(
+                Kind::A => run(kind, &mut x, None, None, None),
+                Kind::B | Kind::C => run(kind, &mut x, None, None, Some(diag.view())),
+                Kind::D => run(
                     kind,
-                    &params,
-                    &mut x.view_mut(),
-                    None,
-                    None,
-                    Some(diag.view()),
-                ),
-                Kind::D => backend.run(
-                    kind,
-                    &params,
-                    &mut x.view_mut(),
+                    &mut x,
                     Some(panel_u.view()),
                     Some(panel_v.view()),
                     None,

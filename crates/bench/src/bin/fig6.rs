@@ -41,13 +41,9 @@ fn sweep<S: DpProblem>(
             eprintln!("  dataflow {name}/{sname} b={b} …");
             recordings.push(run_dataflow::<S>(cluster, &cfg).expect("dataflow"));
         }
-        let reg = dp_core::registry::<S>();
         let mut table = vec![vec![f64::INFINITY; blocks.len()]; variants.len()];
         for (vi, v) in variants.iter().enumerate() {
-            let kt = reg
-                .resolve(&v.kernel)
-                .expect("registered backend")
-                .kernel_type(&v.kernel.params);
+            let kt = v.kernel.kernel_type();
             for (bi, records) in recordings.iter().enumerate() {
                 let secs = price(&with_kernel(records, kt), cluster, cluster.node.cores);
                 table[vi][bi] = secs;

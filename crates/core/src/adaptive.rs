@@ -8,9 +8,8 @@
 //! it. The probe measures the *actual* machine and engine — no model —
 //! under the caller's own config: only the table size (and a block
 //! clamped to it) and the kernel differ from the solve that follows.
-//! The candidate list is the caller's; the registry's
-//! [`dense_candidates`](crate::BackendRegistry::dense_candidates)
-//! supplies "every registered backend".
+//! The candidate list is the caller's;
+//! [`KernelSpec::both`] supplies both kernels at one shape.
 //!
 //! Probes run **one at a time**. An earlier version submitted every
 //! candidate as a concurrent [`sparklet::JobHandle`] job with the
@@ -46,11 +45,8 @@ pub struct AdaptiveOutcome<E> {
 /// `probe_phases` block phases at full block size), then solve the real
 /// problem with the fastest. Returns the solution plus the decision.
 ///
-/// To probe every registered backend pass
-/// `&registry::<S>().dense_candidates(cfg.kernel.params)`: the list is
-/// in registration order, so the probe sequence — and therefore the
-/// tie-break — is deterministic, and registering a new backend makes
-/// it a probe candidate with no call-site changes.
+/// To probe both kernels pass `&KernelSpec::both(cfg.kernel.params)`.
+/// Probes run in list order, and a tie goes to the earlier candidate.
 pub fn adaptive_solve<S: DpProblem>(
     sc: &SparkContext,
     cfg: &DpConfig,
@@ -85,7 +81,7 @@ pub fn adaptive_solve<S: DpProblem>(
             block: cfg.block.min(probe_n),
             ..cfg.clone()
         }
-        .with_kernel(candidate.clone());
+        .with_kernel(*candidate);
         let t0 = Instant::now();
         let _ = solve::<S>(sc, &probe_cfg, &probe_input)?;
         let secs = t0.elapsed().as_secs_f64();
@@ -94,8 +90,8 @@ pub fn adaptive_solve<S: DpProblem>(
             best = (i, secs);
         }
     }
-    let chosen = candidates[best.0].clone();
-    let final_cfg = cfg.clone().with_kernel(chosen.clone());
+    let chosen = candidates[best.0];
+    let final_cfg = cfg.clone().with_kernel(chosen);
     let result = solve::<S>(sc, &final_cfg, input)?;
     Ok(AdaptiveOutcome {
         result,
@@ -209,19 +205,18 @@ mod tests {
     }
 
     #[test]
-    fn registry_candidates_probe_every_real_backend() {
+    fn both_kernels_are_probed() {
         let n = 12;
         let input = Matrix::from_fn(n, n, |i, j| if i == j { 0.0 } else { (i + j) as f64 });
         let mut reference = input.clone();
         gep_reference::<Tropical>(&mut reference);
         let sc = SparkContext::new(SparkConf::default().with_executors(2).with_partitions(4));
         let cfg = DpConfig::new(n, 4).with_strategy(Strategy::InMemory);
-        let real = crate::backend::registry::<Tropical>().dense_candidates(cfg.kernel.params);
-        let out = adaptive_solve::<Tropical>(&sc, &cfg, &input, &real, 1).expect("adaptive solve");
+        let both = KernelSpec::both(cfg.kernel.params);
+        let out = adaptive_solve::<Tropical>(&sc, &cfg, &input, &both, 1).expect("adaptive solve");
         assert_eq!(out.result.first_difference(&reference), None);
-        assert!(real.len() >= 2, "iterative, recursive: {real:?}");
-        assert_eq!(out.probe_seconds.len(), real.len(), "one probe per backend");
-        assert!(real.contains(&out.chosen));
+        assert_eq!(out.probe_seconds.len(), 2, "one probe per kernel");
+        assert!(both.contains(&out.chosen));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use cluster_model::{
 };
 use sparklet::{RunSummary, SparkContext, StorageLevel};
 
-use crate::backend::KernelParams;
+use crate::backend::{Backend, KernelParams, KernelSpec};
 use crate::config::Strategy;
 use crate::filters;
 use crate::iteration::{grid_keys, wave_of, Record, STRATEGIES, WAVES};
@@ -62,7 +62,7 @@ pub(crate) enum AqeAction {
     /// Switch the distribution strategy for the remaining iterations.
     SwitchStrategy(Strategy),
     /// Change the executor kernel shape for the remaining iterations
-    /// (same backend, new params).
+    /// (same kernel, new params).
     Retune(KernelParams),
     /// Re-tier the materialization storage level.
     Retier(StorageLevel),
@@ -386,33 +386,35 @@ impl AqePlanner {
         })
     }
 
-    /// Re-pick `r_shared` for fan-out-parametric backends (the
-    /// recursive family) from the compute model at the next
-    /// iteration's update volume. Backends whose shape has no fan-out
-    /// knob ([`crate::KernelBackend::fanout_parametric`] is `false`)
-    /// are left alone.
+    /// Re-pick `r_shared` for the recursive kernel from the compute
+    /// model at the next iteration's update volume. The iterative
+    /// kernel has no fan-out knob, so it is left alone.
     fn retune<S: DpProblem>(
         &self,
         plan: &Plan<S>,
         updates: f64,
         partitions: usize,
     ) -> Option<AqeDecision> {
-        let (kernel, b) = (&plan.kernel, plan.block);
-        if !kernel.fanout_parametric() {
+        let (kernel, b) = (plan.kernel, plan.block);
+        if kernel.backend != Backend::Recursive {
             return None;
         }
-        let r_shared = kernel.params().r_shared;
+        let r_shared = kernel.params.r_shared;
         let per_task = updates / partitions.max(1) as f64;
         let at = |r: usize| KernelParams {
             r_shared: r,
-            ..kernel.params()
+            ..kernel.params
         };
         let price = |r: usize| {
             self.model.core_seconds(&KernelInvocation {
                 updates: per_task,
                 block_side: b,
                 elem_bytes: self.elem_bytes,
-                kernel: kernel.with_params(at(r)).kernel_type(),
+                kernel: KernelSpec {
+                    params: at(r),
+                    ..kernel
+                }
+                .kernel_type(),
             })
         };
         let now = price(r_shared);

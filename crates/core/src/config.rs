@@ -3,7 +3,7 @@
 
 use sparklet::StorageLevel;
 
-use crate::backend::{ConfigError, KernelParams, KernelSpec, RECURSIVE};
+use crate::backend::{Backend, ConfigError, KernelParams, KernelSpec};
 
 /// Distribution strategy (Section IV-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +44,7 @@ pub struct DpConfig {
     /// Block side `b`; the Spark-level decomposition parameter is then
     /// `r = ⌈n/b⌉` (the paper's top-level `r`).
     pub block: usize,
-    /// Kernel backend selector + parameters for executor tasks,
-    /// resolved against the [`crate::backend::BackendRegistry`].
+    /// Kernel and its parameters for executor tasks.
     pub kernel: KernelSpec,
     /// Distribution strategy (IM or CB).
     pub strategy: Strategy,
@@ -91,24 +90,21 @@ impl DpConfig {
         self.grid() * self.block
     }
 
-    /// Set the executor kernel from a [`KernelSpec`] (or anything that
-    /// converts into one). Panics on invalid parameters — use
+    /// Set the executor kernel. Panics on invalid parameters — use
     /// [`DpConfig::try_with_kernel`] for the typed error.
-    pub fn with_kernel(self, k: impl Into<KernelSpec>) -> Self {
+    pub fn with_kernel(self, k: KernelSpec) -> Self {
         self.try_with_kernel(k).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Set the executor kernel, reporting invalid parameters as a
     /// typed [`ConfigError`] instead of panicking.
-    pub fn try_with_kernel(mut self, k: impl Into<KernelSpec>) -> Result<Self, ConfigError> {
-        self.kernel = k.into();
+    pub fn try_with_kernel(mut self, k: KernelSpec) -> Result<Self, ConfigError> {
+        self.kernel = k;
         self.validate()?;
         Ok(self)
     }
 
-    /// Validate the kernel parameterization against this config
-    /// (config-time checks; backend-name resolution happens per
-    /// problem type at solve time).
+    /// Validate the kernel parameterization against this config.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let KernelParams {
             r_shared,
@@ -125,8 +121,8 @@ impl DpConfig {
             return Err(ConfigError::ZeroParam("threads"));
         }
         // A fan-out wider than the block could never split even once;
-        // only meaningful for the fan-out-parametric backend.
-        if self.kernel.backend == RECURSIVE && r_shared > self.block {
+        // only meaningful for the recursive kernel.
+        if self.kernel.backend == Backend::Recursive && r_shared > self.block {
             return Err(ConfigError::FanoutExceedsBlock {
                 r_shared,
                 block: self.block,
@@ -195,12 +191,6 @@ mod tests {
             .with_kernel(KernelSpec::recursive(4, 64, 8));
         assert_eq!(c.label(), "CB/rec4x8t/b256");
         assert_eq!(DpConfig::new(8, 4).label(), "IM/iter/b4");
-        assert_eq!(
-            DpConfig::new(8, 4)
-                .with_kernel(KernelSpec::named("custom"))
-                .label(),
-            "IM/custom/b4"
-        );
     }
 
     #[test]
@@ -238,15 +228,13 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroParam("threads")
         );
-        // The fan-out cap applies to the recursive backend only: the
+        // The fan-out cap applies to the recursive kernel only: the
         // same params under `iterative` are inert.
-        assert!(DpConfig::new(32, 4)
-            .try_with_kernel(KernelSpec::iterative().with_params(KernelParams {
-                r_shared: 8,
-                base: 2,
-                threads: 1
-            }))
-            .is_ok());
+        let iterative = KernelSpec {
+            backend: Backend::Iterative,
+            ..KernelSpec::recursive(8, 2, 1)
+        };
+        assert!(DpConfig::new(32, 4).try_with_kernel(iterative).is_ok());
     }
 
     #[test]
@@ -259,15 +247,5 @@ mod tests {
         let d = DpConfig::new(32, 8);
         assert_eq!(d.storage_level, None);
         assert!(!d.recompute_on_evict);
-    }
-
-    #[test]
-    fn with_kernel_takes_specs_directly() {
-        // Post-shim: with_kernel's impl Into<KernelSpec> surface takes
-        // the spec constructors that replaced KernelChoice.
-        let c = DpConfig::new(32, 8).with_kernel(KernelSpec::recursive(4, 4, 2));
-        assert_eq!(c.kernel, KernelSpec::recursive(4, 4, 2));
-        let c = DpConfig::new(32, 8).with_kernel(KernelSpec::iterative());
-        assert_eq!(c.kernel, KernelSpec::iterative());
     }
 }

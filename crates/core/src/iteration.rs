@@ -28,12 +28,13 @@
 //! iteration this module runs, not a copy of its shape.
 
 use std::iter;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use gep_kernels::gep::Kind;
 use sparklet::{Broadcast, JobError, Rdd, RunSummary, SparkContext, Storable, TaskContext};
 
-use crate::backend::ResolvedKernel;
+use crate::backend::KernelSpec;
 use crate::block::Block;
 use crate::config::Strategy;
 use crate::filters;
@@ -143,10 +144,11 @@ pub(crate) fn grid_keys(g: usize) -> impl Iterator<Item = K> {
 /// What every task of iteration `k` needs: the kernel and the phase's
 /// geometry.
 struct Phase<S: DpProblem> {
-    kernel: ResolvedKernel<S>,
+    kernel: KernelSpec,
     k: usize,
     g: usize,
     b: usize,
+    problem: PhantomData<S>,
 }
 
 impl<S: DpProblem> Phase<S> {
@@ -176,7 +178,7 @@ impl<S: DpProblem> Phase<S> {
                 if S::USES_W { operand(W) } else { None },
             ),
         };
-        apply_kernel(&self.kernel, kind, key, self.k, blk, u, v, w, tc);
+        apply_kernel::<S>(&self.kernel, kind, key, self.k, blk, u, v, w, tc);
     }
 
     /// The blocks that read `key`'s update this phase, each with the
@@ -225,10 +227,11 @@ pub(crate) fn step<S: DpProblem>(
 ) -> Result<Table<S::Elem>, JobError> {
     let b = plan.block;
     let phase = Arc::new(Phase {
-        kernel: plan.kernel.clone(),
+        kernel: plan.kernel,
         k,
         g: plan.grid,
         b,
+        problem: PhantomData,
     });
     let updated = match plan.strategy {
         Strategy::InMemory => vec![shuffle(dp, &phase, plan)],

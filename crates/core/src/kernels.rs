@@ -2,11 +2,9 @@
 //! `CRecGE`/`DRecGE` and their iterative counterparts).
 //!
 //! Every application records a [`cluster_model::KernelInvocation`] on
-//! the task so the cost model can price the compute. The kernel itself
-//! arrives already resolved — the plan walked the
-//! [`crate::backend::BackendRegistry`] once, on the driver — so real
-//! blocks run that handle and for virtual blocks the recorded
-//! invocation is the whole effect.
+//! the task so the cost model can price the compute. Real blocks then
+//! run the plan's [`crate::backend::KernelSpec`]; for virtual blocks
+//! the recorded invocation is the whole effect.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,7 +16,7 @@ use gep_kernels::Matrix;
 use par_pool::{Mutex, Pool};
 use sparklet::TaskContext;
 
-use crate::backend::ResolvedKernel;
+use crate::backend::KernelSpec;
 use crate::block::Block;
 use crate::problem::DpProblem;
 
@@ -65,9 +63,9 @@ fn pool_for(pools: &mut BTreeMap<usize, Arc<Pool>>, threads: usize, cap: usize) 
     Arc::clone(p)
 }
 
-/// Run (or account) one block kernel on the plan's resolved backend.
+/// Run (or account) one block kernel with the plan's kernel.
 ///
-/// * `kernel` — the handle the plan resolved on the driver;
+/// * `kernel` — the plan's kernel and its params;
 /// * `kind` — which GEP kernel;
 /// * `key` — the block's grid coordinate `(bi, bj)`;
 /// * `kb` — the phase (diagonal block index);
@@ -75,10 +73,10 @@ fn pool_for(pools: &mut BTreeMap<usize, Arc<Pool>>, threads: usize, cap: usize) 
 /// * `u`/`v` — column-/row-panel operand blocks (kind D only);
 /// * `w` — the diagonal block (kinds B, C, D).
 // Nine arguments: the kernel's own operands (kind, position, phase and
-// the four blocks) plus the handle and the task they are recorded on.
+// the four blocks) plus the kernel and the task they are recorded on.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_kernel<S: DpProblem>(
-    kernel: &ResolvedKernel<S>,
+    kernel: &KernelSpec,
     kind: Kind,
     key: (usize, usize),
     kb: usize,
@@ -119,7 +117,9 @@ pub(crate) fn apply_kernel<S: DpProblem>(
             debug_assert!(w.is_some() || !S::USES_W);
         }
     }
-    kernel.run(kind, &mut xv, uv, vv, wv);
+    kernel
+        .backend
+        .run::<S>(kind, &kernel.params, &mut xv, uv, vv, wv);
 }
 
 /// Run one relaxation sweep over a CSR edge tile — the sparse
@@ -158,7 +158,6 @@ pub fn apply_sweep<S: DpProblem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::KernelSpec;
     use gep_kernels::gep::gep_reference;
     use gep_kernels::{GaussianElim, Tropical};
 
@@ -190,7 +189,6 @@ mod tests {
         kernel: &KernelSpec,
     ) -> Matrix<f64> {
         use crate::filters;
-        let kernel = &ResolvedKernel::<S>::resolve(kernel).expect("test specs resolve");
         let b = m.rows() / g;
         let tc = TaskContext::new(0);
         let mut blocks = blocks_of(m, g);
@@ -201,13 +199,13 @@ mod tests {
                 .unwrap();
             {
                 let (key, ref mut blk) = blocks[diag_idx];
-                apply_kernel(kernel, Kind::A, key, k, blk, None, None, None, &tc);
+                apply_kernel::<S>(kernel, Kind::A, key, k, blk, None, None, None, &tc);
             }
             let diag = blocks[diag_idx].1.clone();
             for idx in 0..blocks.len() {
                 let key = blocks[idx].0;
                 if filters::filter_b::<S>(key, k, b) {
-                    apply_kernel(
+                    apply_kernel::<S>(
                         kernel,
                         Kind::B,
                         key,
@@ -223,7 +221,7 @@ mod tests {
             for idx in 0..blocks.len() {
                 let key = blocks[idx].0;
                 if filters::filter_c::<S>(key, k, b) {
-                    apply_kernel(
+                    apply_kernel::<S>(
                         kernel,
                         Kind::C,
                         key,
@@ -251,7 +249,7 @@ mod tests {
                         .find(|((a, c), _)| (*a, *c) == (k, j))
                         .unwrap()
                         .1;
-                    apply_kernel(
+                    apply_kernel::<S>(
                         kernel,
                         Kind::D,
                         key,
@@ -322,23 +320,20 @@ mod tests {
     }
 
     #[test]
-    fn fallback_chain_reaches_a_real_backend() {
-        // An unregistered primary falls through to the iterative
-        // fallback and still computes the right answer.
-        let kernel = KernelSpec::named("not-registered").with_fallback("iterative");
-        let d = dist_matrix(16);
-        let out = run_blocked::<Tropical>(&d, 2, &kernel);
-        let mut reference = d.clone();
-        gep_reference::<Tropical>(&mut reference);
-        assert_eq!(out.first_difference(&reference), None);
-    }
-
-    #[test]
     fn virtual_blocks_record_without_computing() {
         let tc = TaskContext::new(0);
         let mut x: Block<f64> = Block::Virtual { rows: 8, cols: 8 };
-        let kernel = ResolvedKernel::<Tropical>::resolve(&KernelSpec::iterative()).unwrap();
-        apply_kernel(&kernel, Kind::A, (0, 0), 0, &mut x, None, None, None, &tc);
+        apply_kernel::<Tropical>(
+            &KernelSpec::iterative(),
+            Kind::A,
+            (0, 0),
+            0,
+            &mut x,
+            None,
+            None,
+            None,
+            &tc,
+        );
         let rec = tc.snapshot();
         assert_eq!(rec.kernels.len(), 1);
         assert_eq!(rec.kernels[0].updates, 512.0);

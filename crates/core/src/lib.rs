@@ -8,17 +8,13 @@
 //!
 //! | strategy | kernel backend | paper name |
 //! |---|---|---|
-//! | [`Strategy::InMemory`] | `iterative` | IM, iterative |
-//! | [`Strategy::InMemory`] | `recursive` | IM, r-way R-DP |
-//! | [`Strategy::CollectBroadcast`] | `iterative` | CB, iterative |
-//! | [`Strategy::CollectBroadcast`] | `recursive` | CB, r-way R-DP |
+//! | [`Strategy::InMemory`] | [`Backend::Iterative`] | IM, iterative |
+//! | [`Strategy::InMemory`] | [`Backend::Recursive`] | IM, r-way R-DP |
+//! | [`Strategy::CollectBroadcast`] | [`Backend::Iterative`] | CB, iterative |
+//! | [`Strategy::CollectBroadcast`] | [`Backend::Recursive`] | CB, r-way R-DP |
 //!
-//! The kernel column is a [`backend::BackendRegistry`] of named
-//! [`backend::KernelBackend`]s — exactly the table's two, plus whatever
-//! a user registers. A [`KernelSpec`] names the backend, an optional
-//! fallback chain, and the shape params; a solve resolves it once, on
-//! the driver, and `DP_KERNEL_BACKEND` (read where the plan is built)
-//! rebinds its primary backend for dense solves.
+//! The kernel column is a closed enum, exactly the table's two; a
+//! [`KernelSpec`] is that choice plus its shape params.
 //!
 //! Both strategies run one iteration (the crate-private `iteration`
 //! module): kernel A, then B/C, then D, over the same `FilterA/B/C/D`,
@@ -68,10 +64,7 @@ pub mod sssp;
 pub mod tuner;
 
 pub use adaptive::{adaptive_solve, AdaptiveOutcome};
-pub use backend::{
-    register_backend, registry, BackendRegistry, ConfigError, KernelBackend, KernelParams,
-    KernelSpec,
-};
+pub use backend::{registry, Backend, ConfigError, KernelParams, KernelSpec};
 pub use beyond::{solve_alignment, solve_parenthesis};
 pub use block::{Block, ElemCodec};
 pub use config::{DpConfig, Strategy};

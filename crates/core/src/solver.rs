@@ -11,6 +11,7 @@
 //! (`let _chaos = sc.install_chaos(policy);`), so no entry point has a
 //! reporting or a chaos variant.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use cluster_model::{ClusterSpec, CostModel, ModelParams};
@@ -23,7 +24,7 @@ use sparklet::{
 };
 
 use crate::aqe::{AqeAction, AqeDecision, AqePlanner};
-use crate::backend::{rebind_primary, ConfigError, ResolvedKernel};
+use crate::backend::{ConfigError, KernelSpec};
 use crate::block::Block;
 use crate::config::{DpConfig, Strategy, DEFAULT_LEVEL};
 use crate::iteration;
@@ -46,25 +47,18 @@ pub(crate) struct Plan<S: DpProblem> {
     pub partitions: usize,
     /// IM or CB.
     pub strategy: Strategy,
-    /// Executor kernel: the backend the config's spec resolved to
-    /// (once, here on the driver) and its shape.
-    pub kernel: ResolvedKernel<S>,
+    /// Executor kernel and its shape.
+    pub kernel: KernelSpec,
     /// Storage level of each iteration's materialization.
     pub level: StorageLevel,
+    /// The problem the plan solves.
+    pub problem: PhantomData<S>,
 }
 
 impl<S: DpProblem> Plan<S> {
-    /// The plan `cfg` asks for on `sc`, defaults resolved and the
-    /// kernel spec resolved to its backend. `DP_KERNEL_BACKEND` is read
-    /// here — kernel selection's one home — and rebinds the spec's
-    /// primary backend (see [`rebind_primary`]).
+    /// The plan `cfg` asks for on `sc`, defaults resolved.
     pub(crate) fn new(sc: &SparkContext, cfg: &DpConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let spec = rebind_primary(
-            cfg.kernel.clone(),
-            std::env::var("DP_KERNEL_BACKEND").ok().as_deref(),
-        );
-        let kernel = ResolvedKernel::resolve(&spec)?;
         Ok(Plan {
             grid: cfg.grid(),
             block: cfg.block,
@@ -76,8 +70,9 @@ impl<S: DpProblem> Plan<S> {
             keep_lineage: cfg.recompute_on_evict,
             partitions: cfg.partitions.unwrap_or(sc.conf().default_partitions),
             strategy: cfg.strategy,
-            kernel,
+            kernel: cfg.kernel,
             level: cfg.storage_level.unwrap_or(DEFAULT_LEVEL),
+            problem: PhantomData,
         })
     }
 
@@ -102,7 +97,7 @@ impl<S: DpProblem> Plan<S> {
                 self.partitions = p;
             }
             AqeAction::SwitchStrategy(s) => self.strategy = s,
-            AqeAction::Retune(params) => self.kernel = self.kernel.with_params(params),
+            AqeAction::Retune(params) => self.kernel.params = params,
             AqeAction::Retier(level) => self.level = level,
         }
         sc.log_adaptive_decision(iteration, &d.label, &d.reason);
@@ -202,10 +197,9 @@ fn scatter_and_run<S: DpProblem>(
 
 /// Solve a GEP instance on the engine and return the resulting table
 /// (same shape as `input`; virtual padding applied and removed
-/// internally). A config that cannot run — invalid kernel params, a
-/// backend chain naming nothing registered, a table that is not the
-/// square `cfg.n` side — is `Err(JobError::Driver(..))` before any
-/// stage is submitted.
+/// internally). A config that cannot run — invalid kernel params or a
+/// table that is not the square `cfg.n` side — is
+/// `Err(JobError::Driver(..))` before any stage is submitted.
 pub fn solve<S: DpProblem>(
     sc: &SparkContext,
     cfg: &DpConfig,
@@ -275,14 +269,11 @@ pub fn simulate_seconds<S: DpProblem>(
 mod tests {
     use super::*;
     use crate::adaptive::adaptive_solve;
-    use crate::backend::KernelSpec;
     use gep_kernels::Tropical;
 
-    /// Regression: an unresolvable chain used to panic inside every
-    /// task attempt (burning every allowed attempt of each task
-    /// first), an invalid config panicked in the plan, and a table of
-    /// the wrong shape hit an `assert_eq!`. All are one typed error at
-    /// the front door, before anything is submitted.
+    /// Regression: an invalid config panicked in the plan, and a table
+    /// of the wrong shape hit an `assert_eq!`. Both are one typed error
+    /// at the front door, before anything is submitted.
     #[test]
     fn unusable_configs_are_driver_errors_before_stage_0() {
         let sc = SparkContext::new(SparkConf::default().with_executors(2).with_partitions(4));
@@ -296,20 +287,11 @@ mod tests {
             message(solve::<Tropical>(&sc, cfg, input).map(drop))
         };
 
-        // With `DP_KERNEL_BACKEND` set the primary is rebound to a
-        // registered name, so there is no unresolvable chain to see.
-        if std::env::var_os("DP_KERNEL_BACKEND").is_none() {
-            let nope = ok.clone().with_kernel(KernelSpec::named("nope"));
-            assert!(run(&nope, &table(8, 8)).contains("no usable kernel backend"));
-            message(solve_virtual::<Tropical>(&sc, &nope).map(drop));
-            let candidates = [KernelSpec::named("nope")];
-            message(adaptive_solve::<Tropical>(&sc, &ok, &table(8, 8), &candidates, 1).map(drop));
-        }
-
         // Fields are public, so a config can dodge the builders' checks.
         let mut zero_base = ok.clone();
         zero_base.kernel.params.base = 0;
         assert!(run(&zero_base, &table(8, 8)).contains("base must be"));
+        message(solve_virtual::<Tropical>(&sc, &zero_base).map(drop));
 
         assert!(run(&ok, &table(6, 6)).contains("size mismatch"));
         assert!(run(&ok, &table(8, 6)).contains("square"));

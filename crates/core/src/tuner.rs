@@ -12,7 +12,7 @@
 use cluster_model::ClusterSpec;
 use sparklet::JobError;
 
-use crate::backend::{registry, KernelParams, ITERATIVE};
+use crate::backend::KernelSpec;
 use crate::config::{DpConfig, Strategy};
 use crate::problem::DpProblem;
 use crate::solver::simulate_seconds;
@@ -39,8 +39,6 @@ pub struct TuneSpace {
     pub threads: Vec<usize>,
     /// Candidate distribution strategies.
     pub strategies: Vec<Strategy>,
-    /// Also evaluate the iterative baseline.
-    pub include_iterative: bool,
 }
 
 impl Default for TuneSpace {
@@ -50,7 +48,6 @@ impl Default for TuneSpace {
             r_shared: vec![2, 4, 8, 16],
             threads: vec![1, 4, 8, 16],
             strategies: vec![Strategy::InMemory, Strategy::CollectBroadcast],
-            include_iterative: true,
         }
     }
 }
@@ -59,56 +56,39 @@ impl Default for TuneSpace {
 /// returning candidates sorted fastest-first. Virtual runs only — no
 /// numeric data is touched.
 ///
-/// The kernel axis of the grid is the backend registry itself, walked
-/// in registration order (deterministic): every registered backend is
-/// evaluated, with the `iterative` baseline gated by
-/// [`TuneSpace::include_iterative`].
-/// Fan-out-parametric backends (the recursive family) expand into the
-/// `r_shared × threads` grid; fixed-shape backends are priced once at
-/// default params. Registering a new backend adds it to every tuning
-/// sweep with no tuner changes.
+/// The kernel axis prices the iterative baseline once, and the
+/// recursive kernel over the `r_shared × threads` grid (fan-outs below
+/// the block side, base case 64).
 pub fn tune<S: DpProblem>(
     cluster: &ClusterSpec,
     n: usize,
     space: &TuneSpace,
 ) -> Result<Vec<TuneResult>, JobError> {
-    let reg = registry::<S>();
     let mut results = Vec::new();
     for &block in &space.blocks {
         if block >= n {
             continue;
         }
+        let mut kernels = vec![KernelSpec::iterative()];
+        for &r in space.r_shared.iter().filter(|&&r| r < block) {
+            kernels.extend(
+                space
+                    .threads
+                    .iter()
+                    .map(|&t| KernelSpec::recursive(r, 64, t)),
+            );
+        }
         for &strategy in &space.strategies {
-            for spec in reg.dense_candidates(KernelParams::default()) {
-                if spec.backend == ITERATIVE && !space.include_iterative {
-                    continue;
-                }
-                let backend = reg.get(&spec.backend).expect("candidates are registered");
-                let shapes: Vec<KernelParams> = if backend.fanout_parametric() {
-                    let fanouts = space.r_shared.iter().filter(|&&r| r < block);
-                    fanouts
-                        .flat_map(|&r_shared| {
-                            space.threads.iter().map(move |&threads| KernelParams {
-                                r_shared,
-                                base: 64,
-                                threads,
-                            })
-                        })
-                        .collect()
-                } else {
-                    vec![spec.params]
-                };
-                for params in shapes {
-                    let cfg = DpConfig::new(n, block)
-                        .with_strategy(strategy)
-                        .with_kernel(spec.clone().with_params(params));
-                    let seconds = simulate_seconds::<S>(cluster, cluster.node.cores, &cfg, None)?;
-                    results.push(TuneResult {
-                        config: cfg,
-                        omp_threads: params.threads,
-                        seconds,
-                    });
-                }
+            for &kernel in &kernels {
+                let cfg = DpConfig::new(n, block)
+                    .with_strategy(strategy)
+                    .with_kernel(kernel);
+                let seconds = simulate_seconds::<S>(cluster, cluster.node.cores, &cfg, None)?;
+                results.push(TuneResult {
+                    config: cfg,
+                    omp_threads: kernel.params.threads,
+                    seconds,
+                });
             }
         }
     }

@@ -23,9 +23,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use bytes::Bytes;
 use cluster_model::{ClusterSpec, CostModel};
 use dp_core::jobs::{decode_matrix_f64, decode_matrix_i64, DpJobRequest, DpJobRunner};
-use dp_core::{
-    registry, solve, DpConfig, DpProblem, KernelParams, KernelSpec, RunSummary, Strategy,
-};
+use dp_core::{solve, DpConfig, DpProblem, KernelParams, KernelSpec, RunSummary, Strategy};
 use gep_kernels::alignment::{align_reference, AlignScore};
 use gep_kernels::gep::{gep_reference, SemiringPaths};
 use gep_kernels::graph::{bellman_ford, check_apsp, dijkstra, erdos_renyi, sparse_erdos_renyi};
@@ -95,19 +93,6 @@ impl Problem {
     /// Has a `DpJobRequest` body.
     pub fn is_job(&self) -> bool {
         !matches!(self, Problem::Ge | Problem::Tc | Problem::MaxMin)
-    }
-
-    /// Every registered backend of the problem, at `params`.
-    pub fn kernels(&self, params: KernelParams) -> Vec<KernelSpec> {
-        match self {
-            Problem::Fw | Problem::FwDijkstra { .. } => {
-                registry::<Tropical>().dense_candidates(params)
-            }
-            Problem::Ge => registry::<GaussianElim>().dense_candidates(params),
-            Problem::Tc => registry::<TransitiveClosure>().dense_candidates(params),
-            Problem::MaxMin => registry::<SemiringPaths<MaxMin>>().dense_candidates(params),
-            _ => vec![KernelSpec::iterative()],
-        }
     }
 }
 
@@ -238,8 +223,9 @@ impl Case {
                 base: rng.range(1usize..=4),
                 threads: rng.range(1usize..=3),
             };
-            let kernel = rng.pick(&case.problem.kernels(params)).clone();
-            // The recursive backend needs `r_shared <= block`.
+            let kernel = *rng.pick(&KernelSpec::both(params));
+            // `drawn_rows` runs both kernels, and the recursive one
+            // needs `r_shared <= block`.
             case.block = block.min(n).max(params.r_shared);
             case.cfg = DpConfig::new(n, case.block)
                 .with_kernel(kernel)
@@ -651,10 +637,18 @@ pub fn sweep(default_n: u64, body: impl Fn(u64)) {
 }
 
 /// `cases` rows, each of a problem drawn by `problem`, every other axis
-/// drawn by [`Case::draw`].
+/// drawn by [`Case::draw`]. A GEP row is checked under both kernels at
+/// its drawn params, the one it drew and the other.
 pub fn drawn_rows(cases: u32, problem: impl Fn(&mut Rng) -> Problem) {
     check(cases, |rng| {
-        Case::draw(problem(rng), rng).check();
+        let case = Case::draw(problem(rng), rng);
+        if !case.problem.is_gep() {
+            case.check();
+            return;
+        }
+        for kernel in KernelSpec::both(case.cfg.kernel.params) {
+            case.clone().cfg(|c| c.with_kernel(kernel)).check();
+        }
     });
 }
 

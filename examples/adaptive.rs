@@ -6,7 +6,7 @@
 //! cargo run --release --example adaptive
 //! ```
 
-use dp_core::{adaptive_solve, registry, DpConfig, KernelParams, KernelSpec, Strategy};
+use dp_core::{adaptive_solve, DpConfig, KernelParams, KernelSpec, Strategy};
 use gep_kernels::graph::{check_apsp, erdos_renyi};
 use gep_kernels::Tropical;
 use sparklet::{SparkConf, SparkContext};
@@ -22,14 +22,14 @@ fn main() {
             .with_partitions(16),
     );
     let cfg = DpConfig::new(n, 128).with_strategy(Strategy::InMemory);
-    // Every registered backend at one shape (the fixed-shape ones
-    // ignore it), plus a second shape of the recursive kernel.
+    // Both kernels at one shape (the iterative one ignores it), plus a
+    // second shape of the recursive kernel.
     let params = KernelParams {
         r_shared: 2,
         base: 32,
         threads: 2,
     };
-    let mut candidates = registry::<Tropical>().dense_candidates(params);
+    let mut candidates = KernelSpec::both(params).to_vec();
     candidates.push(KernelSpec::recursive(4, 32, 4));
 
     println!(

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use cluster_model::{ClusterSpec, CostModel};
 use dp_core::tuner::TuneSpace;
-use dp_core::{solve, solve_virtual, tune, DpConfig, KernelSpec, Strategy};
+use dp_core::{solve, solve_virtual, tune, Backend, DpConfig, KernelSpec, Strategy};
 use gep_kernels::gep::gep_reference;
 use gep_kernels::graph::{check_apsp, erdos_renyi, grid_network, reachability_of};
 use gep_kernels::{GaussianElim, Matrix, TransitiveClosure, Tropical};
@@ -152,14 +152,14 @@ fn tuner_prefers_reasonable_configurations() {
         r_shared: vec![4],
         threads: vec![1, 8],
         strategies: vec![Strategy::InMemory],
-        include_iterative: true,
     };
     let results = tune::<Tropical>(&ClusterSpec::skylake(), 2048, &space).expect("tune");
     assert!(!results.is_empty());
     let best = &results[0];
     // A threaded recursive kernel must be on top, not 1-thread iterative.
     assert_eq!(
-        best.config.kernel.backend, "recursive",
+        best.config.kernel.backend,
+        Backend::Recursive,
         "best = {:?}",
         best.config.kernel
     );
