@@ -10,34 +10,27 @@
 //! partitioner and with the locality-aware grid partitioner, and
 //! compares cross-node traffic and simulated time.
 
-use cluster_model::{ClusterSpec, CostModel, KernelType};
-use dp_bench::with_kernel;
-use dp_core::{solve_virtual, DpConfig, Strategy};
+use cluster_model::{ClusterSpec, CostModel};
+use dp_core::{price, record_virtual, DpConfig, KernelSpec, Strategy};
 use gep_kernels::Tropical;
-use sparklet::{SparkConf, SparkContext};
 
+/// Remote and staged shuffle bytes and simulated seconds of one run.
 fn run(cluster: &ClusterSpec, grid: bool) -> (u64, u64, f64) {
     let cfg = DpConfig::new(dp_bench::PAPER_N, 1024)
         .with_strategy(Strategy::InMemory)
         .with_grid_partitioner(grid);
-    let sc = SparkContext::new(
-        SparkConf::default()
-            .with_executors(cluster.nodes)
-            .with_executor_cores(cluster.node.cores)
-            .with_partitions(cluster.default_partitions())
-            .with_worker_threads(1),
-    );
-    let report = solve_virtual::<Tropical>(&sc, &cfg).expect("dataflow");
-    let records = sc.with_event_log(|log| log.records());
-    let priced = with_kernel(
+    let records = record_virtual::<Tropical>(cluster, &cfg).expect("dataflow");
+    let tasks = || records.iter().flat_map(|s| &s.tasks);
+    let secs = price(
         &records,
-        KernelType::Recursive {
-            r_shared: 4,
-            threads: 8,
-        },
+        &KernelSpec::recursive(4, 64, 8),
+        &CostModel::new(cluster.clone(), cluster.node.cores),
     );
-    let secs = CostModel::new(cluster.clone(), cluster.node.cores).job_seconds(&priced);
-    (report.remote_bytes, report.staged_bytes, secs)
+    (
+        tasks().map(|t| t.remote_read_bytes).sum(),
+        tasks().map(|t| t.shuffle_write_bytes).sum(),
+        secs,
+    )
 }
 
 fn main() {

@@ -8,9 +8,8 @@
 
 use std::collections::BTreeMap;
 
-use cluster_model::{ClusterSpec, CostModel, KernelType};
-use dp_bench::{paper_cfg, run_dataflow, with_kernel};
-use dp_core::Strategy;
+use cluster_model::{ClusterSpec, CostModel};
+use dp_core::{record_virtual, DpConfig, KernelSpec, Strategy};
 use gep_kernels::{GaussianElim, Tropical};
 
 fn main() {
@@ -23,31 +22,27 @@ fn main() {
         Strategy::InMemory
     };
     let cluster = ClusterSpec::skylake();
-    let cfg = paper_cfg(dp_bench::PAPER_N, 1024, strategy);
+    // The recording prices every invocation as the config's kernel.
+    let cfg = DpConfig::new(dp_bench::PAPER_N, 1024)
+        .with_strategy(strategy)
+        .with_kernel(KernelSpec::recursive(4, 64, 8));
     eprintln!(
         "running {} {:?} dataflow (32K, b=1024) …",
         if ge { "GE" } else { "FW-APSP" },
         strategy
     );
     let records = if ge {
-        run_dataflow::<GaussianElim>(&cluster, &cfg).expect("dataflow")
+        record_virtual::<GaussianElim>(&cluster, &cfg).expect("dataflow")
     } else {
-        run_dataflow::<Tropical>(&cluster, &cfg).expect("dataflow")
+        record_virtual::<Tropical>(&cluster, &cfg).expect("dataflow")
     };
-    let priced = with_kernel(
-        &records,
-        KernelType::Recursive {
-            r_shared: 4,
-            threads: 8,
-        },
-    );
     let model = CostModel::new(cluster, 32);
 
     // Group stages by structural role (strip digits from labels built
     // by the engine: shuffle maps, checkpoints, collects).
     let mut groups: BTreeMap<&'static str, (f64, f64, f64, f64, usize)> = BTreeMap::new();
     let mut total = 0.0;
-    for stage in &priced {
+    for stage in &records {
         let cost = model.stage_breakdown(stage);
         let role = if stage.collect_bytes > 0 || stage.broadcast_bytes > 0 {
             "driver (collect/broadcast)"

@@ -8,11 +8,9 @@
 //!
 //! `--quick` restricts block sizes to {512, 1024, 2048} for a fast run.
 
-use cluster_model::ClusterSpec;
-use dp_bench::{
-    fig6_variants, paper_cfg, price, print_row, run_dataflow, with_kernel, TIMEOUT_SECS,
-};
-use dp_core::{DpProblem, Strategy};
+use cluster_model::{ClusterSpec, CostModel};
+use dp_bench::{fig6_variants, print_row, TIMEOUT_SECS};
+use dp_core::{price, record_virtual, DpConfig, DpProblem, Strategy};
 use gep_kernels::{GaussianElim, Tropical};
 
 fn sweep<S: DpProblem>(
@@ -22,12 +20,10 @@ fn sweep<S: DpProblem>(
     threads: usize,
 ) -> Vec<(Strategy, Vec<Vec<f64>>)> {
     let variants = fig6_variants(threads);
+    let model = CostModel::new(cluster.clone(), cluster.node.cores);
     let mut out = Vec::new();
     for strategy in [Strategy::InMemory, Strategy::CollectBroadcast] {
-        let sname = match strategy {
-            Strategy::InMemory => "IM",
-            Strategy::CollectBroadcast => "CB",
-        };
+        let sname = strategy.tag();
         println!("\n--- {name} / {sname} (seconds; columns are block sizes) ---");
         print!("{:<22}", "kernel\\block");
         for b in blocks {
@@ -37,16 +33,14 @@ fn sweep<S: DpProblem>(
         // One dataflow per block size, re-priced per kernel variant.
         let mut recordings = Vec::new();
         for &b in blocks {
-            let cfg = paper_cfg(dp_bench::PAPER_N, b, strategy);
+            let cfg = DpConfig::new(dp_bench::PAPER_N, b).with_strategy(strategy);
             eprintln!("  dataflow {name}/{sname} b={b} …");
-            recordings.push(run_dataflow::<S>(cluster, &cfg).expect("dataflow"));
+            recordings.push(record_virtual::<S>(cluster, &cfg).expect("dataflow"));
         }
         let mut table = vec![vec![f64::INFINITY; blocks.len()]; variants.len()];
         for (vi, v) in variants.iter().enumerate() {
-            let kt = v.kernel.kernel_type();
             for (bi, records) in recordings.iter().enumerate() {
-                let secs = price(&with_kernel(records, kt), cluster, cluster.node.cores);
-                table[vi][bi] = secs;
+                table[vi][bi] = price(records, &v.kernel, &model);
             }
             print_row(&v.name, &table[vi]);
         }

@@ -6,14 +6,14 @@
 //! cargo run --release -p dp-bench --bin fig8 [--quick]
 //! ```
 
-use cluster_model::{ClusterSpec, KernelType};
-use dp_bench::{paper_cfg, price, print_row, run_dataflow, with_kernel, TIMEOUT_SECS};
-use dp_core::Strategy;
+use cluster_model::{ClusterSpec, CostModel};
+use dp_bench::{print_row, TIMEOUT_SECS};
+use dp_core::{price, record_virtual, DpConfig, KernelSpec, Strategy};
 use gep_kernels::Tropical;
 
 struct Cell {
     strategy: Strategy,
-    kernel: String,
+    kernel: &'static str,
     block: usize,
     secs: f64,
 }
@@ -25,22 +25,10 @@ fn main() {
     } else {
         dp_bench::BLOCK_SIZES.to_vec()
     };
-    let variants: Vec<(String, KernelType)> = vec![
-        ("iter".into(), KernelType::Iterative),
-        (
-            "4-way×8t".into(),
-            KernelType::Recursive {
-                r_shared: 4,
-                threads: 8,
-            },
-        ),
-        (
-            "16-way×8t".into(),
-            KernelType::Recursive {
-                r_shared: 16,
-                threads: 8,
-            },
-        ),
+    let variants = [
+        ("iter", KernelSpec::iterative()),
+        ("4-way×8t", KernelSpec::recursive(4, 64, 8)),
+        ("16-way×8t", KernelSpec::recursive(16, 64, 8)),
     ];
 
     println!("Fig. 8 — FW-APSP on two clusters (seconds; columns are block sizes)");
@@ -53,17 +41,15 @@ fn main() {
             cluster.default_partitions(),
             cluster.storage.kind
         );
+        let model = CostModel::new(cluster.clone(), cluster.node.cores);
         let mut cells = Vec::new();
         for strategy in [Strategy::InMemory, Strategy::CollectBroadcast] {
-            let sname = match strategy {
-                Strategy::InMemory => "IM",
-                Strategy::CollectBroadcast => "CB",
-            };
+            let sname = strategy.tag();
             let mut recordings = Vec::new();
             for &b in &blocks {
                 eprintln!("  dataflow {} {sname} b={b} …", cluster.name);
-                let cfg = paper_cfg(dp_bench::PAPER_N, b, strategy);
-                recordings.push(run_dataflow::<Tropical>(&cluster, &cfg).expect("dataflow"));
+                let cfg = DpConfig::new(dp_bench::PAPER_N, b).with_strategy(strategy);
+                recordings.push(record_virtual::<Tropical>(&cluster, &cfg).expect("dataflow"));
             }
             print!("{:<22}", format!("{sname} kernel\\block"));
             for b in &blocks {
@@ -73,13 +59,13 @@ fn main() {
             for (name, kernel) in &variants {
                 let row: Vec<f64> = recordings
                     .iter()
-                    .map(|r| price(&with_kernel(r, *kernel), &cluster, cluster.node.cores))
+                    .map(|r| price(r, kernel, &model))
                     .collect();
                 print_row(&format!("{sname} {name}"), &row);
                 for (bi, &secs) in row.iter().enumerate() {
                     cells.push(Cell {
                         strategy,
-                        kernel: name.clone(),
+                        kernel: name,
                         block: blocks[bi],
                         secs,
                     });

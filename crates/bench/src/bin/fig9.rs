@@ -6,9 +6,8 @@
 //! cargo run --release -p dp-bench --bin fig9
 //! ```
 
-use cluster_model::{ClusterSpec, KernelType};
-use dp_bench::{paper_cfg, price, run_dataflow, with_kernel};
-use dp_core::{DpProblem, Strategy};
+use cluster_model::{ClusterSpec, CostModel};
+use dp_core::{price, record_virtual, DpConfig, DpProblem, KernelSpec, Strategy};
 use gep_kernels::{GaussianElim, Tropical};
 
 const NODES: [usize; 3] = [1, 8, 64];
@@ -37,28 +36,15 @@ fn series<S: DpProblem>(
     for nodes in NODES {
         let n = weak_n(base, nodes);
         let cluster = ClusterSpec::skylake().with_nodes(nodes);
-        let iter_cfg = paper_cfg(n, iter_block, strategy);
-        eprintln!("  dataflow {name} nodes={nodes} N={n} b={iter_block} …");
-        let iter_rec = run_dataflow::<S>(&cluster, &iter_cfg).expect("dataflow");
-        let t_iter = price(
-            &with_kernel(&iter_rec, KernelType::Iterative),
-            &cluster,
-            cluster.node.cores,
-        );
-        let rec_cfg = paper_cfg(n, rec_block, strategy);
-        eprintln!("  dataflow {name} nodes={nodes} N={n} b={rec_block} …");
-        let rec_rec = run_dataflow::<S>(&cluster, &rec_cfg).expect("dataflow");
-        let t_rec = price(
-            &with_kernel(
-                &rec_rec,
-                KernelType::Recursive {
-                    r_shared: 4,
-                    threads: 8,
-                },
-            ),
-            &cluster,
-            cluster.node.cores,
-        );
+        let model = CostModel::new(cluster.clone(), cluster.node.cores);
+        let time = |block: usize, kernel: KernelSpec| {
+            eprintln!("  dataflow {name} nodes={nodes} N={n} b={block} …");
+            let cfg = DpConfig::new(n, block).with_strategy(strategy);
+            let records = record_virtual::<S>(&cluster, &cfg).expect("dataflow");
+            price(&records, &kernel, &model)
+        };
+        let t_iter = time(iter_block, KernelSpec::iterative());
+        let t_rec = time(rec_block, KernelSpec::recursive(4, 64, 8));
         println!(
             "{nodes:<8}{n:>8}{t_iter:>16.0}{t_rec:>16.0}{:>10.2}",
             t_iter / t_rec

@@ -6,16 +6,16 @@
 //! cargo run --release -p dp-bench --bin table1
 //! ```
 
-use cluster_model::{ClusterSpec, KernelType};
-use dp_bench::{best, paper_cfg, price, print_row, run_dataflow, with_kernel, EC_COLS, OMP_ROWS};
-use dp_core::Strategy;
+use cluster_model::{ClusterSpec, CostModel};
+use dp_bench::{best, print_row, EC_COLS, OMP_ROWS};
+use dp_core::{price, record_virtual, DpConfig, KernelSpec, Strategy};
 use gep_kernels::GaussianElim;
 
 fn main() {
     let cluster = ClusterSpec::skylake();
-    let cfg = paper_cfg(dp_bench::PAPER_N, 1024, Strategy::CollectBroadcast);
+    let cfg = DpConfig::new(dp_bench::PAPER_N, 1024).with_strategy(Strategy::CollectBroadcast);
     eprintln!("running GE CB dataflow (32K, b=1024, grid 32×32) …");
-    let records = run_dataflow::<GaussianElim>(&cluster, &cfg).expect("virtual dataflow");
+    let records = record_virtual::<GaussianElim>(&cluster, &cfg).expect("virtual dataflow");
 
     println!("\nTable I — GE (seconds), CB + recursive 4-way kernels, 32K×32K, b=1K");
     println!("rows: OMP_NUM_THREADS; columns: executor-cores");
@@ -26,16 +26,10 @@ fn main() {
     println!();
     let mut table = Vec::new();
     for omp in OMP_ROWS {
-        let priced = with_kernel(
-            &records,
-            KernelType::Recursive {
-                r_shared: 4,
-                threads: omp,
-            },
-        );
+        let kernel = KernelSpec::recursive(4, 64, omp);
         let row: Vec<f64> = EC_COLS
             .iter()
-            .map(|&ec| price(&priced, &cluster, ec))
+            .map(|&ec| price(&records, &kernel, &CostModel::new(cluster.clone(), ec)))
             .collect();
         print_row(&format!("OMP={omp}"), &row);
         table.push(row);

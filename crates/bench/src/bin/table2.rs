@@ -6,17 +6,17 @@
 //! cargo run --release -p dp-bench --bin table2
 //! ```
 
-use cluster_model::{ClusterSpec, KernelType};
-use dp_bench::{best, paper_cfg, price, print_row, run_dataflow, with_kernel, EC_COLS, OMP_ROWS};
-use dp_core::Strategy;
+use cluster_model::{ClusterSpec, CostModel};
+use dp_bench::{best, print_row, EC_COLS, OMP_ROWS};
+use dp_core::{price, record_virtual, DpConfig, KernelSpec, Strategy};
 use gep_kernels::Tropical;
 
 fn main() {
     let cluster = ClusterSpec::skylake();
     // The paper's best FW block size for recursive IM runs: 1024.
-    let cfg = paper_cfg(dp_bench::PAPER_N, 1024, Strategy::InMemory);
+    let cfg = DpConfig::new(dp_bench::PAPER_N, 1024).with_strategy(Strategy::InMemory);
     eprintln!("running FW IM dataflow (32K, b=1024, grid 32×32) …");
-    let records = run_dataflow::<Tropical>(&cluster, &cfg).expect("virtual dataflow");
+    let records = record_virtual::<Tropical>(&cluster, &cfg).expect("virtual dataflow");
 
     println!("\nTable II — FW-APSP (seconds), IM + recursive 16-way kernels, 32K×32K, b=1K");
     println!("rows: OMP_NUM_THREADS; columns: executor-cores");
@@ -27,16 +27,10 @@ fn main() {
     println!();
     let mut table = Vec::new();
     for omp in OMP_ROWS {
-        let priced = with_kernel(
-            &records,
-            KernelType::Recursive {
-                r_shared: 16,
-                threads: omp,
-            },
-        );
+        let kernel = KernelSpec::recursive(16, 64, omp);
         let row: Vec<f64> = EC_COLS
             .iter()
-            .map(|&ec| price(&priced, &cluster, ec))
+            .map(|&ec| price(&records, &kernel, &CostModel::new(cluster.clone(), ec)))
             .collect();
         print_row(&format!("OMP={omp}"), &row);
         table.push(row);

@@ -1,60 +1,15 @@
 //! `dp-bench` — shared plumbing for the reproduction binaries (one per
 //! table/figure of the paper) and the wall-clock microbenches.
 //!
-//! The repro pattern: run the **virtual** dataflow once per distinct
-//! dataflow shape (problem, strategy, block size, partition count),
-//! then *re-price* the recorded event log for each kernel choice /
-//! `executor-cores` / `OMP_NUM_THREADS` combination — the dataflow
-//! (stages, tasks, bytes) is independent of those knobs, only the cost
-//! model's inputs change. This turns the paper's hundreds of
-//! cluster-hours into seconds.
+//! The repro pattern: record the **virtual** dataflow once per distinct
+//! dataflow shape (problem, strategy, block size, partition count) with
+//! [`dp_core::record_virtual`], then [`dp_core::price`] the recording
+//! for each kernel choice / `executor-cores` / `OMP_NUM_THREADS`
+//! combination — the dataflow (stages, tasks, bytes) is independent of
+//! those knobs, only the cost model's inputs change. This turns the
+//! paper's hundreds of cluster-hours into seconds.
 
-use cluster_model::{ClusterSpec, CostModel, KernelType, StageRecord};
-use dp_core::{solve_virtual, DpConfig, DpProblem, KernelSpec, Strategy};
-use sparklet::{JobError, SparkConf, SparkContext};
-
-/// Run one virtual dataflow on a context shaped like `cluster` and
-/// return the recorded stages.
-pub fn run_dataflow<S: DpProblem>(
-    cluster: &ClusterSpec,
-    cfg: &DpConfig,
-) -> Result<Vec<StageRecord>, JobError> {
-    let partitions = cfg
-        .partitions
-        .unwrap_or_else(|| cluster.default_partitions());
-    let sc = SparkContext::new(
-        SparkConf::default()
-            .with_executors(cluster.nodes)
-            .with_executor_cores(cluster.node.cores)
-            .with_partitions(partitions)
-            .with_worker_threads(1)
-            .with_staging_capacity(cluster.storage.capacity),
-    );
-    solve_virtual::<S>(&sc, cfg)?;
-    Ok(sc.with_event_log(|log| log.records()))
-}
-
-/// Replace the kernel type in every recorded invocation — the dataflow
-/// is kernel-agnostic, so one recording serves every kernel choice.
-pub fn with_kernel(records: &[StageRecord], kernel: KernelType) -> Vec<StageRecord> {
-    records
-        .iter()
-        .map(|s| {
-            let mut s = s.clone();
-            for t in &mut s.tasks {
-                for inv in &mut t.kernels {
-                    inv.kernel = kernel;
-                }
-            }
-            s
-        })
-        .collect()
-}
-
-/// Price a recording on a cluster with a given `executor-cores`.
-pub fn price(records: &[StageRecord], cluster: &ClusterSpec, executor_cores: usize) -> f64 {
-    CostModel::new(cluster.clone(), executor_cores).job_seconds(records)
-}
+use dp_core::KernelSpec;
 
 /// The paper's standard experiment dimensions (Section V-B).
 pub const PAPER_N: usize = 32 * 1024;
@@ -90,11 +45,6 @@ pub fn fig6_variants(threads: usize) -> Vec<Variant> {
     v
 }
 
-/// Build a `DpConfig` for a paper-scale virtual run.
-pub fn paper_cfg(n: usize, block: usize, strategy: Strategy) -> DpConfig {
-    DpConfig::new(n, block).with_strategy(strategy)
-}
-
 /// Pretty row printer for sweep tables (— for missing/timeout cells).
 pub fn print_row(label: &str, cells: &[f64]) {
     print!("{label:<22}");
@@ -124,39 +74,6 @@ pub fn best(table: &[Vec<f64>]) -> (usize, usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster_model::{KernelInvocation, TaskRecord};
-
-    #[test]
-    fn with_kernel_rewrites_every_invocation() {
-        let records = vec![StageRecord {
-            tasks: vec![TaskRecord {
-                node: 0,
-                kernels: vec![KernelInvocation {
-                    updates: 10.0,
-                    block_side: 4,
-                    elem_bytes: 8,
-                    kernel: KernelType::Iterative,
-                }],
-                ..Default::default()
-            }],
-            ..Default::default()
-        }];
-        let out = with_kernel(
-            &records,
-            KernelType::Recursive {
-                r_shared: 4,
-                threads: 8,
-            },
-        );
-        assert_eq!(
-            out[0].tasks[0].kernels[0].kernel,
-            KernelType::Recursive {
-                r_shared: 4,
-                threads: 8
-            }
-        );
-        assert_eq!(out[0].tasks[0].kernels[0].updates, 10.0);
-    }
 
     #[test]
     fn best_finds_minimum() {

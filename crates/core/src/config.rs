@@ -17,7 +17,7 @@ pub enum Strategy {
 
 impl Strategy {
     /// The paper's short name: `IM` or `CB`.
-    pub(crate) fn tag(self) -> &'static str {
+    pub fn tag(self) -> &'static str {
         match self {
             Strategy::InMemory => "IM",
             Strategy::CollectBroadcast => "CB",

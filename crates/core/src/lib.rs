@@ -32,9 +32,11 @@
 //!
 //! Executions are **real** (real blocks, real kernels, validated
 //! bitwise against the sequential reference) or **virtual**
-//! ([`solve_virtual`] / [`simulate_seconds`]: the same dataflow over
-//! `Block::Virtual` tiles, whose kernels are recorded for pricing and
-//! not run, with declared byte volumes) for paper-scale timing through
+//! ([`solve_virtual`]: the same dataflow over `Block::Virtual` tiles,
+//! whose kernels are recorded for pricing and not run, with declared
+//! byte volumes). Paper-scale timing is [`record_virtual`] — one seeded
+//! virtual run on a context shaped like the cluster — then [`price`] of
+//! its records under each kernel and `executor-cores` through
 //! `cluster-model`.
 //!
 //! Every run entry point — [`solve`], [`solve_sparse_apsp`],
@@ -71,7 +73,7 @@ pub use config::{DpConfig, Strategy};
 pub use jobs::{decode_matrix_f64, decode_matrix_i64, decode_vec_f64, DpJobRequest, DpJobRunner};
 pub use linsys::solve_linear_system;
 pub use problem::DpProblem;
-pub use solver::{simulate_seconds, solve, solve_virtual};
+pub use solver::{price, record_virtual, solve, solve_virtual};
 pub use sparklet::RunSummary;
 pub use sssp::{solve_sparse_apsp, SweepVal};
 pub use tuner::{tune, TuneResult};

@@ -1,5 +1,6 @@
 //! Top-level solver: distribute the table, iterate phases, validate,
-//! and (for paper-scale runs) map the event log to simulated seconds.
+//! and (for paper-scale runs) record the event log and price it in
+//! simulated seconds.
 //!
 //! The driver loop's state is one crate-private `Plan` value —
 //! partition count, strategy, kernel shape and storage level, the four
@@ -14,7 +15,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use cluster_model::{ClusterSpec, CostModel, ModelParams};
+use cluster_model::{ClusterSpec, CostModel, StageRecord};
 use gep_kernels::matrix::Elem;
 use gep_kernels::padding::{pad_to_multiple, unpad};
 use gep_kernels::Matrix;
@@ -237,39 +238,119 @@ pub fn solve_virtual<S: DpProblem>(
     Ok(sc.summary())
 }
 
-/// Paper-scale timing: run the full dataflow virtually on a context
-/// shaped like `cluster`, then price the event log with the cost model.
-/// Returns simulated seconds.
-pub fn simulate_seconds<S: DpProblem>(
+/// The sim seed of every [`record_virtual`] context. On a threaded
+/// context CB's two concurrent materializations race for which of them
+/// pays a node's local reads, so the recorded bytes, and the priced
+/// seconds, would differ from run to run; a seeded context schedules
+/// them the same way every time.
+const RECORD_SEED: u64 = 0;
+
+/// Paper-scale recording: run `cfg`'s dataflow virtually on a seeded
+/// context shaped like `cluster` (its nodes and node cores,
+/// `cfg.partitions` or the cluster default, one worker thread, the
+/// cluster's staging capacity) and return the stage records.
+///
+/// A virtual block records its kernel and returns, and with one worker
+/// thread every pool holds one worker whatever `executor-cores` says,
+/// so one recording serves every kernel and every `executor-cores`:
+/// [`price`] it as each.
+pub fn record_virtual<S: DpProblem>(
     cluster: &ClusterSpec,
-    executor_cores: usize,
     cfg: &DpConfig,
-    params: Option<ModelParams>,
-) -> Result<f64, JobError> {
+) -> Result<Vec<StageRecord>, JobError> {
     let partitions = cfg
         .partitions
         .unwrap_or_else(|| cluster.default_partitions());
-    let conf = SparkConf::default()
-        .with_executors(cluster.nodes)
-        .with_executor_cores(executor_cores)
-        .with_partitions(partitions)
-        .with_worker_threads(1)
-        .with_staging_capacity(cluster.storage.capacity);
-    let sc = SparkContext::new(conf);
+    let sc = SparkContext::new(
+        SparkConf::default()
+            .with_executors(cluster.nodes)
+            .with_executor_cores(cluster.node.cores)
+            .with_partitions(partitions)
+            .with_worker_threads(1)
+            .with_staging_capacity(cluster.storage.capacity)
+            .with_sim_seed(RECORD_SEED),
+    );
     solve_virtual::<S>(&sc, cfg)?;
-    let mut model = CostModel::new(cluster.clone(), executor_cores);
-    if let Some(p) = params {
-        model = model.with_params(p);
+    Ok(sc.with_event_log(|log| log.records()))
+}
+
+/// Simulated seconds of a recording with every kernel invocation run
+/// as `kernel`, on `model`'s cluster, `executor-cores` and constants.
+pub fn price(records: &[StageRecord], kernel: &KernelSpec, model: &CostModel) -> f64 {
+    let kernel = kernel.kernel_type();
+    let mut priced = records.to_vec();
+    for inv in priced
+        .iter_mut()
+        .flat_map(|s| &mut s.tasks)
+        .flat_map(|t| &mut t.kernels)
+    {
+        inv.kernel = kernel;
     }
-    let records = sc.with_event_log(|log| log.records());
-    Ok(model.job_seconds(&records))
+    model.job_seconds(&priced)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adaptive::adaptive_solve;
-    use gep_kernels::Tropical;
+    use gep_kernels::{GaussianElim, Tropical};
+
+    /// Four 4-core nodes, so a recording is 32 partitions of an 8×8
+    /// grid.
+    fn small_cluster() -> ClusterSpec {
+        let mut cluster = ClusterSpec::skylake().with_nodes(4);
+        cluster.node.cores = 4;
+        cluster
+    }
+
+    fn cfg(strategy: Strategy) -> DpConfig {
+        DpConfig::new(2048, 256).with_strategy(strategy)
+    }
+
+    /// The recipe every tuner and figure relies on: one recording,
+    /// repriced under another kernel, is bit for bit what a fresh
+    /// recording under that kernel prices to.
+    fn check_repricing<S: DpProblem>() {
+        let cluster = small_cluster();
+        let model = CostModel::new(cluster.clone(), 2);
+        for strategy in [Strategy::InMemory, Strategy::CollectBroadcast] {
+            let once = record_virtual::<S>(&cluster, &cfg(strategy)).unwrap();
+            for kernel in [
+                KernelSpec::iterative(),
+                KernelSpec::recursive(2, 64, 4),
+                KernelSpec::recursive(4, 32, 8),
+            ] {
+                let fresh =
+                    record_virtual::<S>(&cluster, &cfg(strategy).with_kernel(kernel)).unwrap();
+                let repriced = price(&once, &kernel, &model);
+                assert!(repriced > 0.0);
+                assert_eq!(
+                    repriced,
+                    price(&fresh, &kernel, &model),
+                    "{} {strategy:?} {kernel:?}",
+                    S::NAME
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_recording_reprices_exactly_under_every_kernel() {
+        check_repricing::<Tropical>();
+        check_repricing::<GaussianElim>();
+    }
+
+    /// CB's two concurrent materializations race on a threaded context;
+    /// the seeded recording context schedules them the same way twice.
+    #[test]
+    fn two_recordings_of_one_cb_config_are_equal() {
+        let cluster = small_cluster();
+        let cb = cfg(Strategy::CollectBroadcast);
+        assert_eq!(
+            record_virtual::<GaussianElim>(&cluster, &cb).unwrap(),
+            record_virtual::<GaussianElim>(&cluster, &cb).unwrap()
+        );
+    }
 
     /// Regression: an invalid config panicked in the plan, and a table
     /// of the wrong shape hit an `assert_eq!`. Both are one typed error

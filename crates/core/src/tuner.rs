@@ -4,18 +4,18 @@
 //! `OMP_NUM_THREADS` must be chosen per cluster ("if \[they\] are chosen
 //! independent of the system configuration, the resulting
 //! implementation can be very inefficient"). This tuner searches the
-//! candidate grid by running the *virtual* dataflow for each
-//! configuration and pricing it with the cost model — the "estimates
-//! from hardware/software parameters using analytical models" knob the
-//! paper mentions.
+//! candidate grid by recording the *virtual* dataflow once per (block,
+//! strategy) and pricing that recording with the cost model for each
+//! kernel — the "estimates from hardware/software parameters using
+//! analytical models" knob the paper mentions.
 
-use cluster_model::ClusterSpec;
+use cluster_model::{ClusterSpec, CostModel};
 use sparklet::JobError;
 
 use crate::backend::KernelSpec;
 use crate::config::{DpConfig, Strategy};
 use crate::problem::DpProblem;
-use crate::solver::simulate_seconds;
+use crate::solver::{price, record_virtual};
 
 /// One evaluated candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,14 +56,16 @@ impl Default for TuneSpace {
 /// returning candidates sorted fastest-first. Virtual runs only — no
 /// numeric data is touched.
 ///
-/// The kernel axis prices the iterative baseline once, and the
-/// recursive kernel over the `r_shared × threads` grid (fan-outs below
-/// the block side, base case 64).
+/// Each (block, strategy) is recorded once; the kernel axis prices that
+/// recording as the iterative baseline and as the recursive kernel over
+/// the `r_shared × threads` grid (fan-outs below the block side, base
+/// case 64).
 pub fn tune<S: DpProblem>(
     cluster: &ClusterSpec,
     n: usize,
     space: &TuneSpace,
 ) -> Result<Vec<TuneResult>, JobError> {
+    let model = CostModel::new(cluster.clone(), cluster.node.cores);
     let mut results = Vec::new();
     for &block in &space.blocks {
         if block >= n {
@@ -79,15 +81,13 @@ pub fn tune<S: DpProblem>(
             );
         }
         for &strategy in &space.strategies {
+            let cfg = DpConfig::new(n, block).with_strategy(strategy);
+            let records = record_virtual::<S>(cluster, &cfg)?;
             for &kernel in &kernels {
-                let cfg = DpConfig::new(n, block)
-                    .with_strategy(strategy)
-                    .with_kernel(kernel);
-                let seconds = simulate_seconds::<S>(cluster, cluster.node.cores, &cfg, None)?;
                 results.push(TuneResult {
-                    config: cfg,
+                    config: cfg.clone().with_kernel(kernel),
                     omp_threads: kernel.params.threads,
-                    seconds,
+                    seconds: price(&records, &kernel, &model),
                 });
             }
         }

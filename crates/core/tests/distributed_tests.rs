@@ -5,8 +5,8 @@
 
 mod harness;
 
-use cluster_model::ClusterSpec;
-use dp_core::{simulate_seconds, solve_virtual, DpConfig, KernelSpec, Strategy};
+use cluster_model::{ClusterSpec, CostModel};
+use dp_core::{price, record_virtual, solve_virtual, DpConfig, KernelSpec, Strategy};
 use gep_kernels::{GaussianElim, Tropical};
 use harness::{cluster, Case, Chaos, Problem, STRATEGIES};
 use sparklet::SparkContext;
@@ -137,11 +137,11 @@ fn virtual_byte_accounting_reflects_full_scale() {
 #[ignore = "heavy: paper-scale virtual sweep smoke (several minutes)"]
 fn paper_scale_virtual_smoke() {
     let cluster = ClusterSpec::skylake();
+    let model = CostModel::new(cluster.clone(), 32);
     for strategy in STRATEGIES {
-        let cfg = DpConfig::new(32 * 1024, 2048)
-            .with_strategy(strategy)
-            .with_kernel(KernelSpec::recursive(4, 64, 8));
-        let secs = simulate_seconds::<Tropical>(&cluster, 32, &cfg, None).expect("simulate");
+        let cfg = DpConfig::new(32 * 1024, 2048).with_strategy(strategy);
+        let records = record_virtual::<Tropical>(&cluster, &cfg).expect("record");
+        let secs = price(&records, &KernelSpec::recursive(4, 64, 8), &model);
         assert!(secs > 10.0 && secs < 8.0 * 3600.0, "{strategy:?}: {secs}");
     }
 }
