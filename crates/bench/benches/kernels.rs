@@ -152,7 +152,9 @@ fn bench_d_kernel(samples: &mut Vec<BenchSample>, iters: u32) {
 /// updates the diagonal in place, B/C see the diagonal as `w`, D gets
 /// the column/row panels (`w` elided — min-plus is `!USES_W`).
 /// Samples land in `BENCH_kernels.json` as
-/// `backend_kernel/<backend>/<kind>` rows.
+/// `backend_kernel/<backend>/<kind>` rows, plus one GE kind-D row per
+/// kernel, `backend_kernel_ge/<backend>/D`: a trailing tile wholly
+/// inside Σ_G, with the diagonal as `w`.
 fn bench_backend_matrix(samples: &mut Vec<BenchSample>) {
     let b = 128;
     let params = KernelParams {
@@ -163,6 +165,7 @@ fn bench_backend_matrix(samples: &mut Vec<BenchSample>) {
     let diag = dist_matrix(b, 21);
     let panel_u = dist_matrix(b, 22);
     let panel_v = dist_matrix(b, 23);
+    let ge = [25, 26, 27].map(|seed| dd_matrix(b, seed));
     let names = ["iterative", "recursive"];
     for (name, spec) in names.into_iter().zip(KernelSpec::both(params)) {
         let run = |kind, x: &mut Matrix<f64>, u, v, w| {
@@ -189,6 +192,19 @@ fn bench_backend_matrix(samples: &mut Vec<BenchSample>) {
                 ),
             }));
         }
+        let [ge_diag, ge_u, ge_v] = &ge;
+        let mut x = dd_matrix(b, 28);
+        let label = format!("backend_kernel_ge/{name}/D");
+        samples.push(time_sample(&label, tile_bytes(b), 5, || {
+            spec.backend.run::<GaussianElim>(
+                Kind::D,
+                &params,
+                &mut x.view_mut_at(b, b),
+                Some(ge_u.view_at(b, 0)),
+                Some(ge_v.view_at(0, b)),
+                Some(ge_diag.view_at(0, 0)),
+            )
+        }));
     }
 }
 

@@ -74,24 +74,27 @@ impl Backend {
         v: Option<TileRef<'_, S::Elem>>,
         w: Option<TileRef<'_, S::Elem>>,
     ) {
-        match self {
-            Backend::Iterative => {
-                // Resolve the solver's raw operands into the iterative
-                // kernel's per-kind aliasing pattern.
-                let (ku, kv, kw) = match kind {
-                    Kind::A => (None, None, None),
-                    Kind::B => (w, None, w),
-                    Kind::C => (None, w, w),
-                    Kind::D => (u, v, w),
-                };
-                block_kernel::<S>(kind, x, ku, kv, kw);
-            }
-            Backend::Recursive => {
+        if self == Backend::Recursive {
+            let cfg = RecConfig::new(params.r_shared, params.base);
+            // D's k span (A, B and C split on their own sides).
+            let nk = u.map_or(0, |u| u.cols());
+            if cfg.splits(kind, x.rows(), x.cols(), nk) {
                 let pool = omp_pool(params.threads);
-                let cfg = RecConfig::new(params.r_shared, params.base);
                 rec_kernel::<S>(&pool, &cfg, kind, x.reborrow(), u, v, w);
+                return;
             }
+            // A tile the recursion would not split is one base case: it
+            // runs below, with no pool lookup (a lock on the pool map).
         }
+        // Resolve the solver's raw operands into the iterative kernel's
+        // per-kind aliasing pattern.
+        let (ku, kv, kw) = match kind {
+            Kind::A => (None, None, None),
+            Kind::B => (w, None, w),
+            Kind::C => (None, w, w),
+            Kind::D => (u, v, w),
+        };
+        block_kernel::<S>(kind, x, ku, kv, kw);
     }
 }
 

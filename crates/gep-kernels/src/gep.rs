@@ -76,6 +76,7 @@ pub trait GepSpec: Send + Sync + 'static {
     /// the generic triple loop. Overrides must be *bitwise identical*
     /// to the generic kernel whenever the phase-k operands are stable
     /// (tested).
+    #[inline(always)]
     fn fast_block_kernel(
         _kind: Kind,
         _x: &mut TileMut<Self::Elem>,
@@ -188,9 +189,14 @@ impl GepSpec for Tropical {
     }
 
     /// Hoisted min-plus for the aliasing kinds: `d[i][k]` is
-    /// loop-invariant in `j` (phase-k operands are stable), and the
-    /// branch-free store lets the j-loop vectorise — the optimization
-    /// the paper's `-Ofast` C kernels get from the compiler.
+    /// loop-invariant in `j`, and each row relaxes against row k as two
+    /// disjoint slices with a branch-free store, so the j-loop
+    /// vectorises — the optimization the paper's `-Ofast` C kernels get
+    /// from the compiler. Rows run in order and row k relaxes in place,
+    /// so the rows after it read its new values: on every input, stable
+    /// or not, the same reads as relaxing `x` element by element in
+    /// place with `d[i][k]` taken once per row (tested).
+    #[inline(always)]
     fn fast_block_kernel(
         _kind: Kind,
         x: &mut TileMut<f64>,
@@ -213,17 +219,34 @@ impl GepSpec for Tropical {
                 if dik == f64::INFINITY {
                     continue;
                 }
-                for j in 0..x.cols() {
-                    let vkj = match &v {
-                        Some(t) => t.at(k, j),
-                        None => x.at(k, j),
-                    };
-                    let (via, old) = (dik + vkj, x.at(i, j));
-                    x.set(i, j, if via < old { via } else { old });
+                match &v {
+                    Some(v) => relax_row(x.row_mut(i), v.row(k), dik),
+                    None if i != k => {
+                        let (xi, xk) = x.row_pair(i, k);
+                        relax_row(xi, xk, dik);
+                    }
+                    None => {
+                        for e in x.row_mut(k) {
+                            let via = dik + *e;
+                            *e = if via < *e { via } else { *e };
+                        }
+                    }
                 }
             }
         }
         true
+    }
+}
+
+/// `x[j] = min(dik + v[j], x[j])` over one row, as a select the
+/// compiler turns into vector min-plus.
+#[inline(always)]
+fn relax_row(x: &mut [f64], v: &[f64], dik: f64) {
+    let n = x.len().min(v.len());
+    let (x, v) = (&mut x[..n], &v[..n]);
+    for j in 0..n {
+        let (via, old) = (dik + v[j], x[j]);
+        x[j] = if via < old { via } else { old };
     }
 }
 

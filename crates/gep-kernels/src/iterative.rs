@@ -28,7 +28,45 @@ use crate::matrix::{Matrix, TileMut, TileRef};
 /// the same kernel serves any block position. Kind D runs one
 /// register-blocked loop for every spec; A/B/C take the spec's
 /// [`GepSpec::fast_block_kernel`] hook, else the generic loop.
+///
+/// The body is compiled twice: once for baseline x86-64 and once with
+/// AVX2, which runs when the CPU has it. Both copies make the same IEEE
+/// operations in the same order on every element (Rust never fuses a
+/// multiply and an add), so they return the same bits.
 pub fn block_kernel<S: GepSpec>(
+    kind: Kind,
+    x: &mut TileMut<S::Elem>,
+    u: Option<TileRef<S::Elem>>,
+    v: Option<TileRef<S::Elem>>,
+    w: Option<TileRef<S::Elem>>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU has AVX2, the one feature the copy
+        // is compiled for.
+        return unsafe { block_kernel_avx2::<S>(kind, x, u, v, w) };
+    }
+    block_kernel_body::<S>(kind, x, u, v, w);
+}
+
+/// [`block_kernel_body`] compiled for AVX2: the body is inlined whole,
+/// so its loops vectorise on 4-lane `f64` registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_kernel_avx2<S: GepSpec>(
+    kind: Kind,
+    x: &mut TileMut<S::Elem>,
+    u: Option<TileRef<S::Elem>>,
+    v: Option<TileRef<S::Elem>>,
+    w: Option<TileRef<S::Elem>>,
+) {
+    block_kernel_body::<S>(kind, x, u, v, w);
+}
+
+/// The one body of [`block_kernel`]; called directly it is the portable
+/// copy.
+#[inline(always)]
+fn block_kernel_body<S: GepSpec>(
     kind: Kind,
     x: &mut TileMut<S::Elem>,
     u: Option<TileRef<S::Elem>>,
@@ -97,8 +135,11 @@ const NR: usize = 8;
 /// k-sequence can run innermost: an `MR×NR` patch of `x` stays in
 /// locals for the whole k range, and each element sees the same `f`
 /// calls in the same order as in [`block_kernel_generic`] — bitwise
-/// identical for every spec and every input. Edge rows and columns run
-/// the same update one element at a time.
+/// identical for every spec and every input. Σ_G is tested once per
+/// patch: a patch inside it for the whole k range runs `f` with no
+/// per-element branch, so its lanes share vectors. Other patches, and
+/// the edge rows and columns, test each element.
+#[inline(always)]
 fn kernel_d<S: GepSpec>(
     x: &mut TileMut<S::Elem>,
     u: TileRef<S::Elem>,
@@ -108,13 +149,13 @@ fn kernel_d<S: GepSpec>(
     nk: usize,
 ) {
     let (gi0, gj0) = (x.row0(), x.col0());
+    // A w-less D feeds `u` as `w`, as the generic loop does.
+    let wkk = |uik: S::Elem, k: usize| w.as_ref().map_or(uik, |w| w.at(k, k));
     // Element (i, j) after phase step k: `f`, or `acc` outside Σ_G.
     let step = |acc: S::Elem, i: usize, j: usize, k: usize| {
         let (gk, uik) = (k0 + k, u.at(i, k));
-        // A w-less D feeds `u` as `w`, as the generic loop does.
-        let wkk = w.as_ref().map_or(uik, |w| w.at(k, k));
         if S::sigma_i(gi0 + i, gk) && S::sigma_j(gj0 + j, gk) {
-            S::f(acc, uik, v.at(k, j), wkk)
+            S::f(acc, uik, v.at(k, j), wkk(uik, k))
         } else {
             acc
         }
@@ -122,13 +163,29 @@ fn kernel_d<S: GepSpec>(
     let (rows, cols) = (x.rows(), x.cols());
     let (pr, pc) = (rows - rows % MR, cols - cols % NR);
     for i in (0..pr).step_by(MR) {
+        let rows_inside = (k0..k0 + nk).all(|gk| (0..MR).all(|a| S::sigma_i(gi0 + i + a, gk)));
         for j in (0..pc).step_by(NR) {
+            let inside =
+                rows_inside && (k0..k0 + nk).all(|gk| (0..NR).all(|b| S::sigma_j(gj0 + j + b, gk)));
             let mut acc: [[S::Elem; NR]; MR] =
                 std::array::from_fn(|a| std::array::from_fn(|b| x.at(i + a, j + b)));
-            for k in 0..nk {
-                for (a, row) in acc.iter_mut().enumerate() {
-                    for (b, e) in row.iter_mut().enumerate() {
-                        *e = step(*e, i + a, j + b, k);
+            if inside {
+                for k in 0..nk {
+                    let vk: [S::Elem; NR] = std::array::from_fn(|b| v.at(k, j + b));
+                    for (a, row) in acc.iter_mut().enumerate() {
+                        let uik = u.at(i + a, k);
+                        let wk = wkk(uik, k);
+                        for (e, &vkj) in row.iter_mut().zip(&vk) {
+                            *e = S::f(*e, uik, vkj, wk);
+                        }
+                    }
+                }
+            } else {
+                for k in 0..nk {
+                    for (a, row) in acc.iter_mut().enumerate() {
+                        for (b, e) in row.iter_mut().enumerate() {
+                            *e = step(*e, i + a, j + b, k);
+                        }
                     }
                 }
             }
@@ -151,6 +208,7 @@ fn kernel_d<S: GepSpec>(
 /// The generic (non-specialized) triple loop — public so specialized
 /// kernels can be cross-checked against it.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub fn block_kernel_generic<S: GepSpec>(
     kind: Kind,
     x: &mut TileMut<S::Elem>,
@@ -369,8 +427,9 @@ mod tests {
     }
 
     /// Run `kind` on a copy of `x` placed at global `at` through
-    /// [`block_kernel`] and through [`block_kernel_generic`], and
-    /// compare the two tables bit for bit (−0.0 and NaN count).
+    /// [`block_kernel`] (the AVX2 copy on a CPU that has it), through
+    /// the portable body directly and through [`block_kernel_generic`],
+    /// and compare the tables bit for bit (−0.0 and NaN count).
     #[allow(clippy::too_many_arguments)]
     fn assert_matches_generic<S: GepSpec>(
         kind: Kind,
@@ -382,17 +441,20 @@ mod tests {
         (k0, nk): (usize, usize),
         bits: fn(S::Elem) -> u64,
     ) {
-        let (mut fast, mut generic) = (x.clone(), x.clone());
+        let (mut fast, mut portable, mut generic) = (x.clone(), x.clone(), x.clone());
         block_kernel::<S>(kind, &mut fast.view_mut_at(at.0, at.1), u, v, w);
+        block_kernel_body::<S>(kind, &mut portable.view_mut_at(at.0, at.1), u, v, w);
         let mut g = generic.view_mut_at(at.0, at.1);
         block_kernel_generic::<S>(kind, &mut g, u, v, w, k0, nk);
-        let first = (fast.as_slice().iter().zip(generic.as_slice()))
-            .position(|(a, b)| bits(*a) != bits(*b));
         let (name, rows, cols, w) = (S::NAME, x.rows(), x.cols(), w.is_some());
-        assert_eq!(
-            first, None,
-            "{name} {kind:?} {rows}x{cols} nk={nk} at {at:?} w={w}"
-        );
+        for (body, other) in [("portable", &portable), ("generic", &generic)] {
+            let first = (fast.as_slice().iter().zip(other.as_slice()))
+                .position(|(a, b)| bits(*a) != bits(*b));
+            assert_eq!(
+                first, None,
+                "{name} {kind:?} {rows}x{cols} nk={nk} at {at:?} w={w} vs {body}"
+            );
+        }
     }
 
     /// One spec's row of the kernel oracle: every kind, shapes off the
@@ -463,6 +525,53 @@ mod tests {
         kernel_oracle::<TransitiveClosure>(Rng::bool, u64::from);
         kernel_oracle::<SemiringPaths<MinPlus>>(|r| MinPlus(draw_f64(r)), |e| e.0.to_bits());
         kernel_oracle::<SemiringPaths<MaxMin>>(|r| MaxMin(draw_f64(r)), |e| e.0.to_bits());
+    }
+
+    /// The min-plus A/B hook as it read row k before it took rows as
+    /// slices: element by element through the tile, in place, with
+    /// `d[i][k]` read once per row.
+    fn live_read_min_plus(x: &mut TileMut<f64>, u: Option<TileRef<f64>>) {
+        for k in 0..x.rows() {
+            for i in 0..x.rows() {
+                let dik = u.map_or_else(|| x.at(i, k), |u| u.at(i, k));
+                if dik == f64::INFINITY {
+                    continue;
+                }
+                for j in 0..x.cols() {
+                    let (via, old) = (dik + x.at(k, j), x.at(i, j));
+                    x.set(i, j, if via < old { via } else { old });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tropical_hook_keeps_live_row_k_reads_on_unstable_phases() {
+        // Negative diagonals, −∞ and NaN: row k changes during its own
+        // phase, so the order in which rows read it shows in the bits.
+        let draw = |rng: &mut Rng| match rng.range(0u32..8) {
+            0 => f64::NEG_INFINITY,
+            1 => f64::NAN,
+            2 => f64::INFINITY,
+            _ => rng.range(-8.0..8.0),
+        };
+        for (n, cols) in [(5, 5), (9, 13), (16, 16)] {
+            let mut rng = Rng::new((n * cols) as u64);
+            let diag = Matrix::from_fn(n, n, |i, j| if i == j { -1.0 } else { draw(&mut rng) });
+            let panel = Matrix::from_fn(n, cols, |_, _| draw(&mut rng));
+            let d = Some(diag.view());
+            for (kind, x, u) in [(Kind::A, &diag, None), (Kind::B, &panel, d)] {
+                let (mut fast, mut portable, mut live) = (x.clone(), x.clone(), x.clone());
+                block_kernel::<Tropical>(kind, &mut fast.view_mut(), u, None, u);
+                block_kernel_body::<Tropical>(kind, &mut portable.view_mut(), u, None, u);
+                live_read_min_plus(&mut live.view_mut(), u);
+                for (body, got) in [("block_kernel", &fast), ("portable", &portable)] {
+                    let first = (got.as_slice().iter().zip(live.as_slice()))
+                        .position(|(a, b)| a.to_bits() != b.to_bits());
+                    assert_eq!(first, None, "{kind:?} {n}x{cols} {body}");
+                }
+            }
+        }
     }
 
     #[test]

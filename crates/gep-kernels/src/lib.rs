@@ -26,7 +26,9 @@
 //!   register-blocked loop for every spec (k innermost, bitwise
 //!   identical to the generic loop, tested); a hot instance
 //!   specialises only the aliasing kinds A/B/C, through the one hook
-//!   [`GepSpec::fast_block_kernel`];
+//!   [`GepSpec::fast_block_kernel`]. The block kernel is compiled
+//!   twice, portable and AVX2, and picks the copy the CPU can run;
+//!   both return the same bits;
 //! * [`recursive`] — the **parametric r-way recursive divide-&-conquer
 //!   (r-way R-DP)** kernels of Fig. 4, parallelised on `par-pool`
 //!   (the stand-in for the paper's OpenMP offload), with tunable fan-out

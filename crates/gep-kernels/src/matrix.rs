@@ -237,6 +237,14 @@ impl<'a, E: Elem> TileRef<'a, E> {
         unsafe { *self.ptr.add(i * self.stride + j) }
     }
 
+    /// Window row `i` as a slice.
+    #[inline(always)]
+    pub fn row(&self, i: usize) -> &'a [E] {
+        assert!(i < self.rows);
+        // SAFETY: row `i` of the window is `cols` in-bounds elements.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(i * self.stride), self.cols) }
+    }
+
     /// Immutable sub-window at local `(i0, j0)`, size `rows × cols`.
     pub fn sub(&self, i0: usize, j0: usize, rows: usize, cols: usize) -> TileRef<'a, E> {
         assert!(i0 + rows <= self.rows && j0 + cols <= self.cols);
@@ -327,6 +335,31 @@ impl<'a, E: Elem> TileMut<'a, E> {
         debug_assert!(i < self.rows && j < self.cols);
         // SAFETY: in-bounds; we hold the exclusive window.
         unsafe { *self.ptr.add(i * self.stride + j) = v }
+    }
+
+    /// Window row `i` as a mutable slice.
+    #[inline(always)]
+    pub fn row_mut(&mut self, i: usize) -> &mut [E] {
+        assert!(i < self.rows);
+        // SAFETY: row `i` of the window is `cols` in-bounds elements,
+        // and `&mut self` holds the window exclusively.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(i * self.stride), self.cols) }
+    }
+
+    /// Window row `i` to write and row `k` to read, at once: two
+    /// disjoint slices (`i ≠ k`, and the rows of a window never overlap
+    /// because `stride ≥ cols`).
+    #[inline(always)]
+    pub fn row_pair(&mut self, i: usize, k: usize) -> (&mut [E], &[E]) {
+        assert!(i != k && i < self.rows && k < self.rows, "rows {i}, {k}");
+        // SAFETY: both rows are in bounds and distinct, so the slices
+        // share no element; `&mut self` holds the window exclusively.
+        unsafe {
+            (
+                std::slice::from_raw_parts_mut(self.ptr.add(i * self.stride), self.cols),
+                std::slice::from_raw_parts(self.ptr.add(k * self.stride), self.cols),
+            )
+        }
     }
 
     /// Downgrade to an immutable view borrowing from `self`.
@@ -521,6 +554,25 @@ mod tests {
         let _ = top;
         assert_eq!(m.get(2, 0), 1);
         assert_eq!(m.get(2, 3), 2);
+    }
+
+    #[test]
+    fn row_slices_read_and_write_their_window_row() {
+        let mut m = Matrix::from_fn(4, 5, |i, j| (i * 5 + j) as i64);
+        assert_eq!(m.view().sub(1, 1, 2, 3).row(1), &[11, 12, 13]);
+        let (_, mut t) = m.view_mut().split_cols_at(1);
+        let (dst, src) = t.row_pair(3, 1);
+        dst.copy_from_slice(src);
+        t.row_mut(0)[3] = -1;
+        assert_eq!(&m.as_slice()[15..], &[15, 6, 7, 8, 9]);
+        assert_eq!(m.get(0, 4), -1);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows 2, 2")]
+    fn row_pair_rejects_one_row_twice() {
+        let mut m = Matrix::square(3, 0u8);
+        let _ = m.view_mut().row_pair(2, 2);
     }
 
     #[test]

@@ -61,6 +61,21 @@ impl RecConfig {
     fn recurse(&self, side: usize) -> bool {
         side > self.base && side >= self.r && side.is_multiple_of(self.r)
     }
+
+    /// Does [`rec_kernel`] split a `kind` tile of `rows × cols` whose
+    /// phase spans `nk` values of k, or run it as one base case? (The
+    /// k span is the tile's own side for A, B and C.) A caller that
+    /// gets `false` may run [`block_kernel`] itself, with no pool.
+    #[inline]
+    pub fn splits(&self, kind: Kind, rows: usize, cols: usize, nk: usize) -> bool {
+        let divides = |side: usize| side.is_multiple_of(self.r);
+        match kind {
+            Kind::A => self.recurse(rows),
+            Kind::B => self.recurse(rows) && divides(cols),
+            Kind::C => self.recurse(cols) && divides(rows),
+            Kind::D => self.recurse(nk) && divides(rows) && divides(cols),
+        }
+    }
 }
 
 /// May any element of the tile spanning global `rows × cols` be updated
@@ -90,7 +105,7 @@ fn kspan<E: crate::matrix::Elem>(t: &TileRef<E>) -> (usize, usize) {
 /// Function `A` of Fig. 4: the self-referential diagonal solve.
 pub fn rec_a<S: GepSpec>(pool: &Pool, cfg: &RecConfig, mut x: TileMut<S::Elem>) {
     assert_eq!(x.rows(), x.cols(), "A runs on square tiles");
-    if !cfg.recurse(x.rows()) {
+    if !cfg.splits(Kind::A, x.rows(), x.cols(), x.rows()) {
         block_kernel::<S>(Kind::A, &mut x, None, None, None);
         return;
     }
@@ -158,7 +173,7 @@ pub fn rec_b<S: GepSpec>(
 ) {
     assert_eq!(x.rows(), u_diag.rows(), "B tile shares the diagonal's rows");
     assert_eq!(x.row0(), u_diag.row0());
-    if !cfg.recurse(x.rows()) || !x.cols().is_multiple_of(cfg.r) {
+    if !cfg.splits(Kind::B, x.rows(), x.cols(), x.rows()) {
         block_kernel::<S>(Kind::B, &mut x, Some(u_diag), None, Some(u_diag));
         return;
     }
@@ -212,7 +227,7 @@ pub fn rec_c<S: GepSpec>(
         "C tile shares the diagonal's columns"
     );
     assert_eq!(x.col0(), v_diag.col0());
-    if !cfg.recurse(x.cols()) || !x.rows().is_multiple_of(cfg.r) {
+    if !cfg.splits(Kind::C, x.rows(), x.cols(), x.cols()) {
         block_kernel::<S>(Kind::C, &mut x, None, Some(v_diag), Some(v_diag));
         return;
     }
@@ -272,8 +287,7 @@ pub fn rec_d<S: GepSpec>(
     if let Some(w) = &w {
         assert_eq!(u.cols(), w.rows());
     }
-    let kside = u.cols();
-    if !cfg.recurse(kside) || !x.rows().is_multiple_of(cfg.r) || !x.cols().is_multiple_of(cfg.r) {
+    if !cfg.splits(Kind::D, x.rows(), x.cols(), u.cols()) {
         block_kernel::<S>(Kind::D, &mut x, Some(u), Some(v), w);
         return;
     }
@@ -366,6 +380,29 @@ mod tests {
                 f64::INFINITY
             }
         })
+    }
+
+    #[test]
+    fn splits_names_the_tiles_the_recursion_divides() {
+        let cfg = RecConfig::new(2, 4);
+        let cases = [
+            (Kind::A, (8, 8, 8), true),
+            (Kind::A, (4, 4, 4), false),
+            (Kind::B, (8, 6, 8), true),
+            (Kind::B, (8, 5, 8), false),
+            (Kind::C, (6, 8, 8), true),
+            (Kind::C, (5, 8, 8), false),
+            (Kind::D, (6, 6, 8), true),
+            (Kind::D, (6, 6, 4), false),
+            (Kind::D, (7, 6, 8), false),
+        ];
+        for (kind, (rows, cols, nk), want) in cases {
+            assert_eq!(
+                cfg.splits(kind, rows, cols, nk),
+                want,
+                "{kind:?} {rows}x{cols} nk={nk}"
+            );
+        }
     }
 
     #[test]
