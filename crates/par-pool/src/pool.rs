@@ -114,6 +114,25 @@ impl Shared {
         Some(job)
     }
 
+    /// Whether any job is queued, on the injector or on a deque.
+    fn has_work(&self) -> bool {
+        !self.injector.lock().is_empty() || self.deques.iter().any(|d| !d.lock().is_empty())
+    }
+
+    /// Sleep until notified or `timeout` passes, unless a job is queued
+    /// or `done()` already holds. Both are checked under `sleep_lock`,
+    /// which [`Shared::notify`] also takes: a push (or a scope
+    /// completion) that lands after the check cannot notify before this
+    /// thread waits, so no wake-up is lost and the timeout is only a
+    /// backstop.
+    fn park(&self, timeout: Duration, done: &dyn Fn() -> bool) {
+        let guard = self.sleep_lock.lock();
+        if done() || self.has_work() {
+            return;
+        }
+        drop(self.sleep_cv.wait_for(guard, timeout));
+    }
+
     /// Block until `should_stop` returns true, executing pool jobs while
     /// waiting. Used by scope waits from both worker and external threads.
     pub(crate) fn help_until(&self, should_stop: &dyn Fn() -> bool) {
@@ -124,16 +143,7 @@ impl Shared {
                     self.metrics.record_help();
                     job();
                 }
-                None => {
-                    let guard = self.sleep_lock.lock();
-                    if should_stop() {
-                        return;
-                    }
-                    // Timed wait: completions notify, but a short timeout
-                    // makes us robust to races between the emptiness check
-                    // and the condition flip.
-                    drop(self.sleep_cv.wait_for(guard, Duration::from_millis(1)));
-                }
+                None => self.park(Duration::from_millis(1), should_stop),
             }
         }
     }
@@ -141,19 +151,12 @@ impl Shared {
 
 fn worker_loop(shared: Arc<Shared>, index: usize) {
     CURRENT_WORKER.set(Some((shared.shared_id(), index)));
+    let shutdown = || shared.shutdown.load(Ordering::Acquire);
     loop {
         match shared.find_job(Some(index)) {
             Some(job) => job(),
-            None => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                let guard = shared.sleep_lock.lock();
-                if shared.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                drop(shared.sleep_cv.wait_for(guard, Duration::from_millis(5)));
-            }
+            None if shutdown() => break,
+            None => shared.park(Duration::from_millis(5), &shutdown),
         }
     }
 }
@@ -500,6 +503,25 @@ mod tests {
             ),
             (2, 4)
         );
+    }
+
+    #[test]
+    fn park_returns_at_once_while_a_job_is_queued() {
+        let (shared, job, run) = rig(2);
+        // Queued without a notify: a park that only listened for the
+        // condvar would sleep out its whole timeout here.
+        shared.injector.lock().push_back(job(1));
+        let long = Duration::from_secs(30);
+        let t = std::time::Instant::now();
+        shared.park(long, &|| false);
+        assert!(t.elapsed() < long / 2, "parked past a queued job");
+        assert_eq!(run(shared.find_job(Some(0))), 1);
+        // The same for a job on a deque, and for a scope already done.
+        shared.deques[1].lock().push_back(job(2));
+        shared.park(long, &|| false);
+        assert_eq!(run(shared.find_job(Some(1))), 2);
+        shared.park(long, &|| true);
+        assert!(t.elapsed() < long / 2, "parked past a finished scope");
     }
 
     #[test]

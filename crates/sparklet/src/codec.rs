@@ -10,10 +10,11 @@
 //! exactly without encoding it (O(1) for fixed-width and container
 //! types), and [`Storable::encode_slice`] / [`Storable::decode_slice`]
 //! let dense scalar runs move as single `memcpy`s instead of
-//! per-element loops. On little-endian targets, decoding a dense run
-//! whose buffer happens to be aligned reinterprets the words in place;
-//! unaligned buffers fall back to a byte-wise path with identical
-//! results.
+//! per-element loops. On little-endian targets a dense run decodes
+//! with one `copy_nonoverlapping` into its (aligned) `Vec`, wherever
+//! the run starts in its buffer: a shuffled tile's run sits behind a
+//! 42-byte header, so it is almost never aligned itself. Big-endian
+//! targets take an element-wise loop with identical results.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -115,10 +116,10 @@ pub fn encode_le_slice<T: LeScalar>(items: &[T], buf: &mut BytesMut) {
     }
 }
 
-/// Decode a dense run of `n` scalars. On little-endian targets with an
-/// aligned buffer the words are reinterpreted in place (one bulk copy
-/// into the result); unaligned or big-endian buffers take the byte-wise
-/// fallback. Underruns yield [`JobError::Codec`].
+/// Decode a dense run of `n` scalars: one bulk copy into the result on
+/// little-endian targets, whatever the alignment of the source bytes,
+/// and an element-wise loop on big-endian ones. Underruns yield
+/// [`JobError::Codec`].
 pub fn decode_le_slice<T: LeScalar>(buf: &mut Bytes, n: usize) -> Result<Vec<T>, JobError> {
     let need_bytes = n
         .checked_mul(T::WIDTH)
@@ -126,18 +127,19 @@ pub fn decode_le_slice<T: LeScalar>(buf: &mut Bytes, n: usize) -> Result<Vec<T>,
     need(buf, need_bytes)?;
     let raw = buf.split_to(need_bytes);
     if cfg!(target_endian = "little") {
-        // SAFETY: `LeScalar` rules out padding and invalid bit
-        // patterns, so any aligned `WIDTH`-byte chunk is a valid value.
-        let (head, mid, tail) = unsafe { raw.align_to::<T>() };
-        if head.is_empty() && tail.is_empty() && mid.len() == n {
-            return Ok(mid.to_vec());
+        let mut out = Vec::<T>::with_capacity(n);
+        // SAFETY: `out` owns room for `n` values, `n * WIDTH ==
+        // need_bytes` bytes, and a byte copy needs no alignment on
+        // either side. `LeScalar` rules out padding and invalid bit
+        // patterns, so the copied bytes are `n` valid values in memory
+        // order, which on a little-endian target is wire order.
+        unsafe {
+            std::ptr::copy_nonoverlapping(raw.as_ptr(), out.as_mut_ptr().cast::<u8>(), need_bytes);
+            out.set_len(n);
         }
+        return Ok(out);
     }
-    let mut out = Vec::with_capacity(n);
-    for chunk in raw.chunks_exact(T::WIDTH) {
-        out.push(T::from_le(chunk));
-    }
-    Ok(out)
+    Ok(raw.chunks_exact(T::WIDTH).map(T::from_le).collect())
 }
 
 macro_rules! scalar_storable {
@@ -441,19 +443,44 @@ mod tests {
     }
 
     #[test]
-    fn unaligned_buffers_decode_via_fallback() {
-        let vals: Vec<f64> = (0..64).map(|i| (i * i) as f64).collect();
-        // Plain frame: the f64 run starts 8 bytes in (aligned whenever
-        // the allocation base is 8-aligned).
-        assert_eq!(decode_one::<Vec<f64>>(encode_one(&vals)).unwrap(), vals);
-        // Padded frame: a 1-byte prefix shifts the run to offset 9 —
-        // misaligned whenever the plain run was aligned, so between the
-        // two frames both decode paths execute.
-        let mut framed = BytesMut::new();
-        framed.put_u8(0xEE);
-        vals.encode(&mut framed);
-        let mut view = framed.freeze();
-        assert_eq!(u8::decode(&mut view).unwrap(), 0xEE);
-        assert_eq!(Vec::<f64>::decode(&mut view).unwrap(), vals);
+    fn runs_decode_bit_for_bit_at_every_source_offset() {
+        // NaNs with distinct payloads (quiet and signalling), signed
+        // zeros and infinities: a decode that went through float
+        // arithmetic or a canonicalising load would change their bits.
+        let floats: Vec<f64> = [
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0xfff4_dead_beef_0042),
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0,
+        ]
+        .into_iter()
+        .chain((0..57).map(|i| (i * i) as f64 - 0.25))
+        .collect();
+        let words: Vec<u32> = (0..67u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+        for offset in 0..8 {
+            // `offset` junk bytes ahead of the run shift its start
+            // through every residue mod 8 of the allocation.
+            let mut framed = BytesMut::new();
+            framed.put_bytes(0xEE, offset);
+            floats.encode(&mut framed);
+            words.encode(&mut framed);
+            let mut view = framed.freeze();
+            view.advance(offset);
+            let f = Vec::<f64>::decode(&mut view).unwrap();
+            let w = Vec::<u32>::decode(&mut view).unwrap();
+            assert!(view.is_empty());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&f), bits(&floats), "f64 run at offset {offset}");
+            assert_eq!(
+                w,
+                words,
+                "u32 run at offset {}",
+                offset + 8 + 8 * floats.len()
+            );
+        }
     }
 }

@@ -453,6 +453,16 @@ impl SparkContext {
             .and_then(|m| m.executor_pid(node))
     }
 
+    /// The directory `node`'s executor keeps its segment files in
+    /// (`None` in-process or over TCP). For tests that check what a
+    /// kill, a release or a drop leaves on disk.
+    pub fn executor_segment_dir(&self, node: usize) -> Option<std::path::PathBuf> {
+        self.inner
+            .remote
+            .as_ref()
+            .and_then(|m| m.segment_dir(node).map(std::path::Path::to_path_buf))
+    }
+
     /// Seeded pick in `0..n` (sim-mode schedulers). Falls back to 0
     /// outside sim mode — callers gate on [`SparkContext::is_deterministic`].
     pub(crate) fn sim_draw(&self, n: usize) -> usize {

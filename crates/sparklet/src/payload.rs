@@ -66,29 +66,31 @@ impl Payload {
     /// a disk tier). Validates the header; an LZ4 body is only fully
     /// validated when opened.
     pub fn from_frame(frame: Bytes) -> Result<Payload, JobError> {
-        if frame.len() < FRAME_HEADER {
+        Payload::check_header(&frame, frame.len() as u64)?;
+        Ok(Payload { frame })
+    }
+
+    /// The check [`Payload::from_frame`] makes, from the frame's first
+    /// bytes and its total length alone: a frame shorter than the
+    /// header, an unknown tag, or a raw body whose length disagrees
+    /// with the header is refused. Lets a holder vet a frame it keeps
+    /// in a file without reading the body.
+    pub(crate) fn check_header(head: &[u8], frame_len: u64) -> Result<(), JobError> {
+        if head.len() < FRAME_HEADER || frame_len < FRAME_HEADER as u64 {
             return Err(JobError::Codec(format!(
                 "payload frame truncated: {} bytes < {FRAME_HEADER}-byte header",
-                frame.len()
+                frame_len.min(head.len() as u64)
             )));
         }
-        let tag = frame[0];
-        let raw_len = frame_raw_len(&frame);
-        match tag {
-            TAG_RAW => {
-                if frame.len() - FRAME_HEADER != raw_len as usize {
-                    return Err(JobError::Codec(format!(
-                        "raw payload body is {} bytes but header declares {raw_len}",
-                        frame.len() - FRAME_HEADER
-                    )));
-                }
-            }
-            TAG_LZ4 => {}
-            other => {
-                return Err(JobError::Codec(format!("unknown payload tag {other}")));
-            }
+        let raw_len = frame_raw_len(head);
+        match head[0] {
+            TAG_RAW if frame_len - FRAME_HEADER as u64 != raw_len => Err(JobError::Codec(format!(
+                "raw payload body is {} bytes but header declares {raw_len}",
+                frame_len - FRAME_HEADER as u64
+            ))),
+            TAG_RAW | TAG_LZ4 => Ok(()),
+            other => Err(JobError::Codec(format!("unknown payload tag {other}"))),
         }
-        Ok(Payload { frame })
     }
 
     /// The encoded-stream length in bytes (before compression).
@@ -146,7 +148,7 @@ impl Payload {
     }
 }
 
-fn frame_raw_len(frame: &Bytes) -> u64 {
+fn frame_raw_len(frame: &[u8]) -> u64 {
     let mut n = [0u8; 8];
     n.copy_from_slice(&frame[1..FRAME_HEADER]);
     u64::from_le_bytes(n)

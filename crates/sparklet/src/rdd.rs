@@ -62,6 +62,20 @@ pub(crate) trait RddOps<K: Key, V: ShufVal>: Send + Sync {
     fn shuffle_deps(self: Arc<Self>) -> Vec<Arc<dyn ShuffleDep>>;
     /// Produce partition `p` (runs inside a task).
     fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K, V)>, JobError>;
+    /// Partition `p`, keeping only the pairs `keep` accepts: how a
+    /// filter reads its parent. A node that can drop pairs before it
+    /// clones them (a cached partition) overrides this; the default
+    /// computes the whole partition and drops the rest.
+    fn compute_where(
+        &self,
+        p: usize,
+        tc: &TaskContext,
+        keep: &Keep<'_, K, V>,
+    ) -> Result<Vec<(K, V)>, JobError> {
+        let mut items = self.compute(p, tc)?;
+        items.retain(|(k, v)| keep(k, v));
+        Ok(items)
+    }
     fn preferred_node(&self, _p: usize) -> Option<usize> {
         None
     }
@@ -69,6 +83,9 @@ pub(crate) trait RddOps<K: Key, V: ShufVal>: Send + Sync {
     /// line per node, two spaces per depth level.
     fn explain_into(&self, depth: usize, out: &mut String);
 }
+
+/// A predicate over pairs, as a filter hands it down its lineage.
+pub(crate) type Keep<'a, K, V> = dyn Fn(&K, &V) -> bool + Send + Sync + 'a;
 
 fn write_plan_line(out: &mut String, depth: usize, line: &str) {
     for _ in 0..depth {
@@ -129,7 +146,7 @@ type PartitionFn<K1, V1, K2, V2> =
     Arc<dyn Fn(usize, Vec<(K1, V1)>, &TaskContext) -> Vec<(K2, V2)> + Send + Sync>;
 
 /// The single-parent narrow node behind `map`, `flat_map`,
-/// `map_values`, `filter`, `map_partitions` and an elided
+/// `map_values`, `map_partitions` and an elided
 /// `partition_by`: they differ only in the closure (the user's
 /// function is monomorphised inside it, so a partition costs one
 /// dynamic call however many pairs it holds), the `explain()` line,
@@ -165,6 +182,49 @@ impl<K1: Key, V1: ShufVal, K2: Key, V2: ShufVal> RddOps<K2, V2> for NarrowRdd<K1
     }
     fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K2, V2)>, JobError> {
         Ok((self.f)(p, self.parent.compute(p, tc)?, tc))
+    }
+    fn preferred_node(&self, p: usize) -> Option<usize> {
+        self.parent.preferred_node(p)
+    }
+}
+
+/// `filter`: a narrow node that passes its predicate, combined with any
+/// predicate from a filter above it, down to its parent's
+/// [`RddOps::compute_where`], so a cached parent clones only the pairs
+/// that survive.
+struct FilterRdd<K: Key, V: ShufVal> {
+    parent: Arc<dyn RddOps<K, V>>,
+    pred: Arc<Keep<'static, K, V>>,
+}
+
+impl<K: Key, V: ShufVal> RddOps<K, V> for FilterRdd<K, V> {
+    fn explain_into(&self, depth: usize, out: &mut String) {
+        write_plan_line(out, depth, "Filter [narrow, preserves partitioning]");
+        self.parent.explain_into(depth + 1, out);
+    }
+    fn ctx(&self) -> &SparkContext {
+        self.parent.ctx()
+    }
+    fn num_partitions(&self) -> usize {
+        self.parent.num_partitions()
+    }
+    fn partitioner_sig(&self) -> Option<PartSig> {
+        self.parent.partitioner_sig()
+    }
+    fn shuffle_deps(self: Arc<Self>) -> Vec<Arc<dyn ShuffleDep>> {
+        Arc::clone(&self.parent).shuffle_deps()
+    }
+    fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K, V)>, JobError> {
+        self.parent.compute_where(p, tc, &*self.pred)
+    }
+    fn compute_where(
+        &self,
+        p: usize,
+        tc: &TaskContext,
+        keep: &Keep<'_, K, V>,
+    ) -> Result<Vec<(K, V)>, JobError> {
+        self.parent
+            .compute_where(p, tc, &|k, v| (self.pred)(k, v) && keep(k, v))
     }
     fn preferred_node(&self, p: usize) -> Option<usize> {
         self.parent.preferred_node(p)
@@ -539,6 +599,68 @@ impl<K: Key, V: ShufVal> Drop for MaterializedRdd<K, V> {
     }
 }
 
+impl<K: Key, V: ShufVal> MaterializedRdd<K, V> {
+    /// Partition `p` as `pick` copies it out of the cached pairs. The
+    /// reader gets its own Vec, as a `MEMORY_ONLY` partition hands out
+    /// object references: `pick` clones only what it keeps, a dense
+    /// tile's clone shares its cells, and a kernel that writes a tile
+    /// copies it then.
+    fn read(
+        &self,
+        p: usize,
+        tc: &TaskContext,
+        pick: impl Fn(&[(K, V)]) -> Vec<(K, V)>,
+    ) -> Result<Vec<(K, V)>, JobError> {
+        let owner = self.locations[p];
+        let store = &self.ctx.inner.executors[owner].store;
+        let cached = || -> Result<Option<Vec<(K, V)>>, JobError> {
+            let Some((data, bytes)) = store.get::<Vec<(K, V)>>(self.cache_id, p, Some(tc))? else {
+                return Ok(None);
+            };
+            if owner != tc.node() {
+                // Reading a cached partition from another node crosses
+                // the network (in-memory object, no measured wire form).
+                tc.add_remote_read(bytes, 0);
+            }
+            Ok(Some(pick(&data)))
+        };
+        if let Some(items) = cached()? {
+            return Ok(items);
+        }
+        let Some(parent) = &self.parent else {
+            return Err(JobError::MissingBlock(format!(
+                "cache {} partition {p} on node {owner} (lineage was cut)",
+                self.cache_id
+            )));
+        };
+        // Lineage recomputation, exactly once per dropped block: the
+        // per-partition latch serializes concurrent readers; whoever
+        // enters first re-checks the store, recomputes on a confirmed
+        // miss, and re-caches for the others.
+        let latch = store.recompute_latch(self.cache_id, p);
+        let _guard = latch.lock();
+        if let Some(items) = cached()? {
+            return Ok(items);
+        }
+        let items = Arc::new(parent.compute(p, tc)?);
+        store.note_recompute();
+        let bytes = pairs_bytes(&items);
+        // Re-cache on the owner (keeps `locations` authoritative);
+        // best-effort — under unrelenting pressure readers keep
+        // recomputing from lineage.
+        let _ = store.put(
+            self.cache_id,
+            p,
+            Arc::clone(&items),
+            bytes,
+            self.level,
+            true,
+            Some(tc),
+        );
+        Ok(pick(&items))
+    }
+}
+
 impl<K: Key, V: ShufVal> RddOps<K, V> for MaterializedRdd<K, V> {
     fn explain_into(&self, depth: usize, out: &mut String) {
         write_plan_line(
@@ -577,55 +699,18 @@ impl<K: Key, V: ShufVal> RddOps<K, V> for MaterializedRdd<K, V> {
         Vec::new()
     }
     fn compute(&self, p: usize, tc: &TaskContext) -> Result<Vec<(K, V)>, JobError> {
-        let owner = self.locations[p];
-        let store = &self.ctx.inner.executors[owner].store;
-        if let Some((data, bytes)) = store.get::<Vec<(K, V)>>(self.cache_id, p, Some(tc))? {
-            if owner != tc.node() {
-                // Reading a cached partition from another node crosses
-                // the network (in-memory object, no measured wire form).
-                tc.add_remote_read(bytes, 0);
-            }
-            // The reader gets its own Vec of the cached pairs, as a
-            // `MEMORY_ONLY` partition hands out object references: a
-            // dense tile's clone shares its cells, so a filter that
-            // drops a tile never copied it, and a kernel that writes one
-            // copies it then.
-            return Ok((*data).clone());
-        }
-        let Some(parent) = &self.parent else {
-            return Err(JobError::MissingBlock(format!(
-                "cache {} partition {p} on node {owner} (lineage was cut)",
-                self.cache_id
-            )));
-        };
-        // Lineage recomputation, exactly once per dropped block: the
-        // per-partition latch serializes concurrent readers; whoever
-        // enters first re-checks the store, recomputes on a confirmed
-        // miss, and re-caches for the others.
-        let latch = store.recompute_latch(self.cache_id, p);
-        let _guard = latch.lock();
-        if let Some((data, bytes)) = store.get::<Vec<(K, V)>>(self.cache_id, p, Some(tc))? {
-            if owner != tc.node() {
-                tc.add_remote_read(bytes, 0);
-            }
-            return Ok((*data).clone());
-        }
-        let items = parent.compute(p, tc)?;
-        store.note_recompute();
-        let bytes = pairs_bytes(&items);
-        // Re-cache on the owner (keeps `locations` authoritative);
-        // best-effort — under unrelenting pressure readers keep
-        // recomputing from lineage.
-        let _ = store.put(
-            self.cache_id,
-            p,
-            Arc::new(items.clone()),
-            bytes,
-            self.level,
-            true,
-            Some(tc),
-        );
-        Ok(items)
+        self.read(p, tc, |items| items.to_vec())
+    }
+    fn compute_where(
+        &self,
+        p: usize,
+        tc: &TaskContext,
+        keep: &Keep<'_, K, V>,
+    ) -> Result<Vec<(K, V)>, JobError> {
+        self.read(p, tc, |items| {
+            let kept = items.iter().filter(|(k, v)| keep(k, v));
+            kept.cloned().collect()
+        })
     }
     fn preferred_node(&self, p: usize) -> Option<usize> {
         Some(self.locations[p])
@@ -765,11 +850,13 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
 
     /// Narrow: keep pairs matching the predicate.
     pub fn filter(&self, pred: impl Fn(&K, &V) -> bool + Send + Sync + 'static) -> Rdd<K, V> {
-        self.narrow(
-            "Filter [narrow, preserves partitioning]",
-            true,
-            move |_, items, _| items.into_iter().filter(|(k, v)| pred(k, v)).collect(),
-        )
+        Rdd {
+            ctx: self.ctx.clone(),
+            ops: Arc::new(FilterRdd {
+                parent: Arc::clone(&self.ops),
+                pred: Arc::new(pred),
+            }),
+        }
     }
 
     /// Narrow: the pairs of both RDDs (see [`SparkContext::union`]).

@@ -9,6 +9,17 @@
 //! direction is counted per node — these are the measured wire-byte
 //! counters that feed the cluster model's transfer terms.
 //!
+//! Over TCP a frame travels inline, as the tail of its message. Over a
+//! Unix socket the driver and the executors share a host, so a frame
+//! crosses as a segment file instead ([`super::segment`]): a put writes
+//! it once into the owning node's directory and sends `(seq, len)`, and
+//! a fetch reads the file the executor's reply names. The wire-byte
+//! counters count the segment bytes with the socket bytes, so they
+//! measure what crossed to and from the executors either way. The
+//! manager owns the segment tree: it resets a killed executor's
+//! directory before the replacement starts and removes the tree at
+//! shutdown.
+//!
 //! All traffic to one executor is serialized under that node's mutex,
 //! and the protocol pairs each request with exactly one reply (fire-
 //! and-forget lifecycle messages have none), so the stream never
@@ -17,7 +28,7 @@
 //! and handshaken, and whatever the dead process held is genuinely
 //! gone — a later fetch for its blocks misses for real.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -25,6 +36,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use par_pool::Mutex;
 
+use super::segment;
 use super::wire::{decode, encode, WireMsg};
 use super::TransportMode;
 use crate::error::JobError;
@@ -60,11 +72,56 @@ pub struct HeartbeatInfo {
     pub tasks_done: u64,
 }
 
+/// The segment tree of a Unix-transport manager: one directory per
+/// node under `<socket path>.seg`. Dropping it removes the tree.
+struct Segments {
+    root: PathBuf,
+    nodes: Vec<PathBuf>,
+}
+
+impl Segments {
+    fn create(socket: &Path, executors: usize) -> Result<Self, JobError> {
+        let root = segment::root(socket);
+        let nodes = (0..executors as u64)
+            .map(|node| segment::node_dir(&root, node))
+            .collect();
+        let tree = Segments { root, nodes };
+        for dir in &tree.nodes {
+            std::fs::create_dir_all(dir).map_err(|e| {
+                JobError::Transport(format!("create segment directory {}: {e}", dir.display()))
+            })?;
+        }
+        Ok(tree)
+    }
+
+    /// Empty `node`'s directory: whatever its executor held is gone.
+    fn reset(&self, node: usize) {
+        let dir = &self.nodes[node];
+        let _ = std::fs::remove_dir_all(dir);
+        let _ = std::fs::create_dir_all(dir);
+    }
+
+    fn remove(&self) {
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
+}
+
+impl Drop for Segments {
+    fn drop(&mut self) {
+        self.remove();
+    }
+}
+
 /// Driver-side manager of N executor subprocesses.
 pub struct ExecutorManager {
     mode: TransportMode,
     listener: Mutex<Listener>,
     slots: Vec<Mutex<Slot>>,
+    /// The per-node segment directories (Unix transport only).
+    segments: Option<Segments>,
+    /// The next segment number: unique over the manager's lifetime, so
+    /// no two puts, twin attempts of one slot included, share a file.
+    next_seq: AtomicU64,
     /// Bytes sent to each executor over its connection's lifetime
     /// (survives respawn — it counts the node, not the process).
     tx_bytes: Vec<AtomicU64>,
@@ -142,6 +199,10 @@ impl ExecutorManager {
         let listener =
             Listener::bind(&bind).map_err(|e| JobError::Transport(format!("bind {bind}: {e}")))?;
         let bin = executor_binary()?;
+        let segments = match &bind {
+            Addr::Unix(socket) => Some(Segments::create(socket, executors)?),
+            Addr::Tcp(_) => None,
+        };
         let mut children: Vec<Option<Child>> = Vec::with_capacity(executors);
         for node in 0..executors {
             children.push(Some(spawn_executor(&bin, listener.addr(), node)?));
@@ -168,6 +229,8 @@ impl ExecutorManager {
                 .into_iter()
                 .map(|w| Mutex::new(Slot { worker: w }))
                 .collect(),
+            segments,
+            next_seq: AtomicU64::new(0),
             tx_bytes: (0..executors).map(|_| AtomicU64::new(0)).collect(),
             rx_bytes: (0..executors).map(|_| AtomicU64::new(0)).collect(),
             respawns: AtomicU64::new(0),
@@ -185,8 +248,15 @@ impl ExecutorManager {
         self.slots.len()
     }
 
+    /// The directory `node`'s executor keeps its segment files in
+    /// (`None` over TCP, where frames travel inline).
+    pub(crate) fn segment_dir(&self, node: usize) -> Option<&Path> {
+        self.segments.as_ref().map(|s| s.nodes[node].as_path())
+    }
+
     /// Measured `(sent, received)` wire bytes exchanged with `node`
-    /// over the manager's lifetime (counted across respawns).
+    /// over the manager's lifetime (counted across respawns): socket
+    /// bytes plus the bytes of the segment files put and fetched.
     pub fn wire_bytes(&self, node: usize) -> (u64, u64) {
         (
             self.tx_bytes[node].load(Ordering::Relaxed),
@@ -241,7 +311,17 @@ impl ExecutorManager {
         msg: &WireMsg,
         expect_reply: bool,
     ) -> Result<(Option<WireMsg>, u64, u64), JobError> {
-        let mut slot = self.slots[node].lock();
+        self.exchange_on(&mut self.slots[node].lock(), node, msg, expect_reply)
+    }
+
+    /// [`ExecutorManager::exchange`] on a slot the caller holds.
+    fn exchange_on(
+        &self,
+        slot: &mut Slot,
+        node: usize,
+        msg: &WireMsg,
+        expect_reply: bool,
+    ) -> Result<(Option<WireMsg>, u64, u64), JobError> {
         let worker = slot
             .worker
             .as_mut()
@@ -258,9 +338,83 @@ impl ExecutorManager {
         Ok((Some(reply), sent, got))
     }
 
-    /// Stage a bucket frame on `node`'s executor. Returns the bytes put
-    /// on the wire. Failure means the bucket is *not* staged remotely —
-    /// the caller must not commit it.
+    /// Put `frame` on `node`'s executor: inline, as the message
+    /// `inline` builds, over TCP; over a Unix socket written to a new
+    /// segment of the node's directory first, and named by the message
+    /// `at(seq, len)` builds. Returns the bytes moved, socket and
+    /// segment. A put that is not acknowledged leaves no segment.
+    fn put(
+        &self,
+        node: usize,
+        frame: Bytes,
+        inline: impl FnOnce(Bytes) -> WireMsg,
+        at: impl FnOnce(u64, u64) -> WireMsg,
+        what: &str,
+    ) -> Result<u64, JobError> {
+        let (msg, written) = match &self.segments {
+            None => (inline(frame), None),
+            Some(segments) => {
+                let dir = segments.nodes[node].as_path();
+                let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+                let len = frame.len() as u64;
+                segment::write(dir, seq, &frame)?;
+                (at(seq, len), Some((dir, seq, len)))
+            }
+        };
+        let outcome = match self.exchange(node, &msg, true) {
+            Ok((Some(WireMsg::Ack), sent, _)) => Ok(sent),
+            Ok((other, _, _)) => Err(JobError::Transport(format!(
+                "executor {node} refused {what}: {other:?}"
+            ))),
+            Err(e) => Err(e),
+        };
+        match (outcome, written) {
+            (Ok(sent), Some((_, _, len))) => {
+                self.tx_bytes[node].fetch_add(len, Ordering::Relaxed);
+                Ok(sent + len)
+            }
+            (Err(e), Some((dir, seq, _))) => {
+                segment::remove(dir, seq);
+                Err(e)
+            }
+            (outcome, None) => outcome,
+        }
+    }
+
+    /// Send a get to `node`'s executor and take the frame it answers
+    /// with: inline, or read from the segment its reply names. `Ok(None)`
+    /// is a miss. The segment is opened before the slot is released,
+    /// while no message can make the executor unlink it, and read after.
+    fn get(
+        &self,
+        node: usize,
+        msg: &WireMsg,
+        what: &str,
+    ) -> Result<Option<(Payload, u64)>, JobError> {
+        let mut slot = self.slots[node].lock();
+        let (reply, _, got) = self.exchange_on(&mut slot, node, msg, true)?;
+        let (frame, wire) = match (reply, self.segment_dir(node)) {
+            (Some(WireMsg::Block { frame: Some(frame) }), _) => (frame, got),
+            (Some(WireMsg::Block { frame: None }), _) => return Ok(None),
+            (Some(WireMsg::BlockAt { seq, len }), Some(dir)) => {
+                let file = segment::open(dir, seq, len)?;
+                drop(slot);
+                let frame = segment::read(file, len)?;
+                self.rx_bytes[node].fetch_add(len, Ordering::Relaxed);
+                (frame, got + len)
+            }
+            (other, _) => {
+                return Err(JobError::Transport(format!(
+                    "executor {node} answered {what} with {other:?}"
+                )))
+            }
+        };
+        Ok(Some((Payload::from_frame(frame)?, wire)))
+    }
+
+    /// Stage a bucket frame on `node`'s executor. Returns the bytes
+    /// moved (socket plus segment). Failure means the bucket is *not*
+    /// staged remotely — the caller must not commit it.
     pub fn put_block(
         &self,
         node: usize,
@@ -269,28 +423,30 @@ impl ExecutorManager {
         reduce: u64,
         frame: Bytes,
     ) -> Result<u64, JobError> {
-        let (reply, sent, _) = self.exchange(
+        self.put(
             node,
-            &WireMsg::ShufflePut {
+            frame,
+            |frame| WireMsg::ShufflePut {
                 shuffle,
                 map_task,
                 reduce,
                 frame,
             },
-            true,
-        )?;
-        match reply {
-            Some(WireMsg::Ack) => Ok(sent),
-            other => Err(JobError::Transport(format!(
-                "executor {node} refused shuffle put: {other:?}"
-            ))),
-        }
+            |seq, len| WireMsg::ShufflePutAt {
+                shuffle,
+                map_task,
+                reduce,
+                seq,
+                len,
+            },
+            "shuffle put",
+        )
     }
 
     /// Fetch a bucket frame from `node`'s executor. `Ok(None)` means
     /// the executor holds no such block (it restarted and lost it);
     /// `Ok(Some((payload, wire)))` carries the rehydrated payload and
-    /// the measured bytes taken off the wire.
+    /// the measured bytes it took to move it.
     pub fn fetch_block(
         &self,
         node: usize,
@@ -298,24 +454,12 @@ impl ExecutorManager {
         map_task: u64,
         reduce: u64,
     ) -> Result<Option<(Payload, u64)>, JobError> {
-        let (reply, _, got) = self.exchange(
-            node,
-            &WireMsg::ShuffleGet {
-                shuffle,
-                map_task,
-                reduce,
-            },
-            true,
-        )?;
-        match reply {
-            Some(WireMsg::Block { frame: Some(frame) }) => {
-                Ok(Some((Payload::from_frame(frame)?, got)))
-            }
-            Some(WireMsg::Block { frame: None }) => Ok(None),
-            other => Err(JobError::Transport(format!(
-                "executor {node} answered a fetch with {other:?}"
-            ))),
-        }
+        let msg = WireMsg::ShuffleGet {
+            shuffle,
+            map_task,
+            reduce,
+        };
+        self.get(node, &msg, "a fetch")
     }
 
     /// Drop one stranded bucket copy on `node` (fire-and-forget;
@@ -340,30 +484,21 @@ impl ExecutorManager {
     }
 
     /// Push a broadcast frame to `node`'s executor. Returns the bytes
-    /// put on the wire.
+    /// moved (socket plus segment).
     pub fn broadcast_put(&self, node: usize, id: u64, frame: Bytes) -> Result<u64, JobError> {
-        let (reply, sent, _) = self.exchange(node, &WireMsg::BroadcastPut { id, frame }, true)?;
-        match reply {
-            Some(WireMsg::Ack) => Ok(sent),
-            other => Err(JobError::Transport(format!(
-                "executor {node} refused broadcast put: {other:?}"
-            ))),
-        }
+        self.put(
+            node,
+            frame,
+            |frame| WireMsg::BroadcastPut { id, frame },
+            |seq, len| WireMsg::BroadcastPutAt { id, seq, len },
+            "broadcast put",
+        )
     }
 
     /// Fetch a broadcast frame from `node`'s executor. `Ok(None)` when
     /// the executor does not hold it (e.g. it was respawned).
     pub fn broadcast_get(&self, node: usize, id: u64) -> Result<Option<(Payload, u64)>, JobError> {
-        let (reply, _, got) = self.exchange(node, &WireMsg::BroadcastGet { id }, true)?;
-        match reply {
-            Some(WireMsg::Block { frame: Some(frame) }) => {
-                Ok(Some((Payload::from_frame(frame)?, got)))
-            }
-            Some(WireMsg::Block { frame: None }) => Ok(None),
-            other => Err(JobError::Transport(format!(
-                "executor {node} answered a broadcast get with {other:?}"
-            ))),
-        }
+        self.get(node, &WireMsg::BroadcastGet { id }, "a broadcast get")
     }
 
     /// Drop a broadcast on every executor (fire-and-forget).
@@ -450,6 +585,11 @@ impl ExecutorManager {
             .child
             .wait()
             .map_err(|e| JobError::Transport(format!("reap executor {node}: {e}")))?;
+        // Its segments died with it: the replacement starts empty, on
+        // disk as in memory.
+        if let Some(segments) = &self.segments {
+            segments.reset(node);
+        }
         // Replace the dead worker before releasing the slot lock so a
         // concurrent put/fetch blocks until the respawn completes
         // instead of hitting a dead socket.
@@ -466,6 +606,14 @@ impl ExecutorManager {
         slot.worker = Some(Worker { child, conn });
         self.respawns.fetch_add(1, Ordering::Relaxed);
         Ok(format!("{status}"))
+    }
+
+    /// Forget `node`'s reaped executor, and the segments it held.
+    fn bury(&self, slot: &mut Slot, node: usize) {
+        slot.worker = None;
+        if let Some(segments) = &self.segments {
+            segments.reset(node);
+        }
     }
 
     /// Verify every executor subprocess is alive and, when
@@ -487,7 +635,7 @@ impl ExecutorManager {
                     Ok(None) => {}
                     Ok(Some(status)) => {
                         // Reaped just now — record the unexpected death.
-                        slot.worker = None;
+                        self.bury(&mut slot, node);
                         return Err(format!("executor {node} died unexpectedly ({status})"));
                     }
                     Err(e) => return Err(format!("poll executor {node}: {e}")),
@@ -505,7 +653,7 @@ impl ExecutorManager {
                         let mut slot = self.slots[node].lock();
                         if let Some(worker) = slot.worker.as_mut() {
                             if let Ok(Some(status)) = worker.child.try_wait() {
-                                slot.worker = None;
+                                self.bury(&mut slot, node);
                                 return Err(format!(
                                     "executor {node} died unexpectedly ({status})"
                                 ));
@@ -564,6 +712,9 @@ impl ExecutorManager {
                 Err(e) => return Err(format!("reap executor {node}: {e}")),
             };
             codes.push(status.code().unwrap_or(-1));
+        }
+        if let Some(segments) = &self.segments {
+            segments.remove();
         }
         Ok(codes)
     }
@@ -647,4 +798,114 @@ fn accept_handshake(
     write_frame(&mut conn, &encode(&WireMsg::HelloAck { node: node as u64 }))
         .map_err(|e| JobError::Transport(format!("executor handshake ack: {e}")))?;
     Ok((node, conn))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::payload::Compression;
+
+    /// The one segment file in `dir`.
+    fn only_file(dir: &Path) -> PathBuf {
+        let files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 1, "{files:?}");
+        files.into_iter().next().unwrap()
+    }
+
+    #[test]
+    fn segments_tampered_behind_the_executor_fail_fetches_typed() {
+        let manager = ExecutorManager::launch(TransportMode::Unix, 1).expect("launch");
+        let dir = manager
+            .segment_dir(0)
+            .expect("a Unix manager has segments")
+            .to_path_buf();
+        let frame = Payload::seal(Bytes::from(vec![7u8; 4096]), Compression::None).frame();
+        let put = || manager.put_block(0, 1, 0, 0, frame.clone()).expect("put");
+        let fetch = || manager.fetch_block(0, 1, 0, 0);
+
+        // A clean round trip, counted socket plus segment bytes.
+        let before = manager.wire_bytes(0);
+        let sent = put();
+        let (payload, got) = fetch().unwrap().expect("held");
+        assert_eq!(payload.frame(), frame);
+        let len = frame.len() as u64;
+        assert!(sent > len && got > len, "the segment counts as moved bytes");
+        // Plus the get's request (prefix, tag, three words) and the
+        // put's `Ack` (prefix, tag).
+        let (get, ack) = (4 + 1 + 24, 4 + 1);
+        assert_eq!(
+            manager.wire_bytes(0),
+            (before.0 + sent + get, before.1 + got + ack)
+        );
+
+        let tamper = |f: &dyn Fn(&Path)| {
+            put();
+            f(&only_file(&dir));
+            fetch()
+        };
+        let truncated = tamper(&|path| {
+            let file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+            file.set_len(100).unwrap();
+        });
+        assert!(
+            matches!(truncated, Err(JobError::Codec(_))),
+            "{truncated:?}"
+        );
+        let grown = tamper(&|path| {
+            let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+            std::io::Write::write_all(&mut file, b"more").unwrap();
+        });
+        assert!(matches!(grown, Err(JobError::Codec(_))), "{grown:?}");
+        let garbage = tamper(&|path| {
+            let mut bytes = std::fs::read(path).unwrap();
+            bytes[0] = 0xff;
+            std::fs::write(path, bytes).unwrap();
+        });
+        assert!(matches!(garbage, Err(JobError::Codec(_))), "{garbage:?}");
+        let unlinked = tamper(&|path| std::fs::remove_file(path).unwrap());
+        assert!(
+            matches!(unlinked, Err(JobError::Transport(_))),
+            "{unlinked:?}"
+        );
+
+        // None of it hurt the executor or the stream.
+        manager.heartbeat(0, 1).expect("the executor still serves");
+        put();
+        assert_eq!(fetch().unwrap().expect("held").0.frame(), frame);
+        manager.shutdown().expect("shutdown");
+        assert!(!dir.exists(), "shutdown removes the segment tree");
+    }
+
+    #[test]
+    fn a_respawned_executor_starts_with_an_empty_directory() {
+        let manager = ExecutorManager::launch(TransportMode::Unix, 2).expect("launch");
+        let frame = Payload::seal(Bytes::from_static(b"bucket"), Compression::None).frame();
+        for node in 0..2 {
+            manager
+                .put_block(node, 1, 0, 0, frame.clone())
+                .expect("put");
+        }
+        manager.kill_respawn(1).expect("SIGKILL + respawn");
+        let files = |node| {
+            std::fs::read_dir(manager.segment_dir(node).unwrap())
+                .unwrap()
+                .count()
+        };
+        assert_eq!((files(0), files(1)), (1, 0));
+        assert!(manager.fetch_block(1, 1, 0, 0).unwrap().is_none());
+        // The replacement takes new segments as usual.
+        manager.put_block(1, 1, 0, 0, frame.clone()).expect("put");
+        assert_eq!(files(1), 1);
+        // A refused put leaves no file: a broadcast the executor
+        // cannot vet (not a payload frame).
+        let refused = manager.broadcast_put(1, 3, Bytes::from_static(b"\xffjunk"));
+        assert!(
+            matches!(refused, Err(JobError::Transport(_))),
+            "{refused:?}"
+        );
+        assert_eq!(files(1), 1);
+    }
 }

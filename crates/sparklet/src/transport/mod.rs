@@ -25,6 +25,7 @@
 
 pub mod executor;
 pub mod manager;
+pub mod segment;
 pub mod wire;
 
 pub use manager::{ExecutorManager, HeartbeatInfo};

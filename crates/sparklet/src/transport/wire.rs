@@ -1,12 +1,16 @@
 //! The executor protocol's message table. Every message — task
 //! launch/completion, shuffle block put/fetch, broadcast distribution,
 //! heartbeat/metrics, shutdown — is one [`crate::wire`] frame whose
-//! body starts with the message tag (1–18). Data-bearing messages carry
-//! a [`crate::Payload`] frame byte-for-byte as produced by
-//! [`crate::PayloadBuilder::seal`]; the receiving side rehydrates it
-//! with [`crate::Payload::from_frame`], so the zero-copy frame of PR 5
-//! *is* the wire format and no re-serialization happens at the
-//! boundary.
+//! body starts with the message tag (1–21). A data-bearing message
+//! carries a [`crate::Payload`] frame byte-for-byte as produced by
+//! [`crate::PayloadBuilder::seal`], in one of two places: inline, as
+//! the tail of the body (`ShufflePut`, `BroadcastPut`, `Block`; every
+//! TCP exchange), or in a segment file of the owning node, which the
+//! body names by `(seq, len)` (`ShufflePutAt`, `BroadcastPutAt`,
+//! `BlockAt`; every Unix exchange, see [`super::segment`]). Either
+//! way the receiving side rehydrates the frame with
+//! [`crate::Payload::from_frame`], so the sealed frame *is* the wire
+//! format and no re-serialization happens at the boundary.
 //!
 //! Framing, the bounds-checked body reader and their hostile-input
 //! rules live in [`crate::wire`]: send with
@@ -116,6 +120,38 @@ pub enum WireMsg {
         /// Broadcast id.
         id: u64,
     },
+    /// [`WireMsg::ShufflePut`] whose frame lies in segment `seq` of
+    /// the executor's segment directory (answered by [`WireMsg::Ack`]).
+    ShufflePutAt {
+        /// Shuffle the bucket belongs to.
+        shuffle: u64,
+        /// Map task that produced the bucket.
+        map_task: u64,
+        /// Reduce partition the bucket feeds.
+        reduce: u64,
+        /// Segment file holding the sealed frame.
+        seq: u64,
+        /// The frame's length in bytes: the whole file.
+        len: u64,
+    },
+    /// [`WireMsg::BroadcastPut`] whose frame lies in segment `seq`
+    /// (answered by [`WireMsg::Ack`]).
+    BroadcastPutAt {
+        /// Broadcast id.
+        id: u64,
+        /// Segment file holding the sealed frame.
+        seq: u64,
+        /// The frame's length in bytes: the whole file.
+        len: u64,
+    },
+    /// Reply to a get whose frame the executor holds in segment `seq`
+    /// (a miss is still `Block { frame: None }`).
+    BlockAt {
+        /// Segment file holding the sealed frame.
+        seq: u64,
+        /// The frame's length as recorded when it was put.
+        len: u64,
+    },
     /// Liveness + metrics probe (answered by [`WireMsg::HeartbeatAck`]).
     Heartbeat {
         /// Correlation sequence number, echoed in the ack.
@@ -163,6 +199,9 @@ const TAG_ACK: u8 = 15;
 const TAG_SHUTDOWN: u8 = 16;
 const TAG_SHUTDOWN_ACK: u8 = 17;
 const TAG_SHUFFLE_REMOVE: u8 = 18;
+const TAG_SHUFFLE_PUT_AT: u8 = 19;
+const TAG_BROADCAST_PUT_AT: u8 = 20;
+const TAG_BLOCK_AT: u8 = 21;
 
 /// A body that is its tag followed by `words` as little-endian `u64`s —
 /// the whole of most messages, and the head of the rest.
@@ -222,6 +261,20 @@ pub fn encode(msg: &WireMsg) -> Body<'_> {
         WireMsg::BroadcastPut { id, frame } => {
             return Body::with_frame(tagged(TAG_BROADCAST_PUT, &[*id]), frame);
         }
+        WireMsg::ShufflePutAt {
+            shuffle,
+            map_task,
+            reduce,
+            seq,
+            len,
+        } => tagged(
+            TAG_SHUFFLE_PUT_AT,
+            &[*shuffle, *map_task, *reduce, *seq, *len],
+        ),
+        WireMsg::BroadcastPutAt { id, seq, len } => {
+            tagged(TAG_BROADCAST_PUT_AT, &[*id, *seq, *len])
+        }
+        WireMsg::BlockAt { seq, len } => tagged(TAG_BLOCK_AT, &[*seq, *len]),
         WireMsg::BroadcastGet { id } => tagged(TAG_BROADCAST_GET, &[*id]),
         WireMsg::BroadcastRemove { id } => tagged(TAG_BROADCAST_REMOVE, &[*id]),
         WireMsg::Heartbeat { seq } => tagged(TAG_HEARTBEAT, &[*seq]),
@@ -294,6 +347,22 @@ pub fn decode(body: Bytes) -> Result<WireMsg, JobError> {
         TAG_BROADCAST_PUT => WireMsg::BroadcastPut {
             id: c.scalar()?,
             frame: c.frame()?,
+        },
+        TAG_SHUFFLE_PUT_AT => WireMsg::ShufflePutAt {
+            shuffle: c.scalar()?,
+            map_task: c.scalar()?,
+            reduce: c.scalar()?,
+            seq: c.scalar()?,
+            len: c.scalar()?,
+        },
+        TAG_BROADCAST_PUT_AT => WireMsg::BroadcastPutAt {
+            id: c.scalar()?,
+            seq: c.scalar()?,
+            len: c.scalar()?,
+        },
+        TAG_BLOCK_AT => WireMsg::BlockAt {
+            seq: c.scalar()?,
+            len: c.scalar()?,
         },
         TAG_BROADCAST_GET => WireMsg::BroadcastGet { id: c.scalar()? },
         TAG_BROADCAST_REMOVE => WireMsg::BroadcastRemove { id: c.scalar()? },

@@ -1,5 +1,5 @@
 //! The one wire layer under every protocol in the workspace: the
-//! executor protocol ([`crate::transport::wire`], tags 1–18), the
+//! executor protocol ([`crate::transport::wire`], tags 1–21), the
 //! submission protocol ([`crate::service::wire`], tags 1–12) and
 //! dp-core's job-body and result codecs (tags 1–5). Each of those is a
 //! message table; the three decisions they share live here.
@@ -12,8 +12,10 @@
 //!   the measured wire bytes the cost model's transfer terms consume.
 //!   A body's bytes are passed over once on each side of the socket and
 //!   nowhere else: the writer sends a [`Body`] — a small encoded head
-//!   plus the *borrowed* sealed frame that ends every data-bearing
-//!   message — without concatenating the two, and the reader fills one
+//!   plus the *borrowed* sealed frame that ends every inline
+//!   data-bearing message — without concatenating the two (a frame
+//!   handed off as a segment file is not in the body at all; see
+//!   [`crate::transport::segment`]), and the reader fills one
 //!   un-zeroed buffer and hands it to the decoder as an owned
 //!   [`Bytes`], which [`Reader::frame`] slices instead of copying.
 //! * **Bodies.** Fixed-width little-endian scalars written with

@@ -476,6 +476,22 @@ fn executor_messages_survive_hostile_input() {
             id: rng.u64(),
             frame: sealed(&mut rng, 5),
         },
+        WireMsg::ShufflePutAt {
+            shuffle: rng.u64(),
+            map_task: rng.u64(),
+            reduce: rng.u64(),
+            seq: rng.u64(),
+            len: rng.u64(),
+        },
+        WireMsg::BroadcastPutAt {
+            id: rng.u64(),
+            seq: rng.u64(),
+            len: rng.u64(),
+        },
+        WireMsg::BlockAt {
+            seq: rng.u64(),
+            len: rng.u64(),
+        },
         WireMsg::Heartbeat { seq: rng.u64() },
         WireMsg::HeartbeatAck {
             seq: rng.u64(),
@@ -634,6 +650,21 @@ fn executor_wire_bytes_match_the_golden_vectors() {
         WireMsg::Ack,
         WireMsg::Shutdown,
         WireMsg::ShutdownAck,
+        // A frame that lies in a segment file: 15 bytes (the sealed
+        // `bucket` above) in segment 6, or 7 for the broadcast.
+        WireMsg::ShufflePutAt {
+            shuffle: 9,
+            map_task: 1,
+            reduce: 4,
+            seq: 6,
+            len: 15,
+        },
+        WireMsg::BroadcastPutAt {
+            id: 5,
+            seq: 7,
+            len: 15,
+        },
+        WireMsg::BlockAt { seq: 6, len: 15 },
     ];
     let golden = [
         "010300000000000000",
@@ -654,6 +685,9 @@ fn executor_wire_bytes_match_the_golden_vectors() {
         "0f",
         "10",
         "11",
+        "1309000000000000000100000000000000040000000000000006000000000000000f00000000000000",
+        "14050000000000000007000000000000000f00000000000000",
+        "1506000000000000000f00000000000000",
     ];
     assert_golden(
         &samples,

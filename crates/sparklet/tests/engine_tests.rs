@@ -756,3 +756,67 @@ fn retried_checkpoint_does_not_double_cache() {
     );
     assert_eq!(sorted(b.collect().unwrap()), sorted(a.collect().unwrap()));
 }
+
+/// Clones of [`Counted`] values since the counter was last reset.
+static CLONES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// A value that counts its clones.
+#[derive(Debug, PartialEq)]
+struct Counted(u64);
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        CLONES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        Counted(self.0)
+    }
+}
+
+impl sparklet::Storable for Counted {
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len()
+    }
+    fn encode(&self, buf: &mut bytes::BytesMut) {
+        self.0.encode(buf);
+    }
+    fn decode(buf: &mut bytes::Bytes) -> Result<Self, JobError> {
+        u64::decode(buf).map(Counted)
+    }
+}
+
+#[test]
+fn filters_over_a_cached_partition_clone_only_the_pairs_they_keep() {
+    use std::sync::atomic::Ordering;
+    let sc = ctx();
+    let data: Vec<(usize, Counted)> = (0..400).map(|i| (i, Counted(i as u64))).collect();
+    let source = sc.parallelize(data, None);
+    let cut = source.checkpoint().unwrap();
+    let kept_pairs = |rdd: &sparklet::Rdd<usize, Counted>| {
+        CLONES.store(0, Ordering::Relaxed);
+        let n = rdd.count().unwrap();
+        (n, CLONES.load(Ordering::Relaxed))
+    };
+    // One filter over the checkpoint, and two stacked: the outer
+    // predicate reaches the cache through the inner filter.
+    let tenth = cut.filter(|k, _| k % 10 == 0);
+    assert_eq!(kept_pairs(&tenth), (40, 40));
+    let both = tenth.filter(|_, v| v.0 % 20 == 0);
+    assert_eq!(kept_pairs(&both), (20, 20));
+    // An unfiltered read still clones the whole partition.
+    assert_eq!(kept_pairs(&cut), (400, 400));
+    // On the lineage-recompute path (a persisted RDD whose executor has
+    // no room to cache it) the source clones its partition as before,
+    // and the read then clones only what the filter keeps.
+    let tiny = SparkContext::new(
+        SparkConf::default()
+            .with_executors(1)
+            .with_partitions(2)
+            .with_executor_memory(1),
+    );
+    let data: Vec<(usize, Counted)> = (0..400).map(|i| (i, Counted(i as u64))).collect();
+    let kept = tiny
+        .parallelize(data, None)
+        .persist(StorageLevel::MemoryOnly)
+        .unwrap();
+    assert_eq!(kept_pairs(&kept.filter(|k, _| k % 10 == 0)), (40, 400 + 40));
+    assert!(tiny.summary().recomputes > 0, "the read recomputed");
+}

@@ -137,6 +137,39 @@ fn scripted_executor_loss_sigkills_and_recovers_via_resubmission() {
 }
 
 #[test]
+fn a_killed_unix_executor_leaves_no_segments_and_its_buckets_resubmit() {
+    let reference = run_reduce(&ctx(TransportMode::InProcess, 2));
+    let sc = ctx(TransportMode::Unix, 2);
+    let reduced = sc
+        .parallelize(pairs(256), Some(8))
+        .map(|(k, v)| (k, v))
+        .reduce_by_key(|a, b| a + b, 4, Arc::new(HashPartitioner));
+    assert_eq!(sorted(reduced.collect().expect("first run")), reference);
+    let dir = sc
+        .executor_segment_dir(1)
+        .expect("Unix executors keep segments");
+    let files = || std::fs::read_dir(&dir).expect("node directory").count();
+    assert!(files() > 0, "node 1 staged its map output as segment files");
+    // The shuffle stays staged while `reduced` holds its lineage; the
+    // kill takes node 1's share of it, in memory and on disk.
+    let loss = sc.kill_executor(1);
+    assert!(loss.map_buckets_lost > 0);
+    assert_eq!(files(), 0, "the replacement starts with an empty directory");
+    // Re-reading fetches the lost buckets, fails, and resubmits the
+    // map stage, which restages them.
+    let resubmitted = sc.summary().stage_resubmissions;
+    assert_eq!(sorted(reduced.collect().expect("rerun")), reference);
+    assert!(sc.summary().stage_resubmissions > resubmitted);
+    assert!(files() > 0, "the map re-run restaged node 1's buckets");
+    sc.audit().expect("post-recovery audit");
+    // Dropping the context removes the whole segment tree.
+    let root = dir.parent().expect("segment root").to_path_buf();
+    drop(reduced);
+    drop(sc);
+    assert!(!root.exists(), "{} outlived its context", root.display());
+}
+
+#[test]
 fn audit_reaps_and_reports_an_executor_killed_behind_the_drivers_back() {
     let sc = ctx(TransportMode::Tcp, 2);
     run_reduce(&sc);
