@@ -118,7 +118,9 @@ fn compute_block(
 }
 
 /// Distributed parenthesis solve: block side `b`, table side `n+1`
-/// padded up to a multiple of `b`. Returns the full (unpadded) table.
+/// padded up to a multiple of `b`. Returns the full (unpadded) table,
+/// or [`JobError::Driver`] before any stage when `b == 0` or `weight`
+/// has no size (`Zero`, or an empty chain or polygon).
 pub fn solve_parenthesis(
     sc: &SparkContext,
     weight: &ParenWeight,
@@ -126,6 +128,16 @@ pub fn solve_parenthesis(
 ) -> Result<Matrix<f64>, JobError> {
     if b == 0 {
         return Err(JobError::Driver("block side must be at least 1".into()));
+    }
+    let sized = match weight {
+        ParenWeight::MatrixChain(dims) => !dims.is_empty(),
+        ParenWeight::Polygon(vs) => !vs.is_empty(),
+        ParenWeight::Zero => false,
+    };
+    if !sized {
+        return Err(JobError::Driver(format!(
+            "parenthesization weight {weight:?} carries no table size"
+        )));
     }
     let n1 = weight.n() + 1;
     let g = n1.div_ceil(b);
@@ -404,6 +416,20 @@ mod tests {
         let err = solve_parenthesis(&sc, &w, 0).unwrap_err();
         assert!(matches!(err, JobError::Driver(_)), "{err}");
         assert_eq!(sc.summary().stages, 0);
+    }
+
+    #[test]
+    fn sizeless_weights_are_driver_errors_before_any_stage() {
+        for w in [
+            ParenWeight::Zero,
+            ParenWeight::MatrixChain(Vec::new()),
+            ParenWeight::Polygon(Vec::new()),
+        ] {
+            let sc = ctx();
+            let got = solve_parenthesis(&sc, &w, 4);
+            assert!(matches!(got, Err(JobError::Driver(_))), "{w:?}: {got:?}");
+            assert_eq!(sc.summary().stages, 0, "{w:?}");
+        }
     }
 
     #[test]

@@ -129,12 +129,14 @@ fn put_ids(out: &mut BytesMut, ids: &[u32]) {
     }
 }
 
+/// An id above `u32::MAX` is a codec error, not a truncated id.
 fn get_ids(rd: &mut Reader) -> Result<Vec<u32>, JobError> {
-    Ok(rd
-        .counted_run::<u64>()?
+    rd.counted_run::<u64>()?
         .into_iter()
-        .map(|id| id as u32)
-        .collect())
+        .map(|id| {
+            u32::try_from(id).map_err(|_| JobError::Codec(format!("vertex id {id} exceeds u32")))
+        })
+        .collect()
 }
 
 /// `[rows u64][cols u64][cells]`, row-major.
@@ -665,6 +667,46 @@ mod tests {
         assert!(matches!(DpJobRequest::decode(&ok), Err(JobError::Codec(_))));
         ok = sparse_req(1, 4, vec![3], 2).encode();
         assert!(DpJobRequest::decode(&ok).is_ok());
+    }
+
+    /// A one-id list whose id is 2³², which `as u32` would read as 0.
+    fn put_wide_id(out: &mut BytesMut) {
+        out.put_u64_le(1);
+        out.put_u64_le(1 << 32);
+    }
+
+    #[test]
+    fn dense_source_ids_above_u32_are_codec_errors() {
+        let DpJobRequest::Apsp { dist, .. } = apsp_req(3, 4, None) else {
+            unreachable!()
+        };
+        let mut body = BytesMut::new();
+        body.put_u8(TAG_APSP);
+        body.put_u64_le(2); // block
+        body.put_u8(1); // sources present
+        put_wide_id(&mut body);
+        put_matrix(&mut body, &dist);
+        let got = DpJobRequest::decode(&body.freeze());
+        assert!(matches!(got, Err(JobError::Codec(_))), "{got:?}");
+    }
+
+    #[test]
+    fn sparse_source_ids_above_u32_are_codec_errors() {
+        let DpJobRequest::SparseApsp { edges, .. } = sparse_req(3, 4, vec![0], 2) else {
+            unreachable!()
+        };
+        let mut body = BytesMut::new();
+        body.put_u8(TAG_SPARSE_APSP);
+        body.put_u64_le(2); // parts
+        put_wide_id(&mut body);
+        body.put_u64_le(edges.rows() as u64);
+        body.put_u64_le(edges.nnz() as u64);
+        body.put_f64_le(edges.fill());
+        encode_le_slice(edges.row_ptr(), &mut body);
+        encode_le_slice(edges.col_idx(), &mut body);
+        encode_le_slice(edges.vals(), &mut body);
+        let got = DpJobRequest::decode(&body.freeze());
+        assert!(matches!(got, Err(JobError::Codec(_))), "{got:?}");
     }
 
     #[test]

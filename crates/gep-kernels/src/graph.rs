@@ -119,13 +119,6 @@ pub fn grid_network(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
     m
 }
 
-/// Adjacency for transitive closure: `true` where an edge (or self) exists.
-pub fn reachability_of(weights: &Matrix<f64>) -> Matrix<bool> {
-    Matrix::from_fn(weights.rows(), weights.cols(), |i, j| {
-        i == j || weights.get(i, j).is_finite()
-    })
-}
-
 /// Single-source shortest paths by Dijkstra on the adjacency matrix —
 /// the independent APSP oracle (requires non-negative weights).
 #[allow(clippy::needless_range_loop)]
@@ -429,16 +422,5 @@ mod tests {
         let mut blocked = g.clone();
         crate::iterative::blocked_gep::<Tropical>(&mut blocked, 2);
         assert_eq!(blocked.first_difference(&fw), None);
-    }
-
-    #[test]
-    fn reachability_matches_weights() {
-        let g = erdos_renyi(8, 0.3, 1.0, 2.0, 5);
-        let r = reachability_of(&g);
-        for i in 0..8 {
-            for j in 0..8 {
-                assert_eq!(r.get(i, j), i == j || g.get(i, j).is_finite());
-            }
-        }
     }
 }

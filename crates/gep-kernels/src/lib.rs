@@ -67,7 +67,6 @@ pub mod matrix;
 pub mod padding;
 pub mod parenthesis;
 pub mod recursive;
-pub mod rkleene;
 pub mod semiring;
 pub mod sparse;
 pub mod staging;

@@ -39,44 +39,6 @@ pub fn lu_factors(reduced: &Matrix<f64>) -> (Matrix<f64>, Matrix<f64>) {
     (l, u)
 }
 
-/// Solve `L·y = b` for unit-lower-triangular `L`.
-#[allow(clippy::needless_range_loop)]
-pub fn forward_substitute(l: &Matrix<f64>, b: &[f64]) -> Vec<f64> {
-    let n = l.rows();
-    assert_eq!(b.len(), n);
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let mut s = b[i];
-        for j in 0..i {
-            s -= l.get(i, j) * y[j];
-        }
-        y[i] = s / l.get(i, i);
-    }
-    y
-}
-
-/// Solve `U·x = y` for upper-triangular `U`.
-#[allow(clippy::needless_range_loop)]
-pub fn back_substitute(u: &Matrix<f64>, y: &[f64]) -> Vec<f64> {
-    let n = u.rows();
-    assert_eq!(y.len(), n);
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let mut s = y[i];
-        for j in i + 1..n {
-            s -= u.get(i, j) * x[j];
-        }
-        x[i] = s / u.get(i, i);
-    }
-    x
-}
-
-/// Determinant of the original matrix from its GE-reduced form:
-/// the product of the pivots.
-pub fn determinant_of_reduced(reduced: &Matrix<f64>) -> f64 {
-    (0..reduced.rows()).map(|i| reduced.get(i, i)).product()
-}
-
 /// Pack a system `A·x = b` (with `m` unknowns) into the `(m+1)×(m+1)`
 /// GEP table the paper describes: row `p` encodes equation `p`, the
 /// last column is the right-hand side, and the padding pivot is 1.
@@ -173,23 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn triangular_solves_invert_lu() {
-        let a = dd_matrix(16, 5);
-        let mut reduced = a.clone();
-        gep_reference::<GaussianElim>(&mut reduced);
-        let (l, u) = lu_factors(&reduced);
-        let x_true: Vec<f64> = (0..16).map(|i| (i as f64) / 3.0 - 2.0).collect();
-        let b: Vec<f64> = (0..16)
-            .map(|i| (0..16).map(|j| a.get(i, j) * x_true[j]).sum())
-            .collect();
-        let y = forward_substitute(&l, &b);
-        let x = back_substitute(&u, &y);
-        for i in 0..16 {
-            assert!((x[i] - x_true[i]).abs() < 1e-9, "x[{i}]");
-        }
-    }
-
-    #[test]
     fn solve_system_end_to_end() {
         let a = dd_matrix(24, 8);
         let x_true: Vec<f64> = (0..24).map(|i| ((i * 7) % 11) as f64 - 5.0).collect();
@@ -200,15 +145,6 @@ mod tests {
         for i in 0..24 {
             assert!((x[i] - x_true[i]).abs() < 1e-8, "x[{i}]");
         }
-    }
-
-    #[test]
-    fn determinant_matches_2x2() {
-        let a = Matrix::from_vec(2, 2, vec![4.0, 1.0, 2.0, 5.0]);
-        let mut red = a.clone();
-        gep_reference::<GaussianElim>(&mut red);
-        let det = determinant_of_reduced(&red);
-        assert!((det - 18.0).abs() < 1e-12); // 4·5 − 1·2
     }
 
     #[test]

@@ -278,11 +278,6 @@ impl<'a, E: Elem> TileRef<'a, E> {
         }
         out
     }
-
-    /// Copy this window into an owned matrix.
-    pub fn to_matrix(&self) -> Matrix<E> {
-        Matrix::from_fn(self.rows, self.cols, |i, j| self.at(i, j))
-    }
 }
 
 /// Mutable strided view of a matrix window, with global offsets.
@@ -581,8 +576,7 @@ mod tests {
         let v = m.view().sub(1, 2, 2, 2);
         assert_eq!(v.at(1, 1), (2, 3));
         assert_eq!((v.row0(), v.col0()), (1, 2));
-        let owned = v.to_matrix();
-        assert_eq!(owned.get(0, 0), (1, 2));
+        assert_eq!(v.at(0, 0), (1, 2));
     }
 
     /// A named write through one `&mut` accessor.

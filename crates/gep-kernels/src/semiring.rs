@@ -88,26 +88,6 @@ impl Semiring for MaxMin {
     }
 }
 
-/// Counting semiring over `u64` (number of distinct paths, saturating to
-/// avoid overflow on dense graphs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PathCount(pub u64);
-
-impl Semiring for PathCount {
-    const ZERO: Self = PathCount(0);
-    const ONE: Self = PathCount(1);
-
-    #[inline(always)]
-    fn plus(self, other: Self) -> Self {
-        PathCount(self.0.saturating_add(other.0))
-    }
-
-    #[inline(always)]
-    fn times(self, other: Self) -> Self {
-        PathCount(self.0.saturating_mul(other.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,13 +116,6 @@ mod tests {
     #[test]
     fn maxmin_identities() {
         check_identities(&[MaxMin(1.0), MaxMin(-7.0), MaxMin(0.0)]);
-    }
-
-    #[test]
-    fn pathcount_identities_and_saturation() {
-        check_identities(&[PathCount(0), PathCount(1), PathCount(17)]);
-        assert_eq!(PathCount(u64::MAX).plus(PathCount(5)), PathCount(u64::MAX));
-        assert_eq!(PathCount(u64::MAX).times(PathCount(2)), PathCount(u64::MAX));
     }
 
     #[test]

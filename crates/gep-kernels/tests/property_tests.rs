@@ -4,7 +4,7 @@ use gep_kernels::gep::{gep_reference, GaussianElim, GepSpec, TransitiveClosure, 
 use gep_kernels::iterative::blocked_gep;
 use gep_kernels::padding::{pad_to_multiple, round_up, unpad};
 use gep_kernels::recursive::{rway_gep, RecConfig};
-use gep_kernels::semiring::{BoolRing, MaxMin, MinPlus, PathCount, Semiring};
+use gep_kernels::semiring::{BoolRing, MaxMin, MinPlus, Semiring};
 use gep_kernels::staging::{call_sequence, execute_schedule, inline_once, schedule};
 use gep_kernels::Matrix;
 use par_pool::Pool;
@@ -201,18 +201,11 @@ fn maxmin_semiring_laws_at_the_recorded_regression() {
 }
 
 #[test]
-fn bool_and_count_semiring_laws() {
+fn bool_semiring_laws() {
     check(32, |rng| {
         let (ba, bb) = (BoolRing(rng.bool()), BoolRing(rng.bool()));
         assert_eq!(ba.plus(bb), bb.plus(ba));
         assert_eq!(ba.times(BoolRing::ONE), ba);
-        let (ca, cb) = (
-            PathCount(rng.range(0u64..1000)),
-            PathCount(rng.range(0u64..1000)),
-        );
-        assert_eq!(ca.plus(cb), cb.plus(ca));
-        assert_eq!(ca.times(PathCount::ONE), ca);
-        assert_eq!(ca.times(PathCount::ZERO), PathCount::ZERO);
     });
 }
 
@@ -264,30 +257,6 @@ fn lcs_is_symmetric_and_bounded() {
             let shorter = align_reference(&a[..a.len() - 1], &b, &AlignScore::Lcs);
             assert!(shorter.get(a.len() - 1, b.len()) <= len_ab);
         }
-    });
-}
-
-#[test]
-fn rkleene_matches_fw_for_any_graph() {
-    use gep_kernels::rkleene::apsp_rkleene;
-    check(24, |rng| {
-        let weights = rng.vec(36..144, |r| r.range(0u8..12));
-        let base = rng.range(1usize..6);
-        let n = (weights.len() as f64).sqrt() as usize;
-        let mut d = Matrix::from_fn(n, n, |i, j| {
-            if i == j {
-                0.0
-            } else {
-                match weights[i * n + j] {
-                    w @ 1..=9 => w as f64,
-                    _ => f64::INFINITY,
-                }
-            }
-        });
-        let mut reference = d.clone();
-        apsp_rkleene(&mut d, base);
-        gep_reference::<Tropical>(&mut reference);
-        assert_eq!(d.first_difference(&reference), None);
     });
 }
 

@@ -32,12 +32,18 @@
 //!
 //! let pool = Pool::new(4);
 //! let mut data = vec![0u64; 1024];
-//! pool.parallel_for_chunks(&mut data, 64, |chunk, base| {
-//!     for (i, x) in chunk.iter_mut().enumerate() {
-//!         *x = (base + i) as u64 * 2;
+//! pool.scope(|s| {
+//!     for (k, chunk) in data.chunks_mut(64).enumerate() {
+//!         s.spawn(move |_| {
+//!             for (i, x) in chunk.iter_mut().enumerate() {
+//!                 *x = (k * 64 + i) as u64 * 2;
+//!             }
+//!         });
 //!     }
 //! });
 //! assert_eq!(data[10], 20);
+//! let (a, b) = pool.join(|| data[0], || data[1023]);
+//! assert_eq!((a, b), (0, 2046));
 //! ```
 
 #![warn(missing_docs)]
@@ -53,53 +59,3 @@ pub use metrics::PoolMetrics;
 pub use pool::{Pool, PoolBuilder};
 pub use scope::Scope;
 pub use sync::{Condvar, Mutex};
-
-/// Splits `n` items into at most `parts` contiguous ranges of nearly equal
-/// length (difference at most one). Returns an iterator of `(start, end)`
-/// half-open ranges; empty ranges are skipped.
-pub fn split_ranges(n: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
-    let parts = parts.max(1);
-    let base = n / parts;
-    let rem = n % parts;
-    let mut start = 0usize;
-    (0..parts).filter_map(move |p| {
-        let len = base + usize::from(p < rem);
-        let s = start;
-        start += len;
-        (len > 0).then_some((s, s + len))
-    })
-}
-
-#[cfg(test)]
-mod split_tests {
-    use super::split_ranges;
-
-    #[test]
-    fn covers_everything_without_overlap() {
-        for n in 0..80 {
-            for parts in 1..12 {
-                let ranges: Vec<_> = split_ranges(n, parts).collect();
-                let mut expect = 0;
-                for &(s, e) in &ranges {
-                    assert_eq!(s, expect, "n={n} parts={parts}");
-                    assert!(e > s);
-                    expect = e;
-                }
-                assert_eq!(expect, n);
-                assert!(ranges.len() <= parts);
-            }
-        }
-    }
-
-    #[test]
-    fn ranges_are_balanced() {
-        let lens: Vec<_> = split_ranges(10, 3).map(|(s, e)| e - s).collect();
-        assert_eq!(lens, vec![4, 3, 3]);
-    }
-
-    #[test]
-    fn zero_parts_treated_as_one() {
-        let ranges: Vec<_> = split_ranges(5, 0).collect();
-        assert_eq!(ranges, vec![(0, 5)]);
-    }
-}

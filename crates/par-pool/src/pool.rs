@@ -324,114 +324,6 @@ impl Pool {
         });
         (ra, rb.expect("join branch completed"))
     }
-
-    /// OpenMP-style `parallel for` over `start..end`, invoking `f(i)` for
-    /// every index. Iterations are grouped into contiguous chunks (about
-    /// four per thread) to amortize scheduling.
-    pub fn parallel_for<F>(&self, start: usize, end: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if end <= start {
-            return;
-        }
-        let n = end - start;
-        if self.threads() == 1 || n == 1 {
-            for i in start..end {
-                f(i);
-            }
-            return;
-        }
-        let parts = (self.threads() * 4).min(n);
-        self.scope(|s| {
-            for (cs, ce) in crate::split_ranges(n, parts) {
-                let f = &f;
-                s.spawn(move |_| {
-                    for i in cs..ce {
-                        f(start + i);
-                    }
-                });
-            }
-        });
-    }
-
-    /// `parallel for` over the cartesian product of two index ranges.
-    pub fn parallel_for_2d<F>(&self, (i0, i1): (usize, usize), (j0, j1): (usize, usize), f: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        if i1 <= i0 || j1 <= j0 {
-            return;
-        }
-        let nj = j1 - j0;
-        self.parallel_for(0, (i1 - i0) * nj, |idx| {
-            f(i0 + idx / nj, j0 + idx % nj);
-        });
-    }
-
-    /// Parallel map-reduce over an index range: `map(i)` per index,
-    /// combined with `reduce` (must be associative; `identity` is its
-    /// neutral element). Chunk-local folds run in parallel; the final
-    /// combine is sequential over ~4×threads partials.
-    pub fn parallel_reduce<T, M, R>(
-        &self,
-        start: usize,
-        end: usize,
-        identity: T,
-        map: M,
-        reduce: R,
-    ) -> T
-    where
-        T: Send + Clone,
-        M: Fn(usize) -> T + Sync,
-        R: Fn(T, T) -> T + Sync,
-    {
-        if end <= start {
-            return identity;
-        }
-        let n = end - start;
-        if self.threads() == 1 || n == 1 {
-            let mut acc = identity;
-            for i in start..end {
-                acc = reduce(acc, map(i));
-            }
-            return acc;
-        }
-        let parts = (self.threads() * 4).min(n);
-        let mut partials: Vec<Option<T>> = (0..parts).map(|_| None).collect();
-        self.scope(|s| {
-            for ((cs, ce), slot) in crate::split_ranges(n, parts).zip(partials.iter_mut()) {
-                let map = &map;
-                let reduce = &reduce;
-                let identity = identity.clone();
-                s.spawn(move |_| {
-                    let mut acc = identity;
-                    for i in cs..ce {
-                        acc = reduce(acc, map(start + i));
-                    }
-                    *slot = Some(acc);
-                });
-            }
-        });
-        partials.into_iter().flatten().fold(identity, &reduce)
-    }
-
-    /// Apply `f` to disjoint mutable chunks of `data` in parallel.
-    /// `f(chunk, base)` receives each chunk together with the index of
-    /// its first element.
-    pub fn parallel_for_chunks<T, F>(&self, data: &mut [T], chunk: usize, f: F)
-    where
-        T: Send,
-        F: Fn(&mut [T], usize) + Sync,
-    {
-        let chunk = chunk.max(1);
-        self.scope(|s| {
-            for (k, piece) in data.chunks_mut(chunk).enumerate() {
-                let f = &f;
-                s.spawn(move |_| f(piece, k * chunk));
-            }
-        });
-    }
 }
 
 impl Drop for Pool {

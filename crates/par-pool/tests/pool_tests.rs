@@ -1,47 +1,10 @@
 //! Behavioural tests for the fork-join pool.
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use par_pool::Pool;
-
-#[test]
-fn parallel_for_visits_every_index_once() {
-    let pool = Pool::new(4);
-    let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-    pool.parallel_for(0, 1000, |i| {
-        hits[i].fetch_add(1, Ordering::Relaxed);
-    });
-    assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-}
-
-#[test]
-fn parallel_for_empty_range_is_noop() {
-    let pool = Pool::new(2);
-    let count = AtomicUsize::new(0);
-    pool.parallel_for(5, 5, |_| {
-        count.fetch_add(1, Ordering::Relaxed);
-    });
-    pool.parallel_for(7, 3, |_| {
-        count.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!(count.load(Ordering::Relaxed), 0);
-}
-
-#[test]
-fn parallel_for_2d_covers_grid() {
-    let pool = Pool::new(3);
-    let seen = Mutex::new(HashSet::new());
-    pool.parallel_for_2d((2, 5), (10, 14), |i, j| {
-        let fresh = seen.lock().unwrap().insert((i, j));
-        assert!(fresh, "duplicate ({i},{j})");
-    });
-    let seen = seen.into_inner().unwrap();
-    assert_eq!(seen.len(), 3 * 4);
-    assert!(seen.contains(&(2, 10)) && seen.contains(&(4, 13)));
-}
 
 #[test]
 fn join_returns_both_results() {
@@ -149,25 +112,48 @@ fn a_job_panicking_under_a_lock_does_not_wedge_the_next_scope() {
 
 #[test]
 fn single_thread_pool_runs_inline_deterministically() {
-    // The lock also keeps this sound if an index ever runs off the
-    // submitting thread; the assertion below still pins the order.
-    // (An earlier unsynchronized `*const -> *mut Vec` cast here was
-    // undefined behavior and crashed under release optimization.)
-    let pool = Pool::new(1);
-    let order = Mutex::new(Vec::new());
-    pool.parallel_for(0, 16, |i| {
-        order.lock().unwrap().push(i);
+    // A scope entered on the pool's only worker has no one to share
+    // with: every task runs on that thread, newest first off its own
+    // deque, so the order is fixed. (The lock keeps the pushes sound
+    // wherever a task runs; an earlier unsynchronized `*const -> *mut
+    // Vec` cast here was undefined behavior and crashed under release
+    // optimization.)
+    let pool = Arc::new(Pool::new(1));
+    let inner = Arc::clone(&pool);
+    let (tx, rx) = mpsc::channel();
+    pool.spawn(move || {
+        let owner = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        inner.scope(|s| {
+            for i in 0..16usize {
+                let order = &order;
+                s.spawn(move |_| {
+                    let here = std::thread::current().id();
+                    order.lock().unwrap().push((i, here == owner));
+                });
+            }
+        });
+        tx.send(order.into_inner().unwrap())
+            .expect("the test is waiting");
     });
-    assert_eq!(*order.lock().unwrap(), (0..16usize).collect::<Vec<_>>());
+    let order = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the scope finished");
+    let want: Vec<(usize, bool)> = (0..16).rev().map(|i| (i, true)).collect();
+    assert_eq!(order, want);
 }
 
 #[test]
 fn chunked_mutation_covers_slice() {
     let pool = Pool::new(4);
     let mut data = vec![0u32; 301];
-    pool.parallel_for_chunks(&mut data, 37, |chunk, base| {
-        for (i, x) in chunk.iter_mut().enumerate() {
-            *x = (base + i) as u32;
+    pool.scope(|s| {
+        for (k, chunk) in data.chunks_mut(37).enumerate() {
+            s.spawn(move |_| {
+                for (i, x) in chunk.iter_mut().enumerate() {
+                    *x = (k * 37 + i) as u32;
+                }
+            });
         }
     });
     for (i, x) in data.iter().enumerate() {
@@ -176,26 +162,13 @@ fn chunked_mutation_covers_slice() {
 }
 
 #[test]
-fn parallel_reduce_sums_and_mins() {
-    let pool = Pool::new(4);
-    let sum = pool.parallel_reduce(0, 1000, 0u64, |i| i as u64, |a, b| a + b);
-    assert_eq!(sum, 499_500);
-    let min = pool.parallel_reduce(
-        0,
-        1000,
-        f64::INFINITY,
-        |i| ((i as f64) - 700.0).abs(),
-        f64::min,
-    );
-    assert_eq!(min, 0.0);
-    // Empty range → identity.
-    assert_eq!(pool.parallel_reduce(5, 5, 42u64, |_| 0, |a, b| a + b), 42);
-}
-
-#[test]
 fn metrics_count_tasks() {
     let pool = Pool::new(2);
-    pool.parallel_for(0, 64, |_| {});
+    pool.scope(|s| {
+        for _ in 0..64 {
+            s.spawn(|_| {});
+        }
+    });
     assert!(pool.metrics().tasks_executed() > 0);
     assert!(pool.metrics().scopes_entered() >= 1);
 }
@@ -219,8 +192,13 @@ fn heavy_mixed_load_smoke() {
     // Pool keeps working across many scopes.
     for _ in 0..50 {
         let sum = AtomicUsize::new(0);
-        pool.parallel_for(0, 100, |i| {
-            sum.fetch_add(i, Ordering::Relaxed);
+        pool.scope(|s| {
+            for i in 0..100 {
+                let sum = &sum;
+                s.spawn(move |_| {
+                    sum.fetch_add(i, Ordering::Relaxed);
+                });
+            }
         });
         assert_eq!(sum.load(Ordering::Relaxed), 4950);
     }

@@ -3,7 +3,6 @@
 //! partition count, executor memory).
 
 use crate::payload::Compression;
-use crate::storage::StorageLevel;
 use crate::transport::TransportMode;
 
 /// Configuration of a [`crate::SparkContext`].
@@ -33,9 +32,6 @@ pub struct SparkConf {
     /// ([`crate::JobError::DiskOverflow`]) unless the block is
     /// recomputable from lineage.
     pub disk_capacity: Option<u64>,
-    /// Storage level used by [`crate::Rdd::checkpoint`] (explicit
-    /// `checkpoint_with_level`/`persist` calls override it).
-    pub storage_level: StorageLevel,
     /// Base delay before re-launching a failed task, doubling per
     /// attempt (`spark.task.retry.backoff`-style). 0 disables backoff.
     pub retry_backoff_ms: u64,
@@ -93,7 +89,6 @@ impl Default for SparkConf {
             staging_capacity: None,
             executor_memory: None,
             disk_capacity: None,
-            storage_level: StorageLevel::MemoryOnly,
             retry_backoff_ms: 0,
             retry_backoff_max_ms: 1000,
             speculation: false,
@@ -108,34 +103,6 @@ impl Default for SparkConf {
 }
 
 impl SparkConf {
-    /// Conf shaped like the paper's cluster 1 runs: 16 executors ×
-    /// 32 cores, 1024 partitions.
-    pub fn paper_cluster1() -> Self {
-        SparkConf {
-            executors: 16,
-            executor_cores: 32,
-            worker_threads: 1,
-            default_partitions: 1024,
-            staging_capacity: Some(1 << 40),
-            executor_memory: Some(160 << 30),
-            ..Default::default()
-        }
-    }
-
-    /// Conf shaped like the paper's cluster 2 runs: 16 executors ×
-    /// 20 cores, 640 partitions.
-    pub fn paper_cluster2() -> Self {
-        SparkConf {
-            executors: 16,
-            executor_cores: 20,
-            worker_threads: 1,
-            default_partitions: 640,
-            staging_capacity: Some(1 << 40),
-            executor_memory: Some(60 << 30),
-            ..Default::default()
-        }
-    }
-
     /// Set the executor (node) count.
     pub fn with_executors(mut self, n: usize) -> Self {
         assert!(n >= 1);
@@ -179,12 +146,6 @@ impl SparkConf {
     /// Cap the per-executor disk tier for spilled cached blocks.
     pub fn with_disk_capacity(mut self, bytes: u64) -> Self {
         self.disk_capacity = Some(bytes);
-        self
-    }
-
-    /// Set the storage level `checkpoint()` uses.
-    pub fn with_storage_level(mut self, level: StorageLevel) -> Self {
-        self.storage_level = level;
         self
     }
 
@@ -254,16 +215,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_confs_match_section_v() {
-        let c1 = SparkConf::paper_cluster1();
-        assert_eq!(c1.executors, 16);
-        assert_eq!(c1.executor_cores, 32);
-        assert_eq!(c1.default_partitions, 1024);
-        let c2 = SparkConf::paper_cluster2();
-        assert_eq!(c2.default_partitions, 640);
-    }
-
-    #[test]
     fn builders_compose() {
         let c = SparkConf::default()
             .with_executors(8)
@@ -281,13 +232,11 @@ mod tests {
     fn storage_knobs_compose() {
         let c = SparkConf::default()
             .with_executor_memory(1 << 20)
-            .with_disk_capacity(1 << 30)
-            .with_storage_level(StorageLevel::MemoryAndDisk);
+            .with_disk_capacity(1 << 30);
         assert_eq!(c.executor_memory, Some(1 << 20));
         assert_eq!(c.disk_capacity, Some(1 << 30));
-        assert_eq!(c.storage_level, StorageLevel::MemoryAndDisk);
         let d = SparkConf::default();
-        assert_eq!(d.storage_level, StorageLevel::MemoryOnly);
+        assert_eq!(d.executor_memory, None, "memory tier unbounded by default");
         assert_eq!(d.disk_capacity, None, "disk tier unbounded by default");
     }
 

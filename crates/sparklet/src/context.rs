@@ -513,42 +513,6 @@ pub struct ExecutorLoss {
     pub map_bytes_lost: u64,
 }
 
-/// A driver-visible, add-only counter that tasks update — Spark's
-/// `LongAccumulator`. As in Spark, updates from retried tasks are
-/// counted again (accumulators are for metrics, not exact algebra).
-#[derive(Clone)]
-pub struct Accumulator {
-    name: Arc<String>,
-    value: Arc<std::sync::atomic::AtomicU64>,
-}
-
-impl Accumulator {
-    /// Add to the counter (task side).
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Read the current total (driver side).
-    pub fn value(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// The accumulator's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl SparkContext {
-    /// Create a named add-only counter usable from task closures.
-    pub fn long_accumulator(&self, name: impl Into<String>) -> Accumulator {
-        Accumulator {
-            name: Arc::new(name.into()),
-            value: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-        }
-    }
-}
-
 /// Commit board of one stage: `board[partition]` holds the attempt
 /// number whose results were accepted (0 = still open). Set once by
 /// the scheduler when the first attempt of a partition completes;

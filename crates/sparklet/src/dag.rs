@@ -665,7 +665,7 @@ pub(crate) fn explain_graph_into(roots: &[Arc<dyn ShuffleDep>], out: &mut String
 // ---------------------------------------------------------------------
 
 /// Handle to a job submitted asynchronously ([`crate::Rdd::collect_async`],
-/// [`crate::Rdd::count_async`], [`crate::Rdd::persist_async`], or
+/// [`crate::Rdd::persist_async`], or
 /// [`JobHandle::spawn`]). Dropping the handle detaches the job: it
 /// keeps running to completion in the background.
 pub struct JobHandle<T> {

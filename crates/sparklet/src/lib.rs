@@ -23,7 +23,8 @@
 //! * **shuffle staging** — map outputs are staged per node and count
 //!   against a configurable local-storage capacity; exceeding it fails
 //!   the job exactly like the paper's In-Memory drawback #2;
-//! * **tiered block storage** — [`Rdd::checkpoint`]/[`Rdd::persist`]
+//! * **tiered block storage** — [`Rdd::checkpoint_with_level`] /
+//!   [`Rdd::persist`]
 //!   at `MemoryOnly` / `MemoryAndDisk` / `DiskOnly`
 //!   ([`StorageLevel`]), with a per-node LRU memory manager that
 //!   spills serialized blocks to a disk tier under pressure and falls
@@ -36,7 +37,7 @@
 //!   from lineage and keep every ready stage in flight simultaneously;
 //!   a shuffle shared by several branches or concurrent jobs is
 //!   materialized exactly once, and [`Rdd::collect_async`] /
-//!   [`Rdd::count_async`] submit whole jobs concurrently via
+//!   [`Rdd::persist_async`] submit whole jobs concurrently via
 //!   [`JobHandle`]s;
 //! * **deterministic simulation** — [`SparkConf::with_sim_seed`]
 //!   switches the whole engine onto a virtual clock and a seeded
@@ -80,10 +81,10 @@ pub mod wire;
 pub use broadcast::Broadcast;
 pub use codec::Storable;
 pub use config::SparkConf;
-pub use context::{Accumulator, ExecutorLoss, InstalledChaos, SparkContext, TaskContext};
+pub use context::{ExecutorLoss, InstalledChaos, SparkContext, TaskContext};
 pub use dag::{with_cancel, CancelToken, JobHandle};
 pub use error::JobError;
-pub use ext::{Either, RangePartitioner};
+pub use ext::Either;
 pub use metrics::{AdaptiveDecision, EventLog, RunSummary};
 pub use partitioner::{GridPartitioner, HashPartitioner, Partitioner, SigLayout};
 pub use payload::{Compression, Payload, PayloadBuilder};

@@ -1127,12 +1127,6 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         self.submit(Self::collect)
     }
 
-    /// Submit [`Rdd::count`] as an asynchronous job on a driver thread
-    /// (inline when deterministic, like [`Rdd::collect_async`]).
-    pub fn count_async(&self) -> JobHandle<usize> {
-        self.submit(Self::count)
-    }
-
     /// Submit [`Rdd::persist`] as an asynchronous job on a driver
     /// thread (inline when deterministic), returning a handle to the
     /// materialized RDD.
@@ -1147,18 +1141,11 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         self.submit(move |rdd| rdd.checkpoint_with_level(level))
     }
 
-    /// Materialize every partition into the block stores at the
-    /// configured default storage level
-    /// ([`crate::SparkConf::storage_level`]) and cut the lineage
-    /// (Spark `persist` + `localCheckpoint`). The returned RDD reads
-    /// from the block stores; tasks prefer the owning node.
-    pub fn checkpoint(&self) -> Result<Rdd<K, V>, JobError> {
-        self.checkpoint_with_level(self.ctx.conf().storage_level)
-    }
-
-    /// [`Rdd::checkpoint`] at an explicit [`StorageLevel`]. The
-    /// lineage is cut, so blocks are pinned in memory unless `level`
-    /// allows spilling them to the disk tier.
+    /// Materialize every partition into the block stores at `level`
+    /// and cut the lineage (Spark `persist` + `localCheckpoint`). The
+    /// returned RDD reads from the block stores; tasks prefer the
+    /// owning node. With the lineage cut, blocks are pinned in memory
+    /// unless `level` allows spilling them to the disk tier.
     pub fn checkpoint_with_level(&self, level: StorageLevel) -> Result<Rdd<K, V>, JobError> {
         self.materialize_with(level, false)
     }

@@ -180,12 +180,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the result-cache capacity in bytes (0 disables caching).
-    pub fn with_cache_capacity(mut self, bytes: u64) -> Self {
-        self.cache_capacity = bytes;
-        self
-    }
-
     /// Set how many settled jobs stay pollable (≥ 1).
     pub fn with_settled_retention(mut self, keep: usize) -> Self {
         self.settled_retention = keep.max(1);

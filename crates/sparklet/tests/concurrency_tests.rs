@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use sparklet::{HashPartitioner, SparkConf, SparkContext};
+use sparklet::{HashPartitioner, SparkConf, SparkContext, StorageLevel};
 
 fn parallel_ctx() -> SparkContext {
     SparkContext::new(
@@ -103,7 +103,7 @@ fn checkpoint_under_parallel_workers_is_stable() {
     for round in 0..5u64 {
         rdd = rdd
             .map_values(move |v| v.wrapping_mul(31).wrapping_add(round))
-            .checkpoint()
+            .checkpoint_with_level(StorageLevel::MemoryOnly)
             .unwrap();
     }
     let got = sorted(rdd.collect().unwrap());

@@ -245,7 +245,7 @@ fn checkpoint_cuts_lineage_and_pins_location() {
     let rdd = sc
         .parallelize(pairs(32), Some(4))
         .map_values(|v| v + 1)
-        .checkpoint()
+        .checkpoint_with_level(StorageLevel::MemoryOnly)
         .unwrap();
     let stages_after_ckpt = sc.summary().stages;
     assert_eq!(stages_after_ckpt, 1, "checkpoint ran one stage");
@@ -328,7 +328,10 @@ fn executor_memory_overflow_on_checkpoint() {
             .with_executor_memory(32),
     );
     let big: Vec<(usize, Vec<f64>)> = (0..4).map(|i| (i, vec![0.0; 100])).collect();
-    let err = match sc.parallelize(big, Some(2)).checkpoint() {
+    let err = match sc
+        .parallelize(big, Some(2))
+        .checkpoint_with_level(StorageLevel::MemoryOnly)
+    {
         Err(e) => e,
         Ok(_) => panic!("checkpoint should exceed executor memory"),
     };
@@ -628,7 +631,7 @@ fn dropping_checkpointed_rdd_evicts_all_nodes() {
     let rdd = sc
         .parallelize(pairs(64), Some(8))
         .map_values(|v| v * 3)
-        .checkpoint()
+        .checkpoint_with_level(StorageLevel::MemoryOnly)
         .unwrap();
     let nodes = sc.conf().executors;
     let before: u64 = (0..nodes).map(|n| sc.cached_bytes(n)).sum();
@@ -652,11 +655,13 @@ fn memory_and_disk_checkpoint_spills_instead_of_failing() {
         SparkConf::default()
             .with_executors(1)
             .with_partitions(2)
-            .with_executor_memory(32)
-            .with_storage_level(StorageLevel::MemoryAndDisk),
+            .with_executor_memory(32),
     );
     let big: Vec<(usize, Vec<u64>)> = (0..4).map(|i| (i, vec![7; 100])).collect();
-    let rdd = sc.parallelize(big.clone(), Some(2)).checkpoint().unwrap();
+    let rdd = sc
+        .parallelize(big.clone(), Some(2))
+        .checkpoint_with_level(StorageLevel::MemoryAndDisk)
+        .unwrap();
     assert!(
         sc.cached_disk_bytes(0) > 0,
         "blocks landed on the disk tier"
@@ -695,13 +700,11 @@ fn persisted_blocks_recompute_after_eviction() {
 
 #[test]
 fn disk_only_checkpoint_keeps_memory_free() {
-    let sc = SparkContext::new(
-        SparkConf::default()
-            .with_executors(2)
-            .with_partitions(4)
-            .with_storage_level(StorageLevel::DiskOnly),
-    );
-    let rdd = sc.parallelize(pairs(32), Some(4)).checkpoint().unwrap();
+    let sc = SparkContext::new(SparkConf::default().with_executors(2).with_partitions(4));
+    let rdd = sc
+        .parallelize(pairs(32), Some(4))
+        .checkpoint_with_level(StorageLevel::DiskOnly)
+        .unwrap();
     let mem: u64 = (0..2).map(|n| sc.cached_bytes(n)).sum();
     let disk: u64 = (0..2).map(|n| sc.cached_disk_bytes(n)).sum();
     assert_eq!(mem, 0, "DiskOnly must not occupy the memory tier");
@@ -715,11 +718,13 @@ fn disk_capacity_overflow_is_a_distinct_error() {
         SparkConf::default()
             .with_executors(1)
             .with_partitions(2)
-            .with_disk_capacity(64)
-            .with_storage_level(StorageLevel::DiskOnly),
+            .with_disk_capacity(64),
     );
     let big: Vec<(usize, Vec<u64>)> = (0..4).map(|i| (i, vec![1; 100])).collect();
-    let err = match sc.parallelize(big, Some(2)).checkpoint() {
+    let err = match sc
+        .parallelize(big, Some(2))
+        .checkpoint_with_level(StorageLevel::DiskOnly)
+    {
         Err(e) => e,
         Ok(_) => panic!("checkpoint should exceed the disk tier"),
     };
@@ -736,7 +741,7 @@ fn retried_checkpoint_does_not_double_cache() {
     let a = calm
         .parallelize(pairs(64), Some(8))
         .map_values(|v| v + 1)
-        .checkpoint()
+        .checkpoint_with_level(StorageLevel::MemoryOnly)
         .unwrap();
     let calm_total: u64 = (0..4).map(|n| calm.cached_bytes(n)).sum();
     assert!(calm_total > 0);
@@ -747,7 +752,7 @@ fn retried_checkpoint_does_not_double_cache() {
     let b = faulted
         .parallelize(pairs(64), Some(8))
         .map_values(|v| v + 1)
-        .checkpoint()
+        .checkpoint_with_level(StorageLevel::MemoryOnly)
         .unwrap();
     let faulted_total: u64 = (0..4).map(|n| faulted.cached_bytes(n)).sum();
     assert_eq!(
@@ -789,7 +794,9 @@ fn filters_over_a_cached_partition_clone_only_the_pairs_they_keep() {
     let sc = ctx();
     let data: Vec<(usize, Counted)> = (0..400).map(|i| (i, Counted(i as u64))).collect();
     let source = sc.parallelize(data, None);
-    let cut = source.checkpoint().unwrap();
+    let cut = source
+        .checkpoint_with_level(StorageLevel::MemoryOnly)
+        .unwrap();
     let kept_pairs = |rdd: &sparklet::Rdd<usize, Counted>| {
         CLONES.store(0, Ordering::Relaxed);
         let n = rdd.count().unwrap();

@@ -1,10 +1,11 @@
-//! Tests for the extended pair-RDD surface: cogroup/join, sorting,
-//! count_by_key, accumulators.
+//! Tests for cogroup, coalesce, and the `explain()` plan printer.
 
 use std::sync::Arc;
 
 use sparklet::rdd::{Key, PartSig, ShufVal};
-use sparklet::{ChaosEvent, ChaosPolicy, HashPartitioner, Rdd, SparkConf, SparkContext};
+use sparklet::{
+    ChaosEvent, ChaosPolicy, HashPartitioner, Rdd, SparkConf, SparkContext, StorageLevel,
+};
 
 fn ctx() -> SparkContext {
     SparkContext::new(SparkConf::default().with_executors(3).with_partitions(6))
@@ -58,14 +59,25 @@ fn cogroup_shuffles_only_the_side_that_is_not_placed() {
     );
 
     // Both sides placed: no shuffle at all, and a repartition by the
-    // same signature afterwards elides too. A join inherits the rule.
+    // same signature afterwards elides too. A narrow op over the
+    // groups (here an inner join) inherits the rule.
     let sc = ctx();
     let left = sc.parallelize(vec![(1usize, 10u64), (2, 20)], Some(4));
     let right = sc.parallelize(vec![(2usize, 2.5f64)], Some(4));
     let grouped = left
         .cogroup(&right, 4, Arc::new(HashPartitioner))
         .partition_by(4, Arc::new(HashPartitioner));
-    let joined = left.join(&right, 4, Arc::new(HashPartitioner));
+    let joined = left
+        .cogroup(&right, 4, Arc::new(HashPartitioner))
+        .flat_map(|(k, (ls, rs))| {
+            let mut out = Vec::new();
+            for &l in &ls {
+                for &r in &rs {
+                    out.push((k, (l, r)));
+                }
+            }
+            out
+        });
     assert_eq!(sorted(grouped.collect().unwrap()).len(), 2);
     assert_eq!(joined.collect().unwrap(), vec![(2, (20, 2.5))]);
     let did = sc.summary();
@@ -118,123 +130,6 @@ fn cogroup_recovers_a_fetch_failure_on_its_one_shuffle() {
 }
 
 #[test]
-fn join_is_inner_cartesian_per_key() {
-    let sc = ctx();
-    let users = sc.parallelize(
-        vec![(1usize, "ada".to_string()), (2, "grace".to_string())],
-        Some(2),
-    );
-    let orders = sc.parallelize(vec![(1usize, 100u64), (1, 101), (9, 900)], Some(2));
-    let joined = users.join(&orders, 4, Arc::new(HashPartitioner));
-    let got = sorted(joined.collect().unwrap());
-    assert_eq!(got.len(), 2);
-    assert_eq!(got[0].0, 1);
-    assert_eq!(got[0].1 .0, "ada");
-    let order_ids: Vec<u64> = got.iter().map(|(_, (_, o))| *o).collect();
-    assert!(order_ids.contains(&100) && order_ids.contains(&101));
-}
-
-#[test]
-fn left_outer_join_keeps_unmatched_left() {
-    let sc = ctx();
-    let left = sc.parallelize(vec![(1usize, 1u64), (2, 2)], Some(2));
-    let right = sc.parallelize(vec![(2usize, 20u64)], Some(1));
-    let joined = left.left_outer_join(&right, 3, Arc::new(HashPartitioner));
-    let got = sorted(joined.collect().unwrap());
-    assert_eq!(got, vec![(1, (1, None)), (2, (2, Some(20)))]);
-}
-
-#[test]
-fn count_by_key_counts() {
-    let sc = ctx();
-    let data: Vec<(usize, u64)> = (0..30).map(|i| (i % 3, i as u64)).collect();
-    let counts = sc
-        .parallelize(data, Some(5))
-        .count_by_key(3, Arc::new(HashPartitioner))
-        .unwrap();
-    assert_eq!(counts.len(), 3);
-    assert_eq!(counts[&0], 10);
-    assert_eq!(counts[&2], 10);
-}
-
-#[test]
-fn sort_by_key_yields_global_order() {
-    let sc = ctx();
-    let mut data: Vec<(u64, u64)> = (0..200).map(|i| ((i * 7919) % 1000, i)).collect();
-    let rdd = sc
-        .parallelize(data.clone(), Some(8))
-        .sort_by_key(4)
-        .unwrap();
-    let got = rdd.collect().unwrap();
-    let keys: Vec<u64> = got.iter().map(|(k, _)| *k).collect();
-    let mut want_keys = keys.clone();
-    want_keys.sort_unstable();
-    assert_eq!(keys, want_keys, "collect order must be globally sorted");
-    data.sort_by_key(|(k, _)| *k);
-    assert_eq!(got.len(), data.len());
-}
-
-#[test]
-fn sort_by_key_handles_duplicates_and_empty() {
-    let sc = ctx();
-    let data: Vec<(u64, u64)> = vec![(5, 1), (5, 2), (1, 3), (5, 4), (1, 5)];
-    let got = sc
-        .parallelize(data, Some(3))
-        .sort_by_key(2)
-        .unwrap()
-        .collect()
-        .unwrap();
-    let keys: Vec<u64> = got.iter().map(|(k, _)| *k).collect();
-    assert_eq!(keys, vec![1, 1, 5, 5, 5]);
-
-    let empty: Vec<(u64, u64)> = vec![];
-    let got = sc
-        .parallelize(empty, Some(2))
-        .sort_by_key(3)
-        .unwrap()
-        .collect()
-        .unwrap();
-    assert!(got.is_empty());
-}
-
-#[test]
-fn accumulators_visible_to_driver_after_action() {
-    let sc = ctx();
-    let acc = sc.long_accumulator("pairs-seen");
-    let acc_for_tasks = acc.clone();
-    let rdd = sc
-        .parallelize((0..50usize).map(|i| (i, i as u64)).collect(), Some(5))
-        .map_partitions(true, move |_p, items, _tc| {
-            acc_for_tasks.add(items.len() as u64);
-            items
-        });
-    rdd.collect().unwrap();
-    assert_eq!(acc.value(), 50);
-    assert_eq!(acc.name(), "pairs-seen");
-}
-
-#[test]
-fn accumulator_counts_retries_like_spark() {
-    let sc = ctx();
-    let acc = sc.long_accumulator("attempts");
-    let acc_for_tasks = acc.clone();
-    let stage = sc.next_stage_ordinal();
-    let _chaos =
-        sc.install_chaos(ChaosPolicy::seeded(0).script(stage, 0, 1, ChaosEvent::TaskPanic));
-    let rdd = sc
-        .parallelize(vec![(0usize, 0u64)], Some(1))
-        .map_partitions(true, move |_p, items, _tc| {
-            acc_for_tasks.add(1);
-            items
-        });
-    rdd.collect().unwrap();
-    // An injected failure runs the task body before discarding the
-    // attempt, so both the failed attempt and its retry increment —
-    // accumulators are metrics, not exactly-once, exactly as in Spark.
-    assert!(acc.value() >= 2);
-}
-
-#[test]
 fn explain_shows_the_lineage_plan() {
     let sc = ctx();
     let rdd = sc
@@ -249,7 +144,7 @@ fn explain_shows_the_lineage_plan() {
     assert!(lines[2].trim_start().starts_with("Map"), "{plan}");
     assert!(lines[3].trim_start().starts_with("Parallelize"), "{plan}");
     // Checkpointing cuts the plan to a single node.
-    let ckpt = rdd.checkpoint().unwrap();
+    let ckpt = rdd.checkpoint_with_level(StorageLevel::MemoryOnly).unwrap();
     let plan = ckpt.explain();
     assert_eq!(plan.lines().count(), 1);
     assert!(plan.starts_with("Materialized"), "{plan}");
@@ -330,25 +225,6 @@ fn explain_shows_union_and_groups() {
         .explain();
     assert!(plan.contains("CombineByKey [WIDE"), "{plan}");
     assert!(plan.contains("Union [2 parents"), "{plan}");
-}
-
-#[test]
-fn take_first_and_sample() {
-    let sc = ctx();
-    let rdd = sc.parallelize((0..100usize).map(|i| (i, i as u64)).collect(), Some(8));
-    assert_eq!(rdd.take(5).unwrap().len(), 5);
-    assert!(rdd.first().unwrap().is_some());
-    let empty = sc.parallelize(Vec::<(usize, u64)>::new(), Some(2));
-    assert_eq!(empty.first().unwrap(), None);
-    assert!(empty.take(3).unwrap().is_empty());
-
-    // Sampling: deterministic per seed, roughly proportional.
-    let s1 = rdd.sample(0.3, 7).collect().unwrap();
-    let s2 = rdd.sample(0.3, 7).collect().unwrap();
-    assert_eq!(sorted(s1.clone()), sorted(s2));
-    assert!(s1.len() > 5 && s1.len() < 70, "got {}", s1.len());
-    assert!(rdd.sample(0.0, 1).collect().unwrap().is_empty());
-    assert_eq!(rdd.sample(1.0, 1).collect().unwrap().len(), 100);
 }
 
 #[test]

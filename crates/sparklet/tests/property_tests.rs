@@ -4,7 +4,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use sparklet::codec::{decode_one, encode_one};
-use sparklet::{ChaosEvent, ChaosPolicy, HashPartitioner, Partitioner, SparkConf, SparkContext};
+use sparklet::{
+    ChaosEvent, ChaosPolicy, HashPartitioner, Partitioner, SparkConf, SparkContext, StorageLevel,
+};
 use testkit::check;
 
 fn ctx(executors: usize, partitions: usize) -> SparkContext {
@@ -146,7 +148,11 @@ fn checkpoint_is_transparent() {
         let sc = ctx(4, 8);
         let rdd = sc.parallelize(data, Some(8)).map_values(|v| v ^ 0xFF);
         let mut direct = rdd.collect().unwrap();
-        let mut through_ckpt = rdd.checkpoint().unwrap().collect().unwrap();
+        let mut through_ckpt = rdd
+            .checkpoint_with_level(StorageLevel::MemoryOnly)
+            .unwrap()
+            .collect()
+            .unwrap();
         direct.sort_unstable();
         through_ckpt.sort_unstable();
         assert_eq!(direct, through_ckpt);
