@@ -243,7 +243,7 @@ impl DpJobRequest {
     /// error on the admission path, not a panic on a worker thread.
     fn validate(&self) -> Result<(), JobError> {
         match self {
-            DpJobRequest::Apsp { dist, .. } => {
+            DpJobRequest::Apsp { dist, sources, .. } => {
                 if dist.rows() != dist.cols() {
                     return Err(JobError::Codec(format!(
                         "APSP distance matrix must be square, got {}x{}",
@@ -253,6 +253,14 @@ impl DpJobRequest {
                 }
                 if dist.rows() == 0 {
                     return Err(JobError::Codec("APSP distance matrix is empty".into()));
+                }
+                // The projection reads these rows of the solved table:
+                // one past the end is refused before the solve, not after.
+                let n = dist.rows();
+                if let Some(&s) = sources.iter().flatten().find(|&&s| s as usize >= n) {
+                    return Err(JobError::Codec(format!(
+                        "source {s} out of range for n={n}"
+                    )));
                 }
             }
             DpJobRequest::Alignment { .. } => {}
@@ -667,6 +675,25 @@ mod tests {
         assert!(matches!(DpJobRequest::decode(&ok), Err(JobError::Codec(_))));
         ok = sparse_req(1, 4, vec![3], 2).encode();
         assert!(DpJobRequest::decode(&ok).is_ok());
+    }
+
+    #[test]
+    fn out_of_range_dense_sources_are_refused_before_any_stage() {
+        let sc = SparkContext::new(sparklet::SparkConf::default().with_executors(2));
+        let runner = DpJobRunner::new(
+            CostModel::new(cluster_model::ClusterSpec::skylake(), 4),
+            DpConfig::new(4, 4),
+        );
+        let body = apsp_req(2, 4, Some(vec![9])).encode();
+        let got = runner.run(&sc, &body);
+        assert!(matches!(got, Err(JobError::Codec(_))), "{got:?}");
+        assert_eq!(sc.summary().stages, 0, "a refused body ran stages");
+        // The last row in range still solves.
+        let body = apsp_req(2, 4, Some(vec![3])).encode();
+        let full = runner.run(&sc, &body).expect("in-range sources solve");
+        let rows = decode_matrix_f64(&runner.project(&body, &full).unwrap()).unwrap();
+        assert_eq!((rows.rows(), rows.cols()), (1, 4));
+        assert!(sc.summary().stages > 0);
     }
 
     /// A one-id list whose id is 2³², which `as u32` would read as 0.

@@ -18,14 +18,18 @@
 //! released individually when their RDD lineage is dropped
 //! ([`ShuffleManager::release`]).
 //!
-//! Under a wire transport the ledger lock is never held across a
-//! socket: a write is *check → ship → commit* (see
-//! [`ShuffleManager::write`]), a fetch snapshots its row and then
-//! reads, and a release updates the ledger before it notifies the
+//! Under a wire transport a bucket reaches its origin node's executor
+//! only when another node first reads it: a write commits the
+//! driver-held frame to the ledger and ships nothing, a same-node
+//! fetch reads that frame, and the first cross-node fetch of a bucket
+//! puts it on the origin executor and then pulls it back over the
+//! socket (see [`ShuffleManager::fetch`]). The ledger lock is never
+//! held across a socket — a ship re-checks its slot before and after
+//! the put, and a release updates the ledger before it notifies the
 //! executors — so one node's slow put stalls nobody else's shuffle I/O.
 
 use std::collections::HashMap;
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 
 use cluster_model::StageRecord;
 use par_pool::Mutex;
@@ -53,6 +57,9 @@ pub struct MapBucket {
     /// stream length for real payloads; virtual-mode payloads declare
     /// their full-scale size while shipping only headers.
     pub declared: u64,
+    /// Whether the origin node's executor holds a copy: set by the
+    /// first cross-node read under a wire transport, never in process.
+    pub shipped: bool,
 }
 
 /// One cell of the bucket matrix. Three states, not two: a bucket
@@ -124,11 +131,31 @@ impl ShuffleInner {
             })
     }
 
-    /// The read-only half of a write: the slot must be registered and
-    /// the origin node's post-reconciliation total must fit `capacity`.
-    /// Returns the `(origin, declared)` of the bucket the write would
-    /// replace. A `Lost` slot carries no credit — its bytes were
-    /// written off when the executor died; the rewrite charges fresh.
+    /// The `shipped` flag of a slot while it still holds the bucket
+    /// that attempt `attempt` staged on `origin`; `None` once the slot
+    /// was rewritten, lost or released.
+    fn shipped_mut(
+        &mut self,
+        id: ShuffleId,
+        map_task: usize,
+        reduce_partition: usize,
+        origin: usize,
+        attempt: u64,
+    ) -> Option<&mut bool> {
+        match self.slot_mut(id, map_task, reduce_partition) {
+            Ok(Slot::Data(b)) if b.origin_node == origin && b.attempt == attempt => {
+                Some(&mut b.shipped)
+            }
+            _ => None,
+        }
+    }
+
+    /// The check half of a write: the slot must be registered and the
+    /// origin node's post-reconciliation total must fit `capacity`.
+    /// Returns the `(origin, declared, shipped)` of the bucket the
+    /// write would replace. A `Lost` slot carries no credit — its bytes
+    /// were written off when the executor died; the rewrite charges
+    /// fresh.
     fn admit(
         &mut self,
         id: ShuffleId,
@@ -137,13 +164,13 @@ impl ShuffleInner {
         origin_node: usize,
         declared: u64,
         capacity: Option<u64>,
-    ) -> Result<Option<(usize, u64)>, JobError> {
+    ) -> Result<Option<(usize, u64, bool)>, JobError> {
         let prev = match self.slot_mut(id, map_task, reduce_partition)? {
-            Slot::Data(b) => Some((b.origin_node, b.declared)),
+            Slot::Data(b) => Some((b.origin_node, b.declared, b.shipped)),
             Slot::Empty | Slot::Lost => None,
         };
         let credit = match prev {
-            Some((node, bytes)) if node == origin_node => bytes,
+            Some((node, bytes, _)) if node == origin_node => bytes,
             _ => 0,
         };
         let prospective = self.staged[origin_node] - credit + declared;
@@ -162,21 +189,24 @@ impl ShuffleInner {
 #[derive(Debug)]
 pub struct ShuffleManager {
     inner: Mutex<ShuffleInner>,
-    /// One mutex per origin node, taken only under a wire transport and
-    /// held across a write's ship + commit (and by
-    /// [`ShuffleManager::drop_node_outputs`]): what executor `n` holds
-    /// and what the ledger says `n` holds change together even though
-    /// `inner` is free while the bytes cross the socket. Never two at
-    /// once, and `inner` is only ever taken inside one, never around.
+    /// One mutex per origin node, taken only under a wire transport: a
+    /// first-read ship holds it across its check, put and mark, and a
+    /// stale-copy removal and [`ShuffleManager::drop_node_outputs`]
+    /// hold it too, so what executor `n` holds and what the ledger says
+    /// `n` holds change together even though `inner` is free while the
+    /// bytes cross the socket. Never two at once, and `inner` is only
+    /// ever taken inside one, never around.
     ship: Vec<Mutex<()>>,
     capacity: Option<u64>,
     /// Wire transport to executor subprocesses. When set, the bucket
     /// matrix stays the authoritative *ledger* (origin, attempt,
     /// declared bytes — and the driver-side frame, which doubles as
     /// the node's "local disk image" for same-node fetches), but the
-    /// remote data path is real: a write ships the frame to the origin
-    /// executor and a cross-node fetch pulls it back over the socket,
-    /// with measured wire bytes recorded on the task.
+    /// remote data path is real: the first cross-node fetch of a
+    /// bucket ships its frame to the origin executor, and every
+    /// cross-node fetch pulls it back over the socket, with measured
+    /// wire bytes recorded on the reading task. Executor `n` holds
+    /// exactly the ledger's shipped buckets with origin `n`.
     remote: Option<Arc<ExecutorManager>>,
 }
 
@@ -202,12 +232,6 @@ impl ShuffleManager {
         self
     }
 
-    /// `node`'s ship mutex under a wire transport; nothing in process,
-    /// where there is no ship for it to order.
-    fn ship_turn(&self, node: usize) -> Option<MutexGuard<'_, ()>> {
-        self.remote.as_ref().map(|_| self.ship[node].lock())
-    }
-
     /// Create the bucket matrix for a shuffle.
     pub fn register(&self, id: ShuffleId, map_tasks: usize, reduce_partitions: usize) {
         let mut inner = self.inner.lock();
@@ -225,14 +249,11 @@ impl ShuffleManager {
     /// dropped, and empty buckets are never stored. A capacity failure
     /// mutates nothing.
     ///
-    /// In process the whole write is one critical section on the
-    /// ledger. Under a wire transport it is *check → ship → commit*:
-    /// the ledger lock is released while the frame crosses the socket
-    /// and the origin node's ship mutex covers all three steps instead,
-    /// so two attempts staging on one node cannot interleave their puts
-    /// and commits. A failed ship mutates nothing; a commit that finds
-    /// its shuffle released meanwhile drops the shipped block again and
-    /// fails with [`JobError::MissingBlock`].
+    /// The write is one critical section on the ledger in every mode:
+    /// it commits the driver-held frame and ships nothing (a bucket
+    /// reaches an executor on its first cross-node read). Under a wire
+    /// transport, replacing a bucket some attempt already shipped also
+    /// removes that stale executor copy, after the commit.
     #[allow(clippy::too_many_arguments)]
     pub fn write(
         &self,
@@ -255,49 +276,20 @@ impl ShuffleManager {
             self.inner.lock().tally.zombie_writes_fenced += 1;
             return Ok(());
         }
-        let admit = |inner: &mut ShuffleInner| {
-            inner.admit(
-                id,
-                map_task,
-                reduce_partition,
-                origin_node,
-                declared,
-                self.capacity,
-            )
-        };
-        let turn = self.ship_turn(origin_node);
+        let wire = data.wire_hint(declared);
         let mut inner = self.inner.lock();
         // Registered slot and capacity on the post-reconciliation
-        // total, before any mutation or byte on the wire: a rejected
-        // write leaves accounting untouched.
-        let mut prev = admit(&mut inner)?;
-        let mut wire = data.wire_hint(declared);
-        if let Some(manager) = &self.remote {
-            // Stage the frame on the origin node's executor *before*
-            // committing the slot, with the ledger unlocked: a failed
-            // ship mutates nothing (the task attempt fails with a
-            // retryable transport error, and the retry re-stages). The
-            // measured socket bytes replace the compression-only wire
-            // hint.
-            drop(inner);
-            let (map, reduce) = (map_task as u64, reduce_partition as u64);
-            wire = manager.put_block(origin_node, id, map, reduce, data.frame())?;
-            inner = self.inner.lock();
-            // The ledger may have moved while the bytes were in flight,
-            // so the commit looks again. Only a release can fail it
-            // now — `staged[origin_node]` grows through this node's
-            // ship mutex alone, so the capacity verdict stands — and
-            // then no executor may keep a bucket of that shuffle.
-            prev = match admit(&mut inner) {
-                Ok(prev) => prev,
-                Err(e) => {
-                    drop(inner);
-                    manager.remove_block(origin_node, id, map, reduce);
-                    return Err(e);
-                }
-            };
-        }
-        if let Some((node, bytes)) = prev {
+        // total, before any mutation: a rejected write leaves
+        // accounting untouched.
+        let prev = inner.admit(
+            id,
+            map_task,
+            reduce_partition,
+            origin_node,
+            declared,
+            self.capacity,
+        )?;
+        if let Some((node, bytes, _)) = prev {
             inner.staged[node] -= bytes;
             inner.tally.staged_released_bytes += bytes;
         }
@@ -312,25 +304,22 @@ impl ShuffleManager {
             attempt: tc.attempt(),
             data,
             declared,
+            shipped: false,
         });
         drop(inner);
-        drop(turn);
-        if let (Some(manager), Some((prev_node, _))) = (&self.remote, prev) {
-            if prev_node != origin_node {
-                self.drop_stranded(manager, prev_node, id, map_task, reduce_partition);
-            }
+        if let (Some(manager), Some((prev_node, _, true))) = (&self.remote, prev) {
+            self.drop_stale(manager, prev_node, id, map_task, reduce_partition);
         }
         tc.add_shuffle_write(declared, wire);
         Ok(())
     }
 
-    /// A retry that moved to another node strands the previous
-    /// attempt's copy on `node`'s executor: drop it there so executor
-    /// inventories keep matching this ledger. The commit decided this
-    /// from the bucket it replaced; it is confirmed under `node`'s own
-    /// ship mutex, because a yet later attempt may have staged the slot
-    /// on `node` again and that copy is the ledger's, not a stray.
-    fn drop_stranded(
+    /// A rewrite strands the replaced attempt's shipped copy on
+    /// `node`'s executor: drop it there so executor inventories keep
+    /// matching this ledger. It is confirmed under `node`'s own ship
+    /// mutex, because a first read may since have shipped the new
+    /// bucket to `node` over it, and that copy is the ledger's.
+    fn drop_stale(
         &self,
         manager: &ExecutorManager,
         node: usize,
@@ -338,13 +327,64 @@ impl ShuffleManager {
         map_task: usize,
         reduce_partition: usize,
     ) {
-        let _turn = self.ship_turn(node);
-        let restaged = matches!(
+        let _turn = self.ship[node].lock();
+        let reshipped = matches!(
             self.inner.lock().slot_mut(id, map_task, reduce_partition),
-            Ok(Slot::Data(b)) if b.origin_node == node
+            Ok(Slot::Data(b)) if b.origin_node == node && b.shipped
         );
-        if !restaged {
+        if !reshipped {
             manager.remove_block(node, id, map_task as u64, reduce_partition as u64);
+        }
+    }
+
+    /// First cross-node read of `bucket`: put its frame on the origin
+    /// node's executor and mark the slot shipped. Under the origin's
+    /// ship mutex the slot is checked (a reader that lost the race to
+    /// ship finds it shipped and puts nothing), the put runs with the
+    /// ledger unlocked, and the mark checks again. A slot that was
+    /// rewritten, released or lost meanwhile fails the fetch typed, and
+    /// a copy that landed for it is removed again.
+    fn ship(
+        &self,
+        manager: &ExecutorManager,
+        id: ShuffleId,
+        map_task: usize,
+        reduce_partition: usize,
+        bucket: &MapBucket,
+    ) -> Result<(), JobError> {
+        let node = bucket.origin_node;
+        let failed = |reason: String| JobError::FetchFailed {
+            shuffle: id,
+            partition: reduce_partition,
+            reason,
+        };
+        let moved = || failed(format!("map output {map_task} changed while it shipped"));
+        let _turn = self.ship[node].lock();
+        let shipped = self
+            .inner
+            .lock()
+            .shipped_mut(id, map_task, reduce_partition, node, bucket.attempt)
+            .copied();
+        match shipped {
+            Some(true) => return Ok(()),
+            Some(false) => {}
+            None => return Err(moved()),
+        }
+        let (map, reduce) = (map_task as u64, reduce_partition as u64);
+        manager
+            .put_block(node, id, map, reduce, bucket.data.frame())
+            .map_err(|e| failed(format!("ship to executor {node}: {e}")))?;
+        let mut inner = self.inner.lock();
+        match inner.shipped_mut(id, map_task, reduce_partition, node, bucket.attempt) {
+            Some(shipped) => {
+                *shipped = true;
+                Ok(())
+            }
+            None => {
+                drop(inner);
+                manager.remove_block(node, id, map, reduce);
+                Err(moved())
+            }
         }
     }
 
@@ -358,8 +398,11 @@ impl ShuffleManager {
     ///
     /// The row is snapshotted (refcount clones) under the ledger lock
     /// and read after releasing it, so remote fetches from different
-    /// executors overlap. A fetch that loses a race with a release or
-    /// an executor death fails typed, like any other lost bucket.
+    /// executors overlap. Under a wire transport a cross-node read of a
+    /// bucket no executor holds yet ships it first (at most once per
+    /// bucket, however many readers race). A fetch that loses a race
+    /// with a rewrite, a release or an executor death fails typed, like
+    /// any other lost bucket.
     pub fn fetch(
         &self,
         id: ShuffleId,
@@ -407,18 +450,23 @@ impl ShuffleManager {
             }
             if bucket.origin_node == tc.node() {
                 // Local fetch: the node reads its own staged output —
-                // the driver-held frame in every mode (the executor's
-                // copy is the same bytes; re-shipping them to ourselves
+                // the driver-held frame in every mode (an executor's
+                // copy is the same bytes; shipping them to ourselves
                 // would model a network hop that the real system
-                // doesn't take either).
+                // doesn't take either, which is why a bucket only this
+                // node reads never reaches an executor).
                 tc.add_local_read(bucket.declared, bucket.data.wire_hint(bucket.declared));
                 out.push(bucket.data);
             } else if let Some(manager) = &self.remote {
                 // Remote fetch: a real frame handoff from the origin
-                // node's executor. A miss means that executor died and
-                // was respawned empty since the write — the same
+                // node's executor, which gets the bucket on its first
+                // cross-node read. A miss means that executor died and
+                // was respawned empty since the ship — the same
                 // condition `Slot::Lost` models — so it fails the
                 // fetch the same way, driving map-stage resubmission.
+                if !bucket.shipped {
+                    self.ship(manager, id, map_task, reduce_partition, &bucket)?;
+                }
                 match manager.fetch_block(
                     bucket.origin_node,
                     id,
@@ -481,24 +529,31 @@ impl ShuffleManager {
     }
 
     /// Executor death: every bucket `node` staged becomes
-    /// `Slot::Lost` (reduces fetching it see
-    /// [`JobError::FetchFailed`]) and its bytes leave the staging
+    /// `Slot::Lost`, shipped or not (reduces fetching it see
+    /// [`JobError::FetchFailed`]), and its bytes leave the staging
     /// accounting as *lost*, not released. Returns `(buckets, bytes)`
     /// destroyed.
+    ///
+    /// Under a wire transport this runs after the executor was
+    /// replaced, and waits out a ship to `node` in flight. A ship that
+    /// landed on the replacement left a copy of a bucket the ledger now
+    /// calls lost, so every shipped bucket is also removed there.
     pub fn drop_node_outputs(&self, node: usize) -> (u64, u64) {
-        // Wait out a write that has shipped to `node` but not yet
-        // committed: it must land before the sweep, not after it.
-        let _turn = self.ship_turn(node);
+        let _turn = self.remote.as_ref().map(|_| self.ship[node].lock());
         let mut inner = self.inner.lock();
         let mut buckets_lost = 0u64;
         let mut bytes_lost = 0u64;
-        for data in inner.shuffles.values_mut() {
-            for row in data.buckets.iter_mut() {
-                for slot in row.iter_mut() {
+        let mut shipped = Vec::new();
+        for (&id, data) in inner.shuffles.iter_mut() {
+            for (reduce, row) in data.buckets.iter_mut().enumerate() {
+                for (map, slot) in row.iter_mut().enumerate() {
                     if let Slot::Data(b) = slot {
                         if b.origin_node == node {
                             buckets_lost += 1;
                             bytes_lost += b.declared;
+                            if b.shipped {
+                                shipped.push((id, map as u64, reduce as u64));
+                            }
                             *slot = Slot::Lost;
                         }
                     }
@@ -507,6 +562,12 @@ impl ShuffleManager {
         }
         inner.staged[node] -= bytes_lost;
         inner.tally.staged_lost_bytes += bytes_lost;
+        drop(inner);
+        if let Some(manager) = &self.remote {
+            for (id, map, reduce) in shipped {
+                manager.remove_block(node, id, map, reduce);
+            }
+        }
         (buckets_lost, bytes_lost)
     }
 
@@ -569,7 +630,7 @@ impl ShuffleManager {
         }
     }
 
-    /// Number of stored `Slot::Data` buckets per origin node — the
+    /// Number of shipped `Slot::Data` buckets per origin node — the
     /// driver-side inventory an executor audit checks each subprocess
     /// against.
     pub fn bucket_counts(&self) -> Vec<u64> {
@@ -579,7 +640,7 @@ impl ShuffleManager {
             for row in &data.buckets {
                 for slot in row {
                     if let Slot::Data(b) = slot {
-                        counts[b.origin_node] += 1;
+                        counts[b.origin_node] += u64::from(b.shipped);
                     }
                 }
             }
@@ -853,9 +914,10 @@ mod tests {
     // -----------------------------------------------------------------
 
     use crate::transport::TransportMode;
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
     use std::sync::Barrier;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// How long a thread that must not be blocked gets to finish.
     const GRACE: Duration = Duration::from_secs(20);
@@ -869,7 +931,7 @@ mod tests {
     }
 
     /// Ledger invariant, and every executor holds exactly the buckets
-    /// the ledger says it staged.
+    /// the ledger says it shipped.
     fn assert_balanced(manager: &ExecutorManager, sm: &ShuffleManager) {
         sm.audit().expect("staging ledger");
         manager
@@ -882,6 +944,35 @@ mod tests {
         vec![tag; 64 * 1024]
     }
 
+    /// Segment files in `node`'s executor directory.
+    fn segments(manager: &ExecutorManager, node: usize) -> usize {
+        let dir = manager
+            .segment_dir(node)
+            .expect("Unix executors keep segments");
+        std::fs::read_dir(dir).expect("node directory").count()
+    }
+
+    /// Spin until some thread holds `node`'s ship mutex; `false` if
+    /// none did within [`GRACE`].
+    fn ship_taken(sm: &ShuffleManager, node: usize) -> bool {
+        let deadline = Instant::now() + GRACE;
+        while sm.ship[node].try_lock().is_some() {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// The committed bucket of one slot, as a fetch snapshots it.
+    fn bucket(sm: &ShuffleManager, id: ShuffleId, map: usize, reduce: usize) -> MapBucket {
+        match sm.inner.lock().slot_mut(id, map, reduce) {
+            Ok(Slot::Data(b)) => b.clone(),
+            other => panic!("slot ({map}, {reduce}) of shuffle {id} is {other:?}"),
+        }
+    }
+
     /// The committed bucket of one slot: `(origin, attempt, bytes)`.
     fn committed(
         sm: &ShuffleManager,
@@ -889,9 +980,34 @@ mod tests {
         map: usize,
         reduce: usize,
     ) -> (usize, u64, Vec<u8>) {
-        match sm.inner.lock().slot_mut(id, map, reduce) {
-            Ok(Slot::Data(b)) => (b.origin_node, b.attempt, b.data.open().unwrap().to_vec()),
-            other => panic!("slot ({map}, {reduce}) of shuffle {id} is {other:?}"),
+        let b = bucket(sm, id, map, reduce);
+        (b.origin_node, b.attempt, b.data.open().unwrap().to_vec())
+    }
+
+    #[test]
+    fn remote_bucket_read_only_on_its_own_node_never_reaches_an_executor() {
+        let (manager, sm) = remote_pair();
+        sm.register(1, 2, 2);
+        for node in 0..2 {
+            let tc = TaskContext::new(node);
+            sm.write(1, node, node, node, pay(&body(1)), 5, &tc)
+                .unwrap();
+        }
+        for node in 0..2 {
+            let reader = TaskContext::new(node);
+            let got = sm.fetch(1, node, &reader).unwrap();
+            assert_eq!(opened(&got), vec![body(1)]);
+            assert_eq!(reader.snapshot().remote_read_bytes, 0);
+        }
+        for node in 0..2 {
+            assert_eq!(manager.wire_bytes(node), (0, 0), "node {node} saw traffic");
+        }
+        assert_eq!(sm.bucket_counts(), vec![0, 0]);
+        assert_balanced(&manager, &sm);
+        for node in 0..2 {
+            assert_eq!(segments(&manager, node), 0, "node {node} holds a segment");
+            let copy = manager.fetch_block(node, 1, node as u64, node as u64);
+            assert!(copy.expect("fetch").is_none(), "node {node} holds a copy");
         }
     }
 
@@ -899,38 +1015,92 @@ mod tests {
     fn remote_ship_leaves_the_ledger_unlocked() {
         let (manager, sm) = remote_pair();
         sm.register(1, 2, 1);
+        sm.write(1, 0, 0, 0, pay(&body(1)), 7, &TaskContext::new(0))
+            .unwrap();
         let hold = manager.hold_slot(0);
         let (done, wait_done) = mpsc::channel();
-        let (parked, staged_meanwhile) = std::thread::scope(|s| {
-            // Checks, then parks inside `put_block` behind the held slot.
-            let put = s.spawn(|| sm.write(1, 0, 0, 0, pay(&body(1)), 7, &TaskContext::new(0)));
+        let (parked, probed, got) = std::thread::scope(|s| {
+            // Node 1's first read of node 0's bucket checks the slot,
+            // then parks inside `put_block` behind the held slot.
+            let read = s.spawn(|| sm.fetch(1, 0, &TaskContext::new(1)));
             s.spawn(|| {
-                // Once the put has its turn it is a lock and a lookup
+                // Once the ship has its turn it is a lock and a lookup
                 // away from the socket; everything below needs the
                 // ledger, round after round, while it stays there.
-                while sm.ship[0].try_lock().is_some() {
-                    std::thread::yield_now();
+                if !ship_taken(&sm, 0) {
+                    return done.send(Err("the read never took node 0's ship turn"));
                 }
                 sm.write(1, 1, 0, 1, pay(&body(2)), 9, &TaskContext::new(1))
                     .expect("node 1 stages while node 0's put is parked");
-                let uncommitted = (0..1000).all(|_| {
+                let unshipped = (0..1000).all(|_| {
                     std::thread::yield_now();
-                    (sm.staged_bytes(0), sm.staged_bytes(1)) == (0, 9)
+                    sm.bucket_counts() == [0, 0]
+                        && (sm.staged_bytes(0), sm.staged_bytes(1)) == (7, 9)
                 });
-                done.send(uncommitted).expect("main is waiting");
+                done.send(Ok(unshipped))
             });
-            let finished = wait_done.recv_timeout(GRACE);
-            let parked = !put.is_finished();
+            let probed = wait_done.recv_timeout(GRACE);
+            let parked = !read.is_finished();
             drop(hold);
-            put.join()
+            let got = read
+                .join()
                 .unwrap()
-                .expect("the parked put lands once the slot frees");
-            (parked, finished)
+                .expect("the parked ship lands once the slot frees");
+            (parked, probed, got)
         });
-        let uncommitted = staged_meanwhile.expect("the ledger stayed locked across a ship");
-        assert!(uncommitted, "the parked put must not have been committed");
+        let unshipped = probed
+            .expect("the ledger stayed locked across a ship")
+            .expect("probe");
+        assert!(
+            unshipped,
+            "the parked put must not have been marked shipped"
+        );
         assert!(parked, "the put cannot have passed a held slot");
-        assert_eq!((sm.staged_bytes(0), sm.staged_bytes(1)), (7, 9));
+        // The read's snapshot predates node 1's write: one bucket.
+        assert_eq!(opened(&got), vec![body(1)]);
+        assert_eq!(sm.bucket_counts(), vec![1, 0]);
+        assert_eq!(segments(&manager, 0), 1);
+        assert_balanced(&manager, &sm);
+    }
+
+    #[test]
+    fn remote_concurrent_cross_node_readers_ship_a_bucket_once() {
+        let (manager, sm) = remote_pair();
+        sm.register(1, 1, 1);
+        let frame_len = pay(&body(1)).frame().len() as u64;
+        sm.write(1, 0, 0, 0, pay(&body(1)), 3, &TaskContext::new(0))
+            .unwrap();
+        // What a second reader on node 1 snapshotted before the first
+        // one shipped the bucket.
+        let stale = bucket(&sm, 1, 0, 0);
+        assert!(!stale.shipped);
+        let (tx_before, _) = manager.wire_bytes(0);
+        let hold = manager.hold_slot(0);
+        let (taken, first, second) = std::thread::scope(|s| {
+            // The first reader parks in its put with node 0's ship
+            // turn; the second queues behind that turn.
+            let first = s.spawn(|| sm.fetch(1, 0, &TaskContext::new(1)));
+            let taken = ship_taken(&sm, 0);
+            let second = s.spawn(|| {
+                sm.ship(&manager, 1, 0, 0, &stale)?;
+                manager.fetch_block(0, 1, 0, 0)
+            });
+            drop(hold);
+            (taken, first.join().unwrap(), second.join().unwrap())
+        });
+        assert!(taken, "the first reader never took node 0's ship turn");
+        assert_eq!(opened(&first.expect("first read")), vec![body(1)]);
+        let (second, _) = second.expect("second read").expect("node 0 holds it");
+        assert_eq!(second.open().unwrap(), body(1));
+        // One segment's bytes went out, plus the small socket messages.
+        let (tx_after, _) = manager.wire_bytes(0);
+        let sent = tx_after - tx_before;
+        assert!(
+            (frame_len..2 * frame_len).contains(&sent),
+            "{sent} B sent for a {frame_len} B bucket"
+        );
+        assert_eq!(segments(&manager, 0), 1);
+        assert_eq!(sm.bucket_counts(), vec![1, 0]);
         assert_balanced(&manager, &sm);
     }
 
@@ -970,59 +1140,138 @@ mod tests {
     #[test]
     fn remote_attempts_on_one_slot_keep_executors_and_ledger_in_step() {
         let (manager, sm) = remote_pair();
-        sm.register(1, 4, 2);
-        // Two live attempts of each map task (a speculative twin, or a
-        // retry racing the attempt it replaces): neither has committed
-        // its partition, so neither is fenced.
+        sm.register(1, 2, 2);
+        // Six live attempts of each map task (speculative twins, or
+        // retries racing the attempts they replace): none has committed
+        // its partition, so none is fenced. Map task 0 runs every
+        // attempt on node 0, map task 1 alternates nodes. Readers on
+        // both nodes ship and fetch the buckets while they change.
         let board: crate::context::CommitBoard =
-            Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
-        let start = Barrier::new(4);
-        // Map task 0: both attempts on node 0. Map task 1: one attempt
-        // on each node. All four write both reduce buckets at once.
-        let writers = [(0usize, 0usize, 1u64), (0, 0, 2), (1, 0, 1), (1, 1, 2)];
+            Arc::new((0..2).map(|_| AtomicU64::new(0)).collect());
+        let tag = |node: usize, attempt: u64| 16 * node as u8 + attempt as u8;
+        let writing = AtomicBool::new(true);
+        let start = Barrier::new(2 + 12);
         std::thread::scope(|s| {
-            for (map, node, attempt) in writers {
-                let (sm, board, start) = (&sm, &board, &start);
+            for node in 0..2 {
+                let (sm, start, writing) = (&sm, &start, &writing);
                 s.spawn(move || {
-                    let tc = TaskContext::for_attempt(node, attempt, Arc::clone(board), map);
                     start.wait();
-                    for reduce in 0..2 {
-                        let tag = (16 * node as u8) + attempt as u8;
-                        sm.write(1, map, reduce, node, pay(&body(tag)), 10, &tc)
-                            .expect("write");
+                    while writing.load(Ordering::Acquire) {
+                        for reduce in 0..2 {
+                            match sm.fetch(1, reduce, &TaskContext::new(node)) {
+                                Ok(got) => {
+                                    for bucket in opened(&got) {
+                                        assert_eq!(bucket, body(bucket[0]), "a torn bucket");
+                                    }
+                                }
+                                Err(JobError::FetchFailed { .. }) => {}
+                                Err(other) => panic!("fetch failed untyped: {other:?}"),
+                            }
+                        }
                     }
                 });
             }
+            let writers: Vec<_> = (0..2usize)
+                .flat_map(|map| (1..=6u64).map(move |attempt| (map, attempt)))
+                .map(|(map, attempt)| {
+                    let node = if map == 0 { 0 } else { attempt as usize % 2 };
+                    let (sm, board, start) = (&sm, &board, &start);
+                    s.spawn(move || {
+                        let tc = TaskContext::for_attempt(node, attempt, Arc::clone(board), map);
+                        start.wait();
+                        for reduce in 0..2 {
+                            sm.write(
+                                1,
+                                map,
+                                reduce,
+                                node,
+                                pay(&body(tag(node, attempt))),
+                                10,
+                                &tc,
+                            )
+                            .expect("write");
+                        }
+                    })
+                })
+                .collect();
+            for writer in writers {
+                writer.join().unwrap();
+            }
+            writing.store(false, Ordering::Release);
         });
         assert_balanced(&manager, &sm);
         assert_eq!(sm.staged_bytes(0) + sm.staged_bytes(1), 4 * 10);
-        for map in 0..2 {
+        let check = |want_shipped: bool| {
+            for map in 0..2 {
+                for reduce in 0..2 {
+                    let (origin, attempt, bytes) = committed(&sm, 1, map, reduce);
+                    assert_eq!(bytes, body(tag(origin, attempt)));
+                    // The origin's executor holds the ledger's last
+                    // bucket or, unshipped, nothing; the other node
+                    // holds nothing either way.
+                    let (m, r) = (map as u64, reduce as u64);
+                    let held = manager.fetch_block(origin, 1, m, r).expect("fetch");
+                    match held {
+                        Some((served, _)) => assert_eq!(served.open().unwrap(), bytes),
+                        None => assert!(!want_shipped, "map {map} reduce {reduce} unshipped"),
+                    }
+                    let stray = manager.fetch_block(1 - origin, 1, m, r).expect("fetch");
+                    assert!(stray.is_none(), "map {map} reduce {reduce} stranded a copy");
+                }
+            }
+        };
+        check(false);
+        // Quiet reads from both nodes ship whatever was still unshipped.
+        for node in 0..2 {
             for reduce in 0..2 {
-                // What the origin's executor serves is what the ledger
-                // committed last, whoever that was.
-                let (origin, attempt, bytes) = committed(&sm, 1, map, reduce);
-                assert_eq!(bytes, body(16 * origin as u8 + attempt as u8));
-                let (served, _) = manager
-                    .fetch_block(origin, 1, map as u64, reduce as u64)
-                    .expect("fetch")
-                    .expect("the origin holds its bucket");
-                assert_eq!(served.open().unwrap(), bytes);
-                // And the node that lost the slot kept no copy of it.
-                let stray = manager
-                    .fetch_block(1 - origin, 1, map as u64, reduce as u64)
-                    .expect("fetch");
-                assert!(stray.is_none(), "map {map} reduce {reduce} stranded a copy");
+                let got = sm.fetch(1, reduce, &TaskContext::new(node)).unwrap();
+                let want: Vec<_> = (0..2).map(|map| committed(&sm, 1, map, reduce).2).collect();
+                assert_eq!(opened(&got), want);
             }
         }
-        // A retry that moved nodes, with nothing else in flight.
-        sm.write(1, 2, 0, 0, pay(&body(3)), 10, &TaskContext::new(0))
+        check(true);
+        assert_balanced(&manager, &sm);
+        // A retry that moved nodes after its bucket shipped, with
+        // nothing else in flight: the stale copy on node 0 goes.
+        let attempt =
+            |node, attempt| TaskContext::for_attempt(node, attempt, Arc::clone(&board), 0);
+        sm.register(2, 1, 1);
+        sm.write(2, 0, 0, 0, pay(&body(3)), 10, &attempt(0, 1))
             .unwrap();
-        sm.write(1, 2, 0, 1, pay(&body(4)), 10, &TaskContext::new(1))
+        sm.fetch(2, 0, &TaskContext::new(1)).unwrap();
+        assert!(manager.fetch_block(0, 2, 0, 0).unwrap().is_some());
+        sm.write(2, 0, 0, 1, pay(&body(4)), 10, &attempt(1, 2))
             .unwrap();
-        assert_eq!(committed(&sm, 1, 2, 0), (1, 1, body(4)));
-        assert!(manager.fetch_block(0, 1, 2, 0).unwrap().is_none());
+        assert_eq!(committed(&sm, 2, 0, 0), (1, 2, body(4)));
+        assert!(manager.fetch_block(0, 2, 0, 0).unwrap().is_none());
+        assert_balanced(&manager, &sm);
+        // A retry on the node its shipped predecessor sits on: the
+        // stale copy goes too, and the next remote read ships anew.
+        sm.fetch(2, 0, &TaskContext::new(0)).unwrap();
+        sm.write(2, 0, 0, 1, pay(&body(5)), 10, &attempt(1, 3))
+            .unwrap();
+        assert!(manager.fetch_block(1, 2, 0, 0).unwrap().is_none());
+        assert_balanced(&manager, &sm);
+        let stale = bucket(&sm, 2, 0, 0);
+        let got = sm.fetch(2, 0, &TaskContext::new(0)).unwrap();
+        assert_eq!(opened(&got), vec![body(5)]);
+        assert_balanced(&manager, &sm);
+        // A reader that snapshotted attempt 3 and gets its ship turn
+        // only after attempt 4 was written and shipped puts nothing:
+        // it fails typed and the ledger's copy stays.
+        sm.write(2, 0, 0, 1, pay(&body(6)), 10, &attempt(1, 4))
+            .unwrap();
+        sm.fetch(2, 0, &TaskContext::new(0)).unwrap();
+        let late = sm.ship(&manager, 2, 0, 0, &stale);
+        assert!(
+            matches!(late, Err(JobError::FetchFailed { .. })),
+            "{late:?}"
+        );
+        let (held, _) = manager.fetch_block(1, 2, 0, 0).unwrap().expect("held");
+        assert_eq!(held.open().unwrap(), body(6));
         assert_balanced(&manager, &sm);
         sm.release(1);
+        sm.release(2);
         assert_balanced(&manager, &sm);
     }
 
@@ -1038,9 +1287,10 @@ mod tests {
                     .unwrap();
             }
         };
-        // Readers on both nodes (each pulls the other node's two
-        // buckets over the socket) until `upset` has run and they have
-        // seen its effect; every fetch is all four buckets or an error.
+        // Readers on both nodes (each ships the other node's two
+        // buckets on its first read and pulls them over the socket)
+        // until `upset` has run and they have seen its effect; every
+        // fetch is all four buckets or an error.
         let race = |id: ShuffleId, upset: &(dyn Fn() + Sync)| {
             let start = Barrier::new(3);
             std::thread::scope(|s| {

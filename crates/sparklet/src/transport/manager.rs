@@ -414,7 +414,7 @@ impl ExecutorManager {
 
     /// Stage a bucket frame on `node`'s executor. Returns the bytes
     /// moved (socket plus segment). Failure means the bucket is *not*
-    /// staged remotely — the caller must not commit it.
+    /// staged remotely — the caller must not record it as shipped.
     pub fn put_block(
         &self,
         node: usize,

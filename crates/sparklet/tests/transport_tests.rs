@@ -9,7 +9,9 @@
 
 use std::sync::Arc;
 
-use sparklet::{ChaosEvent, ChaosPolicy, HashPartitioner, SparkConf, SparkContext, TransportMode};
+use sparklet::{
+    ChaosEvent, ChaosPolicy, HashPartitioner, Rdd, SparkConf, SparkContext, TransportMode,
+};
 
 fn pairs(n: usize) -> Vec<(usize, u64)> {
     (0..n).map(|i| (i % 16, (i * i) as u64)).collect()
@@ -31,6 +33,16 @@ fn run_reduce(sc: &SparkContext) -> Vec<(usize, u64)> {
     sorted(out)
 }
 
+/// A reduce whose buckets cross nodes. `run_reduce` hash-places its
+/// keys over 8 map partitions and 4 reduce partitions, so every reduce
+/// reads only map partitions that ran on its own node; over 3 reduce
+/// partitions most reduces read a bucket another node staged.
+fn crossing(sc: &SparkContext) -> Rdd<usize, u64> {
+    sc.parallelize(pairs(256), Some(8))
+        .map(|(k, v)| (k, v))
+        .reduce_by_key(|a, b| a + b, 3, Arc::new(HashPartitioner))
+}
+
 fn ctx(mode: TransportMode, executors: usize) -> SparkContext {
     let conf = SparkConf::default()
         .with_executors(executors)
@@ -43,10 +55,12 @@ fn ctx(mode: TransportMode, executors: usize) -> SparkContext {
 
 #[test]
 fn tcp_job_matches_in_process_and_moves_real_wire_bytes() {
-    let reference = run_reduce(&ctx(TransportMode::InProcess, 2));
+    let run = |sc: &SparkContext| sorted(crossing(sc).collect().expect("reduce job"));
+    let reference = run(&ctx(TransportMode::InProcess, 2));
 
     let sc = ctx(TransportMode::Tcp, 2);
-    assert_eq!(run_reduce(&sc), reference, "TCP transport changed results");
+    assert_eq!(run(&sc), reference, "TCP transport changed results");
+    assert!(sc.summary().remote_bytes > 0, "some fetch must cross nodes");
     // The shuffle really crossed the sockets: both executors exchanged
     // measured bytes, and the totals are the per-node sums.
     let (tx0, rx0) = sc.wire_bytes(0);
@@ -138,29 +152,34 @@ fn scripted_executor_loss_sigkills_and_recovers_via_resubmission() {
 
 #[test]
 fn a_killed_unix_executor_leaves_no_segments_and_its_buckets_resubmit() {
-    let reference = run_reduce(&ctx(TransportMode::InProcess, 2));
+    let reference = sorted(
+        crossing(&ctx(TransportMode::InProcess, 2))
+            .collect()
+            .unwrap(),
+    );
     let sc = ctx(TransportMode::Unix, 2);
-    let reduced = sc
-        .parallelize(pairs(256), Some(8))
-        .map(|(k, v)| (k, v))
-        .reduce_by_key(|a, b| a + b, 4, Arc::new(HashPartitioner));
+    let reduced = crossing(&sc);
     assert_eq!(sorted(reduced.collect().expect("first run")), reference);
+    assert!(sc.summary().remote_bytes > 0, "some fetch must cross nodes");
     let dir = sc
         .executor_segment_dir(1)
         .expect("Unix executors keep segments");
     let files = || std::fs::read_dir(&dir).expect("node directory").count();
-    assert!(files() > 0, "node 1 staged its map output as segment files");
+    assert!(
+        files() > 0,
+        "node 1 holds the buckets node 0 read, as segment files"
+    );
     // The shuffle stays staged while `reduced` holds its lineage; the
     // kill takes node 1's share of it, in memory and on disk.
     let loss = sc.kill_executor(1);
     assert!(loss.map_buckets_lost > 0);
     assert_eq!(files(), 0, "the replacement starts with an empty directory");
     // Re-reading fetches the lost buckets, fails, and resubmits the
-    // map stage, which restages them.
+    // map stage, which restages them; node 0's reads ship them again.
     let resubmitted = sc.summary().stage_resubmissions;
     assert_eq!(sorted(reduced.collect().expect("rerun")), reference);
     assert!(sc.summary().stage_resubmissions > resubmitted);
-    assert!(files() > 0, "the map re-run restaged node 1's buckets");
+    assert!(files() > 0, "the re-read shipped node 1's restaged buckets");
     sc.audit().expect("post-recovery audit");
     // Dropping the context removes the whole segment tree.
     let root = dir.parent().expect("segment root").to_path_buf();
