@@ -218,21 +218,6 @@ impl AqePlanner {
         }
     }
 
-    /// Overhead-only stage: `p` empty tasks (models the stages of an
-    /// iteration that run no kernel wave).
-    fn synth_overhead(&self, p: usize) -> StageRecord {
-        let nodes = self.model.spec.nodes.max(1);
-        StageRecord {
-            tasks: (0..p)
-                .map(|t| TaskRecord {
-                    node: t % nodes,
-                    ..Default::default()
-                })
-                .collect(),
-            ..Default::default()
-        }
-    }
-
     /// Modeled seconds for iteration `k` of `strategy` on `p`
     /// partitions: one synthetic record per record the iteration
     /// appends ([`Strategy::records`]). `bytes` is what it moves;
@@ -291,7 +276,6 @@ impl AqePlanner {
                         ..Default::default()
                     })
                 }
-                Record::Overhead => price(&self.synth_overhead(p)),
             })
             .sum()
     }
@@ -509,8 +493,8 @@ mod tests {
     /// recorded one costs, at every phase and partition count, or the
     /// planner's choices rest on a different run than the one it
     /// steers. GE's tail is where one wave's straggler decides an
-    /// iteration; CB's driver records and kernel-free stages are a
-    /// fixed cost per record, so each must be priced.
+    /// iteration; CB's driver records are a fixed cost per record, so
+    /// each must be priced.
     #[test]
     fn synthetic_iterations_track_the_recorded_ones() {
         use crate::solver::solve_virtual;

@@ -1,25 +1,27 @@
 //! One iteration `k` of the blocked GEP — Listings 1 and 2 of the paper.
 //!
 //! Both strategies run the same three kernel waves over the same
-//! `FilterA/B/C/D` ([`WAVES`]: A, then B/C, then D), and close the same
-//! way: the updated blocks are unioned with the untouched ones, and
-//! since every branch keeps the plan's placement, the union zips
-//! partition by partition and the listings' closing repartition
-//! elides. They differ only in how a wave's updated blocks reach the
-//! blocks that read them:
+//! `FilterA/B/C/D` ([`WAVES`]: A, then B/C, then D), and both return
+//! the next table in the plan's placement, so the listings' closing
+//! repartition moves no block. They differ in how a wave's updated
+//! blocks reach the blocks that read them:
 //!
 //! * **IM** (Listing 1) ships copies. A block updated in one wave
 //!   flat-maps a tagged copy of itself to each of its readers
 //!   ([`Phase::readers`]); the next wave `cogroup`s those copies onto
 //!   its blocks, which are the narrow side (already placed by the
 //!   plan's partitioner), so only the copies, plus the A and B/C blocks
-//!   passing through, shuffle: two shuffles an iteration.
+//!   passing through, shuffle: two shuffles an iteration. The updated
+//!   blocks are then unioned with the untouched ones, which zips
+//!   partition by partition.
 //! * **CB** (Listing 2) collects the A wave, then the B/C wave, to the
-//!   driver and broadcasts each through shared storage. The D update
-//!   and the A/B/C rebuild read only the cached table and the
-//!   broadcasts, so they run as two concurrent jobs, and an iteration
-//!   stages no shuffle bytes at all. The driver phases are logged with
-//!   `log_driver_traffic` for the cost model.
+//!   driver and broadcasts each through shared storage. The D update,
+//!   the A/B/C rebuild and the untouched blocks' pass-through read only
+//!   the cached table and the broadcasts. Listing 2 unions the three,
+//!   but a union of narrow maps over one co-partitioned table is one
+//!   stage, so they run as one `map_partitions` over the table, and an
+//!   iteration stages no shuffle bytes at all. The driver phases are
+//!   logged with `log_driver_traffic` for the cost model.
 //!
 //! The module also declares what an iteration of each strategy appends
 //! to the event log and what it moves ([`Record`],
@@ -27,7 +29,6 @@
 //! `Strategy::tiles_moved`), so the adaptive planner prices the
 //! iteration this module runs, not a copy of its shape.
 
-use std::iter;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -84,28 +85,18 @@ pub(crate) enum Record {
     ShuffleWave(usize),
     /// The driver collecting wave `WAVES[w]` and broadcasting it.
     Driver(usize),
-    /// A task stage that runs no kernel.
-    Overhead,
 }
 
 impl Strategy {
     /// The records one iteration appends, in order. IM: its three wave
-    /// stages (the D stage is the table's materialization). CB: the A
-    /// wave and its driver record, the B/C wave and its driver record,
-    /// the D wave, the A/B/C rebuild, and the table's materialization.
+    /// stages. CB: the A wave and its driver record, the B/C wave and
+    /// its driver record, then the D wave. Under both the D stage is
+    /// the table's materialization.
     pub(crate) fn records(self) -> &'static [Record] {
         use Record::*;
         match self {
             Strategy::InMemory => &[Wave(0), Wave(1), ShuffleWave(LAST)],
-            Strategy::CollectBroadcast => &[
-                Wave(0),
-                Driver(0),
-                Wave(1),
-                Driver(1),
-                Wave(LAST),
-                Overhead,
-                Overhead,
-            ],
+            Strategy::CollectBroadcast => &[Wave(0), Driver(0), Wave(1), Driver(1), Wave(LAST)],
         }
     }
 
@@ -233,14 +224,15 @@ pub(crate) fn step<S: DpProblem>(
         b,
         problem: PhantomData,
     });
-    let updated = match plan.strategy {
-        Strategy::InMemory => vec![shuffle(dp, &phase, plan)],
-        Strategy::CollectBroadcast => broadcast(sc, dp, &phase, plan)?,
-    };
-    let untouched = dp.filter(move |key, _| !filters::touched::<S>(*key, k, b));
-    Ok(sc
-        .union(iter::once(untouched).chain(updated).collect())
-        .partition_by(plan.partitions, Arc::clone(&plan.partitioner)))
+    match plan.strategy {
+        Strategy::InMemory => {
+            let untouched = dp.filter(move |key, _| !filters::touched::<S>(*key, k, b));
+            Ok(sc
+                .union(vec![untouched, shuffle(dp, &phase, plan)])
+                .partition_by(plan.partitions, Arc::clone(&plan.partitioner)))
+        }
+        Strategy::CollectBroadcast => broadcast(sc, dp, &phase),
+    }
 }
 
 /// The table's blocks whose wave index passes `keep`.
@@ -313,8 +305,9 @@ fn source((i, j): K, role: u8, k: usize) -> K {
 
 /// CB's task body, given the broadcasts of the first `shipped.len()`
 /// waves: a block of one of those waves is rebuilt from its broadcast
-/// (sharing the decoded tile's cells, not recomputing its kernel); any
-/// other block updates against the broadcasts.
+/// (sharing the decoded tile's cells, not recomputing its kernel), a
+/// block of a later wave updates against the broadcasts, and a block
+/// the phase does not touch passes through.
 fn with_broadcasts<S: DpProblem>(
     phase: &Phase<S>,
     shipped: &[Shipped<S::Elem>],
@@ -341,10 +334,12 @@ fn with_broadcasts<S: DpProblem>(
     items
         .into_iter()
         .map(|(key, mut blk)| {
-            if phase.wave(key).is_some_and(|w| w < shipped.len()) {
-                blk = get(key).expect("a broadcast wave's block").clone();
-            } else {
-                phase.update(key, &mut blk, |role| get(source(key, role, k)), tc);
+            match phase.wave(key) {
+                None => {}
+                Some(w) if w < shipped.len() => {
+                    blk = get(key).expect("a broadcast wave's block").clone();
+                }
+                Some(_) => phase.update(key, &mut blk, |role| get(source(key, role, k)), tc),
             }
             (key, blk)
         })
@@ -352,15 +347,15 @@ fn with_broadcasts<S: DpProblem>(
 }
 
 /// CB: collect and broadcast the A wave, then the B/C wave (which reads
-/// the first broadcast); then run the D update and the A/B/C rebuild
-/// against both as concurrent jobs, at the plan's level — `persist`
-/// when it keeps lineage, else `checkpoint`. Returns the two branches.
+/// the first broadcast); then return the next table as one narrow map
+/// over `dp` that updates the D blocks against both broadcasts,
+/// rebuilds the A/B/C blocks from them and passes every other block
+/// through. The caller materializes it.
 fn broadcast<S: DpProblem>(
     sc: &SparkContext,
     dp: &Table<S::Elem>,
     phase: &Arc<Phase<S>>,
-    plan: &Plan<S>,
-) -> Result<Vec<Table<S::Elem>>, JobError> {
+) -> Result<Table<S::Elem>, JobError> {
     let mut shipped: Vec<Shipped<S::Elem>> = Vec::new();
     for (w, name) in ["a", "panels"].into_iter().enumerate() {
         let (p, by) = (Arc::clone(phase), shipped.clone());
@@ -376,26 +371,15 @@ fn broadcast<S: DpProblem>(
             tiles.approx_bytes() as u64,
         );
     }
-    // Unlike the collected waves, a branch partition holding no block
+    // Unlike the collected waves, a partition holding no touched block
     // reads no broadcast.
-    let branch = |keep: fn(usize) -> bool| {
-        let (p, by) = (Arc::clone(phase), shipped.clone());
-        let updated = blocks(dp, phase, keep).map_partitions(true, move |_p, items, tc| {
-            if items.is_empty() {
-                return items;
-            }
-            with_broadcasts(&p, &by, items, tc)
-        });
-        if plan.keep_lineage {
-            updated.persist_async(plan.level)
-        } else {
-            updated.checkpoint_async_with_level(plan.level)
+    let p = Arc::clone(phase);
+    Ok(dp.map_partitions(true, move |_p, items, tc| {
+        if items.iter().all(|(key, _)| p.wave(*key).is_none()) {
+            return items;
         }
-    };
-    let d = branch(|w| w == LAST);
-    let abc = branch(|w| w < LAST);
-    let d = d.wait()?;
-    Ok(vec![abc.wait()?, d])
+        with_broadcasts(&p, &shipped, items, tc)
+    }))
 }
 
 #[cfg(test)]

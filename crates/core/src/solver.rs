@@ -238,11 +238,10 @@ pub fn solve_virtual<S: DpProblem>(
     Ok(sc.summary())
 }
 
-/// The sim seed of every [`record_virtual`] context. On a threaded
-/// context CB's two concurrent materializations race for which of them
-/// pays a node's local reads, so the recorded bytes, and the priced
-/// seconds, would differ from run to run; a seeded context schedules
-/// them the same way every time.
+/// The sim seed of every [`record_virtual`] context. A seeded context
+/// schedules a dataflow the same way every time, so one config is one
+/// recording even where stages run concurrently and race for which of
+/// them pays a node's local reads.
 const RECORD_SEED: u64 = 0;
 
 /// Paper-scale recording: run `cfg`'s dataflow virtually on a seeded
@@ -340,8 +339,8 @@ mod tests {
         check_repricing::<GaussianElim>();
     }
 
-    /// CB's two concurrent materializations race on a threaded context;
-    /// the seeded recording context schedules them the same way twice.
+    /// The seeded recording context schedules one CB config the same
+    /// way twice.
     #[test]
     fn two_recordings_of_one_cb_config_are_equal() {
         let cluster = small_cluster();

@@ -187,7 +187,10 @@ fn decision(at_stage: u64, iteration: u64, action: &str, reason: &str) -> Adapti
 /// pricing every record a CB iteration appends (two driver records and
 /// two kernel-free stages, not one of each): its `strategy:cb->im`
 /// moved from iteration 12 (stage 91) to iteration 10 (stage 77), and
-/// its stages went from 101 to 93.
+/// its stages went from 101 to 93. It was re-recorded again when a CB
+/// iteration's D update, A/B/C rebuild and materialization became one
+/// stage: CB iterations price cheaper, so the switch moved to iteration
+/// 14 (stage 75), after the last coalesce, and its stages went to 79.
 #[test]
 fn seeded_adaptive_runs_match_the_goldens_recorded_before_the_rewrite() {
     // The run `adaptive_decisions_reach_the_report_and_the_event_log`
@@ -235,8 +238,8 @@ fn seeded_adaptive_runs_match_the_goldens_recorded_before_the_rewrite() {
     assert_eq!(report, golden);
 
     // A run whose measured re-plans fire: the planner's watermark fold
-    // of each iteration's records drives a CB→IM switch and a late
-    // coalesce. (`aqe::tests` pins both switch directions.)
+    // of each iteration's records drives a late coalesce and a CB→IM
+    // switch. (`aqe::tests` pins both switch directions.)
     let sc = SparkContext::new(conf(11).with_partitions(128).with_adaptive_execution());
     let cfg = DpConfig::new(8192, 512)
         .with_partitions(128)
@@ -244,21 +247,21 @@ fn seeded_adaptive_runs_match_the_goldens_recorded_before_the_rewrite() {
         .with_kernel(KernelSpec::recursive(2, 64, 1));
     let report = solve_virtual::<GaussianElim>(&sc, &cfg).expect("run");
     let golden = RunSummary {
-        stages: 93,
-        tasks: 1052,
-        remote_bytes: 186649554,
-        local_bytes: 2107671710,
-        staged_bytes: 356521620,
+        stages: 79,
+        tasks: 736,
+        remote_bytes: 0,
+        local_bytes: 2143324032,
+        staged_bytes: 4194372,
         kernel_updates: 183218384896.0,
-        collect_bytes: 484449735,
-        broadcast_bytes: 484449911,
+        collect_bytes: 534782175,
+        broadcast_bytes: 534782415,
         retries: 0,
         speculative_launches: 0,
         zombie_writes_fenced: 0,
-        staged_released_bytes: 356521620,
+        staged_released_bytes: 4194372,
         staged_lost_bytes: 0,
         stage_resubmissions: 0,
-        cache_hits: 1428,
+        cache_hits: 740,
         cache_misses: 0,
         spilled_bytes: 0,
         evicted_bytes: 0,
@@ -270,19 +273,19 @@ fn seeded_adaptive_runs_match_the_goldens_recorded_before_the_rewrite() {
                 0,
                 0,
                 "coalesce:128->16",
-                "modeled 16 iteration(s) 119.650s at 16 parts vs 151.948s at 128 (256 active blocks)",
+                "modeled 16 iteration(s) 111.330s at 16 parts vs 130.188s at 128 (256 active blocks)",
             ),
             decision(
-                77,
-                10,
-                "strategy:cb->im",
-                "modeled iter 2.648s vs 3.487s staying",
-            ),
-            decision(
-                86,
-                13,
+                75,
+                14,
                 "coalesce:16->4",
-                "modeled 2 iteration(s) 2.778s at 4 parts vs 2.928s at 16 (4 active blocks)",
+                "modeled 1 iteration(s) 1.348s at 4 parts vs 1.438s at 16 (1 active blocks)",
+            ),
+            decision(
+                75,
+                14,
+                "strategy:cb->im",
+                "modeled iter 0.941s vs 1.348s staying",
             ),
         ],
     };

@@ -68,12 +68,14 @@ fn fw_in_memory_moves_only_the_operand_copies() {
 
 #[test]
 fn ge_collect_broadcast_stages_nothing() {
-    // 8 iterations × (A and B/C collects, two driver records, the D and
-    // A/B/C materializations, the table's) + the collect. The bytes are
-    // the tasks' broadcast reads; the closing repartition elides.
+    // 8 iterations × (A and B/C collects, two driver records, and one
+    // narrow stage that updates D, rebuilds A/B/C and materializes the
+    // table) + the collect. The bytes are the tasks' broadcast reads.
+    // Every task after iteration 0's reads the cached table: 7 × 12 + 4
+    // cache hits.
     assert_eq!(
         counts(row(Problem::Ge, Strategy::CollectBroadcast)),
-        ((57, 164, 0, 70_008, 0), (0, 208, 0, 0, 0))
+        ((41, 100, 0, 70_008, 0), (0, 88, 0, 0, 0))
     );
 }
 
@@ -103,10 +105,11 @@ fn ge_in_memory_ships_diagonal_copies_through_both_shuffles() {
 
 #[test]
 fn fw_collect_broadcast_runs_d_without_the_diagonal() {
-    // The same 7 records an iteration as GE's row; every block is
-    // active, so the D and A/B/C tasks read more broadcast bytes.
+    // The same 5 records an iteration as GE's row; every block is
+    // active, so every iteration broadcasts, and its tasks read, full
+    // panels.
     assert_eq!(
         counts(row(Problem::Fw, Strategy::CollectBroadcast)),
-        ((57, 164, 0, 131_056, 0), (0, 208, 0, 0, 0))
+        ((41, 100, 0, 131_056, 0), (0, 88, 0, 0, 0))
     );
 }

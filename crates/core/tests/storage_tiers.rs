@@ -1,5 +1,5 @@
-//! Acceptance tests for the tiered block storage subsystem: an
-//! in-memory Floyd–Warshall solve whose per-iteration materializations
+//! Acceptance tests for the tiered block storage subsystem: a
+//! Floyd–Warshall solve whose per-iteration materializations
 //! do not fit in executor memory must still complete bit-identically to
 //! the sequential oracle — by spilling serialized blocks to the disk
 //! tier (`MemoryAndDisk`), or by dropping and lineage-recomputing them
@@ -9,7 +9,7 @@
 
 mod harness;
 
-use dp_core::DpConfig;
+use dp_core::{DpConfig, Strategy};
 use harness::{cluster, per_node, Case, Chaos, Problem};
 use sparklet::{SparkContext, StorageLevel};
 
@@ -61,29 +61,38 @@ fn fw_under_memory_pressure_spills_and_stays_bit_identical() {
     }
 }
 
+/// Under CB a recomputed block re-runs the iteration's one narrow stage
+/// and re-reads the broadcasts its lineage holds; under IM it re-reads
+/// the staged shuffles.
 #[test]
 fn fw_with_memory_only_recomputes_evicted_blocks() {
-    let recompute = |c: DpConfig| {
-        c.with_storage_level(StorageLevel::MemoryOnly)
-            .with_recompute_on_evict(true)
-    };
-    let free = fw(99).cfg(recompute).check();
-    assert_eq!(free.summary.recomputes, 0, "uncapped run keeps every block");
+    for strategy in [Strategy::InMemory, Strategy::CollectBroadcast] {
+        let recompute = move |c: DpConfig| {
+            c.with_strategy(strategy)
+                .with_storage_level(StorageLevel::MemoryOnly)
+                .with_recompute_on_evict(true)
+        };
+        let free = fw(99).cfg(recompute).check();
+        assert_eq!(
+            free.summary.recomputes, 0,
+            "{strategy:?}: uncapped run keeps every block"
+        );
 
-    // `persist` keeps every generation's cache alive (retained lineage),
-    // so LRU can satisfy a cap of one table by shedding stale
-    // generations nobody reads. To force recomputation of *live*
-    // blocks, cap below one table's per-node footprint.
-    let squeezed = capped(fw(99), TABLE_PER_NODE / 2).cfg(recompute).check();
-    assert!(
-        squeezed.summary.recomputes > 0,
-        "undersized memory must trigger lineage recomputation"
-    );
-    assert_eq!(
-        squeezed.summary.spilled_bytes, 0,
-        "MemoryOnly never touches the disk tier"
-    );
-    assert!(cached(&squeezed.sc).iter().all(|&(_, disk)| disk == 0));
+        // `persist` keeps every generation's cache alive (retained
+        // lineage), so LRU can satisfy a cap of one table by shedding
+        // stale generations nobody reads. To force recomputation of
+        // *live* blocks, cap below one table's per-node footprint.
+        let squeezed = capped(fw(99), TABLE_PER_NODE / 2).cfg(recompute).check();
+        assert!(
+            squeezed.summary.recomputes > 0,
+            "{strategy:?}: undersized memory must trigger lineage recomputation"
+        );
+        assert_eq!(
+            squeezed.summary.spilled_bytes, 0,
+            "{strategy:?}: MemoryOnly never touches the disk tier"
+        );
+        assert!(cached(&squeezed.sc).iter().all(|&(_, disk)| disk == 0));
+    }
 }
 
 #[test]

@@ -664,9 +664,8 @@ pub(crate) fn explain_graph_into(roots: &[Arc<dyn ShuffleDep>], out: &mut String
 // Async job handles
 // ---------------------------------------------------------------------
 
-/// Handle to a job submitted asynchronously ([`crate::Rdd::collect_async`],
-/// [`crate::Rdd::persist_async`], or
-/// [`JobHandle::spawn`]). Dropping the handle detaches the job: it
+/// Handle to a job submitted asynchronously ([`crate::Rdd::collect_async`]
+/// or [`JobHandle::spawn`]). Dropping the handle detaches the job: it
 /// keeps running to completion in the background.
 pub struct JobHandle<T> {
     /// Receives the job's one message: its result.

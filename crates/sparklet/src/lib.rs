@@ -36,9 +36,8 @@
 //! * **driver-side DAG scheduling** — actions extract a stage graph
 //!   from lineage and keep every ready stage in flight simultaneously;
 //!   a shuffle shared by several branches or concurrent jobs is
-//!   materialized exactly once, and [`Rdd::collect_async`] /
-//!   [`Rdd::persist_async`] submit whole jobs concurrently via
-//!   [`JobHandle`]s;
+//!   materialized exactly once, and [`Rdd::collect_async`] submits
+//!   whole jobs concurrently via [`JobHandle`]s;
 //! * **deterministic simulation** — [`SparkConf::with_sim_seed`]
 //!   switches the whole engine onto a virtual clock and a seeded
 //!   scheduler, and [`SparkContext::install_chaos`] scripts faults

@@ -1102,43 +1102,19 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
         Ok(counts.into_iter().sum())
     }
 
-    /// Submit `job` over this RDD on a driver thread — or, in
-    /// deterministic mode, run it inline on the calling thread and
-    /// return the handle already finished, so the seeded schedule has
-    /// no hidden thread interleavings.
-    fn submit<T: Send + 'static>(
-        &self,
-        job: impl FnOnce(&Self) -> Result<T, JobError> + Send + 'static,
-    ) -> JobHandle<T> {
-        if self.ctx.is_deterministic() {
-            return JobHandle::ready(job(self));
-        }
-        let rdd = self.clone();
-        JobHandle::spawn(move || job(&rdd))
-    }
-
     /// Submit [`Rdd::collect`] as an asynchronous job on a driver
     /// thread. Independent jobs overlap; a shuffle shared with another
     /// in-flight job is materialized exactly once (latched per shuffle
     /// id by the DAG scheduler).
     /// In deterministic mode the job runs inline on the calling thread
-    /// instead — the handle is returned already finished.
+    /// instead — the handle is returned already finished, so the seeded
+    /// schedule has no hidden thread interleavings.
     pub fn collect_async(&self) -> JobHandle<Vec<(K, V)>> {
-        self.submit(Self::collect)
-    }
-
-    /// Submit [`Rdd::persist`] as an asynchronous job on a driver
-    /// thread (inline when deterministic), returning a handle to the
-    /// materialized RDD.
-    pub fn persist_async(&self, level: StorageLevel) -> JobHandle<Rdd<K, V>> {
-        self.submit(move |rdd| rdd.persist(level))
-    }
-
-    /// Submit [`Rdd::checkpoint_with_level`] as an asynchronous job on
-    /// a driver thread (inline when deterministic), returning a handle
-    /// to the materialized RDD.
-    pub fn checkpoint_async_with_level(&self, level: StorageLevel) -> JobHandle<Rdd<K, V>> {
-        self.submit(move |rdd| rdd.checkpoint_with_level(level))
+        if self.ctx.is_deterministic() {
+            return JobHandle::ready(self.collect());
+        }
+        let rdd = self.clone();
+        JobHandle::spawn(move || rdd.collect())
     }
 
     /// Materialize every partition into the block stores at `level`
