@@ -89,8 +89,10 @@ pub struct StageRecord {
     /// Stage ids of the direct parent stages in the job DAG — the map
     /// stages whose shuffles this stage read.
     pub parent_stage_ids: Vec<u64>,
-    /// Stages the DAG scheduler had in flight when this one launched
-    /// (including this one); 1 means serial execution.
+    /// Stages in flight on the context when this one launched
+    /// (including this one). A job runs its stages one at a time, so a
+    /// job alone records 1; above 1 means concurrent jobs on one
+    /// context.
     pub concurrent_stages: u64,
     /// Every task of the stage (with placement).
     pub tasks: Vec<TaskRecord>,

@@ -11,13 +11,10 @@
 //! The candidate list is the caller's;
 //! [`KernelSpec::both`] supplies both kernels at one shape.
 //!
-//! Probes run **one at a time**. An earlier version submitted every
-//! candidate as a concurrent [`sparklet::JobHandle`] job with the
-//! timer inside the closure; the probes then contended for the same
-//! executor slots, so each `probe_seconds` entry measured mostly the
-//! *interference* of the other candidates — the ranking depended on
-//! how many candidates were probed and in what order. A timing probe
-//! is only comparable when each candidate sees the machine the way the
+//! Probes run **one at a time**: probes that share the executor slots
+//! time each other's interference, so the ranking would depend on how
+//! many candidates were probed and in what order. A timing probe is
+//! only comparable when each candidate sees the machine the way the
 //! final solve will: alone.
 
 use std::time::Instant;
@@ -143,17 +140,12 @@ mod tests {
         // Regression: probes used to be submitted as concurrent jobs
         // with the timer inside each closure, so candidates timed each
         // other's interference and the ranking depended on list size.
-        // With the per-job stage cap at 1, any overlap between probe
-        // jobs is visible in the driver's in-flight gauge: serialized
-        // probes keep it at exactly 1 for the whole run.
+        // A job runs its stages one at a time, so any overlap between
+        // probe jobs is visible in the context's in-flight gauge:
+        // serialized probes keep it at exactly 1 for the whole run.
         let n = 12;
         let input = Matrix::from_fn(n, n, |i, j| if i == j { 0.0 } else { (i + j) as f64 });
-        let sc = SparkContext::new(
-            SparkConf::default()
-                .with_executors(2)
-                .with_partitions(4)
-                .with_max_concurrent_stages(1),
-        );
+        let sc = SparkContext::new(SparkConf::default().with_executors(2).with_partitions(4));
         let candidates = [
             KernelSpec::iterative(),
             KernelSpec::recursive(2, 2, 2),
@@ -171,7 +163,7 @@ mod tests {
         let peak = sc.summary().max_concurrent_stages;
         assert_eq!(
             peak, 1,
-            "probe jobs overlapped: gauge {peak} despite per-job cap 1"
+            "probe jobs overlapped: in-flight gauge read {peak}"
         );
     }
 

@@ -240,8 +240,8 @@ pub fn solve_virtual<S: DpProblem>(
 
 /// The sim seed of every [`record_virtual`] context. A seeded context
 /// schedules a dataflow the same way every time, so one config is one
-/// recording even where stages run concurrently and race for which of
-/// them pays a node's local reads.
+/// recording even where tasks race for which of them pays a node's
+/// local reads.
 const RECORD_SEED: u64 = 0;
 
 /// Paper-scale recording: run `cfg`'s dataflow virtually on a seeded

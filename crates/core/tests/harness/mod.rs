@@ -174,8 +174,8 @@ pub struct Run {
     pub summary: RunSummary,
 }
 
-/// The summary without the threaded scheduler's stage-concurrency
-/// high-water mark: a timing artifact, not a property of the plan.
+/// The summary without the context's stage-concurrency high-water mark:
+/// a timing artifact of concurrent jobs, not a property of the plan.
 pub fn masked(mut summary: RunSummary) -> RunSummary {
     summary.max_concurrent_stages = 0;
     summary

@@ -44,10 +44,6 @@ pub struct SparkConf {
     /// Fraction of a stage's tasks that must complete before
     /// stragglers are speculated (`spark.speculation.quantile`).
     pub speculation_quantile: f64,
-    /// Cap on stages the DAG scheduler keeps in flight per job
-    /// (`None` = unbounded; 1 reproduces the old serial stage walk for
-    /// A/B benchmarking).
-    pub max_concurrent_stages: Option<usize>,
     /// Deterministic simulation seed. `Some(seed)` switches the
     /// context to sim mode: a virtual clock replaces wall time, tasks
     /// run sequentially in a seeded order, and the whole schedule is a
@@ -93,7 +89,6 @@ impl Default for SparkConf {
             retry_backoff_max_ms: 1000,
             speculation: false,
             speculation_quantile: 0.75,
-            max_concurrent_stages: None,
             sim_seed: None,
             adaptive_execution: false,
             compression: Compression::None,
@@ -163,13 +158,6 @@ impl SparkConf {
         assert!((0.0..=1.0).contains(&quantile));
         self.speculation = true;
         self.speculation_quantile = quantile;
-        self
-    }
-
-    /// Cap the stages the DAG scheduler keeps in flight per job.
-    pub fn with_max_concurrent_stages(mut self, n: usize) -> Self {
-        assert!(n >= 1);
-        self.max_concurrent_stages = Some(n);
         self
     }
 
@@ -295,17 +283,6 @@ mod tests {
         assert!(
             !d.adaptive_execution,
             "adaptive execution is opt-in: static plans stay static"
-        );
-    }
-
-    #[test]
-    fn dag_knobs_compose() {
-        let c = SparkConf::default().with_max_concurrent_stages(1);
-        assert_eq!(c.max_concurrent_stages, Some(1));
-        let d = SparkConf::default();
-        assert_eq!(
-            d.max_concurrent_stages, None,
-            "stage concurrency unbounded by default"
         );
     }
 }

@@ -69,8 +69,8 @@ pub enum JobError {
     /// A cached block exists but holds a different type than the
     /// reader asked for (a caller bug, not a missing block).
     TypeMismatch(String),
-    /// A driver-side job thread died without producing a result (e.g.
-    /// the closure behind a [`crate::JobHandle`] panicked).
+    /// The driver refused or lost a job outside any task: an invalid
+    /// job description, or a job-service worker whose job panicked.
     Driver(String),
     /// The job was cancelled (client disconnect, tenant abort, or an
     /// explicit [`crate::CancelToken`]). Not retryable: the caller gave

@@ -34,10 +34,10 @@
 //! * **lineage-based recovery** — injected task failures are retried
 //!   (bounded attempts) by recomputing from lineage, Spark-style;
 //! * **driver-side DAG scheduling** — actions extract a stage graph
-//!   from lineage and keep every ready stage in flight simultaneously;
-//!   a shuffle shared by several branches or concurrent jobs is
-//!   materialized exactly once, and [`Rdd::collect_async`] submits
-//!   whole jobs concurrently via [`JobHandle`]s;
+//!   from lineage and run its ready stages one at a time on the
+//!   calling thread; a shuffle shared by several branches, or by jobs
+//!   that several threads run concurrently on one context, is
+//!   materialized exactly once;
 //! * **deterministic simulation** — [`SparkConf::with_sim_seed`]
 //!   switches the whole engine onto a virtual clock and a seeded
 //!   scheduler, and [`SparkContext::install_chaos`] scripts faults
@@ -81,7 +81,7 @@ pub use broadcast::Broadcast;
 pub use codec::Storable;
 pub use config::SparkConf;
 pub use context::{ExecutorLoss, InstalledChaos, SparkContext, TaskContext};
-pub use dag::{with_cancel, CancelToken, JobHandle};
+pub use dag::{with_cancel, CancelToken};
 pub use error::JobError;
 pub use ext::Either;
 pub use metrics::{AdaptiveDecision, EventLog, RunSummary};

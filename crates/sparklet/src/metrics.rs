@@ -93,9 +93,10 @@ pub struct RunSummary {
     /// Cache puts dropped by attempt fencing (zombie checkpoint
     /// tasks).
     pub fenced_cache_puts: u64,
-    /// Highest number of stages the DAG scheduler had in flight
-    /// simultaneously at any stage launch (each record carries the
-    /// driver's in-flight gauge at its launch instant).
+    /// Highest number of stages in flight on the context at any stage
+    /// launch (each record carries the context's in-flight gauge at its
+    /// launch instant). A job runs its stages one at a time, so a job
+    /// alone reads 1; above 1 means concurrent jobs on one context.
     pub max_concurrent_stages: u64,
     /// Adaptive re-plan decisions in the order taken. Decisions live
     /// beside the stages, not in them, so [`RunSummary::of`] leaves

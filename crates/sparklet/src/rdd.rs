@@ -11,7 +11,7 @@
 //! per partition, like Spark pipelining); a wide node's shuffle becomes
 //! a stage node of the extracted stage graph. Actions hand their
 //! upstream shuffle roots to the driver-side DAG scheduler
-//! ([`crate::dag`]), which materializes all ready stages concurrently,
+//! ([`crate::dag`]), which materializes their stages one at a time,
 //! then run a result stage.
 
 use std::collections::{BTreeMap, HashMap};
@@ -21,7 +21,7 @@ use bytes::Buf;
 
 use crate::codec::Storable;
 use crate::context::{SparkContext, TaskContext};
-use crate::dag::{self, JobHandle, ShuffleDep};
+use crate::dag::{self, ShuffleDep};
 use crate::error::JobError;
 use crate::partitioner::{sig_layout, Partitioner, SigLayout};
 use crate::payload::PayloadBuilder;
@@ -1100,21 +1100,6 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
             Arc::new(move |p, tc: &TaskContext| Ok(ops.compute(p, tc)?.len())),
         )?;
         Ok(counts.into_iter().sum())
-    }
-
-    /// Submit [`Rdd::collect`] as an asynchronous job on a driver
-    /// thread. Independent jobs overlap; a shuffle shared with another
-    /// in-flight job is materialized exactly once (latched per shuffle
-    /// id by the DAG scheduler).
-    /// In deterministic mode the job runs inline on the calling thread
-    /// instead — the handle is returned already finished, so the seeded
-    /// schedule has no hidden thread interleavings.
-    pub fn collect_async(&self) -> JobHandle<Vec<(K, V)>> {
-        if self.ctx.is_deterministic() {
-            return JobHandle::ready(self.collect());
-        }
-        let rdd = self.clone();
-        JobHandle::spawn(move || rdd.collect())
     }
 
     /// Materialize every partition into the block stores at `level`

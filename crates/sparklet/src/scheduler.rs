@@ -9,10 +9,11 @@
 //! channel, or (under a sim seed) a seeded pick on the driver thread
 //! with a virtual clock.
 //!
-//! It does not own stage ordering. The driver-side DAG event loop
-//! ([`crate::dag`]) extracts the stage graph, assigns stage ordinals at
-//! launch, and may keep several `run_stage` calls in flight on
-//! different driver threads at once — so the engine counters a stage
+//! It does not own stage ordering. The driver-side DAG stage loop
+//! ([`crate::dag`]) extracts the stage graph and assigns stage ordinals
+//! at launch. A job runs one `run_stage` call at a time, but concurrent
+//! jobs on one context keep several in flight on different driver
+//! threads at once — so the engine counters a stage
 //! record closes with are taken from their owners under the log lock
 //! (`SparkContext::tally`), and a fault verdict is a
 //! function of the attempt's `(stage, partition, attempt)` coordinate
@@ -31,9 +32,9 @@ use crate::context::{CommitBoard, SimState, SparkContext, TaskContext};
 use crate::error::JobError;
 use crate::sim::ChaosEvent;
 
-/// The completion queue a driver loop waits on: many producers (pool
-/// workers, stage-runner threads) and one consumer, which holds the
-/// queue for as long as it waits — so there is no disconnected state.
+/// The completion queue a stage's driver loop waits on: many producers
+/// (pool workers) and one consumer, which holds the queue for as long
+/// as it waits — so there is no disconnected state.
 /// A lock and a condvar — the structure every committed number was
 /// measured on — rather than `std::sync::mpsc`, on which
 /// `ge_cb_overhead` measured 5–8 % slower (EXPERIMENTS.md).
@@ -53,10 +54,6 @@ impl<T> Mailbox<T> {
     pub(crate) fn send(&self, msg: T) {
         self.queue.lock().push_back(msg);
         self.ready.notify_all();
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.queue.lock().is_empty()
     }
 
     /// The oldest message, waiting for one until `deadline` (`None`:

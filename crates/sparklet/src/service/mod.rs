@@ -10,9 +10,9 @@
 //!   typed errors — a pure function of an explicit queue snapshot;
 //! * **fair scheduling** ([`sched`]) dispatches queued jobs across
 //!   tenants by weighted round-robin with per-tenant and global
-//!   in-flight caps, sitting *above* the DAG scheduler's
-//!   `max_concurrent_stages` window (the service bounds whole jobs,
-//!   the DAG scheduler bounds stages within them);
+//!   in-flight caps, sitting *above* the DAG scheduler (the service
+//!   bounds whole jobs; each job runs its own stages one at a time on
+//!   its worker thread);
 //! * **lineage-keyed result caching** ([`cache`]) memoizes completed
 //!   results under a digest of the job's logical lineage, so
 //!   identical — or overlapping, via [`JobRunner::project`] — queries
@@ -113,7 +113,7 @@ pub struct ServiceConfig {
     /// Max jobs one tenant may have in flight.
     pub per_tenant_inflight: usize,
     /// Max jobs in flight across all tenants (the service-level
-    /// concurrency window on top of `max_concurrent_stages`).
+    /// concurrency window; the only source of overlapping stages).
     pub max_inflight: usize,
     /// Cost units (queued + in-flight) admission may commit to.
     pub admission_budget: f64,

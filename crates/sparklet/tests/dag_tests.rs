@@ -1,11 +1,15 @@
-//! DAG-scheduler behaviour: concurrent independent stages, exactly-once
-//! shuffle materialization across concurrent jobs, fault tolerance with
-//! multiple stages in flight, deferred retry backoff, and byte
-//! reconciliation under interleaved stage completion.
+//! DAG-scheduler behaviour: one stage at a time within a job,
+//! exactly-once shuffle materialization across concurrent jobs, fault
+//! tolerance with several jobs' stages in flight, deferred retry
+//! backoff, and byte reconciliation under interleaved stage completion.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
-use sparklet::{ChaosEvent, ChaosPolicy, HashPartitioner, Partitioner, SparkConf, SparkContext};
+use sparklet::{
+    ChaosEvent, ChaosPolicy, HashPartitioner, Partitioner, Rdd, SparkConf, SparkContext,
+};
 
 fn ctx() -> SparkContext {
     SparkContext::new(
@@ -26,8 +30,62 @@ fn pairs(n: usize) -> Vec<(usize, u64)> {
     (0..n).map(|i| (i, (i * 13) as u64)).collect()
 }
 
+/// Run `a` and `b` as two concurrent actions on their own threads,
+/// released together so their stages overlap on the shared context.
+fn concurrently<A: Send, B: Send>(
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    let gate = Barrier::new(2);
+    std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            gate.wait();
+            a()
+        });
+        let b = s.spawn(|| {
+            gate.wait();
+            b()
+        });
+        (a.join().expect("job a"), b.join().expect("job b"))
+    })
+}
+
+/// Holds each side's map tasks until a task of the other side has
+/// started too, so two jobs' map stages are in flight at once whatever
+/// the thread timing (bounded, so a broken run fails instead of
+/// hanging). The partition a test faults is never held: chaos fails an
+/// attempt after it ran, so a held first attempt could lose to a
+/// speculative twin and the injected fault would go unretried.
+#[derive(Default)]
+struct Rendezvous([AtomicBool; 2]);
+
+impl Rendezvous {
+    fn hold(
+        self: &Arc<Self>,
+        rdd: Rdd<usize, u64>,
+        side: usize,
+        faulted: usize,
+    ) -> Rdd<usize, u64> {
+        let meet = Arc::clone(self);
+        rdd.map_partitions(false, move |p, items, _| {
+            if p != faulted {
+                meet.meet(side);
+            }
+            items
+        })
+    }
+
+    fn meet(&self, side: usize) {
+        self.0[side].store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !self.0[1 - side].load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+}
+
 #[test]
-fn independent_stages_run_concurrently() {
+fn a_jobs_independent_branches_run_one_stage_at_a_time() {
     let sc = ctx();
     let left = sc
         .parallelize(pairs(64), Some(4))
@@ -40,12 +98,13 @@ fn independent_stages_run_concurrently() {
     let both = left.union(&right);
     let got = both.collect().expect("two-branch job");
 
-    // Both branch shuffles are ready at submission, so the event loop
-    // launches them back-to-back before either completes: the second
-    // launch must observe two stages in flight.
-    assert!(
-        sc.summary().max_concurrent_stages >= 2,
-        "event log recorded no concurrent stage launch"
+    // Both branch shuffles are ready at submission, yet the stage loop
+    // runs them one after the other on the calling thread: no launch
+    // observes another stage in flight.
+    assert_eq!(
+        sc.summary().max_concurrent_stages,
+        1,
+        "a job alone overlapped its own stages"
     );
 
     // Correctness: same totals as computing the branches by hand.
@@ -111,10 +170,8 @@ fn shared_shuffle_under_concurrent_jobs_materializes_exactly_once() {
     let doubled = wide.map_values(|v| v * 2);
     let filtered = wide.filter(|k, _| k % 2 == 0);
     // Two jobs submitted concurrently, both needing the same shuffle.
-    let h1 = doubled.collect_async();
-    let h2 = filtered.collect_async();
-    let r1 = h1.wait().expect("async job 1");
-    let r2 = h2.wait().expect("async job 2");
+    let (r1, r2) = concurrently(|| doubled.collect(), || filtered.collect());
+    let (r1, r2) = (r1.expect("concurrent job 1"), r2.expect("concurrent job 2"));
 
     let base = sorted(wide.collect().expect("reference"));
     assert_eq!(
@@ -147,8 +204,9 @@ fn shared_shuffle_under_concurrent_jobs_materializes_exactly_once() {
 
 #[test]
 fn fault_matrix_with_multiple_stages_in_flight() {
-    // Branched lineage under retries + speculation + per-stage fault
-    // budgets: results must match the calm run exactly.
+    // Two branches collected by two concurrent jobs, then joined by a
+    // third, under retries + speculation + per-stage fault budgets:
+    // results must match the calm run exactly.
     let run = |faults: bool| {
         let conf = SparkConf::default()
             .with_executors(4)
@@ -162,19 +220,23 @@ fn fault_matrix_with_multiple_stages_in_flight() {
         // the interleaved stages reach it in.
         let _chaos =
             faults.then(|| sc.install_chaos(ChaosPolicy::seeded(0).with_standing_panics(0, 1)));
-        let left = sc
-            .parallelize(pairs(96), Some(4))
+        let meet = Arc::new(Rendezvous::default());
+        let left = meet
+            .hold(sc.parallelize(pairs(96), Some(4)), 0, 0)
             .map(|(k, v)| (k % 6, v))
             .reduce_by_key(|a, b| a.wrapping_add(b), 4, Arc::new(HashPartitioner));
-        let right = sc
-            .parallelize(pairs(96), Some(4))
+        let right = meet
+            .hold(sc.parallelize(pairs(96), Some(4)), 1, 0)
             .map(|(k, v)| (k % 4, v ^ 7))
             .reduce_by_key(|a, b| a.wrapping_add(b), 4, Arc::new(HashPartitioner));
+        let (l, r) = concurrently(|| left.collect(), || right.collect());
+        l.expect("left job");
+        r.expect("right job");
         let got = sorted(
             left.union(&right)
                 .partition_by(4, Arc::new(HashPartitioner))
                 .collect()
-                .expect("branched job"),
+                .expect("joining job"),
         );
         let did = sc.summary();
         (got, did.retries, did.max_concurrent_stages)
@@ -183,26 +245,27 @@ fn fault_matrix_with_multiple_stages_in_flight() {
     let (got, retries, peak) = run(true);
     assert_eq!(got, want, "results must survive the fault matrix");
     assert!(retries >= 1, "injected faults must be retried");
-    assert!(peak >= 2, "branches still ran concurrently under faults");
+    assert!(peak >= 2, "two jobs' stages ran concurrently under faults");
 }
 
 #[test]
 fn staged_bytes_reconcile_under_interleaved_stage_completion() {
     let sc = ctx();
     let _chaos = sc.install_chaos(ChaosPolicy::seeded(0).with_standing_panics(1, 1));
-    let left = sc
-        .parallelize(pairs(64), Some(4))
+    let meet = Arc::new(Rendezvous::default());
+    let left = meet
+        .hold(sc.parallelize(pairs(64), Some(4)), 0, 1)
         .map(|(k, v)| (k % 5, v))
         .reduce_by_key(|a, b| a.wrapping_add(b), 4, Arc::new(HashPartitioner));
-    let right = sc
-        .parallelize(pairs(64), Some(4))
+    let right = meet
+        .hold(sc.parallelize(pairs(64), Some(4)), 1, 1)
         .map(|(k, v)| (k % 3, v + 9))
         .reduce_by_key(|a, b| a.wrapping_add(b), 4, Arc::new(HashPartitioner));
-    let both = left.union(&right);
-    let _ = both.collect().expect("interleaved job");
+    let (l, r) = concurrently(|| left.collect(), || right.collect());
+    l.expect("left job");
+    r.expect("right job");
 
     // Drop every RDD: per-shuffle GC releases all staged bytes.
-    drop(both);
     drop(left);
     drop(right);
     for node in 0..4 {
@@ -225,31 +288,6 @@ fn staged_bytes_reconcile_under_interleaved_stage_completion() {
         did.staged_bytes
     );
     assert!(did.staged_bytes > 0, "the job staged something");
-}
-
-#[test]
-fn max_concurrent_stages_one_reproduces_the_serial_walk() {
-    let sc = SparkContext::new(
-        SparkConf::default()
-            .with_executors(4)
-            .with_worker_threads(2)
-            .with_partitions(8)
-            .with_max_concurrent_stages(1),
-    );
-    let left = sc
-        .parallelize(pairs(64), Some(4))
-        .map(|(k, v)| (k % 7, v))
-        .reduce_by_key(|a, b| a.wrapping_add(b), 4, Arc::new(HashPartitioner));
-    let right = sc
-        .parallelize(pairs(64), Some(4))
-        .map(|(k, v)| (k % 5, v))
-        .reduce_by_key(|a, b| a.wrapping_add(b), 4, Arc::new(HashPartitioner));
-    let _ = left.union(&right).collect().expect("throttled job");
-    assert_eq!(
-        sc.summary().max_concurrent_stages,
-        1,
-        "cap of one must serialize the stage walk"
-    );
 }
 
 #[test]
