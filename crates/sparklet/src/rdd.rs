@@ -592,9 +592,15 @@ struct MaterializedRdd<K: Key, V: ShufVal> {
 impl<K: Key, V: ShufVal> Drop for MaterializedRdd<K, V> {
     fn drop(&mut self) {
         // Last handle gone ⇒ reclaim executor memory and disk
-        // (Spark's ContextCleaner unpersisting a dropped RDD).
+        // (Spark's ContextCleaner sending `RemoveRdd` to the block
+        // managers). The stores give the bytes back here, so the next
+        // put sees them free; the blocks are freed by a job on the
+        // executor that held them, not on this (driver) thread.
         for executor in &self.ctx.inner.executors {
-            executor.store.evict(self.cache_id);
+            let evicted = executor.store.evict(self.cache_id);
+            if !evicted.is_empty() {
+                executor.pool.spawn(move || drop(evicted));
+            }
         }
     }
 }
@@ -1167,5 +1173,254 @@ impl<K: Key, V: ShufVal> Rdd<K, V> {
                 parent: keep_lineage.then(|| Arc::clone(&self.ops)),
             }),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Releasing a dropped cached RDD: the stores settle the bytes on
+    //! the dropping thread, the owning executors free the blocks.
+
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    use bytes::{Bytes, BytesMut};
+    use par_pool::{Condvar, Mutex};
+
+    use super::*;
+    use crate::config::SparkConf;
+
+    /// `(tag, born, thread)` for every freed [`Tracked`] whose tag is
+    /// armed: the node that built it and the thread that dropped it.
+    static FREED: Mutex<Vec<(u8, u8, String)>> = Mutex::new(Vec::new());
+    static FREED_CV: Condvar = Condvar::new();
+    /// Tags whose drops are recorded. Each test owns one, so tests
+    /// running side by side do not see each other's frees.
+    static ARMED: Mutex<Vec<u8>> = Mutex::new(Vec::new());
+
+    /// A cached value that reports where it is freed.
+    #[derive(Clone)]
+    struct Tracked {
+        tag: u8,
+        /// Node whose task built it (and so whose store holds it).
+        born: u8,
+    }
+
+    impl Storable for Tracked {
+        fn encoded_len(&self) -> usize {
+            2
+        }
+        fn encode(&self, buf: &mut BytesMut) {
+            self.tag.encode(buf);
+            self.born.encode(buf);
+        }
+        fn decode(buf: &mut Bytes) -> Result<Self, JobError> {
+            Ok(Tracked {
+                tag: u8::decode(buf)?,
+                born: u8::decode(buf)?,
+            })
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            if ARMED.lock().contains(&self.tag) {
+                let thread = std::thread::current().name().unwrap_or("").to_string();
+                FREED.lock().push((self.tag, self.born, thread));
+                FREED_CV.notify_all();
+            }
+        }
+    }
+
+    /// The executor whose pool runs this thread (`exec-<node>-<worker>`).
+    fn this_node() -> u8 {
+        let name = std::thread::current().name().unwrap_or("").to_string();
+        let node = name
+            .strip_prefix("exec-")
+            .and_then(|rest| rest.split('-').next());
+        node.and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("task ran off an executor pool: {name:?}"))
+    }
+
+    /// Two executors of one worker thread each: a pool runs its queued
+    /// jobs in the order they were queued.
+    fn ctx() -> SparkContext {
+        SparkContext::new(
+            SparkConf::default()
+                .with_executors(2)
+                .with_worker_threads(1)
+                .with_partitions(4),
+        )
+    }
+
+    /// `n` [`Tracked`] values built by the tasks that cache them.
+    fn cached(sc: &SparkContext, tag: u8, n: u64) -> Rdd<u64, Tracked> {
+        sc.parallelize((0..n).map(|k| (k, 0u8)).collect(), None)
+            .map_values(move |_| Tracked {
+                tag,
+                born: this_node(),
+            })
+            .checkpoint_with_level(StorageLevel::MemoryOnly)
+            .expect("checkpoint")
+    }
+
+    fn arm(tag: u8) {
+        ARMED.lock().push(tag);
+    }
+
+    fn freed(tag: u8) -> Vec<(u8, String)> {
+        let freed = FREED.lock();
+        let mine = freed.iter().filter(|(t, _, _)| *t == tag);
+        mine.map(|(_, born, thread)| (*born, thread.clone()))
+            .collect()
+    }
+
+    /// Occupy every executor's only worker until the returned senders
+    /// drop, so a job queued meanwhile waits behind it.
+    fn hold_pools(sc: &SparkContext) -> Vec<mpsc::Sender<()>> {
+        let executors = sc.inner.executors.iter();
+        executors
+            .map(|executor| {
+                let (tx, rx) = mpsc::channel::<()>();
+                executor.pool.spawn(move || {
+                    let _ = rx.recv();
+                });
+                tx
+            })
+            .collect()
+    }
+
+    /// Return once every job queued on the executors so far has run:
+    /// each pool runs one more job after them and reports.
+    fn drain_pools(sc: &SparkContext) {
+        let (tx, rx) = mpsc::channel();
+        for executor in &sc.inner.executors {
+            let tx = tx.clone();
+            executor.pool.spawn(move || {
+                let _ = tx.send(());
+            });
+        }
+        for _ in &sc.inner.executors {
+            rx.recv().expect("a pool worker died");
+        }
+    }
+
+    /// Every freed value ran its drop on a worker of the executor that
+    /// built and cached it.
+    fn assert_freed_by_owners(freed: &[(u8, String)]) {
+        for (born, thread) in freed {
+            assert!(
+                thread.starts_with(&format!("exec-{born}-")),
+                "a block of node {born} was freed on thread {thread:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn drop_settles_every_stores_accounting_at_once() {
+        const TAG: u8 = 1;
+        let sc = ctx();
+        let rdd = cached(&sc, TAG, 64);
+        let stores = || sc.inner.executors.iter().map(|e| &e.store);
+        assert!(stores().all(|s| s.entry_count() > 0 && s.used_bytes() > 0));
+        // The pools are held: whatever the drop hands them cannot run.
+        let gates = hold_pools(&sc);
+        arm(TAG);
+        drop(rdd);
+        for store in stores() {
+            assert_eq!(
+                (
+                    store.used_bytes(),
+                    store.disk_used_bytes(),
+                    store.entry_count()
+                ),
+                (0, 0, 0)
+            );
+            store.audit().expect("tier accounting");
+        }
+        assert!(freed(TAG).is_empty(), "the blocks were freed on the driver");
+        drop(gates);
+        drain_pools(&sc);
+        assert_eq!(freed(TAG).len(), 64);
+    }
+
+    #[test]
+    fn dropped_blocks_are_freed_on_their_owning_executor() {
+        const TAG: u8 = 2;
+        let sc = ctx();
+        let rdd = cached(&sc, TAG, 64);
+        arm(TAG);
+        drop(rdd);
+        drain_pools(&sc);
+        let freed = freed(TAG);
+        assert_eq!(freed.len(), 64);
+        assert_freed_by_owners(&freed);
+        let mut owners: Vec<u8> = freed.iter().map(|(born, _)| *born).collect();
+        owners.sort_unstable();
+        owners.dedup();
+        assert!(owners.len() >= 2, "both nodes held blocks: {owners:?}");
+    }
+
+    #[test]
+    fn context_dropped_on_a_worker_with_a_release_queued_frees_everything() {
+        const TAG: u8 = 3;
+        let sc = ctx();
+        let rdd = cached(&sc, TAG, 32);
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let handle = sc.clone();
+        arm(TAG);
+        handle.inner.executors[0].pool.spawn(move || {
+            let _ = gate_rx.recv();
+            // The last handles drop on node 0's only worker: its
+            // release queues behind this job, and dropping the context
+            // drops this very pool, which detaches the worker instead
+            // of joining it.
+            drop(rdd);
+            drop(sc);
+            let _ = done_tx.send(());
+        });
+        drop(handle);
+        drop(gate_tx);
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("dropping the context on its own worker hung");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut guard = FREED.lock();
+        while guard.iter().filter(|(t, _, _)| *t == TAG).count() < 32 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(!left.is_zero(), "a queued release never ran");
+            guard = FREED_CV.wait_for(guard, left);
+        }
+        drop(guard);
+        assert_freed_by_owners(&freed(TAG));
+    }
+
+    #[test]
+    fn release_queued_on_a_lost_executor_changes_no_loss_count() {
+        // `kill_executor(0)` with the dropped RDD's release still queued
+        // on node 0, against the same kill after it ran.
+        let kill = |queued: bool| {
+            let sc = ctx();
+            let kept = cached(&sc, 0, 32);
+            let gone = cached(&sc, 0, 32);
+            let gates = queued.then(|| hold_pools(&sc));
+            drop(gone);
+            if !queued {
+                drain_pools(&sc);
+            }
+            let kept_bytes = sc.cached_bytes(0);
+            let loss = sc.kill_executor(0);
+            drop(gates);
+            drain_pools(&sc);
+            assert_eq!(loss.cached_mem_bytes, kept_bytes);
+            assert_eq!(sc.cached_bytes(0), 0);
+            sc.audit().expect("ledgers after the kill");
+            drop(kept);
+            loss
+        };
+        let queued = kill(true);
+        assert!(queued.cached_mem_bytes > 0);
+        assert_eq!(queued, kill(false));
     }
 }

@@ -612,7 +612,7 @@ impl ShuffleManager {
             return;
         };
         let mut released = 0u64;
-        for row in data.buckets {
+        for row in &data.buckets {
             for slot in row {
                 if let Slot::Data(bucket) = slot {
                     inner.staged[bucket.origin_node] -= bucket.declared;
@@ -622,9 +622,11 @@ impl ShuffleManager {
         }
         inner.tally.staged_released_bytes += released;
         drop(inner);
-        // The ledger is settled and unlocked before the executors hear
-        // of it: the notification queues behind whatever their sockets
-        // are carrying, and running tasks must not queue behind it.
+        // The ledger is settled and unlocked before the bucket frames
+        // are freed and before the executors hear of it: running tasks
+        // lock it too, and must queue behind neither the frees nor the
+        // notification (which waits for whatever the sockets carry).
+        drop(data);
         if let Some(manager) = &self.remote {
             manager.shuffle_release(id);
         }

@@ -168,6 +168,25 @@ struct StoreInner {
     tally: StoreTally,
 }
 
+/// The blocks [`BlockStore::evict`] took out of a store. Their bytes
+/// are already off the store's accounting; their memory is freed on
+/// whichever thread drops this value.
+#[must_use = "dropping it frees the blocks on this thread"]
+pub struct Evicted {
+    /// Memory-tier bytes taken off the accounting.
+    pub mem_bytes: u64,
+    /// Disk-tier bytes taken off the accounting.
+    pub disk_bytes: u64,
+    blocks: Vec<Tier>,
+}
+
+impl Evicted {
+    /// Did the store hold no block of the dataset?
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+}
+
 /// One node's tiered cache.
 pub struct BlockStore {
     node: usize,
@@ -488,36 +507,45 @@ impl BlockStore {
         }
     }
 
+    /// Entries held, in either tier.
+    #[cfg(test)]
+    pub(crate) fn entry_count(&self) -> usize {
+        self.inner.lock().entries.len()
+    }
+
     /// Is this partition cached here (either tier)?
     pub fn contains(&self, cache: CacheId, partition: usize) -> bool {
         self.inner.lock().entries.contains_key(&(cache, partition))
     }
 
-    /// Evict every partition of one cached dataset (unpersist).
-    /// Returns the freed `(memory, disk)` bytes.
-    pub fn evict(&self, cache: CacheId) -> (u64, u64) {
+    /// Evict every partition of one cached dataset (unpersist). The
+    /// entries leave the store and their bytes leave its accounting
+    /// under the lock; the blocks themselves come back in the
+    /// [`Evicted`], so the caller picks the thread that frees them.
+    pub fn evict(&self, cache: CacheId) -> Evicted {
         let mut inner = self.inner.lock();
-        let victims: Vec<_> = inner
+        let (mut mem_bytes, mut disk_bytes) = (0, 0);
+        let blocks: Vec<Tier> = inner
             .entries
-            .keys()
-            .filter(|(c, _)| *c == cache)
-            .cloned()
-            .collect();
-        let (mut mem_freed, mut disk_freed) = (0, 0);
-        for k in victims {
-            if let Some(e) = inner.entries.remove(&k) {
+            .extract_if(|&(c, _), _| c == cache)
+            .map(|(_, e)| {
                 match e.tier {
-                    Tier::Memory(_) => mem_freed += e.bytes,
-                    Tier::Disk(_) => disk_freed += e.bytes,
+                    Tier::Memory(_) => mem_bytes += e.bytes,
+                    Tier::Disk(_) => disk_bytes += e.bytes,
                 }
-            }
-        }
-        inner.mem_used -= mem_freed;
-        inner.disk_used -= disk_freed;
+                e.tier
+            })
+            .collect();
+        inner.mem_used -= mem_bytes;
+        inner.disk_used -= disk_bytes;
         self.recompute_latches
             .lock()
             .retain(|(c, _), _| *c != cache);
-        (mem_freed, disk_freed)
+        Evicted {
+            mem_bytes,
+            disk_bytes,
+            blocks,
+        }
     }
 
     /// Remove a single partition's entry from whichever tier holds it
@@ -727,8 +755,9 @@ mod tests {
         let store = BlockStore::new(0, Some(10), None);
         store.put(1, 0, Arc::new(7u64), 6, ML, false, None).unwrap();
         store.put(1, 1, Arc::new(8u64), 9, DO, false, None).unwrap();
-        let (mem, disk) = store.evict(1);
-        assert_eq!((mem, disk), (6, 9));
+        let evicted = store.evict(1);
+        assert_eq!((evicted.mem_bytes, evicted.disk_bytes), (6, 9));
+        assert!(!evicted.is_empty());
         assert_eq!(store.used_bytes(), 0);
         assert_eq!(store.disk_used_bytes(), 0);
         assert!(!store.contains(1, 0));

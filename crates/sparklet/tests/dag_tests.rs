@@ -216,10 +216,15 @@ fn fault_matrix_with_multiple_stages_in_flight() {
             .with_retry_backoff(2, 8)
             .with_speculation(0.5);
         let sc = SparkContext::new(conf);
-        // Partition 0 of every stage fails once, whichever order
-        // the interleaved stages reach it in.
+        // Attempts 1 and 2 of partition 0 fail in every stage,
+        // whichever order the interleaved stages reach it in. Two, not
+        // one: a speculative twin of the first attempt is attempt 2,
+        // and a failure with a twin still in flight is not retried. If
+        // the twin could win, the stage would finish with no retry;
+        // with both failing, attempt 3 is a counted retry in every
+        // interleaving.
         let _chaos =
-            faults.then(|| sc.install_chaos(ChaosPolicy::seeded(0).with_standing_panics(0, 1)));
+            faults.then(|| sc.install_chaos(ChaosPolicy::seeded(0).with_standing_panics(0, 2)));
         let meet = Arc::new(Rendezvous::default());
         let left = meet
             .hold(sc.parallelize(pairs(96), Some(4)), 0, 0)
