@@ -227,6 +227,7 @@ pub fn check_apsp(adj: &Matrix<f64>, apsp: &Matrix<f64>, tol: f64) -> Option<(us
 mod tests {
     use super::*;
     use crate::gep::{gep_reference, Tropical};
+    use testkit::Rng;
 
     fn fnv(words: impl Iterator<Item = u64>) -> u64 {
         words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
@@ -386,13 +387,7 @@ mod tests {
     fn fw_matches_bellman_ford_with_negative_edges() {
         // Integer weights in [-3, 9], no negative cycles (checked by
         // the oracle itself): all GEP execution orders stay exact.
-        let mut state = 31u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = Rng::new(31);
         let n = 14;
         // Johnson-style potential shift: start from non-negative
         // integer weights w and reweight w' = w + h(u) − h(v). Every
@@ -402,8 +397,8 @@ mod tests {
         let g = Matrix::from_fn(n, n, |i, j| {
             if i == j {
                 0.0
-            } else if next() < 0.35 {
-                (next() * 9.0).floor() + h(i) - h(j)
+            } else if rng.range(0.0..1.0) < 0.35 {
+                rng.range(0.0..9.0).floor() + h(i) - h(j)
             } else {
                 f64::INFINITY
             }

@@ -88,18 +88,13 @@ pub fn solve_system(a: &Matrix<f64>, b: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::Rng;
 
     fn dd_matrix(n: usize, seed: u64) -> Matrix<f64> {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut m = Matrix::from_fn(n, n, |_, _| next() * 2.0 - 1.0);
+        let mut rng = Rng::new(seed);
+        let mut m = Matrix::from_fn(n, n, |_, _| rng.range(-1.0..1.0));
         for i in 0..n {
-            m.set(i, i, n as f64 + 1.0 + next());
+            m.set(i, i, n as f64 + 1.0 + rng.range(0.0..1.0));
         }
         m
     }

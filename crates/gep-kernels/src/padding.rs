@@ -42,6 +42,7 @@ pub fn unpad<E: crate::matrix::Elem>(c: &Matrix<E>, n: usize) -> Matrix<E> {
 mod tests {
     use super::*;
     use crate::gep::{gep_reference, GaussianElim, TransitiveClosure, Tropical};
+    use testkit::Rng;
 
     #[test]
     fn round_up_basics() {
@@ -63,15 +64,9 @@ mod tests {
 
     #[test]
     fn ge_padding_preserves_results() {
-        let mut seed = 5u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = Rng::new(5);
         let n = 13;
-        let mut m = Matrix::from_fn(n, n, |_, _| next() - 0.5);
+        let mut m = Matrix::from_fn(n, n, |_, _| rng.range(-0.5..0.5));
         for i in 0..n {
             m.set(i, i, n as f64 + 2.0);
         }

@@ -301,6 +301,7 @@ pub fn solve_reference(weight: &ParenWeight) -> Matrix<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use testkit::Rng;
 
     /// CLRS-style matrix-chain oracle, written independently of the
     /// table machinery above.
@@ -323,15 +324,8 @@ mod tests {
     }
 
     fn random_dims(n: usize, seed: u64) -> Vec<u64> {
-        let mut state = seed | 1;
-        (0..=n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state % 40 + 1
-            })
-            .collect()
+        let mut rng = Rng::new(seed);
+        (0..=n).map(|_| rng.range(1u64..=40)).collect()
     }
 
     #[test]

@@ -49,13 +49,11 @@
 #![warn(missing_docs)]
 
 mod clock;
-mod metrics;
 mod pool;
 mod scope;
 mod sync;
 
 pub use clock::{Clock, SystemClock, VirtualClock};
-pub use metrics::PoolMetrics;
 pub use pool::{Pool, PoolBuilder};
 pub use scope::Scope;
 pub use sync::{Condvar, Mutex};

@@ -8,7 +8,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::clock::{Clock, SystemClock};
-use crate::metrics::PoolMetrics;
 use crate::scope::Scope;
 use crate::sync::{Condvar, Mutex};
 
@@ -25,7 +24,6 @@ pub(crate) struct Shared {
     /// (nested spawns run depth-first, the cache-friendly order for
     /// recursive divide-&-conquer); thieves take from the front.
     deques: Vec<Mutex<VecDeque<Job>>>,
-    pub(crate) metrics: PoolMetrics,
     shutdown: AtomicBool,
     /// Condvar used both by idle workers and by threads blocked in a
     /// scope wait. Wakeups are broadcast: at our job granularity (block
@@ -47,7 +45,6 @@ impl Shared {
         Shared {
             injector: Mutex::default(),
             deques: (0..threads).map(|_| Mutex::default()).collect(),
-            metrics: PoolMetrics::default(),
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
@@ -84,12 +81,9 @@ impl Shared {
     /// outside the pool helping a scope): its own deque first, then the
     /// injector, then steal from siblings.
     fn find_job(&self, me: Option<usize>) -> Option<Job> {
-        let job = me
-            .and_then(|i| self.deques[i].lock().pop_back())
+        me.and_then(|i| self.deques[i].lock().pop_back())
             .or_else(|| self.take_injected(me))
-            .or_else(|| self.steal(me))?;
-        self.metrics.record_task();
-        Some(job)
+            .or_else(|| self.steal(me))
     }
 
     /// The injector's oldest job. A worker also moves up to half of the
@@ -107,11 +101,9 @@ impl Shared {
 
     fn steal(&self, me: Option<usize>) -> Option<Job> {
         let siblings = self.deques.iter().enumerate();
-        let job = siblings
+        siblings
             .filter(|&(i, _)| Some(i) != me)
-            .find_map(|(_, deque)| deque.lock().pop_front())?;
-        self.metrics.record_steal();
-        Some(job)
+            .find_map(|(_, deque)| deque.lock().pop_front())
     }
 
     /// Whether any job is queued, on the injector or on a deque.
@@ -139,10 +131,7 @@ impl Shared {
         let me = self.local_index();
         while !should_stop() {
             match self.find_job(me) {
-                Some(job) => {
-                    self.metrics.record_help();
-                    job();
-                }
+                Some(job) => job(),
                 None => self.park(Duration::from_millis(1), should_stop),
             }
         }
@@ -278,11 +267,6 @@ impl Pool {
         self.shared.deques.len()
     }
 
-    /// Execution counters.
-    pub fn metrics(&self) -> &PoolMetrics {
-        &self.shared.metrics
-    }
-
     /// The pool's time source (see [`PoolBuilder::clock`]).
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
@@ -304,7 +288,6 @@ impl Pool {
     where
         F: FnOnce(&Scope<'env>) -> R,
     {
-        self.shared.metrics.record_scope();
         Scope::enter(&self.shared, op)
     }
 
@@ -371,6 +354,7 @@ mod tests {
             shared.push_job(job(n));
         }
         assert!(shared.injector.lock().is_empty(), "a worker pushes locally");
+        assert_eq!(shared.deques[0].lock().len(), 4);
         assert_eq!(
             run(shared.find_job(Some(0))),
             4,
@@ -382,19 +366,18 @@ mod tests {
             "a sibling steals the oldest"
         );
         assert_eq!(
+            (shared.deques[0].lock().len(), shared.deques[1].lock().len()),
+            (2, 0),
+            "a thief takes one job and moves none"
+        );
+        assert_eq!(
             run(shared.find_job(None)),
             2,
             "and so does a helping outsider"
         );
         assert_eq!(run(shared.find_job(Some(0))), 3);
         assert!(shared.find_job(Some(0)).is_none());
-        assert_eq!(
-            (
-                shared.metrics.tasks_stolen(),
-                shared.metrics.tasks_executed()
-            ),
-            (2, 4)
-        );
+        assert!(!shared.has_work(), "four pushes, four jobs run");
     }
 
     #[test]
@@ -429,15 +412,15 @@ mod tests {
             "half of the rest, capped"
         );
         assert_eq!(shared.injector.lock().len(), 67);
+        assert!(
+            shared.deques[1].lock().is_empty(),
+            "the batch goes to the taker, not to a sibling"
+        );
         for n in 1..100 {
             assert_eq!(run(shared.find_job(Some(0))), n);
         }
         assert!(shared.find_job(Some(0)).is_none());
-        assert_eq!(
-            shared.metrics.tasks_stolen(),
-            0,
-            "the injector is not a sibling"
-        );
+        assert!(!shared.has_work());
 
         // A thread outside the pool takes one job and moves none.
         shared.push_job(job(7));

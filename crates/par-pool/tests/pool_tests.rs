@@ -162,18 +162,6 @@ fn chunked_mutation_covers_slice() {
 }
 
 #[test]
-fn metrics_count_tasks() {
-    let pool = Pool::new(2);
-    pool.scope(|s| {
-        for _ in 0..64 {
-            s.spawn(|_| {});
-        }
-    });
-    assert!(pool.metrics().tasks_executed() > 0);
-    assert!(pool.metrics().scopes_entered() >= 1);
-}
-
-#[test]
 fn heavy_mixed_load_smoke() {
     let pool = Pool::new(4);
     let total = AtomicUsize::new(0);

@@ -437,7 +437,6 @@ impl SparkContext {
         let t0 = Instant::now();
         let conf = &self.inner.conf;
         let clock = &self.inner.clock;
-        let stage = run.meta.stage_id;
         let ntasks = run.results.len();
         let done = Mailbox::new();
         let spawn = |run: &StageRun<'_, R>, p: usize, attempt: u64| {
@@ -449,13 +448,6 @@ impl SparkContext {
                     return;
                 }
             };
-            // Under a wire transport the owning executor subprocess is
-            // told about every launch and completion (fire-and-forget
-            // lifecycle messages — its heartbeat counters report them).
-            let remote = self.inner.remote.clone();
-            if let Some(manager) = &remote {
-                manager.notify_task_launch(node, stage, p as u64, attempt);
-            }
             let work = Arc::clone(work);
             let done = Arc::clone(&done);
             let board = Arc::clone(&run.board);
@@ -464,9 +456,6 @@ impl SparkContext {
             self.inner.executors[node].pool.spawn(move || {
                 let (outcome, record) =
                     run_task_attempt(&label, p, attempt, node, &board, &work, chaos, &clock);
-                if let Some(manager) = &remote {
-                    manager.notify_task_done(node, stage, p as u64, attempt, outcome.is_ok());
-                }
                 // Release the task's lineage references *before*
                 // reporting: once the driver has seen every task of a
                 // stage, no executor-side `Arc` clones may keep the

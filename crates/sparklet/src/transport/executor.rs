@@ -2,13 +2,12 @@
 //! subprocess runs over its driver connection.
 //!
 //! An executor owns the durable data plane of one node: staged shuffle
-//! bucket frames, its broadcast cache, and lifecycle counters. It
-//! speaks the request/reply discipline of [`super::wire`]: every
-//! message from the driver is handled in arrival order, and exactly
-//! the request messages (the puts, the gets, `Heartbeat`, `Shutdown`)
-//! produce one reply each — fire-and-forget lifecycle messages produce
-//! none, so the driver can pipeline them without desynchronizing the
-//! stream.
+//! bucket frames and its broadcast cache. It speaks the request/reply
+//! discipline of [`super::wire`]: every message from the driver is
+//! handled in arrival order, and exactly the request messages (the
+//! puts, the gets, `Heartbeat`, `Shutdown`) produce one reply each —
+//! fire-and-forget removals and releases produce none, so the driver
+//! can send them without desynchronizing the stream.
 //!
 //! Over TCP a frame arrives inline and the executor holds its bytes.
 //! Over a Unix socket it arrives as a segment file in this node's
@@ -43,13 +42,6 @@ enum Held {
 }
 
 impl Held {
-    fn len(&self) -> u64 {
-        match self {
-            Held::Inline(frame) => frame.len() as u64,
-            Held::Segment { len, .. } => *len,
-        }
-    }
-
     /// The answer to a get for this frame.
     fn reply(&self) -> WireMsg {
         match self {
@@ -61,7 +53,7 @@ impl Held {
     }
 }
 
-/// In-memory store and counters for one executor process.
+/// In-memory store for one executor process.
 #[derive(Default)]
 pub struct ExecutorState {
     /// Staged bucket frames keyed by (shuffle, map_task, reduce).
@@ -71,10 +63,6 @@ pub struct ExecutorState {
     /// This node's segment directory; `None` over TCP, where a put
     /// that names a segment is refused.
     segments: Option<PathBuf>,
-    /// Task launches observed (lifetime counter).
-    tasks_launched: u64,
-    /// Task completions observed (lifetime counter).
-    tasks_done: u64,
 }
 
 /// An inline frame, validated before it is stored: a frame this
@@ -153,29 +141,11 @@ impl ExecutorState {
         self.buckets.len() as u64
     }
 
-    /// Total frame bytes staged across buckets.
-    pub fn bucket_bytes(&self) -> u64 {
-        self.buckets.values().map(Held::len).sum()
-    }
-
-    /// Number of cached broadcasts.
-    pub fn broadcast_count(&self) -> u64 {
-        self.broadcasts.len() as u64
-    }
-
     /// Handle one message, returning the reply to send (if the message
     /// is a request) and whether the serve loop should stop.
     pub fn handle(&mut self, msg: WireMsg) -> (Option<WireMsg>, bool) {
         let dir = self.segments.as_deref();
         let reply = match msg {
-            WireMsg::TaskLaunch { .. } => {
-                self.tasks_launched += 1;
-                None
-            }
-            WireMsg::TaskDone { .. } => {
-                self.tasks_done += 1;
-                None
-            }
             WireMsg::ShufflePut {
                 shuffle,
                 map_task,
@@ -239,10 +209,6 @@ impl ExecutorState {
             WireMsg::Heartbeat { seq } => Some(WireMsg::HeartbeatAck {
                 seq,
                 buckets: self.bucket_count(),
-                bucket_bytes: self.bucket_bytes(),
-                broadcasts: self.broadcast_count(),
-                tasks_launched: self.tasks_launched,
-                tasks_done: self.tasks_done,
             }),
             WireMsg::Shutdown => return (Some(WireMsg::ShutdownAck), true),
             // Messages an executor never expects (driver-to-executor
@@ -402,13 +368,17 @@ mod tests {
             Some(WireMsg::BlockAt { seq: 0, len }),
             "a get names the segment, it does not carry the frame"
         );
-        assert_eq!((st.bucket_count(), st.bucket_bytes()), (1, len));
+        assert_eq!(st.bucket_count(), 1);
         // A second attempt of the same slot replaces the first, whose
         // file goes with it.
         let len1 = dir.put(1, &frame(b"alpha, again"));
         assert_eq!(st.handle(put_at(1, 0, 1, len1)).0, Some(WireMsg::Ack));
         assert_eq!(dir.files(), vec![1]);
-        assert_eq!(st.bucket_bytes(), len1);
+        assert_eq!(st.bucket_count(), 1);
+        assert_eq!(
+            st.handle(get(1, 0)).0,
+            Some(WireMsg::BlockAt { seq: 1, len: len1 })
+        );
         // Remove one bucket, then release a whole shuffle.
         for (seq, map_task) in [(2, 1), (3, 2)] {
             let len = dir.put(seq, &frame(b"beta"));
@@ -447,7 +417,10 @@ mod tests {
         );
         st.handle(WireMsg::BroadcastRemove { id: 8 });
         assert_eq!(dir.files(), vec![4]);
-        assert_eq!(st.broadcast_count(), 0);
+        assert_eq!(
+            st.handle(WireMsg::BroadcastGet { id: 8 }).0,
+            Some(WireMsg::Block { frame: None })
+        );
     }
 
     #[test]
@@ -502,11 +475,6 @@ mod tests {
     #[test]
     fn heartbeat_reports_counters() {
         let mut st = ExecutorState::new();
-        st.handle(WireMsg::TaskLaunch {
-            stage: 0,
-            partition: 0,
-            attempt: 1,
-        });
         st.handle(WireMsg::ShufflePut {
             shuffle: 3,
             map_task: 1,
@@ -517,31 +485,15 @@ mod tests {
             id: 8,
             frame: frame(b"bcast"),
         });
-        st.handle(WireMsg::TaskDone {
-            stage: 0,
-            partition: 0,
-            attempt: 1,
-            ok: true,
-        });
         let (reply, _) = st.handle(WireMsg::Heartbeat { seq: 99 });
-        match reply {
+        assert_eq!(
+            reply,
             Some(WireMsg::HeartbeatAck {
-                seq,
-                buckets,
-                broadcasts,
-                tasks_launched,
-                tasks_done,
-                bucket_bytes,
-            }) => {
-                assert_eq!(seq, 99);
-                assert_eq!(buckets, 1);
-                assert_eq!(broadcasts, 1);
-                assert_eq!(tasks_launched, 1);
-                assert_eq!(tasks_done, 1);
-                assert!(bucket_bytes > 0);
-            }
-            other => panic!("{other:?}"),
-        }
+                seq: 99,
+                buckets: 1
+            }),
+            "a broadcast is not a bucket"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! per node, accepts their connections on a loopback TCP listener (or
 //! a Unix socket), and multiplexes the driver's data-plane traffic to
 //! them: shuffle bucket staging and fetch, broadcast distribution,
-//! task lifecycle notifications, and heartbeats. Every byte in either
+//! and heartbeats. Every byte in either
 //! direction is counted per node — these are the measured wire-byte
 //! counters that feed the cluster model's transfer terms.
 //!
@@ -22,7 +22,7 @@
 //!
 //! All traffic to one executor is serialized under that node's mutex,
 //! and the protocol pairs each request with exactly one reply (fire-
-//! and-forget lifecycle messages have none), so the stream never
+//! and-forget removals and releases have none), so the stream never
 //! desynchronizes. Killing an executor ([`ExecutorManager::kill_respawn`])
 //! is a real `SIGKILL`: the child is reaped, a replacement is spawned
 //! and handshaken, and whatever the dead process held is genuinely
@@ -55,21 +55,6 @@ struct Worker {
 /// Per-node slot: `None` once the manager has shut the executor down.
 struct Slot {
     worker: Option<Worker>,
-}
-
-/// An executor's self-reported state from a heartbeat reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatInfo {
-    /// Shuffle buckets the executor holds.
-    pub buckets: u64,
-    /// Total stored bucket frame bytes.
-    pub bucket_bytes: u64,
-    /// Broadcast payloads the executor holds.
-    pub broadcasts: u64,
-    /// Task launches it has observed (lifetime of the process).
-    pub tasks_launched: u64,
-    /// Task completions it has observed.
-    pub tasks_done: u64,
 }
 
 /// The segment tree of a Unix-transport manager: one directory per
@@ -508,59 +493,11 @@ impl ExecutorManager {
         }
     }
 
-    /// Notify `node`'s executor of a task launch (fire-and-forget; a
-    /// send failure never blocks scheduling).
-    pub fn notify_task_launch(&self, node: usize, stage: u64, partition: u64, attempt: u64) {
-        let _ = self.exchange(
-            node,
-            &WireMsg::TaskLaunch {
-                stage,
-                partition,
-                attempt,
-            },
-            false,
-        );
-    }
-
-    /// Notify `node`'s executor of a task completion (fire-and-forget).
-    pub fn notify_task_done(
-        &self,
-        node: usize,
-        stage: u64,
-        partition: u64,
-        attempt: u64,
-        ok: bool,
-    ) {
-        let _ = self.exchange(
-            node,
-            &WireMsg::TaskDone {
-                stage,
-                partition,
-                attempt,
-                ok,
-            },
-            false,
-        );
-    }
-
-    /// Probe `node`'s executor for liveness and its self-reported
-    /// state.
-    pub fn heartbeat(&self, node: usize, seq: u64) -> Result<HeartbeatInfo, JobError> {
+    /// Probe `node`'s executor for liveness. Returns the number of
+    /// shuffle buckets it reports holding.
+    pub fn heartbeat(&self, node: usize, seq: u64) -> Result<u64, JobError> {
         match self.exchange(node, &WireMsg::Heartbeat { seq }, true)?.0 {
-            Some(WireMsg::HeartbeatAck {
-                seq: got,
-                buckets,
-                bucket_bytes,
-                broadcasts,
-                tasks_launched,
-                tasks_done,
-            }) if got == seq => Ok(HeartbeatInfo {
-                buckets,
-                bucket_bytes,
-                broadcasts,
-                tasks_launched,
-                tasks_done,
-            }),
+            Some(WireMsg::HeartbeatAck { seq: got, buckets }) if got == seq => Ok(buckets),
             other => Err(JobError::Transport(format!(
                 "executor {node} answered heartbeat {seq} with {other:?}"
             ))),
@@ -641,8 +578,8 @@ impl ExecutorManager {
                     Err(e) => return Err(format!("poll executor {node}: {e}")),
                 }
             }
-            let hb = match self.heartbeat(node, 0xA0D17 + node as u64) {
-                Ok(hb) => hb,
+            let buckets = match self.heartbeat(node, 0xA0D17 + node as u64) {
+                Ok(buckets) => buckets,
                 Err(e) => {
                     // A killed executor's socket dies before its exit
                     // status becomes observable; give the corpse a
@@ -669,10 +606,10 @@ impl ExecutorManager {
                 }
             };
             if let Some(expected) = expected_buckets {
-                if hb.buckets != expected[node] {
+                if buckets != expected[node] {
                     return Err(format!(
-                        "executor {node} holds {} buckets, driver ledger says {}",
-                        hb.buckets, expected[node]
+                        "executor {node} holds {buckets} buckets, driver ledger says {}",
+                        expected[node]
                     ));
                 }
             }

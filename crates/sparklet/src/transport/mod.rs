@@ -10,10 +10,10 @@
 //!
 //! Division of labour (see DESIGN.md, "Transport architecture"):
 //! executor subprocesses own the durable *data plane* of their node —
-//! staged shuffle bucket frames, the broadcast cache, task lifecycle
-//! counters — while task closures (arbitrary Rust functions, which
-//! cannot cross a process boundary) execute on driver-side worker
-//! threads acting as that node's core slots. Killing an executor is a
+//! staged shuffle bucket frames and the broadcast cache — while task
+//! closures (arbitrary Rust functions, which cannot cross a process
+//! boundary) execute on driver-side worker threads acting as that
+//! node's core slots. Killing an executor is a
 //! real `SIGKILL`: its staged blocks die with the process, so a later
 //! fetch genuinely misses and drives the `FetchFailed` → map-stage
 //! resubmission path against real process death.
@@ -28,7 +28,7 @@ pub mod manager;
 pub mod segment;
 pub mod wire;
 
-pub use manager::{ExecutorManager, HeartbeatInfo};
+pub use manager::ExecutorManager;
 pub use wire::WireMsg;
 
 /// Which transport backs the executors of a [`crate::SparkContext`].

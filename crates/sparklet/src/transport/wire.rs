@@ -1,6 +1,6 @@
-//! The executor protocol's message table. Every message — task
-//! launch/completion, shuffle block put/fetch, broadcast distribution,
-//! heartbeat/metrics, shutdown — is one [`crate::wire`] frame whose
+//! The executor protocol's message table. Every message — shuffle
+//! block put/fetch, broadcast distribution, heartbeat, shutdown — is
+//! one [`crate::wire`] frame whose
 //! body starts with the message tag (1–21). A data-bearing message
 //! carries a [`crate::Payload`] frame byte-for-byte as produced by
 //! [`crate::PayloadBuilder::seal`], in one of two places: inline, as
@@ -37,27 +37,6 @@ pub enum WireMsg {
     HelloAck {
         /// Echoed node index.
         node: u64,
-    },
-    /// A task attempt was placed on this executor (lifecycle metric;
-    /// fire-and-forget).
-    TaskLaunch {
-        /// Stage ordinal of the attempt.
-        stage: u64,
-        /// Partition the attempt computes.
-        partition: u64,
-        /// 1-based attempt number.
-        attempt: u64,
-    },
-    /// A task attempt finished (lifecycle metric; fire-and-forget).
-    TaskDone {
-        /// Stage ordinal of the attempt.
-        stage: u64,
-        /// Partition the attempt computed.
-        partition: u64,
-        /// 1-based attempt number.
-        attempt: u64,
-        /// Whether the attempt succeeded.
-        ok: bool,
     },
     /// Stage a map-output bucket on the executor (answered by
     /// [`WireMsg::Ack`]).
@@ -152,25 +131,17 @@ pub enum WireMsg {
         /// The frame's length as recorded when it was put.
         len: u64,
     },
-    /// Liveness + metrics probe (answered by [`WireMsg::HeartbeatAck`]).
+    /// Liveness probe (answered by [`WireMsg::HeartbeatAck`]).
     Heartbeat {
         /// Correlation sequence number, echoed in the ack.
         seq: u64,
     },
-    /// Heartbeat reply carrying the executor's self-reported state.
+    /// Heartbeat reply carrying the bucket count the driver audits.
     HeartbeatAck {
         /// Echoed sequence number.
         seq: u64,
         /// Shuffle buckets currently held.
         buckets: u64,
-        /// Total stored bucket frame bytes.
-        bucket_bytes: u64,
-        /// Broadcast payloads currently held.
-        broadcasts: u64,
-        /// Task launches seen over this executor's lifetime.
-        tasks_launched: u64,
-        /// Task completions seen over this executor's lifetime.
-        tasks_done: u64,
     },
     /// Generic success reply to a put.
     Ack,
@@ -183,8 +154,8 @@ pub enum WireMsg {
 
 const TAG_HELLO: u8 = 1;
 const TAG_HELLO_ACK: u8 = 2;
-const TAG_TASK_LAUNCH: u8 = 3;
-const TAG_TASK_DONE: u8 = 4;
+// Tags 3 and 4 are retired (task launch/completion notices): they
+// decode as unknown.
 const TAG_SHUFFLE_PUT: u8 = 5;
 const TAG_SHUFFLE_GET: u8 = 6;
 const TAG_BLOCK: u8 = 7;
@@ -220,21 +191,6 @@ pub fn encode(msg: &WireMsg) -> Body<'_> {
     let head = match msg {
         WireMsg::Hello { node } => tagged(TAG_HELLO, &[*node]),
         WireMsg::HelloAck { node } => tagged(TAG_HELLO_ACK, &[*node]),
-        WireMsg::TaskLaunch {
-            stage,
-            partition,
-            attempt,
-        } => tagged(TAG_TASK_LAUNCH, &[*stage, *partition, *attempt]),
-        WireMsg::TaskDone {
-            stage,
-            partition,
-            attempt,
-            ok,
-        } => {
-            let mut out = tagged(TAG_TASK_DONE, &[*stage, *partition, *attempt]);
-            out.put_u8(u8::from(*ok));
-            out
-        }
         WireMsg::ShufflePut {
             shuffle,
             map_task,
@@ -278,24 +234,7 @@ pub fn encode(msg: &WireMsg) -> Body<'_> {
         WireMsg::BroadcastGet { id } => tagged(TAG_BROADCAST_GET, &[*id]),
         WireMsg::BroadcastRemove { id } => tagged(TAG_BROADCAST_REMOVE, &[*id]),
         WireMsg::Heartbeat { seq } => tagged(TAG_HEARTBEAT, &[*seq]),
-        WireMsg::HeartbeatAck {
-            seq,
-            buckets,
-            bucket_bytes,
-            broadcasts,
-            tasks_launched,
-            tasks_done,
-        } => tagged(
-            TAG_HEARTBEAT_ACK,
-            &[
-                *seq,
-                *buckets,
-                *bucket_bytes,
-                *broadcasts,
-                *tasks_launched,
-                *tasks_done,
-            ],
-        ),
+        WireMsg::HeartbeatAck { seq, buckets } => tagged(TAG_HEARTBEAT_ACK, &[*seq, *buckets]),
         WireMsg::Ack => tagged(TAG_ACK, &[]),
         WireMsg::Shutdown => tagged(TAG_SHUTDOWN, &[]),
         WireMsg::ShutdownAck => tagged(TAG_SHUTDOWN_ACK, &[]),
@@ -311,17 +250,6 @@ pub fn decode(body: Bytes) -> Result<WireMsg, JobError> {
     let msg = match c.scalar::<u8>()? {
         TAG_HELLO => WireMsg::Hello { node: c.scalar()? },
         TAG_HELLO_ACK => WireMsg::HelloAck { node: c.scalar()? },
-        TAG_TASK_LAUNCH => WireMsg::TaskLaunch {
-            stage: c.scalar()?,
-            partition: c.scalar()?,
-            attempt: c.scalar()?,
-        },
-        TAG_TASK_DONE => WireMsg::TaskDone {
-            stage: c.scalar()?,
-            partition: c.scalar()?,
-            attempt: c.scalar()?,
-            ok: c.flag("task outcome flag")?,
-        },
         TAG_SHUFFLE_PUT => WireMsg::ShufflePut {
             shuffle: c.scalar()?,
             map_task: c.scalar()?,
@@ -370,10 +298,6 @@ pub fn decode(body: Bytes) -> Result<WireMsg, JobError> {
         TAG_HEARTBEAT_ACK => WireMsg::HeartbeatAck {
             seq: c.scalar()?,
             buckets: c.scalar()?,
-            bucket_bytes: c.scalar()?,
-            broadcasts: c.scalar()?,
-            tasks_launched: c.scalar()?,
-            tasks_done: c.scalar()?,
         },
         TAG_ACK => WireMsg::Ack,
         TAG_SHUTDOWN => WireMsg::Shutdown,

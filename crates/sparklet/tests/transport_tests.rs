@@ -79,6 +79,30 @@ fn tcp_job_matches_in_process_and_moves_real_wire_bytes() {
 }
 
 #[test]
+fn a_job_without_a_shuffle_sends_the_executors_nothing() {
+    // Tasks run on driver-side threads and an executor serves only
+    // data, so a narrow job has nothing to tell it: not one byte
+    // crosses either socket while the job runs.
+    for mode in [TransportMode::Unix, TransportMode::Tcp] {
+        let sc = ctx(mode, 2);
+        let before = sc.total_wire_bytes();
+        let out = sc
+            .parallelize(pairs(64), Some(8))
+            .map(|(k, v)| (k, v + 1))
+            .collect()
+            .expect("narrow job");
+        assert_eq!(out.len(), 64);
+        assert_eq!(
+            sc.total_wire_bytes(),
+            before,
+            "{mode:?}: a job with no shuffle moved wire bytes"
+        );
+        sc.audit().expect("post-job audit");
+        assert_eq!(sc.shutdown().expect("shutdown"), vec![0, 0]);
+    }
+}
+
+#[test]
 fn unix_socket_transport_matches_in_process() {
     let reference = run_reduce(&ctx(TransportMode::InProcess, 3));
     let sc = ctx(TransportMode::Unix, 3);

@@ -11,6 +11,7 @@ use gep_kernels::gep::gep_reference;
 use gep_kernels::graph::{check_apsp, erdos_renyi, grid_network};
 use gep_kernels::{GaussianElim, Matrix, TransitiveClosure, Tropical};
 use sparklet::{GridPartitioner, HashPartitioner, SparkConf, SparkContext};
+use testkit::Rng;
 
 fn ctx() -> SparkContext {
     SparkContext::new(
@@ -73,16 +74,10 @@ fn ge_distributed_solves_linear_system() {
     let m = 23; // unknowns; table is (m+1)×(m+1), padded internally
     let n = m + 1;
     let mut a = Matrix::square(m, 0.0f64);
-    let mut state = 41u64;
-    let mut rnd = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
+    let mut rng = Rng::new(41);
     for i in 0..m {
         for j in 0..m {
-            a.set(i, j, rnd() - 0.5);
+            a.set(i, j, rng.range(-0.5..0.5));
         }
         a.set(i, i, m as f64 + 1.0);
     }
