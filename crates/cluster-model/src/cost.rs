@@ -102,10 +102,6 @@ pub struct StageRecord {
     pub broadcast_bytes: u64,
     /// Failed attempts that were re-launched via lineage retry.
     pub retries: u64,
-    /// Straggler attempts re-launched speculatively on another node.
-    pub speculative_launches: u64,
-    /// Late (zombie-attempt) shuffle writes dropped by attempt fencing.
-    pub zombie_writes_fenced: u64,
     /// Staged shuffle bytes released back during the stage window
     /// (per-shuffle GC plus retry re-staging reconciliation).
     pub staged_released_bytes: u64,
@@ -115,9 +111,6 @@ pub struct StageRecord {
     /// Whole-job resubmissions taken after fetch failures during the
     /// stage window.
     pub stage_resubmissions: u64,
-    /// Cache puts dropped by attempt fencing (zombie checkpoint tasks)
-    /// during the stage window.
-    pub fenced_cache_puts: u64,
     /// Cached-partition reads served from either storage tier during
     /// the stage window.
     pub cache_hits: u64,

@@ -208,8 +208,6 @@ fn seeded_adaptive_runs_match_the_goldens_recorded_before_the_rewrite() {
         collect_bytes: 0,
         broadcast_bytes: 0,
         retries: 0,
-        speculative_launches: 0,
-        zombie_writes_fenced: 0,
         staged_released_bytes: 1442863968,
         staged_lost_bytes: 0,
         stage_resubmissions: 0,
@@ -218,7 +216,6 @@ fn seeded_adaptive_runs_match_the_goldens_recorded_before_the_rewrite() {
         spilled_bytes: 0,
         evicted_bytes: 0,
         recomputes: 0,
-        fenced_cache_puts: 0,
         max_concurrent_stages: 1,
         adaptive_decisions: vec![
             decision(
@@ -256,8 +253,6 @@ fn seeded_adaptive_runs_match_the_goldens_recorded_before_the_rewrite() {
         collect_bytes: 534782175,
         broadcast_bytes: 534782415,
         retries: 0,
-        speculative_launches: 0,
-        zombie_writes_fenced: 0,
         staged_released_bytes: 4194372,
         staged_lost_bytes: 0,
         stage_resubmissions: 0,
@@ -266,7 +261,6 @@ fn seeded_adaptive_runs_match_the_goldens_recorded_before_the_rewrite() {
         spilled_bytes: 0,
         evicted_bytes: 0,
         recomputes: 0,
-        fenced_cache_puts: 0,
         max_concurrent_stages: 1,
         adaptive_decisions: vec![
             decision(

@@ -153,8 +153,6 @@ fn seeded_reports_match_the_goldens_recorded_before_the_rewrite() {
         collect_bytes: 8720,
         broadcast_bytes: 0,
         retries: 0,
-        speculative_launches: 0,
-        zombie_writes_fenced: 0,
         staged_released_bytes: 69888,
         staged_lost_bytes: 0,
         stage_resubmissions: 0,
@@ -163,7 +161,6 @@ fn seeded_reports_match_the_goldens_recorded_before_the_rewrite() {
         spilled_bytes: 0,
         evicted_bytes: 0,
         recomputes: 0,
-        fenced_cache_puts: 0,
         max_concurrent_stages: 1,
         adaptive_decisions: vec![],
     };
@@ -195,8 +192,6 @@ fn seeded_reports_match_the_goldens_recorded_before_the_rewrite() {
         collect_bytes: 1809,
         broadcast_bytes: 0,
         retries: 0,
-        speculative_launches: 0,
-        zombie_writes_fenced: 0,
         staged_released_bytes: 15115,
         staged_lost_bytes: 0,
         stage_resubmissions: 0,
@@ -205,7 +200,6 @@ fn seeded_reports_match_the_goldens_recorded_before_the_rewrite() {
         spilled_bytes: 0,
         evicted_bytes: 0,
         recomputes: 0,
-        fenced_cache_puts: 0,
         max_concurrent_stages: 1,
         adaptive_decisions: vec![],
     };

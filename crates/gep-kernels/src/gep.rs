@@ -102,18 +102,6 @@ pub enum Kind {
     D,
 }
 
-impl Kind {
-    /// Classify block `(bi, bj)` for phase `kb`.
-    pub fn classify(bi: usize, bj: usize, kb: usize) -> Kind {
-        match (bi == kb, bj == kb) {
-            (true, true) => Kind::A,
-            (true, false) => Kind::B,
-            (false, true) => Kind::C,
-            (false, false) => Kind::D,
-        }
-    }
-}
-
 /// Is block `(bi, bj)` (of `b×b` blocks) touched at all during phase
 /// `kb`? Derived from the spec's range-activity hints; used as the
 /// block-level `FilterA/B/C/D` predicates of Listings 1–2.
@@ -360,14 +348,6 @@ impl<S: crate::semiring::Semiring> GepSpec for SemiringPaths<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_classification() {
-        assert_eq!(Kind::classify(2, 2, 2), Kind::A);
-        assert_eq!(Kind::classify(2, 5, 2), Kind::B);
-        assert_eq!(Kind::classify(5, 2, 2), Kind::C);
-        assert_eq!(Kind::classify(4, 5, 2), Kind::D);
-    }
 
     #[test]
     fn ge_block_filters_match_listing() {

@@ -44,25 +44,6 @@ impl Semiring for MinPlus {
     }
 }
 
-/// Boolean (∨, ∧) semiring: reachability / transitive closure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BoolRing(pub bool);
-
-impl Semiring for BoolRing {
-    const ZERO: Self = BoolRing(false);
-    const ONE: Self = BoolRing(true);
-
-    #[inline(always)]
-    fn plus(self, other: Self) -> Self {
-        BoolRing(self.0 | other.0)
-    }
-
-    #[inline(always)]
-    fn times(self, other: Self) -> Self {
-        BoolRing(self.0 & other.0)
-    }
-}
-
 /// Max-min ("bottleneck" / widest path) semiring over `f64`.
 ///
 /// `plus = max` chooses the better path, `times = min` limits a path by
@@ -106,11 +87,6 @@ mod tests {
     #[test]
     fn min_plus_identities() {
         check_identities(&[MinPlus(0.0), MinPlus(3.5), MinPlus(-2.0), MinPlus::ZERO]);
-    }
-
-    #[test]
-    fn bool_identities() {
-        check_identities(&[BoolRing(true), BoolRing(false)]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use gep_kernels::gep::{gep_reference, GaussianElim, GepSpec, TransitiveClosure, 
 use gep_kernels::iterative::blocked_gep;
 use gep_kernels::padding::{pad_to_multiple, round_up, unpad};
 use gep_kernels::recursive::{rway_gep, RecConfig};
-use gep_kernels::semiring::{BoolRing, MaxMin, MinPlus, Semiring};
+use gep_kernels::semiring::{MaxMin, MinPlus, Semiring};
 use gep_kernels::staging::{call_sequence, execute_schedule, inline_once, schedule};
 use gep_kernels::Matrix;
 use par_pool::Pool;
@@ -198,15 +198,6 @@ fn maxmin_semiring_laws() {
 #[test]
 fn maxmin_semiring_laws_at_the_recorded_regression() {
     assert_maxmin_laws(60.34846452123731, -57.39416633502082, -4.209824287734203);
-}
-
-#[test]
-fn bool_semiring_laws() {
-    check(32, |rng| {
-        let (ba, bb) = (BoolRing(rng.bool()), BoolRing(rng.bool()));
-        assert_eq!(ba.plus(bb), bb.plus(ba));
-        assert_eq!(ba.times(BoolRing::ONE), ba);
-    });
 }
 
 #[test]

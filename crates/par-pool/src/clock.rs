@@ -2,7 +2,7 @@
 //! time.
 //!
 //! The engine layers above (`sparklet`) time-stamp everything — retry
-//! backoff deadlines, speculation thresholds, stage wall times —
+//! backoff deadlines, straggler delays, stage wall times —
 //! through a [`Clock`] handle instead of `Instant`/`thread::sleep`.
 //! In production the [`SystemClock`] forwards to the OS; under the
 //! deterministic simulation harness a [`VirtualClock`] advances only

@@ -37,13 +37,6 @@ pub struct SparkConf {
     pub retry_backoff_ms: u64,
     /// Upper bound on the exponential retry backoff.
     pub retry_backoff_max_ms: u64,
-    /// Speculatively re-launch stragglers on another node once
-    /// [`SparkConf::speculation_quantile`] of a stage has completed
-    /// (`spark.speculation`).
-    pub speculation: bool,
-    /// Fraction of a stage's tasks that must complete before
-    /// stragglers are speculated (`spark.speculation.quantile`).
-    pub speculation_quantile: f64,
     /// Deterministic simulation seed. `Some(seed)` switches the
     /// context to sim mode: a virtual clock replaces wall time, tasks
     /// run sequentially in a seeded order, and the whole schedule is a
@@ -87,8 +80,6 @@ impl Default for SparkConf {
             disk_capacity: None,
             retry_backoff_ms: 0,
             retry_backoff_max_ms: 1000,
-            speculation: false,
-            speculation_quantile: 0.75,
             sim_seed: None,
             adaptive_execution: false,
             compression: Compression::None,
@@ -149,15 +140,6 @@ impl SparkConf {
     pub fn with_retry_backoff(mut self, base_ms: u64, max_ms: u64) -> Self {
         self.retry_backoff_ms = base_ms;
         self.retry_backoff_max_ms = max_ms.max(base_ms);
-        self
-    }
-
-    /// Enable speculative execution of stragglers once `quantile` of a
-    /// stage's tasks have completed.
-    pub fn with_speculation(mut self, quantile: f64) -> Self {
-        assert!((0.0..=1.0).contains(&quantile));
-        self.speculation = true;
-        self.speculation_quantile = quantile;
         self
     }
 
@@ -229,15 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn retry_and_speculation_knobs_compose() {
-        let c = SparkConf::default()
-            .with_retry_backoff(5, 80)
-            .with_speculation(0.5);
+    fn retry_knobs_compose() {
+        let c = SparkConf::default().with_retry_backoff(5, 80);
         assert_eq!((c.retry_backoff_ms, c.retry_backoff_max_ms), (5, 80));
-        assert!(c.speculation);
-        assert_eq!(c.speculation_quantile, 0.5);
         let d = SparkConf::default();
-        assert!(!d.speculation, "speculation is opt-in");
         assert_eq!(d.retry_backoff_ms, 0, "backoff off by default");
     }
 

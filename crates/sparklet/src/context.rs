@@ -513,20 +513,11 @@ pub struct ExecutorLoss {
     pub map_bytes_lost: u64,
 }
 
-/// Commit board of one stage: `board[partition]` holds the attempt
-/// number whose results were accepted (0 = still open). Set once by
-/// the scheduler when the first attempt of a partition completes;
-/// later ("zombie") attempts of the same partition are fenced out of
-/// shuffle writes and result delivery.
-pub(crate) type CommitBoard = Arc<Vec<AtomicU64>>;
-
 /// Per-task state handed to every task closure: identifies the node
-/// and attempt, carries the stage's commit board for attempt fencing,
-/// and accumulates the task's metric record.
+/// and attempt, and accumulates the task's metric record.
 pub struct TaskContext {
     node: usize,
     attempt: u64,
-    fence: Option<(CommitBoard, usize)>,
     record: Mutex<TaskRecord>,
     /// Armed by a [`ChaosEvent::FetchFailure`]; the first shuffle
     /// fetch this task makes consumes it and fails.
@@ -537,34 +528,18 @@ pub struct TaskContext {
 }
 
 impl TaskContext {
-    /// Context for a first-attempt task on `node` with no commit board
-    /// (unit tests and driver-local work).
+    /// Context for a first-attempt task on `node` (unit tests and
+    /// driver-local work).
     pub fn new(node: usize) -> Self {
-        TaskContext {
-            node,
-            attempt: 1,
-            fence: None,
-            record: Mutex::new(TaskRecord {
-                node,
-                ..Default::default()
-            }),
-            chaos_fetch_fail: AtomicBool::new(false),
-            chaos_disk_full: false,
-        }
+        Self::for_attempt(node, 1)
     }
 
-    /// Context for attempt `attempt` of `partition`, fenced by the
-    /// stage's commit board (scheduler-side constructor).
-    pub(crate) fn for_attempt(
-        node: usize,
-        attempt: u64,
-        board: CommitBoard,
-        partition: usize,
-    ) -> Self {
+    /// Context for attempt `attempt` of a task on `node`
+    /// (scheduler-side constructor).
+    pub(crate) fn for_attempt(node: usize, attempt: u64) -> Self {
         TaskContext {
             node,
             attempt,
-            fence: Some((board, partition)),
             record: Mutex::new(TaskRecord {
                 node,
                 ..Default::default()
@@ -604,19 +579,6 @@ impl TaskContext {
     /// 1-based attempt number of this task execution.
     pub fn attempt(&self) -> u64 {
         self.attempt
-    }
-
-    /// Has this partition already been committed by a *different*
-    /// attempt? A fenced task is a zombie: its side effects must be
-    /// dropped.
-    pub fn is_fenced(&self) -> bool {
-        match &self.fence {
-            Some((board, partition)) => {
-                let committed = board[*partition].load(Ordering::Acquire);
-                committed != 0 && committed != self.attempt
-            }
-            None => false,
-        }
     }
 
     /// Record a kernel execution (called by the DP executors so the

@@ -66,10 +66,6 @@ pub struct RunSummary {
     pub broadcast_bytes: u64,
     /// Failed attempts re-launched via lineage retry.
     pub retries: u64,
-    /// Straggler attempts re-launched speculatively.
-    pub speculative_launches: u64,
-    /// Late shuffle writes dropped by attempt fencing.
-    pub zombie_writes_fenced: u64,
     /// Staged bytes released back by shuffle GC and retry
     /// reconciliation.
     pub staged_released_bytes: u64,
@@ -90,9 +86,6 @@ pub struct RunSummary {
     pub evicted_bytes: u64,
     /// Lineage recomputations of dropped cached blocks.
     pub recomputes: u64,
-    /// Cache puts dropped by attempt fencing (zombie checkpoint
-    /// tasks).
-    pub fenced_cache_puts: u64,
     /// Highest number of stages in flight on the context at any stage
     /// launch (each record carries the context's in-flight gauge at its
     /// launch instant). A job runs its stages one at a time, so a job
@@ -133,8 +126,6 @@ impl RunSummary {
         self.collect_bytes += r.collect_bytes;
         self.broadcast_bytes += r.broadcast_bytes;
         self.retries += r.retries;
-        self.speculative_launches += r.speculative_launches;
-        self.zombie_writes_fenced += r.zombie_writes_fenced;
         self.staged_released_bytes += r.staged_released_bytes;
         self.staged_lost_bytes += r.staged_lost_bytes;
         self.stage_resubmissions += r.stage_resubmissions;
@@ -143,7 +134,6 @@ impl RunSummary {
         self.spilled_bytes += r.spilled_bytes;
         self.evicted_bytes += r.evicted_bytes;
         self.recomputes += r.recomputes;
-        self.fenced_cache_puts += r.fenced_cache_puts;
         self.max_concurrent_stages = self.max_concurrent_stages.max(r.concurrent_stages);
     }
 }
@@ -252,8 +242,6 @@ mod tests {
             collect_bytes: a.collect_bytes + b.collect_bytes,
             broadcast_bytes: a.broadcast_bytes + b.broadcast_bytes,
             retries: a.retries + b.retries,
-            speculative_launches: a.speculative_launches + b.speculative_launches,
-            zombie_writes_fenced: a.zombie_writes_fenced + b.zombie_writes_fenced,
             staged_released_bytes: a.staged_released_bytes + b.staged_released_bytes,
             staged_lost_bytes: a.staged_lost_bytes + b.staged_lost_bytes,
             stage_resubmissions: a.stage_resubmissions + b.stage_resubmissions,
@@ -262,7 +250,6 @@ mod tests {
             spilled_bytes: a.spilled_bytes + b.spilled_bytes,
             evicted_bytes: a.evicted_bytes + b.evicted_bytes,
             recomputes: a.recomputes + b.recomputes,
-            fenced_cache_puts: a.fenced_cache_puts + b.fenced_cache_puts,
             max_concurrent_stages: a.max_concurrent_stages.max(b.max_concurrent_stages),
             adaptive_decisions: Vec::new(),
         }
@@ -326,14 +313,11 @@ mod tests {
                     TaskRecord::default(),
                 ],
                 concurrent_stages: 1,
-                speculative_launches: 1,
-                zombie_writes_fenced: 4,
                 cache_hits: 6,
                 cache_misses: 1,
                 spilled_bytes: 11,
                 evicted_bytes: 12,
                 recomputes: 13,
-                fenced_cache_puts: 2,
                 ..Default::default()
             },
         );
@@ -347,7 +331,6 @@ mod tests {
         assert_eq!(first_two.collect_bytes, 100);
         assert_eq!(first_two.broadcast_bytes, 50);
         assert_eq!(first_two.retries, 2);
-        assert_eq!(first_two.speculative_launches, 0);
         assert_eq!(first_two.staged_released_bytes, 30);
         assert_eq!(
             (first_two.staged_lost_bytes, first_two.stage_resubmissions),
@@ -370,16 +353,11 @@ mod tests {
             (whole.tasks, whole.local_bytes, whole.kernel_updates),
             (4, 14, 584.0)
         );
-        assert_eq!(
-            (whole.speculative_launches, whole.zombie_writes_fenced),
-            (1, 4)
-        );
         assert_eq!((whole.cache_hits, whole.cache_misses), (6, 1));
         assert_eq!(
             (whole.spilled_bytes, whole.evicted_bytes, whole.recomputes),
             (11, 12, 13)
         );
-        assert_eq!(whole.fenced_cache_puts, 2);
 
         let taken = log.take();
         assert_eq!(taken.len(), 3);

@@ -1,6 +1,5 @@
 //! Stage execution: task placement, waves, lineage retry with
-//! exponential backoff, speculative re-execution, attempt fencing,
-//! chaos verdicts, and event-log recording.
+//! exponential backoff, chaos verdicts, and event-log recording.
 //!
 //! `run_stage` is the per-stage engine: one bookkeeping value
 //! (`StageRun`) makes every per-attempt decision — placement, fault
@@ -21,14 +20,13 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cluster_model::{StageRecord, TaskRecord};
 use par_pool::{Clock, Condvar, Mutex, VirtualClock};
 
-use crate::context::{CommitBoard, SimState, SparkContext, TaskContext};
+use crate::context::{SimState, SparkContext, TaskContext};
 use crate::error::JobError;
 use crate::sim::ChaosEvent;
 
@@ -113,26 +111,23 @@ fn retryable(err: &JobError) -> bool {
     )
 }
 
-/// Execute one task attempt inline: fenced [`TaskContext`] with any
-/// chaos verdict armed on it, straggler delay charged to `clock`,
+/// Execute one task attempt inline: a [`TaskContext`] with any chaos
+/// verdict armed on it, straggler delay charged to `clock`,
 /// panics caught, and chaos panics failing the attempt *after* its
 /// side effects (shuffle writes, cache puts) have landed so retries
 /// exercise real re-staging reconciliation. Shared by the threaded
 /// executor path (inside the spawned closure) and the deterministic
 /// scheduler (on the driver thread).
-#[allow(clippy::too_many_arguments)]
 fn run_task_attempt<R>(
     label: &str,
     p: usize,
     attempt: u64,
     node: usize,
-    board: &CommitBoard,
     work: &TaskFn<R>,
     chaos: Option<ChaosEvent>,
     clock: &Arc<dyn Clock>,
 ) -> (Result<R, JobError>, TaskRecord) {
-    let tc =
-        TaskContext::for_attempt(node, attempt, Arc::clone(board), p).with_chaos(chaos.as_ref());
+    let tc = TaskContext::for_attempt(node, attempt).with_chaos(chaos.as_ref());
     if let Some(ChaosEvent::Straggler { delay_ms }) = chaos {
         clock.sleep_ms(delay_ms);
     }
@@ -170,31 +165,27 @@ fn run_task_attempt<R>(
 /// made once. The two dispatchers ([`SparkContext::drive_pools`],
 /// [`SparkContext::drive_seeded`]) only decide *when* a parked launch
 /// happens and how its attempt is executed and awaited.
+///
+/// A partition launches only from `parked`, and is parked only before
+/// its first attempt or after an attempt has *reported* a failure. So
+/// at most one attempt per partition is in flight, every completion is
+/// the partition's only live attempt, and a committed partition is
+/// never launched again.
 struct StageRun<'a, R> {
     ctx: &'a SparkContext,
     label: &'a str,
     meta: StageMeta,
     /// `meta.parent_shuffles` resolved to the stages that ran them.
     parent_stage_ids: Vec<u64>,
-    /// Winning attempt per partition, shared with running tasks so
-    /// late twins see themselves fenced.
-    board: CommitBoard,
-    /// Per partition: launches so far (= highest attempt number),
-    /// attempts in flight, committed flag, speculated flag.
+    /// Per partition: launches so far (= highest attempt number; every
+    /// launch after the first is a retry).
     attempts: Vec<u64>,
-    in_flight: Vec<usize>,
-    committed: Vec<bool>,
-    speculated: Vec<bool>,
     /// Launches waiting for their time, `(due, partition)` in clock
     /// milliseconds: every first attempt (due at 0) and every retry
-    /// backing off. A parked partition has no attempt in flight — the
-    /// speculation sweep skips it, and no task message can arrive for
-    /// it until it launches. Order matters to the seeded dispatcher,
-    /// which draws an index into it.
+    /// backing off. A parked partition has no attempt in flight, so no
+    /// task message can arrive for it until it launches. Order matters
+    /// to the seeded dispatcher, which draws an index into it.
     parked: Vec<(u64, usize)>,
-    completed: usize,
-    retries: u64,
-    speculative_launches: u64,
     /// Committed attempts' records, in commit order, and results.
     records: Vec<TaskRecord>,
     results: Vec<Option<R>>,
@@ -213,22 +204,15 @@ impl<'a, R> StageRun<'a, R> {
             label,
             meta,
             parent_stage_ids,
-            board: Arc::new((0..ntasks).map(|_| AtomicU64::new(0)).collect()),
             attempts: vec![0; ntasks],
-            in_flight: vec![0; ntasks],
-            committed: vec![false; ntasks],
-            speculated: vec![false; ntasks],
             parked: (0..ntasks).map(|p| (0, p)).collect(),
-            completed: 0,
-            retries: 0,
-            speculative_launches: 0,
             records: Vec::with_capacity(ntasks),
             results: (0..ntasks).map(|_| None).collect(),
         }
     }
 
     fn is_complete(&self) -> bool {
-        self.completed == self.results.len()
+        self.records.len() == self.results.len()
     }
 
     /// Earliest parked deadline: how long a dispatcher may wait (or how
@@ -254,22 +238,10 @@ impl<'a, R> StageRun<'a, R> {
     }
 
     /// Count a launch of partition `p` and return its fresh attempt
-    /// number. `None` when `p` is already committed: a parked partition
-    /// that a still-in-flight twin won in the meantime must not
-    /// relaunch.
-    fn launch(&mut self, p: usize, speculative: bool) -> Option<u64> {
-        if self.committed[p] {
-            return None;
-        }
+    /// number.
+    fn launch(&mut self, p: usize) -> u64 {
         self.attempts[p] += 1;
-        self.in_flight[p] += 1;
-        if speculative {
-            self.speculated[p] = true;
-            self.speculative_launches += 1;
-        } else if self.attempts[p] > 1 {
-            self.retries += 1;
-        }
-        Some(self.attempts[p])
+        self.attempts[p]
     }
 
     /// Where attempt `attempt` of partition `p` runs: its preferred
@@ -299,33 +271,26 @@ impl<'a, R> StageRun<'a, R> {
         Ok(chaos)
     }
 
-    /// What a finished attempt means. The first success of a partition
-    /// commits it and publishes the winner on the board (`Ok(true)`);
-    /// later twins are fenced — result and record dropped. A failure
-    /// counts only when no twin can still decide the partition: then it
-    /// is parked until its backoff deadline (a zero backoff is due at
-    /// once), or — not retryable, or out of attempts — fails the stage
-    /// (`Err`; the error already carries its stage label and attempt
-    /// count, filled at construction).
+    /// What a finished attempt — the partition's only one in flight —
+    /// means. A success commits the partition: its result and record
+    /// are kept. A failure parks the partition until its backoff
+    /// deadline (a zero backoff is due at once), or — not retryable, or
+    /// out of attempts — fails the stage (`Err`; the error already
+    /// carries its stage label and attempt count, filled at
+    /// construction).
     fn finished(
         &mut self,
         p: usize,
-        attempt: u64,
         outcome: Result<R, JobError>,
         record: TaskRecord,
-    ) -> Result<bool, JobError> {
-        self.in_flight[p] -= 1;
+    ) -> Result<(), JobError> {
         match outcome {
-            Ok(_) if self.committed[p] => Ok(false),
             Ok(r) => {
-                self.committed[p] = true;
-                self.completed += 1;
-                self.board[p].store(attempt, Ordering::Release);
+                debug_assert!(self.results[p].is_none(), "partition {p} committed twice");
                 self.results[p] = Some(r);
                 self.records.push(record);
-                Ok(true)
+                Ok(())
             }
-            Err(_) if self.committed[p] || self.in_flight[p] > 0 => Ok(false),
             Err(err) => {
                 let conf = &self.ctx.inner.conf;
                 if !retryable(&err) || self.attempts[p] >= MAX_TASK_ATTEMPTS {
@@ -338,23 +303,14 @@ impl<'a, R> StageRun<'a, R> {
                 );
                 self.parked
                     .push((self.ctx.inner.clock.now_ms() + backoff, p));
-                Ok(false)
+                Ok(())
             }
         }
     }
 
-    /// Uncommitted partitions with an attempt in flight and no
-    /// speculative twin yet: the stragglers a speculation sweep
-    /// re-launches on another node.
-    fn stragglers(&self) -> Vec<usize> {
-        (0..self.results.len())
-            .filter(|&q| !self.committed[q] && !self.speculated[q] && self.in_flight[q] > 0)
-            .collect()
-    }
-
     /// Close the stage: append its [`StageRecord`] — stage id,
     /// parent-stage edges and achieved concurrency from `meta`, every
-    /// committed task's metrics, the retry/speculation counters and
+    /// committed task's metrics, the retry counter and
     /// every engine count since the previous record closed (taken
     /// under the log lock, so each count lands in exactly one record
     /// however stage completions interleave) — timed under its label
@@ -366,8 +322,7 @@ impl<'a, R> StageRun<'a, R> {
             parent_stage_ids: self.parent_stage_ids,
             concurrent_stages: self.meta.concurrent,
             tasks: self.records,
-            retries: self.retries,
-            speculative_launches: self.speculative_launches,
+            retries: self.attempts.iter().map(|a| a.saturating_sub(1)).sum(),
             ..Default::default()
         };
         let mut log = self.ctx.inner.log.lock();
@@ -394,10 +349,9 @@ impl SparkContext {
     ///
     /// `preferred(p)` pins a task to a node (cached partitions);
     /// otherwise placement is round-robin. Each launch gets a fresh
-    /// attempt number; the first attempt to complete a partition
-    /// commits it on the stage's [`CommitBoard`] and late twins are
-    /// fenced: their results, records, and shuffle writes are dropped.
-    /// Genuine retries back off exponentially
+    /// attempt number, and a partition has at most one attempt in
+    /// flight: a success commits it, a failure is retried. Retries
+    /// back off exponentially
     /// ([`crate::SparkConf::retry_backoff_ms`]) via *deferred
     /// relaunch*: the partition is parked until its deadline while
     /// other completions keep draining, so one backing-off task never
@@ -424,10 +378,15 @@ impl SparkContext {
 
     /// Threaded dispatcher: attempts run on the executor pools and
     /// report over a channel; the loop waits for the next completion,
-    /// but only until the nearest parked deadline. Once
-    /// [`crate::SparkConf::speculation_quantile`] of the stage has
-    /// completed, stragglers are speculatively re-launched on another
-    /// node (when [`crate::SparkConf::speculation`] is on).
+    /// but only until the nearest parked deadline. A slow attempt is
+    /// waited for, never raced by a second one.
+    ///
+    /// When an attempt fails the stage, this returns at once and the
+    /// stage's other attempts run on to completion unobserved: their
+    /// reports land in a mailbox nobody reads. Their side effects
+    /// (shuffle writes, cache puts) still land, so a fetch-failure
+    /// resubmission of the same map stage can overlap them on one
+    /// slot — the ledgers reconcile by attempt, as for any retry.
     fn drive_pools<R: Send + 'static>(
         &self,
         run: &mut StageRun<'_, R>,
@@ -435,61 +394,45 @@ impl SparkContext {
         work: &TaskFn<R>,
     ) -> Result<f64, JobError> {
         let t0 = Instant::now();
-        let conf = &self.inner.conf;
         let clock = &self.inner.clock;
-        let ntasks = run.results.len();
         let done = Mailbox::new();
         let spawn = |run: &StageRun<'_, R>, p: usize, attempt: u64| {
             let node = run.place(p, attempt, preferred(p));
             let chaos = match run.verdict(p, attempt, node) {
                 Ok(armed) => armed,
                 Err(lost) => {
-                    done.send((p, attempt, Err(lost), TaskRecord::default()));
+                    done.send((p, Err(lost), TaskRecord::default()));
                     return;
                 }
             };
             let work = Arc::clone(work);
             let done = Arc::clone(&done);
-            let board = Arc::clone(&run.board);
             let label = run.label.to_string();
             let clock = Arc::clone(clock);
             self.inner.executors[node].pool.spawn(move || {
                 let (outcome, record) =
-                    run_task_attempt(&label, p, attempt, node, &board, &work, chaos, &clock);
+                    run_task_attempt(&label, p, attempt, node, &work, chaos, &clock);
                 // Release the task's lineage references *before*
                 // reporting: once the driver has seen every task of a
                 // stage, no executor-side `Arc` clones may keep the
                 // stage's RDDs — and their Drop-based shuffle GC —
                 // alive past the user's last handle.
                 drop(work);
-                done.send((p, attempt, outcome, record));
+                done.send((p, outcome, record));
             });
-        };
-        let speculation_target = if conf.speculation && ntasks > 1 {
-            ((conf.speculation_quantile * ntasks as f64).ceil() as usize).min(ntasks)
-        } else {
-            usize::MAX
         };
         while !run.is_complete() {
             for p in run.take_due(clock.now_ms()) {
-                if let Some(attempt) = run.launch(p, false) {
-                    spawn(run, p, attempt);
-                }
+                let attempt = run.launch(p);
+                spawn(run, p, attempt);
             }
             let deadline = run.next_deadline().map(|due| {
                 Instant::now() + Duration::from_millis(due.saturating_sub(clock.now_ms()))
             });
-            let Some((p, attempt, outcome, record)) = done.recv(deadline) else {
+            let Some((p, outcome, record)) = done.recv(deadline) else {
                 continue;
             };
-            let won = run.finished(p, attempt, outcome, record)?;
-            if won && run.completed >= speculation_target && !run.is_complete() {
-                for q in run.stragglers() {
-                    if let Some(attempt) = run.launch(q, true) {
-                        spawn(run, q, attempt);
-                    }
-                }
-            }
+            run.finished(p, outcome, record)?;
         }
         Ok(t0.elapsed().as_secs_f64())
     }
@@ -500,13 +443,10 @@ impl SparkContext {
     /// jumps forward when nothing is due instead of sleeping), and each
     /// attempt's footprint is charged to the virtual clock through the
     /// tick charger — so a single `u64` seed fully determines the task
-    /// schedule, every interleaving the threaded dispatcher could take
-    /// is reachable by some seed, and faults replay exactly.
-    ///
-    /// Speculative re-execution is structurally absent here: it needs
-    /// two attempts of one partition in flight at once, which a
-    /// sequential schedule cannot express. Zombie fencing therefore
-    /// never triggers in sim mode either.
+    /// schedule and faults replay exactly. Because the threaded
+    /// dispatcher keeps at most one attempt per partition in flight,
+    /// every order in which it can see attempts finish is one this
+    /// sequential schedule reaches under some seed.
     fn drive_seeded<R>(
         &self,
         run: &mut StageRun<'_, R>,
@@ -530,7 +470,7 @@ impl SparkContext {
                     panic!(
                         "sim scheduler quiesced with {} of {} tasks incomplete \
                          (stage {}, CHAOS_SEED={:?})",
-                        run.results.len() - run.completed,
+                        run.results.len() - run.records.len(),
                         run.results.len(),
                         run.meta.stage_id,
                         self.inner.conf.sim_seed
@@ -540,21 +480,17 @@ impl SparkContext {
                 continue;
             }
             let (_, p) = run.parked.swap_remove(due[self.sim_draw(due.len())]);
-            let Some(attempt) = run.launch(p, false) else {
-                continue;
-            };
+            let attempt = run.launch(p);
             let node = run.place(p, attempt, preferred(p));
             let (outcome, record) = match run.verdict(p, attempt, node) {
-                Ok(chaos) => {
-                    run_task_attempt(run.label, p, attempt, node, &run.board, work, chaos, clock)
-                }
+                Ok(chaos) => run_task_attempt(run.label, p, attempt, node, work, chaos, clock),
                 Err(lost) => (Err(lost), TaskRecord::default()),
             };
             // Charge the attempt's recorded footprint to virtual time:
             // later deadlines (and chaos draws) see a clock that moved
             // like a real run's would.
             vclock.advance_ms(sim.charger.task_ticks(&record));
-            run.finished(p, attempt, outcome, record)?;
+            run.finished(p, outcome, record)?;
         }
         Ok((clock.now_ms() - t0_ms) as f64 / 1000.0)
     }

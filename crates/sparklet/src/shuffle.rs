@@ -8,13 +8,11 @@
 //! the same node as local (storage) traffic.
 //!
 //! Writes are attempt-aware and idempotent: re-executed map tasks
-//! (lineage retries, speculative twins) overwrite their previous
-//! bucket and the staging accounting is *reconciled* — the prior
-//! attempt's declared bytes are released before the new bytes are
-//! charged, so retry never inflates `staged_bytes` toward a spurious
-//! [`JobError::StagingOverflow`]. Attempts that lost the commit race
-//! for their partition are fenced out entirely (see
-//! [`crate::context::TaskContext::is_fenced`]). Whole shuffles are
+//! (lineage retries, fetch-failure resubmissions) overwrite their
+//! previous bucket and the staging accounting is *reconciled* — the
+//! prior attempt's declared bytes are released before the new bytes
+//! are charged, so retry never inflates `staged_bytes` toward a
+//! spurious [`JobError::StagingOverflow`]. Whole shuffles are
 //! released individually when their RDD lineage is dropped
 //! ([`ShuffleManager::release`]).
 //!
@@ -87,9 +85,6 @@ struct ShuffleData {
 /// ([`ShuffleManager::tally`]).
 #[derive(Debug, Default, Clone, Copy)]
 struct ShuffleTally {
-    /// Late writes dropped because another attempt already committed
-    /// the partition.
-    zombie_writes_fenced: u64,
     /// Bytes released back to staging: per-shuffle GC plus retry
     /// reconciliation of overwritten buckets.
     staged_released_bytes: u64,
@@ -245,9 +240,8 @@ impl ShuffleManager {
     ///
     /// The write is keyed by the attempt carried on `tc`: overwriting
     /// an earlier attempt's bucket releases its declared bytes first
-    /// (idempotent re-staging), a fenced (zombie) attempt's write is
-    /// dropped, and empty buckets are never stored. A capacity failure
-    /// mutates nothing.
+    /// (idempotent re-staging), and empty buckets are never stored. A
+    /// capacity failure mutates nothing.
     ///
     /// The write is one critical section on the ledger in every mode:
     /// it commits the driver-held frame and ships nothing (a bucket
@@ -268,12 +262,6 @@ impl ShuffleManager {
         // Empty buckets are skipped (map tasks keep the bucket matrix
         // sparse); a `None` slot already reads as "no data".
         if data.raw_len() == 0 && declared == 0 {
-            return Ok(());
-        }
-        // A zombie attempt (its partition was committed by a different
-        // attempt) must not disturb committed data or accounting.
-        if tc.is_fenced() {
-            self.inner.lock().tally.zombie_writes_fenced += 1;
             return Ok(());
         }
         let wire = data.wire_hint(declared);
@@ -523,7 +511,6 @@ impl ShuffleManager {
         } else {
             inner.tally
         };
-        record.zombie_writes_fenced += t.zombie_writes_fenced;
         record.staged_released_bytes += t.staged_released_bytes;
         record.staged_lost_bytes += t.staged_lost_bytes;
     }
@@ -657,7 +644,7 @@ mod tests {
     use crate::context::TaskContext;
     use crate::payload::{Compression, FRAME_HEADER};
     use bytes::Bytes;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     /// Seal a raw byte run into an uncompressed frame.
@@ -796,24 +783,6 @@ mod tests {
         assert_eq!(sm.staged_bytes(0), 0);
         assert_eq!(tc.snapshot().shuffle_write_bytes, 0);
         assert!(sm.fetch(5, 0, &tc).unwrap().is_empty());
-    }
-
-    #[test]
-    fn fenced_zombie_write_is_dropped() {
-        let sm = ShuffleManager::new(1, None);
-        sm.register(2, 1, 1);
-        let board = Arc::new(vec![AtomicU64::new(0)]);
-        let winner = TaskContext::for_attempt(0, 2, Arc::clone(&board), 0);
-        sm.write(2, 0, 0, 0, pay(b"win"), 3, &winner).unwrap();
-        board[0].store(2, Ordering::Release);
-        // Attempt 1 limps in after attempt 2 committed: fenced.
-        let zombie = TaskContext::for_attempt(0, 1, Arc::clone(&board), 0);
-        sm.write(2, 0, 0, 0, pay(b"old"), 3, &zombie).unwrap();
-        assert_eq!(tally(&sm).zombie_writes_fenced, 1);
-        assert_eq!(sm.staged_bytes(0), 3);
-        assert_eq!(zombie.snapshot().shuffle_write_bytes, 0);
-        let got = sm.fetch(2, 0, &TaskContext::new(0)).unwrap();
-        assert_eq!(opened(&got), vec![b"win".to_vec()]);
     }
 
     #[test]
@@ -1143,13 +1112,11 @@ mod tests {
     fn remote_attempts_on_one_slot_keep_executors_and_ledger_in_step() {
         let (manager, sm) = remote_pair();
         sm.register(1, 2, 2);
-        // Six live attempts of each map task (speculative twins, or
-        // retries racing the attempts they replace): none has committed
-        // its partition, so none is fenced. Map task 0 runs every
+        // Six live attempts of each map task: a failed stage leaves its
+        // attempts running, and a fetch-failure resubmission re-runs
+        // the same map partitions over them. Map task 0 runs every
         // attempt on node 0, map task 1 alternates nodes. Readers on
         // both nodes ship and fetch the buckets while they change.
-        let board: crate::context::CommitBoard =
-            Arc::new((0..2).map(|_| AtomicU64::new(0)).collect());
         let tag = |node: usize, attempt: u64| 16 * node as u8 + attempt as u8;
         let writing = AtomicBool::new(true);
         let start = Barrier::new(2 + 12);
@@ -1177,9 +1144,9 @@ mod tests {
                 .flat_map(|map| (1..=6u64).map(move |attempt| (map, attempt)))
                 .map(|(map, attempt)| {
                     let node = if map == 0 { 0 } else { attempt as usize % 2 };
-                    let (sm, board, start) = (&sm, &board, &start);
+                    let (sm, start) = (&sm, &start);
                     s.spawn(move || {
-                        let tc = TaskContext::for_attempt(node, attempt, Arc::clone(board), map);
+                        let tc = TaskContext::for_attempt(node, attempt);
                         start.wait();
                         for reduce in 0..2 {
                             sm.write(
@@ -1235,8 +1202,7 @@ mod tests {
         assert_balanced(&manager, &sm);
         // A retry that moved nodes after its bucket shipped, with
         // nothing else in flight: the stale copy on node 0 goes.
-        let attempt =
-            |node, attempt| TaskContext::for_attempt(node, attempt, Arc::clone(&board), 0);
+        let attempt = TaskContext::for_attempt;
         sm.register(2, 1, 1);
         sm.write(2, 0, 0, 0, pay(&body(3)), 10, &attempt(0, 1))
             .unwrap();

@@ -29,7 +29,7 @@ pub enum ChaosEvent {
     /// harshest ordering: retries must reconcile the partial writes).
     TaskPanic,
     /// The attempt completes, but only after `delay_ms` of extra
-    /// logical time — long enough to trip speculation thresholds.
+    /// logical time: a slow task its stage must wait out.
     Straggler {
         /// Extra logical milliseconds before the attempt finishes.
         delay_ms: u64,
@@ -183,9 +183,9 @@ impl ChaosPolicy {
     /// Panic the first `attempts` attempts of `partition` in *every*
     /// stage (the standing fault of the fault-tolerance stress tests).
     /// Attempt numbers are 1-based and consecutive per
-    /// `(stage, partition)`, speculative twins included, so the rule is
-    /// a predicate on the attempt number — no per-stage budget to keep,
-    /// however the DAG scheduler interleaves stages.
+    /// `(stage, partition)`, so the rule is a predicate on the attempt
+    /// number — no per-stage budget to keep, however the DAG scheduler
+    /// interleaves stages.
     pub fn with_standing_panics(mut self, partition: usize, attempts: u64) -> Self {
         self.standing.push((partition, attempts));
         self

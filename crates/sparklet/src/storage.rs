@@ -19,11 +19,10 @@
 //! fails with [`JobError::MemoryOverflow`], the pre-tiering failure
 //! mode.
 //!
-//! Writes are attempt-fenced like shuffle writes: a put from a zombie
-//! task (its partition already committed by another attempt) is
-//! dropped, and a re-put from a retried task credits the prior
-//! attempt's bytes in whichever tier they landed before charging the
-//! new ones — retries never double-charge memory or disk.
+//! Writes are attempt-aware like shuffle writes: a re-put from a
+//! retried task credits the prior attempt's bytes in whichever tier
+//! they landed before charging the new ones — retries never
+//! double-charge memory or disk.
 
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
@@ -81,9 +80,6 @@ pub enum PutOutcome {
     /// forbids disk, and this block is recomputable — readers fall
     /// back to lineage.
     Skipped,
-    /// Dropped: the putting task was fenced by its stage's commit
-    /// board (a zombie attempt).
-    Fenced,
 }
 
 type AnyArc = Arc<dyn Any + Send + Sync>;
@@ -155,7 +151,6 @@ struct StoreTally {
     spilled_bytes: u64,
     evicted_bytes: u64,
     recomputes: u64,
-    fenced_cache_puts: u64,
 }
 
 /// All mutable store state behind one lock, so capacity checks and
@@ -239,9 +234,8 @@ impl BlockStore {
     /// the block may be dropped under pressure and recomputed on read.
     /// Re-putting an existing (cache, partition) — a re-executed
     /// checkpoint task — replaces the entry and reconciles the byte
-    /// accounting in whichever tier the prior attempt landed; a put
-    /// from a fenced (zombie) attempt is dropped; a rejected put
-    /// mutates nothing.
+    /// accounting in whichever tier the prior attempt landed; a
+    /// rejected put mutates nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn put<T: Storable + Send + Sync + 'static>(
         &self,
@@ -253,10 +247,6 @@ impl BlockStore {
         recoverable: bool,
         tc: Option<&TaskContext>,
     ) -> Result<PutOutcome, JobError> {
-        if tc.is_some_and(|tc| tc.is_fenced()) {
-            self.inner.lock().tally.fenced_cache_puts += 1;
-            return Ok(PutOutcome::Fenced);
-        }
         let codec = codec_for::<T>();
         let data: AnyArc = data;
         let stamp = self.tick();
@@ -378,7 +368,7 @@ impl BlockStore {
     }
 
     /// Drop the prior entry of (cache, partition), returning its bytes
-    /// to the owning tier (retry/speculation reconciliation).
+    /// to the owning tier (retry reconciliation).
     fn remove_reconciled(
         &self,
         inner: &mut StoreInner,
@@ -611,7 +601,6 @@ impl BlockStore {
         record.spilled_bytes += t.spilled_bytes;
         record.evicted_bytes += t.evicted_bytes;
         record.recomputes += t.recomputes;
-        record.fenced_cache_puts += t.fenced_cache_puts;
     }
 
     /// Executor death: destroy every entry in both tiers and all

@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use bytes::Bytes;
 
 use super::segment;
-use super::wire::{decode, encode, WireMsg};
+use super::wire::{decode, decode_handshake, encode, WireMsg, PROTOCOL};
 use crate::payload::Payload;
 use crate::wire::{read_frame, write_frame};
 
@@ -230,24 +230,34 @@ impl ExecutorState {
 /// Serve one driver connection until `Shutdown` or stream end.
 ///
 /// Performs the executor side of the handshake (`Hello{node}` →
-/// expects `HelloAck`), then loops over [`ExecutorState::handle`] on
-/// `state`. Returns `Ok(())` on orderly shutdown or driver disconnect;
-/// any other I/O failure is surfaced for the binary to report.
+/// expects a `HelloAck` for `node` in this build's [`PROTOCOL`]), then
+/// loops over [`ExecutorState::handle`] on `state`. Returns `Ok(())` on
+/// orderly shutdown or driver disconnect; any other I/O failure — a
+/// driver of another protocol version among them — is surfaced for the
+/// binary to report.
 pub fn serve<S: Read + Write>(
     stream: &mut S,
     node: u64,
     mut state: ExecutorState,
 ) -> std::io::Result<()> {
-    write_frame(stream, &encode(&WireMsg::Hello { node }))?;
-    let (ack, _) = read_frame(stream, decode)?;
-    match ack {
-        WireMsg::HelloAck { node: n } if n == node => {}
-        other => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("expected HelloAck for node {node}, got {other:?}"),
-            ))
-        }
+    let hello = WireMsg::Hello {
+        node,
+        protocol: PROTOCOL,
+    };
+    write_frame(stream, &encode(&hello))?;
+    let (ack, _) = read_frame(stream, decode_handshake)?;
+    let refused = match ack {
+        WireMsg::HelloAck {
+            node: n,
+            protocol: PROTOCOL,
+        } if n == node => None,
+        WireMsg::HelloAck { protocol, .. } if protocol != PROTOCOL => Some(format!(
+            "the driver speaks wire protocol {protocol}, this executor speaks {PROTOCOL}"
+        )),
+        other => Some(format!("expected HelloAck for node {node}, got {other:?}")),
+    };
+    if let Some(why) = refused {
+        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, why));
     }
     loop {
         let msg = match read_frame(stream, decode) {
@@ -274,6 +284,38 @@ mod tests {
 
     fn frame(bytes: &'static [u8]) -> Bytes {
         Payload::seal(Bytes::from_static(bytes), Compression::None).frame()
+    }
+
+    /// A stream that reads a scripted driver side and keeps what the
+    /// executor writes.
+    struct Duplex {
+        input: std::io::Cursor<Vec<u8>>,
+        output: Vec<u8>,
+    }
+    impl Duplex {
+        fn scripted(driver: &[WireMsg]) -> Self {
+            let mut input = Vec::new();
+            for msg in driver {
+                write_frame(&mut input, &encode(msg)).unwrap();
+            }
+            Duplex {
+                input: std::io::Cursor::new(input),
+                output: Vec::new(),
+            }
+        }
+    }
+    impl Read for Duplex {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+    impl Write for Duplex {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
     }
 
     #[test]
@@ -498,11 +540,11 @@ mod tests {
 
     #[test]
     fn serve_handshakes_and_shuts_down_over_a_pipe() {
-        use std::io::Cursor;
-        // Script the driver side of the conversation into a buffer.
-        let mut driver_out = Vec::new();
-        for msg in [
-            WireMsg::HelloAck { node: 2 },
+        let mut duplex = Duplex::scripted(&[
+            WireMsg::HelloAck {
+                node: 2,
+                protocol: PROTOCOL,
+            },
             WireMsg::ShufflePut {
                 shuffle: 4,
                 map_task: 0,
@@ -515,37 +557,15 @@ mod tests {
                 reduce: 1,
             },
             WireMsg::Shutdown,
-        ] {
-            write_frame(&mut driver_out, &encode(&msg)).unwrap();
-        }
-
-        struct Duplex {
-            input: Cursor<Vec<u8>>,
-            output: Vec<u8>,
-        }
-        impl Read for Duplex {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                self.input.read(buf)
-            }
-        }
-        impl Write for Duplex {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.output.write(buf)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let mut duplex = Duplex {
-            input: Cursor::new(driver_out),
-            output: Vec::new(),
-        };
+        ]);
         serve(&mut duplex, 2, ExecutorState::new()).unwrap();
 
         let mut r = &duplex.output[..];
         for expected in [
-            WireMsg::Hello { node: 2 },
+            WireMsg::Hello {
+                node: 2,
+                protocol: PROTOCOL,
+            },
             WireMsg::Ack,
             WireMsg::Block {
                 frame: Some(frame(b"gamma")),
@@ -555,5 +575,29 @@ mod tests {
             assert_eq!(read_frame(&mut r, decode).unwrap().0, expected);
         }
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn serve_refuses_a_driver_of_another_protocol() {
+        // A wrong-version `HelloAck` is refused typed at the handshake,
+        // and the message behind it is never read.
+        let wrong = PROTOCOL + 1;
+        let mut duplex = Duplex::scripted(&[
+            WireMsg::HelloAck {
+                node: 2,
+                protocol: wrong,
+            },
+            WireMsg::Shutdown,
+        ]);
+        let err = serve(&mut duplex, 2, ExecutorState::new()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let want = format!("driver speaks wire protocol {wrong}, this executor speaks {PROTOCOL}");
+        assert!(err.to_string().contains(&want), "{err}");
+        let mut r = &duplex.output[..];
+        assert!(matches!(
+            read_frame(&mut r, decode).unwrap().0,
+            WireMsg::Hello { node: 2, .. }
+        ));
+        assert!(r.is_empty(), "nothing but the greeting went out");
     }
 }

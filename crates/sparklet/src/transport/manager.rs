@@ -37,7 +37,7 @@ use bytes::Bytes;
 use par_pool::Mutex;
 
 use super::segment;
-use super::wire::{decode, encode, WireMsg};
+use super::wire::{decode, decode_handshake, encode, WireMsg, PROTOCOL};
 use super::TransportMode;
 use crate::error::JobError;
 use crate::payload::Payload;
@@ -105,7 +105,7 @@ pub struct ExecutorManager {
     /// The per-node segment directories (Unix transport only).
     segments: Option<Segments>,
     /// The next segment number: unique over the manager's lifetime, so
-    /// no two puts, twin attempts of one slot included, share a file.
+    /// no two puts, two attempts writing one slot included, share a file.
     next_seq: AtomicU64,
     /// Bytes sent to each executor over its connection's lifetime
     /// (survives respawn — it counts the node, not the process).
@@ -196,7 +196,7 @@ impl ExecutorManager {
         // which slot each connection belongs to.
         let mut workers: Vec<Option<Worker>> = (0..executors).map(|_| None).collect();
         for _ in 0..executors {
-            let (node, conn) = accept_handshake(&listener, &mut children)?;
+            let (node, conn) = accept_handshake(&listener, &mut children, &bin)?;
             if node >= executors || workers[node].is_some() {
                 return Err(JobError::Transport(format!(
                     "executor handshake for unexpected node {node}"
@@ -533,7 +533,7 @@ impl ExecutorManager {
         let listener = self.listener.lock();
         let bin = executor_binary()?;
         let mut pending = vec![Some(spawn_executor(&bin, listener.addr(), node)?)];
-        let (hello_node, conn) = accept_handshake(&listener, &mut pending)?;
+        let (hello_node, conn) = accept_handshake(&listener, &mut pending, &bin)?;
         if hello_node != node {
             return Err(JobError::Transport(format!(
                 "respawned executor said node {hello_node}, expected {node}"
@@ -676,10 +676,13 @@ fn spawn_executor(bin: &std::path::Path, addr: &Addr, node: usize) -> Result<Chi
 
 /// Accept one connection and run the driver side of the handshake.
 /// Polls non-blockingly so a child that died before connecting is
-/// detected (and reaped) instead of hanging the accept forever.
+/// detected (and reaped) instead of hanging the accept forever. An
+/// executor of another [`PROTOCOL`] (`bin` built from other sources)
+/// is refused here, before any other message crosses.
 fn accept_handshake(
     listener: &Listener,
     children: &mut [Option<Child>],
+    bin: &Path,
 ) -> Result<(usize, Box<dyn Conn>), JobError> {
     listener
         .set_nonblocking(true)
@@ -722,25 +725,69 @@ fn accept_handshake(
     listener
         .set_nonblocking(false)
         .map_err(|e| JobError::Transport(format!("listener nonblocking: {e}")))?;
-    let (hello, _) = read_frame(&mut conn, decode)
+    let (hello, _) = read_frame(&mut conn, decode_handshake)
         .map_err(|e| JobError::Transport(format!("executor handshake read: {e}")))?;
     let node = match hello {
-        WireMsg::Hello { node } => node as usize,
+        WireMsg::Hello {
+            node,
+            protocol: PROTOCOL,
+        } => node,
+        WireMsg::Hello { protocol, .. } => {
+            return Err(JobError::Transport(format!(
+                "executor binary {} speaks wire protocol {protocol}, this driver speaks \
+                 {PROTOCOL}: rebuild it (`cargo build -p sparklet --bins`)",
+                bin.display()
+            )))
+        }
         other => {
             return Err(JobError::Transport(format!(
                 "expected Hello, got {other:?}"
             )))
         }
     };
-    write_frame(&mut conn, &encode(&WireMsg::HelloAck { node: node as u64 }))
+    let ack = WireMsg::HelloAck {
+        node,
+        protocol: PROTOCOL,
+    };
+    write_frame(&mut conn, &encode(&ack))
         .map_err(|e| JobError::Transport(format!("executor handshake ack: {e}")))?;
-    Ok((node, conn))
+    Ok((node as usize, conn))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::payload::Compression;
+
+    #[test]
+    fn handshake_refuses_an_unversioned_executor_by_path_and_versions() {
+        // A stale executor greets with the one-word `Hello` of the
+        // unversioned protocol: refused typed at the handshake, naming
+        // the binary and both versions, and never acknowledged.
+        let listener = Listener::bind(&Addr::Unix(unix_socket_path())).unwrap();
+        let addr = listener.addr().clone();
+        let stale = std::thread::spawn(move || {
+            let mut conn = crate::wire::dial(&addr).unwrap();
+            let mut hello = vec![1u8];
+            hello.extend_from_slice(&3u64.to_le_bytes());
+            write_frame(&mut conn, &hello.into()).unwrap();
+            read_frame(&mut conn, decode).map(|(msg, _)| msg)
+        });
+        let bin = Path::new("/stale/sparklet-executor");
+        let err = accept_handshake(&listener, &mut [], bin)
+            .err()
+            .expect("refused");
+        let JobError::Transport(msg) = &err else {
+            panic!("untyped refusal: {err:?}");
+        };
+        let want = format!(
+            "{} speaks wire protocol 0, this driver speaks {PROTOCOL}",
+            bin.display()
+        );
+        assert!(msg.contains(&want), "{msg}");
+        let ack = stale.join().unwrap();
+        assert!(ack.is_err(), "the stale executor got {ack:?}");
+    }
 
     /// The one segment file in `dir`.
     fn only_file(dir: &Path) -> PathBuf {

@@ -24,6 +24,14 @@ use bytes::{BufMut, Bytes};
 use crate::error::JobError;
 use crate::wire::{Body, Reader};
 
+/// Version of this message table, carried by `Hello` and `HelloAck`.
+/// Bump it with any change to a message's layout: a driver and an
+/// executor built from different tables then refuse each other at the
+/// handshake, naming both versions, instead of misreading a later
+/// message. Version 0 is the unversioned table, whose `Hello` and
+/// `HelloAck` carried the node index alone.
+pub const PROTOCOL: u64 = 1;
+
 /// One protocol message. Fixed-width little-endian integers; payloads
 /// are embedded as their sealed frame bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,11 +40,15 @@ pub enum WireMsg {
     Hello {
         /// Node index the executor was launched for.
         node: u64,
+        /// The executor's [`PROTOCOL`].
+        protocol: u64,
     },
     /// Driver → executor handshake confirmation.
     HelloAck {
         /// Echoed node index.
         node: u64,
+        /// The driver's [`PROTOCOL`].
+        protocol: u64,
     },
     /// Stage a map-output bucket on the executor (answered by
     /// [`WireMsg::Ack`]).
@@ -189,8 +201,8 @@ fn tagged(tag: u8, words: &[u64]) -> Vec<u8> {
 /// its head, plus the message's own frame where it carries one.
 pub fn encode(msg: &WireMsg) -> Body<'_> {
     let head = match msg {
-        WireMsg::Hello { node } => tagged(TAG_HELLO, &[*node]),
-        WireMsg::HelloAck { node } => tagged(TAG_HELLO_ACK, &[*node]),
+        WireMsg::Hello { node, protocol } => tagged(TAG_HELLO, &[*node, *protocol]),
+        WireMsg::HelloAck { node, protocol } => tagged(TAG_HELLO_ACK, &[*node, *protocol]),
         WireMsg::ShufflePut {
             shuffle,
             map_task,
@@ -248,8 +260,14 @@ pub fn encode(msg: &WireMsg) -> Body<'_> {
 pub fn decode(body: Bytes) -> Result<WireMsg, JobError> {
     let mut c = Reader::new(body);
     let msg = match c.scalar::<u8>()? {
-        TAG_HELLO => WireMsg::Hello { node: c.scalar()? },
-        TAG_HELLO_ACK => WireMsg::HelloAck { node: c.scalar()? },
+        TAG_HELLO => WireMsg::Hello {
+            node: c.scalar()?,
+            protocol: c.scalar()?,
+        },
+        TAG_HELLO_ACK => WireMsg::HelloAck {
+            node: c.scalar()?,
+            protocol: c.scalar()?,
+        },
         TAG_SHUFFLE_PUT => WireMsg::ShufflePut {
             shuffle: c.scalar()?,
             map_task: c.scalar()?,
@@ -306,6 +324,22 @@ pub fn decode(body: Bytes) -> Result<WireMsg, JobError> {
     };
     c.finish()?;
     Ok(msg)
+}
+
+/// Decode the first message of a connection. Like [`decode`], except
+/// that a one-word `Hello` or `HelloAck` — the unversioned layout —
+/// reads as protocol 0, so a stale peer is refused by its version
+/// rather than by a codec error.
+pub(crate) fn decode_handshake(body: Bytes) -> Result<WireMsg, JobError> {
+    if body.len() != 9 || !matches!(body[0], TAG_HELLO | TAG_HELLO_ACK) {
+        return decode(body);
+    }
+    let node = Reader::new(body.slice(1..)).scalar()?;
+    Ok(if body[0] == TAG_HELLO {
+        WireMsg::Hello { node, protocol: 0 }
+    } else {
+        WireMsg::HelloAck { node, protocol: 0 }
+    })
 }
 
 /// [`encode`] into one buffer, copying the frame. Kept under this name

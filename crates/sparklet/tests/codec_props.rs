@@ -447,7 +447,14 @@ fn executor_messages_survive_hostile_input() {
     let mut rng = Rng::new(0xbead);
     let frame = sealed(&mut rng, 200);
     let samples = [
-        WireMsg::Hello { node: rng.u64() },
+        WireMsg::Hello {
+            node: rng.u64(),
+            protocol: rng.u64(),
+        },
+        WireMsg::HelloAck {
+            node: rng.u64(),
+            protocol: rng.u64(),
+        },
         WireMsg::ShufflePut {
             shuffle: rng.u64(),
             map_task: rng.u64(),
@@ -580,16 +587,23 @@ fn an_oversized_prefix_reserves_nothing_for_its_body() {
 
 // Golden vectors: the hex of every executor and service message, as
 // encoded by the commit *before* the three codecs were put on one wire
-// layer (3831a70). A drift here is a wire-format change. The one
-// deliberate change since: `HeartbeatAck` shrank to `{ seq, buckets }`,
-// and its vector was re-recorded then.
+// layer (3831a70). A drift here is a wire-format change. The deliberate
+// changes since: `HeartbeatAck` shrank to `{ seq, buckets }`, and
+// `Hello`/`HelloAck` gained the `PROTOCOL` word; their vectors were
+// re-recorded then.
 
 #[test]
 fn executor_wire_bytes_match_the_golden_vectors() {
     let frame = Payload::seal(Bytes::from_static(b"bucket"), Compression::None).frame();
     let samples = [
-        WireMsg::Hello { node: 3 },
-        WireMsg::HelloAck { node: 3 },
+        WireMsg::Hello {
+            node: 3,
+            protocol: 1,
+        },
+        WireMsg::HelloAck {
+            node: 3,
+            protocol: 1,
+        },
         WireMsg::ShufflePut {
             shuffle: 9,
             map_task: 1,
@@ -639,8 +653,8 @@ fn executor_wire_bytes_match_the_golden_vectors() {
         WireMsg::BlockAt { seq: 6, len: 15 },
     ];
     let golden = [
-        "010300000000000000",
-        "020300000000000000",
+        "0103000000000000000100000000000000",
+        "0203000000000000000100000000000000",
         "050900000000000000010000000000000004000000000000000006000000000000006275636b6574",
         "06090000000000000001000000000000000400000000000000",
         "07010006000000000000006275636b6574",

@@ -1,9 +1,10 @@
 //! DAG-scheduler behaviour: one stage at a time within a job,
 //! exactly-once shuffle materialization across concurrent jobs, fault
-//! tolerance with several jobs' stages in flight, deferred retry
-//! backoff, and byte reconciliation under interleaved stage completion.
+//! tolerance with several jobs' stages in flight, one attempt per
+//! partition in flight, deferred retry backoff, and byte reconciliation
+//! under interleaved stage completion.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -53,9 +54,9 @@ fn concurrently<A: Send, B: Send>(
 /// Holds each side's map tasks until a task of the other side has
 /// started too, so two jobs' map stages are in flight at once whatever
 /// the thread timing (bounded, so a broken run fails instead of
-/// hanging). The partition a test faults is never held: chaos fails an
-/// attempt after it ran, so a held first attempt could lose to a
-/// speculative twin and the injected fault would go unretried.
+/// hanging). The partition a test faults is never held: its failing
+/// attempts report, and its retries launch, without waiting on the
+/// other job.
 #[derive(Default)]
 struct Rendezvous([AtomicBool; 2]);
 
@@ -205,7 +206,7 @@ fn shared_shuffle_under_concurrent_jobs_materializes_exactly_once() {
 #[test]
 fn fault_matrix_with_multiple_stages_in_flight() {
     // Two branches collected by two concurrent jobs, then joined by a
-    // third, under retries + speculation + per-stage fault budgets:
+    // third, under retries with backoff + per-stage fault budgets:
     // results must match the calm run exactly.
     let run = |faults: bool| {
         let conf = SparkConf::default()
@@ -213,16 +214,12 @@ fn fault_matrix_with_multiple_stages_in_flight() {
             .with_executor_cores(2)
             .with_worker_threads(2)
             .with_partitions(8)
-            .with_retry_backoff(2, 8)
-            .with_speculation(0.5);
+            .with_retry_backoff(2, 8);
         let sc = SparkContext::new(conf);
         // Attempts 1 and 2 of partition 0 fail in every stage,
-        // whichever order the interleaved stages reach it in. Two, not
-        // one: a speculative twin of the first attempt is attempt 2,
-        // and a failure with a twin still in flight is not retried. If
-        // the twin could win, the stage would finish with no retry;
-        // with both failing, attempt 3 is a counted retry in every
-        // interleaving.
+        // whichever order the interleaved stages reach it in: each
+        // stage commits partition 0 on attempt 3, after two counted
+        // retries, one backing off longer than the other.
         let _chaos =
             faults.then(|| sc.install_chaos(ChaosPolicy::seeded(0).with_standing_panics(0, 2)));
         let meet = Arc::new(Rendezvous::default());
@@ -251,6 +248,87 @@ fn fault_matrix_with_multiple_stages_in_flight() {
     assert_eq!(got, want, "results must survive the fault matrix");
     assert!(retries >= 1, "injected faults must be retried");
     assert!(peak >= 2, "two jobs' stages ran concurrently under faults");
+}
+
+/// Per stage side and partition, the attempts running right now, and
+/// the most of one partition ever seen running at once.
+#[derive(Default)]
+struct InFlight {
+    running: [[AtomicUsize; 8]; 2],
+    peak: AtomicUsize,
+}
+
+impl InFlight {
+    fn track(self: &Arc<Self>, rdd: Rdd<usize, u64>, side: usize) -> Rdd<usize, u64> {
+        let me = Arc::clone(self);
+        rdd.map_partitions(false, move |p, items, _| {
+            let now = me.running[side][p].fetch_add(1, Ordering::SeqCst) + 1;
+            me.peak.fetch_max(now, Ordering::SeqCst);
+            // Long enough for a second attempt of `p` to be seen.
+            std::thread::sleep(Duration::from_millis(2));
+            me.running[side][p].fetch_sub(1, Ordering::SeqCst);
+            items
+        })
+    }
+}
+
+#[test]
+fn one_attempt_per_partition_is_in_flight_under_faults() {
+    // The threaded dispatcher relaunches a partition only after its
+    // attempt reported, so no partition ever has two attempts running,
+    // under retries with backoff, stragglers, standing panics and a
+    // stage resubmission. The scripted fault hits attempt 3 of the
+    // reduce stage's partition 0 after its two standing panics backed
+    // off for 60 ms, long after the rest of the stage (5 ms stragglers
+    // included) committed: a stage that fails leaves its running
+    // attempts behind (the shuffle test
+    // `remote_attempts_on_one_slot_keep_executors_and_ledger_in_step`
+    // covers those), and here it leaves none.
+    let run = |fault: Option<ChaosEvent>| {
+        let sc = SparkContext::new(
+            SparkConf::default()
+                .with_executors(4)
+                .with_executor_cores(2)
+                .with_worker_threads(2)
+                .with_partitions(8)
+                .with_retry_backoff(20, 160),
+        );
+        let _chaos = fault.map(|event| {
+            sc.install_chaos(
+                ChaosPolicy::seeded(3)
+                    .with_standing_panics(0, 2)
+                    .with_stragglers(250, 5)
+                    .script(1, 0, 3, event),
+            )
+        });
+        let seen = Arc::new(InFlight::default());
+        let reduced = seen
+            .track(sc.parallelize(pairs(96), Some(8)), 0)
+            .map(|(k, v)| (k % 16, v))
+            .reduce_by_key(|a, b| a.wrapping_add(b), 8, Arc::new(HashPartitioner));
+        let got = sorted(seen.track(reduced, 1).collect().expect("job"));
+        let did = sc.summary();
+        let peak = seen.peak.load(Ordering::SeqCst);
+        (got, peak, did.retries, did.stage_resubmissions)
+    };
+    let (want, peak, _, _) = run(None);
+    assert_eq!(peak, 1);
+    for event in [ChaosEvent::FetchFailure, ChaosEvent::ExecutorLoss] {
+        let (got, peak, retries, resubmissions) = run(Some(event));
+        assert_eq!(got, want, "{event:?}: results must match the calm run");
+        assert_eq!(
+            peak, 1,
+            "{event:?}: two attempts of one partition ran at once"
+        );
+        assert!(
+            retries >= 4,
+            "{event:?}: standing panics retried, got {retries}"
+        );
+        assert!(
+            resubmissions >= 1,
+            "{event:?}: the map stage was resubmitted"
+        );
+    }
 }
 
 #[test]
