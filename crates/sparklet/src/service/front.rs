@@ -179,13 +179,16 @@ impl ServiceClient {
         }
     }
 
-    /// Non-blocking status probe.
+    /// Non-blocking status probe ([`JobService::poll`]). A job the
+    /// service does not know is an error of kind `NotFound`.
     pub fn poll(&mut self, job: JobId) -> std::io::Result<JobStatusView> {
         let msg = self.rpc(&SvcMsg::Poll { job })?;
         wire::view_from_status(msg)
     }
 
-    /// Block until the job settles; returns the final status.
+    /// Block until the job settles; returns the final status, and
+    /// collects a `Done` result as [`JobService::wait`] does. A job
+    /// the service does not know is an error of kind `NotFound`.
     pub fn wait(&mut self, job: JobId) -> std::io::Result<JobStatusView> {
         let msg = self.rpc(&SvcMsg::Wait { job })?;
         wire::view_from_status(msg)

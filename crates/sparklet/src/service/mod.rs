@@ -125,9 +125,12 @@ pub struct ServiceConfig {
     pub cache_capacity: u64,
     /// How many settled (done/failed/cancelled) jobs to retain for
     /// [`JobService::poll`] / [`JobService::wait`]. Oldest settled
-    /// entries beyond this are dropped — their bodies and results are
-    /// freed, and late status probes see "unknown job" — so a
-    /// long-running front end holds bounded memory.
+    /// entries beyond this are dropped, and late status probes see
+    /// "unknown job". A retained entry holds no body, and holds its
+    /// result only until a [`JobService::wait`] collects it, so the
+    /// ring bounds the results nobody waited for. It does not bound
+    /// the engine's event log, which still grows with every job a
+    /// long-lived service runs.
     pub settled_retention: usize,
 }
 
@@ -220,7 +223,8 @@ pub struct JobStatusView {
     /// jobs run sequentially, e.g. sim mode — concurrent jobs
     /// interleave the shared stage counter).
     pub stages_run: u64,
-    /// The response bytes, present iff `state == Done`.
+    /// The response bytes, present iff `state == Done` and no
+    /// [`JobService::wait`] has collected them yet.
     pub result: Option<Bytes>,
     /// The failure message, present iff `state == Failed`.
     pub error: Option<String>,
@@ -229,7 +233,12 @@ pub struct JobStatusView {
 enum EntryState {
     Queued,
     Running,
-    Done { resp: Bytes, hit: bool, stages: u64 },
+    /// `resp` is `None` once a [`JobService::wait`] has collected it.
+    Done {
+        resp: Option<Bytes>,
+        hit: bool,
+        stages: u64,
+    },
     Failed(JobError),
     Cancelled,
 }
@@ -260,7 +269,7 @@ impl JobEntry {
                 view.state = JobState::Done;
                 view.cache_hit = *hit;
                 view.stages_run = *stages;
-                view.result = Some(resp.clone());
+                view.result = resp.clone();
             }
             EntryState::Failed(e) => {
                 view.state = JobState::Failed;
@@ -521,7 +530,7 @@ impl SvcState {
     }
 
     /// Record `job` as settled and evict the oldest settled entries
-    /// beyond the retention cap, freeing their bodies and results.
+    /// beyond the retention cap, freeing any result no wait collected.
     fn retire(&mut self, job: JobId) {
         self.settled.push_back(job);
         while self.settled.len() > self.retention {
@@ -701,7 +710,11 @@ impl JobService {
         st.exit(
             d.job,
             match outcome {
-                Ok((resp, hit, stages)) => EntryState::Done { resp, hit, stages },
+                Ok((resp, hit, stages)) => EntryState::Done {
+                    resp: Some(resp),
+                    hit,
+                    stages,
+                },
                 Err(JobError::Cancelled(_)) => EntryState::Cancelled,
                 Err(e) => EntryState::Failed(e),
             },
@@ -832,14 +845,21 @@ impl JobService {
         self.inner.state.lock().jobs.get(&job).map(|e| e.view(job))
     }
 
-    /// Block until `job` settles (done, failed, or cancelled).
+    /// Block until `job` settles (done, failed, or cancelled), and
+    /// collect a `Done` job's result: this view carries the bytes, and
+    /// every later [`JobService::poll`] or `wait` answers `Done` with
+    /// `result: None`. [`JobService::poll`] never collects.
     pub fn wait(&self, job: JobId) -> Option<JobStatusView> {
         let mut st = self.inner.state.lock();
         loop {
-            match st.jobs.get(&job) {
+            match st.jobs.get_mut(&job) {
                 None => return None,
                 Some(e) if !matches!(e.state, EntryState::Queued | EntryState::Running) => {
-                    return Some(e.view(job));
+                    let mut view = e.view(job);
+                    if let EntryState::Done { resp, .. } = &mut e.state {
+                        view.result = resp.take();
+                    }
+                    return Some(view);
                 }
                 Some(_) => st = self.inner.done.wait(st),
             }
@@ -874,7 +894,9 @@ impl JobService {
     /// (replay-comparable under sequential driving). The window holds
     /// four decisions per retained settled job
     /// ([`ServiceConfig::settled_retention`]); older ones are dropped,
-    /// so a long-running service holds bounded memory.
+    /// so the log is bounded the way the job table is. Collecting a
+    /// result ([`JobService::wait`]) is not a decision and logs
+    /// nothing.
     pub fn decisions(&self) -> Vec<ServiceDecision> {
         self.inner.state.lock().decisions.iter().cloned().collect()
     }
@@ -986,6 +1008,30 @@ mod tests {
         let st = svc.inner.state.lock();
         for job in [ran, queued] {
             assert!(st.jobs[&job].body.is_empty(), "job {job} kept its body");
+        }
+    }
+
+    #[test]
+    fn collected_results_are_released() {
+        let sc = SparkContext::new(SparkConf::default().with_sim_seed(1));
+        let svc = JobService::new(sc, ServiceConfig::default(), Echo);
+        let job = svc.submit(1, Bytes::from_static(b"echo")).expect("admit");
+        assert!(svc.pump());
+        let held = |svc: &JobService| match &svc.inner.state.lock().jobs[&job].state {
+            EntryState::Done { resp, .. } => resp.clone(),
+            _ => panic!("job {job} is not done"),
+        };
+        // A poll is a peek: it answers with the bytes and leaves them.
+        let peek = svc.poll(job).expect("retained");
+        assert_eq!(peek.result.as_deref(), Some(&b"echo"[..]));
+        assert_eq!(held(&svc).as_deref(), Some(&b"echo"[..]));
+        // The wait collects them: the entry keeps its status, not them.
+        let got = svc.wait(job).expect("retained");
+        assert_eq!(got.result.as_deref(), Some(&b"echo"[..]));
+        assert_eq!(held(&svc), None, "a collected result stays held");
+        for again in [svc.wait(job), svc.poll(job)] {
+            let again = again.expect("still retained");
+            assert_eq!((again.state, again.result), (JobState::Done, None));
         }
     }
 }

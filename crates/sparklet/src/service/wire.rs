@@ -65,7 +65,7 @@ pub enum SvcMsg {
     /// Job status snapshot. `state` encodes [`super::JobState`]
     /// (0 queued, 1 running, 2 done, 3 failed, 4 cancelled; 255 for a
     /// job the service does not know); `frame` carries the sealed
-    /// result payload once done.
+    /// result payload once done, until a `Wait` has collected it.
     Status {
         /// Job the status describes.
         job: u64,
@@ -75,7 +75,8 @@ pub enum SvcMsg {
         cache_hit: bool,
         /// Engine stages this job ran (0 on a cache hit).
         stages_run: u64,
-        /// Sealed result payload frame, present iff done.
+        /// Sealed result payload frame, present iff done and not yet
+        /// collected by a `Wait`.
         frame: Option<Bytes>,
         /// Failure message, present iff failed.
         error: Option<String>,
@@ -274,6 +275,10 @@ fn state_code(s: JobState) -> u8 {
     }
 }
 
+/// The state code of a [`SvcMsg::Status`] for a job the service does
+/// not know: never issued, or evicted from the settled-job ring.
+const UNKNOWN_JOB: u8 = u8::MAX;
+
 /// Decode a wire state code.
 fn state_from_code(c: u8) -> Option<JobState> {
     Some(match c {
@@ -325,7 +330,7 @@ pub(super) fn status_msg(view: &JobStatusView) -> SvcMsg {
 pub(super) fn unknown_job_status(job: JobId) -> SvcMsg {
     SvcMsg::Status {
         job,
-        state: u8::MAX,
+        state: UNKNOWN_JOB,
         cache_hit: false,
         stages_run: 0,
         frame: None,
@@ -334,6 +339,8 @@ pub(super) fn unknown_job_status(job: JobId) -> SvcMsg {
 }
 
 /// The inverse of [`status_msg`], on the client's side of the socket.
+/// An [`unknown_job_status`] is an error of kind `NotFound`, where the
+/// in-process API answers `None`.
 pub(super) fn view_from_status(msg: SvcMsg) -> std::io::Result<JobStatusView> {
     let SvcMsg::Status {
         job,
@@ -346,6 +353,12 @@ pub(super) fn view_from_status(msg: SvcMsg) -> std::io::Result<JobStatusView> {
     else {
         return Err(protocol_err(&msg));
     };
+    if state == UNKNOWN_JOB {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!("unknown job {job}"),
+        ));
+    }
     let state = state_from_code(state)
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad job state"))?;
     let result =

@@ -542,6 +542,24 @@ fn service_messages_survive_hostile_input() {
             frame: None,
             error: Some("task failed".into()),
         },
+        // A `Done` whose result a `Wait` has already collected.
+        SvcMsg::Status {
+            job: rng.u64(),
+            state: 2,
+            cache_hit: false,
+            stages_run: rng.u64(),
+            frame: None,
+            error: None,
+        },
+        // The status of a job the service does not know.
+        SvcMsg::Status {
+            job: rng.u64(),
+            state: 255,
+            cache_hit: false,
+            stages_run: 0,
+            frame: None,
+            error: Some("unknown job".into()),
+        },
         SvcMsg::CancelOk,
         SvcMsg::StatsOk {
             submitted: rng.u64(),
@@ -749,6 +767,23 @@ fn service_wire_bytes_match_the_golden_vectors() {
         },
         SvcMsg::Shutdown,
         SvcMsg::ShutdownAck,
+        // Recorded later: a collected `Done` and an unknown job.
+        SvcMsg::Status {
+            job: 7,
+            state: 2,
+            cache_hit: false,
+            stages_run: 5,
+            frame: None,
+            error: None,
+        },
+        SvcMsg::Status {
+            job: 9,
+            state: 255,
+            cache_hit: false,
+            stages_run: 0,
+            frame: None,
+            error: Some("unknown job".into()),
+        },
     ];
     let golden = [
         "012a000000000000000008000000000000006a6f622d626f6479",
@@ -764,6 +799,8 @@ fn service_wire_bytes_match_the_golden_vectors() {
         "0a090000000000000008000000000000000100000000000000070000000000000003000000000000000100000000000000",
         "0b",
         "0c",
+        "060700000000000000020005000000000000000000",
+        "060900000000000000ff000000000000000000010b00000000000000756e6b6e6f776e206a6f6200",
     ];
     assert_golden(
         &samples,

@@ -736,3 +736,65 @@ fn client_disconnect_cancels_its_unfinished_jobs() {
     assert_eq!(svc.committed_cost(), 0.0);
     handle.stop();
 }
+
+#[test]
+fn a_wait_over_the_socket_collects_the_result_once() {
+    let svc = service(ctx(), ServiceConfig::default());
+    svc.start_workers(1);
+    let handle = svc
+        .serve(ServiceAddr::Tcp("127.0.0.1:0".into()))
+        .expect("bind");
+    let mut c = ServiceClient::connect(handle.addr()).expect("connect");
+    let job = c
+        .submit(1, body(1, 31, 120, 0))
+        .expect("io")
+        .expect("admitted");
+    let first = c.wait(job).expect("io");
+    assert_eq!(first.state, JobState::Done, "{:?}", first.error);
+    assert_eq!(
+        decode_pairs(first.result.as_ref().expect("the first wait has the bytes")),
+        reference(1, 31, 120, 0)
+    );
+    // Collected: the job is still known and done, without its bytes.
+    for again in [c.wait(job).expect("io"), c.poll(job).expect("io")] {
+        assert_eq!((again.job, again.state), (job, JobState::Done));
+        assert_eq!(again.result, None, "a collected result is sent once");
+        assert!(!again.cache_hit && again.stages_run == first.stages_run);
+    }
+    handle.stop();
+}
+
+#[test]
+fn the_socket_client_reports_an_unknown_job_as_not_found() {
+    let svc = service(
+        ctx(),
+        ServiceConfig::default()
+            .with_inflight(1, 1)
+            .with_settled_retention(1),
+    );
+    svc.start_workers(1);
+    let handle = svc
+        .serve(ServiceAddr::Tcp("127.0.0.1:0".into()))
+        .expect("bind");
+    let mut c = ServiceClient::connect(handle.addr()).expect("connect");
+    let jobs: Vec<_> = (0..2u64)
+        .map(|i| {
+            c.submit(1, body(1, 40 + i, 60, 0))
+                .expect("io")
+                .expect("admitted")
+        })
+        .collect();
+    // The second job settles after the first, evicting it from a ring
+    // of one.
+    assert_eq!(c.wait(jobs[1]).expect("io").state, JobState::Done);
+    let never_issued = jobs[1] + 1000;
+    for job in [jobs[0], never_issued] {
+        for probe in [c.poll(job), c.wait(job)] {
+            let err = probe.expect_err("no status for an unknown job");
+            assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "job {job}");
+            assert_eq!(err.to_string(), format!("unknown job {job}"));
+        }
+        assert!(svc.poll(job).is_none(), "in process it is `None`");
+    }
+    handle.stop();
+}
